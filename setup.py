@@ -1,6 +1,6 @@
-"""Legacy setup shim: lets ``pip install -e .`` work on environments
-whose setuptools predates PEP 660 editable installs (no wheel package).
-All real metadata lives in pyproject.toml."""
+"""Package metadata: ``pip install -e .`` (or ``python setup.py
+develop`` where setuptools predates PEP 660 editable installs) makes
+``src/repro`` importable.  This file is the only packaging metadata."""
 
 from setuptools import find_packages, setup
 

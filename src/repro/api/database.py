@@ -214,7 +214,8 @@ class Database:
     # ------------------------------------------------------------------
     def explain(self, sql: str, rewrite_trace: bool = False) -> str:
         """QGM graph, physical plan, and plan-cache status for a SELECT
-        or XNF query.
+        or XNF query; for an UPDATE or DELETE (on a table, a view or an
+        XNF component), the plan qualifying the base rows it touches.
 
         The plan-cache section reports whether this compile hit or
         missed, the normalized statement fingerprint, and — on a miss —

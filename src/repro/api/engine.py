@@ -99,6 +99,12 @@ class _StatementLatch:
     internally); plain readers may nest shared acquisitions.  Lock
     *upgrades* (shared holder requesting exclusive) are a programming
     error and raise instead of deadlocking.
+
+    Writers announce intent: while one waits, *new* shared entries
+    queue behind it (re-entries by a thread already reading do not, or
+    they would deadlock against the writer waiting for them).  Without
+    this, overlapping readers could keep the reader set non-empty for
+    as long as they kept arriving and starve every writer.
     """
 
     def __init__(self, timeout: float):
@@ -107,6 +113,7 @@ class _StatementLatch:
         self._readers: dict[int, int] = {}
         self._writer: Optional[int] = None
         self._writer_depth = 0
+        self._writers_waiting = 0
 
     def _wait(self, predicate, what: str) -> None:
         if not self._cond.wait_for(predicate, timeout=self._timeout):
@@ -117,8 +124,9 @@ class _StatementLatch:
     def shared(self):
         tid = threading.get_ident()
         with self._cond:
-            if self._writer != tid:
-                self._wait(lambda: self._writer is None,
+            if self._writer != tid and tid not in self._readers:
+                self._wait(lambda: self._writer is None
+                           and not self._writers_waiting,
                            "a concurrent statement to finish")
             self._readers[tid] = self._readers.get(tid, 0) + 1
         try:
@@ -141,11 +149,17 @@ class _StatementLatch:
                     raise TransactionError(
                         "cannot start a mutating statement from inside "
                         "a read (lock upgrade)")
-                self._wait(
-                    lambda: self._writer is None and not any(
-                        t != tid for t in self._readers),
-                    "concurrent readers to finish",
-                )
+                self._writers_waiting += 1
+                try:
+                    self._wait(
+                        lambda: self._writer is None and not any(
+                            t != tid for t in self._readers),
+                        "concurrent readers to finish",
+                    )
+                finally:
+                    self._writers_waiting -= 1
+                    # Readers parked behind this intent re-check.
+                    self._cond.notify_all()
                 self._writer = tid
                 self._writer_depth = 1
         try:
@@ -608,15 +622,10 @@ class Engine:
             if not self.catalog.has_table(name):
                 continue  # dropped mid-transaction; nothing to overlay
             table = self.catalog.table(name)
-            pk_map: dict[tuple, int] = {}
-            live_delta = 0
-            for rid, image in rows.items():
-                committed_live = image is not None
-                live_delta += (int(committed_live)
-                               - int(table.is_live_physical(rid)))
-                if committed_live and table.primary_key:
-                    pk_map[table._pk_key(image)] = rid
-            views[name] = TableReadView(rows, pk_map, live_delta)
+            live_delta = sum(int(image is not None)
+                             - int(table.is_live_physical(rid))
+                             for rid, image in rows.items())
+            views[name] = TableReadView(rows, live_delta)
         self._overlay_cache = (key, views)
         return views
 

@@ -540,7 +540,8 @@ class Session:
     # ------------------------------------------------------------------
     def explain(self, sql: str, rewrite_trace: bool = False) -> str:
         """QGM graph, physical plan, and plan-cache status for a SELECT
-        or XNF query (see :meth:`Database.explain` for details)."""
+        or XNF query, or the qualification plan of an UPDATE/DELETE (see
+        :meth:`Database.explain` for details)."""
         from repro.compiler.pipeline import CompilationTrace
         from repro.executor.plan_cache import CacheInfo
         from repro.qgm.dump import dump_graph
@@ -589,7 +590,23 @@ class Session:
                      "-- plan --", executable.explain(),
                      self._explain_cache_section()])
             return engine.read(self, run_xnf)
-        raise SemanticError("EXPLAIN supports SELECT and XNF queries")
+        if isinstance(statement, (ast.UpdateStatement,
+                                  ast.DeleteStatement)):
+            def run_dml():
+                if engine.viewupdates.handles(statement.table):
+                    plan = engine.viewupdates.qualification_plan(statement)
+                else:
+                    values = [a.value for a in
+                              getattr(statement, "assignments", ())]
+                    plan, _bindings = engine.dml.qualification_plan(
+                        engine.catalog.table(statement.table),
+                        statement.where, values)
+                return "\n".join(["-- qualification plan --",
+                                  plan.explain(),
+                                  self._explain_cache_section()])
+            return engine.read(self, run_dml)
+        raise SemanticError(
+            "EXPLAIN supports SELECT, XNF, UPDATE and DELETE statements")
 
     def _explain_cache_section(self) -> str:
         info = self.engine.pipeline.plan_cache.last_info

@@ -107,7 +107,7 @@ class DMLExecutor:
             table.column_position(a.column) for a in statement.assignments
         ]
         expressions = [a.value for a in statement.assignments]
-        rows = self._qualify(table, statement.where, expressions, params)
+        rows = self.qualify(table, statement.where, expressions, params)
         updated = 0
         delta = TableDelta(table.name) if self.catalog.wants_deltas \
             else None
@@ -142,7 +142,7 @@ class DMLExecutor:
     # ------------------------------------------------------------------
     def delete(self, statement: ast.DeleteStatement, params=None) -> int:
         table = self.catalog.table(statement.table)
-        rows = self._qualify(table, statement.where, [], params)
+        rows = self.qualify(table, statement.where, [], params)
         deleted = 0
         delta = TableDelta(table.name) if self.catalog.wants_deltas \
             else None
@@ -162,26 +162,34 @@ class DMLExecutor:
     def qualify(self, table: Table, where: Optional[ast.Expression],
                 value_expressions: list[ast.Expression],
                 params=None) -> list[tuple]:
-        """Public qualification hook: ``[(rid, value...), ...]`` rows.
+        """Run ``SELECT rid, <exprs> FROM table WHERE pred``: the
+        ``[(rid, value...), ...]`` rows an UPDATE/DELETE touches.
 
-        The view-update put-back path translates view DML into
-        base-table form and qualifies here, so it shares the plan cache
-        (and the Halloween-safe materialize-then-mutate discipline)
-        with hand-written DML.
+        Rows are materialized before mutation so halloween-style
+        re-visitation cannot occur.  The view-update put-back path
+        translates view DML into base-table form and qualifies here, so
+        it shares the plan cache (and this discipline) with hand-written
+        DML.
         """
-        return self._qualify(table, where, value_expressions, params)
+        plan, bindings = self.qualification_plan(table, where,
+                                                 value_expressions)
+        ctx = plan.new_context(params)
+        if bindings:
+            ctx.parameters.update(bindings)
+        _stream, node = plan.single_output()
+        return plan.run_node(node, ctx)
 
-    def _qualify(self, table: Table, where: Optional[ast.Expression],
-                 value_expressions: list[ast.Expression],
-                 params=None) -> list[tuple]:
-        """Plan and run ``SELECT rid, <exprs> FROM table WHERE pred``.
+    def qualification_plan(self, table: Table,
+                           where: Optional[ast.Expression],
+                           value_expressions: list[ast.Expression]
+                           ) -> tuple[ExecutablePlan, dict]:
+        """The qualification plan plus the bindings of its lifted
+        literals (``EXPLAIN UPDATE/DELETE`` shows the plan).
 
-        The qualification plan is read through the pipeline's plan
-        cache: literals in the predicate and the SET expressions are
-        lifted into synthetic parameters, so repeated UPDATE/DELETE
-        statements differing only in constants reuse one plan.  Rows
-        are materialized before mutation so halloween-style
-        re-visitation cannot occur.
+        The plan is read through the pipeline's plan cache: literals in
+        the predicate and the SET expressions are lifted into synthetic
+        parameters, so repeated UPDATE/DELETE statements differing only
+        in constants reuse one plan.
         """
         expressions = [where] + list(value_expressions)
         bindings: dict = {}
@@ -202,11 +210,7 @@ class DMLExecutor:
         else:
             plan = self._compile_qualification(table, where,
                                                list(value_expressions))
-        ctx = plan.new_context(params)
-        if bindings:
-            ctx.parameters.update(bindings)
-        _stream, node = plan.single_output()
-        return plan.run_node(node, ctx)
+        return plan, bindings
 
     def _compile_qualification(self, table: Table,
                                where: Optional[ast.Expression],

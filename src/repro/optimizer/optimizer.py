@@ -505,9 +505,9 @@ class Planner:
         full_scan_cost = self.cost.scan_cost(cardinality)
 
         # Access-path selection for constant equality predicates: every
-        # index fully covered by them is a candidate; cost-compare
-        # against the full scan (legacy mode: first covered index wins
-        # unconditionally).
+        # index fully covered by them — the primary key's among them —
+        # is a candidate; cost-compare against the full scan (legacy
+        # mode: first covered index wins unconditionally).
         remaining = list(local_preds)
         node: PlanNode
         access_cost = full_scan_cost
@@ -522,7 +522,7 @@ class Planner:
                     const_eq[column] = value
                     const_pred[column] = predicate
             cost_based = self.options.cost_based_access_paths
-            for index in table.indexes:
+            for index in table.access_indexes:
                 names = [c.upper() for c in index.column_names]
                 if not all(name in const_eq for name in names):
                     continue
@@ -540,11 +540,12 @@ class Planner:
                 key_fns = [empty_compiler.compile(const_eq[name])
                            for name in names]
                 node = IndexScan(table, index, key_fns, with_rid=with_rid)
-                remaining = [
-                    p for p in local_preds
-                    if self._constant_equality(p, quantifier)[0]
-                    not in names
-                ]
+                # Only the predicates that became probe keys are
+                # consumed; a second equality on a keyed column (``a = 1
+                # AND a = 2``) still filters.
+                keys = [const_pred[name] for name in names]
+                remaining = [p for p in local_preds
+                             if not any(p is key for key in keys)]
         if chosen_index is None:
             node = TableScan(table, with_rid=with_rid)
         node.estimated_rows = rows
@@ -779,7 +780,7 @@ class Planner:
             return None
         table = candidate.table if candidate.table is not None \
             else candidate.node.table  # type: ignore[attr-defined]
-        for index in table.indexes:
+        for index in table.access_indexes:
             names = [c.upper() for c in index.column_names]
             if all(name in columns for name in names):
                 return index
@@ -877,26 +878,24 @@ class Planner:
                      combined_layout: Layout) -> Optional[PlanNode]:
         table = candidate.table if candidate.table is not None \
             else candidate.node.table  # type: ignore[attr-defined]
-        by_column: dict[str, ast.Expression] = {}
-        others: list[ast.BinaryOp] = []
-        for predicate, (_outer_expr, inner_expr) in equi:
-            if isinstance(inner_expr, QRef):
-                by_column.setdefault(inner_expr.column.upper(),
-                                     _outer_expr)
-            else:
-                others.append(predicate)
         names = [c.upper() for c in index.column_names]
-        if not all(name in by_column for name in names):
+        by_column: dict[str, ast.Expression] = {}
+        residual_preds: list[ast.Expression] = []
+        for predicate, (outer_expr, inner_expr) in equi:
+            column = inner_expr.column.upper() \
+                if isinstance(inner_expr, QRef) else None
+            if column in names and column not in by_column:
+                by_column[column] = outer_expr
+            else:
+                # Not a probe key — a second equality on an already
+                # keyed column included — so it must hold on every
+                # probed row.
+                residual_preds.append(predicate)
+        if len(by_column) != len(names):
             return None
         outer_compiler = ExpressionCompiler(outer_layout)
         key_fns = [outer_compiler.compile(by_column[name])
                    for name in names]
-        residual_preds: list[ast.Expression] = list(others)
-        residual_preds.extend(
-            predicate for predicate, (_o, inner_expr) in equi
-            if isinstance(inner_expr, QRef)
-            and inner_expr.column.upper() not in names
-        )
         # Local filters on the candidate fold into the probe residual
         # (the probe replaces the candidate's filtered-scan subtree).
         residual_preds.extend(candidate.filter_preds)

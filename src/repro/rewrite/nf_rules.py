@@ -39,15 +39,10 @@ def columns_unique_in(box: Box, columns: set[str]) -> bool:
     """
     upper = {c.upper() for c in columns}
     if isinstance(box, BaseBox):
-        table = box.table
-        pk = {c.upper() for c in table.primary_key}
-        if pk and pk <= upper:
-            return True
-        for index in table.indexes:
-            if index.unique and \
-                    {c.upper() for c in index.column_names} <= upper:
-                return True
-        return False
+        # The primary key is one of the table's unique indexes.
+        return any(index.unique
+                   and {c.upper() for c in index.column_names} <= upper
+                   for index in box.table.access_indexes)
     if isinstance(box, SelectBox):
         if box.distinct and upper >= {c.name.upper() for c in box.head}:
             return True

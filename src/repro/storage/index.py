@@ -1,4 +1,4 @@
-"""Secondary indexes over heap tables.
+"""Indexes over heap tables.
 
 Two access methods, mirroring what Starburst's CORE offered the optimizer:
 
@@ -9,6 +9,10 @@ Two access methods, mirroring what Starburst's CORE offered the optimizer:
   key list, the in-memory stand-in for a B-tree) supporting equality and
   range scans in key order.
 
+A table's primary key is a :class:`PrimaryKeyIndex`, a unique hash
+index the table creates itself: it is the one key-lookup mechanism for
+constraint checks, point reads and index nested-loop probes alike.
+
 Indexes are maintained eagerly by the owning :class:`~repro.storage.table.Table`
 through the ``on_insert`` / ``on_update`` / ``on_delete`` notifications.
 """
@@ -16,10 +20,17 @@ through the ``on_insert`` / ``on_update`` / ``on_delete`` notifications.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import StorageError, TypeCheckError
-from repro.storage.table import Rid, Row, Table
+
+if TYPE_CHECKING:  # the table module imports this one
+    from repro.storage.table import Rid, Row, Table
+
+
+#: Rows fetched per heap batch while an index is (re)built.
+_REBUILD_BATCH = 4096
 
 
 class Index:
@@ -34,9 +45,17 @@ class Index:
         self.column_names = tuple(column_names)
         self.positions = tuple(table.column_position(c) for c in column_names)
         self.unique = unique
+        # Key extraction runs on every mutation and index rebuild; an
+        # itemgetter returns a bare value for one position, hence the
+        # single-column case.
+        self._single = self.positions[0] if len(self.positions) == 1 \
+            else None
+        self._getter = itemgetter(*self.positions)
 
     def key_of(self, row: Row) -> tuple:
-        return tuple(row[p] for p in self.positions)
+        if self._single is not None:
+            return (row[self._single],)
+        return self._getter(row)
 
     # -- maintenance hooks (called by Table) ---------------------------
     def on_insert(self, rid: Rid, row: Row) -> None:
@@ -77,8 +96,9 @@ class HashIndex(Index):
 
     def rebuild(self, table: Table) -> None:
         self._buckets = {}
-        for rid, row in table.scan():
-            self.on_insert(rid, row)
+        for chunk in table.scan_batches(_REBUILD_BATCH):
+            for rid, row in chunk:
+                self.on_insert(rid, row)
 
     def on_insert(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)
@@ -109,6 +129,50 @@ class HashIndex(Index):
 
     def __repr__(self) -> str:
         return (f"<HashIndex {self.name} on {self.table_name}"
+                f"({', '.join(self.column_names)})>")
+
+
+class PrimaryKeyIndex(HashIndex):
+    """A table's primary key as a unique hash index named ``PK_<table>``.
+
+    Owned by the table and implied by its schema: it is never a catalog
+    object, never logged as DDL and never listed in a snapshot.  Each
+    key maps straight to its one RID (``_buckets`` holds RIDs, not RID
+    lists), so the index costs no more memory than a plain dict.
+    """
+
+    def __init__(self, table: Table):
+        super().__init__(f"PK_{table.name}", table, table.primary_key,
+                         unique=True)
+
+    def check_available(self, row: Row) -> None:
+        """Raise if another row already holds ``row``'s key."""
+        key = self.key_of(row)
+        if key in self._buckets:
+            cols = ", ".join(self.column_names)
+            raise TypeCheckError(
+                f"duplicate primary key ({cols}) = {key!r} in table "
+                f"{self.table_name!r}"
+            )
+
+    def on_insert(self, rid: Rid, row: Row) -> None:
+        self.check_available(row)
+        self._buckets[self.key_of(row)] = rid
+
+    def on_delete(self, rid: Rid, row: Row) -> None:
+        key = self.key_of(row)
+        if self._buckets.get(key) != rid:
+            raise StorageError(
+                f"index {self.name!r} out of sync: rid {rid} missing for {key!r}"
+            )
+        del self._buckets[key]
+
+    def lookup(self, key: tuple) -> list[Rid]:
+        rid = self._buckets.get(tuple(key))
+        return [] if rid is None else [rid]
+
+    def __repr__(self) -> str:
+        return (f"<PrimaryKeyIndex {self.name} on {self.table_name}"
                 f"({', '.join(self.column_names)})>")
 
 

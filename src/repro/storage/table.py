@@ -22,7 +22,8 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import StorageError, TypeCheckError
+from repro.errors import StorageError
+from repro.storage.index import PrimaryKeyIndex
 from repro.storage.partition import Partitioning
 from repro.storage.types import Column, validate_row
 
@@ -59,15 +60,15 @@ class TableReadView:
     ``rows`` maps each touched RID to its committed row, or ``None``
     when the row did not exist at transaction start (an uncommitted
     insert — invisible to readers).  RIDs absent from ``rows`` are
-    untouched: their physical row *is* the committed row.
+    untouched: their physical row *is* the committed row.  Key lookups
+    go through :func:`visible_index_lookup`, which re-checks overlaid
+    RIDs against their committed images.
     """
 
-    __slots__ = ("rows", "pk_map", "live_delta")
+    __slots__ = ("rows", "live_delta")
 
-    def __init__(self, rows: dict[Rid, Row | None],
-                 pk_map: dict[tuple, Rid], live_delta: int):
+    def __init__(self, rows: dict[Rid, Row | None], live_delta: int):
         self.rows = rows
-        self.pk_map = pk_map
         self.live_delta = live_delta
 
 
@@ -112,7 +113,7 @@ def visible_index_lookup(table: "Table", index: Any,
         fetch = table.fetch
         return [(rid, fetch(rid)) for rid in index.lookup(key)]
     key = tuple(key)
-    positions = [table.column_position(c) for c in index.column_names]
+    key_of = index.key_of
     out: list[tuple[Rid, Row]] = []
     overlaid = view.rows
     seen: set[Rid] = set()
@@ -120,15 +121,14 @@ def visible_index_lookup(table: "Table", index: Any,
         if rid in overlaid:
             seen.add(rid)
             image = overlaid[rid]
-            if image is not None \
-                    and tuple(image[p] for p in positions) == key:
+            if image is not None and key_of(image) == key:
                 out.append((rid, image))
         else:
             out.append((rid, table.fetch(rid)))
     for rid, image in overlaid.items():
         if rid in seen or image is None:
             continue
-        if tuple(image[p] for p in positions) == key:
+        if key_of(image) == key:
             out.append((rid, image))
     return out
 
@@ -141,7 +141,9 @@ class Table:
     catalog sees all tables; a single table cannot check cross-table
     constraints).
 
-    Indexes and the PK map stay *global* over encoded RIDs even when the
+    The primary key is a :class:`~repro.storage.index.PrimaryKeyIndex`
+    (``pk_index``) maintained through the same hooks as secondary
+    indexes.  All indexes stay *global* over encoded RIDs even when the
     table is partitioned — a lookup never needs to know the layout, and
     cross-partition uniqueness holds by construction.
     """
@@ -162,11 +164,15 @@ class Table:
             raise StorageError(f"table {name!r} has duplicate column names")
         self._slots: list[Row | None] = []
         self._live = 0
-        self._indexes: list[Any] = []  # repro.storage.index.Index instances
         self._pk_positions = tuple(
             i for i, c in enumerate(columns) if c.primary_key
         )
-        self._pk_values: dict[tuple, Rid] = {}
+        self.pk_index: PrimaryKeyIndex | None = \
+            PrimaryKeyIndex(self) if self._pk_positions else None
+        # Every maintained index (repro.storage.index.Index), the PK
+        # index first.
+        self._indexes: list[Any] = \
+            [self.pk_index] if self.pk_index is not None else []
         #: Monotone physical-mutation counter; the parallel executor's
         #: worker pool uses it (with the schema version) to detect that
         #: forked committed-state replicas have gone stale.
@@ -471,7 +477,8 @@ class Table:
     def insert(self, values: Iterable[Any]) -> Rid:
         """Validate and append a row; returns its RID."""
         row = validate_row(self.columns, values)
-        self._check_pk_available(row)
+        if self.pk_index is not None:
+            self.pk_index.check_available(row)
         if self.partitioning is None:
             rid = len(self._slots)
             self._slots.append(row)
@@ -484,7 +491,6 @@ class Table:
                 self._part_live[pid] += 1
         self._live += 1
         self.version += 1
-        self._register_pk(row, rid)
         for index in self._indexes:
             index.on_insert(rid, row)
         if self.on_mutation is not None:
@@ -515,7 +521,6 @@ class Table:
         if self.partitioning is not None:
             self._part_live[rid >> PARTITION_SHIFT] += 1
         self.version += 1
-        self._register_pk(row, rid)
         for index in self._indexes:
             index.on_insert(rid, row)
 
@@ -535,17 +540,10 @@ class Table:
                 f"table {self.name!r}: in-place update would move rid {rid} "
                 f"across partitions; use update_row()"
             )
-        old_key = self._pk_key(old)
-        new_key = self._pk_key(new)
-        if new_key != old_key:
-            self._check_pk_available(new)
+        self._check_pk_change(old, new)
         slots, slot = self._locate(rid)
         slots[slot] = new
         self.version += 1
-        if self._pk_positions:
-            if old_key != new_key:
-                del self._pk_values[old_key]
-                self._pk_values[new_key] = rid
         for index in self._indexes:
             index.on_update(rid, old, new)
         if self.on_mutation is not None:
@@ -567,10 +565,7 @@ class Table:
         new = validate_row(self.columns, values)
         if self._route(new) == rid >> PARTITION_SHIFT:
             return rid, self.update(rid, values)
-        old_key = self._pk_key(old)
-        new_key = self._pk_key(new)
-        if new_key != old_key:
-            self._check_pk_available(new)
+        self._check_pk_change(old, new)
         self.delete(rid)
         new_rid = self.insert(new)
         return new_rid, self.fetch(new_rid)
@@ -588,8 +583,6 @@ class Table:
                 self._part_live[pid] -= 1
         self._live -= 1
         self.version += 1
-        if self._pk_positions:
-            del self._pk_values[self._pk_key(old)]
         for index in self._indexes:
             index.on_delete(rid, old)
         if self.on_mutation is not None:
@@ -604,7 +597,6 @@ class Table:
         self._part_live = [0] * len(self._parts)
         self._live = 0
         self.version += 1
-        self._pk_values.clear()
         for index in self._indexes:
             index.rebuild(self)
 
@@ -626,7 +618,6 @@ class Table:
         self._set_partitioning(partitioning)
         self._slots = []
         self._live = 0
-        self._pk_values.clear()
         for row in rows:
             if self.partitioning is None:
                 rid = len(self._slots)
@@ -638,7 +629,6 @@ class Table:
                 slots.append(row)
                 self._part_live[pid] += 1
             self._live += 1
-            self._register_pk(row, rid)
         self.version += 1
         for index in self._indexes:
             index.rebuild(self)
@@ -686,21 +676,16 @@ class Table:
         """Replace the heap with a snapshot's slot state (recovery only).
 
         Rows were validated when first inserted, so this skips type and
-        constraint checks and just rebuilds the PK map and indexes.  The
-        shape must match the table's partitioning (flat list when
-        unpartitioned, list of per-partition lists otherwise) — the
-        snapshot stores the partitioning spec alongside and the catalog
-        recreates the table with it before restoring.
+        constraint checks and just rebuilds the indexes, the PK index
+        among them.  The shape must match the table's partitioning (flat
+        list when unpartitioned, list of per-partition lists otherwise)
+        — the snapshot stores the partitioning spec alongside and the
+        catalog recreates the table with it before restoring.
         """
-        self._pk_values.clear()
         if self.partitioning is None:
             self._slots = [tuple(row) if row is not None else None
                            for row in slots]
             self._live = sum(1 for row in self._slots if row is not None)
-            if self._pk_positions:
-                for rid, row in enumerate(self._slots):
-                    if row is not None:
-                        self._pk_values[self._pk_key(row)] = rid
         else:
             if len(slots) != len(self._parts):
                 raise StorageError(
@@ -712,12 +697,6 @@ class Table:
             self._part_live = [sum(1 for row in part if row is not None)
                                for part in self._parts]
             self._live = sum(self._part_live)
-            if self._pk_positions:
-                for pid, part in enumerate(self._parts):
-                    base = pid << PARTITION_SHIFT
-                    for slot, row in enumerate(part):
-                        if row is not None:
-                            self._pk_values[self._pk_key(row)] = base | slot
         self.version += 1
         for index in self._indexes:
             index.rebuild(self)
@@ -735,49 +714,29 @@ class Table:
 
     @property
     def indexes(self) -> tuple:
+        """The attached secondary indexes (catalog objects)."""
+        return tuple(i for i in self._indexes if i is not self.pk_index)
+
+    @property
+    def access_indexes(self) -> tuple:
+        """Every index usable as an access path: the PK index (when the
+        table has a primary key) followed by the secondary indexes."""
         return tuple(self._indexes)
 
     # ------------------------------------------------------------------
-    # Primary key maintenance
+    # Primary key
     # ------------------------------------------------------------------
-    def _pk_key(self, row: Row) -> tuple:
-        return tuple(row[i] for i in self._pk_positions)
-
-    def _check_pk_available(self, row: Row) -> None:
-        if not self._pk_positions:
-            return
-        key = self._pk_key(row)
-        if key in self._pk_values:
-            cols = ", ".join(self.primary_key)
-            raise TypeCheckError(
-                f"duplicate primary key ({cols}) = {key!r} in table {self.name!r}"
-            )
-
-    def _register_pk(self, row: Row, rid: Rid) -> None:
-        if self._pk_positions:
-            self._pk_values[self._pk_key(row)] = rid
+    def _check_pk_change(self, old: Row, new: Row) -> None:
+        pk = self.pk_index
+        if pk is not None and pk.key_of(new) != pk.key_of(old):
+            pk.check_available(new)
 
     def lookup_pk(self, key: tuple) -> Rid | None:
         """Find the RID of the visible row with this primary key."""
-        if not self._pk_positions:
+        if self.pk_index is None:
             raise StorageError(f"table {self.name!r} has no primary key")
-        key = tuple(key)
-        view = active_read_view(self.name)
-        if view is None:
-            return self._pk_values.get(key)
-        # Committed keys of overlaid rows take precedence; a physical
-        # hit on an overlaid RID must be re-validated against the
-        # committed image (its key may have been changed uncommitted).
-        rid = view.pk_map.get(key)
-        if rid is not None:
-            return rid
-        rid = self._pk_values.get(key)
-        if rid is None or rid not in view.rows:
-            return rid
-        image = view.rows[rid]
-        if image is not None and self._pk_key(image) == key:
-            return rid
-        return None
+        found = visible_index_lookup(self, self.pk_index, key)
+        return found[0][0] if found else None
 
     def __repr__(self) -> str:
         scheme = f" {self.partitioning.describe()}" \

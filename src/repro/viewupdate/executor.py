@@ -227,16 +227,35 @@ class ViewUpdateManager:
     # ------------------------------------------------------------------
     # UPDATE
     # ------------------------------------------------------------------
-    def update(self, statement: ast.UpdateStatement, params=None) -> int:
+    def _translate(self, statement):
+        """``(classified view, assignments, WHERE)`` of a view UPDATE or
+        DELETE; the WHERE is in base-table terms for single-source
+        views and stays over the view for key-preserved joins."""
         cached = self._analyze(statement.table)
         plan = cached.plan
-        triples = self._translated(
+        assignments = getattr(statement, "assignments", ())
+        translated = self._translated(
             statement,
-            lambda: (translate_assignments(plan, statement.assignments),
+            lambda: (translate_assignments(plan, assignments),
                      translate_where(plan, statement.where)
                      if plan.single_source else statement.where))
-        assignments, where = triples
+        return (cached, *translated)
+
+    def qualification_plan(self, statement):
+        """The plan that qualifies the base rows a view UPDATE/DELETE
+        touches (what ``EXPLAIN`` shows for view DML)."""
+        cached, assignments, where = self._translate(statement)
+        plan = cached.plan
+        values = [value for _, _, value in assignments]
         if plan.single_source:
+            return self.engine.dml.qualification_plan(
+                self.catalog.table(plan.table), where, values)[0]
+        return compile_join_qualification(self.engine.pipeline, plan,
+                                          where, values)
+
+    def update(self, statement: ast.UpdateStatement, params=None) -> int:
+        cached, assignments, where = self._translate(statement)
+        if cached.plan.single_source:
             return self._update_single(cached, assignments, where, params)
         return self._update_join(cached, assignments, where, params)
 
@@ -311,18 +330,15 @@ class ViewUpdateManager:
     # DELETE
     # ------------------------------------------------------------------
     def delete(self, statement: ast.DeleteStatement, params=None) -> int:
-        cached = self._analyze(statement.table)
+        cached, _assignments, where = self._translate(statement)
         plan = cached.plan
         if plan.single_source:
-            where = self._translated(
-                statement,
-                lambda: translate_where(plan, statement.where))
             table = self.catalog.table(plan.table)
             rows = self.engine.dml.qualify(table, where, [], params)
         else:
             table = plan.anchor.box.table
             qualification = compile_join_qualification(
-                self.engine.pipeline, plan, statement.where, [])
+                self.engine.pipeline, plan, where, [])
             ctx = qualification.new_context(params)
             _stream, node = qualification.single_output()
             rows = [(rid,) for rid in

@@ -244,8 +244,9 @@ class CacheWriteBack:
         #: chase the chain to the row's current home.
         self._moved: dict = {}
         #: Consolidates this write-back's base-table mutations into the
-        #: delta protocol (one TableDelta per touched table), published
-        #: only after the transaction committed.
+        #: delta protocol (one TableDelta per touched table), emitted
+        #: inside the atomic scope so the transaction buffers them: the
+        #: WAL logs them at commit, and a rollback discards them.
         self._recorder: Optional[DeltaRecorder] = None
 
     # ------------------------------------------------------------------
@@ -295,16 +296,15 @@ class CacheWriteBack:
                 applied += 1
             if verify is not None:
                 verify(self)
+            if self._recorder is not None:
+                for delta in self._recorder.deltas():
+                    self.catalog.emit_table_delta(delta)
             return applied
 
         try:
-            applied = self.transactions.run_atomic(run)
+            return self.transactions.run_atomic(run)
         finally:
-            recorder, self._recorder = self._recorder, None
-        if recorder is not None:
-            for delta in recorder.deltas():
-                self.catalog.emit_table_delta(delta)
-        return applied
+            self._recorder = None
 
     def _record(self, table_name: str, rid, old, new) -> None:
         if self._recorder is not None:

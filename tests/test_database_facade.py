@@ -137,5 +137,10 @@ class TestExplain:
         assert "output" in text and "D" in text
 
     def test_explain_rejects_dml(self, org_db):
+        # INSERT has no plan to show; UPDATE/DELETE explain the plan
+        # qualifying their rows, without running the statement.
         with pytest.raises(SemanticError):
-            org_db.explain("DELETE FROM EMP")
+            org_db.explain("INSERT INTO EMP (ENO) VALUES (1)")
+        count = org_db.query("SELECT COUNT(*) FROM EMP").rows
+        assert "qualification plan" in org_db.explain("DELETE FROM EMP")
+        assert org_db.query("SELECT COUNT(*) FROM EMP").rows == count

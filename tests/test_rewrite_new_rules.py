@@ -10,6 +10,7 @@ deterministic per graph.
 
 from __future__ import annotations
 
+import pytest
 
 from repro.compiler.pipeline import rewrite_fixpoint
 from repro.qgm.dump import canonical_dump
@@ -152,14 +153,21 @@ class TestRedundantJoinElimination:
             "WHERE es.eseno = e.eno")
         assert context.applications.get("JoinElim", 0) == 0
 
-    def test_no_fire_when_two_child_columns_equate_one_pk(self, simple_db):
+    @pytest.mark.parametrize("index_ddl", [
+        None, "CREATE INDEX IX_P2 ON P2 (ID)"], ids=["pk", "secondary"])
+    def test_no_fire_when_two_child_columns_equate_one_pk(self, simple_db,
+                                                           index_ddl):
         # p.id = c.fk AND p.id = c.other implies c.fk = c.other;
-        # dropping the parent join must not lose that constraint.
+        # dropping the parent join must not lose that constraint.  An
+        # index-nested-loop probe of P2 (through its PK or a secondary
+        # index) keys on one equality; the other must stay a residual.
         simple_db.execute(
             "CREATE TABLE P2 (ID INT PRIMARY KEY)")
         simple_db.execute(
             "CREATE TABLE C2 (CID INT PRIMARY KEY, FK_ID INT NOT NULL, "
             "OTHER_COL INT, FOREIGN KEY (FK_ID) REFERENCES P2 (ID))")
+        if index_ddl is not None:
+            simple_db.execute(index_ddl)
         simple_db.execute("INSERT INTO P2 VALUES (1), (2)")
         simple_db.execute("INSERT INTO C2 VALUES (10, 1, 2), (11, 2, 2)")
         _graph, context = rewrite(

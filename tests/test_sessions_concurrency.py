@@ -24,7 +24,11 @@ SMALL_ORG = OrgScale(departments=5, employees_per_dept=3,
 
 
 def run_threads(workers):
-    """Run thunks in parallel; re-raise the first failure, if any."""
+    """Run thunks in parallel; re-raise the first failure, if any.
+
+    Daemon threads: a worker that never finishes fails the test (the
+    join times out) instead of keeping the interpreter alive.
+    """
     errors = []
 
     def guard(fn):
@@ -35,7 +39,8 @@ def run_threads(workers):
                 errors.append(exc)
         return run
 
-    threads = [threading.Thread(target=guard(fn)) for fn in workers]
+    threads = [threading.Thread(target=guard(fn), daemon=True)
+               for fn in workers]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -124,8 +129,10 @@ class TestSerializedWriters:
             reader()
 
         def writers_then_stop():
-            run_threads(writers)
-            stop.set()
+            try:
+                run_threads(writers)
+            finally:
+                stop.set()  # a failed writer must still end the readers
 
         run_threads([writers_then_stop, reader_until_done,
                      reader_until_done])
