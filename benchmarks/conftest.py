@@ -8,6 +8,10 @@ absolute numbers, per DESIGN.md §4.
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.api.database import Database
@@ -32,6 +36,20 @@ def make_org_db(scale: OrgScale = BENCH_ORG,
 @pytest.fixture(scope="module")
 def bench_org_db() -> Database:
     return make_org_db()
+
+
+def write_results(path: Path, results: dict) -> None:
+    """Write a benchmark's ``BENCH_*.json`` — only when
+    ``REPRO_BENCH_WRITE=1``.
+
+    A plain test run therefore leaves the checkout untouched; the CI
+    benchmark jobs that upload the files as artifacts set the variable.
+    The files are gitignored: measured timings are machine-specific.
+    """
+    if os.environ.get("REPRO_BENCH_WRITE") != "1" or not results:
+        return
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nresults written to {path}")
 
 
 def print_table(title: str, headers: list[str],

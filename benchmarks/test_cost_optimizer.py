@@ -17,19 +17,18 @@ under a best-of-N harness (fastest repetition wins, so noise can only
 *hurt* the reported speedup).  Row equality between the two plans is
 asserted on every workload, so the benchmark doubles as a plan-
 equivalence soundness check.  Results land in ``BENCH_cost.json`` at
-the repository root, including the chosen join orders so a regression
+the repository root under ``REPRO_BENCH_WRITE=1``, including the chosen join orders so a regression
 is diagnosable from the artifact alone.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.database import Database
 from repro.executor.runtime import PipelineOptions, QueryPipeline
 from repro.optimizer.optimizer import PlannerOptions
@@ -144,7 +143,7 @@ def record(name: str, new_s: float, legacy_s: float,
     if extra:
         entry.update(extra)
     _results[name] = entry
-    RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
+    write_results(RESULTS_PATH, _results)
     print_table(
         f"cost-based planner A/B: {name} (best of {BEST_OF})",
         ["planner", "seconds", "speedup"],

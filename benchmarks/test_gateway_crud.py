@@ -12,18 +12,18 @@ DML.  The A/B, same engine, same rows:
   caches warm after the first).
 
 Acceptance ceiling: the view path is at most ``2x`` the hand-written
-per-statement time.  Results land in ``BENCH_view_update.json``.
+per-statement time.  Results land in ``BENCH_view_update.json``
+under ``REPRO_BENCH_WRITE=1``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.engine import Engine
 
 #: Acceptance ceiling: view-path CRUD vs hand-written base DML.
@@ -124,6 +124,4 @@ def test_view_crud_overhead_bounded():
 @pytest.fixture(scope="session", autouse=True)
 def write_results_at_exit():
     yield
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nresults written to {RESULTS_PATH}")
+    write_results(RESULTS_PATH, _results)

@@ -7,7 +7,7 @@ into query speedup — CPython threads interleave, but forked worker
 bit-identical to the pre-parallel engine) and a parallel engine
 (``parallel_degree=4`` over a hash-partitioned fact table).  Result
 equality is asserted; wall-clock speedup is recorded to
-``BENCH_parallel.json``.
+``BENCH_parallel.json`` under ``REPRO_BENCH_WRITE=1``.
 
 The >= 2x acceptance floor is only *enforced* when the host actually
 has 4+ cores (CI does; a 1-core container cannot speed anything up by
@@ -16,7 +16,6 @@ forking).  ``floor_enforced`` in the JSON says which case ran.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.database import Database
 from repro.executor.runtime import PipelineOptions
 from repro.optimizer.optimizer import PlannerOptions
@@ -149,6 +148,4 @@ def test_parallel_hash_join_speedup(ab_pair):
 @pytest.fixture(scope="session", autouse=True)
 def write_results_at_exit():
     yield
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nresults written to {RESULTS_PATH}")
+    write_results(RESULTS_PATH, _results)

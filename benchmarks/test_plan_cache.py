@@ -13,18 +13,18 @@ best-of-N harness (N timed repetitions, fastest wins, so scheduler
 noise can only *hurt* the reported speedup).  Result equality between
 the two engines is asserted on every query, so the benchmark doubles
 as an end-to-end soundness check.  Results land in
-``BENCH_plan_cache.json`` at the repository root.
+``BENCH_plan_cache.json`` at the repository root under
+``REPRO_BENCH_WRITE=1``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.database import Database
 from repro.executor.runtime import PipelineOptions
 from repro.workloads.oo1 import OO1Scale, create_oo1_schema, populate_oo1
@@ -101,7 +101,7 @@ def record(name: str, queries: int, cached_s: float, uncached_s: float,
     if extra:
         entry.update(extra)
     _results[name] = entry
-    RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
+    write_results(RESULTS_PATH, _results)
     print_table(
         f"plan cache A/B: {name} (best of {BEST_OF})",
         ["pipeline", "queries/sec", "speedup"],

@@ -18,19 +18,18 @@ best-of-N harness as the plan-cache benchmark:
 
 Result equality between the two engines is asserted on every workload,
 so the benchmark doubles as a soundness check.  Results land in
-``BENCH_rewrite.json`` at the repository root; CI uploads the file and
-enforces the floors.
+``BENCH_rewrite.json`` at the repository root under
+``REPRO_BENCH_WRITE=1``; CI uploads the file and enforces the floors.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.database import Database
 from repro.executor.runtime import PipelineOptions
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
@@ -109,7 +108,7 @@ def record(name: str, queries: int, rewritten_s: float, raw_s: float,
         "required_speedup": floor,
         "best_of": BEST_OF,
     }
-    RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
+    write_results(RESULTS_PATH, _results)
     print_table(
         f"rewrite A/B: {name} (best of {BEST_OF})",
         ["pipeline", "queries/sec", "speedup"],

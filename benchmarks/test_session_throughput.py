@@ -22,19 +22,19 @@ claimed: CPython threads interleave rather than parallelize, so the
 speedup measured here is the shared-compiled-state effect of the
 engine/session split, not thread-level parallelism.  Result equality
 between both sides is asserted query-for-query.  Results land in
-``BENCH_sessions.json`` at the repository root.
+``BENCH_sessions.json`` at the repository root under
+``REPRO_BENCH_WRITE=1``.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
@@ -222,6 +222,4 @@ def test_streaming_cursor_first_row_latency():
 @pytest.fixture(scope="session", autouse=True)
 def write_results_at_exit():
     yield
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nresults written to {RESULTS_PATH}")
+    write_results(RESULTS_PATH, _results)

@@ -18,19 +18,18 @@ Acceptance floor: at 8 concurrent sessions, durable group commit is at
 most ``2x`` the in-memory per-transaction time.  The telemetry row
 (``syncs per commit``) shows *why*: the barrier coalesces the 8
 committers' records into far fewer fsyncs.  Results land in
-``BENCH_wal.json``.
+``BENCH_wal.json`` under ``REPRO_BENCH_WRITE=1``.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.engine import Engine
 
 #: Acceptance ceiling: durable group commit vs in-memory, per txn.
@@ -165,6 +164,4 @@ def test_group_commit_amortizes_fsync(tmp_path):
 @pytest.fixture(scope="session", autouse=True)
 def write_results_at_exit():
     yield
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nresults written to {RESULTS_PATH}")
+    write_results(RESULTS_PATH, _results)

@@ -46,6 +46,7 @@ from typing import Optional, Union
 from repro.errors import (CatalogError, InterfaceError, SemanticError,
                           TransactionError)
 from repro.executor.dml import DMLExecutor
+from repro.executor.plan_cache import parameterize_xnf
 from repro.executor.runtime import PipelineOptions, QueryPipeline
 from repro.cache.matview import MaterializedViewRegistry
 from repro.qgm.model import Box
@@ -663,35 +664,66 @@ class Engine:
     # ------------------------------------------------------------------
     def compile_xnf(self, query: ast.XNFQuery, view_name: str,
                     xnf_options: Optional[XNFOptions] = None
-                    ) -> XNFExecutable:
-        """Compile an XNF query, read through the shared plan cache.
+                    ) -> tuple[XNFExecutable, dict]:
+        """Compile an ad-hoc XNF query through the shared plan cache.
 
-        The XNF read path is hot for gateway navigation: repeated
-        ``xnf()`` / ``open_cache()`` calls over the same view reuse the
-        translated graph and physical plans across *all* sessions.
-        Entries invalidate with the catalog schema version (view/DDL
-        changes) and the statistics epoch like any cached plan.
+        The query is auto-parameterized first, so every literal variant
+        of one CO-query shape (``dno BETWEEN 3 AND 5``, ``... 7 AND 9``)
+        shares one executable across *all* sessions.  Returns the
+        executable plus the lifted literals' bindings; run it with
+        ``executable.run(executable.plan.new_context(bindings))``.  With
+        the cache disabled nothing is lifted and the bindings are empty.
         """
-        options = xnf_options or self.xnf_options
-        key = ("xnf", query, view_name, options.output_optimization,
-               options.apply_nf_rewrite,
-               self.pipeline._options_signature())
+        if not self.pipeline.plan_cache.enabled:
+            return self.compile_xnf_inline(query, view_name,
+                                           xnf_options), {}
+        parameterized = parameterize_xnf(query)
+        executable = self._compile_xnf_cached(
+            parameterized.statement, view_name,
+            xnf_options or self.xnf_options, parameterized.bindings)
+        return executable, parameterized.bindings
+
+    def compile_xnf_inline(self, query: ast.XNFQuery, view_name: str,
+                           xnf_options: Optional[XNFOptions] = None
+                           ) -> XNFExecutable:
+        """Compile an XNF query with its literals left inline.
+
+        For consumers that keep the executable and evaluate its
+        predicates outside the plan with an empty execution context —
+        the matview delta engine, ``open_cache`` updatability, the
+        public ``xnf_executable()``.  Still read through the plan cache
+        (repeated ``open_cache()`` calls over one view are hot for
+        gateway navigation), keyed on the literal query.
+        """
+        return self._compile_xnf_cached(query, view_name,
+                                        xnf_options or self.xnf_options)
+
+    def _compile_xnf_cached(self, query: ast.XNFQuery, view_name: str,
+                            options: XNFOptions,
+                            peek: Optional[dict] = None) -> XNFExecutable:
+        # Entries invalidate with the catalog schema version (view/DDL
+        # changes) and the statistics epoch like any cached plan.
+        key = self.pipeline.cache_key(
+            "xnf", query, view_name, options.output_optimization,
+            options.apply_nf_rewrite)
         return self.pipeline.cached_compile(
             key,
-            lambda: self._compile_xnf_fresh(query, view_name, options),
+            lambda: self._compile_xnf_fresh(query, view_name, options,
+                                            peek),
             tables_of=lambda executable: self.pipeline.graph_tables(
                 executable.translated.graph),
         )
 
     def _compile_xnf_fresh(self, query: ast.XNFQuery, view_name: str,
-                           options: XNFOptions) -> XNFExecutable:
+                           options: XNFOptions,
+                           peek: Optional[dict] = None) -> XNFExecutable:
         graph = self.pipeline.compiler.build_xnf(query,
                                                  view_name=view_name)
         translator = XNFTranslator(self.catalog, options,
                                    compiler=self.pipeline.compiler)
         translated = translator.translate(graph)
         return XNFExecutable(translated, self.catalog, self.stats,
-                             self.pipeline_options.planner)
+                             self.pipeline_options.planner, peek=peek)
 
     def _matview_executable(self, query: ast.XNFQuery) -> XNFExecutable:
         """Compile a materialized view's definition.
@@ -704,7 +736,7 @@ class Engine:
             output_optimization=False,
             apply_nf_rewrite=self.xnf_options.apply_nf_rewrite,
         )
-        return self.compile_xnf(query, "XNF", xnf_options=options)
+        return self.compile_xnf_inline(query, "XNF", xnf_options=options)
 
     def resolve_xnf_component(self, view_name: str,
                               component: str) -> Box:

@@ -435,7 +435,7 @@ class Session:
         engine = self.engine
         query, view_name = engine.xnf_query_of(source)
         return engine.read(
-            self, lambda: engine.compile_xnf(
+            self, lambda: engine.compile_xnf_inline(
                 query, view_name, xnf_options or self.xnf_options))
 
     def run_xnf_query(self, source: Union[str, ast.XNFQuery]) -> COResult:
@@ -444,13 +444,18 @@ class Session:
         query, view_name = engine.xnf_query_of(source)
         # Read-through: a query structurally equal to a registered
         # materialized view's definition is served from the
-        # materialization (refreshed per its staleness policy).
+        # materialization (refreshed per its staleness policy).  The
+        # comparison uses the query as written: a same-shape query with
+        # other literals is a different CO and must not match.
         materialized = engine.matviews.lookup_query(query)
         if materialized is not None:
             return engine.matview_read(self, materialized.read)
-        return engine.read(
-            self, lambda: engine.compile_xnf(
-                query, view_name, self.xnf_options).run())
+
+        def run():
+            executable, bindings = engine.compile_xnf(
+                query, view_name, self.xnf_options)
+            return executable.run(executable.plan.new_context(bindings))
+        return engine.read(self, run)
 
     def xnf(self, source: Union[str, ast.XNFQuery]) -> COResult:
         """Materialize a CO view (alias of :meth:`run_xnf_query`)."""
@@ -483,8 +488,8 @@ class Session:
         query, view_name = engine.xnf_query_of(source)
 
         def run():
-            executable = engine.compile_xnf(query, view_name,
-                                            self.xnf_options)
+            executable = engine.compile_xnf_inline(query, view_name,
+                                                   self.xnf_options)
             return XNFCache.evaluate(executable, catalog=engine.catalog,
                                      transactions=_SessionWriteBack(self),
                                      write_through=write_through)
@@ -581,7 +586,7 @@ class Session:
             return engine.read(self, run)
         if isinstance(statement, ast.XNFQuery):
             def run_xnf():
-                executable = engine.compile_xnf(
+                executable, _bindings = engine.compile_xnf(
                     *engine.xnf_query_of(statement),
                     xnf_options=self.xnf_options)
                 return "\n".join(

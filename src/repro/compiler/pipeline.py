@@ -323,15 +323,26 @@ class CompilationPipeline:
             for name in tables
         )
 
+    def cache_key(self, kind: str, statement, *qualifiers) -> tuple:
+        """The plan-cache key of every statement kind.
+
+        ``kind`` tags the artifact ('select', 'xnf', 'dml_qualify'),
+        ``statement`` is the (normally literal-lifted) AST, and
+        ``qualifiers`` carry whatever else the artifact depends on (an
+        XNF view name and translation options, a DML target table).
+        The option signature is appended so toggling a knob never
+        serves an artifact built under other options.
+        """
+        return (kind, statement) + qualifiers \
+            + (self._options_signature(),)
+
     def compile_parameterized(self, parameterized) -> CompiledQuery:
         """Compile a pre-parameterized SELECT through the plan cache.
 
-        Single source of truth for the SELECT cache key shape — both
-        the ad-hoc path (:meth:`compile_select_cached`) and prepared
-        statements go through here.
+        Both the ad-hoc path (:meth:`compile_select_cached`) and
+        prepared statements go through here.
         """
-        signature = self._options_signature()
-        key = ("select", parameterized.statement, signature)
+        key = self.cache_key("select", parameterized.statement)
         cache = self.plan_cache
         if not cache.enabled:
             cache.last_info = CacheInfo(status="bypass",
@@ -348,7 +359,7 @@ class CompilationPipeline:
         graph = self.build_select(parameterized.statement)
         compiled, canonical = self._front_half(graph,
                                                want_canonical=True)
-        canon_key = ("canon", canonical, signature)
+        canon_key = self.cache_key("canon", canonical)
         canon_entry = cache.probe(canon_key, schema_version,
                                   self._stats_view, self._on_stats_drift)
         if canon_entry is not None:
@@ -356,9 +367,7 @@ class CompilationPipeline:
             # to the same artifact and report a (canonical) hit.  The
             # first-level lookup already counted a miss; reclassify it,
             # so one compile is exactly one hit or one miss.
-            cache.store(key, canon_entry.value, schema_version,
-                        canon_entry.stats_keys,
-                        estimated_rows=canon_entry.estimated_rows)
+            cache.alias(key, canon_key)
             cache.stats.misses -= 1
             cache.stats.hits += 1
             cache.last_info = CacheInfo(
@@ -378,8 +387,7 @@ class CompilationPipeline:
         miss_info.estimated_rows = estimated
         cache.store(key, compiled, schema_version, stats_keys,
                     estimated_rows=estimated)
-        cache.store(canon_key, compiled, schema_version, stats_keys,
-                    estimated_rows=estimated)
+        cache.alias(canon_key, key)
         cache.last_info = miss_info
         self._stamp_epoch()
         return compiled

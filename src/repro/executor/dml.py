@@ -199,8 +199,8 @@ class DMLExecutor:
             where = lifted.statement[0]
             value_expressions = list(lifted.statement[1:])
             bindings = lifted.bindings
-            key = ("dml_qualify", table.name, lifted.statement,
-                   self.pipeline._options_signature())
+            key = self.pipeline.cache_key("dml_qualify", lifted.statement,
+                                          table.name)
             plan = self.pipeline.cached_compile(
                 key,
                 lambda: self._compile_qualification(table, where,

@@ -11,6 +11,10 @@ on every ``db.query()``.  This module adds the missing layer:
   same *statement fingerprint* and share one compiled plan.  The lifted
   values are returned alongside and bound into the
   :class:`~repro.optimizer.plan.ExecutionContext` at run time.
+* :func:`parameterize_xnf` does the same for an ad-hoc XNF query: the
+  literals of every component query and every relationship predicate
+  and attribute are lifted, so all literal variants of one CO-query
+  shape share one compiled XNF executable.
 * :class:`PlanCache` is a bounded LRU mapping fingerprints to compiled
   artifacts (plans, XNF executables, DML qualification plans), each
   entry pinned to the catalog's ``schema_version`` and the statistics
@@ -28,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sql import ast
@@ -247,6 +251,46 @@ def parameterize_select(statement: ast.SelectStatement
     return ParameterizedStatement(normalized, tuple(lifter.values))
 
 
+def _max_positional_in_xnf(query: ast.XNFQuery) -> int:
+    """Highest explicit ``?`` index anywhere in an XNF query, or -1."""
+    highest = -1
+    for definition in query.definitions:
+        if isinstance(definition, ast.XNFComponentDef):
+            highest = max(highest, max_positional_index(definition.query))
+        else:
+            highest = max(highest, max_positional_in_expressions(
+                [definition.where]
+                + [item.expression for item in definition.attributes]))
+    return highest
+
+
+def parameterize_xnf(query: ast.XNFQuery) -> ParameterizedStatement:
+    """Lift an ad-hoc XNF query's literals into synthetic parameters.
+
+    Every component query is lifted like a SELECT; so are each
+    relationship's WHERE predicate and its ``WITH expr AS name``
+    attribute expressions.  Synthetic indices start after the highest
+    explicit ``?`` anywhere in the query.
+    """
+    lifter = _Lifter(_max_positional_in_xnf(query) + 1)
+    definitions = []
+    for definition in query.definitions:
+        if isinstance(definition, ast.XNFComponentDef):
+            definitions.append(ast.XNFComponentDef(
+                definition.name, lifter.lift_select(definition.query)))
+            continue
+        definitions.append(replace(
+            definition,
+            where=None if definition.where is None
+            else lifter.lift(definition.where),
+            attributes=tuple(
+                ast.SelectItem(lifter.lift(item.expression), item.alias)
+                for item in definition.attributes),
+        ))
+    normalized = replace(query, definitions=tuple(definitions))
+    return ParameterizedStatement(normalized, tuple(lifter.values))
+
+
 def parameterize_expressions(expressions: list[Optional[ast.Expression]],
                              next_index: int = 0) -> ParameterizedStatement:
     """Lift literals from a bag of expressions (the DML qualification
@@ -275,6 +319,9 @@ class CacheEntry:
     #: Planner-estimated output rows snapshotted at store time (-1
     #: when the artifact has no single row estimate).
     estimated_rows: float = -1.0
+    #: Further keys resolving to this artifact (see
+    #: :meth:`PlanCache.alias`); they leave the cache with it.
+    aliases: list = field(default_factory=list)
 
 
 @dataclass
@@ -328,11 +375,19 @@ class PlanCache:
     writes that bypass the DML layer are caught by the cardinality
     check.  ``capacity <= 0`` disables the cache entirely (every
     lookup is a bypass).
+
+    ``capacity`` counts compiled *artifacts*.  Extra keys for one
+    artifact (the pipeline's post-rewrite canonical key, say) are
+    :meth:`alias` entries: free of capacity, resolved on lookup, and
+    dropped together with the artifact they name.
     """
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
+        #: Primary key -> artifact entry, in LRU order.
         self._entries: "OrderedDict[Any, CacheEntry]" = OrderedDict()
+        #: Alias key -> primary key.
+        self._aliases: dict[Any, Any] = {}
         self.stats = CacheStats()
         self.last_info = CacheInfo(status="bypass")
         # One cache is shared by every session of an engine; concurrent
@@ -347,6 +402,7 @@ class PlanCache:
         return self.capacity > 0
 
     def __len__(self) -> int:
+        """The number of cached artifacts (aliases not counted)."""
         return len(self._entries)
 
     # ------------------------------------------------------------------
@@ -373,6 +429,33 @@ class PlanCache:
                        f"materially)"
         return None
 
+    def _invalid_reason(self, entry: CacheEntry, schema_version: int,
+                        stats_view: Optional[StatsView],
+                        on_drift) -> Optional[str]:
+        if entry.schema_version != schema_version:
+            return "schema changed (DDL)"
+        return self._validate_stats(entry, stats_view, on_drift)
+
+    def _resolve(self, key: Any) -> tuple[Any, Optional[CacheEntry]]:
+        """(primary key, entry) for ``key`` or one of its aliases."""
+        primary = self._aliases.get(key, key)
+        return primary, self._entries.get(primary)
+
+    def _drop(self, primary: Any) -> None:
+        """Remove an artifact together with every alias naming it."""
+        entry = self._entries.pop(primary)
+        for alias in entry.aliases:
+            self._aliases.pop(alias, None)
+
+    def _unlink(self, key: Any) -> None:
+        """Free ``key`` for reuse, whether it is a primary or an alias."""
+        if key in self._entries:
+            self._drop(key)
+            return
+        primary = self._aliases.pop(key, None)
+        if primary is not None:
+            self._entries[primary].aliases.remove(key)
+
     def probe(self, key: Any, schema_version: int,
               stats_view: Optional[StatsView] = None,
               on_drift=None) -> Optional[CacheEntry]:
@@ -382,17 +465,14 @@ class PlanCache:
         if not self.enabled:
             return None
         with self._lock:
-            entry = self._entries.get(key)
+            primary, entry = self._resolve(key)
             if entry is None:
                 return None
-            if entry.schema_version != schema_version:
-                reason = "schema changed (DDL)"
-            else:
-                reason = self._validate_stats(entry, stats_view, on_drift)
-            if reason is not None:
-                del self._entries[key]
+            if self._invalid_reason(entry, schema_version, stats_view,
+                                    on_drift) is not None:
+                self._drop(primary)
                 return None
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(primary)
             entry.hits += 1
             return entry
 
@@ -405,7 +485,7 @@ class PlanCache:
                                        reason="plan cache disabled")
             return None
         with self._lock:
-            entry = self._entries.get(key)
+            primary, entry = self._resolve(key)
             if entry is None:
                 self.stats.misses += 1
                 self.last_info = CacheInfo(
@@ -413,12 +493,10 @@ class PlanCache:
                     reason="not cached", schema_version=schema_version,
                 )
                 return None
-            if entry.schema_version != schema_version:
-                reason = "schema changed (DDL)"
-            else:
-                reason = self._validate_stats(entry, stats_view, on_drift)
+            reason = self._invalid_reason(entry, schema_version,
+                                          stats_view, on_drift)
             if reason is None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(primary)
                 entry.hits += 1
                 self.stats.hits += 1
                 self.last_info = CacheInfo(
@@ -427,7 +505,7 @@ class PlanCache:
                     estimated_rows=entry.estimated_rows,
                 )
                 return entry
-            del self._entries[key]
+            self._drop(primary)
             self.stats.misses += 1
             self.stats.invalidations += 1
             self.last_info = CacheInfo(
@@ -446,13 +524,27 @@ class PlanCache:
                            stats_keys=tuple(stats_keys),
                            estimated_rows=estimated_rows)
         with self._lock:
+            self._unlink(key)
             self._entries[key] = entry
-            self._entries.move_to_end(key)
             self.stats.stores += 1
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self._drop(next(iter(self._entries)))
                 self.stats.evictions += 1
         return entry
+
+    def alias(self, key: Any, target: Any) -> None:
+        """Make ``key`` resolve to the artifact cached under ``target``
+        (itself a primary key or an alias).  A no-op when ``target`` is
+        not cached."""
+        if not self.enabled:
+            return
+        with self._lock:
+            primary, entry = self._resolve(target)
+            if entry is None or key == primary:
+                return
+            self._unlink(key)
+            self._aliases[key] = primary
+            entry.aliases.append(key)
 
     def get_or_compile(self, key: Any, schema_version: int,
                        stats_view: Optional[StatsView], compile_fn,
@@ -483,4 +575,5 @@ class PlanCache:
             if self._entries:
                 self.stats.invalidations += len(self._entries)
             self._entries.clear()
+            self._aliases.clear()
             self.last_info = CacheInfo(status="bypass", reason=reason)

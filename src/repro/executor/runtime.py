@@ -173,8 +173,8 @@ class QueryPipeline:
         return self.compiler.cached_compile(key, compile_fn,
                                             tables_of=tables_of)
 
-    def _options_signature(self) -> tuple:
-        return self.compiler._options_signature()
+    def cache_key(self, kind: str, statement, *qualifiers) -> tuple:
+        return self.compiler.cache_key(kind, statement, *qualifiers)
 
     @staticmethod
     def graph_tables(graph: QGMGraph) -> list[str]:

@@ -141,16 +141,24 @@ class COResult:
 
 
 class XNFExecutable:
-    """A compiled XNF query: plans per output stream plus metadata."""
+    """A compiled XNF query: plans per output stream plus metadata.
+
+    ``peek`` carries the values of literals the plan cache lifted into
+    parameters (bind peeking), so the cost model keeps value-aware
+    estimates; run such an executable with those values bound, e.g.
+    ``run(executable.plan.new_context(bindings))``.
+    """
 
     def __init__(self, translated: TranslatedXNF, catalog: Catalog,
                  stats: Optional[StatisticsManager] = None,
-                 planner_options: Optional[PlannerOptions] = None):
+                 planner_options: Optional[PlannerOptions] = None,
+                 peek: Optional[dict] = None):
         self.translated = translated
         self.catalog = catalog
         self.stats = stats or StatisticsManager(catalog)
         self.planner_options = planner_options or PlannerOptions()
-        planner = Planner(catalog, self.stats, self.planner_options)
+        planner = Planner(catalog, self.stats, self.planner_options,
+                          peek=peek)
         self.plan: ExecutablePlan = planner.plan(translated.graph)
 
     # ------------------------------------------------------------------

@@ -334,6 +334,74 @@ class TestPlanCacheMechanics:
         assert "drifted" in cache.last_info.reason
         assert drifted == ["EMP"]
 
+    def test_alias_is_free_and_leaves_with_its_artifact(self):
+        cache = PlanCache(capacity=2)
+        cache.store("a", 1, 0)
+        cache.alias("a-canon", "a")
+        cache.store("b", 2, 0)
+        assert len(cache) == 2 and cache.stats.evictions == 0
+        assert cache.lookup("a-canon", 0).value == 1  # a is now MRU
+        cache.store("c", 3, 0)  # evicts b
+        cache.store("d", 4, 0)  # evicts a, and its alias with it
+        assert cache.lookup("a-canon", 0) is None
+        assert cache.stats.evictions == 2
+
+    def test_concurrent_store_alias_lookup_keeps_aliases_consistent(self):
+        import sys
+        import threading
+        cache = PlanCache(capacity=4)
+        errors: list = []
+
+        def hammer(worker: int) -> None:
+            try:
+                for step in range(400):
+                    key = (worker + step) % 9
+                    cache.store(key, key, 0)
+                    cache.alias(("canon", key), key)
+                    entry = cache.lookup(("canon", key), 0)
+                    if entry is not None and entry.value != key:
+                        errors.append((key, entry.value))
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,),
+                                        daemon=True) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= 4
+        # Every alias names a live artifact that lists it, and back.
+        for alias, primary in cache._aliases.items():
+            assert alias in cache._entries[primary].aliases
+        for primary, entry in cache._entries.items():
+            for alias in entry.aliases:
+                assert cache._aliases[alias] == primary
+
+    def test_capacity_counts_compiled_select_shapes(self, simple_db):
+        # Each SELECT compile is keyed twice (AST + post-rewrite
+        # canonical form); capacity must count the plan once, so a
+        # cycle of capacity // 2 + 1 shapes still hits on every repeat.
+        capacity = 8
+        cache = simple_db.pipeline.plan_cache
+        cache.capacity = capacity
+        cache.clear()
+        projections = ["ENAME", "SAL", "EDNO", "ENO", "ENAME, SAL"]
+        assert len(projections) == capacity // 2 + 1
+        for projection in projections:
+            rows(simple_db, f"SELECT {projection} FROM EMP WHERE ENO = 10")
+        for projection in projections:
+            rows(simple_db, f"SELECT {projection} FROM EMP WHERE ENO = 12")
+            assert cache.last_info.status == "hit", projection
+        assert cache.stats.evictions == 0
+
     def test_capacity_zero_disables(self, simple_db):
         from repro.api.database import Database
         db = Database(PipelineOptions(plan_cache_size=0))
