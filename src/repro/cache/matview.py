@@ -58,7 +58,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.errors import CacheError, CatalogError
-from repro.executor.expressions import CompiledExpression, ExpressionCompiler
+from repro.executor.expressions import (CompiledExpression,
+                                        ExpressionCompiler, column_ref)
 from repro.optimizer.plan import ExecutionContext, HashJoin, Materialized
 from repro.qgm.model import BaseBox, QRef, RidRef
 from repro.sql import ast
@@ -370,10 +371,6 @@ def _analyze_relationship(name, rinfo, xnf, components, catalog):
     )
 
 
-def _position_fn(position: int):
-    return lambda row, ctx: row[position]
-
-
 # ----------------------------------------------------------------------
 # The incremental state and delta engine
 # ----------------------------------------------------------------------
@@ -459,8 +456,8 @@ class _IncrementalState:
                 node,
                 Materialized([f"c{i}" for i in range(spec.width)],
                              step_rows),
-                [_position_fn(p) for p in left_positions],
-                [_position_fn(p) for p in right_positions],
+                [column_ref(p) for p in left_positions],
+                [column_ref(p) for p in right_positions],
             )
         ctx = ExecutionContext()
         predicate = relationship.predicate_fn

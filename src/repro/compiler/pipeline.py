@@ -45,10 +45,8 @@ from repro.storage.stats import StatisticsManager
 class PipelineOptions:
     """Stage toggles, exposed so benchmarks can ablate the rewrites.
 
-    Batch-at-a-time execution is controlled through the nested planner
-    options: ``PipelineOptions(planner=PlannerOptions(
-    batch_execution=False))`` falls back to row-at-a-time Volcano
-    iteration; ``PlannerOptions(batch_size=...)`` tunes the batch width,
+    Planner and executor knobs live in the nested planner options:
+    ``PlannerOptions(batch_size=...)`` tunes the executor's batch width,
     and ``PlannerOptions(rewrite_budget=...)`` bounds the rewrite
     fixpoint.
     """
@@ -59,14 +57,6 @@ class PipelineOptions:
     #: caching, so every statement recompiles through the full pipeline.
     plan_cache_size: int = 256
     planner: PlannerOptions = field(default_factory=PlannerOptions)
-
-    @property
-    def batch_execution(self) -> bool:
-        return self.planner.batch_execution
-
-    @batch_execution.setter
-    def batch_execution(self, enabled: bool) -> None:
-        self.planner.batch_execution = enabled
 
 
 @dataclass
@@ -282,7 +272,7 @@ class CompilationPipeline:
         planner = self.options.planner
         return (self.options.apply_nf_rewrite, self.options.prune_columns,
                 planner.use_indexes, planner.share_common_subexpressions,
-                planner.batch_execution, planner.batch_size,
+                planner.batch_size,
                 planner.join_enumeration, planner.dp_join_threshold,
                 planner.cost_based_access_paths, planner.legacy_cost_model,
                 planner.parallel_degree, planner.parallel_row_threshold)

@@ -10,6 +10,7 @@ whose predicate is exactly True.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Callable, Optional
 
@@ -26,9 +27,8 @@ RID_COLUMN = "$RID$"
 CompiledExpression = Callable[[tuple, Any], Any]
 
 #: Batch predicate: filters a list of rows, returning the kept rows in
-#: order.  The contract matches row-at-a-time filtering (keep rows whose
-#: predicate is exactly True) but is evaluated a batch at a time, with
-#: conjunct-level short-circuiting: later conjuncts only see survivors.
+#: order (rows whose predicate is exactly True), with conjunct-level
+#: short-circuiting: later conjuncts only see survivors.
 BatchPredicate = Callable[[list, Any], list]
 
 
@@ -136,6 +136,20 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "ROUND": _scalar_round,
     "COALESCE": _scalar_coalesce,
 }
+
+
+def column_ref(position: int) -> CompiledExpression:
+    """A compiled column reference.  ``position`` is exposed so batch
+    operators can fetch plain columns with ``itemgetter`` instead of a
+    call per row."""
+    def run(row, ctx):
+        return row[position]
+    run.position = position
+    return run
+
+
+_COMPARATORS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
@@ -290,15 +304,16 @@ class ExpressionCompiler:
 
     def compile_condition(self, expression: ast.Expression
                           ) -> CompiledExpression:
-        """Compile a predicate for a *filter* context.
+        """Compile a predicate for a per-row *filter* context (the
+        matview delta joins).
 
         Same True/dropped outcome as :meth:`compile` for every row, but
         conjunctions short-circuit exactly like the batch filter built
         by :meth:`compile_filter`: a right conjunct is only evaluated
-        when the left conjunct is True, so the two protocols also agree
-        on which side effects (runtime errors) can surface.  Only valid
-        where UNKNOWN and False are interchangeable — filters keep
-        exactly-True rows — not for value contexts.
+        when the left conjunct is True, so both agree on which side
+        effects (runtime errors) can surface.  Only valid where UNKNOWN
+        and False are interchangeable — filters keep exactly-True rows —
+        not for value contexts.
         """
         return self._condition(fold_constants(expression))
 
@@ -333,7 +348,7 @@ class ExpressionCompiler:
             position = self._position(expression.quantifier.qid,
                                       expression.column)
             if position is not None:
-                return lambda row, ctx: row[position]
+                return column_ref(position)
             # Not in the layout: a scalar-subquery quantifier, resolved
             # through the execution context at run time.
             quantifier = expression.quantifier
@@ -365,7 +380,7 @@ class ExpressionCompiler:
                     f"RID of {expression.quantifier.name} not available "
                     f"in this plan"
                 )
-            return lambda row, ctx: row[position]
+            return column_ref(position)
         if isinstance(expression, ast.BinaryOp):
             return self._compile_binary(expression)
         if isinstance(expression, ast.UnaryOp):
@@ -535,7 +550,8 @@ class ExpressionCompiler:
     def _filter_comparison(self,
                            expression: ast.BinaryOp
                            ) -> Optional[BatchPredicate]:
-        """Fast path for ``column op constant-or-parameter`` (either side)."""
+        """Fast path for ``column op constant-or-parameter`` (either side)
+        and ``column op column``."""
         for this, other, op in (
                 (expression.left, expression.right, expression.op),
                 (expression.right, expression.left,
@@ -563,6 +579,14 @@ class ExpressionCompiler:
                     return _comparison_filter(_op, _position, value)(
                         rows, ctx)
                 return run_bound
+            if isinstance(this, QRef) and isinstance(other, QRef):
+                position = self._position(this.quantifier.qid, this.column)
+                other_position = self._position(other.quantifier.qid,
+                                                other.column)
+                if position is None or other_position is None:
+                    return None
+                return _column_comparison_filter(op, position,
+                                                 other_position)
         return None
 
     def _filter_is_null(self, expression: ast.IsNull
@@ -585,8 +609,8 @@ def _comparison_filter(op: str, position: int, value) -> BatchPredicate:
     A NULL operand makes the comparison UNKNOWN, which never qualifies;
     equality needs no explicit guard because ``None == value`` is False
     for the non-NULL ``value`` the caller guarantees.  Ordering
-    comparisons fall back to the row-at-a-time comparator on type
-    mismatches so the error matches row mode exactly.
+    comparisons fall back to the per-row comparator on type mismatches
+    so the error is the one :meth:`ExpressionCompiler.compile` raises.
     """
     if op == "=":
         def run(rows, ctx):
@@ -629,6 +653,24 @@ def _comparison_filter(op: str, position: int, value) -> BatchPredicate:
                         if _compare(">=", r[position], value) is True]
     else:  # pragma: no cover - caller restricts ops
         raise ExecutionError(f"unknown comparison operator {op!r}")
+    return run
+
+
+def _column_comparison_filter(op: str, left: int,
+                              right: int) -> BatchPredicate:
+    """``column op column`` as one comprehension; like
+    :func:`_comparison_filter`, a type mismatch falls back to the per-row
+    comparator so the error matches."""
+    compare = _COMPARATORS[op]
+
+    def run(rows, ctx):
+        try:
+            return [r for r in rows
+                    if r[left] is not None and r[right] is not None
+                    and compare(r[left], r[right])]
+        except TypeError:
+            return [r for r in rows
+                    if _compare(op, r[left], r[right]) is True]
     return run
 
 

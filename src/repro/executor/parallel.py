@@ -189,77 +189,11 @@ def _rebatch(rows, batch_size: int) -> Iterator[list]:
         yield batch
 
 
-def _filter_stream(node: Filter, stream, ctx) -> Iterator[list]:
-    batch_predicate = node.batch_predicate
-    predicate = node.predicate
-    for batch in stream:
-        if batch_predicate is not None:
-            kept = batch_predicate(batch, ctx)
-        else:
-            kept = [row for row in batch if predicate(row, ctx) is True]
-        if kept:
-            yield kept
-
-
-def _project_stream(node: Project, stream, ctx) -> Iterator[list]:
-    fns = node.fns
-    for batch in stream:
-        yield [tuple(fn(row, ctx) for fn in fns) for row in batch]
-
-
-def _dedup_stream(stream) -> Iterator[list]:
-    seen: set = set()
-    add = seen.add
-    for batch in stream:
-        fresh = []
-        for row in batch:
-            if row not in seen:
-                add(row)
-                fresh.append(row)
-        if fresh:
-            yield fresh
-
-
-def _limit_stream(node: Limit, stream) -> Iterator[list]:
-    limit = node.limit
-    if limit is not None and limit <= 0:
-        return
-    to_skip = node.offset
-    remaining = limit
-    for batch in stream:
-        if to_skip:
-            if len(batch) <= to_skip:
-                to_skip -= len(batch)
-                continue
-            batch = batch[to_skip:]
-            to_skip = 0
-        if remaining is None:
-            yield batch
-            continue
-        if len(batch) > remaining:
-            batch = batch[:remaining]
-        remaining -= len(batch)
-        yield batch
-        if remaining == 0:
-            return
-
-
 def _apply_chain(chain: list, stream, ctx) -> Iterator[list]:
     """Replay the coordinator-side operator chain (bottom-up) over a
-    stream of merged batches, mirroring each operator's batch
-    semantics exactly."""
+    stream of merged batches, through each operator's own ``pipe``."""
     for node in reversed(chain):
-        if isinstance(node, Filter):
-            stream = _filter_stream(node, stream, ctx)
-        elif isinstance(node, Project):
-            stream = _project_stream(node, stream, ctx)
-        elif isinstance(node, Dedup):
-            stream = _dedup_stream(stream)
-        elif isinstance(node, Limit):
-            stream = _limit_stream(node, stream)
-        else:  # pragma: no cover - decompose() only admits the above
-            raise ParallelExecutionError(
-                f"unexpected coordinator operator {node.describe()}")
+        stream = node.pipe(stream, ctx)
     return stream
 
 
@@ -649,17 +583,15 @@ class ParallelRuntime:
         else:  # agg
             aggregate: Aggregate = decomp.worker_root
             groups: dict[tuple, list] = {}
-            order: list[tuple] = []
             for partial in payloads:
                 for key, states in partial:
                     into = groups.get(key)
                     if into is None:
                         groups[key] = states
-                        order.append(key)
                     else:
                         for acc, other in zip(into, states):
                             aggregate.merge_state(acc, other)
-            rows = aggregate._results(groups, order)
+            rows = aggregate._results(groups)
             yield from _apply_chain(decomp.chain,
                                     _rebatch(rows, batch_size), ctx)
 

@@ -228,33 +228,5 @@ class QueryPipeline:
                         batch_size: Optional[int] = None) -> QueryStream:
         plan = compiled.plan
         _stream, node = plan.single_output()
-        if batch_size is None:
-            batch_size = plan.batch_size
-        batch_size = batch_size if batch_size >= 1 else 1
-        if plan.batch_execution:
-            batches = node.execute_batches(ctx, batch_size)
-        else:
-            batches = _chunk_rows(node.execute(ctx), batch_size)
-        return QueryStream(list(node.columns), batches, ctx)
-
-
-def _chunk_rows(rows, batch_size: int):
-    """Adapt a row-at-a-time iterator to the batch protocol.
-
-    Closing the chunker (an abandoned QueryStream) must close the
-    source iterator too — a parallel execution underneath cancels its
-    outstanding morsels from its own cleanup, and it must not be left
-    to garbage collection to run."""
-    try:
-        chunk: list[tuple] = []
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) >= batch_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-    finally:
-        close = getattr(rows, "close", None)
-        if close is not None:
-            close()
+        return QueryStream(list(node.columns),
+                           plan.batches(node, ctx, batch_size), ctx)

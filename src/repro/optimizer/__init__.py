@@ -8,12 +8,12 @@ from repro.optimizer.plan import (Aggregate, Dedup, ExecutionContext, Filter,
                                   LeftOuterJoin, Limit, Materialized,
                                   NestedLoopJoin, PlanNode, Project, SemiJoin,
                                   SetOperation, SingleRow, Sort, Spool,
-                                  TableScan, UnionAll)
+                                  TableScan)
 
 __all__ = [
     "CostModel", "ExecutablePlan", "Planner", "PlannerOptions",
     "Aggregate", "Dedup", "ExecutionContext", "Filter", "HashJoin",
     "IndexNestedLoopJoin", "IndexScan", "LeftOuterJoin", "Limit",
     "Materialized", "NestedLoopJoin", "PlanNode", "Project", "SemiJoin",
-    "SetOperation", "SingleRow", "Sort", "Spool", "TableScan", "UnionAll",
+    "SetOperation", "SingleRow", "Sort", "Spool", "TableScan",
 ]

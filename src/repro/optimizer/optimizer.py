@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import PlanningError
 from repro.executor.expressions import (RID_COLUMN, CompiledExpression,
@@ -49,9 +49,8 @@ class PlannerOptions:
 
     use_indexes: bool = True
     share_common_subexpressions: bool = True
-    #: Batch-at-a-time execution (default on).  When off, plans run
-    #: through the original row-at-a-time Volcano iterators.
-    batch_execution: bool = True
+    #: Rows per batch of the executor's batch protocol; values below 1
+    #: run as 1.
     batch_size: int = DEFAULT_BATCH_SIZE
     #: Total rule firings the rewrite fixpoint may spend on one graph
     #: before raising RewriteError (naming the last-fired rule and the
@@ -110,8 +109,7 @@ class ExecutablePlan:
 
     outputs: list[tuple[OutputStream, PlanNode]]
     scalar_plans: dict[int, PlanNode] = field(default_factory=dict)
-    #: Execution-mode knobs, stamped from :class:`PlannerOptions`.
-    batch_execution: bool = True
+    #: Rows per batch, stamped from :class:`PlannerOptions`.
     batch_size: int = DEFAULT_BATCH_SIZE
     #: One record per multi-source join fan the planner ordered
     #: (including fans inside views/subqueries), in planning order.
@@ -130,16 +128,23 @@ class ExecutablePlan:
             )
         return self.outputs[0]
 
+    def batches(self, node: PlanNode, ctx: ExecutionContext,
+                batch_size: Optional[int] = None) -> Iterator[list[tuple]]:
+        """One output node's batch stream, ``batch_size`` (default: the
+        plan's) clamped to at least 1 row.  The width is stamped on
+        ``ctx`` so the plan's scalar subqueries run at it too."""
+        if batch_size is None:
+            batch_size = self.batch_size
+        ctx.batch_size = max(batch_size, 1)
+        return node.execute_batches(ctx, ctx.batch_size)
+
     def run_node(self, node: PlanNode,
                  ctx: ExecutionContext) -> list[tuple]:
-        """Materialize one output node under the plan's execution mode."""
-        if self.batch_execution:
-            batch_size = self.batch_size if self.batch_size >= 1 else 1
-            rows: list[tuple] = []
-            for batch in node.execute_batches(ctx, batch_size):
-                rows.extend(batch)
-            return rows
-        return list(node.execute(ctx))
+        """Materialize one output node."""
+        rows: list[tuple] = []
+        for batch in self.batches(node, ctx):
+            rows.extend(batch)
+        return rows
 
     def execute(self, ctx: Optional[ExecutionContext] = None) -> list[tuple]:
         """Run the single output stream to completion."""
@@ -183,14 +188,7 @@ class _Source:
 
 def _filter_node(node: PlanNode, compiler: ExpressionCompiler,
                  predicate: ast.Expression) -> Filter:
-    """A Filter carrying both row and batch forms of the predicate.
-
-    The row form uses the condition compiler so both forms short-circuit
-    conjuncts identically (same kept rows AND same runtime errors).
-    """
-    return Filter(node, compiler.compile_condition(predicate),
-                  str(predicate),
-                  batch_predicate=compiler.compile_filter(predicate))
+    return Filter(node, compiler.compile_filter(predicate), str(predicate))
 
 
 def _referenced_quantifiers(expression: ast.Expression) -> set[Quantifier]:
@@ -237,7 +235,6 @@ class Planner:
         for stream in graph.top.outputs:
             outputs.append((stream, self.plan_box(stream.box)))
         if (self.options.parallel_degree > 1
-                and self.options.batch_execution
                 and len(outputs) == 1 and not self.scalar_plans):
             from repro.executor.parallel import wrap_parallel
 
@@ -246,7 +243,6 @@ class Planner:
             if wrapped is not None:
                 outputs[0] = (outputs[0][0], wrapped)
         return ExecutablePlan(outputs, dict(self.scalar_plans),
-                              batch_execution=self.options.batch_execution,
                               batch_size=self.options.batch_size,
                               join_orders=list(self.join_orders))
 
@@ -1019,7 +1015,12 @@ class Planner:
         if box.input is None:
             raise PlanningError("group-by box has no input")
         child = self.plan_box(box.input.box)
-        layout = {(box.input.qid, c.name.upper()): i
+        positions = list(range(len(box.input.box.head)))
+        if isinstance(child, Project) and child.positions is not None:
+            # A pure column projection feeding the aggregate: read its
+            # input directly, through the projected positions.
+            child, positions = child.child, list(child.positions)
+        layout = {(box.input.qid, c.name.upper()): positions[i]
                   for i, c in enumerate(box.input.box.head)}
         compiler = ExpressionCompiler(layout)
         key_fns = [compiler.compile(k) for k in box.group_keys]

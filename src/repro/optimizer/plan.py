@@ -5,31 +5,29 @@ or more streams of tuples as input and produces one or more streams as
 output.  The adopted execution strategy, called table queue evaluation,
 is a demand driven, pipelined method".
 
-Operators here are Python iterators over value tuples.  The
-:class:`Spool` operator is the "table queue" that lets several consumers
-share one evaluation of a common subexpression — the physical realization
-of the paper's multi-query optimization (Sect. 5.1).
+Every operator speaks one protocol, ``execute_batches(ctx,
+batch_size)``: a demand-driven iterator over lists of at most
+``batch_size`` value tuples, so per-row generator resumptions become
+per-batch comprehensions.  :meth:`PlanNode.execute` is the one row
+adaptor; it flattens the batches for callers that want rows.  The
+:class:`Spool` operator is the "table queue" that lets several
+consumers share one evaluation of a common subexpression — the physical
+realization of the paper's multi-query optimization (Sect. 5.1).
 
-Two execution protocols coexist on every node:
-
-* ``execute(ctx)`` — the original row-at-a-time Volcano iterator, kept
-  as the reference semantics and as the fallback for operators without
-  a native batch implementation.
-* ``execute_batches(ctx, batch_size)`` — batch-at-a-time: yields lists
-  of up to ``batch_size`` row tuples.  Hot operators (scans, filter,
-  project, hash/index joins, aggregation, sort) implement it natively,
-  trading per-row generator resumptions for per-batch comprehensions;
-  everything else inherits the default, which chunks ``execute``.
-
-Both protocols produce identical row streams (same rows, same order)
-and bump the same instrumentation counters; batch mode merely bumps
-them at batch granularity, so with ``batch_size=1`` even the lazy
-counter trace is identical to row mode.
+Instrumentation counters are bumped at batch granularity.  Their totals
+do not depend on the batch size for any pipeline that runs to
+completion; a pipeline abandoned early (LIMIT) may have scanned up to
+one extra batch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from abc import ABC, abstractmethod
+from collections import defaultdict
+from functools import reduce
+from itertools import chain
+from operator import add, itemgetter
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.executor.expressions import BatchPredicate, CompiledExpression
@@ -41,6 +39,10 @@ Row = tuple
 
 #: Default number of rows per batch in batch-at-a-time execution.
 DEFAULT_BATCH_SIZE = 1024
+
+#: Fields of an :class:`Aggregate` accumulator state: [count, sum, min,
+#: max, distinct values seen (a set, or None)].
+_COUNT, _SUM, _MIN, _MAX, _DISTINCT = range(5)
 
 
 class ExecutionContext:
@@ -71,6 +73,9 @@ class ExecutionContext:
         self.parallel_runtime = None
         self.scan_ranges: dict[int, tuple] = {}
         self.join_build_cache: Optional[dict] = None
+        #: Rows per batch of the plan this context runs (stamped by
+        #: ``ExecutablePlan.batches``); scalar subqueries run at it too.
+        self.batch_size = DEFAULT_BATCH_SIZE
         self.counters: dict[str, int] = {
             "rows_scanned": 0,
             "index_lookups": 0,
@@ -121,7 +126,7 @@ class ExecutionContext:
         plan = self.scalar_plans.get(qid)
         if plan is None:
             raise ExecutionError(f"no scalar subquery registered for {qid}")
-        rows = list(plan.execute(self))
+        rows = list(plan.execute(self, self.batch_size))
         if len(rows) > 1:
             raise ExecutionError("scalar subquery returned more than one row")
         value = rows[0][0] if rows else None
@@ -146,11 +151,12 @@ class ExecutionContext:
         if plan is None:
             raise ExecutionError(f"no scalar subquery registered for {qid}")
         child = ExecutionContext()
+        child.batch_size = self.batch_size
         child.scalar_plans.update(self.scalar_plans)
         child.parameters.update(self.parameters)
         for slot, value in zip(slots, values):
             child.parameters[slot] = value
-        rows = list(plan.execute(child))
+        rows = list(plan.execute(child, child.batch_size))
         for counter, amount in child.counters.items():
             self.bump(counter, amount)
         if len(rows) > 1:
@@ -166,7 +172,7 @@ class ExecutionContext:
         self._correlated_values.clear()
 
 
-class PlanNode:
+class PlanNode(ABC):
     """Base class: produces a stream of tuples named by ``columns``."""
 
     def __init__(self, columns: Sequence[str]):
@@ -176,29 +182,19 @@ class PlanNode:
         #: this node's output; 0.0 when the planner didn't cost it.
         self.estimated_cost: float = 0.0
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        raise NotImplementedError
-
+    @abstractmethod
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        """Yield the same row stream as :meth:`execute`, in lists of at
-        most ``batch_size`` rows.
+        """Yield the output stream in lists of at most ``batch_size``
+        rows.  Nothing runs before the first batch is pulled."""
 
-        Default implementation: row-mode fallback that chunks
-        ``execute``, so operators without a native batch path still
-        compose with batch-mode parents.
-        """
-        batch: list[Row] = []
-        append = batch.append
-        for row in self.execute(ctx):
-            append(row)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
+    def execute(self, ctx: ExecutionContext,
+                batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Row]:
+        """The output stream row by row: :meth:`execute_batches`
+        flattened, for callers that want rows."""
+        for batch in self.execute_batches(ctx, batch_size):
+            yield from batch
 
     def children(self) -> list["PlanNode"]:
         return []
@@ -217,15 +213,105 @@ class PlanNode:
         return "\n".join(lines)
 
 
+def _materialize(node: PlanNode, ctx: ExecutionContext,
+                 batch_size: int) -> list[Row]:
+    rows: list[Row] = []
+    for batch in node.execute_batches(ctx, batch_size):
+        rows.extend(batch)
+    return rows
+
+
+def _chunked(rows: list[Row], batch_size: int) -> Iterator[list[Row]]:
+    for start in range(0, len(rows), batch_size):
+        yield rows[start:start + batch_size]
+
+
+def _full_batches(pieces: Iterator[list[Row]], batch_size: int,
+                  ctx: ExecutionContext,
+                  counter: Optional[str] = None) -> Iterator[list[Row]]:
+    """Cut a stream of row lists of any length into batches of exactly
+    ``batch_size`` rows (the last may be short), bumping ``counter`` by
+    the rows emitted."""
+    pending: list[Row] = []
+    for piece in pieces:
+        pending.extend(piece)
+        if len(pending) >= batch_size:
+            full = len(pending) - len(pending) % batch_size
+            for start in range(0, full, batch_size):
+                chunk = pending[start:start + batch_size]
+                if counter:
+                    ctx.bump(counter, len(chunk))
+                yield chunk
+            del pending[:full]
+    if pending:
+        if counter:
+            ctx.bump(counter, len(pending))
+        yield pending
+
+
+def _positions(fns: list[CompiledExpression]) -> Optional[tuple[int, ...]]:
+    """Row positions when every expression is a plain column reference
+    (see :func:`~repro.executor.expressions.column_ref`), else None."""
+    positions = tuple(getattr(fn, "position", None) for fn in fns)
+    return None if None in positions else positions
+
+
+def _column_values(fn: CompiledExpression, ctx: ExecutionContext
+                   ) -> Callable[[list[Row]], list]:
+    """Evaluate ``fn`` over a list of rows, as one ``itemgetter`` map
+    when it is a plain column reference."""
+    position = getattr(fn, "position", None)
+    if position is not None:
+        getter = itemgetter(position)
+        return lambda rows: list(map(getter, rows))
+    return lambda rows: [fn(row, ctx) for row in rows]
+
+
+def _join_keys(fns: list[CompiledExpression], ctx: ExecutionContext
+               ) -> Callable[[list[Row]], list]:
+    """Map a list of rows to their equi-join keys: the bare value for a
+    single key column, else a tuple; None whenever a component is NULL,
+    since NULL keys never match."""
+    if len(fns) == 1:
+        return _column_values(fns[0], ctx)
+
+    def keys(rows: list[Row]) -> list:
+        result = []
+        for row in rows:
+            values = tuple(fn(row, ctx) for fn in fns)
+            result.append(None if None in values else values)
+        return result
+    return keys
+
+
+def _build_buckets(join: "HashJoin | LeftOuterJoin", ctx: ExecutionContext,
+                   batch_size: int) -> dict:
+    """Build-side hash table of an equi-join's right input.  Worker
+    contexts install a ``join_build_cache`` so the (morsel-independent)
+    build runs once per query, not once per morsel."""
+    cache = ctx.join_build_cache
+    if cache is not None:
+        cached = cache.get(id(join))
+        if cached is not None:
+            return cached
+    keys_of = _join_keys(join.right_keys, ctx)
+    buckets: dict[Any, list[Row]] = {}
+    setdefault = buckets.setdefault
+    for batch in join.right.execute_batches(ctx, batch_size):
+        for key, row in zip(keys_of(batch), batch):
+            if key is not None:
+                setdefault(key, []).append(row)
+    if cache is not None:
+        cache[id(join)] = buckets
+    return buckets
+
+
 class SingleRow(PlanNode):
     """One empty row: the input of a SELECT without FROM."""
 
     def __init__(self) -> None:
         super().__init__([])
         self.estimated_rows = 1
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        yield ()
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -243,16 +329,6 @@ class TableScan(PlanNode):
         super().__init__(columns)
         self.table = table
         self.with_rid = with_rid
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.with_rid:
-            for rid, row in self.table.scan():
-                ctx.bump("rows_scanned")
-                yield row + (rid,)
-        else:
-            for row in self.table.rows():
-                ctx.bump("rows_scanned")
-                yield row
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -285,27 +361,16 @@ class IndexScan(PlanNode):
         self.key_fns = key_fns
         self.with_rid = with_rid
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        key = tuple(fn((), ctx) for fn in self.key_fns)
-        ctx.bump("index_lookups")
-        for rid, row in visible_index_lookup(self.table, self.index, key):
-            ctx.bump("rows_scanned")
-            yield row + (rid,) if self.with_rid else row
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
         key = tuple(fn((), ctx) for fn in self.key_fns)
         ctx.bump("index_lookups")
-        batch: list[Row] = []
-        for rid, row in visible_index_lookup(self.table, self.index, key):
-            ctx.bump("rows_scanned")
-            batch.append(row + (rid,) if self.with_rid else row)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        pairs = visible_index_lookup(self.table, self.index, key)
+        rows = ([row + (rid,) for rid, row in pairs] if self.with_rid
+                else [row for _rid, row in pairs])
+        ctx.bump("rows_scanned", len(rows))
+        yield from _chunked(rows, batch_size)
 
     def describe(self) -> str:
         return (f"IndexScan({self.table.name} via {self.index.name} "
@@ -315,37 +380,30 @@ class IndexScan(PlanNode):
 class Filter(PlanNode):
     """Keeps rows whose predicate is exactly True.
 
-    ``batch_predicate`` (a :data:`BatchPredicate` compiled from the same
-    expression) filters whole batches with comprehension fast paths and
-    conjunct short-circuiting; when absent, batch mode falls back to
-    applying the row predicate over each batch.
+    ``predicate`` is a :data:`BatchPredicate`: it maps a batch to its
+    qualifying rows, in order, with comprehension fast paths and
+    conjunct short-circuiting.
     """
 
-    def __init__(self, child: PlanNode, predicate: CompiledExpression,
-                 description: str = "",
-                 batch_predicate: Optional[BatchPredicate] = None):
+    def __init__(self, child: PlanNode, predicate: BatchPredicate,
+                 description: str = ""):
         super().__init__(child.columns)
         self.child = child
         self.predicate = predicate
         self.description = description
-        self.batch_predicate = batch_predicate
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.execute(ctx):
-            if predicate(row, ctx) is True:
-                yield row
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        batch_predicate = self.batch_predicate
+        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
+
+    def pipe(self, stream: Iterator[list[Row]],
+             ctx: ExecutionContext) -> Iterator[list[Row]]:
+        """Apply this operator to any batch stream (the parallel
+        coordinator replays it over merged worker output)."""
         predicate = self.predicate
-        for batch in self.child.execute_batches(ctx, batch_size):
-            if batch_predicate is not None:
-                kept = batch_predicate(batch, ctx)
-            else:
-                kept = [row for row in batch if predicate(row, ctx) is True]
+        for batch in stream:
+            kept = predicate(batch, ctx)
             if kept:
                 yield kept
 
@@ -363,23 +421,24 @@ class Project(PlanNode):
         super().__init__(columns)
         self.child = child
         self.fns = fns
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        fns = self.fns
-        for row in self.child.execute(ctx):
-            yield tuple(fn(row, ctx) for fn in fns)
+        #: Input positions when every output is a plain input column.
+        self.positions = _positions(fns)
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
+        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
+
+    def pipe(self, stream: Iterator[list[Row]],
+             ctx: ExecutionContext) -> Iterator[list[Row]]:
         fns = self.fns
         if len(fns) == 1:
             fn = fns[0]
-            for batch in self.child.execute_batches(ctx, batch_size):
+            for batch in stream:
                 yield [(fn(row, ctx),) for row in batch]
-            return
-        for batch in self.child.execute_batches(ctx, batch_size):
-            yield [tuple(fn(row, ctx) for fn in fns) for row in batch]
+        else:
+            for batch in stream:
+                yield [tuple(fn(row, ctx) for fn in fns) for row in batch]
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -402,96 +461,27 @@ class HashJoin(PlanNode):
         self.right_keys = right_keys
         self.residual = residual
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        buckets: dict[tuple, list[Row]] = {}
-        for row in self.right.execute(ctx):
-            key = tuple(fn(row, ctx) for fn in self.right_keys)
-            if None in key:
-                continue
-            buckets.setdefault(key, []).append(row)
-        residual = self.residual
-        for left_row in self.left.execute(ctx):
-            key = tuple(fn(left_row, ctx) for fn in self.left_keys)
-            if None in key:
-                continue
-            for right_row in buckets.get(key, ()):
-                joined = left_row + right_row
-                if residual is None or residual(joined, ctx) is True:
-                    ctx.bump("rows_joined")
-                    yield joined
-
-    def _build_buckets(self, ctx: ExecutionContext,
-                       batch_size: int) -> dict:
-        """Build-side hash table.  Worker contexts install a
-        ``join_build_cache`` so the (morsel-independent) build runs once
-        per query, not once per morsel."""
-        cache = ctx.join_build_cache
-        if cache is not None:
-            cached = cache.get(id(self))
-            if cached is not None:
-                return cached
-        right_keys = self.right_keys
-        single = len(right_keys) == 1
-        buckets: dict[Any, list[Row]] = {}
-        setdefault = buckets.setdefault
-        if single:
-            right_key = right_keys[0]
-            for batch in self.right.execute_batches(ctx, batch_size):
-                for row in batch:
-                    key = right_key(row, ctx)
-                    if key is None:
-                        continue
-                    setdefault(key, []).append(row)
-        else:
-            for batch in self.right.execute_batches(ctx, batch_size):
-                for row in batch:
-                    key = tuple(fn(row, ctx) for fn in right_keys)
-                    if None in key:
-                        continue
-                    setdefault(key, []).append(row)
-        if cache is not None:
-            cache[id(self)] = buckets
-        return buckets
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        single = len(self.right_keys) == 1
-        buckets = self._build_buckets(ctx, batch_size)
+        return _full_batches(self._joined(ctx, batch_size), batch_size,
+                             ctx, "rows_joined")
+
+    def _joined(self, ctx: ExecutionContext,
+                batch_size: int) -> Iterator[list[Row]]:
+        """The join result of each left batch."""
+        get = _build_buckets(self, ctx, batch_size).get
+        keys_of = _join_keys(self.left_keys, ctx)
         residual = self.residual
-        left_keys = self.left_keys
-        left_key = left_keys[0] if single else None
-        get = buckets.get
-        out: list[Row] = []
         for batch in self.left.execute_batches(ctx, batch_size):
-            for left_row in batch:
-                if single:
-                    key = left_key(left_row, ctx)
-                    if key is None:
-                        continue
-                else:
-                    key = tuple(fn(left_row, ctx) for fn in left_keys)
-                    if None in key:
-                        continue
-                matches = get(key)
-                if not matches:
-                    continue
-                if residual is None:
-                    out.extend(left_row + right_row
-                               for right_row in matches)
-                else:
-                    for right_row in matches:
-                        joined = left_row + right_row
-                        if residual(joined, ctx) is True:
-                            out.append(joined)
-                while len(out) >= batch_size:
-                    chunk = out[:batch_size]
-                    del out[:batch_size]
-                    ctx.bump("rows_joined", len(chunk))
-                    yield chunk
-        if out:
-            ctx.bump("rows_joined", len(out))
-            yield out
+            # A NULL key is never a bucket key, so it finds no matches.
+            joined = [left_row + right_row
+                      for left_row, key in zip(batch, keys_of(batch))
+                      for right_row in get(key, ())]
+            if residual is not None:
+                joined = [row for row in joined
+                          if residual(row, ctx) is True]
+            yield joined
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -518,23 +508,15 @@ class IndexNestedLoopJoin(PlanNode):
         self.with_rid = with_rid
         self.residual = residual
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        residual = self.residual
-        for left_row in self.left.execute(ctx):
-            key = tuple(fn(left_row, ctx) for fn in self.key_fns)
-            ctx.bump("index_lookups")
-            for rid, inner in visible_index_lookup(self.table, self.index,
-                                                   key):
-                if self.with_rid:
-                    inner = inner + (rid,)
-                joined = left_row + inner
-                if residual is None or residual(joined, ctx) is True:
-                    ctx.bump("rows_joined")
-                    yield joined
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
+        return _full_batches(self._joined(ctx, batch_size), batch_size,
+                             ctx, "rows_joined")
+
+    def _joined(self, ctx: ExecutionContext,
+                batch_size: int) -> Iterator[list[Row]]:
+        """The join result of each left batch."""
         residual = self.residual
         key_fns = self.key_fns
         single = len(key_fns) == 1
@@ -542,16 +524,16 @@ class IndexNestedLoopJoin(PlanNode):
         lookup = self.index.lookup
         fetch = self.table.fetch
         with_rid = self.with_rid
-        out: list[Row] = []
         for batch in self.left.execute_batches(ctx, batch_size):
             # Re-checked per input batch: a streaming cursor's pulls may
             # install (or drop) a committed-state read view between
             # batches as foreign writers come and go.
             overlaid = active_read_view(self.table.name) is not None
+            ctx.bump("index_lookups", len(batch))
+            joined: list[Row] = []
             for left_row in batch:
                 key = ((key_fn(left_row, ctx),) if single
                        else tuple(fn(left_row, ctx) for fn in key_fns))
-                ctx.bump("index_lookups")
                 if overlaid:
                     pairs = visible_index_lookup(self.table, self.index,
                                                  key)
@@ -560,17 +542,10 @@ class IndexNestedLoopJoin(PlanNode):
                 for rid, inner in pairs:
                     if with_rid:
                         inner = inner + (rid,)
-                    joined = left_row + inner
-                    if residual is None or residual(joined, ctx) is True:
-                        out.append(joined)
-                while len(out) >= batch_size:
-                    chunk = out[:batch_size]
-                    del out[:batch_size]
-                    ctx.bump("rows_joined", len(chunk))
-                    yield chunk
-        if out:
-            ctx.bump("rows_joined", len(out))
-            yield out
+                    row = left_row + inner
+                    if residual is None or residual(row, ctx) is True:
+                        joined.append(row)
+            yield joined
 
     def children(self) -> list[PlanNode]:
         return [self.left]
@@ -589,15 +564,25 @@ class NestedLoopJoin(PlanNode):
         self.right = right
         self.condition = condition
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        right_rows = list(self.right.execute(ctx))
+    def execute_batches(self, ctx: ExecutionContext,
+                        batch_size: int = DEFAULT_BATCH_SIZE
+                        ) -> Iterator[list[Row]]:
+        return _full_batches(self._joined(ctx, batch_size), batch_size,
+                             ctx, "rows_joined")
+
+    def _joined(self, ctx: ExecutionContext,
+                batch_size: int) -> Iterator[list[Row]]:
+        """The join result of each left row (one left batch times the
+        right input could be large)."""
+        right_rows = _materialize(self.right, ctx, batch_size)
         condition = self.condition
-        for left_row in self.left.execute(ctx):
-            for right_row in right_rows:
-                joined = left_row + right_row
-                if condition is None or condition(joined, ctx) is True:
-                    ctx.bump("rows_joined")
-                    yield joined
+        for batch in self.left.execute_batches(ctx, batch_size):
+            for left_row in batch:
+                joined = [left_row + right_row for right_row in right_rows]
+                if condition is not None:
+                    joined = [row for row in joined
+                              if condition(row, ctx) is True]
+                yield joined
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -621,37 +606,40 @@ class LeftOuterJoin(PlanNode):
         self.residual = residual
         self._pad = (None,) * len(right.columns)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        residual = self.residual
+    def execute_batches(self, ctx: ExecutionContext,
+                        batch_size: int = DEFAULT_BATCH_SIZE
+                        ) -> Iterator[list[Row]]:
+        return _full_batches(self._joined(ctx, batch_size), batch_size,
+                             ctx)
+
+    def _joined(self, ctx: ExecutionContext,
+                batch_size: int) -> Iterator[list[Row]]:
+        """The join result of each left batch, unmatched rows padded."""
         if self.left_keys:
-            buckets: dict[tuple, list[Row]] = {}
-            for row in self.right.execute(ctx):
-                key = tuple(fn(row, ctx) for fn in self.right_keys)
-                if None in key:
-                    continue
-                buckets.setdefault(key, []).append(row)
-            for left_row in self.left.execute(ctx):
-                key = tuple(fn(left_row, ctx) for fn in self.left_keys)
-                matched = False
-                for right_row in buckets.get(key, ()) if None not in key \
-                        else ():
-                    joined = left_row + right_row
-                    if residual is None or residual(joined, ctx) is True:
-                        matched = True
-                        yield joined
-                if not matched:
-                    yield left_row + self._pad
-            return
-        right_rows = list(self.right.execute(ctx))
-        for left_row in self.left.execute(ctx):
-            matched = False
-            for right_row in right_rows:
-                joined = left_row + right_row
-                if residual is None or residual(joined, ctx) is True:
-                    matched = True
-                    yield joined
-            if not matched:
-                yield left_row + self._pad
+            get = _build_buckets(self, ctx, batch_size).get
+            keys_of = _join_keys(self.left_keys, ctx)
+
+            def candidates(batch: list[Row]) -> list:
+                return [get(key, ()) for key in keys_of(batch)]
+        else:
+            right_rows = _materialize(self.right, ctx, batch_size)
+
+            def candidates(batch: list[Row]) -> list:
+                return [right_rows] * len(batch)
+        residual = self.residual
+        pad = self._pad
+        for batch in self.left.execute_batches(ctx, batch_size):
+            out: list[Row] = []
+            for left_row, matches in zip(batch, candidates(batch)):
+                joined = [left_row + right_row for right_row in matches]
+                if residual is not None:
+                    joined = [row for row in joined
+                              if residual(row, ctx) is True]
+                if joined:
+                    out.extend(joined)
+                else:
+                    out.append(left_row + pad)
+            yield out
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -682,76 +670,71 @@ class SemiJoin(PlanNode):
         self.anti = anti
         self.null_poison = null_poison
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        inner_rows = list(self.inner.execute(ctx))
+    def execute_batches(self, ctx: ExecutionContext,
+                        batch_size: int = DEFAULT_BATCH_SIZE
+                        ) -> Iterator[list[Row]]:
+        inner_rows = _materialize(self.inner, ctx, batch_size)
         if self.outer_keys and self.residual is None:
-            yield from self._hash_path(ctx, inner_rows)
+            keep = self._hash_path(ctx, inner_rows)
         else:
-            yield from self._scan_path(ctx, inner_rows)
+            keep = self._scan_path(ctx, inner_rows)
+        for batch in self.outer.execute_batches(ctx, batch_size):
+            kept = keep(batch)
+            if kept:
+                yield kept
 
-    def _hash_path(self, ctx: ExecutionContext,
-                   inner_rows: list[Row]) -> Iterator[Row]:
-        keys: set[tuple] = set()
-        inner_has_null = False
-        for row in inner_rows:
-            key = tuple(fn(row, ctx) for fn in self.inner_keys)
-            if None in key:
-                inner_has_null = True
-            else:
-                keys.add(key)
-        for outer_row in self.outer.execute(ctx):
-            key = tuple(fn(outer_row, ctx) for fn in self.outer_keys)
-            if self.anti:
-                if not inner_rows:
-                    yield outer_row
-                    continue
-                if self.null_poison and (None in key or inner_has_null):
-                    continue
-                if None in key:
-                    yield outer_row  # NOT EXISTS: NULL key never matches
-                    continue
-                if key not in keys:
-                    yield outer_row
-            else:
-                if None in key:
-                    continue
-                if key in keys:
-                    yield outer_row
+    def _hash_path(self, ctx: ExecutionContext, inner_rows: list[Row]
+                   ) -> Callable[[list[Row]], list[Row]]:
+        inner_keys = _join_keys(self.inner_keys, ctx)(inner_rows)
+        keys = {key for key in inner_keys if key is not None}
+        inner_has_null = None in inner_keys
+        outer_keys = _join_keys(self.outer_keys, ctx)
+        poison = self.null_poison
 
-    def _scan_path(self, ctx: ExecutionContext,
-                   inner_rows: list[Row]) -> Iterator[Row]:
+        def anti_keeps(key) -> bool:
+            if not inner_rows:
+                return True
+            if key is None:
+                # NOT EXISTS: a NULL key never matches; NOT IN: UNKNOWN.
+                return not poison
+            if poison and inner_has_null:
+                return False
+            return key not in keys
+        # Semi: a NULL key is never in ``keys``, so it never matches.
+        keeps = anti_keeps if self.anti else keys.__contains__
+        return lambda batch: [row for row, key in zip(batch, outer_keys(batch))
+                              if keeps(key)]
+
+    def _scan_path(self, ctx: ExecutionContext, inner_rows: list[Row]
+                   ) -> Callable[[list[Row]], list[Row]]:
         residual = self.residual
-        for outer_row in self.outer.execute(ctx):
+        pairs = list(zip(self.outer_keys, self.inner_keys))
+
+        def qualifies(outer_row: Row) -> bool:
             matched = False
             unknown = False
             for inner_row in inner_rows:
-                joined = outer_row + inner_row
                 verdict = True
-                if self.outer_keys:
-                    for okey, ikey in zip(self.outer_keys, self.inner_keys):
-                        left = okey(outer_row, ctx)
-                        right = ikey(inner_row, ctx)
-                        if left is None or right is None:
-                            verdict = None
-                            break
-                        if left != right:
-                            verdict = False
-                            break
+                for okey, ikey in pairs:
+                    left = okey(outer_row, ctx)
+                    right = ikey(inner_row, ctx)
+                    if left is None or right is None:
+                        verdict = None
+                        break
+                    if left != right:
+                        verdict = False
+                        break
                 if verdict is True and residual is not None:
-                    verdict = residual(joined, ctx)
+                    verdict = residual(outer_row + inner_row, ctx)
                 if verdict is True:
                     matched = True
                     break
                 if verdict is None:
                     unknown = True
-            if self.anti:
-                if matched:
-                    continue
-                if self.null_poison and unknown:
-                    continue
-                yield outer_row
-            elif matched:
-                yield outer_row
+            if not self.anti:
+                return matched
+            return not matched and not (self.null_poison and unknown)
+        return lambda batch: [row for row in batch if qualifies(row)]
 
     def children(self) -> list[PlanNode]:
         return [self.outer, self.inner]
@@ -767,19 +750,19 @@ class Dedup(PlanNode):
         super().__init__(child.columns)
         self.child = child
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        seen: set[Row] = set()
-        for row in self.child.execute(ctx):
-            if row not in seen:
-                seen.add(row)
-                yield row
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
+        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
+
+    @staticmethod
+    def pipe(stream: Iterator[list[Row]],
+             ctx: Optional[ExecutionContext] = None
+             ) -> Iterator[list[Row]]:
+        """First occurrence of every row of ``stream``, in order."""
         seen: set[Row] = set()
         add = seen.add
-        for batch in self.child.execute_batches(ctx, batch_size):
+        for batch in stream:
             fresh = []
             for row in batch:
                 if row not in seen:
@@ -820,25 +803,14 @@ class Sort(PlanNode):
         self.key_fns = key_fns
         self.descending = descending
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        rows = list(self.child.execute(ctx))
-        yield from self._sorted(rows, ctx)
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        rows: list[Row] = []
-        for batch in self.child.execute_batches(ctx, batch_size):
-            rows.extend(batch)
-        rows = self._sorted(rows, ctx)
-        for start in range(0, len(rows), batch_size):
-            yield rows[start:start + batch_size]
-
-    def _sorted(self, rows: list[Row], ctx: ExecutionContext) -> list[Row]:
+        rows = _materialize(self.child, ctx, batch_size)
         # Stable sorts applied from the least-significant key backwards.
         for fn, desc in reversed(list(zip(self.key_fns, self.descending))):
             rows.sort(key=lambda row: _SortKey(fn(row, ctx)), reverse=desc)
-        return rows
+        yield from _chunked(rows, batch_size)
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -852,31 +824,19 @@ class Limit(PlanNode):
         self.limit = limit
         self.offset = offset or 0
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        limit = self.limit
-        if limit is not None and limit <= 0:
-            return
-        produced = 0
-        skipped = 0
-        for row in self.child.execute(ctx):
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            produced += 1
-            yield row
-            # Stop eagerly: never pull a row beyond the limit.
-            if limit is not None and produced >= limit:
-                return
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
+        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
+
+    def pipe(self, stream: Iterator[list[Row]],
+             ctx: ExecutionContext) -> Iterator[list[Row]]:
         limit = self.limit
         if limit is not None and limit <= 0:
             return
         to_skip = self.offset
         remaining = limit
-        for batch in self.child.execute_batches(ctx, batch_size):
+        for batch in stream:
             if to_skip:
                 if len(batch) <= to_skip:
                     to_skip -= len(batch)
@@ -890,6 +850,7 @@ class Limit(PlanNode):
                 batch = batch[:remaining]
             remaining -= len(batch)
             yield batch
+            # Stop eagerly: never pull a batch beyond the limit.
             if remaining == 0:
                 return
 
@@ -898,25 +859,6 @@ class Limit(PlanNode):
 
     def describe(self) -> str:
         return f"Limit({self.limit}, offset={self.offset})"
-
-
-class UnionAll(PlanNode):
-    def __init__(self, inputs: list[PlanNode]):
-        super().__init__(inputs[0].columns)
-        self.inputs = inputs
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for child in self.inputs:
-            yield from child.execute(ctx)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_size: int = DEFAULT_BATCH_SIZE
-                        ) -> Iterator[list[Row]]:
-        for child in self.inputs:
-            yield from child.execute_batches(ctx, batch_size)
-
-    def children(self) -> list[PlanNode]:
-        return list(self.inputs)
 
 
 class SetOperation(PlanNode):
@@ -930,49 +872,49 @@ class SetOperation(PlanNode):
         self.left = left
         self.right = right
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def execute_batches(self, ctx: ExecutionContext,
+                        batch_size: int = DEFAULT_BATCH_SIZE
+                        ) -> Iterator[list[Row]]:
         if self.operator == "UNION":
-            if self.all_rows:
-                yield from self.left.execute(ctx)
-                yield from self.right.execute(ctx)
-                return
-            seen: set[Row] = set()
-            for child in (self.left, self.right):
-                for row in child.execute(ctx):
-                    if row not in seen:
-                        seen.add(row)
-                        yield row
+            both = chain(self.left.execute_batches(ctx, batch_size),
+                         self.right.execute_batches(ctx, batch_size))
+            yield from both if self.all_rows else Dedup.pipe(both)
             return
         right_counts: dict[Row, int] = {}
-        for row in self.right.execute(ctx):
-            right_counts[row] = right_counts.get(row, 0) + 1
+        for batch in self.right.execute_batches(ctx, batch_size):
+            for row in batch:
+                right_counts[row] = right_counts.get(row, 0) + 1
+        qualifies = self._qualifier(right_counts)
+        for batch in self.left.execute_batches(ctx, batch_size):
+            kept = [row for row in batch if qualifies(row)]
+            if kept:
+                yield kept
+
+    def _qualifier(self, right_counts: dict[Row, int]
+                   ) -> Callable[[Row], bool]:
+        """Per-left-row verdict of INTERSECT / EXCEPT [ALL], counting
+        the occurrences already seen on the left."""
+        all_rows = self.all_rows
+        seen: dict[Row, int] = {}
         if self.operator == "INTERSECT":
-            emitted: dict[Row, int] = {}
-            for row in self.left.execute(ctx):
+            def qualifies(row: Row) -> bool:
+                count = seen.get(row, 0)
                 available = right_counts.get(row, 0)
-                count = emitted.get(row, 0)
-                if self.all_rows:
-                    if count < available:
-                        emitted[row] = count + 1
-                        yield row
-                elif available and count == 0:
-                    emitted[row] = 1
-                    yield row
-            return
-        if self.operator == "EXCEPT":
-            emitted: dict[Row, int] = {}
-            for row in self.left.execute(ctx):
-                emitted[row] = emitted.get(row, 0) + 1
-                if self.all_rows:
-                    # EXCEPT ALL: occurrences beyond those matched on the
-                    # right survive.
-                    if emitted[row] > right_counts.get(row, 0):
-                        yield row
-                else:
-                    if row not in right_counts and emitted[row] == 1:
-                        yield row
-            return
-        raise ExecutionError(f"unknown set operator {self.operator!r}")
+                if count < (available if all_rows else min(available, 1)):
+                    seen[row] = count + 1
+                    return True
+                return False
+        elif self.operator == "EXCEPT":
+            def qualifies(row: Row) -> bool:
+                count = seen[row] = seen.get(row, 0) + 1
+                if all_rows:
+                    # EXCEPT ALL: occurrences beyond those matched on
+                    # the right survive.
+                    return count > right_counts.get(row, 0)
+                return count == 1 and row not in right_counts
+        else:
+            raise ExecutionError(f"unknown set operator {self.operator!r}")
+        return qualifies
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -993,137 +935,147 @@ class Aggregate(PlanNode):
         self.child = child
         self.key_fns = key_fns
         self.specs = specs
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        for row in self.child.execute(ctx):
-            self._absorb(row, ctx, groups, order)
-        yield from self._results(groups, order)
+        self._key_positions = _positions(key_fns)
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        absorb = self._absorb
-        for batch in self.child.execute_batches(ctx, batch_size):
-            for row in batch:
-                absorb(row, ctx, groups, order)
-        results = list(self._results(groups, order))
-        for start in range(0, len(results), batch_size):
-            yield results[start:start + batch_size]
-
-    def _absorb(self, row: Row, ctx: ExecutionContext,
-                groups: dict[tuple, list], order: list[tuple]) -> None:
-        key = tuple(fn(row, ctx) for fn in self.key_fns)
-        state = groups.get(key)
-        if state is None:
-            state = [self._initial_state(spec) for spec in self.specs]
-            groups[key] = state
-            order.append(key)
-        for accumulator, (function, argument, distinct) in zip(
-                state, self.specs):
-            value = argument(row, ctx) if argument is not None else 1
-            self._accumulate(accumulator, function, value,
-                             argument is None, distinct)
-
-    def _results(self, groups: dict[tuple, list],
-                 order: list[tuple]) -> Iterator[Row]:
-        if not groups and not self.key_fns:
-            # Global aggregate over an empty input: one default row.
-            state = [self._initial_state(spec) for spec in self.specs]
-            yield tuple(self._finalize(acc, spec[0])
-                        for acc, spec in zip(state, self.specs))
-            return
-        for key in order:
-            state = groups[key]
-            aggregates = tuple(
-                self._finalize(acc, spec[0])
-                for acc, spec in zip(state, self.specs)
-            )
-            yield key + aggregates
+        states = self._states(ctx, batch_size)
+        yield from _chunked(list(self._results(states)), batch_size)
 
     def partial_states(self, ctx: ExecutionContext,
                        batch_size: int) -> list[tuple[tuple, list]]:
-        """Absorb the child's rows into per-group accumulator states
-        *without* finalizing: the worker half of two-phase parallel
-        aggregation.  States are plain dicts/sets, so they pickle."""
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        absorb = self._absorb
+        """Per-group accumulator states *without* finalizing: the worker
+        half of two-phase parallel aggregation.  States are plain
+        lists/sets, so they pickle."""
+        return list(self._states(ctx, batch_size).items())
+
+    def _states(self, ctx: ExecutionContext,
+                batch_size: int) -> dict[tuple, list]:
+        """Group key -> one accumulator state per spec, keys in
+        first-seen order.  Each input batch is grouped, then every
+        group's rows of that batch are folded into the group's states in
+        one step; only the states outlive the batch."""
+        specs = [(function, None if argument is None
+                  else _column_values(argument, ctx), distinct)
+                 for function, argument, distinct in self.specs]
+        states: dict[tuple, list] = {}
+        fold = self._fold
         for batch in self.child.execute_batches(ctx, batch_size):
+            for key, rows in self._group(batch, ctx).items():
+                state = states.get(key)
+                if state is None:
+                    state = states[key] = [
+                        [0, None, None, None, set() if distinct else None]
+                        for _function, _values_of, distinct in specs]
+                for accumulator, spec in zip(state, specs):
+                    fold(accumulator, rows, *spec)
+        return states
+
+    def _group(self, batch: list[Row],
+               ctx: ExecutionContext) -> dict[tuple, list[Row]]:
+        """One batch's rows by group key, keys in first-seen order."""
+        if not self.key_fns:
+            return {(): batch}
+        positions = self._key_positions
+        groups: dict[Any, list[Row]] = defaultdict(list)
+        if positions is not None and len(positions) == 1:
+            position = positions[0]
             for row in batch:
-                absorb(row, ctx, groups, order)
-        return [(key, groups[key]) for key in order]
+                groups[row[position]].append(row)
+            return {(value,): rows for value, rows in groups.items()}
+        keys = (map(itemgetter(*positions), batch) if positions
+                else [tuple(fn(row, ctx) for fn in self.key_fns)
+                      for row in batch])
+        for key, row in zip(keys, batch):
+            groups[key].append(row)
+        return groups
 
     @staticmethod
-    def merge_state(into: dict, other: dict) -> None:
+    def _fold(state: list, rows: list[Row], function: str, values_of,
+              distinct: bool) -> None:
+        """Fold one group's rows of one batch into the accumulator of
+        one aggregate, in input order, as one value at a time would."""
+        if values_of is None:  # COUNT(*)
+            state[_COUNT] += len(rows)
+            return
+        values = values_of(rows)
+        if None in values:
+            values = [value for value in values if value is not None]
+        if distinct:
+            seen = state[_DISTINCT]
+            values = [value for value in dict.fromkeys(values)
+                      if value not in seen]
+            seen.update(values)
+        if not values:
+            return
+        state[_COUNT] += len(values)
+        if function == "SUM" or function == "AVG":
+            total = state[_SUM]
+            state[_SUM] = (reduce(add, values) if total is None
+                           else reduce(add, values, total))
+        elif function == "MIN":
+            low = min(values)
+            if state[_MIN] is None or low < state[_MIN]:
+                state[_MIN] = low
+        elif function == "MAX":
+            high = max(values)
+            if state[_MAX] is None or high > state[_MAX]:
+                state[_MAX] = high
+
+    def _results(self, states: dict[tuple, list]) -> Iterator[Row]:
+        if not states and not self.key_fns:
+            # Global aggregate over an empty input: one default row.
+            states = {(): [[0, None, None, None, None] for _ in self.specs]}
+        functions = [spec[0] for spec in self.specs]
+        finalize = self._finalize
+        for key, state in states.items():
+            yield key + tuple([finalize(acc, function)
+                               for acc, function in zip(state, functions)])
+
+    @staticmethod
+    def merge_state(into: list, other: list) -> None:
         """Fold one partial accumulator into another (the coordinator
         half).  DISTINCT merges by set difference so values seen by
         several workers count once."""
-        if into["distinct"] is not None:
-            fresh = other["distinct"] - into["distinct"]
-            into["distinct"] |= fresh
+        if into[_DISTINCT] is not None:
+            fresh = other[_DISTINCT] - into[_DISTINCT]
+            into[_DISTINCT] |= fresh
             for value in fresh:
-                into["count"] += 1
-                into["sum"] = value if into["sum"] is None \
-                    else into["sum"] + value
-                if into["min"] is None or value < into["min"]:
-                    into["min"] = value
-                if into["max"] is None or value > into["max"]:
-                    into["max"] = value
+                into[_COUNT] += 1
+                into[_SUM] = value if into[_SUM] is None \
+                    else into[_SUM] + value
+                if into[_MIN] is None or value < into[_MIN]:
+                    into[_MIN] = value
+                if into[_MAX] is None or value > into[_MAX]:
+                    into[_MAX] = value
             return
-        into["count"] += other["count"]
-        if other["sum"] is not None:
-            into["sum"] = other["sum"] if into["sum"] is None \
-                else into["sum"] + other["sum"]
-        if other["min"] is not None and (into["min"] is None
-                                         or other["min"] < into["min"]):
-            into["min"] = other["min"]
-        if other["max"] is not None and (into["max"] is None
-                                         or other["max"] > into["max"]):
-            into["max"] = other["max"]
+        into[_COUNT] += other[_COUNT]
+        if other[_SUM] is not None:
+            into[_SUM] = other[_SUM] if into[_SUM] is None \
+                else into[_SUM] + other[_SUM]
+        if other[_MIN] is not None and (into[_MIN] is None
+                                        or other[_MIN] < into[_MIN]):
+            into[_MIN] = other[_MIN]
+        if other[_MAX] is not None and (into[_MAX] is None
+                                        or other[_MAX] > into[_MAX]):
+            into[_MAX] = other[_MAX]
+
 
     @staticmethod
-    def _initial_state(spec) -> dict:
-        _function, _argument, distinct = spec
-        return {"count": 0, "sum": None, "min": None, "max": None,
-                "distinct": set() if distinct else None}
-
-    @staticmethod
-    def _accumulate(state: dict, function: str, value, is_star: bool,
-                    distinct: bool) -> None:
-        if is_star:
-            state["count"] += 1
-            return
-        if value is None:
-            return
-        if distinct:
-            if value in state["distinct"]:
-                return
-            state["distinct"].add(value)
-        state["count"] += 1
-        state["sum"] = value if state["sum"] is None else state["sum"] + value
-        if state["min"] is None or value < state["min"]:
-            state["min"] = value
-        if state["max"] is None or value > state["max"]:
-            state["max"] = value
-
-    @staticmethod
-    def _finalize(state: dict, function: str):
+    def _finalize(state: list, function: str):
         if function == "COUNT":
-            return state["count"]
+            return state[_COUNT]
         if function == "SUM":
-            return state["sum"]
+            return state[_SUM]
         if function == "AVG":
-            if state["count"] == 0:
+            if state[_COUNT] == 0:
                 return None
-            return state["sum"] / state["count"]
+            return state[_SUM] / state[_COUNT]
         if function == "MIN":
-            return state["min"]
+            return state[_MIN]
         if function == "MAX":
-            return state["max"]
+            return state[_MAX]
         raise ExecutionError(f"unknown aggregate {function!r}")
 
     def children(self) -> list[PlanNode]:
@@ -1151,30 +1103,17 @@ class Spool(PlanNode):
         self.spool_id = Spool._counter
         self.label = label
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        cached = ctx.spool_cache.get(self.spool_id)
-        if cached is None:
-            cached = list(self.child.execute(ctx))
-            ctx.spool_cache[self.spool_id] = cached
-            ctx.bump("spool_materializations")
-        else:
-            ctx.bump("spool_reads")
-        return iter(cached)
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
         cached = ctx.spool_cache.get(self.spool_id)
         if cached is None:
-            cached = []
-            for batch in self.child.execute_batches(ctx, batch_size):
-                cached.extend(batch)
+            cached = _materialize(self.child, ctx, batch_size)
             ctx.spool_cache[self.spool_id] = cached
             ctx.bump("spool_materializations")
         else:
             ctx.bump("spool_reads")
-        for start in range(0, len(cached), batch_size):
-            yield cached[start:start + batch_size]
+        yield from _chunked(cached, batch_size)
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -1192,15 +1131,10 @@ class Materialized(PlanNode):
         self.rows = rows
         self.estimated_rows = len(rows)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return iter(self.rows)
-
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        rows = self.rows
-        for start in range(0, len(rows), batch_size):
-            yield rows[start:start + batch_size]
+        return _chunked(self.rows, batch_size)
 
 
 # ----------------------------------------------------------------------
@@ -1219,9 +1153,6 @@ class Exchange(PlanNode):
         self.child = child
         self.estimated_rows = child.estimated_rows
         self.estimated_cost = child.estimated_cost
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self.child.execute(ctx)
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -1242,8 +1173,8 @@ class Gather(PlanNode):
     The planner wraps eligible plans when ``parallel_degree > 1``; the
     decision to actually go parallel is made per *execution* by the
     runtime installed in the context (the coordinator's).  With no
-    runtime installed — serial engines, worker processes, row-mode,
-    scalar subquery child contexts — or when the runtime declines
+    runtime installed — serial engines, worker processes, scalar
+    subquery child contexts — or when the runtime declines
     (active writer, tiny table, pool failure), execution falls through
     to the child, bit-identical to the serial plan."""
 
@@ -1253,9 +1184,6 @@ class Gather(PlanNode):
         self.degree = degree
         self.estimated_rows = child.estimated_rows
         self.estimated_cost = child.estimated_cost
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self.child.execute(ctx)
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE

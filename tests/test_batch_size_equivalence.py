@@ -1,16 +1,17 @@
-"""Batch-mode vs row-mode equivalence.
+"""Batch-size equivalence.
 
 Property-style guarantee for the batch executor: for every query shape
-the executor suite exercises, batch-at-a-time execution returns exactly
-the same rows (same order) as row-at-a-time execution, and the
-``ExecutionContext`` instrumentation counters agree.
+the executor suite exercises, executing one compiled plan with batch
+sizes 1, 2, 7 and the default returns exactly the same rows (same
+order), and the ``ExecutionContext`` instrumentation counters agree.
+``batch_size=1`` is the reference run: one row per batch, the finest
+granularity the protocol has.
 
 Counters are bumped at batch granularity, so a pipeline that stops
 early (LIMIT without a total-order barrier underneath) may scan up to
-one extra batch in batch mode.  With ``batch_size=1`` even that lazy
-counter trace must be identical to row mode, and the tests assert
-exactly that; with the default batch size, counters are compared for
-every query whose pipeline runs to completion.
+one extra batch at larger sizes; counters are therefore compared for
+every query whose pipeline runs to completion.  The SQLite
+differential suite is the independent oracle for the rows themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.xnf.result import XNFExecutable
 
 #: (sql, runs_to_completion) — the second flag is False only for
 #: LIMIT-style queries that may abandon a pipeline mid-batch, where
-#: default-size batch counters legitimately over-count.
+#: larger-batch counters legitimately over-count.
 QUERIES = [
     # Projection / filter.
     ("SELECT * FROM DEPT ORDER BY dno", True),
@@ -64,6 +65,8 @@ QUERIES = [
     ("SELECT ename FROM EMP WHERE edno NOT IN "
      "(SELECT dno FROM DEPT WHERE loc = 'ARC') ORDER BY 1", True),
     ("SELECT ename FROM EMP WHERE sal = (SELECT MAX(sal) FROM EMP)", True),
+    ("SELECT ename FROM EMP e WHERE sal >= (SELECT AVG(e2.sal) FROM EMP e2 "
+     "WHERE e2.edno = e.edno) ORDER BY 1", True),
     # Aggregation.
     ("SELECT COUNT(*), SUM(sal), MIN(sal), MAX(sal) FROM EMP", True),
     ("SELECT COUNT(edno) FROM EMP", True),
@@ -105,74 +108,67 @@ ORG_QUERIES = [
 ]
 
 
-def run_modes(db, sql):
-    """Compile once; execute in row, batch(1), and batch(default) mode.
-
-    Returns (columns, [(rows, counters) per mode]).
-    """
+def run_sizes(db, sql):
+    """Compile once; execute at batch sizes 1 (the reference), 2, 7
+    and the planner's default.  Returns [(batch_size, rows, counters)]
+    in that order."""
     compiled = db.pipeline.compile_select(parse_statement(sql))
     plan = compiled.plan
+    default = plan.batch_size
     runs = []
-    for batch_execution, batch_size in ((False, plan.batch_size),
-                                        (True, 1),
-                                        (True, plan.batch_size)):
-        plan.batch_execution = batch_execution
-        saved = plan.batch_size
+    for batch_size in (1, 2, 7, default):
         plan.batch_size = batch_size
         try:
             ctx = plan.new_context()
             result = db.pipeline.run_compiled(compiled, ctx)
         finally:
-            plan.batch_size = saved
-            plan.batch_execution = True
-        runs.append((result.rows, dict(ctx.counters)))
+            plan.batch_size = default
+        runs.append((batch_size, result.rows, dict(ctx.counters)))
     return runs
+
+
+def assert_sizes_agree(db, sql, complete):
+    (_one, reference_rows, reference_counters), *others = run_sizes(db, sql)
+    for batch_size, rows, counters in others:
+        assert rows == reference_rows, f"batch_size={batch_size}"
+        if complete:
+            assert counters == reference_counters, f"batch_size={batch_size}"
 
 
 @pytest.mark.parametrize("sql,complete", QUERIES,
                          ids=[q[:56] for q, _c in QUERIES])
 def test_simple_db_equivalence(simple_db, sql, complete):
-    (row_rows, row_counters), (one_rows, one_counters), \
-        (batch_rows, batch_counters) = run_modes(simple_db, sql)
-    assert one_rows == row_rows
-    assert batch_rows == row_rows
-    assert one_counters == row_counters
-    if complete:
-        assert batch_counters == row_counters
+    assert_sizes_agree(simple_db, sql, complete)
 
 
 @pytest.mark.parametrize("sql,complete", ORG_QUERIES,
                          ids=[q[:56] for q, _c in ORG_QUERIES])
 def test_org_db_equivalence(org_db, sql, complete):
-    (row_rows, row_counters), (one_rows, one_counters), \
-        (batch_rows, batch_counters) = run_modes(org_db, sql)
-    assert one_rows == row_rows
-    assert batch_rows == row_rows
-    assert one_counters == row_counters
-    if complete:
-        assert batch_counters == row_counters
+    assert_sizes_agree(org_db, sql, complete)
 
 
 def test_xnf_view_equivalence(org_db):
-    """The multi-output XNF pipeline (spools included) agrees across
-    modes, stream by stream, counters included."""
+    """The multi-output XNF pipeline (spools included) agrees between
+    ``batch_size=1`` and the default, stream by stream, counters
+    included."""
     results = {}
-    for label, options in (
-            ("row", PlannerOptions(batch_execution=False)),
-            ("batch", PlannerOptions(batch_execution=True))):
+    for label, options in (("one", PlannerOptions(batch_size=1)),
+                           ("default", PlannerOptions())):
         executable = XNFExecutable(
             org_db.xnf_executable("deps_arc").translated,
             org_db.catalog, org_db.stats, options)
         results[label] = executable.run()
-    row_co, batch_co = results["row"], results["batch"]
-    assert set(row_co.components) == set(batch_co.components)
-    for name in row_co.components:
-        assert row_co.component(name).rows == batch_co.component(name).rows
-        assert row_co.component(name).oids == batch_co.component(name).oids
-    for name in row_co.relationships:
-        assert row_co.relationship(name).connections == \
-            batch_co.relationship(name).connections
-    assert row_co.counters == batch_co.counters
+    one_co, default_co = results["one"], results["default"]
+    assert set(one_co.components) == set(default_co.components)
+    for name in one_co.components:
+        assert one_co.component(name).rows == \
+            default_co.component(name).rows
+        assert one_co.component(name).oids == \
+            default_co.component(name).oids
+    for name in one_co.relationships:
+        assert one_co.relationship(name).connections == \
+            default_co.relationship(name).connections
+    assert one_co.counters == default_co.counters
 
 
 def test_batch_size_sweep(simple_db):
@@ -181,12 +177,34 @@ def test_batch_size_sweep(simple_db):
            "WHERE d.dno = e.edno AND e.sal > 90 ORDER BY e.eno")
     compiled = simple_db.pipeline.compile_select(parse_statement(sql))
     plan = compiled.plan
-    plan.batch_execution = False
+    plan.batch_size = 1
     reference = simple_db.pipeline.run_compiled(
         compiled, plan.new_context()).rows
-    plan.batch_execution = True
-    for batch_size in (1, 2, 3, 7, 1024):
+    for batch_size in (2, 3, 7, 1024):
         plan.batch_size = batch_size
         got = simple_db.pipeline.run_compiled(
             compiled, plan.new_context()).rows
         assert got == reference, f"batch_size={batch_size}"
+
+
+def test_scalar_subqueries_run_at_the_plan_batch_size(simple_db):
+    """Scalar subquery plans run at the outer plan's batch width, so the
+    ``batch_size=1`` reference covers them too."""
+    sql = "SELECT ename FROM EMP WHERE sal = (SELECT MAX(sal) FROM EMP)"
+    compiled = simple_db.pipeline.compile_select(parse_statement(sql))
+    plan = compiled.plan
+    assert plan.scalar_plans
+    seen = []
+    for node in plan.scalar_plans.values():
+        def spy(ctx, batch_size, _run=node.execute_batches):
+            seen.append(batch_size)
+            return _run(ctx, batch_size)
+        node.execute_batches = spy
+    default = plan.batch_size
+    for batch_size in (1, 7, default):
+        plan.batch_size = batch_size
+        try:
+            simple_db.pipeline.run_compiled(compiled, plan.new_context())
+        finally:
+            plan.batch_size = default
+    assert seen == [1, 7, default]

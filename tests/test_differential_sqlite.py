@@ -1,11 +1,14 @@
 """Differential testing against SQLite.
 
 A deterministic random-SELECT generator (filters, FK joins, aggregates,
-ORDER BY, DISTINCT over the org and BOM schemas) runs every generated
-statement through both the ``repro`` pipeline (batch mode, the default)
-and the stdlib ``sqlite3``, asserting identical multisets of rows.  The
-oracle is an independent implementation, so any rewrite/planner/executor
-change that alters semantics trips this suite.
+ORDER BY, DISTINCT, correlated [NOT] EXISTS, [NOT] IN subqueries, LEFT
+and CROSS joins, set operations and scalar subqueries over the org and
+BOM schemas) runs every generated statement through both the ``repro``
+pipeline and the stdlib ``sqlite3``, asserting identical multisets of
+rows.  The oracle is an independent implementation, so any
+rewrite/planner/executor change that alters semantics trips this suite;
+the fixed-seed tests also check that the generated plans still reach
+the semi/anti, outer, nested-loop and set-operation operators.
 
 Tier-1 runs one fixed seed; set ``REPRO_DIFF_SEEDS=<n>`` to sweep ``n``
 additional seeds (e.g. in CI's extended job or a local soak run).
@@ -26,6 +29,7 @@ from collections import Counter
 import pytest
 
 from repro.api.database import Database
+from repro.sql.parser import parse_statement
 from repro.workloads.bom import BOMScale, create_bom_schema, populate_bom
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
 
@@ -38,9 +42,10 @@ QUERIES_PER_SEED = 60
 # ----------------------------------------------------------------------
 ORG_TABLES = {
     "DEPT": {"int": ["DNO"], "str": ["DNAME", "LOC"], "pk": "DNO"},
-    "EMP": {"int": ["ENO", "EDNO", "SAL"], "str": ["ENAME"], "pk": "ENO"},
+    "EMP": {"int": ["ENO", "EDNO", "SAL"], "str": ["ENAME"], "pk": "ENO",
+            "nullable": ["EDNO", "SAL"]},
     "PROJ": {"int": ["PNO", "PDNO", "BUDGET"], "str": ["PNAME"],
-             "pk": "PNO"},
+             "pk": "PNO", "nullable": ["PDNO", "BUDGET"]},
     "SKILLS": {"int": ["SNO", "LEVEL"], "str": ["SNAME"], "pk": "SNO"},
     "EMPSKILLS": {"int": ["ESENO", "ESSNO"], "str": [], "pk": None},
     "PROJSKILLS": {"int": ["PSPNO", "PSSNO"], "str": [], "pk": None},
@@ -67,7 +72,7 @@ ORG_CHAINS = [
 
 BOM_TABLES = {
     "PART": {"int": ["PNO", "COST"], "str": ["PNAME", "KIND"],
-             "pk": "PNO"},
+             "pk": "PNO", "nullable": ["COST"]},
     "CONTAINS": {"int": ["PARENT", "CHILD", "QTY"], "str": [],
                  "pk": None},
 }
@@ -238,14 +243,19 @@ class SelectGenerator:
         the differential check can compare ordered lists instead of
         multisets."""
         shape = self.rng.choice(["single", "single", "join", "join",
-                                 "chain", "aggregate", "aggregate"])
+                                 "chain", "aggregate", "aggregate",
+                                 "exists", "in_subquery", "left_join",
+                                 "cross_join", "set_operation", "scalar"])
         if shape == "single":
             return self._single_table()
-        if shape == "join":
-            return self._fk_join(), False
-        if shape == "chain":
-            return self._three_way(), False
-        return self._aggregate(), False
+        build = {"join": self._fk_join, "chain": self._three_way,
+                 "aggregate": self._aggregate, "exists": self._exists,
+                 "in_subquery": self._in_subquery,
+                 "left_join": self._left_join,
+                 "cross_join": self._cross_join,
+                 "set_operation": self._set_operation,
+                 "scalar": self._scalar_subquery}[shape]
+        return build(), False
 
     def _order_by(self, select_columns: list[str]) -> str:
         if self.rng.random() < 0.5 and select_columns:
@@ -295,6 +305,139 @@ class SelectGenerator:
         if self.rng.random() < 0.6:
             sql += f" AND ({self.where([('a', child1), ('c', parent2)])})"
         return sql
+
+    def _fk_pair(self) -> tuple[str, str, str, str]:
+        """One FK pair as (outer table, outer column, inner table, inner
+        column), child-to-parent or parent-to-child at random."""
+        child, fk, parent, pk = self.rng.choice(self.joins)
+        if self.rng.random() < 0.5:
+            return child, fk, parent, pk
+        return parent, pk, child, fk
+
+    def _exists(self) -> str:
+        """Correlated [NOT] EXISTS over an FK pair."""
+        outer, outer_column, inner, inner_column = self._fk_pair()
+        columns = self.columns_of("a", outer, self.rng.randint(1, 2))
+        negated = "NOT " if self.rng.random() < 0.5 else ""
+        subquery = (f"SELECT 1 FROM {inner} b "
+                    f"WHERE b.{inner_column} = a.{outer_column}")
+        if self.rng.random() < 0.6:
+            subquery += f" AND ({self.where([('b', inner)])})"
+        sql = (f"SELECT {', '.join(columns)} FROM {outer} a "
+               f"WHERE {negated}EXISTS ({subquery})")
+        if self.rng.random() < 0.3:
+            sql += f" AND ({self.where([('a', outer)])})"
+        return sql
+
+    def _in_subquery(self) -> str:
+        """[NOT] IN with a subquery: over an FK pair, or one int column
+        against itself, often a nullable one — a NULL in the inner
+        column makes NOT IN UNKNOWN, never True."""
+        nullable = [(table, column) for table, meta in self.tables.items()
+                    for column in meta.get("nullable", ())]
+        if self.rng.random() < 0.5:
+            outer, outer_column, inner, inner_column = self._fk_pair()
+        else:
+            if self.rng.random() < 0.6:
+                outer, outer_column = self.rng.choice(nullable)
+            else:
+                outer = self.rng.choice(list(self.tables))
+                outer_column = self.rng.choice(self.tables[outer]["int"])
+            inner, inner_column = outer, outer_column
+        columns = self.columns_of("a", outer, self.rng.randint(1, 2))
+        negated = "NOT " if self.rng.random() < 0.5 else ""
+        subquery = f"SELECT b.{inner_column} FROM {inner} b"
+        if self.rng.random() < 0.6:
+            subquery += f" WHERE {self.where([('b', inner)])}"
+        return (f"SELECT {', '.join(columns)} FROM {outer} a "
+                f"WHERE a.{outer_column} {negated}IN ({subquery})")
+
+    def _left_join(self) -> str:
+        """LEFT JOIN over an FK pair; the ON clause may carry filters on
+        either side, the WHERE clause filters the preserved side."""
+        left, left_column, right, right_column = self._fk_pair()
+        columns = (self.columns_of("a", left, self.rng.randint(1, 2))
+                   + self.columns_of("b", right, self.rng.randint(1, 2)))
+        on = f"b.{right_column} = a.{left_column}"
+        if self.rng.random() < 0.7:
+            on += f" AND ({self.where([('a', left), ('b', right)])})"
+        sql = (f"SELECT {', '.join(columns)} FROM {left} a "
+               f"LEFT JOIN {right} b ON {on}")
+        if self.rng.random() < 0.4:
+            sql += f" WHERE {self.where([('a', left)])}"
+        return sql
+
+    def _cross_join(self) -> str:
+        """CROSS JOIN of two of the smallest tables, each filtered,
+        sometimes with a non-equi predicate across them."""
+        smallest = sorted(self.tables,
+                          key=lambda name: len(self.db.catalog.table(name)))
+        first = self.rng.choice(smallest[:3])
+        second = self.rng.choice(smallest[:3])
+        columns = (self.columns_of("a", first, 1)
+                   + self.columns_of("b", second, 1))
+        where = (f"({self.where([('a', first)])}) "
+                 f"AND ({self.where([('b', second)])})")
+        if self.rng.random() < 0.4:
+            where += (f" AND a.{self.rng.choice(self.tables[first]['int'])}"
+                      f" < b.{self.rng.choice(self.tables[second]['int'])}")
+        return (f"SELECT {', '.join(columns)} FROM {first} a "
+                f"CROSS JOIN {second} b WHERE {where}")
+
+    def _set_operation(self) -> str:
+        """UNION [ALL] / INTERSECT / EXCEPT of two single-table
+        projections of the same column types."""
+        operator = self.rng.choice(["UNION", "UNION ALL", "INTERSECT",
+                                    "EXCEPT"])
+        table = self.rng.choice(list(self.tables))
+        if self.tables[table]["str"] and self.rng.random() < 0.3:
+            column = self.rng.choice(self.tables[table]["str"])
+            arms = [(table, [column])] * 2
+        else:
+            width = self.rng.randint(1, 2)
+            candidates = [name for name, meta in self.tables.items()
+                          if len(meta["int"]) >= width]
+            arms = [(name, self.rng.sample(self.tables[name]["int"], width))
+                    for name in (self.rng.choice(candidates),
+                                 self.rng.choice(candidates))]
+        selects = []
+        for table, arm_columns in arms:
+            select = (f"SELECT {', '.join('t.' + c for c in arm_columns)} "
+                      f"FROM {table} t")
+            if self.rng.random() < 0.7:
+                select += f" WHERE {self.where([('t', table)])}"
+            selects.append(select)
+        return f" {operator} ".join(selects)
+
+    def _scalar_subquery(self) -> str:
+        """An uncorrelated aggregate subquery, or one correlated over an
+        FK pair (per-parent aggregate of its children), in the select
+        list or compared in WHERE."""
+        op = self.rng.choice(["=", "<>", "<", ">="])
+        if self.rng.random() < 0.5:
+            table = self.rng.choice(list(self.tables))
+            inner = self.rng.choice(list(self.tables))
+            function = self.rng.choice(["MIN", "MAX", "COUNT", "SUM"])
+            inner_column = self.rng.choice(self.tables[inner]["int"])
+            subquery = f"SELECT {function}(b.{inner_column}) FROM {inner} b"
+            if self.rng.random() < 0.6:
+                subquery += f" WHERE {self.where([('b', inner)])}"
+        else:
+            child, fk, table, pk = self.rng.choice(self.joins)
+            inner_column = self.rng.choice(self.tables[child]["int"])
+            aggregate = self.rng.choice(
+                ["COUNT(*)", f"COUNT(b.{inner_column})",
+                 f"MIN(b.{inner_column})", f"MAX(b.{inner_column})",
+                 f"SUM(b.{inner_column})"])
+            subquery = (f"SELECT {aggregate} FROM {child} b "
+                        f"WHERE b.{fk} = a.{pk}")
+        columns = self.columns_of("a", table, self.rng.randint(1, 2))
+        if self.rng.random() < 0.5:
+            return (f"SELECT {', '.join(columns)}, ({subquery}) "
+                    f"FROM {table} a")
+        column = self.rng.choice(self.tables[table]["int"])
+        return (f"SELECT {', '.join(columns)} FROM {table} a "
+                f"WHERE a.{column} {op} ({subquery})")
 
     def _aggregate(self) -> str:
         table = self.rng.choice(list(self.tables))
@@ -359,13 +502,41 @@ def assert_same_result(db: Database, conn: sqlite3.Connection,
     )
 
 
+def plan_operators(db: Database, sql: str) -> set[str]:
+    """Class names of every operator in the statement's plan, scalar
+    subquery plans included."""
+    compiled, _bindings = db.pipeline.compile_select_cached(
+        parse_statement(sql))
+    plan = compiled.plan
+    stack = [node for _stream, node in plan.outputs]
+    stack.extend(plan.scalar_plans.values())
+    names: set[str] = set()
+    while stack:
+        node = stack.pop()
+        names.add(type(node).__name__)
+        stack.extend(node.children())
+    return names
+
+
 def run_seed(db: Database, conn: sqlite3.Connection, tables: dict,
              joins: list, chains: list, seed: int,
-             count: int = QUERIES_PER_SEED) -> None:
+             count: int = QUERIES_PER_SEED) -> set[str]:
+    """Check ``count`` generated statements; returns the operator class
+    names their plans used."""
     generator = SelectGenerator(db, tables, joins, chains, seed)
+    operators: set[str] = set()
     for _ in range(count):
         sql, ordered = generator.generate()
         assert_same_result(db, conn, sql, ordered=ordered)
+        operators |= plan_operators(db, sql)
+    return operators
+
+
+#: Operators whose only independent oracle is this suite: each must
+#: appear in some plan of the fixed-seed run, or a generator change has
+#: silently stopped covering it.
+COVERED_OPERATORS = {"SemiJoin", "LeftOuterJoin", "NestedLoopJoin",
+                     "SetOperation"}
 
 
 def extra_seeds() -> list[int]:
@@ -378,12 +549,18 @@ def extra_seeds() -> list[int]:
 # ----------------------------------------------------------------------
 def test_org_differential_fixed_seed(org_pair):
     db, conn = org_pair
-    run_seed(db, conn, ORG_TABLES, ORG_JOINS, ORG_CHAINS, BASE_SEED)
+    operators = run_seed(db, conn, ORG_TABLES, ORG_JOINS, ORG_CHAINS,
+                         BASE_SEED)
+    assert COVERED_OPERATORS <= operators, \
+        f"not covered: {sorted(COVERED_OPERATORS - operators)}"
 
 
 def test_bom_differential_fixed_seed(bom_pair):
     db, conn = bom_pair
-    run_seed(db, conn, BOM_TABLES, BOM_JOINS, BOM_CHAINS, BASE_SEED)
+    operators = run_seed(db, conn, BOM_TABLES, BOM_JOINS, BOM_CHAINS,
+                         BASE_SEED)
+    assert COVERED_OPERATORS <= operators, \
+        f"not covered: {sorted(COVERED_OPERATORS - operators)}"
 
 
 def test_handwritten_edge_cases(org_pair):
@@ -400,6 +577,18 @@ def test_handwritten_edge_cases(org_pair):
         "SELECT e.ENAME FROM EMP e WHERE e.EDNO = 1 OR e.EDNO <> 1",
         "SELECT DISTINCT d.LOC FROM DEPT d, PROJ p WHERE d.DNO = p.PDNO",
         "SELECT e.ENO FROM EMP e WHERE e.EDNO NOT IN (1, 2)",
+        # NOT IN over an inner column holding a NULL: never True.
+        "SELECT e.ENO FROM EMP e WHERE e.SAL NOT IN "
+        "(SELECT e2.SAL FROM EMP e2 WHERE e2.EDNO = 1)",
+        "SELECT e.ENO FROM EMP e WHERE e.EDNO NOT IN "
+        "(SELECT p.PDNO FROM PROJ p)",
+        "SELECT e.ENO FROM EMP e WHERE e.EDNO IN (SELECT p.PDNO FROM PROJ p)",
+        "SELECT d.DNO FROM DEPT d WHERE NOT EXISTS "
+        "(SELECT 1 FROM EMP e WHERE e.EDNO = d.DNO AND e.SAL > 70000)",
+        "SELECT d.DNAME, e.ENAME FROM DEPT d "
+        "LEFT JOIN EMP e ON e.EDNO = d.DNO AND e.SAL > 100000",
+        "SELECT d.DNO, (SELECT MAX(e.SAL) FROM EMP e WHERE e.EDNO = d.DNO) "
+        "FROM DEPT d",
     ]:
         assert_same_result(db, conn, sql)
     # Ordered contract: ORDER BY over a unique, non-NULL key must give

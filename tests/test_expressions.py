@@ -305,6 +305,21 @@ class TestBatchFilters:
             flipped = ast.BinaryOp(op, ast.Literal(2), self.qref("A"))
             self.both_ways(flipped, self.rows())
 
+    def test_column_column_comparison(self):
+        from repro.sql import ast
+        rows = [(1, 2), (2, 2), (None, 1), (3, None), (None, None), (4, 1)]
+        for op in ("=", "<>", "<", "<=", ">", ">="):
+            self.both_ways(ast.BinaryOp(op, self.qref("A"), self.qref("B")),
+                           rows)
+
+    def test_column_column_type_mismatch_raises(self):
+        from repro.sql import ast
+        predicate = ast.BinaryOp("<", self.qref("A"), self.qref("B"))
+        _q, compiler = self.predicate_env
+        batch_fn = compiler.compile_filter(predicate)
+        with pytest.raises(ExecutionError, match="cannot compare"):
+            batch_fn([(1, 2), (1, "x")], None)
+
     def test_comparison_with_null_literal_keeps_nothing(self):
         from repro.sql import ast
         predicate = ast.BinaryOp("=", self.qref("A"), ast.Literal(None))
@@ -352,7 +367,7 @@ class TestBatchFilters:
 
     def test_and_error_parity_between_condition_and_batch(self):
         """A right conjunct that would raise on rows the left conjunct
-        excludes: neither the condition compiler (row mode) nor the
+        excludes: neither the condition compiler (per row) nor the
         batch filter may surface that error — and both must raise it
         for rows that do reach the right conjunct."""
         from repro.sql import ast

@@ -4,8 +4,8 @@ import pytest
 
 from repro.optimizer.plan import (Aggregate, Dedup, ExecutionContext,
                                   Filter, HashJoin, LeftOuterJoin, Limit,
-                                  Materialized, SemiJoin, SetOperation,
-                                  SingleRow, Sort, Spool, UnionAll)
+                                  Materialized, NestedLoopJoin, SemiJoin,
+                                  SetOperation, SingleRow, Sort, Spool)
 
 
 def const(position):
@@ -31,8 +31,10 @@ class TestBasics:
 
     def test_filter_keeps_only_true(self, ctx):
         node = Filter(mat(["A"], [(1,), (None,), (3,)]),
-                      lambda row, ctx: None if row[0] is None
-                      else row[0] > 1)
+                      lambda rows, ctx: [
+                          row for row in rows
+                          if (None if row[0] is None
+                              else row[0] > 1) is True])
         assert list(node.execute(ctx)) == [(3,)]
 
     def test_limit_and_offset(self, ctx):
@@ -145,11 +147,6 @@ class TestSetOperations:
                             mat(["A"], [(1,)]))
         assert sorted(node.execute(ctx)) == [(1,), (2,)]
 
-    def test_union_all_chain(self, ctx):
-        node = UnionAll([mat(["A"], self.A), mat(["A"], self.B),
-                         mat(["A"], [(9,)])])
-        assert len(list(node.execute(ctx))) == 6
-
 
 class TestAggregateOperator:
     def test_grouped(self, ctx):
@@ -183,9 +180,9 @@ class TestSpool:
         calls = []
 
         class Counting(Materialized):
-            def execute(self, inner_ctx):
+            def execute_batches(self, inner_ctx, batch_size=1024):
                 calls.append(1)
-                return super().execute(inner_ctx)
+                return super().execute_batches(inner_ctx, batch_size)
 
         spool = Spool(Counting(["A"], [(1,)]))
         assert list(spool.execute(ctx)) == [(1,)]
@@ -219,9 +216,7 @@ class TestBatchProtocol:
     def test_single_row_batch(self, ctx):
         assert list(SingleRow().execute_batches(ctx, 4)) == [[()]]
 
-    def test_fallback_chunks_row_iterator(self, ctx):
-        # SetOperation has no native batch path: the PlanNode default
-        # chunks its row iterator.
+    def test_set_operation_batches(self, ctx):
         node = SetOperation("UNION", False, mat(["A"], [(1,), (2,)]),
                             mat(["A"], [(2,), (3,)]))
         chunks = list(node.execute_batches(ctx, 2))
@@ -229,22 +224,9 @@ class TestBatchProtocol:
             [(1,), (2,), (3,)]
         assert all(1 <= len(chunk) <= 2 for chunk in chunks)
 
-    def test_union_all_preserves_input_batching(self, ctx):
-        node = UnionAll([mat(["A"], [(1,)]), mat(["A"], [(2,), (3,)])])
-        chunks = list(node.execute_batches(ctx, 8))
-        assert chunks == [[(1,)], [(2,), (3,)]]
-
-    def test_filter_without_batch_predicate(self, ctx):
-        node = Filter(mat(["A"], [(1,), (None,), (3,)]),
-                      lambda row, ctx: None if row[0] is None
-                      else row[0] > 1)
-        assert list(node.execute_batches(ctx, 2)) == [[(3,)]]
-
     def test_filter_with_batch_predicate(self, ctx):
         node = Filter(mat(["A"], [(1,), (2,), (3,), (4,)]),
-                      lambda row, ctx: row[0] % 2 == 0,
-                      batch_predicate=lambda rows, ctx:
-                      [r for r in rows if r[0] % 2 == 0])
+                      lambda rows, ctx: [r for r in rows if r[0] % 2 == 0])
         assert [row for chunk in node.execute_batches(ctx, 3)
                 for row in chunk] == [(2,), (4,)]
 
@@ -288,6 +270,62 @@ class TestBatchProtocol:
                          ["K", "S"])
         assert [row for chunk in node.execute_batches(ctx, 1)
                 for row in chunk] == [("x", 4), ("y", 2)]
+
+    def test_nested_loop_join_chunk_bound_and_counters(self, ctx):
+        node = NestedLoopJoin(mat(["L"], [(1,), (2,), (3,)]),
+                              mat(["R"], [(1,), (2,)]),
+                              lambda row, ctx: row[0] <= row[1])
+        chunks = list(node.execute_batches(ctx, 2))
+        assert [len(chunk) for chunk in chunks] == [2, 1]
+        assert [row for chunk in chunks for row in chunk] == \
+            [(1, 1), (1, 2), (2, 2)]
+        assert ctx.counters["rows_joined"] == 3
+
+    def test_left_outer_join_residual_pads_unmatched(self, ctx):
+        # Hash path: key 1 matches, but the residual rejects "y".
+        node = LeftOuterJoin(mat(["L", "K"], [("a", 1), ("b", 2)]),
+                             mat(["K2", "R"], [(1, "y"), (2, "z")]),
+                             [const(1)], [const(0)],
+                             residual=lambda row, ctx: row[3] == "z")
+        assert list(node.execute(ctx, 1)) == [
+            ("a", 1, None, None), ("b", 2, 2, "z")]
+
+    def test_left_outer_join_nested_loop_path(self, ctx):
+        node = LeftOuterJoin(mat(["L"], [(1,), (5,)]),
+                             mat(["R"], [(2,), (3,)]), [], [],
+                             residual=lambda row, ctx: row[0] < row[1])
+        assert list(node.execute(ctx, 1)) == [(1, 2), (1, 3), (5, None)]
+
+    def test_anti_join_null_outer_key_without_poison(self, ctx):
+        # NOT EXISTS: a NULL outer key never matches, so the row stays.
+        node = SemiJoin(mat(["K"], [(None,), (1,)]), mat(["K2"], [(1,)]),
+                        [const(0)], [const(0)], anti=True)
+        assert list(node.execute(ctx, 1)) == [(None,)]
+
+    def test_set_operations_ignore_batch_boundaries(self, ctx):
+        left = [(1,), (1,), (2,), (3,), (1,)]
+        right = [(1,), (3,), (3,)]
+        for operator, all_rows in (("UNION", False), ("INTERSECT", True),
+                                   ("INTERSECT", False), ("EXCEPT", True),
+                                   ("EXCEPT", False)):
+            node = SetOperation(operator, all_rows, mat(["A"], left),
+                                mat(["A"], right))
+            reference = list(node.execute(ExecutionContext(), 1024))
+            for batch_size in (1, 2, 3):
+                assert list(node.execute(ExecutionContext(),
+                                         batch_size)) == reference
+
+    def test_aggregate_groups_span_batches(self, ctx):
+        rows = [("x", 1), ("y", None), ("x", 1), ("x", 3), ("y", 2)]
+        node = Aggregate(mat(["K", "V"], rows), [const(0)],
+                         [("COUNT", None, False), ("SUM", const(1), True),
+                          ("MIN", const(1), False),
+                          ("MAX", const(1), False)],
+                         ["K", "N", "S", "LO", "HI"])
+        expected = [("x", 3, 4, 1, 3), ("y", 2, 2, 2, 2)]
+        for batch_size in (1, 2, 1024):
+            assert list(node.execute(ExecutionContext(),
+                                     batch_size)) == expected
 
     def test_spool_batch_counters(self, ctx):
         spool = Spool(mat(["A"], [(1,), (2,), (3,)]))
