@@ -17,13 +17,24 @@ queries, literals varying per query) runs twice —
   driven by its own thread through streaming cursors.
 
 Both sides start cold; the shared side pays each compile once in
-total, the per-client side once *per client*.  Note what is and is not
-claimed: CPython threads interleave rather than parallelize, so the
-speedup measured here is the shared-compiled-state effect of the
-engine/session split, not thread-level parallelism.  Result equality
-between both sides is asserted query-for-query.  Results land in
+total, the per-client side once *per client*.  That is what the test
+asserts, from the engines' own plan-cache counters: the shared engine
+misses and stores each shape exactly once and hits it N-1 times, even
+though its sessions miss each shape at about the same moment
+(compiles are single-flight per key); each private engine misses every
+shape.  Result equality between both sides is asserted
+query-for-query.
+
+The timed A/B runs as well: it is printed and lands in
 ``BENCH_sessions.json`` at the repository root under
-``REPRO_BENCH_WRITE=1``.
+``REPRO_BENCH_WRITE=1`` with its ``speedup`` and ``floor``.  The
+wall-clock floor (:data:`REQUIRED_SPEEDUP`) is not asserted here: the
+ratio moves with machine load and with how compile cost compares with
+execute cost, so it is enforced by the CI ``sessions`` job, which
+fails the build when the recorded speedup is below the floor.  CPython
+threads interleave rather than parallelize, so the speedup is the
+shared-compiled-state effect of the engine/session split, not
+thread-level parallelism.
 """
 
 from __future__ import annotations
@@ -39,7 +50,9 @@ from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
 
-#: Acceptance floor: 4 sessions on one engine vs 4 private engines.
+#: Wall-clock floor: 4 sessions on one engine vs 4 private engines.
+#: Recorded in ``BENCH_sessions.json``; the CI ``sessions`` job fails
+#: the build when the recorded speedup is below it.
 REQUIRED_SPEEDUP = 2.0
 
 #: Timed repetitions; the fastest one is reported.
@@ -107,8 +120,11 @@ def populate(catalog) -> None:
     catalog.create_index("IX_EMP_ENO", "EMP", ["ENO"])
 
 
-def run_per_client_engines(workloads) -> tuple[float, list]:
-    """The old architecture: one cold private engine per client."""
+def run_per_client_engines(workloads) -> tuple[float, list, list]:
+    """The old architecture: one cold private engine per client.
+
+    Returns the elapsed time, each client's rows, and each private
+    engine's plan-cache counters."""
     databases = []
     for _ in workloads:
         db = Database()
@@ -119,11 +135,16 @@ def run_per_client_engines(workloads) -> tuple[float, list]:
     for index, (db, workload) in enumerate(zip(databases, workloads)):
         results[index] = [tuple(db.query(sql, params).rows)
                           for sql, params in workload]
-    return time.perf_counter() - start, results
+    elapsed = time.perf_counter() - start
+    return elapsed, results, [db.pipeline.plan_cache.stats.as_dict()
+                              for db in databases]
 
 
-def run_shared_engine(workloads) -> tuple[float, list]:
-    """The new architecture: N sessions, one engine, one plan cache."""
+def run_shared_engine(workloads) -> tuple[float, list, dict]:
+    """The new architecture: N sessions, one engine, one plan cache.
+
+    Returns the elapsed time, each client's rows, and the engine's
+    plan-cache counters."""
     engine = Engine()
     populate(engine.catalog)
     sessions = [engine.connect(label=f"client-{i}")
@@ -153,20 +174,29 @@ def run_shared_engine(workloads) -> tuple[float, list]:
     elapsed = time.perf_counter() - start
     if errors:
         raise errors[0]
+    stats = engine.pipeline.plan_cache.stats.as_dict()
     engine.close()
-    return elapsed, results
+    return elapsed, results, stats
 
 
 def test_shared_engine_beats_per_client_engines():
     workloads = [client_workload(c) for c in range(N_CLIENTS)]
+    shapes = len(statement_shapes())
 
     baseline_time = None
     shared_time = None
     for _ in range(BEST_OF):
-        b_time, b_results = run_per_client_engines(workloads)
-        s_time, s_results = run_shared_engine(workloads)
+        b_time, b_results, b_stats = run_per_client_engines(workloads)
+        s_time, s_results, s_stats = run_shared_engine(workloads)
         assert b_results == s_results, \
             "shared-engine sessions returned different rows"
+        # The shared side compiles each shape once in total, however
+        # its sessions interleave; the others take it as a hit.
+        assert s_stats["misses"] == s_stats["stores"] == shapes, s_stats
+        assert s_stats["hits"] == (N_CLIENTS - 1) * shapes, s_stats
+        # The per-client side compiles each shape once per client.
+        for stats in b_stats:
+            assert stats["misses"] == shapes, stats
         baseline_time = b_time if baseline_time is None \
             else min(baseline_time, b_time)
         shared_time = s_time if shared_time is None \
@@ -179,11 +209,14 @@ def test_shared_engine_beats_per_client_engines():
         "statements_total": statements,
         "per_client_engines_s": round(baseline_time, 6),
         "shared_engine_sessions_s": round(shared_time, 6),
-        "speedup": round(speedup, 2),
+        # Unrounded: CI compares it with the floor.
+        "speedup": speedup,
         "floor": REQUIRED_SPEEDUP,
+        "shared_engine_plan_cache": s_stats,
         "note": ("speedup comes from shared compiled state (plan cache "
                  "hits across sessions); CPython threads interleave, "
-                 "they do not parallelize"),
+                 "they do not parallelize; the floor is enforced by "
+                 "the CI sessions job, not by this test"),
     }
     print_table(
         "session throughput: 4 clients, same workload",
@@ -191,11 +224,8 @@ def test_shared_engine_beats_per_client_engines():
         [["4x private Database (serial, cold)",
           f"{baseline_time:.4f}"],
          ["1x Engine + 4 sessions (threads)", f"{shared_time:.4f}"],
-         ["speedup", f"{speedup:.2f}x (floor {REQUIRED_SPEEDUP}x)"]],
-    )
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"shared-engine sessions only {speedup:.2f}x faster than "
-        f"per-client engines (floor {REQUIRED_SPEEDUP}x)"
+         ["speedup", f"{speedup:.2f}x (floor {REQUIRED_SPEEDUP}x, "
+          "enforced in CI)"]],
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.executor.plan_cache import (CacheInfo, PlanCache,
+from repro.executor.plan_cache import (CacheInfo, CompileClaim, PlanCache,
                                        parameterize_select)
 from repro.optimizer.optimizer import (ExecutablePlan, Planner,
                                        PlannerOptions)
@@ -277,6 +277,12 @@ class CompilationPipeline:
                 planner.cost_based_access_paths, planner.legacy_cost_model,
                 planner.parallel_degree, planner.parallel_row_threshold)
 
+    def _schema_version(self) -> int:
+        """The catalog's schema version, read by the plan cache at
+        every look (a session waiting on another's compile reads it
+        again when that compile ends)."""
+        return self.catalog.schema_version
+
     def _stats_view(self, table_name: str) -> tuple[int, int]:
         """(table epoch, live cardinality) — what cached entries over
         this table are validated against.  Cardinality -1 when the
@@ -338,12 +344,24 @@ class CompilationPipeline:
             cache.last_info = CacheInfo(status="bypass",
                                         reason="plan cache disabled")
             return self.compile_select(parameterized.statement)
-        schema_version = self.catalog.schema_version
-        entry = cache.lookup(key, schema_version, self._stats_view,
-                             self._on_stats_drift)
+        entry, claim = cache.claim(key, self._schema_version,
+                                   self._stats_view, self._on_stats_drift)
         if entry is not None:
             self._stamp_epoch()
             return entry.value
+        try:
+            compiled = self._compile_claimed(parameterized, key, claim)
+        finally:
+            cache.release(claim)
+        self._stamp_epoch()
+        return compiled
+
+    def _compile_claimed(self, parameterized, key,
+                         claim: CompileClaim) -> CompiledQuery:
+        """The miss side of :meth:`compile_parameterized`, run by the
+        one session holding ``claim`` on ``key``."""
+        cache = self.plan_cache
+        schema_version = claim.schema_version
         # First-level miss: run the front half and probe the canonical
         # (post-rewrite) key before paying for plan optimization.
         graph = self.build_select(parameterized.statement)
@@ -354,24 +372,14 @@ class CompilationPipeline:
                                   self._stats_view, self._on_stats_drift)
         if canon_entry is not None:
             # Equivalent statement already compiled: alias the AST key
-            # to the same artifact and report a (canonical) hit.  The
-            # first-level lookup already counted a miss; reclassify it,
-            # so one compile is exactly one hit or one miss.
-            cache.alias(key, canon_key)
-            cache.stats.misses -= 1
-            cache.stats.hits += 1
-            cache.last_info = CacheInfo(
-                status="hit", fingerprint=canon_entry.fingerprint,
-                reason="post-rewrite canonical form matched",
-                schema_version=schema_version,
-                estimated_rows=canon_entry.estimated_rows,
-            )
-            self._stamp_epoch()
+            # to the same artifact and report a (canonical) hit.
+            cache.count_canonical_hit(key, canon_key, canon_entry,
+                                      schema_version)
             return canon_entry.value
         # Plan with the lifted literals peeked, so the cost model keeps
         # value-aware (MCV/histogram) estimates for ad-hoc statements.
         compiled.plan = self.plan(graph, peek=parameterized.bindings)
-        miss_info = cache.last_info
+        miss_info = claim.info
         stats_keys = self._stats_keys(self.graph_tables(graph))
         estimated = self._plan_estimated_rows(compiled.plan)
         miss_info.estimated_rows = estimated
@@ -379,7 +387,6 @@ class CompilationPipeline:
                     estimated_rows=estimated)
         cache.alias(canon_key, key)
         cache.last_info = miss_info
-        self._stamp_epoch()
         return compiled
 
     def compile_select_cached(self, statement: ast.SelectStatement
@@ -412,7 +419,7 @@ class CompilationPipeline:
                 status="bypass", reason="plan cache disabled")
             return compile_fn()
         value = self.plan_cache.get_or_compile(
-            key, self.catalog.schema_version, self._stats_view,
+            key, self._schema_version, self._stats_view,
             compile_fn, tables_of=tables_of,
             on_drift=self._on_stats_drift,
         )

@@ -20,6 +20,8 @@ on every ``db.query()``.  This module adds the missing layer:
   entry pinned to the catalog's ``schema_version`` and the statistics
   manager's ``epoch``.  DDL, ``ANALYZE`` and materially-drifted
   statistics therefore invalidate stale entries on the next lookup.
+  Compiles are single-flight per key: sessions that miss one key at
+  the same moment wait for one compile (:meth:`PlanCache.claim`).
 
 Literals are *not* lifted where their value shapes the plan or the
 statement's meaning rather than a runtime comparison: ORDER BY / GROUP
@@ -338,6 +340,23 @@ class CacheInfo:
 
 
 @dataclass
+class CompileClaim:
+    """A miss's turn to compile ``key`` (see :meth:`PlanCache.claim`).
+
+    The holder compiles, stores the artifact under ``schema_version``
+    (read before the compile began, so DDL during it leaves the
+    artifact stale for everyone who looks later) and then hands the
+    claim to :meth:`PlanCache.release`, which wakes the waiters.
+    """
+
+    key: Any
+    schema_version: int
+    #: The miss this claim was counted as (EXPLAIN's ``last_info``).
+    info: CacheInfo
+    done: threading.Event = field(default_factory=threading.Event)
+
+
+@dataclass
 class CacheStats:
     hits: int = 0
     misses: int = 0
@@ -392,10 +411,18 @@ class PlanCache:
         self.last_info = CacheInfo(status="bypass")
         # One cache is shared by every session of an engine; concurrent
         # readers compile through it from multiple threads.  The lock
-        # only guards the entry map's structure — compilation itself
-        # runs outside it (a racing duplicate compile is benign, the
-        # second store simply overwrites the first).
+        # guards the entry map, the in-flight map and the counters;
+        # compilation itself runs outside it.  Compiles are
+        # single-flight per key: the first miss claims the key, and a
+        # session that misses it while that compile runs waits for it
+        # and takes the stored artifact as a hit (see :meth:`claim`).
         self._lock = threading.RLock()
+        #: Key -> the claim of the compile now running for it.
+        self._flights: dict[Any, CompileClaim] = {}
+        #: Per thread: how many registered claims it is compiling.  A
+        #: thread that is compiling never waits on another compile, so
+        #: waits cannot form a cycle (nor a thread wait on itself).
+        self._leading = threading.local()
 
     @property
     def enabled(self) -> bool:
@@ -476,6 +503,41 @@ class PlanCache:
             entry.hits += 1
             return entry
 
+    def _find(self, key: Any, schema_version: int,
+              stats_view: Optional[StatsView],
+              on_drift) -> tuple[Optional[CacheEntry], str]:
+        """Under the lock: the valid entry for ``key``, counted as a
+        hit, or None and why not (a stale entry is dropped and counted
+        as an invalidation; the miss is the caller's to count)."""
+        primary, entry = self._resolve(key)
+        if entry is None:
+            return None, "not cached"
+        reason = self._invalid_reason(entry, schema_version, stats_view,
+                                      on_drift)
+        if reason is not None:
+            self._drop(primary)
+            self.stats.invalidations += 1
+            return None, reason
+        self._entries.move_to_end(primary)
+        entry.hits += 1
+        self.stats.hits += 1
+        self.last_info = CacheInfo(
+            status="hit", fingerprint=entry.fingerprint,
+            schema_version=schema_version,
+            estimated_rows=entry.estimated_rows,
+        )
+        return entry, ""
+
+    def _miss(self, key: Any, schema_version: int,
+              reason: str) -> CacheInfo:
+        """Under the lock: count one miss and report it."""
+        self.stats.misses += 1
+        self.last_info = CacheInfo(
+            status="miss", fingerprint=fingerprint_of(key),
+            reason=reason, schema_version=schema_version,
+        )
+        return self.last_info
+
     def lookup(self, key: Any, schema_version: int,
                stats_view: Optional[StatsView] = None,
                on_drift=None) -> Optional[CacheEntry]:
@@ -485,34 +547,80 @@ class PlanCache:
                                        reason="plan cache disabled")
             return None
         with self._lock:
-            primary, entry = self._resolve(key)
+            entry, reason = self._find(key, schema_version, stats_view,
+                                       on_drift)
             if entry is None:
-                self.stats.misses += 1
-                self.last_info = CacheInfo(
-                    status="miss", fingerprint=fingerprint_of(key),
-                    reason="not cached", schema_version=schema_version,
-                )
-                return None
-            reason = self._invalid_reason(entry, schema_version,
-                                          stats_view, on_drift)
-            if reason is None:
-                self._entries.move_to_end(primary)
-                entry.hits += 1
-                self.stats.hits += 1
-                self.last_info = CacheInfo(
-                    status="hit", fingerprint=entry.fingerprint,
-                    schema_version=schema_version,
-                    estimated_rows=entry.estimated_rows,
-                )
-                return entry
-            self._drop(primary)
-            self.stats.misses += 1
-            self.stats.invalidations += 1
+                self._miss(key, schema_version, reason)
+            return entry
+
+    def claim(self, key: Any, schema_version: Callable[[], int],
+              stats_view: Optional[StatsView] = None,
+              on_drift=None) -> tuple[Optional[CacheEntry],
+                                      Optional[CompileClaim]]:
+        """Single-flight lookup: ``(entry, None)`` on a hit, else
+        ``(None, claim)`` — the caller compiles, stores under
+        ``claim.schema_version`` and calls :meth:`release` (in a
+        ``finally``: waiters block until it does).
+
+        A miss while another thread compiles ``key`` waits for that
+        compile and looks again, so it is counted once, as a hit, when
+        the stored artifact is still valid.  ``schema_version`` is read
+        afresh (under the lock) at every look: an artifact made stale
+        by DDL during the compile is dropped, not served to a waiter.
+        When the compile raised or its artifact is gone, the first
+        waiter to look claims the key and compiles; the rest wait for
+        it.  A thread that is itself compiling never waits: it claims
+        without registering and compiles for itself.
+        """
+        if not self.enabled:
+            self.last_info = CacheInfo(status="bypass",
+                                       reason="plan cache disabled")
+            return None, CompileClaim(key, schema_version(),
+                                      self.last_info)
+        while True:
+            with self._lock:
+                version = schema_version()
+                entry, reason = self._find(key, version, stats_view,
+                                           on_drift)
+                if entry is not None:
+                    return entry, None
+                running = self._flights.get(key)
+                leading = getattr(self._leading, "count", 0)
+                if running is None or leading:
+                    claim = CompileClaim(
+                        key, version, self._miss(key, version, reason))
+                    if running is None:
+                        self._flights[key] = claim
+                        self._leading.count = leading + 1
+                    return None, claim
+            running.done.wait()
+
+    def release(self, claim: CompileClaim) -> None:
+        """End ``claim``'s compile, stored or failed: wake its waiters."""
+        with self._lock:
+            if self._flights.get(claim.key) is not claim:
+                return  # an unregistered (re-entrant or bypass) claim
+            del self._flights[claim.key]
+            self._leading.count -= 1
+        claim.done.set()
+
+    def count_canonical_hit(self, key: Any, canon_key: Any,
+                            canon_entry: CacheEntry,
+                            schema_version: int) -> None:
+        """A first-level miss resolved by the post-rewrite canonical
+        probe: alias ``key`` to the artifact and turn the miss already
+        counted into a hit, under the lock, so that one compile is
+        exactly one hit or one miss even under threads."""
+        with self._lock:
+            self.alias(key, canon_key)
+            self.stats.misses -= 1
+            self.stats.hits += 1
             self.last_info = CacheInfo(
-                status="miss", fingerprint=fingerprint_of(key),
-                reason=reason, schema_version=schema_version,
+                status="hit", fingerprint=canon_entry.fingerprint,
+                reason="post-rewrite canonical form matched",
+                schema_version=schema_version,
+                estimated_rows=canon_entry.estimated_rows,
             )
-            return None
 
     def store(self, key: Any, value: Any, schema_version: int,
               stats_keys: tuple = (),
@@ -546,28 +654,34 @@ class PlanCache:
             self._aliases[key] = primary
             entry.aliases.append(key)
 
-    def get_or_compile(self, key: Any, schema_version: int,
+    def get_or_compile(self, key: Any,
+                       schema_version: Callable[[], int],
                        stats_view: Optional[StatsView], compile_fn,
                        tables_of: Optional[
                            Callable[[Any], Iterable[str]]] = None,
                        on_drift=None) -> Any:
-        """Read-through: return the cached value or compile and store.
+        """Single-flight read-through (see :meth:`claim`): return the
+        cached value, or compile and store it.
 
         ``tables_of(value)`` names the base tables the compiled
         artifact reads; their epoch/cardinality snapshots become the
         entry's statistics validation keys.
         """
-        entry = self.lookup(key, schema_version, stats_view, on_drift)
+        entry, claim = self.claim(key, schema_version, stats_view,
+                                  on_drift)
         if entry is not None:
             return entry.value
-        value = compile_fn()
-        stats_keys: tuple = ()
-        if tables_of is not None and stats_view is not None:
-            stats_keys = tuple(
-                (name.upper(),) + tuple(stats_view(name))
-                for name in tables_of(value)
-            )
-        self.store(key, value, schema_version, stats_keys)
+        try:
+            value = compile_fn()
+            stats_keys: tuple = ()
+            if tables_of is not None and stats_view is not None:
+                stats_keys = tuple(
+                    (name.upper(),) + tuple(stats_view(name))
+                    for name in tables_of(value)
+                )
+            self.store(key, value, claim.schema_version, stats_keys)
+        finally:
+            self.release(claim)
         return value
 
     def clear(self, reason: str = "explicit clear") -> None:
