@@ -62,7 +62,7 @@ def main() -> None:
     recruit = org.XEMP.extent.insert(ENO=7777, ENAME="hopper",
                                      EDNO=tools.dno, SAL=210000)
     db_cache = org.cache
-    db_cache.connect("employment", tools.raw, recruit.raw)
+    db_cache.connect("employment", tools, recruit)
     org.commit()
     print("\nrecruit persisted:",
           db.query("SELECT ename, edno FROM EMP WHERE eno = 7777").rows)

@@ -8,7 +8,7 @@ from repro.cache.manager import XNFCache
 from repro.cache.matview import (MaterializedView,
                                  MaterializedViewRegistry, co_canonical,
                                  co_results_equal)
-from repro.cache.objects import BoundObject, Extent, bind_classes
+from repro.cache.objects import Extent, bind_classes
 from repro.cache.workspace import CachedObject, LogEntry, Workspace
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "XNFCache",
     "MaterializedView", "MaterializedViewRegistry",
     "co_canonical", "co_results_equal",
-    "BoundObject", "Extent", "bind_classes",
+    "Extent", "bind_classes",
     "CachedObject", "LogEntry", "Workspace",
 ]

@@ -8,17 +8,30 @@ also need a container class to hold all the instances of e.g. class
 xemp."
 
 The Python analogue: :func:`bind_classes` generates one class per
-component, with
+component, a slot-less subclass of
+:class:`~repro.cache.workspace.CachedObject`, and re-classes the
+workspace's objects (objects the workspace creates later are built as
+the generated class too).  An instance *is* the cached object, so a
+navigation step is a read of the object's swizzled partner list.  Each
+class carries
 
 * properties for every column (lower-cased attribute names),
 * navigation methods per outgoing relationship (named after the role:
   ``dept.employs()``) and per incoming relationship
-  (``emp.employs_parents()``),
+  (``emp.employs_parents()``), each returning a fresh list of the
+  cached partner objects themselves,
+* ``update(**columns)``, ``delete()`` and ``insert_child(rel, **columns)``,
 * an ``Extent`` container per class holding all instances.
 
-Instances wrap the live :class:`~repro.cache.workspace.CachedObject`, so
-updates made through the generated classes land in the cache's update
-log like any other local change.
+A column or role whose lower-cased name is a Python keyword, or the
+name of a member of the object (``oid``, ``values``, ``deleted``,
+``component``, ``delete``, ``update``, ``get``, ``extent`` ...), is
+exposed with a trailing ``_``: a view column ``OID`` reads and writes as
+``obj.oid_`` while ``obj.oid`` stays the object identifier.
+
+Mutations through the generated classes land in the cache's update log
+like any other local change; a write-through cache puts each one back
+immediately.
 """
 
 from __future__ import annotations
@@ -34,184 +47,148 @@ from repro.cache.workspace import CachedObject
 class Extent:
     """Container of all instances of one generated class."""
 
-    def __init__(self, cache: XNFCache, component: str, cls: type):
+    def __init__(self, cache: XNFCache, component: str):
         self._cache = cache
         self._component = component
-        self._cls = cls
 
     def __iter__(self) -> Iterator:
-        for obj in self._cache.extent(self._component):
-            yield self._cls(obj)
+        return iter(self._cache.extent(self._component))
 
     def __len__(self) -> int:
         return len(self._cache.extent(self._component))
 
     def find(self, **equalities) -> list:
-        return [self._cls(o)
-                for o in self._cache.find(self._component, **equalities)]
+        return self._cache.find(self._component, **equalities)
 
     def insert(self, **values):
-        mark = self._cache.mutation_mark()
-        obj = self._cache.insert(self._component, **values)
-        self._cache.flush_through(mark)
-        return self._cls(obj)
+        return _one_write(self._cache, lambda: self._cache.insert(
+            self._component, **values))
 
     def __repr__(self) -> str:
         return f"<Extent {self._component} ({len(self)} objects)>"
 
 
-class BoundObject:
-    """Base class of all generated component classes."""
+def _one_write(cache: XNFCache, change):
+    """Run ``change`` as one write: in write-through mode everything it
+    logs is put back as one statement; an exception part-way reverts
+    what it already logged."""
+    mark = cache.mutation_mark()
+    try:
+        result = change()
+    except Exception:
+        from repro.viewupdate.objects import revert_entries
+        entries = cache.workspace.log[mark:]
+        del cache.workspace.log[mark:]
+        revert_entries(cache.workspace, entries)
+        raise
+    cache.flush_through(mark)
+    return result
 
-    _component: str = ""
-    _cache: XNFCache = None  # type: ignore[assignment]
 
-    def __init__(self, raw: CachedObject):
-        object.__setattr__(self, "_raw", raw)
+def _delete(self) -> None:
+    _one_write(self._cache, lambda: self._cache.delete(self))
 
-    @property
-    def raw(self) -> CachedObject:
-        return self._raw
 
-    def delete(self) -> None:
-        mark = self._cache.mutation_mark()
-        self._cache.delete(self._raw)
-        self._cache.flush_through(mark)
+def _update(self, **assignments):
+    """Set several columns as one write (one put-back round trip in
+    write-through mode)."""
+    def change() -> None:
+        for column, value in assignments.items():
+            self.set(column, value)
+    _one_write(self._cache, change)
+    return self
 
-    def update(self, **assignments) -> "BoundObject":
-        """Set several columns as one write (one put-back round trip
-        in write-through mode)."""
-        cache = self._cache
-        mark = cache.mutation_mark()
-        try:
-            for column, value in assignments.items():
-                self._raw.set(column, value)
-        except Exception:
-            from repro.viewupdate.objects import revert_entries
-            entries = cache.workspace.log[mark:]
-            del cache.workspace.log[mark:]
-            revert_entries(cache.workspace, entries)
-            raise
-        cache.flush_through(mark)
-        return self
 
-    def insert_child(self, relationship: str, **values):
-        """Insert a new child object and connect it to this parent —
-        in write-through mode the child row and its relationship
-        wiring (e.g. foreign-key columns) land in one atomic
-        statement."""
-        cache = self._cache
-        workspace = cache.workspace
-        name = relationship.upper()
-        if name not in workspace.relationship_children:
-            # Accept the role name (the navigation-method name) too.
-            for rel_name, parent in workspace.relationship_parent.items():
-                role = workspace.relationship_role.get(rel_name)
-                if parent == self._component and role \
-                        and role.upper() == name:
-                    name = rel_name
-                    break
-        children = workspace.relationship_children.get(name)
-        if children is None:
-            raise CacheError(f"no relationship {relationship!r}")
-        if len(children) != 1:
-            raise CacheError(
-                f"relationship {relationship} is n-ary; insert and "
-                f"connect its children explicitly")
-        mark = cache.mutation_mark()
-        try:
-            child = cache.insert(children[0], **values)
-            cache.connect(name, self._raw, child)
-        except Exception:
-            from repro.viewupdate.objects import revert_entries
-            entries = cache.workspace.log[mark:]
-            del cache.workspace.log[mark:]
-            revert_entries(cache.workspace, entries)
-            raise
-        cache.flush_through(mark)
-        return cache._classes[children[0]](child)
+def _insert_child(self, relationship: str, **values):
+    """Insert a new child object and connect it to this parent — in
+    write-through mode the child row and its relationship wiring (e.g.
+    foreign-key columns) land in one atomic statement."""
+    cache = self._cache
+    workspace = self.workspace
+    name = relationship.upper()
+    if name not in workspace.relationship_children:
+        # Accept the role name (the navigation-method name) too.
+        name = next((r for r in workspace.outgoing[self.component]
+                     if (workspace.relationship_role.get(r) or "").upper()
+                     == name), name)
+    children = workspace.relationship_children.get(name)
+    if children is None:
+        raise CacheError(f"no relationship {relationship!r}")
+    if len(children) != 1:
+        raise CacheError(
+            f"relationship {relationship} is n-ary; insert and "
+            f"connect its children explicitly")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BoundObject) and other._raw is self._raw
+    def change():
+        child = cache.insert(children[0], **values)
+        cache.connect(name, self, child)
+        return child
+    return _one_write(cache, change)
 
-    def __hash__(self) -> int:
-        return hash(id(self._raw))
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self._raw.as_dict()}>"
+_METHODS = {"delete": _delete, "update": _update,
+            "insert_child": _insert_child}
+#: names a column or role must not take over on a generated class
+_RESERVED = frozenset(dir(CachedObject)) | set(_METHODS) | {
+    "extent", "_cache"}
 
 
 def _safe_name(name: str) -> str:
     lowered = name.lower()
-    if keyword.iskeyword(lowered) or not lowered.isidentifier():
+    if keyword.iskeyword(lowered) or not lowered.isidentifier() \
+            or lowered in _RESERVED:
         return lowered + "_"
     return lowered
 
 
-def _make_column_property(column: str):
+def _make_column_property(column: str, position: int):
     def getter(self):
-        return self._raw.get(column)
+        return self.values[position]
 
     def setter(self, value):
-        mark = self._cache.mutation_mark()
-        self._raw.set(column, value)
-        self._cache.flush_through(mark)
+        _one_write(self._cache, lambda: self.set(column, value))
 
     return property(getter, setter, doc=f"column {column}")
 
 
-def _make_children_method(relationship: str):
-    def navigate(self) -> list:
-        found = []
-        for child in self._raw.children(relationship):
-            if isinstance(child, tuple):
-                found.append(tuple(
-                    self._cache._classes[c.component](c) for c in child
-                ))
-            else:
-                found.append(
-                    self._cache._classes[child.component](child)
-                )
-        return found
-    navigate.__doc__ = f"children via relationship {relationship}"
-    return navigate
-
-
-def _make_parents_method(relationship: str):
-    def navigate(self) -> list:
-        return [self._cache._classes[p.component](p)
-                for p in self._raw.parents(relationship)]
-    navigate.__doc__ = f"parents via relationship {relationship}"
+def _make_navigation(relationship: str, index: int, parents: bool):
+    if parents:
+        def navigate(self) -> list:
+            return self.parent_lists[index][:]
+    else:
+        def navigate(self) -> list:
+            return self.child_lists[index][:]
+    navigate.__doc__ = (f"{'parents' if parents else 'children'} via "
+                        f"relationship {relationship}")
     return navigate
 
 
 def bind_classes(cache: XNFCache) -> dict[str, type]:
-    """Generate component classes over a cache.
+    """Generate component classes over a cache and make every cached
+    object an instance of its component's class.
 
     Returns a mapping of component name -> class; each class also
-    carries an ``extent`` attribute (its container).  The mapping is
-    stored on the cache so navigation methods can wrap partners.
+    carries an ``extent`` attribute (its container).
     """
     workspace = cache.workspace
     classes: dict[str, type] = {}
-    cache._classes = classes  # type: ignore[attr-defined]
-
     for component in workspace.component_names():
-        namespace: dict = {
-            "_component": component,
-            "_cache": cache,
-        }
-        for column in workspace.components_columns[component]:
-            namespace[_safe_name(column)] = _make_column_property(column)
-        for rel_name, parent in workspace.relationship_parent.items():
-            role = workspace.relationship_role.get(rel_name) or rel_name
-            if parent == component:
-                namespace[_safe_name(role)] = \
-                    _make_children_method(rel_name)
-            if component in workspace.relationship_children[rel_name]:
-                namespace[_safe_name(role) + "_parents"] = \
-                    _make_parents_method(rel_name)
-        cls = type(component.capitalize(), (BoundObject,), namespace)
-        cls.extent = Extent(cache, component, cls)
+        namespace: dict = {"__slots__": (), "_cache": cache, **_METHODS}
+        for position, column in enumerate(
+                workspace.components_columns[component]):
+            namespace[_safe_name(column)] = \
+                _make_column_property(column, position)
+        for parents, positions, suffix in (
+                (False, workspace.outgoing, ""),
+                (True, workspace.incoming, "_parents")):
+            for rel_name, index in positions[component].items():
+                role = workspace.relationship_role.get(rel_name) or rel_name
+                namespace[_safe_name(role) + suffix] = \
+                    _make_navigation(rel_name, index, parents)
+        cls = type(component.capitalize(), (CachedObject,), namespace)
+        cls.extent = Extent(cache, component)
         classes[component] = cls
+        for obj in workspace.objects[component]:
+            obj.__class__ = cls
+    workspace.classes.update(classes)
     return classes

@@ -7,10 +7,11 @@ elements of a component and all elements of a node which are connected to
 a given component by a specified relationship."
 
 Concretely: every component tuple becomes a :class:`CachedObject`;
-connection tuples are *swizzled* into direct Python references held in
-per-relationship adjacency lists (both directions).  Local updates are
-recorded in an update log for later write-back (Sect. 2's CO update
-operators: insert/read/update/delete plus connect/disconnect).
+connection tuples are *swizzled* once, at load, into per-relationship
+child and parent lists the objects themselves hold.  The mutation
+operators keep those lists exact, so navigation never filters.  Local
+updates are recorded in an update log for later write-back (Sect. 2's
+CO update operators: insert/read/update/delete plus connect/disconnect).
 """
 
 from __future__ import annotations
@@ -30,10 +31,14 @@ class CachedObject:
     Column values are accessible by subscript (``obj['ENAME']``) or as
     lowercase attributes (``obj.ename``), read-only through the latter;
     mutations go through :meth:`set` so they reach the update log.
+    ``child_lists`` / ``parent_lists`` hold one partner list per
+    relationship, at the positions ``workspace.outgoing`` /
+    ``workspace.incoming`` give: child objects for a binary
+    relationship, partner tuples for an n-ary one.
     """
 
     __slots__ = ("workspace", "component", "oid", "values", "deleted",
-                 "is_new")
+                 "is_new", "child_lists", "parent_lists")
 
     def __init__(self, workspace: "Workspace", component: str, oid,
                  values: list):
@@ -43,6 +48,8 @@ class CachedObject:
         self.values = values
         self.deleted = False
         self.is_new = False
+        self.child_lists = [[] for _ in workspace.outgoing[component]]
+        self.parent_lists = [[] for _ in workspace.incoming[component]]
 
     # -- value access ----------------------------------------------------
     def _position(self, column: str) -> int:
@@ -98,6 +105,9 @@ class LogEntry:
     operation: str  # update | insert | delete | connect | disconnect
     target: str  # component or relationship name
     payload: dict = field(default_factory=dict)
+    #: navigation-list edits made, oldest first: (list, position,
+    #: removed item, or None for an append) — what a revert replays
+    undo: list = field(default_factory=list, repr=False, compare=False)
 
 
 class Workspace:
@@ -109,10 +119,12 @@ class Workspace:
         self.column_positions: dict[str, dict[str, int]] = {}
         self.objects: dict[str, list[CachedObject]] = {}
         self.by_oid: dict[tuple[str, object], CachedObject] = {}
-        #: relationship -> parent object -> list of child tuples
-        self._children: dict[str, dict[int, list[tuple]]] = {}
-        #: relationship -> child object -> list of parent objects
-        self._parents: dict[str, dict[int, list[CachedObject]]] = {}
+        #: component -> class of its objects (see ``bind_classes``)
+        self.classes: dict[str, type] = {}
+        #: component -> relationship -> position in each object's
+        #: child_lists (outgoing) / parent_lists (incoming)
+        self.outgoing: dict[str, dict[str, int]] = {}
+        self.incoming: dict[str, dict[str, int]] = {}
         self.relationship_children: dict[str, tuple[str, ...]] = {}
         self.relationship_parent: dict[str, str] = {}
         self.relationship_role: dict[str, str] = {}
@@ -129,46 +141,48 @@ class Workspace:
     # Construction (pointer swizzling)
     # ------------------------------------------------------------------
     def _load(self, result: COResult) -> None:
+        for name, stream in result.relationships.items():
+            self.relationship_children[name] = stream.children
+            self.relationship_parent[name] = stream.parent
+            self.relationship_role[name] = stream.role
+            self.relationship_attributes[name] = stream.attribute_names
+        for name in result.components:
+            self.outgoing[name] = {rel: i for i, rel in enumerate(
+                r for r, p in self.relationship_parent.items()
+                if p == name)}
+            self.incoming[name] = {rel: i for i, rel in enumerate(
+                r for r, cs in self.relationship_children.items()
+                if name in cs)}
         for name, stream in result.components.items():
             columns = [c.upper() for c in stream.columns]
             self.components_columns[name] = columns
             self.column_positions[name] = {
                 c: i for i, c in enumerate(columns)
             }
-            bucket: list[CachedObject] = []
-            for oid, row in zip(stream.oids, stream.rows):
-                obj = CachedObject(self, name, oid, list(row))
-                bucket.append(obj)
-                self.by_oid[(name, oid)] = obj
+            self.classes[name] = CachedObject
+            bucket = [CachedObject(self, name, oid, list(row))
+                      for oid, row in zip(stream.oids, stream.rows)]
+            self.by_oid.update(((name, o.oid), o) for o in bucket)
             self.objects[name] = bucket
         for name, stream in result.relationships.items():
-            self.relationship_children[name] = stream.children
-            self.relationship_parent[name] = stream.parent
-            self.relationship_role[name] = stream.role
-            self.relationship_attributes[name] = stream.attribute_names
             width = 1 + len(stream.children)
-            children_map: dict[int, list[tuple]] = {}
-            parents_map: dict[int, list[CachedObject]] = {}
+            binary = width == 2
             for connection in stream.connections:
                 parent = self.by_oid.get((stream.parent, connection[0]))
-                child_objects = []
-                missing = parent is None
-                for child_name, child_oid in zip(stream.children,
-                                                 connection[1:]):
-                    child = self.by_oid.get((child_name, child_oid))
-                    if child is None:
-                        missing = True
-                        break
-                    child_objects.append(child)
-                if missing:
+                child_objects = [self.by_oid.get(key) for key in zip(
+                    stream.children, connection[1:width])]
+                if parent is None or None in child_objects:
                     # Partner not taken into the view: the connection
                     # cannot be swizzled (projection dropped a partner).
                     self.dangling_connections += 1
                     continue
-                children_map.setdefault(id(parent), []).append(
-                    tuple(child_objects))
+                parent.child_lists[self.outgoing[stream.parent][name]] \
+                    .append(child_objects[0] if binary
+                            else tuple(child_objects))
                 for child in child_objects:
-                    parents_map.setdefault(id(child), []).append(parent)
+                    child.parent_lists[
+                        self.incoming[child.component][name]
+                    ].append(parent)
                 if stream.attribute_names:
                     key = (name, id(parent),
                            tuple(id(c) for c in child_objects))
@@ -176,8 +190,6 @@ class Workspace:
                         key, []).append(dict(
                             zip(stream.attribute_names,
                                 connection[width:])))
-            self._children[name] = children_map
-            self._parents[name] = parents_map
 
     # ------------------------------------------------------------------
     # Browsing
@@ -186,7 +198,13 @@ class Workspace:
         return list(self.objects)
 
     def relationship_names(self) -> list[str]:
-        return list(self._children)
+        return list(self.relationship_parent)
+
+    def _relationship(self, relationship: str) -> str:
+        name = relationship.upper()
+        if name not in self.relationship_parent:
+            raise CacheError(f"no relationship {relationship!r}")
+        return name
 
     def extent(self, component: str) -> list[CachedObject]:
         """All live objects of a component (the container class of
@@ -204,57 +222,32 @@ class Workspace:
     def find(self, component: str, **equalities) -> list[CachedObject]:
         """Simple predicate scan over an extent."""
         wanted = {k.upper(): v for k, v in equalities.items()}
-        found = []
-        for obj in self.extent(component):
-            if all(obj.get(column) == value
-                   for column, value in wanted.items()):
-                found.append(obj)
-        return found
+        return [obj for obj in self.extent(component)
+                if all(obj.get(c) == v for c, v in wanted.items())]
 
     def children_of(self, obj: CachedObject,
                     relationship: Optional[str] = None) -> list:
-        """Child objects connected to ``obj``.
+        """Child objects connected to ``obj`` (a fresh list).
 
         For binary relationships returns the child objects; for n-ary
         relationships returns tuples of partners.  Without an explicit
         relationship name, all outgoing relationships contribute.
         """
-        names = ([relationship.upper()] if relationship is not None
-                 else [n for n, p in self.relationship_parent.items()
-                       if p == obj.component])
-        found: list = []
-        for name in names:
-            relation = self._children.get(name)
-            if relation is None:
-                if relationship is not None:
-                    raise CacheError(f"no relationship {relationship!r}")
-                continue
-            for child_tuple in relation.get(id(obj), ()):
-                live = [c for c in child_tuple if not c.deleted]
-                if len(live) != len(child_tuple):
-                    continue
-                if len(child_tuple) == 1:
-                    found.append(child_tuple[0])
-                else:
-                    found.append(child_tuple)
-        return found
+        return self._partners(obj.child_lists,
+                              self.outgoing[obj.component], relationship)
 
     def parents_of(self, obj: CachedObject,
                    relationship: Optional[str] = None
                    ) -> list[CachedObject]:
-        names = ([relationship.upper()] if relationship is not None
-                 else [n for n, cs in self.relationship_children.items()
-                       if obj.component in cs])
-        found: list[CachedObject] = []
-        for name in names:
-            relation = self._parents.get(name)
-            if relation is None:
-                if relationship is not None:
-                    raise CacheError(f"no relationship {relationship!r}")
-                continue
-            found.extend(p for p in relation.get(id(obj), ())
-                         if not p.deleted)
-        return found
+        return self._partners(obj.parent_lists,
+                              self.incoming[obj.component], relationship)
+
+    def _partners(self, lists: list, positions: dict,
+                  relationship: Optional[str]) -> list:
+        if relationship is None:
+            return [p for partners in lists for p in partners]
+        index = positions.get(self._relationship(relationship))
+        return [] if index is None else lists[index][:]
 
     def connection_attributes(self, relationship: str,
                               parent: CachedObject,
@@ -272,25 +265,22 @@ class Workspace:
                                   *children: CachedObject) -> list[dict]:
         """Attribute dicts of every parallel connection between the
         given partners."""
-        name = relationship.upper()
-        if name not in self._children:
-            raise CacheError(f"no relationship {relationship!r}")
-        key = (name, id(parent), tuple(id(c) for c in children))
+        key = (self._relationship(relationship), id(parent),
+               tuple(id(c) for c in children))
         return [dict(d) for d in
                 self._connection_attributes.get(key, [])]
 
     def connections_of(self, relationship: str
                        ) -> Iterator[tuple[CachedObject, tuple]]:
         """(parent, child-tuple) pairs of one relationship."""
-        name = relationship.upper()
-        relation = self._children.get(name)
-        if relation is None:
-            raise CacheError(f"no relationship {relationship!r}")
+        name = self._relationship(relationship)
         parent_component = self.relationship_parent[name]
-        for parent in self.extent(parent_component):
-            for child_tuple in relation.get(id(parent), ()):
-                if all(not c.deleted for c in child_tuple):
-                    yield parent, child_tuple
+        binary = len(self.relationship_children[name]) == 1
+        parents = self.extent(parent_component)
+        index = self.outgoing[parent_component][name]
+        for parent in parents:
+            for item in parent.child_lists[index]:
+                yield parent, ((item,) if binary else item)
 
     # ------------------------------------------------------------------
     # Local updates (logged for write-back)
@@ -322,7 +312,7 @@ class Workspace:
             raise CacheError(f"unknown columns for {component}: "
                              f"{sorted(unknown)}")
         oid = ("new", next(self._new_oid_counter))
-        obj = CachedObject(self, name, oid, row)
+        obj = self.classes[name](self, name, oid, row)
         obj.is_new = True
         self.objects[name].append(obj)
         self.by_oid[(name, oid)] = obj
@@ -332,19 +322,35 @@ class Workspace:
         return obj
 
     def delete_object(self, obj: CachedObject) -> None:
+        """Mark ``obj`` deleted and drop every connection it takes
+        part in, from both ends."""
         if obj.deleted:
             return
         obj.deleted = True
-        self.log.append(LogEntry("delete", obj.component, {
+        entry = LogEntry("delete", obj.component, {
             "oid": obj.oid, "is_new": obj.is_new,
             "values": obj.as_dict(),
-        }))
+        })
+        for name, index in self.outgoing[obj.component].items():
+            children = obj.child_lists[index]
+            while children:
+                self._drop(name, obj, children, len(children) - 1,
+                           entry.undo)
+        for name, index in self.incoming[obj.component].items():
+            parents = obj.parent_lists[index]
+            while parents:
+                siblings = parents[-1].child_lists[
+                    self.outgoing[parents[-1].component][name]]
+                position = next(i for i, item in enumerate(siblings)
+                                if item is obj or (type(item) is tuple
+                                                   and obj in item))
+                self._drop(name, parents[-1], siblings, position,
+                           entry.undo)
+        self.log.append(entry)
 
     def connect(self, relationship: str, parent: CachedObject,
                 *children: CachedObject) -> None:
-        name = relationship.upper()
-        if name not in self._children:
-            raise CacheError(f"no relationship {relationship!r}")
+        name = self._relationship(relationship)
         expected = self.relationship_children[name]
         if len(children) != len(expected):
             raise CacheError(
@@ -360,34 +366,47 @@ class Workspace:
                 raise CacheError(
                     f"{child.component} is not a child of {relationship}"
                 )
-        child_tuple = tuple(children)
-        existing = self._children[name].setdefault(id(parent), [])
-        if child_tuple in existing:
+        if parent.deleted or any(c.deleted for c in children):
+            raise CacheError("cannot connect a deleted object")
+        item = children[0] if len(children) == 1 else tuple(children)
+        siblings = parent.child_lists[self.outgoing[parent.component][name]]
+        if item in siblings:
             return
-        existing.append(child_tuple)
-        for child in children:
-            self._parents[name].setdefault(id(child), []).append(parent)
-        self.log.append(LogEntry("connect", name, {
-            "parent": parent, "children": child_tuple,
-        }))
+        entry = LogEntry("connect", name, {
+            "parent": parent, "children": tuple(children),
+        })
+        for items, added in [(siblings, item)] + [
+                (c.parent_lists[self.incoming[c.component][name]], parent)
+                for c in children]:
+            items.append(added)
+            entry.undo.append((items, len(items) - 1, None))
+        self.log.append(entry)
 
     def disconnect(self, relationship: str, parent: CachedObject,
                    *children: CachedObject) -> None:
-        name = relationship.upper()
-        if name not in self._children:
-            raise CacheError(f"no relationship {relationship!r}")
-        child_tuple = tuple(children)
-        bucket = self._children[name].get(id(parent), [])
-        if child_tuple not in bucket:
+        name = self._relationship(relationship)
+        item = children[0] if len(children) == 1 else tuple(children)
+        index = self.outgoing[parent.component].get(name)
+        siblings = [] if index is None else parent.child_lists[index]
+        if item not in siblings:
             raise CacheError("no such connection to disconnect")
-        bucket.remove(child_tuple)
-        for child in children:
-            parent_bucket = self._parents[name].get(id(child), [])
-            if parent in parent_bucket:
-                parent_bucket.remove(parent)
-        self.log.append(LogEntry("disconnect", name, {
-            "parent": parent, "children": child_tuple,
-        }))
+        entry = LogEntry("disconnect", name, {
+            "parent": parent, "children": tuple(children),
+        })
+        self._drop(name, parent, siblings, siblings.index(item),
+                   entry.undo)
+        self.log.append(entry)
+
+    def _drop(self, name: str, parent: CachedObject, siblings: list,
+              position: int, undo: list) -> None:
+        """Unlink the connection at ``siblings[position]`` (``parent``'s
+        children along ``name``), recording each edit in ``undo``."""
+        item = siblings.pop(position)
+        undo.append((siblings, position, item))
+        for child in (item if type(item) is tuple else (item,)):
+            parents = child.parent_lists[self.incoming[child.component][name]]
+            at = parents.index(parent)
+            undo.append((parents, at, parents.pop(at)))
 
     @property
     def dirty(self) -> bool:

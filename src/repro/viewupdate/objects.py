@@ -24,10 +24,16 @@ def revert_entries(workspace, entries) -> None:
 
     Only sound for entries sliced off the log tail immediately after
     the mutation (write-through discipline): nothing else has observed
-    the provisional state yet.
+    the provisional state yet.  Every navigation list comes back
+    exactly as it was, order included.
     """
     for entry in reversed(entries):
         payload = entry.payload
+        for items, position, removed in reversed(entry.undo):
+            if removed is None:
+                del items[position]
+            else:
+                items.insert(position, removed)
         if entry.operation == "update":
             obj = workspace.by_oid[(entry.target, payload["oid"])]
             obj.values[obj._position(payload["column"])] = payload["old"]
@@ -42,24 +48,6 @@ def revert_entries(workspace, entries) -> None:
             obj = workspace.by_oid.get((entry.target, payload["oid"]))
             if obj is not None:
                 obj.deleted = False
-        elif entry.operation == "connect":
-            parent, children = payload["parent"], payload["children"]
-            bucket = workspace._children[entry.target].get(
-                id(parent), [])
-            if children in bucket:
-                bucket.remove(children)
-            for child in children:
-                parents = workspace._parents[entry.target].get(
-                    id(child), [])
-                if parent in parents:
-                    parents.remove(parent)
-        elif entry.operation == "disconnect":
-            parent, children = payload["parent"], payload["children"]
-            workspace._children[entry.target].setdefault(
-                id(parent), []).append(children)
-            for child in children:
-                workspace._parents[entry.target].setdefault(
-                    id(child), []).append(parent)
 
 
 def _final_writes(cache, entries) -> dict:
@@ -116,11 +104,12 @@ def _round_trip_check(cache, entries):
             if info is None or not info.updatable:
                 continue
             table = catalog.table(info.table)
-            rid = writer._new_rids.get((component, oid))
-            if rid is None and isinstance(oid, int):
-                rid = writer._current_rid(table.name, oid)
-            if rid is None:
+            rid = writer._new_rids.get((component, oid), oid)
+            if not isinstance(rid, int):
                 continue
+            # an insert, too, may have relocated since (e.g. a connect
+            # filled its partition-key column)
+            rid = writer._current_rid(table.name, rid)
             row = table.fetch(rid)
             for base, (view_column, value) in columns.items():
                 position = table.column_position(base)
@@ -195,6 +184,9 @@ def apply_write_through(cache, entries) -> None:
                                     entry.payload["oid"]), None)
         if obj is None:
             continue
+        table = writer.catalog.table(
+            cache.component_updatability[entry.target].table)
+        rid = writer._current_rid(table.name, rid)
         obj.oid = rid
         obj.is_new = False
         workspace.by_oid[(entry.target, rid)] = obj

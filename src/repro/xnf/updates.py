@@ -464,17 +464,18 @@ class CacheWriteBack:
             assignments[table.column_position(map_column)] = \
                 child.get(child_column)
         if disconnect:
-            victim = None
-            for rid, row in table.scan():
-                if all(row[position] == value
-                       for position, value in assignments.items()):
-                    victim = rid
-                    break
-            if victim is None:
+            # The relationship stream is DISTINCT: one cached connection
+            # stands for every connect-table row linking the pair.
+            victims = [rid for rid, row in table.scan()
+                       if all(row[position] == value
+                              for position, value in assignments.items())]
+            if not victims:
                 raise UpdateError(
                     "no connect-table row matches the disconnected pair"
                 )
-            self._record(table.name, victim, table.delete(victim), None)
+            for victim in victims:
+                self._record(table.name, victim, table.delete(victim),
+                             None)
             return
         row = [None] * len(table.columns)
         for position, value in assignments.items():

@@ -55,7 +55,7 @@ class TestWriteThrough:
         assert base_emp(org_db, 7001)[1] == dept.dno
         assert child.edno == dept.dno  # cache shows the wired FK too
         # the new object's oid was fixed up to its real rid
-        assert not child.raw.is_new
+        assert not child.is_new
         assert child in dept.employs()
 
     def test_extent_insert(self, org_db, live):
@@ -72,7 +72,7 @@ class TestWriteThrough:
                                             EDNO=1, SAL=1)
         emp.delete()
         assert base_emp(org_db, 7003) is None
-        assert emp.raw.deleted
+        assert emp.deleted
 
     def test_delete_with_children_is_restricted(self, org_db, live):
         cache, classes = live
@@ -82,7 +82,7 @@ class TestWriteThrough:
             emp.delete()
         assert "foreign key" in info.value.reason
         assert base_emp(org_db, eno) is not None
-        assert not emp.raw.deleted  # workspace reverted too
+        assert not emp.deleted  # workspace reverted too
 
     def test_rejected_write_reverts_workspace(self, org_db, live):
         cache, classes = live

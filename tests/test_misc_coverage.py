@@ -97,8 +97,8 @@ class TestNamingRobustness:
         classes = bind_classes(cache)
         dept = next(iter(classes["D"].extent))
         # The navigation method shadows the column property (documented
-        # behaviour of the generated namespace); raw access still works.
-        assert dept.raw.get("DNAME").startswith("dept-")
+        # behaviour of the generated namespace); get() still reads it.
+        assert dept.get("DNAME").startswith("dept-")
 
     def test_quoted_identifier_table(self):
         db = Database()

@@ -21,14 +21,14 @@ class TestGeneratedClasses:
     def test_column_properties_read(self, bound):
         _cache, classes = bound
         dept = next(iter(classes["XDEPT"].extent))
-        assert dept.dno == dept.raw.get("DNO")
+        assert dept.dno == dept.get("DNO")
 
     def test_column_properties_write_through_log(self, bound):
         cache, classes = bound
         emp = next(iter(classes["XEMP"].extent))
         emp.sal = 555
         assert cache.dirty
-        assert emp.raw.sal == 555
+        assert emp.get("SAL") == 555
 
     def test_navigation_by_role_name(self, bound):
         _cache, classes = bound
@@ -70,6 +70,7 @@ class TestGeneratedClasses:
         Dept = classes["XDEPT"]
         a = next(iter(Dept.extent))
         b = Dept.extent.find(dno=a.dno)[0]
+        assert a is b  # the generated instance is the cached object
         assert a == b and hash(a) == hash(b)
 
 
@@ -116,3 +117,101 @@ class TestGateway:
             view.GHOST
         with pytest.raises(CacheError):
             view.extent("ghost")
+
+
+class TestCachedInstances:
+    """The generated instances are the cached objects themselves."""
+
+    def test_extent_and_find_return_the_same_instances(self, bound):
+        cache, classes = bound
+        Emp = classes["XEMP"]
+        first, again = list(Emp.extent), list(Emp.extent)
+        assert all(a is b for a, b in zip(first, again))
+        assert all(type(e) is Emp for e in first)
+        assert Emp.extent.find(eno=first[0].eno)[0] is first[0]
+        assert cache.workspace.by_oid[("XEMP", first[0].oid)] is first[0]
+
+    def test_insert_and_insert_child_return_cached_instances(self, org_db):
+        cache = org_db.open_cache("deps_arc", write_through=True)
+        classes = bind_classes(cache)
+        created = classes["XEMP"].extent.insert(ENO=8101, ENAME="a",
+                                                EDNO=1, SAL=1)
+        assert type(created) is classes["XEMP"]
+        assert any(e is created for e in classes["XEMP"].extent)
+        dept = next(iter(classes["XDEPT"].extent))
+        child = dept.insert_child("employs", ENO=8102, ENAME="b", SAL=2)
+        assert type(child) is classes["XEMP"]
+        assert cache.workspace.by_oid[("XEMP", child.oid)] is child
+        assert any(c is child for c in dept.employs())
+        assert child.employs_parents()[0] is dept
+
+    def test_navigation_returns_cached_instances(self, bound):
+        cache, classes = bound
+        for dept in classes["XDEPT"].extent:
+            employees = dept.employs()
+            assert all(a is b for a, b in zip(employees, dept.employs()))
+            for emp in employees:
+                assert cache.workspace.by_oid[("XEMP", emp.oid)] is emp
+                assert any(p is dept for p in emp.employs_parents())
+                assert all(a is b for a, b in
+                           zip(emp.possesses(), emp.children("empproperty")))
+
+    def test_mutating_a_returned_list_leaves_the_graph(self, bound):
+        cache, classes = bound
+        dept = next(d for d in classes["XDEPT"].extent if d.employs())
+        emp = dept.employs()[0]
+        before = (dept.employs(), emp.employs_parents(), dept.children())
+        for returned in (dept.employs(), emp.employs_parents(),
+                         dept.children(), dept.children("employment"),
+                         emp.parents("employment")):
+            returned.clear()
+            returned.append(dept)
+        assert (dept.employs(), emp.employs_parents(),
+                dept.children()) == before
+        assert not cache.dirty
+
+
+COLLIDING = ("OID", "VALUES", "DELETED", "COMPONENT", "DELETE", "UPDATE")
+
+
+class TestMemberNameCollisions:
+    """View columns named like members of the object stay readable and
+    writable under their name with a trailing ``_``; the object's own
+    state and methods keep working."""
+
+    @pytest.fixture
+    def clash(self, org_db):
+        columns = ", ".join(f'"{c}" INT' for c in COLLIDING)
+        org_db.execute(f"CREATE TABLE CLASH (ID INT PRIMARY KEY, {columns})")
+        org_db.execute("INSERT INTO CLASH VALUES (1, 10, 20, 30, 40, 50, 60),"
+                       " (2, 11, 21, 31, 41, 51, 61)")
+        view = ObjectGateway(org_db).open("OUT OF xc AS CLASH TAKE *",
+                                          write_through=True)
+        obj = next(o for o in view.XC.extent if o.id == 1)
+        return org_db, view, obj
+
+    def test_columns_read_under_trailing_underscore(self, clash):
+        _db, _view, obj = clash
+        assert [getattr(obj, c.lower() + "_") for c in COLLIDING] == \
+            [10, 20, 30, 40, 50, 60]
+
+    def test_columns_write_through(self, clash):
+        db, _view, obj = clash
+        for offset, column in enumerate(COLLIDING):
+            setattr(obj, column.lower() + "_", 100 + offset)
+        obj.update(UPDATE=7)
+        assert db.query("SELECT * FROM CLASH WHERE id = 1").rows == \
+            [(1, 100, 101, 102, 103, 104, 7)]
+        assert obj.get("UPDATE") == 7 and obj.update_ == 7
+
+    def test_object_state_and_methods_intact(self, clash):
+        db, view, obj = clash
+        assert obj.component == "XC"
+        assert obj.deleted is False
+        assert obj.values == [1, 10, 20, 30, 40, 50, 60]
+        assert view.cache.workspace.by_oid[("XC", obj.oid)] is obj
+        obj.update(OID=5)
+        assert obj.oid_ == 5
+        obj.delete()
+        assert obj.deleted
+        assert db.query("SELECT id FROM CLASH").rows == [(2,)]

@@ -192,6 +192,25 @@ class TestWriteBack:
             f"SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = {emp.eno} "
             f"AND essno = {target.sno}").rows == [(0,)]
 
+    def test_disconnect_removes_every_duplicate_row(self, org_db):
+        # the relationship stream is DISTINCT: one cached connection
+        # stands for both rows, so disconnecting it removes both
+        emp = org_db.open_cache("deps_arc").extent("xemp")[0]
+        sno = org_db.query(
+            f"SELECT essno FROM EMPSKILLS WHERE eseno = {emp.eno}").rows[0][0]
+        org_db.execute(f"INSERT INTO EMPSKILLS VALUES ({emp.eno}, {sno})")
+        cache = org_db.open_cache("deps_arc")
+        emp = cache.find("xemp", eno=emp.eno)[0]
+        skill = cache.find("xskills", sno=sno)[0]
+        assert emp.children("empproperty").count(skill) == 1
+        cache.disconnect("empproperty", emp, skill)
+        cache.write_back()
+        assert org_db.query(
+            f"SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = {emp.eno} "
+            f"AND essno = {sno}").rows == [(0,)]
+        fresh = org_db.open_cache("deps_arc").find("xemp", eno=emp.eno)[0]
+        assert sno not in [s.sno for s in fresh.children("empproperty")]
+
     def test_readonly_component_rejected(self, org_db):
         cache = org_db.open_cache("""
         OUT OF x AS (SELECT loc, COUNT(*) AS n FROM DEPT GROUP BY loc)

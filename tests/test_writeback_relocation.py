@@ -134,6 +134,22 @@ class TestWriteBackRelocation:
         emp.delete()
         assert emp_row(session, 1) is None
 
+    def test_insert_child_relocated_by_its_connect(self, session):
+        # the insert lands under a NULL partition key; the connect that
+        # fills EDNO moves it, and both the round-trip check and the
+        # new object's oid must follow the move
+        org_view(session)
+        cache = session.open_cache("ORG", write_through=True)
+        classes = bind_classes(cache)
+        table = session.engine.catalog.table("EMP")
+        for dept in list(classes["XDEPT"].extent):
+            child = dept.insert_child("employs", ENO=100 + dept.dno,
+                                      ENAME="new")
+            assert emp_row(session, 100 + dept.dno) == (100 + dept.dno,
+                                                        dept.dno)
+            assert child.oid == table.lookup_pk((100 + dept.dno,))
+            assert cache.workspace.by_oid[("XEMP", child.oid)] is child
+
 
 class TestViewDMLRelocation:
     def test_view_update_moves_partition_key(self, session):
