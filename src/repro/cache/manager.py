@@ -16,7 +16,8 @@ through the updatability analysis of :mod:`repro.xnf.updates`.
 from __future__ import annotations
 
 import pickle
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from repro.errors import CacheError
 from repro.cache.cursor import DependentCursor, IndependentCursor, PathCursor
@@ -43,6 +44,7 @@ class XNFCache:
         #: base tables immediately (one atomic statement each) instead
         #: of batching in the update log until ``write_back``.
         self.write_through = write_through
+        self._in_write = False
         self.component_updatability = {}
         self.relationship_updatability = {}
         if translated is not None and translated.xnf_box is not None:
@@ -89,19 +91,25 @@ class XNFCache:
     # ------------------------------------------------------------------
     # Update API (CO update operators, Sect. 2)
     # ------------------------------------------------------------------
+    # Each operation is one write (see :meth:`one_write`): a
+    # write-through cache puts it back before returning.
     def insert(self, component: str, **values) -> CachedObject:
-        return self.workspace.insert_object(component, values)
+        with self.one_write():
+            return self.workspace.insert_object(component, values)
 
     def delete(self, obj: CachedObject) -> None:
-        self.workspace.delete_object(obj)
+        with self.one_write():
+            self.workspace.delete_object(obj)
 
     def connect(self, relationship: str, parent: CachedObject,
                 *children: CachedObject) -> None:
-        self.workspace.connect(relationship, parent, *children)
+        with self.one_write():
+            self.workspace.connect(relationship, parent, *children)
 
     def disconnect(self, relationship: str, parent: CachedObject,
                    *children: CachedObject) -> None:
-        self.workspace.disconnect(relationship, parent, *children)
+        with self.one_write():
+            self.workspace.disconnect(relationship, parent, *children)
 
     @property
     def dirty(self) -> bool:
@@ -129,27 +137,39 @@ class XNFCache:
     # ------------------------------------------------------------------
     # Write-through (updatable-view CRUD through the gateway)
     # ------------------------------------------------------------------
-    def mutation_mark(self) -> int:
-        """Log position before a mutation; pass to
-        :meth:`flush_through`."""
-        return len(self.workspace.log)
+    @contextmanager
+    def one_write(self) -> Iterator[None]:
+        """Run the block as one write.
 
-    def flush_through(self, mark: int) -> None:
-        """Write-through mode: immediately put back the log entries
-        recorded since ``mark`` (no-op otherwise).
-
-        Rejection reverts the workspace to its pre-mutation state and
-        raises :class:`~repro.errors.ViewUpdateError` — the object and
-        the database never diverge.
+        In write-through mode everything the block logs is put back as
+        one statement when it ends; rejection reverts the workspace to
+        its pre-block state and raises
+        :class:`~repro.errors.ViewUpdateError`, so the objects and the
+        database never diverge.  An exception inside the block reverts
+        what it already logged.  A nested block joins the outermost
+        one, which alone puts back.
         """
-        if not self.write_through:
+        if self._in_write:
+            yield
             return
-        entries = self.workspace.log[mark:]
-        if not entries:
-            return
-        del self.workspace.log[mark:]
-        from repro.viewupdate.objects import apply_write_through
-        apply_write_through(self, entries)
+        log = self.workspace.log
+        mark = len(log)
+        self._in_write = True
+        try:
+            yield
+        except Exception:
+            from repro.viewupdate.objects import revert_entries
+            entries = log[mark:]
+            del log[mark:]
+            revert_entries(self.workspace, entries)
+            raise
+        finally:
+            self._in_write = False
+        if self.write_through and len(log) > mark:
+            entries = log[mark:]
+            del log[mark:]
+            from repro.viewupdate.objects import apply_write_through
+            apply_write_through(self, entries)
 
     # ------------------------------------------------------------------
     # Export (the multi-lingual API surface, Sect. 5.2)

@@ -32,12 +32,14 @@ predicate; a non-root component's final extent is the set of child
 tuples referenced by at least one visible connection.  Deltas are
 propagated with the standard telescoping decomposition of a join delta
 (one input advances at a time; each term joins the input's delta
-against the current state of the others), evaluated through the
-executor's own :class:`~repro.optimizer.plan.HashJoin` /
-:class:`~repro.optimizer.plan.Materialized` operators via the
-batch-at-a-time ``execute_batches`` protocol.  Connection multisets
-and per-child support counts make deletions exact without
-recomputation.
+against the current state of the others).  A term starts from its
+delta rows and probes outward along the relationship's equi-join
+graph through **persistent hash indexes** — one per (join input,
+probe-key columns), built with the state and updated wherever the
+input's extent changes — so its cost follows the rows the delta
+reaches, not the size of the extents.  Buckets reference the extents'
+row tuples rather than copying them.  Connection multisets and
+per-child support counts make deletions exact without recomputation.
 
 Staleness policies
 ==================
@@ -55,12 +57,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from repro.errors import CacheError, CatalogError
-from repro.executor.expressions import (CompiledExpression,
-                                        ExpressionCompiler, column_ref)
-from repro.optimizer.plan import ExecutionContext, HashJoin, Materialized
+from repro.executor.expressions import CompiledExpression, ExpressionCompiler
 from repro.qgm.model import BaseBox, QRef, RidRef
 from repro.sql import ast
 from repro.storage.catalog import Catalog, TableDelta
@@ -109,6 +110,36 @@ class _InputSpec:
     width: int  # row width (components carry a trailing oid slot)
     offset: int = 0  # start position in the combined join layout
 
+    @property
+    def source(self) -> tuple[str, str]:
+        """The extent this input reads: the parent's final extent, the
+        child's raw extent, or the USING table's shadow."""
+        if self.kind == "using":
+            return ("using", self.table)
+        return ("final" if self.kind == "parent" else "raw", self.name)
+
+
+@dataclass(frozen=True)
+class _ProbeStep:
+    """Bind input ``target`` by probing its extent's hash index on
+    ``positions`` (columns of the target's rows) with the values at
+    ``sources`` (positions in the row accumulated so far)."""
+
+    target: int
+    sources: tuple
+    positions: tuple
+
+
+@dataclass(frozen=True)
+class _ProbeOrder:
+    """How a delta-join term starting at one input binds the others.
+
+    Rows accumulate in probe order; ``slices`` cut such a row back into
+    the joined layout, or are None when the two orders agree."""
+
+    steps: tuple
+    slices: Optional[tuple]
+
 
 @dataclass
 class _RelationshipPlan:
@@ -121,10 +152,9 @@ class _RelationshipPlan:
     child: str
     taken: bool
     attribute_names: tuple
-    inputs: list  # _InputSpec, in join order (parent first)
-    #: per join step: (positions in accumulated row, positions in the
-    #: new input's row)
-    join_keys: list
+    inputs: list  # _InputSpec: parent, child, then USING tables
+    #: per start input: the _ProbeOrder that binds every other input
+    probe_orders: list
     predicate_fn: CompiledExpression = None
     attr_fns: list = field(default_factory=list)
     poid_pos: int = 0
@@ -140,6 +170,8 @@ class _IncrementalPlan:
     topo: list  # component names, parents before children
     incoming: dict  # component -> [_RelationshipPlan]
     using_tables: set
+    #: extent source -> the key positions its hash indexes cover
+    indexes: dict
 
 
 def _check_no_subqueries(expression: ast.Expression, where: str) -> None:
@@ -213,9 +245,53 @@ def _analyze_incremental(translated: TranslatedXNF,
         for rel in relationships.values()
         for spec in rel.inputs if spec.kind == "using"
     }
+    indexes: dict = {}
+    for rel in relationships.values():
+        for order in rel.probe_orders:
+            for step in order.steps:
+                positions = indexes.setdefault(
+                    rel.inputs[step.target].source, [])
+                if step.positions not in positions:
+                    positions.append(step.positions)
     return _IncrementalPlan(components=components,
                             relationships=relationships, topo=topo,
-                            incoming=incoming, using_tables=using_tables)
+                            incoming=incoming, using_tables=using_tables,
+                            indexes=indexes)
+
+
+def _probe_order(name: str, start: int, pairs: list,
+                 widths: list) -> tuple[list[_ProbeStep], dict]:
+    """A connected probe order over the equi-join graph from input
+    ``start``: each step binds the first unbound input joined by at
+    least one equality to the bound ones (no cross products).  Returns
+    the steps and each input's offset in the accumulated row."""
+    offsets = {start: 0}
+    width = widths[start]
+    steps: list[_ProbeStep] = []
+    while len(offsets) < len(widths):
+        for target in range(len(widths)):
+            if target in offsets:
+                continue
+            sources: list[int] = []
+            positions: list[int] = []
+            for (a_index, a_pos), (b_index, b_pos) in pairs:
+                if a_index in offsets and b_index == target:
+                    sources.append(offsets[a_index] + a_pos)
+                    positions.append(b_pos)
+                elif b_index in offsets and a_index == target:
+                    sources.append(offsets[b_index] + b_pos)
+                    positions.append(a_pos)
+            if sources:
+                break
+        else:
+            raise _Fallback(
+                f"relationship {name}: predicate does not equi-join "
+                f"every table"
+            )
+        offsets[target] = width
+        width += widths[target]
+        steps.append(_ProbeStep(target, tuple(sources), tuple(positions)))
+    return steps, offsets
 
 
 def _analyze_relationship(name, rinfo, xnf, components, catalog):
@@ -277,7 +353,7 @@ def _analyze_relationship(name, rinfo, xnf, components, catalog):
             )
         return index, position
 
-    # Validate every reference; collect equi pairs for the join order.
+    # Validate every reference; collect equi pairs for the probe orders.
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for conjunct in ast.conjuncts(relationship.predicate):
         if (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="
@@ -300,49 +376,27 @@ def _analyze_relationship(name, rinfo, xnf, components, catalog):
                         f"the joined components"
                     )
 
-    # Greedy join order: start at the parent, add inputs connected by
-    # at least one equality (no cross products in the delta path).
-    order = [0]
-    join_keys: list[tuple[list[int], list[int]]] = []
-    remaining = [index for index in range(1, len(inputs))]
-    offsets = {0: 0}
-    width = inputs[0].width
-    while remaining:
-        step = None
-        for candidate in remaining:
-            left_keys: list[int] = []
-            right_keys: list[int] = []
-            for (a_index, a_pos), (b_index, b_pos) in pairs:
-                if a_index in offsets and b_index == candidate:
-                    left_keys.append(offsets[a_index] + a_pos)
-                    right_keys.append(b_pos)
-                elif b_index in offsets and a_index == candidate:
-                    left_keys.append(offsets[b_index] + b_pos)
-                    right_keys.append(a_pos)
-            if left_keys:
-                step = (candidate, left_keys, right_keys)
-                break
-        if step is None:
-            raise _Fallback(
-                f"relationship {name}: predicate does not equi-join "
-                f"every table"
-            )
-        candidate, left_keys, right_keys = step
-        remaining.remove(candidate)
-        offsets[candidate] = width
-        width += inputs[candidate].width
-        order.append(candidate)
-        join_keys.append((left_keys, right_keys))
-
-    ordered_inputs = []
-    for index in order:
-        spec = inputs[index]
-        spec.offset = offsets[index]
-        ordered_inputs.append(spec)
+    widths = [spec.width for spec in inputs]
+    probe_orders = []
+    for start in range(len(inputs)):
+        steps, offsets = _probe_order(name, start, pairs, widths)
+        if start == 0:
+            # The joined layout is the probe order from the parent, so
+            # terms starting there (the initial build, parent-final
+            # deltas) need no reordering.
+            for index, spec in enumerate(inputs):
+                spec.offset = offsets[index]
+        slices = None
+        if any(offsets[i] != spec.offset for i, spec in enumerate(inputs)):
+            in_layout = sorted(range(len(inputs)),
+                               key=lambda i: inputs[i].offset)
+            slices = tuple((offsets[i], offsets[i] + widths[i])
+                           for i in in_layout)
+        probe_orders.append(_ProbeOrder(tuple(steps), slices))
 
     # Compile the predicate and attributes against the joined layout.
     layout: dict = {}
-    for spec in ordered_inputs:
+    for spec in inputs:
         if spec.kind == "using":
             table = catalog.table(spec.table)
             for position, column in enumerate(table.column_names):
@@ -354,15 +408,13 @@ def _analyze_relationship(name, rinfo, xnf, components, catalog):
             layout[(spec.qid, "$RID$")] = spec.offset + spec.width - 1
     compiler = ExpressionCompiler(layout)
 
-    parent_spec = ordered_inputs[[s.kind for s in ordered_inputs
-                                  ].index("parent")]
-    child_spec = ordered_inputs[[s.kind for s in ordered_inputs
-                                 ].index("child")]
+    parent_spec = inputs[0]
+    child_spec = next(s for s in inputs if s.kind == "child")
     return _RelationshipPlan(
         name=name, number=rinfo.number, role=rinfo.role,
         parent=relationship.parent, child=child, taken=rinfo.taken,
         attribute_names=tuple(n for n, _e in relationship.attributes),
-        inputs=ordered_inputs, join_keys=join_keys,
+        inputs=inputs, probe_orders=probe_orders,
         predicate_fn=compiler.compile_condition(relationship.predicate),
         attr_fns=[compiler.compile(e)
                   for _n, e in relationship.attributes],
@@ -374,124 +426,214 @@ def _analyze_relationship(name, rinfo, xnf, components, catalog):
 # ----------------------------------------------------------------------
 # The incremental state and delta engine
 # ----------------------------------------------------------------------
+def _key_function(positions: tuple) -> Callable:
+    """Row -> hash key over ``positions``: the bare value for one
+    column, else a tuple; None whenever a component is NULL, since NULL
+    keys never match (the rule :class:`~repro.optimizer.plan.HashJoin`
+    applies)."""
+    if len(positions) == 1:
+        return itemgetter(positions[0])
+
+    def key(row):
+        values = tuple(row[p] for p in positions)
+        return None if None in values else values
+    return key
+
+
+class _HashIndex:
+    """A persistent hash index over one extent: key -> {rid/oid: row}.
+    Buckets reference the extent's own row tuples; a NULL key is never
+    a bucket key."""
+
+    __slots__ = ("key_of", "buckets")
+
+    def __init__(self, positions: tuple):
+        self.key_of = _key_function(positions)
+        self.buckets: dict = {}
+
+    def add(self, pairs: Iterable) -> None:
+        key_of = self.key_of
+        buckets = self.buckets
+        for rid, row in pairs:
+            key = key_of(row)
+            if key is None:
+                continue
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {rid: row}
+            else:
+                bucket[rid] = row
+
+    def discard(self, rid, row: tuple) -> None:
+        key = self.key_of(row)
+        if key is None:
+            return
+        bucket = self.buckets[key]
+        del bucket[rid]
+        if not bucket:
+            del self.buckets[key]
+
+
+class _Extent:
+    """One maintained extent (rid/oid -> base row) and the hash indexes
+    that probe it.  Every change goes through :meth:`load` / :meth:`put`
+    / :meth:`pop`, so the indexes always describe exactly the current
+    rows."""
+
+    __slots__ = ("rows", "indexes")
+
+    def __init__(self, positions: Iterable[tuple]):
+        self.rows: dict = {}
+        self.indexes = {p: _HashIndex(p) for p in positions}
+
+    def load(self, pairs: Iterable) -> None:
+        """Fill the (empty) extent."""
+        self.rows.update(pairs)
+        for index in self.indexes.values():
+            index.add(self.rows.items())
+
+    def put(self, rid, row: tuple) -> None:
+        old = self.rows.get(rid)
+        for index in self.indexes.values():
+            if old is not None:
+                index.discard(rid, old)
+            index.add(((rid, row),))
+        self.rows[rid] = row
+
+    def pop(self, rid) -> Optional[tuple]:
+        row = self.rows.pop(rid, None)
+        if row is not None:
+            for index in self.indexes.values():
+                index.discard(rid, row)
+        return row
+
+
 class _IncrementalState:
-    """Shadowed extents, connection multisets and support counts."""
+    """Shadowed extents with their hash indexes, connection multisets
+    and support counts."""
 
     def __init__(self, plan: _IncrementalPlan, catalog: Catalog):
         self.plan = plan
         self.catalog = catalog
-        self.raw: dict[str, dict] = {}      # component -> rid -> base row
-        self.final: dict[str, dict] = {}    # component -> oid -> base row
+        #: extent source (see _InputSpec.source) -> _Extent
+        self.extents: dict[tuple[str, str], _Extent] = {}
+        self.raw = {name: self._extent(("raw", name))
+                    for name in plan.components}
+        self.final = {name: self._extent(("final", name))
+                      for name in plan.components}
+        self.using = {table: self._extent(("using", table))
+                      for table in plan.using_tables}
         self.support: dict[str, Counter] = {}
-        self.using: dict[str, dict] = {}    # table -> rid -> row
         self.conn: dict[str, Counter] = {}  # relationship -> key -> count
+        #: relationship -> per start input -> ([(probe key, target index
+        #: buckets, target rows carry an oid)], slices)
+        self.probes: dict[str, list] = {
+            relationship.name: [
+                ([(_key_function(step.sources),
+                   self.extents[relationship.inputs[step.target].source]
+                   .indexes[step.positions].buckets,
+                   relationship.inputs[step.target].kind != "using")
+                  for step in order.steps], order.slices)
+                for order in relationship.probe_orders]
+            for relationship in plan.relationships.values()
+        }
+        self.rows_probed = 0
+
+    def _extent(self, source: tuple[str, str]) -> _Extent:
+        extent = _Extent(self.plan.indexes.get(source, ()))
+        self.extents[source] = extent
+        return extent
 
     # -- construction ---------------------------------------------------
     def build(self) -> None:
-        for table_name in self.plan.using_tables:
-            self.using[table_name] = dict(
-                self.catalog.table(table_name).scan())
+        for table_name, shadow in self.using.items():
+            shadow.load(self.catalog.table(table_name).scan())
         for component in self.plan.components.values():
-            table = self.catalog.table(component.table)
             checks = component.checks
-            self.raw[component.name] = {
-                rid: row for rid, row in table.scan()
-                if all(check(row, None) is True for check in checks)
-            }
+            self.raw[component.name].load(
+                (rid, row)
+                for rid, row in self.catalog.table(component.table).scan()
+                if all(check(row, None) is True for check in checks))
         for name in self.plan.topo:
             for relationship in self.plan.incoming[name]:
-                self.conn[relationship.name] = Counter(
-                    self._enumerate(relationship, {}))
-            component = self.plan.components[name]
-            if component.root_like:
-                self.final[name] = dict(self.raw[name])
+                self.conn[relationship.name] = Counter(self._enumerate(
+                    relationship, 0,
+                    self.final[relationship.parent].rows.items()))
+            raw = self.raw[name].rows
+            if self.plan.components[name].root_like:
+                self.final[name].load(raw.items())
                 continue
             support: Counter = Counter()
             for relationship in self.plan.incoming[name]:
                 for key in self.conn[relationship.name]:
                     support[key[1]] += 1
             self.support[name] = support
-            raw = self.raw[name]
-            self.final[name] = {oid: raw[oid] for oid in raw
-                                if support.get(oid, 0) > 0}
+            self.final[name].load((oid, row) for oid, row in raw.items()
+                                  if support.get(oid, 0) > 0)
 
     # -- join evaluation ------------------------------------------------
-    def _input_rows(self, spec: _InputSpec, overrides: dict,
-                    index: int) -> list:
-        if index in overrides:
-            return overrides[index]
-        if spec.kind == "using":
-            return list(self.using[spec.table].values())
-        source = (self.final if spec.kind == "parent" else self.raw)[
-            spec.name]
-        return [row + (oid,) for oid, row in source.items()]
+    def _enumerate(self, relationship: _RelationshipPlan, start: int,
+                   pairs: Iterable) -> list[tuple]:
+        """All connection keys of the join with input ``start``
+        restricted to ``pairs`` ((rid/oid, row)) and every other input
+        at its current extent (the delta-join building block).
 
-    @staticmethod
-    def _shape(spec: _InputSpec, pairs: Iterable) -> list:
-        if spec.kind == "using":
-            return [row for _rid, row in pairs]
-        return [row + (oid,) for oid, row in pairs]
-
-    def _enumerate(self, relationship: _RelationshipPlan,
-                   overrides: dict) -> list[tuple]:
-        """All connection keys of the join with ``overrides`` substituted
-        for the corresponding inputs (the delta-join building block).
-
-        Runs through the executor's hash-join machinery: each input is a
-        :class:`Materialized` relation, each step a :class:`HashJoin`
-        drained via the batch protocol.
+        Starts from the given rows and probes outward along the
+        relationship's equi-join graph through the persistent hash
+        indexes, so the cost follows the rows found, not the extents.
         """
-        inputs = relationship.inputs
-        rows = self._input_rows(inputs[0], overrides, 0)
-        if not rows:
-            return []
-        node: object = Materialized(
-            [f"c{i}" for i in range(inputs[0].width)], rows)
-        for step, spec in enumerate(inputs[1:]):
-            step_rows = self._input_rows(spec, overrides, step + 1)
-            if not step_rows:
-                return []
-            left_positions, right_positions = relationship.join_keys[step]
-            node = HashJoin(
-                node,
-                Materialized([f"c{i}" for i in range(spec.width)],
-                             step_rows),
-                [column_ref(p) for p in left_positions],
-                [column_ref(p) for p in right_positions],
-            )
-        ctx = ExecutionContext()
+        if relationship.inputs[start].kind == "using":
+            rows = [row for _rid, row in pairs]
+        else:
+            rows = [row + (rid,) for rid, row in pairs]
+        steps, slices = self.probes[relationship.name][start]
+        probed = 0
+        for key_of, buckets, with_oid in steps:
+            grown: list[tuple] = []
+            for row in rows:
+                bucket = buckets.get(key_of(row))
+                if not bucket:
+                    continue
+                probed += len(bucket)
+                if with_oid:
+                    grown.extend([row + found + (rid,)
+                                  for rid, found in bucket.items()])
+                else:
+                    grown.extend([row + found
+                                  for found in bucket.values()])
+            rows = grown
+        self.rows_probed += probed
         predicate = relationship.predicate_fn
         attr_fns = relationship.attr_fns
         poid_pos = relationship.poid_pos
         coid_pos = relationship.coid_pos
         keys: list[tuple] = []
-        for batch in node.execute_batches(ctx):
-            for row in batch:
-                if predicate(row, ctx) is not True:
-                    continue
-                key = (row[poid_pos], row[coid_pos])
-                if attr_fns:
-                    key += tuple(fn(row, ctx) for fn in attr_fns)
-                keys.append(key)
+        for row in rows:
+            if slices is not None:
+                row = tuple(value for low, high in slices
+                            for value in row[low:high])
+            if predicate(row, None) is not True:
+                continue
+            key = (row[poid_pos], row[coid_pos])
+            if attr_fns:
+                key += tuple(fn(row, None) for fn in attr_fns)
+            keys.append(key)
         return keys
 
     def _term(self, relationship: _RelationshipPlan, index: int,
               removed: Pairs, added: Pairs, delta: Counter) -> None:
         """One telescoping term: input ``index`` advances by
         (removed, added) against the current state of the others."""
-        spec = relationship.inputs[index]
         if removed:
-            delta.subtract(
-                self._enumerate(relationship,
-                                {index: self._shape(spec, removed)}))
+            delta.subtract(self._enumerate(relationship, index, removed))
         if added:
-            delta.update(
-                self._enumerate(relationship,
-                                {index: self._shape(spec, added)}))
+            delta.update(self._enumerate(relationship, index, added))
 
     # -- delta application ----------------------------------------------
-    def apply(self, delta: TableDelta) -> None:
-        """Propagate one table's delta through every stream, exactly."""
+    def apply(self, delta: TableDelta) -> int:
+        """Propagate one table's delta through every stream, exactly;
+        returns the number of extent rows the round probed."""
+        self.rows_probed = 0
         table_name = delta.table.upper()
         conn_deltas: dict[str, Counter] = {
             name: Counter() for name in self.plan.relationships}
@@ -502,8 +644,8 @@ class _IncrementalState:
         # contributes its delta-join terms before the next advances.
         if table_name in self.using:
             shadow = self.using[table_name]
-            removed = [(rid, shadow[rid]) for rid, _row in delta.deleted
-                       if rid in shadow]
+            removed = [(rid, shadow.rows[rid]) for rid, _row in delta.deleted
+                       if rid in shadow.rows]
             added = list(delta.inserted)
             for relationship in self.plan.relationships.values():
                 for index, spec in enumerate(relationship.inputs):
@@ -511,16 +653,16 @@ class _IncrementalState:
                         self._term(relationship, index, removed, added,
                                    conn_deltas[relationship.name])
             for rid, _row in removed:
-                del shadow[rid]
+                shadow.pop(rid)
             for rid, row in added:
-                shadow[rid] = row
+                shadow.put(rid, row)
 
         for component in self.plan.components.values():
             if component.table != table_name:
                 continue
             raw = self.raw[component.name]
-            removed = [(rid, raw[rid]) for rid, _row in delta.deleted
-                       if rid in raw]
+            removed = [(rid, raw.rows[rid]) for rid, _row in delta.deleted
+                       if rid in raw.rows]
             added = [(rid, row) for rid, row in delta.inserted
                      if all(check(row, None) is True
                             for check in component.checks)]
@@ -534,9 +676,9 @@ class _IncrementalState:
                         self._term(relationship, index, removed, added,
                                    conn_deltas[relationship.name])
             for rid, _row in removed:
-                del raw[rid]
+                raw.pop(rid)
             for rid, row in added:
-                raw[rid] = row
+                raw.put(rid, row)
 
         # Phase 2: walk components parents-first; finalize incoming
         # connection sets (adding the parent-final terms), derive
@@ -555,15 +697,15 @@ class _IncrementalState:
 
             removed_pairs: Pairs = []
             added_pairs: Pairs = []
-            final = self.final.setdefault(name, {})
-            raw = self.raw[name]
+            final = self.final[name]
+            raw = self.raw[name].rows
             if component.root_like:
                 raw_removed, raw_added = raw_deltas.get(name, ((), ()))
                 for rid, row in raw_removed:
-                    final.pop(rid, None)
+                    final.pop(rid)
                     removed_pairs.append((rid, row))
                 for rid, row in raw_added:
-                    final[rid] = row
+                    final.put(rid, row)
                     added_pairs.append((rid, row))
             else:
                 support = self.support.setdefault(name, Counter())
@@ -578,12 +720,12 @@ class _IncrementalState:
                             f"materialized view support of {name} oid "
                             f"{oid!r} went negative"
                         )
-                    if count > 0 and oid not in final:
+                    if count > 0 and oid not in final.rows:
                         row = raw[oid]
-                        final[oid] = row
+                        final.put(oid, row)
                         added_pairs.append((oid, row))
                     elif count == 0:
-                        if oid in final:
+                        if oid in final.rows:
                             removed_pairs.append((oid, final.pop(oid)))
                         del support[oid]
                 # A raw update that keeps the oid reachable changes the
@@ -591,13 +733,14 @@ class _IncrementalState:
                 raw_removed, raw_added = raw_deltas.get(name, ((), ()))
                 replaced = {rid for rid, _row in raw_removed}
                 for rid, row in raw_added:
-                    if rid in replaced and rid in final \
-                            and final[rid] != row:
-                        removed_pairs.append((rid, final[rid]))
-                        final[rid] = row
+                    old = final.rows.get(rid)
+                    if rid in replaced and old is not None and old != row:
+                        removed_pairs.append((rid, old))
+                        final.put(rid, row)
                         added_pairs.append((rid, row))
             if removed_pairs or added_pairs:
                 final_deltas[name] = (removed_pairs, added_pairs)
+        return self.rows_probed
 
     def _apply_conn_delta(self, name: str,
                           delta: Counter) -> list[tuple[tuple, bool]]:
@@ -639,7 +782,7 @@ class _IncrementalState:
                 columns=list(component.stream_columns),
             )
             positions = component.stream_positions
-            for oid, row in self.final[name].items():
+            for oid, row in self.final[name].rows.items():
                 stream.oids.append(oid)
                 stream.rows.append(tuple(row[p] for p in positions))
             components[name] = stream
@@ -699,7 +842,8 @@ class MaterializedView:
         self.pending: list[TableDelta] = []
         self.stale = True
         self.stats = {"full_refreshes": 0, "incremental_refreshes": 0,
-                      "delta_rows_applied": 0, "reads": 0}
+                      "delta_rows_applied": 0, "rows_probed": 0,
+                      "reads": 0}
         if initial_refresh:
             self.refresh(full=True)
         # else: registered stale — crash recovery re-registers views
@@ -752,7 +896,7 @@ class MaterializedView:
 
     def _apply_pending(self) -> None:
         for delta in self.pending:
-            self._state.apply(delta)
+            self.stats["rows_probed"] += self._state.apply(delta)
             self.stats["delta_rows_applied"] += (len(delta.inserted)
                                                  + len(delta.deleted))
         self.pending.clear()

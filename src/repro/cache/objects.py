@@ -61,41 +61,22 @@ class Extent:
         return self._cache.find(self._component, **equalities)
 
     def insert(self, **values):
-        return _one_write(self._cache, lambda: self._cache.insert(
-            self._component, **values))
+        return self._cache.insert(self._component, **values)
 
     def __repr__(self) -> str:
         return f"<Extent {self._component} ({len(self)} objects)>"
 
 
-def _one_write(cache: XNFCache, change):
-    """Run ``change`` as one write: in write-through mode everything it
-    logs is put back as one statement; an exception part-way reverts
-    what it already logged."""
-    mark = cache.mutation_mark()
-    try:
-        result = change()
-    except Exception:
-        from repro.viewupdate.objects import revert_entries
-        entries = cache.workspace.log[mark:]
-        del cache.workspace.log[mark:]
-        revert_entries(cache.workspace, entries)
-        raise
-    cache.flush_through(mark)
-    return result
-
-
 def _delete(self) -> None:
-    _one_write(self._cache, lambda: self._cache.delete(self))
+    self._cache.delete(self)
 
 
 def _update(self, **assignments):
     """Set several columns as one write (one put-back round trip in
     write-through mode)."""
-    def change() -> None:
+    with self._cache.one_write():
         for column, value in assignments.items():
             self.set(column, value)
-    _one_write(self._cache, change)
     return self
 
 
@@ -119,11 +100,10 @@ def _insert_child(self, relationship: str, **values):
             f"relationship {relationship} is n-ary; insert and "
             f"connect its children explicitly")
 
-    def change():
+    with cache.one_write():
         child = cache.insert(children[0], **values)
         cache.connect(name, self, child)
-        return child
-    return _one_write(cache, change)
+    return child
 
 
 _METHODS = {"delete": _delete, "update": _update,
@@ -146,7 +126,8 @@ def _make_column_property(column: str, position: int):
         return self.values[position]
 
     def setter(self, value):
-        _one_write(self._cache, lambda: self.set(column, value))
+        with self._cache.one_write():
+            self.set(column, value)
 
     return property(getter, setter, doc=f"column {column}")
 

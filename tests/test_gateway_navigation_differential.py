@@ -167,11 +167,10 @@ class Harness:
             navigation(fresh, self.keys)
 
     def batch(self, *edits) -> None:
-        """Several workspace edits put back as one write."""
-        mark = self.cache.mutation_mark()
-        for edit in edits:
-            edit()
-        self.cache.flush_through(mark)
+        """Several edits put back as one write."""
+        with self.cache.one_write():
+            for edit in edits:
+                edit()
 
 
 # ----------------------------------------------------------------------
@@ -226,21 +225,29 @@ def org_steps(h: Harness, rng: random.Random):
         taken = rng.choice(h.live("xemp")).eno
         dept.insert_child("employs", ENO=taken, ENAME="dup", SAL=1)
 
+    # learn / forget / release call the XNFCache methods directly:
+    # each writes through on its own.
     def learn():
         emp = rng.choice(h.live("xemp"))
         new = [s for s in h.live("xskills") if s not in emp.possesses()]
         if not new:
             return False
-        h.batch(lambda: cache.connect("empproperty", emp,
-                                      rng.choice(new)))
+        cache.connect("empproperty", emp, rng.choice(new))
 
     def forget():
         emp = rng.choice(h.live("xemp"))
         skills = emp.possesses()
         if not skills:
             return False
-        h.batch(lambda: cache.disconnect("empproperty", emp,
-                                         rng.choice(skills)))
+        cache.disconnect("empproperty", emp, rng.choice(skills))
+
+    def release():
+        # Sets the base EDNO to NULL: the employee leaves the view.
+        emp = rng.choice(h.live("xemp"))
+        depts = emp.employs_parents()
+        if not depts:
+            return False
+        cache.disconnect("employment", depts[0], emp)
 
     def fire():
         # Refused while EMPSKILLS rows reference the employee.
@@ -251,7 +258,7 @@ def org_steps(h: Harness, rng: random.Random):
         rng.choice(h.live("xdept")).delete()
 
     return [move, move_refused, hire, hire_duplicate, learn, forget,
-            fire, close_dept]
+            release, fire, close_dept]
 
 
 # ----------------------------------------------------------------------

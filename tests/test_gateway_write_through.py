@@ -107,6 +107,66 @@ class TestWriteThrough:
         assert not cache.workspace.log
 
 
+def lists_of(cache) -> list:
+    return [(obj, obj.deleted, [items[:] for items in obj.child_lists],
+             [items[:] for items in obj.parent_lists])
+            for bucket in cache.workspace.objects.values()
+            for obj in bucket]
+
+
+class TestCacheMethodsWriteThrough:
+    """``XNFCache.insert`` / ``delete`` / ``connect`` / ``disconnect``
+    write through like the generated-class operations."""
+
+    @pytest.fixture
+    def cache(self, org_db):
+        return org_db.open_cache("deps_arc", write_through=True)
+
+    def test_disconnect_hits_base(self, org_db, cache):
+        d1 = next(d for d in cache.extent("xdept")
+                  if d.children("employment"))
+        e = d1.children("employment")[0]
+        cache.disconnect("employment", d1, e)
+        assert base_emp(org_db, e.get("ENO"))[1] is None
+        assert not cache.dirty
+        assert e not in d1.children("employment")
+
+    def test_connect_insert_delete_hit_base(self, org_db, cache):
+        dept = cache.extent("xdept")[0]
+        emp = cache.insert("xemp", ENO=7101, ENAME="solo", SAL=3)
+        assert base_emp(org_db, 7101)[1] is None
+        cache.connect("employment", dept, emp)
+        assert base_emp(org_db, 7101)[1] == dept.get("DNO")
+        cache.delete(emp)
+        assert base_emp(org_db, 7101) is None
+        assert not cache.dirty
+
+    def test_rejected_write_leaves_lists(self, org_db, cache):
+        emp = next(e for e in cache.extent("xemp")
+                   if e.children("empproperty"))
+        before = lists_of(cache)
+        with pytest.raises(ViewUpdateError):
+            cache.delete(emp)  # EMPSKILLS rows restrict it
+        with pytest.raises(ViewUpdateError):
+            cache.insert("xemp", ENO=emp.get("ENO"), ENAME="dup", SAL=1)
+        assert lists_of(cache) == before
+        assert base_emp(org_db, emp.get("ENO")) is not None
+        assert not cache.dirty
+
+    def test_insert_child_puts_back_one_batch(self, cache, monkeypatch):
+        import repro.viewupdate.objects as put_back
+        batches = []
+        apply = put_back.apply_write_through
+
+        def counted(target, entries):
+            batches.append(len(entries))
+            return apply(target, entries)
+        monkeypatch.setattr(put_back, "apply_write_through", counted)
+        dept = bind_classes(cache)["XDEPT"].extent.find()[0]
+        dept.insert_child("EMPLOYS", ENO=7102, ENAME="hire", SAL=2)
+        assert batches == [2]  # the insert and its connect, together
+
+
 class TestDeferredStillWorks:
     def test_deferred_mode_queues_until_writeback(self, org_db):
         cache = org_db.open_cache("deps_arc")  # write_through=False

@@ -301,6 +301,40 @@ class TestIncrementalShapes:
         db.execute("DELETE FROM EMPSKILLS WHERE ESENO = 1 AND ESSNO = 9")
         assert_fresh_equal(db, "tagged")
 
+    def test_composite_key_join_with_null_keys(self):
+        # A two-column equi-join probes with tuple keys; a NULL in
+        # either column never matches, in the index as in recomputation.
+        db = Database()
+        db.execute("CREATE TABLE CUST (CID INT PRIMARY KEY, REGION INT, "
+                   "CNO INT)")
+        db.execute("CREATE TABLE ORD (ONO INT PRIMARY KEY, REGION INT, "
+                   "CNO INT, AMT INT)")
+        db.execute("INSERT INTO CUST VALUES (1, 1, 1), (2, 1, 2), "
+                   "(3, 2, 1), (4, NULL, 1)")
+        db.execute("INSERT INTO ORD VALUES (10, 1, 1, 5), (11, 1, 2, 6), "
+                   "(12, 2, 1, 7), (13, NULL, 1, 8), (14, 1, NULL, 9)")
+        view = db.create_materialized_view("orders", """
+            OUT OF xcust AS CUST, xord AS ORD,
+                   placed AS (RELATE xcust VIA PLACED, xord
+                              WHERE xcust.region = xord.region AND
+                                    xcust.cno = xord.cno)
+            TAKE *
+        """)
+        assert view.is_incremental
+        for sql in ("UPDATE ORD SET REGION = 2 WHERE ONO = 10",
+                    "UPDATE ORD SET REGION = 1 WHERE ONO = 13",
+                    "UPDATE CUST SET REGION = NULL WHERE CID = 2",
+                    "UPDATE ORD SET CNO = NULL WHERE ONO = 12",
+                    "INSERT INTO CUST VALUES (5, 1, NULL)",
+                    "UPDATE CUST SET REGION = 1 WHERE CID = 4",
+                    "DELETE FROM CUST WHERE CID = 3"):
+            db.execute(sql)
+            assert_fresh_equal(db, "orders")
+        for extent in view._state.extents.values():
+            for index in extent.indexes.values():
+                assert all(None not in key for key in index.buckets)
+        assert len(db.matview("orders").relationship("placed")) == 2
+
     def test_multi_parent_union_reachability(self):
         # XSKILLS is reachable through employees OR projects; losing one
         # path must keep objects alive through the other (support

@@ -22,8 +22,9 @@ import random
 import pytest
 
 from repro.api.database import Database
-from repro.cache.matview import co_canonical
+from repro.cache.matview import _HashIndex, _IncrementalState, co_canonical
 from repro.errors import ReproError
+from repro.storage.catalog import TableDelta
 from repro.workloads.bom import BOMScale, create_bom_schema, populate_bom
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
@@ -53,6 +54,59 @@ def check_view(db: Database, name: str, context: str) -> None:
         f"after {context}\nmaintained:  {maintained}\n"
         f"recomputed: {recomputed}"
     )
+    if view.is_incremental:
+        check_indexes(view, context)
+
+
+def check_indexes(view, context: str) -> None:
+    """Every maintained hash index equals one rebuilt from its extent,
+    and every extent equals the one a fresh build reads."""
+    state = view._state
+    fresh = _IncrementalState(state.plan, state.catalog)
+    fresh.build()
+    assert state.extents.keys() == fresh.extents.keys()
+    for source, extent in state.extents.items():
+        assert extent.rows == fresh.extents[source].rows, (
+            f"extent {source} drifted after {context}")
+        for positions, index in extent.indexes.items():
+            rebuilt = _HashIndex(positions)
+            rebuilt.add(extent.rows.items())
+            assert index.buckets == rebuilt.buckets, (
+                f"index {source} on {positions} drifted after {context}")
+    assert state.conn == fresh.conn
+
+
+class DeleteOneRow:
+    """Delete one of several identical rows, which no SQL predicate can
+    single out: a storage-level delete publishing its delta, as every
+    write path does."""
+
+    def __init__(self, db: Database, table: str, row: tuple):
+        self.db = db
+        self.table = table
+        self.row = row
+
+    def __call__(self) -> None:
+        table = self.db.catalog.table(self.table)
+        rid = next(rid for rid, row in table.scan() if row == self.row)
+        table.delete(rid)
+        self.db.catalog.emit_table_delta(
+            TableDelta(self.table, deleted=[(rid, self.row)]))
+
+    def __repr__(self) -> str:
+        return f"delete one {self.table} row {self.row}"
+
+
+def run_step(db: Database, step) -> bool:
+    """Run one SQL statement (or row-level step); False if rejected."""
+    try:
+        if callable(step):
+            step()
+        else:
+            db.execute(step)
+    except ReproError:
+        return False  # constraint violation: statement rolled back
+    return True
 
 
 class OrgMutator:
@@ -67,13 +121,16 @@ class OrgMutator:
         self.next_id += 1
         return self.next_id
 
-    def sample_pk(self, table: str, position: int = 0):
+    def sample_row(self, table: str):
         rows = list(self.db.catalog.table(table).rows())
-        if not rows:
-            return None
-        return self.rng.choice(rows)[position]
+        return self.rng.choice(rows) if rows else None
 
-    def statement(self) -> str:
+    def sample_pk(self, table: str, position: int = 0):
+        row = self.sample_row(table)
+        return None if row is None else row[position]
+
+    def statement(self):
+        """One step: SQL text, or a list of steps run in order."""
         rng = self.rng
         choice = rng.choice([
             "insert_emp", "insert_emp", "update_emp_sal",
@@ -82,6 +139,8 @@ class OrgMutator:
             "update_proj", "delete_proj", "insert_empskills",
             "delete_empskills", "insert_projskills",
             "delete_projskills", "insert_skill", "update_skill",
+            "null_emp_dept", "move_empskills", "move_projskills",
+            "duplicate_mapping",
         ])
         if choice == "insert_emp":
             dno = self.sample_pk("DEPT")
@@ -138,6 +197,33 @@ class OrgMutator:
         if choice == "delete_projskills":
             pno = self.sample_pk("PROJSKILLS")
             return f"DELETE FROM PROJSKILLS WHERE PSPNO = {pno}"
+        if choice == "null_emp_dept":
+            eno = self.sample_pk("EMP")
+            return f"UPDATE EMP SET EDNO = NULL WHERE ENO = {eno}"
+        if choice in ("move_empskills", "move_projskills"):
+            # Key-changing updates of a USING table, either column.
+            table, owner, owner_col, skill_col = (
+                ("EMPSKILLS", "EMP", "ESENO", "ESSNO")
+                if choice == "move_empskills"
+                else ("PROJSKILLS", "PROJ", "PSPNO", "PSSNO"))
+            row = self.sample_row(table)
+            if row is None:
+                return "DELETE FROM SKILLS WHERE SNO = -1"
+            if rng.random() < 0.5:
+                return (f"UPDATE {table} SET {skill_col} = "
+                        f"{self.sample_pk('SKILLS')} WHERE {owner_col} = "
+                        f"{row[0]} AND {skill_col} = {row[1]}")
+            return (f"UPDATE {table} SET {owner_col} = "
+                    f"{self.sample_pk(owner)} WHERE {owner_col} = "
+                    f"{row[0]} AND {skill_col} = {row[1]}")
+        if choice == "duplicate_mapping":
+            # A second identical USING row, then one of the two goes.
+            table = rng.choice(["EMPSKILLS", "PROJSKILLS"])
+            row = self.sample_row(table)
+            if row is None:
+                return "DELETE FROM SKILLS WHERE SNO = -1"
+            return [f"INSERT INTO {table} VALUES ({row[0]}, {row[1]})",
+                    DeleteOneRow(self.db, table, row)]
         if choice == "insert_skill":
             return (f"INSERT INTO SKILLS VALUES ({self.fresh_id()}, "
                     f"'skill-r{self.next_id}', {rng.randint(1, 5)})")
@@ -165,7 +251,7 @@ class BOMMutator:
         choice = rng.choice([
             "insert_part", "insert_part", "update_cost", "flip_kind",
             "delete_part", "insert_contains", "delete_contains",
-            "update_qty",
+            "update_qty", "update_edge_qty", "move_contains",
         ])
         if choice == "insert_part":
             self.next_id += 1
@@ -193,6 +279,18 @@ class BOMMutator:
         if choice == "delete_contains":
             parent = self.sample_pk("CONTAINS")
             return f"DELETE FROM CONTAINS WHERE PARENT = {parent}"
+        if choice in ("update_edge_qty", "move_contains"):
+            rows = list(self.db.catalog.table("CONTAINS").rows())
+            if not rows:
+                return "DELETE FROM CONTAINS WHERE PARENT = -1"
+            parent, child, _qty = rng.choice(rows)
+            where = f"WHERE PARENT = {parent} AND CHILD = {child}"
+            if choice == "update_edge_qty":
+                # Only the relationship attribute of one edge changes.
+                return (f"UPDATE CONTAINS SET QTY = {rng.randint(1, 99)} "
+                        f"{where}")
+            return (f"UPDATE CONTAINS SET CHILD = "
+                    f"{self.sample_pk('PART')} {where}")
         parent = self.sample_pk("CONTAINS")
         return (f"UPDATE CONTAINS SET QTY = {rng.randint(1, 99)} "
                 f"WHERE PARENT = {parent}")
@@ -215,14 +313,13 @@ def run_org_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
     mutator = OrgMutator(db, seed)
     applied = 0
     for _step in range(operations):
-        sql = mutator.statement()
-        try:
-            db.execute(sql)
+        steps = mutator.statement()
+        for step in steps if isinstance(steps, list) else [steps]:
+            if not run_step(db, step):
+                break
             applied += 1
-        except ReproError:
-            continue  # constraint violation: statement rolled back
-        check_view(db, "eager_v", sql)
-        check_view(db, "lazy_v", sql)
+            check_view(db, "eager_v", step)
+            check_view(db, "lazy_v", step)
     assert applied > operations // 3, "generator mostly produced no-ops"
 
 
@@ -236,11 +333,8 @@ def run_bom_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
     mutator = BOMMutator(db, seed)
     for _step in range(operations):
         sql = mutator.statement()
-        try:
-            db.execute(sql)
-        except ReproError:
-            continue
-        check_view(db, "levels", sql)
+        if run_step(db, sql):
+            check_view(db, "levels", sql)
 
 
 def extra_seeds() -> list[int]:
