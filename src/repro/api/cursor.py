@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.api.frontend import statement_of
 from repro.errors import InterfaceError
 from repro.sql import ast
 
@@ -97,12 +98,12 @@ class Cursor:
         """Run one statement; SELECTs open a lazy result stream."""
         self._check_open()
         self._discard()
-        statement = self.session._parse(operation)
-        if isinstance(statement, ast.SelectStatement):
+        statement = self.session.engine.parse(operation)
+        if isinstance(statement_of(statement), ast.SelectStatement):
             self._stream = self.session._stream_select(statement, params)
             self._description = _describe(self._stream.columns)
             return self
-        if isinstance(statement, ast.XNFQuery):
+        if isinstance(statement_of(statement), ast.XNFQuery):
             raise InterfaceError(
                 "cursors deliver homogeneous row streams; run XNF "
                 "queries through Session.xnf() / open_cache() instead"
@@ -117,8 +118,9 @@ class Cursor:
         ``rowcount`` accumulates across the whole sequence.
         """
         self._check_open()
-        statement = self.session._parse(operation)
-        if isinstance(statement, (ast.SelectStatement, ast.XNFQuery)):
+        statement = self.session.engine.parse(operation)
+        if isinstance(statement_of(statement),
+                      (ast.SelectStatement, ast.XNFQuery)):
             raise InterfaceError(
                 "executemany() is for DML; use execute() for queries")
         self._discard()

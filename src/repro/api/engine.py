@@ -39,18 +39,19 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Optional, Union
 
 from repro.errors import (CatalogError, InterfaceError, SemanticError,
                           TransactionError)
+from repro.api.frontend import (FrontEndStatement, SkeletonCache,
+                                statement_of)
 from repro.executor.dml import DMLExecutor
-from repro.executor.plan_cache import parameterize_xnf
+from repro.executor.plan_cache import ParameterizedStatement, parameterize_xnf
 from repro.executor.runtime import PipelineOptions, QueryPipeline
 from repro.cache.matview import MaterializedViewRegistry
 from repro.qgm.model import Box
-from repro.sql import ast
+from repro.sql import ast, parser
 from repro.storage.catalog import Catalog
 from repro.storage.recovery import (RecoveryReport, build_snapshot_payload,
                                     prune_snapshots, recover, wal_path,
@@ -62,34 +63,6 @@ from repro.storage.transactions import (DEFAULT_SCOPE, Transaction,
 from repro.storage.wal import WriteAheadLog
 from repro.xnf.result import XNFExecutable
 from repro.xnf.translate import XNFOptions, XNFTranslator
-
-
-class StatementTextCache:
-    """A bounded LRU of statement text -> parsed (immutable) AST.
-
-    Parsing is schema-independent, so entries never invalidate; the
-    bound only caps memory.  Capacity <= 0 disables the cache.  Used at
-    two levels: one shared (locked) instance on the engine, one small
-    lock-free instance per session in front of it.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, ast.Statement]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, sql: str):
-        statement = self._entries.get(sql)
-        if statement is not None:
-            self._entries.move_to_end(sql)
-        return statement
-
-    def put(self, sql: str, statement) -> None:
-        self._entries[sql] = statement
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
 
 class _StatementLatch:
@@ -285,13 +258,11 @@ class Engine:
         self._sessions: list = []
         self._session_counter = itertools.count()
         self._overlay_cache: Optional[tuple] = None
-        # Shared statement-text parse cache: one client's parse serves
-        # every session (sessions layer a small lock-free LRU of their
-        # own on top).  Sized with the plan cache and disabled with it.
-        self.parse_cache_capacity = \
-            2 * max(self.pipeline_options.plan_cache_size, 0)
-        self._parse_cache = StatementTextCache(self.parse_cache_capacity)
-        self._parse_lock = threading.Lock()
+        # The statement skeleton cache: one client's parse and lift of
+        # a statement shape serves every literal variant, in every
+        # session.  Sized with the plan cache and disabled with it.
+        self.statements = SkeletonCache(
+            2 * max(self.pipeline_options.plan_cache_size, 0))
         self._closed = False
         if path is not None:
             self._finish_recovery(self.recovery, fsync, group_window)
@@ -631,21 +602,20 @@ class Engine:
         return views
 
     # ------------------------------------------------------------------
-    # Shared parsing
+    # The statement front end
     # ------------------------------------------------------------------
-    def parse(self, sql: str) -> ast.Statement:
-        """Parse through the engine-wide statement-text cache."""
-        from repro.sql.parser import parse_statement
-        if self.parse_cache_capacity <= 0:
-            return parse_statement(sql)
-        with self._parse_lock:
-            statement = self._parse_cache.get(sql)
-        if statement is not None:
-            return statement
-        statement = parse_statement(sql)
-        with self._parse_lock:
-            self._parse_cache.put(sql, statement)
-        return statement
+    def parse(self, sql: str) -> FrontEndStatement:
+        """Text -> statement through the engine-wide skeleton cache.
+
+        SELECT and XNF queries come back lifted (a
+        :class:`~repro.executor.plan_cache.ParameterizedStatement`,
+        ready for the plan cache), other kinds as their parsed AST.
+        With the plan cache disabled nothing is cached or lifted, so
+        compilation sees the literal AST.
+        """
+        if not self.pipeline.plan_cache.enabled:
+            return parser.parse_statement(sql)
+        return self.statements.parse(sql)
 
     # ------------------------------------------------------------------
     # Delta / rollback wiring
@@ -662,22 +632,29 @@ class Engine:
     # ------------------------------------------------------------------
     # Shared XNF compilation (plan-cache read-through)
     # ------------------------------------------------------------------
-    def compile_xnf(self, query: ast.XNFQuery, view_name: str,
+    def compile_xnf(self, query: Union[ast.XNFQuery,
+                                       ParameterizedStatement],
+                    view_name: str,
                     xnf_options: Optional[XNFOptions] = None
                     ) -> tuple[XNFExecutable, dict]:
         """Compile an ad-hoc XNF query through the shared plan cache.
 
         The query is auto-parameterized first, so every literal variant
         of one CO-query shape (``dno BETWEEN 3 AND 5``, ``... 7 AND 9``)
-        shares one executable across *all* sessions.  Returns the
-        executable plus the lifted literals' bindings; run it with
+        shares one executable across *all* sessions; a query the front
+        end lifted already is taken as it is.  Returns the executable
+        plus the lifted literals' bindings; run it with
         ``executable.run(executable.plan.new_context(bindings))``.  With
-        the cache disabled nothing is lifted and the bindings are empty.
+        the cache disabled a literal query is not lifted and the
+        bindings are empty.
         """
-        if not self.pipeline.plan_cache.enabled:
+        if isinstance(query, ParameterizedStatement):
+            parameterized = query
+        elif not self.pipeline.plan_cache.enabled:
             return self.compile_xnf_inline(query, view_name,
                                            xnf_options), {}
-        parameterized = parameterize_xnf(query)
+        else:
+            parameterized = parameterize_xnf(query)
         executable = self._compile_xnf_cached(
             parameterized.statement, view_name,
             xnf_options or self.xnf_options, parameterized.bindings)
@@ -764,10 +741,18 @@ class Engine:
             )
         return info.final_box
 
-    def xnf_query_of(self, source: Union[str, ast.XNFQuery]
-                     ) -> tuple[ast.XNFQuery, str]:
-        from repro.sql.parser import parse_statement
-        if isinstance(source, ast.XNFQuery):
+    def xnf_query_of(self, source: Union[str, FrontEndStatement],
+                     literal: bool = False
+                     ) -> tuple[FrontEndStatement, str]:
+        """``(query, view name)`` for an XNF view name, query text or
+        query AST.
+
+        Text goes through the front end, so it may come back lifted.
+        With ``literal=True`` it is parsed in full and never lifted:
+        for consumers that keep the query (a materialized view's
+        definition) or evaluate its predicates outside a plan.
+        """
+        if not isinstance(source, str):
             return source, "XNF"
         text = source.strip()
         if " " not in text and self.catalog.has_view(text):
@@ -775,7 +760,8 @@ class Engine:
             if not view.is_xnf:
                 raise SemanticError(f"view {text!r} is not an XNF view")
             return view.definition, view.name
-        statement = parse_statement(source)
-        if not isinstance(statement, ast.XNFQuery):
+        statement = parser.parse_statement(source) if literal \
+            else self.parse(source)
+        if not isinstance(statement_of(statement), ast.XNFQuery):
             raise SemanticError("expected an XNF query (OUT OF ... TAKE)")
         return statement, "XNF"

@@ -1,0 +1,142 @@
+"""The statement front end: SQL text in, a statement ready to compile out.
+
+CORONA breaks an incoming query into tokens and parses it (Sect. 3.1);
+the auto-parameterizing plan cache then lifts its literals so every
+literal variant of one shape shares a compiled plan.  Ad-hoc texts of
+one shape differ only in their literals, so the front end caches the
+*lifted* result, keyed on the token stream with every literal masked
+(:func:`repro.sql.lexer.skeleton`).  A hit reads the bindings straight
+from the text's literal tokens and skips the parser and the lifter.
+
+A cached entry records, for each literal slot of the text (a literal
+token, named by its index in the token stream), what the lifter did
+with it:
+
+* a lifted literal names the synthetic parameter it became; a hit
+  binds that parameter to the text's literal at the slot;
+* a literal the lifter keeps inline (LIKE patterns, LIMIT / OFFSET,
+  ORDER BY / GROUP BY ordinals, the head and HAVING of a grouped
+  block) keeps its exact source text; a hit needs the same text there.
+
+Statement kinds the plan cache does not lift (DML, DDL) keep every
+literal inline, so they hit only on a text equal to the cached one up
+to whitespace, comments and keyword case, and they come back as the
+plain parsed AST.  A text that does not lex or parse is never cached:
+it goes to the parser, which raises.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from typing import Union
+
+from repro.executor.plan_cache import (CacheStats, ParameterizedStatement,
+                                       parameterize_select, parameterize_xnf)
+from repro.sql import ast, parser
+from repro.sql.lexer import literal_value, skeleton
+
+#: What the front end hands on: a lifted SELECT / XNF query with its
+#: bindings, or the parsed AST of any other statement.
+FrontEndStatement = Union[ParameterizedStatement, ast.Statement]
+
+
+def statement_of(front: FrontEndStatement) -> ast.Statement:
+    """The AST of a front-end result (the lifted one when lifted)."""
+    if isinstance(front, ParameterizedStatement):
+        return front.statement
+    return front
+
+
+def _bind(cached: FrontEndStatement,
+          literals: dict[int, str]) -> FrontEndStatement:
+    """``cached`` with the bindings of another text of its skeleton:
+    each lifted parameter takes the literal at its token."""
+    if not isinstance(cached, ParameterizedStatement):
+        return cached
+    values = tuple((index, literal_value(literals[slot]))
+                   for slot, index in cached.slots)
+    return ParameterizedStatement(cached.statement, values, cached.slots)
+
+
+def lift(statement: ast.Statement) -> FrontEndStatement:
+    """``statement`` as the plan cache keys it: SELECT and XNF queries
+    with their literals lifted, any other kind unchanged."""
+    if isinstance(statement, ast.SelectStatement):
+        return parameterize_select(statement)
+    if isinstance(statement, ast.XNFQuery):
+        return parameterize_xnf(statement)
+    return statement
+
+
+class SkeletonCache:
+    """A bounded LRU of statement skeletons -> front-end results.
+
+    One instance per engine, shared (under a lock) by every session.
+    ``capacity`` counts entries; ``capacity <= 0`` disables the cache,
+    and then :meth:`parse` neither caches nor lifts, so compilation
+    sees the literal AST.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.stats = CacheStats()
+        #: Skeleton -> the slots the lifter keeps inline.
+        self._inline: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: (skeleton, inline literal texts) -> the front-end result of
+        #: the text that stored it.
+        self._entries: "OrderedDict[tuple, FrontEndStatement]" = \
+            OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def parse(self, sql: str) -> FrontEndStatement:
+        if self.capacity <= 0:
+            return parser.parse_statement(sql)
+        shape = skeleton(sql)
+        if shape is not None:
+            key, literals = shape
+            with self._lock:
+                inline = self._inline.get(key)
+                entry = None
+                if inline is not None:
+                    full = (key, tuple(literals[slot] for slot in inline))
+                    entry = self._entries.get(full)
+                if entry is None:
+                    self.stats.misses += 1
+                else:
+                    self._entries.move_to_end(full)
+                    self._inline.move_to_end(key)
+                    self.stats.hits += 1
+            if entry is not None:
+                return _bind(entry, literals)
+        else:
+            with self._lock:
+                self.stats.misses += 1
+        front = lift(parser.parse_statement(sql))
+        if shape is not None:
+            self._store(key, literals, front)
+        return front
+
+    def _store(self, key: tuple, literals: dict[int, str],
+               front: FrontEndStatement) -> None:
+        params = front.slots \
+            if isinstance(front, ParameterizedStatement) else ()
+        if any(slot is None for slot, _index in params):
+            return  # a lifted literal no token accounts for
+        taken = {slot for slot, _index in params}
+        inline = tuple(slot for slot in literals if slot not in taken)
+        full = (key, tuple(literals[slot] for slot in inline))
+        with self._lock:
+            self._inline[key] = inline
+            self._inline.move_to_end(key)
+            self._entries[full] = front
+            self._entries.move_to_end(full)
+            self.stats.stores += 1
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+            while len(self._inline) > self.capacity:
+                self._inline.popitem(last=False)

@@ -1,10 +1,11 @@
 """Sessions: one client's view of a shared :class:`Engine`.
 
 A session owns a transaction scope (``begin``/``commit``/``rollback``
-affect only this session), a statement-text parse cache, and execution
-options (cursor ``arraysize``, executor batch width, XNF compile
-options).  Everything compiled flows through the engine's *shared*
-plan cache, so hot statements prepared by one session serve them all.
+affect only this session) and execution options (cursor ``arraysize``,
+executor batch width, XNF compile options).  Statement text goes
+through the engine's *shared* skeleton cache and everything compiled
+through its shared plan cache, so hot statements parsed or prepared by
+one session serve them all.
 
     engine = Engine()
     with engine.connect() as session:
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.api.frontend import FrontEndStatement, statement_of
 from repro.errors import CatalogError, InterfaceError, SemanticError
 from repro.executor.runtime import QueryResult, QueryStream
 from repro.cache.manager import XNFCache
@@ -93,13 +95,6 @@ class Session:
         #: (None: the planner default).
         self.batch_size = batch_size
         self.xnf_options = xnf_options or engine.xnf_options
-        # Session-level statement-text LRU in front of the engine's
-        # shared one: exact-text repeats skip even the shared cache's
-        # lock.  Disabled with the plan cache so `plan_cache_size=0`
-        # measures true full-pipeline cost.
-        from repro.api.engine import StatementTextCache
-        self._parse_cache = StatementTextCache(
-            engine.parse_cache_capacity)
         #: Open cursors, so closing the session closes their streams
         #: deterministically (an abandoned half-consumed stream must not
         #: hold executor state until garbage collection).
@@ -173,22 +168,6 @@ class Session:
                 name, self.scope))
 
     # ------------------------------------------------------------------
-    # Statement parsing
-    # ------------------------------------------------------------------
-    def _parse(self, sql: str) -> ast.Statement:
-        """Two-level parse: this session's lock-free LRU over the
-        engine's shared statement-text cache (one client's parse of a
-        hot statement serves every session)."""
-        if self._parse_cache.capacity <= 0:
-            return parse_statement(sql)
-        statement = self._parse_cache.get(sql)
-        if statement is not None:
-            return statement
-        statement = self.engine.parse(sql)
-        self._parse_cache.put(sql, statement)
-        return statement
-
-    # ------------------------------------------------------------------
     # Statement execution
     # ------------------------------------------------------------------
     def execute(self, sql: str, params=None) -> ExecuteResult:
@@ -198,17 +177,20 @@ class Session:
         markers for SELECT and DML statements.
         """
         self._check_open()
-        return self.execute_statement(self._parse(sql), params=params)
+        return self.execute_statement(self.engine.parse(sql),
+                                      params=params)
 
-    def execute_statement(self, statement: ast.Statement,
+    def execute_statement(self, statement: FrontEndStatement,
                           params=None) -> ExecuteResult:
+        """Run a parsed statement, or a SELECT / XNF query the front
+        end lifted (see :meth:`Engine.parse`)."""
         self._check_open()
         engine = self.engine
-        if isinstance(statement, ast.SelectStatement):
+        if isinstance(statement_of(statement), ast.SelectStatement):
             return engine.read(
                 self, lambda: engine.pipeline.run_select(statement,
                                                          params=params))
-        if isinstance(statement, ast.XNFQuery):
+        if isinstance(statement_of(statement), ast.XNFQuery):
             return self.run_xnf_query(statement)
         if isinstance(statement, ast.InsertStatement):
             # DML naming a view (or an XNF component path) routes to
@@ -269,8 +251,8 @@ class Session:
         parameter values) share one compiled plan — across sessions.
         """
         self._check_open()
-        statement = self._parse(sql)
-        if not isinstance(statement, ast.SelectStatement):
+        statement = self.engine.parse(sql)
+        if not isinstance(statement_of(statement), ast.SelectStatement):
             raise SemanticError("query() expects a SELECT statement")
         engine = self.engine
         return engine.read(
@@ -343,7 +325,7 @@ class Session:
     # ------------------------------------------------------------------
     # Streaming (the cursor's engine-side hooks)
     # ------------------------------------------------------------------
-    def _stream_select(self, statement: ast.SelectStatement,
+    def _stream_select(self, statement: FrontEndStatement,
                        params=None) -> QueryStream:
         engine = self.engine
         return engine.read(
@@ -433,20 +415,22 @@ class Session:
         """Compile an XNF query (text, view name, or AST) to plans."""
         self._check_open()
         engine = self.engine
-        query, view_name = engine.xnf_query_of(source)
+        query, view_name = engine.xnf_query_of(source, literal=True)
         return engine.read(
             self, lambda: engine.compile_xnf_inline(
                 query, view_name, xnf_options or self.xnf_options))
 
-    def run_xnf_query(self, source: Union[str, ast.XNFQuery]) -> COResult:
+    def run_xnf_query(self, source: Union[str, FrontEndStatement]
+                      ) -> COResult:
         self._check_open()
         engine = self.engine
         query, view_name = engine.xnf_query_of(source)
-        # Read-through: a query structurally equal to a registered
-        # materialized view's definition is served from the
-        # materialization (refreshed per its staleness policy).  The
-        # comparison uses the query as written: a same-shape query with
-        # other literals is a different CO and must not match.
+        # Read-through: a query equal to a registered materialized
+        # view's definition is served from the materialization
+        # (refreshed per its staleness policy).  The comparison uses
+        # the query as written (a lifted query: its lifted form and
+        # literal values): a same-shape query with other literals is a
+        # different CO and must not match.
         materialized = engine.matviews.lookup_query(query)
         if materialized is not None:
             return engine.matview_read(self, materialized.read)
@@ -465,7 +449,7 @@ class Session:
         """Evaluate with the reference (unoptimized) evaluator."""
         self._check_open()
         engine = self.engine
-        query, view_name = engine.xnf_query_of(source)
+        query, view_name = engine.xnf_query_of(source, literal=True)
 
         def run():
             graph = engine.pipeline.compiler.build_xnf(
@@ -485,7 +469,7 @@ class Session:
         """
         self._check_open()
         engine = self.engine
-        query, view_name = engine.xnf_query_of(source)
+        query, view_name = engine.xnf_query_of(source, literal=True)
 
         def run():
             executable = engine.compile_xnf_inline(query, view_name,
@@ -512,7 +496,7 @@ class Session:
         """
         self._check_open()
         engine = self.engine
-        query, _view_name = engine.xnf_query_of(source)
+        query, _view_name = engine.xnf_query_of(source, literal=True)
 
         def create():
             engine.catalog._check_fresh(name)

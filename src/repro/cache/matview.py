@@ -58,10 +58,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import CacheError, CatalogError
 from repro.executor.expressions import CompiledExpression, ExpressionCompiler
+from repro.executor.plan_cache import ParameterizedStatement, parameterize_xnf
 from repro.qgm.model import BaseBox, QRef, RidRef
 from repro.sql import ast
 from repro.storage.catalog import Catalog, TableDelta
@@ -824,6 +825,9 @@ class MaterializedView:
             )
         self.name = name.upper()
         self.query = query
+        #: The definition as the front end lifts a query text: what a
+        #: lifted query is matched against on read-through.
+        self.lifted = parameterize_xnf(query)
         self.policy = policy
         self.catalog = catalog
         self.executable = compile_fn(query)
@@ -983,11 +987,25 @@ class MaterializedViewRegistry:
     def views(self) -> list[MaterializedView]:
         return list(self._views.values())
 
-    def lookup_query(self,
-                     query: ast.XNFQuery) -> Optional[MaterializedView]:
-        """A view whose definition is structurally equal to ``query``."""
+    def lookup_query(self, query: Union[ast.XNFQuery,
+                                        ParameterizedStatement]
+                     ) -> Optional[MaterializedView]:
+        """A view whose definition is ``query`` as written.
+
+        A literal query matches a structurally equal definition.  A
+        query the front end lifted matches a definition with an equal
+        lifted form *and* equal literal values, so a same-shape query
+        with other literals matches no view.
+        """
+        if not isinstance(query, ParameterizedStatement):
+            for view in self._views.values():
+                if view.query == query:
+                    return view
+            return None
+        bindings = query.bindings
         for view in self._views.values():
-            if view.query == query:
+            if view.lifted.bindings == bindings \
+                    and view.lifted.statement == query.statement:
                 return view
         return None
 

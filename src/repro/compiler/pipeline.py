@@ -25,9 +25,10 @@ aliased to it so the next repeat hits on the first probe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.executor.plan_cache import (CacheInfo, CompileClaim, PlanCache,
+                                       ParameterizedStatement,
                                        parameterize_select)
 from repro.optimizer.optimizer import (ExecutablePlan, Planner,
                                        PlannerOptions)
@@ -39,6 +40,11 @@ from repro.rewrite.nf_rules import default_nf_rules, prune_unused_columns
 from repro.sql import ast
 from repro.storage.catalog import Catalog
 from repro.storage.stats import StatisticsManager
+
+
+#: A SELECT as the compile entry points take it: the parsed AST, or the
+#: statement the front end (or a prepared statement) lifted already.
+SelectSource = Union[ast.SelectStatement, ParameterizedStatement]
 
 
 @dataclass
@@ -389,16 +395,20 @@ class CompilationPipeline:
         cache.last_info = miss_info
         return compiled
 
-    def compile_select_cached(self, statement: ast.SelectStatement
+    def compile_select_cached(self, statement: SelectSource
                               ) -> tuple[CompiledQuery, dict]:
         """Compile through the plan cache.
 
         The statement is auto-parameterized (literals lifted into
         synthetic parameters) to form the cache key; returns the
         compiled query plus the synthetic bindings to install in the
-        execution context.  With the cache disabled this falls through
-        to a plain compile with no lifting.
+        execution context.  A statement the front end lifted already
+        is taken as it is.  With the cache disabled a literal
+        statement falls through to a plain compile with no lifting.
         """
+        if isinstance(statement, ParameterizedStatement):
+            return self.compile_parameterized(statement), \
+                statement.bindings
         if not self.plan_cache.enabled:
             self.plan_cache.last_info = CacheInfo(
                 status="bypass", reason="plan cache disabled")

@@ -52,6 +52,10 @@ class ParameterizedStatement:
     statement: Any  # the normalized (hashable) AST
     #: Synthetic bindings: positional parameter index -> lifted value.
     values: tuple = ()
+    #: ``(literal token index, parameter index)`` per lifted literal:
+    #: which token each synthetic parameter came from (see
+    #: :class:`repro.api.frontend.SkeletonCache`).
+    slots: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def bindings(self) -> dict:
@@ -68,6 +72,7 @@ class _Lifter:
     def __init__(self, next_index: int):
         self.next_index = next_index
         self.values: list[tuple[int, Any]] = []
+        self.slots: list[tuple[Optional[int], int]] = []
 
     # ------------------------------------------------------------------
     def lift(self, expression: ast.Expression) -> ast.Expression:
@@ -80,6 +85,7 @@ class _Lifter:
             index = self.next_index
             self.next_index += 1
             self.values.append((index, value))
+            self.slots.append((expression.slot, index))
             return ast.Parameter(index=index)
         if isinstance(expression, ast.BinaryOp):
             return ast.BinaryOp(expression.op, self.lift(expression.left),
@@ -250,7 +256,8 @@ def parameterize_select(statement: ast.SelectStatement
     """Lift an ad-hoc SELECT's literals into synthetic parameters."""
     lifter = _Lifter(max_positional_index(statement) + 1)
     normalized = lifter.lift_select(statement)
-    return ParameterizedStatement(normalized, tuple(lifter.values))
+    return ParameterizedStatement(normalized, tuple(lifter.values),
+                                  tuple(lifter.slots))
 
 
 def _max_positional_in_xnf(query: ast.XNFQuery) -> int:
@@ -290,7 +297,8 @@ def parameterize_xnf(query: ast.XNFQuery) -> ParameterizedStatement:
                 for item in definition.attributes),
         ))
     normalized = replace(query, definitions=tuple(definitions))
-    return ParameterizedStatement(normalized, tuple(lifter.values))
+    return ParameterizedStatement(normalized, tuple(lifter.values),
+                                  tuple(lifter.slots))
 
 
 def parameterize_expressions(expressions: list[Optional[ast.Expression]],

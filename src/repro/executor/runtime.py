@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.compiler.pipeline import (CompilationPipeline, CompilationTrace,
-                                     CompiledQuery, PipelineOptions)
+                                     CompiledQuery, PipelineOptions,
+                                     SelectSource)
 from repro.optimizer.plan import ExecutionContext
 from repro.qgm.builder import QGMBuilder
 from repro.qgm.model import Box, QGMGraph
@@ -164,7 +165,7 @@ class QueryPipeline:
     def compile_parameterized(self, parameterized) -> CompiledQuery:
         return self.compiler.compile_parameterized(parameterized)
 
-    def compile_select_cached(self, statement: ast.SelectStatement
+    def compile_select_cached(self, statement: SelectSource
                               ) -> tuple[CompiledQuery, dict]:
         return self.compiler.compile_select_cached(statement)
 
@@ -181,7 +182,7 @@ class QueryPipeline:
         return CompilationPipeline.graph_tables(graph)
 
     # -- execution -----------------------------------------------------
-    def run_select(self, statement: ast.SelectStatement,
+    def run_select(self, statement: SelectSource,
                    ctx: Optional[ExecutionContext] = None,
                    params=None) -> QueryResult:
         compiled, bindings = self.compile_select_cached(statement)
@@ -204,7 +205,7 @@ class QueryPipeline:
         return QueryResult(columns=list(node.columns), rows=rows)
 
     # -- streaming execution (the session/cursor surface) --------------
-    def stream_select(self, statement: ast.SelectStatement,
+    def stream_select(self, statement: SelectSource,
                       params=None,
                       batch_size: Optional[int] = None) -> QueryStream:
         """Compile a SELECT and return a lazy batch stream.

@@ -63,7 +63,8 @@ class ExecutionContext:
         #: lets one cached plan serve many literal bindings.
         self.parameters: dict = {}
         #: Parallel execution plumbing.  The coordinator's runtime
-        #: stamps ``statement`` (the SQL AST, shipped to workers) and
+        #: stamps ``statement`` (the SELECT AST or the front end's lifted
+        #: statement, shipped to workers, which compile it alike) and
         #: ``parallel_runtime`` (consulted by :class:`Gather`; None
         #: everywhere else, which makes Gather a passthrough).  Workers
         #: set ``scan_ranges`` (``id(scan node) -> morsel``) to restrict

@@ -9,7 +9,7 @@ the view expansion machinery relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 
@@ -23,6 +23,11 @@ class Expression:
 @dataclass(frozen=True)
 class Literal(Expression):
     value: object  # int, float, str, bool, or None (SQL NULL)
+    #: Index of the NUMBER / STRING token it was parsed from (None for
+    #: keywords and for literals built later).  Not part of equality:
+    #: it only tells the statement cache which token a lifted literal
+    #: came from.
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.value is None:

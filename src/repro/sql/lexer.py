@@ -4,12 +4,22 @@ The first of CORONA's five stages: "an incoming SQL query is first broken
 into tokens" (Sect. 3.1).  XNF adds only keywords (OUT, TAKE, RELATE,
 VIA, USING), not new lexical forms, which is part of why the language
 extension was cheap.
+
+The scanner is one compiled master pattern walked by ``re.finditer``.
+Each match skips whitespace and comments, then takes one token through
+an alternation of named groups, one group per lexical form.  The last
+groups match what cannot start a token: an unterminated string, quoted
+identifier or block comment, a ``:`` without a name, or any other
+character.  Each of them becomes a :class:`LexerError` at that spot.
+:func:`skeleton` walks the same pattern to key the statement cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from repro.errors import LexerError
 
@@ -52,8 +62,7 @@ OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/")
 PUNCTUATION = "(),.;"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -67,170 +76,143 @@ class Token:
         return f"Token({self.type.name}, {self.value!r})"
 
 
-class Lexer:
-    """Single-pass scanner producing a list of tokens ending with EOF."""
+#: The master pattern.  ``\w`` is exactly ``str.isalnum()`` or ``_``;
+#: ``re`` has no class for ``str.isalpha()`` / ``str.isdigit()``, so
+#: ``{letter}`` / ``{digit}`` are the ASCII ranges plus those non-ASCII
+#: characters of the text being scanned for which the method holds.
+_FORMS = r"""
+(?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)*
+(?:(?P<word>[{letter}_]\w*)
+  |(?P<number>[{digit}]+(?:\.[{digit}]+)?)
+  |(?P<string>'[^']*(?:''[^']*)*'(?!'))
+  |(?P<quoted>"[^"]*")
+  |(?P<parameter>\?|:(?![{digit}])\w+)
+  |(?P<comment>/\*)
+  |(?P<operator>{operators})
+  |(?P<punctuation>[{punctuation}])
+  |(?P<eof>\Z)
+  |(?P<string_end>')
+  |(?P<quoted_end>")
+  |(?P<colon>:)
+  |(?P<char>.))
+"""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.position = 0
-        self.line = 1
-        self.column = 1
+#: Groups that end the scan with a LexerError, and their messages.
+_ERRORS = {
+    "comment": "unterminated block comment",
+    "string_end": "unterminated string literal",
+    "quoted_end": "unterminated quoted identifier",
+    "colon": "expected a parameter name after ':'",
+}
 
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.position >= len(self.text):
-                tokens.append(self._token(TokenType.EOF, ""))
-                return tokens
-            tokens.append(self._next_token())
+_PLAIN = {"number": TokenType.NUMBER, "operator": TokenType.OPERATOR,
+          "punctuation": TokenType.PUNCTUATION}
 
-    # ------------------------------------------------------------------
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.position < len(self.text):
-            char = self.text[self.position]
-            if char in " \t\r\n":
-                self._advance()
-            elif self.text.startswith("--", self.position):
-                while (self.position < len(self.text)
-                       and self.text[self.position] != "\n"):
-                    self._advance()
-            elif self.text.startswith("/*", self.position):
-                end = self.text.find("*/", self.position + 2)
-                if end == -1:
-                    raise LexerError("unterminated block comment",
-                                     self.position, self.line, self.column)
-                while self.position < end + 2:
-                    self._advance()
-            else:
-                return
 
-    def _next_token(self) -> Token:
-        char = self.text[self.position]
-        if char.isalpha() or char == "_":
-            return self._identifier()
-        if char.isdigit():
-            return self._number()
-        if char == "'":
-            return self._string()
-        if char == '"':
-            return self._quoted_identifier()
-        if char == "?":
-            token = self._token(TokenType.PARAMETER, "?")
-            self._advance()
-            return token
-        if char == ":":
-            return self._named_parameter()
-        for op in OPERATORS:
-            if self.text.startswith(op, self.position):
-                token = self._token(TokenType.OPERATOR, op)
-                for _ in op:
-                    self._advance()
-                return token
-        if char in PUNCTUATION:
-            token = self._token(TokenType.PUNCTUATION, char)
-            self._advance()
-            return token
-        raise LexerError(f"unexpected character {char!r}",
-                         self.position, self.line, self.column)
+@lru_cache(maxsize=64)
+def _compile(letters: str, digits: str) -> re.Pattern:
+    return re.compile(_FORMS.format(
+        letter="A-Za-z" + re.escape(letters), digit="0-9" + re.escape(digits),
+        operators="|".join(map(re.escape, OPERATORS)),
+        punctuation=re.escape(PUNCTUATION)), re.VERBOSE | re.DOTALL)
 
-    def _identifier(self) -> Token:
-        start = self.position
-        start_line, start_col = self.line, self.column
-        while (self.position < len(self.text)
-               and (self.text[self.position].isalnum()
-                    or self.text[self.position] == "_")):
-            self._advance()
-        word = self.text[start:self.position]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, start, start_line, start_col)
-        return Token(TokenType.IDENTIFIER, word, start, start_line, start_col)
 
-    def _named_parameter(self) -> Token:
-        start = self.position
-        start_line, start_col = self.line, self.column
-        self._advance()  # the colon
-        name_start = self.position
-        while (self.position < len(self.text)
-               and (self.text[self.position].isalnum()
-                    or self.text[self.position] == "_")):
-            self._advance()
-        name = self.text[name_start:self.position]
-        if not name or name[0].isdigit():
-            raise LexerError("expected a parameter name after ':'",
-                             start, start_line, start_col)
-        return Token(TokenType.PARAMETER, name, start, start_line,
-                     start_col)
+def _pattern(text: str) -> re.Pattern:
+    if text.isascii():
+        return _compile("", "")
+    wide = sorted(char for char in set(text) if not char.isascii())
+    return _compile("".join(char for char in wide if char.isalpha()),
+                    "".join(char for char in wide if char.isdigit()))
 
-    def _quoted_identifier(self) -> Token:
-        start = self.position
-        start_line, start_col = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while self.position < len(self.text):
-            char = self.text[self.position]
-            if char == '"':
-                self._advance()
-                return Token(TokenType.IDENTIFIER, "".join(chars),
-                             start, start_line, start_col)
-            chars.append(char)
-            self._advance()
-        raise LexerError("unterminated quoted identifier",
-                         start, start_line, start_col)
 
-    def _number(self) -> Token:
-        start = self.position
-        start_line, start_col = self.line, self.column
-        seen_dot = False
-        while self.position < len(self.text):
-            char = self.text[self.position]
-            if char.isdigit():
-                self._advance()
-            elif char == "." and not seen_dot:
-                following = self.text[self.position + 1:self.position + 2]
-                if not following.isdigit():
-                    break  # "1." followed by non-digit: dot is punctuation
-                seen_dot = True
-                self._advance()
-            else:
-                break
-        return Token(TokenType.NUMBER, self.text[start:self.position],
-                     start, start_line, start_col)
-
-    def _string(self) -> Token:
-        start = self.position
-        start_line, start_col = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while self.position < len(self.text):
-            char = self.text[self.position]
-            if char == "'":
-                if self.text[self.position + 1:self.position + 2] == "'":
-                    chars.append("'")
-                    self._advance()
-                    self._advance()
-                    continue
-                self._advance()
-                return Token(TokenType.STRING, "".join(chars),
-                             start, start_line, start_col)
-            chars.append(char)
-            self._advance()
-        raise LexerError("unterminated string literal",
-                         start, start_line, start_col)
-
-    def _advance(self) -> None:
-        if self.text[self.position] == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        self.position += 1
-
-    def _token(self, type_: TokenType, value: str) -> Token:
-        return Token(type_, value, self.position, self.line, self.column)
+def _error(kind: str, value: str, position: int, line: int,
+           column: int) -> LexerError:
+    message = _ERRORS.get(kind) or f"unexpected character {value!r}"
+    return LexerError(message, position, line, column)
 
 
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize ``text`` in one call."""
-    return Lexer(text).tokenize()
+    """The tokens of ``text``, ending with EOF."""
+    tokens: list[Token] = []
+    make = Token._make
+    multiline = "\n" in text
+    line, line_start, last = 1, 0, 0
+    for match in _pattern(text).finditer(text):
+        kind = match.lastgroup
+        start = match.start(kind)
+        if multiline:
+            breaks = text.count("\n", last, start)
+            if breaks:
+                line += breaks
+                line_start = text.rfind("\n", last, start) + 1
+            last = start
+        column = start - line_start + 1
+        value = match.group(kind)
+        if kind == "word":
+            upper = value.upper()
+            type_ = TokenType.IDENTIFIER
+            if upper in KEYWORDS:
+                type_, value = TokenType.KEYWORD, upper
+        elif kind in _PLAIN:
+            type_ = _PLAIN[kind]
+        elif kind == "string":
+            type_, value = TokenType.STRING, value[1:-1].replace("''", "'")
+        elif kind == "quoted":
+            type_, value = TokenType.IDENTIFIER, value[1:-1]
+        elif kind == "parameter":
+            type_, value = TokenType.PARAMETER, value.lstrip(":")
+        elif kind == "eof":
+            tokens.append(make((TokenType.EOF, "", start, line, column)))
+            return tokens
+        else:
+            raise _error(kind, value, start, line, column)
+        tokens.append(make((type_, value, start, line, column)))
+    raise AssertionError("the master pattern always ends at eof")
+
+
+#: Slot markers of :func:`skeleton`: what a literal token is masked to.
+INT_SLOT, FLOAT_SLOT, STRING_SLOT = "#int", "#float", "#str"
+
+
+def skeleton(text: str) -> Optional[tuple[tuple, dict[int, str]]]:
+    """``(key, literals)`` for ``text``, or None when it does not lex.
+
+    ``key`` is the token stream with each NUMBER / STRING token masked
+    to its slot type (:data:`INT_SLOT`, :data:`FLOAT_SLOT`,
+    :data:`STRING_SLOT`): texts that differ only in whitespace,
+    comments, keyword case or literal values share it.  ``literals``
+    maps each literal token's index in :func:`tokenize`'s list to its
+    source text, in token order.  Identifiers are keyed with a leading
+    ``"``, so no identifier equals a keyword.
+    """
+    parts: list[str] = []
+    literals: dict[int, str] = {}
+    for match in _pattern(text).finditer(text):
+        kind = match.lastgroup
+        value = match.group(kind)
+        if kind == "word":
+            upper = value.upper()
+            parts.append(upper if upper in KEYWORDS else '"' + value)
+        elif kind == "number":
+            literals[len(parts)] = value
+            parts.append(FLOAT_SLOT if "." in value else INT_SLOT)
+        elif kind == "string":
+            literals[len(parts)] = value
+            parts.append(STRING_SLOT)
+        elif kind == "quoted":
+            parts.append('"' + value[1:-1])
+        elif kind == "eof":
+            return tuple(parts), literals
+        elif kind in _ERRORS or kind == "char":
+            return None
+        else:
+            parts.append(value)
+    return None
+
+
+def literal_value(source: str):
+    """The value of a literal token's source text, as the parser reads
+    it: an int, a float (the text has a ``.``) or an unquoted string."""
+    if source[0] == "'":
+        return source[1:-1].replace("''", "'")
+    return float(source) if "." in source else int(source)

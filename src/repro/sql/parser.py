@@ -446,12 +446,14 @@ class Parser:
                 return ast.Parameter(index=index)
             return ast.Parameter(name=token.value.upper())
         if token.type is TokenType.NUMBER:
+            slot = self.position
             self._advance()
             value = float(token.value) if "." in token.value else int(token.value)
-            return ast.Literal(value)
+            return ast.Literal(value, slot)
         if token.type is TokenType.STRING:
+            slot = self.position
             self._advance()
-            return ast.Literal(token.value)
+            return ast.Literal(token.value, slot)
         if token.is_keyword("NULL"):
             self._advance()
             return ast.Literal(None)

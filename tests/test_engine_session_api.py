@@ -479,14 +479,17 @@ class TestSharedCompiledState:
         b.query("SELECT V FROM T WHERE ID = 3")  # same shape, new lits
         assert cache.stats.hits == hits + 1
 
-    def test_parse_cache_is_per_session(self):
-        engine, a = make_engine_with_data(1)
+    def test_statement_cache_is_shared_across_sessions(self):
+        engine, a = make_engine_with_data(3)
         b = engine.connect()
-        a.query("SELECT * FROM T")
-        assert len(a._parse_cache) > 0
-        assert len(b._parse_cache) == 0
-        b.query("SELECT * FROM T")
-        assert len(b._parse_cache) == 1
+        cache = engine.statements
+        a.query("SELECT * FROM T WHERE ID = 1")
+        entries, hits = len(cache), cache.stats.hits
+        # a's parse serves b, for another literal too.
+        assert b.query("SELECT * FROM T WHERE ID = 2").rows == \
+            a.query("select * from T where ID = 2").rows
+        assert cache.stats.hits == hits + 2
+        assert len(cache) == entries
 
     def test_gateway_over_session(self, org_db):
         from repro.api.gateway import ObjectGateway
