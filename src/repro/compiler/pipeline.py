@@ -278,10 +278,8 @@ class CompilationPipeline:
         planner = self.options.planner
         return (self.options.apply_nf_rewrite, self.options.prune_columns,
                 planner.use_indexes, planner.share_common_subexpressions,
-                planner.batch_size,
-                planner.join_enumeration, planner.dp_join_threshold,
-                planner.cost_based_access_paths, planner.legacy_cost_model,
-                planner.parallel_degree, planner.parallel_row_threshold)
+                planner.batch_size, planner.parallel_degree,
+                planner.parallel_row_threshold)
 
     def _schema_version(self) -> int:
         """The catalog's schema version, read by the plan cache at

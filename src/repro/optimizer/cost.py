@@ -19,10 +19,6 @@ so ad-hoc queries keep value-aware estimates even though the planner
 sees ``Parameter`` nodes.  The model also prices physical operators
 with page/CPU-style constants (one sequentially scanned row = 1 unit)
 for access-path and join-method selection.
-
-``legacy=True`` restores the pre-histogram heuristics (fixed default
-selectivities, 1/NDV equality, no conjunct dedup) — the benchmark
-baseline the new planner is measured against.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.qgm.model import (BaseBox, Box, GroupByBox, OuterJoinBox, QRef,
-                             SelectBox, SetOpBox, quantifiers_in)
+                             SelectBox, SetOpBox)
 from repro.sql import ast
 from repro.storage.stats import (UNKNOWN_VALUE, ColumnStats,
                                  StatisticsManager)
@@ -63,12 +59,11 @@ class CostModel:
     physical operator costs."""
 
     def __init__(self, stats: StatisticsManager,
-                 peek: Optional[dict] = None, legacy: bool = False):
+                 peek: Optional[dict] = None):
         self.stats = stats
         #: Bind-peek values: parameter index (int) or upper-cased name
         #: -> constant, from the statement that triggered this compile.
         self.peek = peek or {}
-        self.legacy = legacy
         self._box_cache: dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -131,19 +126,13 @@ class CostModel:
         flat: list[ast.Expression] = []
         for predicate in predicates:
             flat.extend(ast.conjuncts(predicate))
-        if not self.legacy:
-            seen: set = set()
-            unique: list[ast.Expression] = []
-            for predicate in flat:
-                key = self._conjunct_key(predicate)
-                if key in seen:
-                    continue
-                seen.add(key)
-                unique.append(predicate)
-            flat = unique
+        seen: set = set()
         selectivity = 1.0
         for predicate in flat:
-            selectivity *= self.selectivity(predicate)
+            key = self._conjunct_key(predicate)
+            if key not in seen:
+                seen.add(key)
+                selectivity *= self.selectivity(predicate)
         return selectivity
 
     def _conjunct_key(self, expression: ast.Expression):
@@ -196,8 +185,6 @@ class CostModel:
 
     # -- equality ------------------------------------------------------
     def _equality_selectivity(self, predicate: ast.BinaryOp) -> float:
-        if self.legacy:
-            return self._uniform_equality(predicate)
         for this, other in ((predicate.left, predicate.right),
                             (predicate.right, predicate.left)):
             this_stats = self._column_stats(this)
@@ -241,8 +228,6 @@ class CostModel:
 
     # -- ranges --------------------------------------------------------
     def _range_selectivity(self, predicate: ast.BinaryOp) -> float:
-        if self.legacy:
-            return DEFAULT_RANGE_SELECTIVITY
         for this, other, op in (
                 (predicate.left, predicate.right, predicate.op),
                 (predicate.right, predicate.left,
@@ -260,34 +245,29 @@ class CostModel:
 
     def _between_selectivity(self, predicate: ast.Between) -> float:
         inner = DEFAULT_RANGE_SELECTIVITY
-        if not self.legacy:
-            info = self._column_stats(predicate.operand)
-            low = self._constant_value(predicate.low)
-            high = self._constant_value(predicate.high)
-            if info is not None and low is not UNKNOWN_VALUE \
-                    and high is not UNKNOWN_VALUE:
-                below_high = info[0].selectivity_range("<=", high)
-                below_low = info[0].selectivity_range("<", low)
-                if below_high is not None and below_low is not None:
-                    inner = max(below_high - below_low, 0.0)
+        info = self._column_stats(predicate.operand)
+        low = self._constant_value(predicate.low)
+        high = self._constant_value(predicate.high)
+        if info is not None and low is not UNKNOWN_VALUE \
+                and high is not UNKNOWN_VALUE:
+            below_high = info[0].selectivity_range("<=", high)
+            below_low = info[0].selectivity_range("<", low)
+            if below_high is not None and below_low is not None:
+                inner = max(below_high - below_low, 0.0)
         if predicate.negated:
             return max(1.0 - inner, 0.0)
         return inner
 
     def _is_null_selectivity(self, predicate: ast.IsNull) -> float:
         null_fraction = 0.1
-        if not self.legacy:
-            info = self._column_stats(predicate.operand)
-            if info is not None:
-                null_fraction = info[0].null_fraction
+        info = self._column_stats(predicate.operand)
+        if info is not None:
+            null_fraction = info[0].null_fraction
         if predicate.negated:
             return max(1.0 - null_fraction, 0.0)
-        return min(null_fraction, 1.0) if not self.legacy else 0.1
+        return min(null_fraction, 1.0)
 
     def _in_list_selectivity(self, predicate: ast.InList) -> float:
-        if self.legacy:
-            return min(len(predicate.items)
-                       * DEFAULT_EQUALITY_SELECTIVITY, 1.0)
         info = self._column_stats(predicate.operand)
         if info is not None:
             column, cardinality = info
@@ -380,7 +360,3 @@ class CostModel:
 
     def invalidate(self) -> None:
         self._box_cache.clear()
-
-
-def quantifier_count(predicate: ast.Expression) -> int:
-    return len(quantifiers_in(predicate))

@@ -4,15 +4,13 @@ Implements the plan-optimization and plan-refinement stages of Fig. 2:
 cost-compared access path selection (table scan vs. index scan vs.
 index-nested-loop through "parent/child links"), join-order
 enumeration — exhaustive left-deep dynamic programming up to
-``dp_join_threshold`` relations, greedy cost-ordered beyond it —
+``DP_JOIN_THRESHOLD`` relations, greedy cost-ordered beyond it —
 semi/anti-join realization of E/A quantifiers, and spooling of shared
 boxes so common subexpressions are evaluated once (Sect. 5.1's
 multi-query optimization).
 
-``PlannerOptions`` exposes the ablation levers the benchmarks sweep:
-``use_indexes``, ``share_common_subexpressions``,
-``join_enumeration``/``cost_based_access_paths``/``legacy_cost_model``
-(the pre-statistics planner, kept as the A/B baseline), and
+``PlannerOptions`` exposes the ablation levers the benchmarks sweep
+(``use_indexes``, ``share_common_subexpressions``) and
 ``join_order_hook`` — the debug hook the plan-equivalence differential
 harness uses to force every enumerated join order.
 """
@@ -42,6 +40,10 @@ from repro.sql import ast
 from repro.storage.catalog import Catalog
 from repro.storage.stats import StatisticsManager
 
+#: Join fans up to this many sources are ordered by exhaustive
+#: left-deep DP (2^n subsets); wider fans are ordered greedily.
+DP_JOIN_THRESHOLD = 8
+
 
 @dataclass
 class PlannerOptions:
@@ -56,18 +58,6 @@ class PlannerOptions:
     #: before raising RewriteError (naming the last-fired rule and the
     #: per-rule counts).  Raise it for pathologically deep view stacks.
     rewrite_budget: int = 10_000
-    #: Join-order search strategy: "auto" runs exhaustive left-deep DP
-    #: up to ``dp_join_threshold`` relations and falls back to greedy
-    #: beyond it; "dp" and "greedy" force one strategy.
-    join_enumeration: str = "auto"
-    dp_join_threshold: int = 8
-    #: Cost-compare full scan vs index scan (and hash join vs index
-    #: nested-loop).  When False the planner keeps the legacy
-    #: always-prefer-index heuristic.
-    cost_based_access_paths: bool = True
-    #: Estimate with the pre-histogram fixed selectivities (the A/B
-    #: benchmark baseline).
-    legacy_cost_model: bool = False
     #: Debug-only hook for the plan-equivalence harness: called with
     #: the quantifier names of each join fan; returning a permutation
     #: forces that order, returning None keeps the cost-based choice.
@@ -169,9 +159,6 @@ class _Source:
     node: PlanNode
     layout: Layout
     rows: float
-    #: True when the node is a bare TableScan (eligible for replacement
-    #: by an index-nested-loop probe under the legacy access-path rule).
-    bare_scan: bool = False
     with_rid: bool = False
     #: Estimated cost of producing this source once (scan or index
     #: scan plus filters) — the DP enumeration's leaf costs.
@@ -207,8 +194,7 @@ class Planner:
                  peek: Optional[dict] = None):
         self.catalog = catalog
         self.options = options or PlannerOptions()
-        self.cost = CostModel(stats, peek=peek,
-                              legacy=self.options.legacy_cost_model)
+        self.cost = CostModel(stats, peek=peek)
         #: Join-order decisions made while planning (stamped onto the
         #: finished ExecutablePlan for EXPLAIN).
         self.join_orders: list[JoinOrderRecord] = []
@@ -502,8 +488,7 @@ class Planner:
 
         # Access-path selection for constant equality predicates: every
         # index fully covered by them — the primary key's among them —
-        # is a candidate; cost-compare against the full scan (legacy
-        # mode: first covered index wins unconditionally).
+        # is a candidate; cost-compare against the full scan.
         remaining = list(local_preds)
         node: PlanNode
         access_cost = full_scan_cost
@@ -517,7 +502,6 @@ class Planner:
                 if column is not None and column not in const_eq:
                     const_eq[column] = value
                     const_pred[column] = predicate
-            cost_based = self.options.cost_based_access_paths
             for index in table.access_indexes:
                 names = [c.upper() for c in index.column_names]
                 if not all(name in const_eq for name in names):
@@ -525,9 +509,6 @@ class Planner:
                 matching = cardinality * self.cost.conjunct_selectivity(
                     [const_pred[name] for name in names])
                 index_cost = self.cost.index_scan_cost(matching)
-                if not cost_based:
-                    chosen_index, access_cost = (index, names), index_cost
-                    break
                 if index_cost < access_cost:
                     chosen_index, access_cost = (index, names), index_cost
             if chosen_index is not None:
@@ -546,14 +527,13 @@ class Planner:
             node = TableScan(table, with_rid=with_rid)
         node.estimated_rows = rows
         node.estimated_cost = access_cost
-        bare = chosen_index is None and not remaining
         if remaining:
             compiler = ExpressionCompiler(layout)
             for predicate in remaining:
                 node = _filter_node(node, compiler, predicate)
             node.estimated_rows = rows
             node.estimated_cost = access_cost
-        return _Source(quantifier, node, layout, rows, bare_scan=bare,
+        return _Source(quantifier, node, layout, rows,
                        with_rid=with_rid, access_cost=access_cost,
                        table=table if chosen_index is None else None,
                        filter_preds=remaining if chosen_index is None
@@ -593,13 +573,10 @@ class Planner:
                                          candidate.quantifier)
             out_rows = self.cost.join_rows(rows, candidate.rows,
                                            [p for p, _s in equi])
-            # _join_step_cost already charges the candidate's access
-            # cost where the join method pays it (hash build / inner
-            # materialization); INL replaces the scan and pays none.
-            total_cost += self._join_step_cost(rows, candidate, equi,
-                                               out_rows)
-            node, layout = self._join_pair(node, layout, rows, candidate,
-                                           equi, pending)
+            step = self._join_method(rows, candidate, equi, out_rows)
+            total_cost += step[2]
+            node, layout = self._join_pair(node, layout, candidate, equi,
+                                           pending, step)
             bound.add(candidate.quantifier)
             rows = out_rows
             node.estimated_rows = rows
@@ -633,15 +610,7 @@ class Planner:
                     )
                 by_name = {s.quantifier.name: s for s in sources}
                 return [by_name[name] for name in forced], "forced"
-        mode = self.options.join_enumeration
-        if mode not in ("auto", "dp", "greedy"):
-            raise PlanningError(
-                f"unknown join_enumeration mode {mode!r} "
-                "(expected 'auto', 'dp', or 'greedy')"
-            )
-        if mode == "greedy" or (
-                mode == "auto"
-                and len(sources) > self.options.dp_join_threshold):
+        if len(sources) > DP_JOIN_THRESHOLD:
             return self._greedy_order(sources, predicates), "greedy"
         return self._dp_order(sources, predicates), "dp"
 
@@ -731,56 +700,39 @@ class Planner:
         selectivity = self.cost.conjunct_selectivity(newly)
         out_rows = max(prev_rows * candidate.rows * selectivity, 0.1)
         equi = self._equi_predicates(newly, bound, candidate.quantifier)
-        return (self._join_step_cost(prev_rows, candidate, equi,
-                                     out_rows), out_rows)
+        step_cost = self._join_method(prev_rows, candidate, equi,
+                                      out_rows)[2]
+        return step_cost, out_rows
 
-    def _join_step_cost(self, prev_rows: float, candidate: _Source,
-                        equi: list, out_rows: float) -> float:
-        """Cost of one join step under the cheapest available method
-        (the same choice :meth:`_join_pair` will make)."""
+    # ------------------------------------------------------------------
+    # Join-method selection (shared by costing and realization)
+    # ------------------------------------------------------------------
+    def _join_method(self, prev_rows: float, candidate: _Source,
+                     equi: list, out_rows: float) -> tuple[str, object, float]:
+        """(method, index, cost) of joining ``candidate`` onto a bound
+        prefix of ``prev_rows`` rows: "nested_loop" without equi keys,
+        else "index" — probing an index on the candidate that the
+        candidate-side equi columns cover — when that costs no more
+        than "hash".  The DP prices its steps with it and
+        :meth:`_join_pair` builds the operator it names."""
         if not equi:
-            return self.cost.nested_loop_cost(prev_rows, candidate.rows,
-                                              candidate.access_cost)
+            return "nested_loop", None, self.cost.nested_loop_cost(
+                prev_rows, candidate.rows, candidate.access_cost)
         hash_cost = self.cost.hash_join_cost(prev_rows, candidate.rows,
                                              candidate.access_cost)
-        index = self._inl_index(candidate, self._inl_columns(equi))
-        if index is None:
-            return hash_cost
-        inl_cost = self.cost.inl_join_cost(prev_rows, out_rows)
-        if not self.options.cost_based_access_paths:
-            return inl_cost  # legacy: INL whenever an index matches
-        return min(inl_cost, hash_cost)
-
-    # ------------------------------------------------------------------
-    # Index-nested-loop eligibility (shared by costing and realization)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _inl_columns(equi: list) -> set[str]:
-        """Candidate-side equality columns usable as probe keys."""
-        return {sides[1].column.upper() for _p, sides in equi
-                if isinstance(sides[1], QRef)}
-
-    def _inl_index(self, candidate: _Source, columns: set[str]):
-        """An index on the candidate fully covered by the equi-join
-        columns, if the candidate is still probe-able."""
-        if not self.options.use_indexes or not columns:
-            return None
-        if self.options.cost_based_access_paths:
-            # A filtered scan is probe-able too: its local predicates
-            # fold into the probe residual.
-            eligible = candidate.table is not None
-        else:
-            eligible = candidate.bare_scan \
-                and isinstance(candidate.node, TableScan)
-        if not eligible:
-            return None
-        table = candidate.table if candidate.table is not None \
-            else candidate.node.table  # type: ignore[attr-defined]
-        for index in table.access_indexes:
-            names = [c.upper() for c in index.column_names]
-            if all(name in columns for name in names):
-                return index
-        return None
+        # A (filtered) scan is probe-able: its local predicates fold
+        # into the probe residual.  A chosen index scan is not.
+        if self.options.use_indexes and candidate.table is not None:
+            columns = {sides[1].column.upper() for _p, sides in equi
+                       if isinstance(sides[1], QRef)}
+            index = next((index for index in candidate.table.access_indexes
+                          if all(c.upper() in columns
+                                 for c in index.column_names)), None)
+            if index is not None:
+                inl_cost = self.cost.inl_join_cost(prev_rows, out_rows)
+                if inl_cost <= hash_cost:
+                    return "index", index, inl_cost
+        return "hash", None, hash_cost
 
     def _apply_ready(self, node: PlanNode, layout: Layout,
                      bound: set[Quantifier],
@@ -824,56 +776,38 @@ class Planner:
                     break
         return result
 
-    def _join_pair(self, node: PlanNode, layout: Layout, rows: float,
+    def _join_pair(self, node: PlanNode, layout: Layout,
                    candidate: _Source,
                    equi: list[tuple[ast.BinaryOp, tuple]],
-                   pending: list[ast.Expression]) -> tuple[PlanNode, Layout]:
+                   pending: list[ast.Expression],
+                   step: tuple) -> tuple[PlanNode, Layout]:
+        """Realize one join step with the method :meth:`_join_method`
+        chose for it."""
         width = len(node.columns)
         combined = dict(layout)
         for key, position in candidate.layout.items():
             combined[key] = position + width
-
-        if equi:
-            for predicate, _sides in equi:
-                pending.remove(predicate)
-            outer_compiler = ExpressionCompiler(layout)
-            inner_compiler = ExpressionCompiler(candidate.layout)
-            left_keys = [outer_compiler.compile(sides[0])
-                         for _p, sides in equi]
-            right_keys = [inner_compiler.compile(sides[1])
-                          for _p, sides in equi]
-            # Index-nested-loop through a parent/child link when an
-            # index on the candidate covers the join columns and (under
-            # cost-based access paths) probing beats building a hash.
-            index = self._inl_index(candidate, self._inl_columns(equi))
-            if index is not None \
-                    and self._inl_wins(rows, candidate, equi):
-                probe = self._index_probe(node, candidate, index, equi,
-                                          layout, combined)
-                if probe is not None:
-                    return probe, combined
-            return HashJoin(node, candidate.node, left_keys, right_keys), \
-                combined
-        return NestedLoopJoin(node, candidate.node), combined
-
-    def _inl_wins(self, rows: float, candidate: _Source,
-                  equi: list[tuple[ast.BinaryOp, tuple]]) -> bool:
-        """Whether index nested-loop beats a hash join for this step."""
-        if not self.options.cost_based_access_paths:
-            return True  # legacy: always probe when an index matches
-        out_rows = self.cost.join_rows(rows, candidate.rows,
-                                       [p for p, _s in equi])
-        inl_cost = self.cost.inl_join_cost(rows, out_rows)
-        hash_cost = self.cost.hash_join_cost(rows, candidate.rows,
-                                             candidate.access_cost)
-        return inl_cost <= hash_cost
+        for predicate, _sides in equi:
+            pending.remove(predicate)
+        method, index, _cost = step
+        if method == "nested_loop":
+            return NestedLoopJoin(node, candidate.node), combined
+        if method == "index":
+            # Index-nested-loop through a parent/child link.
+            return self._index_probe(node, candidate, index, equi,
+                                     layout, combined), combined
+        outer_compiler = ExpressionCompiler(layout)
+        inner_compiler = ExpressionCompiler(candidate.layout)
+        left_keys = [outer_compiler.compile(sides[0]) for _p, sides in equi]
+        right_keys = [inner_compiler.compile(sides[1])
+                      for _p, sides in equi]
+        return HashJoin(node, candidate.node, left_keys, right_keys), \
+            combined
 
     def _index_probe(self, outer: PlanNode, candidate: _Source,
                      index, equi: list[tuple[ast.BinaryOp, tuple]],
                      outer_layout: Layout,
-                     combined_layout: Layout) -> Optional[PlanNode]:
-        table = candidate.table if candidate.table is not None \
-            else candidate.node.table  # type: ignore[attr-defined]
+                     combined_layout: Layout) -> PlanNode:
         names = [c.upper() for c in index.column_names]
         by_column: dict[str, ast.Expression] = {}
         residual_preds: list[ast.Expression] = []
@@ -887,8 +821,6 @@ class Planner:
                 # keyed column included — so it must hold on every
                 # probed row.
                 residual_preds.append(predicate)
-        if len(by_column) != len(names):
-            return None
         outer_compiler = ExpressionCompiler(outer_layout)
         key_fns = [outer_compiler.compile(by_column[name])
                    for name in names]
@@ -900,7 +832,7 @@ class Planner:
             residual = ExpressionCompiler(combined_layout).compile(
                 ast.conjoin(residual_preds))
         return IndexNestedLoopJoin(
-            outer, table, index, key_fns,
+            outer, candidate.table, index, key_fns,
             with_rid=candidate.with_rid, residual=residual,
         )
 

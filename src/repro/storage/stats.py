@@ -480,13 +480,19 @@ class StatisticsManager:
             self._catalog.delta_listeners.append(self._on_table_delta)
 
     def _on_table_delta(self, delta: TableDelta) -> None:
-        key = delta.table.upper()
-        changed = len(delta.inserted) + len(delta.deleted)
-        if not changed:
+        if not delta:
             return
+        key = delta.table.upper()
         # The snapshot is stale the moment DML lands; drop it so the
         # next compile re-analyzes.  (Cheap: stats are computed lazily.)
         self._snapshots.pop(key, None)
+        # Drift counts rows that came or went, as ``_is_stale`` and
+        # ``_note_refresh`` do: an UPDATE's two images share one RID and
+        # leave the row count alone.
+        changed = len({rid for rid, _row in delta.inserted}
+                      ^ {rid for rid, _row in delta.deleted})
+        if not changed:
+            return
         pending = self._pending_changes.get(key, 0) + changed
         baseline = self._baseline_cardinality.get(key)
         if baseline is None:

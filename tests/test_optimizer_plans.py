@@ -1,7 +1,7 @@
 """Plan-shape tests: access paths, join methods, spools."""
 
 from repro.executor.runtime import PipelineOptions, QueryPipeline
-from repro.optimizer.optimizer import PlannerOptions
+from repro.optimizer.optimizer import DP_JOIN_THRESHOLD, PlannerOptions
 from repro.optimizer.plan import (IndexNestedLoopJoin, IndexScan,
                                   SemiJoin, Spool, TableScan)
 from repro.sql.parser import parse_statement
@@ -151,19 +151,14 @@ class TestEmptyInputs:
 
 
 # ----------------------------------------------------------------------
-# Statistics-driven regressions: cases where the legacy heuristics are
-# provably wrong and the new planner must not repeat them.
+# Statistics-driven regressions: cases where a 1/NDV estimate is
+# provably wrong and the planner must not be fooled by it.
 # ----------------------------------------------------------------------
-LEGACY = dict(join_enumeration="greedy", legacy_cost_model=True,
-              cost_based_access_paths=False)
-
-
 def make_skew_db():
     """A skewed FK fan-out: CUST (50 rows) -> ORDERS (1000 rows) where
     95% of orders share STATUS 'HOT' and the rest spread over 50 rare
-    statuses.  The legacy 1/NDV guess prices STATUS = 'HOT' at ~20
-    rows — off by ~50x — which flips both the join order and the
-    access path."""
+    statuses.  A 1/NDV guess prices STATUS = 'HOT' at ~20 rows — off by
+    ~50x — which would flip both the join order and the access path."""
     from repro.api.database import Database
     db = Database()
     db.execute("CREATE TABLE CUST (CID INT PRIMARY KEY, REGION VARCHAR)")
@@ -193,15 +188,6 @@ class TestSkewRegressions:
     SQL = ("SELECT c.cid, o.oid FROM CUST c, ORDERS o "
            "WHERE o.cid = c.cid AND o.status = 'HOT'")
 
-    def test_legacy_starts_from_underestimated_fan_out(self):
-        db = make_skew_db()
-        legacy = compiled_for(db, self.SQL, **LEGACY)
-        record = legacy.plan.join_orders[0]
-        # The provably-wrong choice this regression pins: 1/NDV prices
-        # the 950-row HOT side at ~20 rows, below CUST's 50, so the
-        # legacy greedy drives from the fact table.
-        assert record.names[0] == "o"
-
     def test_new_planner_drives_from_the_small_side(self):
         db = make_skew_db()
         compiled = compiled_for(db, self.SQL)
@@ -212,33 +198,27 @@ class TestSkewRegressions:
     def test_orders_differ_and_answers_match(self):
         db = make_skew_db()
         new = compiled_for(db, self.SQL)
-        legacy = compiled_for(db, self.SQL, **LEGACY)
+        # The fact-table-first order a 1/NDV estimate would pick.
+        forced = compiled_for(db, self.SQL,
+                              join_order_hook=lambda names: ["o", "c"])
         assert new.plan.join_orders[0].names != \
-            legacy.plan.join_orders[0].names
+            forced.plan.join_orders[0].names
         options = PipelineOptions()
         pipeline = QueryPipeline(db.catalog, db.stats, options)
         assert sorted(pipeline.run_compiled(new).rows) == \
-            sorted(pipeline.run_compiled(legacy).rows)
+            sorted(pipeline.run_compiled(forced).rows)
 
 
 class TestAccessPathRegressions:
     def test_low_selectivity_filter_prefers_scan(self):
         db = make_skew_db()
         # 95% of the table matches: fetching it through the index costs
-        # ~2x a plain scan.  The legacy rule always took the index.
+        # ~2x a plain scan.
         node = compiled_for(
             db, "SELECT * FROM ORDERS o WHERE o.status = 'HOT'"
         ).plan.single_output()[1]
         assert not any(isinstance(n, IndexScan) for n in plan_nodes(node))
         assert any(isinstance(n, TableScan) for n in plan_nodes(node))
-
-    def test_legacy_rule_always_took_the_index(self):
-        db = make_skew_db()
-        node = compiled_for(
-            db, "SELECT * FROM ORDERS o WHERE o.status = 'HOT'",
-            **LEGACY
-        ).plan.single_output()[1]
-        assert any(isinstance(n, IndexScan) for n in plan_nodes(node))
 
     def test_selective_filter_still_uses_index(self):
         db = make_skew_db()
@@ -254,21 +234,34 @@ class TestAccessPathRegressions:
         for sql in ("SELECT * FROM ORDERS o WHERE o.status = 'HOT'",
                     "SELECT * FROM ORDERS o WHERE o.status = 'S7'"):
             new = compiled_for(db, sql)
-            legacy = compiled_for(db, sql, **LEGACY)
+            scan = compiled_for(db, sql, use_indexes=False)
             assert sorted(pipeline.run_compiled(new).rows) == \
-                sorted(pipeline.run_compiled(legacy).rows)
+                sorted(pipeline.run_compiled(scan).rows)
 
 
 class TestEnumerationModes:
-    def test_greedy_beyond_threshold(self, org_db):
-        compiled = compiled_for(
-            org_db,
-            "SELECT d.dname, e.ename, s.sname "
-            "FROM DEPT d, EMP e, EMPSKILLS es, SKILLS s "
-            "WHERE d.dno = e.edno AND es.eseno = e.eno "
-            "AND es.essno = s.sno",
-            dp_join_threshold=2)
-        assert compiled.plan.join_orders[0].method == "greedy"
+    def test_greedy_beyond_threshold(self):
+        from repro.api.database import Database
+        width = DP_JOIN_THRESHOLD + 1
+        db = Database()
+        for i in range(width):
+            db.execute(f"CREATE TABLE T{i} (K INT PRIMARY KEY, NXT INT)")
+            db.execute(f"INSERT INTO T{i} VALUES "
+                       + ", ".join(f"({k}, {(k * 3 + i) % 5})"
+                                   for k in range(5)))
+        aliases = [f"t{i}" for i in range(width)]
+        sql = ("SELECT " + ", ".join(f"{a}.k" for a in aliases)
+               + " FROM " + ", ".join(f"T{i} t{i}" for i in range(width))
+               + " WHERE " + " AND ".join(
+                   f"t{i}.nxt = t{i + 1}.k" for i in range(width - 1)))
+        chosen = compiled_for(db, sql)
+        assert chosen.plan.join_orders[0].method == "greedy"
+        forced = compiled_for(
+            db, sql, join_order_hook=lambda names: list(reversed(names)))
+        assert forced.plan.join_orders[0].method == "forced"
+        pipeline = QueryPipeline(db.catalog, db.stats, PipelineOptions())
+        rows = sorted(pipeline.run_compiled(chosen).rows)
+        assert rows and rows == sorted(pipeline.run_compiled(forced).rows)
 
     def test_dp_below_threshold(self, org_db):
         compiled = compiled_for(
@@ -276,16 +269,6 @@ class TestEnumerationModes:
             "SELECT d.dname, e.ename FROM DEPT d, EMP e "
             "WHERE d.dno = e.edno")
         assert compiled.plan.join_orders[0].method == "dp"
-
-    def test_unknown_mode_rejected(self, org_db):
-        import pytest
-
-        from repro.errors import PlanningError
-        with pytest.raises(PlanningError):
-            compiled_for(org_db,
-                         "SELECT d.dname, e.ename FROM DEPT d, EMP e "
-                         "WHERE d.dno = e.edno",
-                         join_enumeration="bogus")
 
     def test_explain_surfaces_join_order(self, org_db):
         text = org_db.explain("SELECT e.ename FROM DEPT d, EMP e "

@@ -67,6 +67,25 @@ class TestStatisticsManager:
         simple_db.table("DEPT").insert((99, "tiny", "X"))
         assert manager.stats_for("DEPT") is before
 
+    def test_value_only_updates_are_not_drift(self):
+        from repro.api.database import Database
+        db = Database()
+        db.execute("CREATE TABLE T (K INT PRIMARY KEY, V INT)")
+        table = db.table("T")
+        for k in range(4000):
+            table.insert((k, 0))
+        db.analyze()
+        epoch = db.stats.table_epoch("T")
+        for k in range(0, 4000, 4):
+            db.execute(f"UPDATE T SET v = v + 1 WHERE k = {k}")
+        # 1,000 rows changed value, none came or went.
+        assert db.stats.table_epoch("T") == epoch
+        assert db.query("SELECT COUNT(*) FROM T WHERE v = 1").rows == \
+            [(1000,)]
+        db.execute("INSERT INTO T VALUES "
+                   + ", ".join(f"({k}, 0)" for k in range(4000, 5000)))
+        assert db.stats.table_epoch("T") > epoch
+
 
 class TestCostModel:
     def make_model(self, db):
@@ -188,19 +207,6 @@ class TestConjunctDedup:
         assert model.box_rows(doubled) == \
             pytest.approx(model.box_rows(single))
 
-    def test_legacy_model_still_multiplies(self, simple_db):
-        legacy = CostModel(StatisticsManager(simple_db.catalog),
-                           legacy=True)
-        builder = QGMBuilder(simple_db.catalog)
-        single = builder.build_select(parse_statement(
-            "SELECT * FROM DEPT WHERE loc = 'ARC'"
-        )).top.single_output().box
-        doubled = QGMBuilder(simple_db.catalog).build_select(
-            parse_statement(
-                "SELECT * FROM DEPT WHERE loc = 'ARC' AND loc = 'ARC'"
-            )).top.single_output().box
-        assert legacy.box_rows(doubled) < legacy.box_rows(single)
-
     def test_peeked_duplicate_parameters_dedup(self, simple_db):
         from repro.sql import ast
         model = CostModel(StatisticsManager(simple_db.catalog),
@@ -252,10 +258,3 @@ class TestValueAwareEstimates:
         # 2 of 3 departments are in ARC; the uniform guess would say
         # 1.5 — the MCV list must see the skew.
         assert model.box_rows(hot) == pytest.approx(2.0, abs=0.2)
-
-    def test_legacy_model_misses_skew(self, simple_db):
-        legacy = CostModel(StatisticsManager(simple_db.catalog),
-                           legacy=True)
-        hot = self.box_for(simple_db,
-                           "SELECT * FROM DEPT WHERE loc = 'ARC'")
-        assert legacy.box_rows(hot) == pytest.approx(1.5, abs=0.2)
