@@ -14,10 +14,13 @@ noise can only *hurt* the reported speedup).  Result equality between
 the two engines is asserted on every query, so the benchmark doubles
 as an end-to-end soundness check.  Results land in
 ``BENCH_plan_cache.json`` at the repository root under
-``REPRO_BENCH_WRITE=1``.  The ad-hoc point-lookup floor is not asserted
-by its test (the ratio moves with machine load): the CI
-``plan-cache-bench`` job fails the build when the recorded speedup is
-below it.
+``REPRO_BENCH_WRITE=1``.  No floor is asserted by its test (the ratios
+move with machine load): each test asserts equal results and that the
+cache wins, and records its unrounded ``speedup`` with its ``floor``;
+the CI ``plan-cache-bench`` job fails the build when a recorded speedup
+is below its floor (``tools/check_bench.py``).  ``dml_update_adhoc``
+(literal-text UPDATE variants through the statement front end) is
+recorded with no floor.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def timed(run_all) -> float:
 
 
 def record(name: str, queries: int, cached_s: float, uncached_s: float,
-           extra: dict | None = None) -> float:
+           floor: float | None = REQUIRED_SPEEDUP) -> float:
     cached_qps = queries / cached_s
     uncached_qps = queries / uncached_s
     speedup = cached_qps / uncached_qps
@@ -99,11 +102,10 @@ def record(name: str, queries: int, cached_s: float, uncached_s: float,
         "cached_qps": round(cached_qps, 1),
         # Unrounded: CI compares it with the floor.
         "speedup": speedup,
-        "floor": REQUIRED_SPEEDUP,
         "best_of": BEST_OF,
     }
-    if extra:
-        entry.update(extra)
+    if floor is not None:
+        entry["floor"] = floor
     _results[name] = entry
     write_results(RESULTS_PATH, _results)
     print_table(
@@ -169,7 +171,11 @@ def test_org_point_lookup_prepared_speedup(org_ab):
         lambda: [uncached.query(sql, [eno]) for eno in ids]))
     speedup = record("org_point_lookup_prepared", len(ids), cached_s,
                      uncached_s)
-    assert speedup >= REQUIRED_SPEEDUP
+    # Floor enforced by CI on the recorded speedup (see module doc).
+    assert speedup > 1.0, (
+        f"prepared point lookups are not faster through the plan cache "
+        f"({speedup:.2f}x)"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +206,9 @@ def test_oo1_navigation_speedup(oo1_ab):
         lambda: navigate(lambda pid: uncached.query(sql, [pid]))))
     speedup = record("oo1_navigation", 2 * len(starts), cached_s,
                      uncached_s)
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"plan cache only {speedup:.1f}x faster on OO1 navigation "
-        f"(need >= {REQUIRED_SPEEDUP}x)"
+    # Floor enforced by CI on the recorded speedup (see module doc).
+    assert speedup > 1.0, (
+        f"plan cache is not faster on OO1 navigation ({speedup:.2f}x)"
     )
 
 
@@ -225,12 +231,37 @@ def test_dml_qualification_speedup(org_ab):
                         [probe]).rows \
         == uncached.query("SELECT SAL FROM EMP WHERE ENO = ?",
                           [probe]).rows
-    speedup = record("dml_update_by_key", len(ids), cached_s, uncached_s,
-                     extra={"floor": 2.0})
     # DML spends real time in constraint checks and storage mutation,
     # so the cache's share of the win is smaller than for pure reads;
-    # the floor is correspondingly lower (measured ~7x in practice).
-    assert speedup >= 2.0, (
-        f"cached DML qualification only {speedup:.1f}x faster "
-        f"(need >= 2x)"
+    # the floor (enforced by CI on the recorded speedup) is
+    # correspondingly lower.
+    speedup = record("dml_update_by_key", len(ids), cached_s, uncached_s,
+                     floor=2.0)
+    assert speedup > 1.0, (
+        f"cached DML qualification is not faster ({speedup:.2f}x)"
+    )
+
+
+def test_dml_update_adhoc_speedup(org_ab):
+    """Literal-text UPDATE variants: the front end lifts each once per
+    shape, so a variant skips the parser and the qualification
+    compile.  Recorded with no floor."""
+    cached, uncached = org_ab
+    employees = ORG_SCALE.departments * ORG_SCALE.employees_per_dept
+    ids = [1 + (i * 43) % employees for i in range(200)]
+    sqls = [f"UPDATE EMP SET SAL = SAL + 1 WHERE ENO = {eno}"
+            for eno in ids]
+
+    cached_s = best_of(lambda: timed(
+        lambda: [cached.execute(sql) for sql in sqls]))
+    uncached_s = best_of(lambda: timed(
+        lambda: [uncached.execute(sql) for sql in sqls]))
+    # Both databases ran the same writes the same number of times.
+    salaries = "SELECT ENO, SAL FROM EMP ORDER BY ENO"
+    assert cached.query(salaries).rows == uncached.query(salaries).rows
+    speedup = record("dml_update_adhoc", len(sqls), cached_s, uncached_s,
+                     floor=None)
+    assert speedup > 1.0, (
+        f"literal UPDATE variants are not faster through the front end "
+        f"({speedup:.2f}x)"
     )

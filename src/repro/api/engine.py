@@ -607,7 +607,7 @@ class Engine:
     def parse(self, sql: str) -> FrontEndStatement:
         """Text -> statement through the engine-wide skeleton cache.
 
-        SELECT and XNF queries come back lifted (a
+        SELECT and XNF queries, UPDATE and DELETE come back lifted (a
         :class:`~repro.executor.plan_cache.ParameterizedStatement`,
         ready for the plan cache), other kinds as their parsed AST.
         With the plan cache disabled nothing is cached or lifted, so

@@ -18,7 +18,14 @@ with it:
   ORDER BY / GROUP BY ordinals, the head and HAVING of a grouped
   block) keeps its exact source text; a hit needs the same text there.
 
-Statement kinds the plan cache does not lift (DML, DDL) keep every
+UPDATE and DELETE are lifted too, in SET and WHERE, with the rules of
+a SELECT's WHERE: a literal variant of a cached write is a hit that
+rebinds its literals, and the lifted statement carries its
+qualification-plan key, hashed once per shape
+(:func:`~repro.executor.plan_cache.parameterize_dml`).  The write path
+takes UPDATE / DELETE in that one form (:func:`write_form`).
+
+Statement kinds the plan cache does not lift (INSERT, DDL) keep every
 literal inline, so they hit only on a text equal to the cached one up
 to whitespace, comments and keyword case, and they come back as the
 plain parsed AST.  A text that does not lex or parse is never cached:
@@ -31,13 +38,15 @@ import threading
 from collections import OrderedDict
 from typing import Union
 
-from repro.executor.plan_cache import (CacheStats, ParameterizedStatement,
-                                       parameterize_select, parameterize_xnf)
+from repro.executor.plan_cache import (CacheStats, HashedKey,
+                                       ParameterizedStatement,
+                                       parameterize_dml, parameterize_select,
+                                       parameterize_xnf)
 from repro.sql import ast, parser
 from repro.sql.lexer import literal_value, skeleton
 
-#: What the front end hands on: a lifted SELECT / XNF query with its
-#: bindings, or the parsed AST of any other statement.
+#: What the front end hands on: a lifted SELECT / XNF query / UPDATE /
+#: DELETE with its bindings, or the parsed AST of any other statement.
 FrontEndStatement = Union[ParameterizedStatement, ast.Statement]
 
 
@@ -56,17 +65,37 @@ def _bind(cached: FrontEndStatement,
         return cached
     values = tuple((index, literal_value(literals[slot]))
                    for slot, index in cached.slots)
-    return ParameterizedStatement(cached.statement, values, cached.slots)
+    return ParameterizedStatement(cached.statement, values, cached.slots,
+                                  cached.key)
 
 
 def lift(statement: ast.Statement) -> FrontEndStatement:
-    """``statement`` as the plan cache keys it: SELECT and XNF queries
-    with their literals lifted, any other kind unchanged."""
+    """``statement`` as the plan cache keys it: SELECT and XNF queries,
+    UPDATE and DELETE with their literals lifted, any other kind
+    unchanged."""
     if isinstance(statement, ast.SelectStatement):
         return parameterize_select(statement)
     if isinstance(statement, ast.XNFQuery):
         return parameterize_xnf(statement)
+    if isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
+        return parameterize_dml(statement)
     return statement
+
+
+def write_form(statement: FrontEndStatement,
+               lifting: bool) -> ParameterizedStatement:
+    """An UPDATE / DELETE in the one form the write path takes.
+
+    A statement the front end lifted is taken as it is.  A parsed AST
+    (a script, a facade caller) is lifted when ``lifting`` (the plan
+    cache is on); otherwise it is wrapped with no bindings, so its
+    qualification compiles over the literal AST.
+    """
+    if isinstance(statement, ParameterizedStatement):
+        return statement
+    if lifting:
+        return parameterize_dml(statement)
+    return ParameterizedStatement(statement, key=HashedKey(statement))
 
 
 class SkeletonCache:

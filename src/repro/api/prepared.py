@@ -1,12 +1,13 @@
 """Prepared statements: parse once, execute many.
 
 ``session.prepare(sql)`` (or the facade's ``db.prepare``) runs the
-front half of the pipeline (lexing, parsing, and — for SELECTs —
-literal lifting) exactly once and returns a :class:`PreparedStatement`
-bound to that session.  Each :meth:`~PreparedStatement.run` binds
-fresh parameter values and goes through the engine's shared plan
-cache, so the compile stages (QGM build, rewrite, plan optimization)
-are also skipped on every execution after the first.
+front half of the pipeline (lexing, parsing, and — for SELECT, UPDATE
+and DELETE — literal lifting) exactly once and returns a
+:class:`PreparedStatement` bound to that session.  Each
+:meth:`~PreparedStatement.run` binds fresh parameter values and goes
+through the engine's shared plan cache, so the compile stages (QGM
+build, rewrite, plan optimization) are also skipped on every execution
+after the first.
 
 Every ``run`` re-validates the handle against the catalog's
 ``schema_version``: DDL between executions transparently recompiles,
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.api.frontend import lift
 from repro.errors import CatalogError, SemanticError
-from repro.executor.plan_cache import (ParameterizedStatement,
-                                       parameterize_select)
+from repro.executor.plan_cache import ParameterizedStatement
 from repro.executor.runtime import QueryResult
 from repro.sql import ast
 
@@ -36,6 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Statement kinds prepare() accepts.
 _PREPARABLE = (ast.SelectStatement, ast.XNFQuery, ast.InsertStatement,
                ast.UpdateStatement, ast.DeleteStatement)
+#: Kinds lifted once at prepare time.
+_LIFTED = (ast.SelectStatement, ast.UpdateStatement, ast.DeleteStatement)
 
 
 def _referenced_relations(statement: ast.Statement) -> set[str]:
@@ -82,7 +85,8 @@ def _referenced_relations(statement: ast.Statement) -> set[str]:
 
 
 class PreparedStatement:
-    """One parsed (and, for SELECT, pre-parameterized) statement."""
+    """One parsed (and, for SELECT, UPDATE and DELETE,
+    pre-parameterized) statement."""
 
     def __init__(self, session: "Session", sql: str,
                  statement: ast.Statement):
@@ -97,10 +101,11 @@ class PreparedStatement:
         self._schema_version = session.engine.catalog.schema_version
         self._references = _referenced_relations(statement)
         self._parameterized: Optional[ParameterizedStatement] = None
-        if isinstance(statement, ast.SelectStatement):
+        if isinstance(statement, _LIFTED):
             # Lift literals once at prepare time; run() only needs to
-            # hash the normalized AST for the cache probe.
-            self._parameterized = parameterize_select(statement)
+            # hash the normalized AST (a write: its pre-hashed key) for
+            # the cache probe.
+            self._parameterized = lift(statement)
 
     @property
     def kind(self) -> str:
@@ -130,6 +135,10 @@ class PreparedStatement:
                 raise SemanticError(
                     "XNF queries do not take parameters")
             return session.run_xnf_query(statement)
+        if self._parameterized is not None \
+                and session.engine.pipeline.plan_cache.enabled:
+            return session.execute_statement(self._parameterized,
+                                             params=params)
         return session.execute_statement(statement, params=params)
 
     __call__ = run

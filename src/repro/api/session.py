@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.api.frontend import FrontEndStatement, statement_of
+from repro.api.frontend import FrontEndStatement, statement_of, write_form
 from repro.errors import CatalogError, InterfaceError, SemanticError
+from repro.executor.plan_cache import ParameterizedStatement
 from repro.executor.runtime import QueryResult, QueryStream
 from repro.cache.manager import XNFCache
 from repro.cache.matview import MaterializedView
@@ -182,16 +183,21 @@ class Session:
 
     def execute_statement(self, statement: FrontEndStatement,
                           params=None) -> ExecuteResult:
-        """Run a parsed statement, or a SELECT / XNF query the front
-        end lifted (see :meth:`Engine.parse`)."""
+        """Run a parsed statement, or a SELECT / XNF query / UPDATE /
+        DELETE the front end lifted (see :meth:`Engine.parse`)."""
         self._check_open()
         engine = self.engine
-        if isinstance(statement_of(statement), ast.SelectStatement):
+        kind = statement_of(statement)
+        if isinstance(kind, ast.SelectStatement):
             return engine.read(
                 self, lambda: engine.pipeline.run_select(statement,
                                                          params=params))
-        if isinstance(statement_of(statement), ast.XNFQuery):
+        if isinstance(kind, ast.XNFQuery):
             return self.run_xnf_query(statement)
+        if isinstance(kind, (ast.UpdateStatement, ast.DeleteStatement)):
+            return self._write_dml(
+                write_form(statement, engine.pipeline.plan_cache.enabled),
+                params)
         if isinstance(statement, ast.InsertStatement):
             # DML naming a view (or an XNF component path) routes to
             # the put-back translator; base tables to the plain path.
@@ -200,18 +206,6 @@ class Session:
                     lambda: engine.viewupdates.insert(statement, params))
             return self._write_atomic(
                 lambda: engine.dml.insert(statement, params))
-        if isinstance(statement, ast.UpdateStatement):
-            if engine.viewupdates.handles(statement.table):
-                return self._write_atomic(
-                    lambda: engine.viewupdates.update(statement, params))
-            return self._write_atomic(
-                lambda: engine.dml.update(statement, params))
-        if isinstance(statement, ast.DeleteStatement):
-            if engine.viewupdates.handles(statement.table):
-                return self._write_atomic(
-                    lambda: engine.viewupdates.delete(statement, params))
-            return self._write_atomic(
-                lambda: engine.dml.delete(statement, params))
         if isinstance(statement, ast.AnalyzeStatement):
             return self.analyze(statement.table)
         if isinstance(statement, ast.CreateTableStatement):
@@ -236,6 +230,20 @@ class Session:
             engine.write(self, lambda: self._drop(statement))
             return None
         raise SemanticError(f"cannot execute {type(statement).__name__}")
+
+    def _write_dml(self, lifted: ParameterizedStatement,
+                   params) -> ExecuteResult:
+        """Run a lifted UPDATE / DELETE: through the put-back translator
+        when it names a view (or an XNF component path), else on the
+        base table."""
+        engine = self.engine
+        statement = lifted.statement
+        executor = engine.viewupdates \
+            if engine.viewupdates.handles(statement.table) else engine.dml
+        run = executor.update \
+            if isinstance(statement, ast.UpdateStatement) \
+            else executor.delete
+        return self._write_atomic(lambda: run(lifted, params))
 
     def _write_atomic(self, thunk) -> ExecuteResult:
         engine = self.engine
@@ -581,15 +589,22 @@ class Session:
             return engine.read(self, run_xnf)
         if isinstance(statement, (ast.UpdateStatement,
                                   ast.DeleteStatement)):
+            # The statement as the write path takes it: lifted by the
+            # front end, so a literal variant of a run write shows the
+            # plan that write cached.
+            lifted = write_form(engine.parse(sql),
+                                pipeline.plan_cache.enabled)
+
             def run_dml():
                 if engine.viewupdates.handles(statement.table):
-                    plan = engine.viewupdates.qualification_plan(statement)
+                    plan = engine.viewupdates.qualification_plan(lifted)
                 else:
+                    write = lifted.statement
                     values = [a.value for a in
-                              getattr(statement, "assignments", ())]
-                    plan, _bindings = engine.dml.qualification_plan(
-                        engine.catalog.table(statement.table),
-                        statement.where, values)
+                              getattr(write, "assignments", ())]
+                    plan = engine.dml.qualification_plan(
+                        engine.catalog.table(write.table), write.where,
+                        values, lifted.key)
                 return "\n".join(["-- qualification plan --",
                                   plan.explain(),
                                   self._explain_cache_section()])

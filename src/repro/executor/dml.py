@@ -6,6 +6,16 @@ to a plan producing RIDs plus new values) and then applies storage
 mutations with foreign-key checks.  Atomicity is the caller's concern:
 the Database facade wraps each statement in ``run_atomic``.
 
+UPDATE and DELETE arrive in one form: the front end's
+:class:`~repro.executor.plan_cache.ParameterizedStatement`, its SET and
+WHERE literals already lifted into synthetic parameters (with the plan
+cache off: the literal AST and no bindings; see
+:func:`repro.api.frontend.write_form`).  Nothing here lifts.  The
+qualification plan is read through the plan cache under the
+statement's pre-hashed key, so every literal variant of one write
+shares one plan and a hit never walks the AST.  INSERT keeps its
+literals inline.
+
 Every successful statement additionally publishes one per-table
 :class:`~repro.storage.catalog.TableDelta` through the catalog's delta
 protocol (when anyone subscribed), which is how materialized
@@ -20,8 +30,7 @@ from typing import Optional
 
 from repro.errors import SemanticError
 from repro.executor.expressions import ExpressionCompiler
-from repro.executor.plan_cache import (max_positional_in_expressions,
-                                       parameterize_expressions)
+from repro.executor.plan_cache import HashedKey, ParameterizedStatement
 from repro.executor.runtime import QueryPipeline
 from repro.optimizer.optimizer import ExecutablePlan
 from repro.optimizer.plan import ExecutionContext
@@ -101,13 +110,15 @@ class DMLExecutor:
     # ------------------------------------------------------------------
     # UPDATE
     # ------------------------------------------------------------------
-    def update(self, statement: ast.UpdateStatement, params=None) -> int:
+    def update(self, lifted: ParameterizedStatement, params=None) -> int:
+        statement: ast.UpdateStatement = lifted.statement
         table = self.catalog.table(statement.table)
         assigned_positions = [
             table.column_position(a.column) for a in statement.assignments
         ]
         expressions = [a.value for a in statement.assignments]
-        rows = self.qualify(table, statement.where, expressions, params)
+        rows = self.qualify(table, statement.where, expressions,
+                            lifted.key, params, lifted.bindings)
         updated = 0
         delta = TableDelta(table.name) if self.catalog.wants_deltas \
             else None
@@ -140,9 +151,11 @@ class DMLExecutor:
     # ------------------------------------------------------------------
     # DELETE
     # ------------------------------------------------------------------
-    def delete(self, statement: ast.DeleteStatement, params=None) -> int:
+    def delete(self, lifted: ParameterizedStatement, params=None) -> int:
+        statement: ast.DeleteStatement = lifted.statement
         table = self.catalog.table(statement.table)
-        rows = self.qualify(table, statement.where, [], params)
+        rows = self.qualify(table, statement.where, [], lifted.key, params,
+                            lifted.bindings)
         deleted = 0
         delta = TableDelta(table.name) if self.catalog.wants_deltas \
             else None
@@ -161,18 +174,20 @@ class DMLExecutor:
     # ------------------------------------------------------------------
     def qualify(self, table: Table, where: Optional[ast.Expression],
                 value_expressions: list[ast.Expression],
-                params=None) -> list[tuple]:
+                key: HashedKey, params=None,
+                bindings: Optional[dict] = None) -> list[tuple]:
         """Run ``SELECT rid, <exprs> FROM table WHERE pred``: the
         ``[(rid, value...), ...]`` rows an UPDATE/DELETE touches.
 
-        Rows are materialized before mutation so halloween-style
-        re-visitation cannot occur.  The view-update put-back path
-        translates view DML into base-table form and qualifies here, so
-        it shares the plan cache (and this discipline) with hand-written
-        DML.
+        ``bindings`` bind the synthetic parameters the front end lifted
+        into ``where`` and ``value_expressions``.  Rows are materialized
+        before mutation so halloween-style re-visitation cannot occur.
+        The view-update put-back path translates view DML into
+        base-table form and qualifies here, so it shares the plan cache
+        (and this discipline) with hand-written DML.
         """
-        plan, bindings = self.qualification_plan(table, where,
-                                                 value_expressions)
+        plan = self.qualification_plan(table, where, value_expressions,
+                                       key)
         ctx = plan.new_context(params)
         if bindings:
             ctx.parameters.update(bindings)
@@ -181,36 +196,20 @@ class DMLExecutor:
 
     def qualification_plan(self, table: Table,
                            where: Optional[ast.Expression],
-                           value_expressions: list[ast.Expression]
-                           ) -> tuple[ExecutablePlan, dict]:
-        """The qualification plan plus the bindings of its lifted
-        literals (``EXPLAIN UPDATE/DELETE`` shows the plan).
-
-        The plan is read through the pipeline's plan cache: literals in
-        the predicate and the SET expressions are lifted into synthetic
-        parameters, so repeated UPDATE/DELETE statements differing only
-        in constants reuse one plan.
+                           value_expressions: list[ast.Expression],
+                           key: HashedKey) -> ExecutablePlan:
+        """The qualification plan (``EXPLAIN UPDATE/DELETE`` shows it),
+        read through the plan cache under ``key``: the pre-hashed key
+        of the lifted statement the expressions come from, plus the
+        current options signature.
         """
-        expressions = [where] + list(value_expressions)
-        bindings: dict = {}
-        if self.pipeline.plan_cache.enabled:
-            start = max_positional_in_expressions(expressions) + 1
-            lifted = parameterize_expressions(expressions, start)
-            where = lifted.statement[0]
-            value_expressions = list(lifted.statement[1:])
-            bindings = lifted.bindings
-            key = self.pipeline.cache_key("dml_qualify", lifted.statement,
-                                          table.name)
-            plan = self.pipeline.cached_compile(
-                key,
-                lambda: self._compile_qualification(table, where,
-                                                    value_expressions),
-                tables_of=lambda _plan: [table.name],
-            )
-        else:
-            plan = self._compile_qualification(table, where,
-                                               list(value_expressions))
-        return plan, bindings
+        pipeline = self.pipeline
+        return pipeline.cached_compile(
+            pipeline.cache_key("dml_qualify", key),
+            lambda: self._compile_qualification(table, where,
+                                                list(value_expressions)),
+            tables_of=lambda _plan: [table.name],
+        )
 
     def _compile_qualification(self, table: Table,
                                where: Optional[ast.Expression],

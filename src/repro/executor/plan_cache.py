@@ -15,6 +15,10 @@ on every ``db.query()``.  This module adds the missing layer:
   literals of every component query and every relationship predicate
   and attribute are lifted, so all literal variants of one CO-query
   shape share one compiled XNF executable.
+* :func:`parameterize_dml` lifts an UPDATE's SET values and WHERE
+  predicate (a DELETE's WHERE), so literal variants of one write share
+  one qualification plan.  The lifted statement carries its
+  qualification key (a :class:`HashedKey`), hashed once per shape.
 * :class:`PlanCache` is a bounded LRU mapping fingerprints to compiled
   artifacts (plans, XNF executables, DML qualification plans), each
   entry pinned to the catalog's ``schema_version`` and the statistics
@@ -35,7 +39,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.sql import ast
 from repro.storage.stats import material_drift
@@ -56,10 +60,43 @@ class ParameterizedStatement:
     #: which token each synthetic parameter came from (see
     #: :class:`repro.api.frontend.SkeletonCache`).
     slots: tuple = field(default=(), compare=False, repr=False)
+    #: The statement's own plan-cache key, hashed once and shared by
+    #: every literal variant (DML: the qualification key; None for
+    #: the other kinds).
+    key: Any = field(default=None, compare=False, repr=False)
 
     @property
     def bindings(self) -> dict:
         return {index: value for index, value in self.values}
+
+
+class HashedKey:
+    """A plan-cache key that hashes its (deep, immutable) content once.
+
+    A literal variant reuses the key object of its skeleton, so a probe
+    costs one cached hash and an identity compare instead of a walk of
+    the whole AST.
+    """
+
+    __slots__ = ("content", "_hash")
+
+    def __init__(self, content: Any):
+        self.content = content
+        self._hash: Optional[int] = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.content)
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        return isinstance(other, HashedKey) \
+            and self.content == other.content
+
+    def __repr__(self) -> str:
+        return repr(self.content)
 
 
 class _Lifter:
@@ -301,16 +338,27 @@ def parameterize_xnf(query: ast.XNFQuery) -> ParameterizedStatement:
                                   tuple(lifter.slots))
 
 
-def parameterize_expressions(expressions: list[Optional[ast.Expression]],
-                             next_index: int = 0) -> ParameterizedStatement:
-    """Lift literals from a bag of expressions (the DML qualification
-    path: a WHERE predicate plus SET value expressions)."""
-    lifter = _Lifter(next_index)
-    lifted = tuple(
-        None if expression is None else lifter.lift(expression)
-        for expression in expressions
-    )
-    return ParameterizedStatement(lifted, tuple(lifter.values))
+def parameterize_dml(statement: Union[ast.UpdateStatement,
+                                      ast.DeleteStatement]
+                     ) -> ParameterizedStatement:
+    """Lift an UPDATE's SET values and WHERE literals (a DELETE's WHERE
+    literals) into synthetic parameters, with the same rules as a
+    SELECT's WHERE.  Synthetic indices start after the highest explicit
+    ``?`` in the statement."""
+    assignments = getattr(statement, "assignments", ())
+    lifter = _Lifter(max_positional_in_expressions(
+        [a.value for a in assignments] + [statement.where]) + 1)
+    changes: dict = {}
+    if assignments:
+        changes["assignments"] = tuple(
+            ast.Assignment(a.column, lifter.lift(a.value))
+            for a in assignments)
+    changes["where"] = None if statement.where is None \
+        else lifter.lift(statement.where)
+    normalized = replace(statement, **changes)
+    return ParameterizedStatement(normalized, tuple(lifter.values),
+                                  tuple(lifter.slots),
+                                  key=HashedKey(normalized))
 
 
 # ----------------------------------------------------------------------

@@ -315,9 +315,10 @@ class CostModel:
     # Join/local cardinality helpers for the join ordering
     # ------------------------------------------------------------------
     def join_rows(self, left_rows: float, right_rows: float,
-                  equi_predicates: list[ast.Expression]) -> float:
+                  predicates: list[ast.Expression]) -> float:
+        """Rows of the cross product filtered by ``predicates``."""
         rows = left_rows * right_rows \
-            * self.conjunct_selectivity(equi_predicates)
+            * self.conjunct_selectivity(predicates)
         return max(rows, 0.1)
 
     def local_rows(self, box: Box,

@@ -571,8 +571,8 @@ class Planner:
         for candidate in order[1:]:
             equi = self._equi_predicates(pending, bound,
                                          candidate.quantifier)
-            out_rows = self.cost.join_rows(rows, candidate.rows,
-                                           [p for p, _s in equi])
+            out_rows, _newly = self._step_rows(rows, bound, candidate,
+                                               pending)
             step = self._join_method(rows, candidate, equi, out_rows)
             total_cost += step[2]
             node, layout = self._join_pair(node, layout, candidate, equi,
@@ -618,8 +618,8 @@ class Planner:
                       predicates: list[ast.Expression]) -> list[_Source]:
         """The classic greedy heuristic: start from the smallest
         source, repeatedly add the connected candidate with the lowest
-        estimated join output (simulating predicate consumption the
-        same way the fold does)."""
+        estimated join output (estimated by the fold's
+        :meth:`_step_rows`)."""
         pending = list(predicates)
         remaining = sorted(sources, key=lambda s: s.rows)
         current = remaining.pop(0)
@@ -633,19 +633,15 @@ class Planner:
             for candidate in remaining:
                 equi = self._equi_predicates(pending, bound,
                                              candidate.quantifier)
-                estimate = self.cost.join_rows(rows, candidate.rows,
-                                               [p for p, _s in equi])
+                estimate, _newly = self._step_rows(rows, bound, candidate,
+                                                   pending)
                 key = (not bool(equi), estimate, candidate.rows)
                 if best is None or key < best[0]:
-                    best = (key, candidate, equi)
-            _key, candidate, equi = best
+                    best = (key, candidate, estimate)
+            _key, candidate, rows = best
             remaining.remove(candidate)
             order.append(candidate)
-            for predicate, _sides in equi:
-                pending.remove(predicate)
             bound.add(candidate.quantifier)
-            rows = self.cost.join_rows(rows, candidate.rows,
-                                       [p for p, _s in equi])
             pending = [p for p in pending
                        if not self._placement_refs(p) <= bound]
         return order
@@ -688,6 +684,22 @@ class Planner:
         """(cost, output rows) of joining ``candidate`` onto the bound
         prefix — the DP's transition function."""
         bound = {s.quantifier for s in prev_order}
+        out_rows, newly = self._step_rows(prev_rows, bound, candidate,
+                                          predicates)
+        equi = self._equi_predicates(newly, bound, candidate.quantifier)
+        step_cost = self._join_method(prev_rows, candidate, equi,
+                                      out_rows)[2]
+        return step_cost, out_rows
+
+    def _step_rows(self, prev_rows: float, bound: set[Quantifier],
+                   candidate: _Source, predicates: list[ast.Expression]
+                   ) -> tuple[float, list[ast.Expression]]:
+        """(output rows, newly placeable predicates) of joining
+        ``candidate`` onto the ``bound`` prefix of ``prev_rows`` rows:
+        the cross product filtered by every predicate that becomes
+        placeable at this step, equi or not.  The one step estimate of
+        the DP, the greedy order and the fold, so the method the DP
+        priced is the operator the fold builds."""
         both = bound | {candidate.quantifier}
         newly: list[ast.Expression] = []
         for predicate in predicates:
@@ -697,12 +709,7 @@ class Planner:
                 continue
             if refs <= both:
                 newly.append(predicate)
-        selectivity = self.cost.conjunct_selectivity(newly)
-        out_rows = max(prev_rows * candidate.rows * selectivity, 0.1)
-        equi = self._equi_predicates(newly, bound, candidate.quantifier)
-        step_cost = self._join_method(prev_rows, candidate, equi,
-                                      out_rows)[2]
-        return step_cost, out_rows
+        return self.cost.join_rows(prev_rows, candidate.rows, newly), newly
 
     # ------------------------------------------------------------------
     # Join-method selection (shared by costing and realization)

@@ -10,6 +10,11 @@ violation raises :class:`~repro.errors.ViewUpdateError`, which unwinds
 through the session's ``run_atomic`` and rolls the whole statement
 back — rejected writes leave the transaction unchanged.
 
+View UPDATE / DELETE arrive as the front end lifted them (see
+:func:`repro.api.frontend.write_form`): one translation serves every
+literal variant of a statement shape, and the lifted literals are bound
+when the qualification plan runs.
+
 Mutations emit ordinary per-table :class:`TableDelta`s through the
 catalog's delta protocol, so materialized views, statistics and the WAL
 observe a view write exactly as they would the equivalent hand-written
@@ -22,6 +27,7 @@ from collections import OrderedDict
 
 from repro.errors import CatalogError, SemanticError, ViewUpdateError
 from repro.executor.expressions import ExpressionCompiler
+from repro.executor.plan_cache import HashedKey, ParameterizedStatement
 from repro.optimizer.plan import ExecutionContext
 from repro.sql import ast
 from repro.storage.catalog import TableDelta
@@ -207,10 +213,11 @@ class ViewUpdateManager:
                        "row-level put-back")
         return info.raw_box
     # ------------------------------------------------------------------
-    # Statement translation cache (ASTs are frozen, hence hashable)
+    # Statement translation cache (keyed on the lifted statement's
+    # pre-hashed key, so literal variants share one translation)
     # ------------------------------------------------------------------
-    def _translated(self, statement, build):
-        key = (statement, self.catalog.schema_version)
+    def _translated(self, lifted: ParameterizedStatement, build):
+        key = (lifted.key, self.catalog.schema_version)
         try:
             cached = self._statements.get(key)
         except TypeError:  # unhashable literal somewhere in the AST
@@ -227,58 +234,69 @@ class ViewUpdateManager:
     # ------------------------------------------------------------------
     # UPDATE
     # ------------------------------------------------------------------
-    def _translate(self, statement):
-        """``(classified view, assignments, WHERE)`` of a view UPDATE or
-        DELETE; the WHERE is in base-table terms for single-source
-        views and stays over the view for key-preserved joins."""
+    def _translate(self, lifted: ParameterizedStatement):
+        """``(classified view, assignments, WHERE, qualification key)``
+        of a view UPDATE or DELETE; the WHERE is in base-table terms for
+        single-source views and stays over the view for key-preserved
+        joins.  The key (single-source views only) names the base
+        qualification in the plan cache."""
+        statement = lifted.statement
         cached = self._analyze(statement.table)
         plan = cached.plan
         assignments = getattr(statement, "assignments", ())
-        translated = self._translated(
-            statement,
-            lambda: (translate_assignments(plan, assignments),
-                     translate_where(plan, statement.where)
-                     if plan.single_source else statement.where))
-        return (cached, *translated)
 
-    def qualification_plan(self, statement):
+        def build():
+            translated = translate_assignments(plan, assignments)
+            if not plan.single_source:
+                return translated, statement.where, None
+            where = translate_where(plan, statement.where)
+            key = HashedKey((plan.table, where)
+                            + tuple(value for _, _, value in translated))
+            return translated, where, key
+        return (cached, *self._translated(lifted, build))
+
+    def qualification_plan(self, lifted: ParameterizedStatement):
         """The plan that qualifies the base rows a view UPDATE/DELETE
         touches (what ``EXPLAIN`` shows for view DML)."""
-        cached, assignments, where = self._translate(statement)
+        cached, assignments, where, key = self._translate(lifted)
         plan = cached.plan
         values = [value for _, _, value in assignments]
         if plan.single_source:
             return self.engine.dml.qualification_plan(
-                self.catalog.table(plan.table), where, values)[0]
+                self.catalog.table(plan.table), where, values, key)
         return compile_join_qualification(self.engine.pipeline, plan,
                                           where, values)
 
-    def update(self, statement: ast.UpdateStatement, params=None) -> int:
-        cached, assignments, where = self._translate(statement)
+    def update(self, lifted: ParameterizedStatement, params=None) -> int:
+        cached, assignments, where, key = self._translate(lifted)
         if cached.plan.single_source:
-            return self._update_single(cached, assignments, where, params)
-        return self._update_join(cached, assignments, where, params)
+            return self._update_single(cached, assignments, where, key,
+                                       params, lifted.bindings)
+        return self._update_join(cached, assignments, where, params,
+                                 lifted.bindings)
 
     def _update_single(self, cached: _CachedPlan, assignments,
-                       where, params) -> int:
+                       where, key, params, bindings) -> int:
         plan = cached.plan
         table = self.catalog.table(plan.table)
         value_expressions = [value for _, _, value in assignments]
         rows = self.engine.dml.qualify(table, where, value_expressions,
-                                       params)
+                                       key, params, bindings)
         positions = [table.column_position(base)
                      for _, base, _ in assignments]
         return self._apply_update(cached, table, rows, positions,
                                   [v for v, _, _ in assignments])
 
     def _update_join(self, cached: _CachedPlan, assignments,
-                     where, params) -> int:
+                     where, params, bindings) -> int:
         plan = cached.plan
         table = plan.anchor.box.table
         value_expressions = [value for _, _, value in assignments]
         qualification = compile_join_qualification(
             self.engine.pipeline, plan, where, value_expressions)
         ctx = qualification.new_context(params)
+        if bindings:
+            ctx.parameters.update(bindings)
         _stream, node = qualification.single_output()
         rows = qualification.run_node(node, ctx)
         deduped: dict[int, tuple] = {}
@@ -329,17 +347,20 @@ class ViewUpdateManager:
     # ------------------------------------------------------------------
     # DELETE
     # ------------------------------------------------------------------
-    def delete(self, statement: ast.DeleteStatement, params=None) -> int:
-        cached, _assignments, where = self._translate(statement)
+    def delete(self, lifted: ParameterizedStatement, params=None) -> int:
+        cached, _assignments, where, key = self._translate(lifted)
         plan = cached.plan
         if plan.single_source:
             table = self.catalog.table(plan.table)
-            rows = self.engine.dml.qualify(table, where, [], params)
+            rows = self.engine.dml.qualify(table, where, [], key, params,
+                                           lifted.bindings)
         else:
             table = plan.anchor.box.table
             qualification = compile_join_qualification(
                 self.engine.pipeline, plan, where, [])
             ctx = qualification.new_context(params)
+            if lifted.bindings:
+                ctx.parameters.update(lifted.bindings)
             _stream, node = qualification.single_output()
             rows = [(rid,) for rid in
                     dict.fromkeys(r[0] for r in

@@ -144,3 +144,19 @@ class TestExplain:
         count = org_db.query("SELECT COUNT(*) FROM EMP").rows
         assert "qualification plan" in org_db.explain("DELETE FROM EMP")
         assert org_db.query("SELECT COUNT(*) FROM EMP").rows == count
+
+    def test_explain_dml_variant_hits(self, org_db):
+        # EXPLAIN takes the write as the front end lifts it: after one
+        # write, a literal variant shows the qualification plan that
+        # write cached, for base-table and view DML alike.
+        for write, variant in (
+                ("UPDATE EMP SET sal = sal + 1 WHERE eno = 1",
+                 "UPDATE EMP SET sal = sal + 5 WHERE eno = 2"),
+                ("DELETE FROM EMP WHERE eno = -1",
+                 "DELETE FROM EMP WHERE eno = -2"),
+                ("UPDATE deps_arc.XEMP SET sal = sal + 1 WHERE eno = 1",
+                 "UPDATE deps_arc.XEMP SET sal = sal + 2 WHERE eno = 3")):
+            org_db.execute(write)
+            plan, cache = org_db.explain(variant).split("-- plan cache --")
+            assert plan.startswith("-- qualification plan --")
+            assert "status: hit" in cache, variant

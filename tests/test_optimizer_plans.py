@@ -1,9 +1,11 @@
 """Plan-shape tests: access paths, join methods, spools."""
 
 from repro.executor.runtime import PipelineOptions, QueryPipeline
-from repro.optimizer.optimizer import DP_JOIN_THRESHOLD, PlannerOptions
-from repro.optimizer.plan import (IndexNestedLoopJoin, IndexScan,
-                                  SemiJoin, Spool, TableScan)
+from repro.optimizer.optimizer import (DP_JOIN_THRESHOLD, Planner,
+                                       PlannerOptions)
+from repro.optimizer.plan import (HashJoin, IndexNestedLoopJoin, IndexScan,
+                                  NestedLoopJoin, SemiJoin, Spool,
+                                  TableScan)
 from repro.sql.parser import parse_statement
 
 
@@ -63,6 +65,50 @@ class TestJoinMethods:
                         "WHERE d.dno = e.edno AND d.loc = 'ARC'")
         assert any(isinstance(n, IndexNestedLoopJoin)
                    for n in plan_nodes(node))
+
+    def test_dp_priced_method_is_the_built_operator(self, org_db,
+                                                    monkeypatch):
+        """The DP and the fold estimate a step's rows with one helper,
+        so the method the DP priced for each step of the chosen order
+        is the operator the plan builds, a non-equi cross predicate
+        (``e.sal > p.budget``) included."""
+        priced: dict = {}
+        step: list = []
+        join_method, dp_step = Planner._join_method, Planner._dp_step
+
+        def pricing(self, prev_order, prev_rows, candidate, predicates):
+            step.append((frozenset(s.quantifier.name for s in prev_order),
+                         candidate.quantifier.name))
+            try:
+                return dp_step(self, prev_order, prev_rows, candidate,
+                               predicates)
+            finally:
+                step.pop()
+
+        def method(self, prev_rows, candidate, equi, out_rows):
+            chosen = join_method(self, prev_rows, candidate, equi,
+                                 out_rows)
+            if step:
+                priced[step[-1]] = chosen[0]
+            return chosen
+        monkeypatch.setattr(Planner, "_dp_step", pricing)
+        monkeypatch.setattr(Planner, "_join_method", method)
+        options = PipelineOptions()
+        pipeline = QueryPipeline(org_db.catalog, org_db.stats, options)
+        compiled = pipeline.compile_select(parse_statement(
+            "SELECT d.dname, e.ename, p.pname FROM DEPT d, EMP e, PROJ p "
+            "WHERE d.dno = e.edno AND p.pdno = d.dno "
+            "AND e.sal > p.budget"))
+        order = compiled.plan.join_orders[0].names
+        assert compiled.plan.join_orders[0].method == "dp"
+        operators = {HashJoin: "hash", IndexNestedLoopJoin: "index",
+                     NestedLoopJoin: "nested_loop"}
+        built = [operators[type(node)] for node in
+                 plan_nodes(compiled.plan.single_output()[1])
+                 if type(node) in operators][::-1]
+        assert built == [priced[(frozenset(order[:i]), order[i])]
+                         for i in range(1, len(order))]
+        assert "index" in built
 
     def test_cross_join_nested_loop(self, org_db):
         names = kinds_in(org_db, "SELECT 1 FROM DEPT, SKILLS")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExecutionError, LexerError, SemanticError
-from repro.executor.plan_cache import (PlanCache, parameterize_select,
-                                       parameterize_expressions)
+from repro.executor.plan_cache import (PlanCache, parameterize_dml,
+                                       parameterize_select)
 from repro.executor.runtime import PipelineOptions
 from repro.sql import ast
 from repro.sql.lexer import TokenType, tokenize
@@ -261,12 +261,18 @@ class TestAutoParameterization:
         like = parameterized.statement.where
         assert isinstance(like.pattern, ast.Literal)
 
-    def test_expression_bag_lifting(self):
-        where = parse_statement(
-            "SELECT * FROM T WHERE a = 3").where
-        parameterized = parameterize_expressions([where, None], 5)
-        assert parameterized.statement[1] is None
-        assert parameterized.values == ((5, 3),)
+    def test_dml_lifting(self):
+        update = parameterize_dml(parse_statement(
+            "UPDATE T SET c = c + 2 WHERE a = 3 AND b = ?"))
+        # SET before WHERE, after the explicit ? at index 0.
+        assert update.values == ((1, 2), (2, 3))
+        assert update.statement.assignments[0].value.right \
+            == ast.Parameter(index=1)
+        delete = parameterize_dml(parse_statement("DELETE FROM T"))
+        assert delete.statement.where is None
+        assert delete.values == ()
+        assert hash(delete.key) == hash(parameterize_dml(
+            parse_statement("delete from T")).key)
 
     def test_grouped_queries_still_work(self, simple_db):
         expected = [(0.9, 1), (1, 1), (1.2, 1), (1.5, 1), (2, 1)]

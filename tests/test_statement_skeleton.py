@@ -14,22 +14,27 @@ and checks that:
 
 Named cases pin the slot rules: literals the lifter keeps inline, slot
 types, keyword case and layout, explicit markers, unary minus, error
-texts, the materialized-view read-through and DML.  The clock-free
-counts at the end check that literal variants parse once.
+texts, the materialized-view read-through and DML, whose UPDATE and
+DELETE variants hit and bind like a SELECT's (checked against a twin
+with the plan cache off).  The clock-free counts at the end check that
+literal variants parse, lift and compile once.
 ``REPRO_DIFF_SEEDS=<n>`` widens the generated sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
 import pytest
 
+from repro.api import frontend
 from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.api.frontend import lift
 from repro.errors import LexerError, ParseError
+from repro.executor.dml import DMLExecutor
 from repro.executor.plan_cache import ParameterizedStatement
 from repro.sql import ast, parser
 from repro.sql.lexer import TokenType, tokenize
@@ -324,26 +329,110 @@ def test_matview_read_through_only_on_the_definitions_literals():
     assert cached.engine.statements.stats.hits == 2
 
 
-def test_dml_hits_only_on_identical_literals(db):
+def table_rows(db: Database, name: str = "T") -> list:
+    return sorted(db.catalog.table(name).rows(), key=repr)
+
+
+def assert_writes_agree(db: Database, twin: Database, texts,
+                        params=None) -> list:
+    """Run each write on ``db`` and on ``twin`` (plan cache off); the
+    rowcounts and the table after every write must agree."""
+    counts = []
+    for text in texts:
+        count = db.execute(text, params=params)
+        assert count == twin.execute(text, params=params), text
+        assert table_rows(db) == table_rows(twin), text
+        counts.append(count)
+    return counts
+
+
+def test_dml_variants_hit_and_bind(db):
+    twin = uncached_twin(db)
     text = "UPDATE T SET c = c + 1 WHERE a = 1"
-    first, _status = front(db, text)
-    assert isinstance(first, ast.UpdateStatement)
-    same, status = front(db, "update T  SET c = c + 1 /* x */ where a = 1")
-    assert status == "hit" and same is first
-    other, status = front(db, "UPDATE T SET c = c + 1 WHERE a = 2")
-    assert status == "miss"
-    assert other == parser.parse_statement(
-        "UPDATE T SET c = c + 1 WHERE a = 2")
-    assert db.execute("UPDATE T SET c = c + 1 WHERE a = 2") == 1
+    first, status = front(db, text)
+    assert status == "miss" and first == full_path(text)
+    assert isinstance(first.statement, ast.UpdateStatement)
+    assert first.bindings == {0: 1, 1: 1}
+    for variant, bindings in (
+            ("update T  SET c = c + 1 /* x */ where a = 1", {0: 1, 1: 1}),
+            ("UPDATE T SET c = c + 5 WHERE a = 2", {0: 5, 1: 2})):
+        result, status = front(db, variant)
+        assert status == "hit", variant
+        assert result == full_path(variant)
+        assert result.bindings == bindings
+        assert result.statement is first.statement
+        assert result.key is first.key
+    delete = "DELETE FROM T WHERE c > 35 AND b LIKE 'x%'"
+    assert front(db, delete)[0] == full_path(delete)
+    result, status = front(db, delete.replace("35", "25"))
+    assert status == "hit" and result.bindings == {0: 25}
+    assert front(db, delete.replace("'x%'", "'y%'"))[1] == "miss"
+    assert assert_writes_agree(db, twin, [
+        "UPDATE T SET c = c + 1 WHERE a = 2",
+        "UPDATE T SET c = c + 7 WHERE a = 3",
+        "UPDATE T SET c = c + 7 WHERE a = 9",
+        "UPDATE T SET b = 'z' WHERE c > 25",
+        "UPDATE T SET b = 'w' WHERE c > 35",
+        "DELETE FROM T WHERE c > 45 AND b LIKE 'w%'",
+        "DELETE FROM T WHERE c > 35 AND b LIKE 'w%'",
+        "DELETE FROM T WHERE a = 1",
+    ]) == [1, 1, 0, 2, 2, 0, 2, 1]
     assert db.query("SELECT c FROM T WHERE a = 2").rows == [(21,)]
+
+
+def test_dml_explicit_markers_mixed_with_literals(db):
+    twin = uncached_twin(db)
+    text = "UPDATE T SET c = c + 5 WHERE a > ? AND c < 35 AND b <> :skip"
+    params = {0: 1, "skip": "y2"}
+    front(db, text)
+    variant = text.replace("5 W", "7 W").replace("35", "45")
+    result, status = front(db, variant)
+    assert status == "hit"
+    assert result == full_path(variant)
+    assert result.bindings == {1: 7, 2: 45}  # after the explicit ? at 0
+    assert assert_writes_agree(db, twin, [text, variant],
+                               params=params) == [1, 1]
+    assert db.query("SELECT a, c FROM T WHERE a > 1 ORDER BY a").rows \
+        == [(2, 20), (3, 42), (4, 40)]
+    delete = "DELETE FROM T WHERE c < ? AND a > 2"
+    front(db, delete)
+    result, status = front(db, delete.replace("2", "3"))
+    assert status == "hit" and result.bindings == {1: 3}
+    assert assert_writes_agree(db, twin, [delete.replace("2", "3")],
+                               params=[100]) == [1]
+
+
+def test_dml_int_float_and_string_slots_differ(db):
+    values = {"int": ("10", "3", 3), "float": ("10.0", "3.5", 3.5),
+              "str": ("'10'", "'x'", "x")}
+    shape = "UPDATE T SET b = {} WHERE a = {}"
+    for set_kind, where_kind in itertools.product(values, repeat=2):
+        text = shape.format(values[set_kind][0], values[where_kind][0])
+        assert front(db, text)[1] == "miss", text
+    for set_kind, where_kind in itertools.product(values, repeat=2):
+        text = shape.format(values[set_kind][1], values[where_kind][1])
+        result, status = front(db, text)
+        assert status == "hit", text
+        assert result == full_path(text)
+        bound = (values[set_kind][2], values[where_kind][2])
+        assert tuple(result.bindings.values()) == bound
+        assert tuple(map(type, result.bindings.values())) \
+            == tuple(map(type, bound))
+    twin = uncached_twin(db)
+    assert assert_writes_agree(db, twin, [
+        "UPDATE T SET b = 'q' WHERE a = 2", "UPDATE T SET c = 7 WHERE a = 3",
+        "UPDATE T SET c = 8 WHERE a = 4.0"]) == [1, 1, 1]
 
 
 def test_plan_cache_off_parses_literal_asts(db):
     uncached(db)
     entries = len(db.engine.statements)
-    text = "SELECT a FROM T WHERE a = 1"
-    assert db.engine.parse(text) == parser.parse_statement(text)
+    for text in ("SELECT a FROM T WHERE a = 1",
+                 "UPDATE T SET c = c + 1 WHERE a = 1"):
+        assert db.engine.parse(text) == parser.parse_statement(text)
     assert len(db.engine.statements) == entries
+    assert db.execute("UPDATE T SET c = c + 1 WHERE a = 1") == 1
+    assert db.pipeline.plan_cache.last_info.status == "bypass"
 
 
 # ----------------------------------------------------------------------
@@ -390,3 +479,78 @@ def test_cursor_point_selects_parse_once(parse_calls):
         assert [row[0] for row in rows] == [eno]
     assert (stats.hits, stats.misses, len(parse_calls)) \
         == (before[0] + 199, before[1] + 1, before[2] + 1)
+
+
+@pytest.fixture
+def write_counts(parse_calls, monkeypatch) -> dict:
+    """Calls to the parser, the DML lifter, the qualification compile
+    and the view translation."""
+    counts = {"lift": 0, "compile": 0, "translate": 0}
+
+    def counting(name, owner, attribute):
+        original = getattr(owner, attribute)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attribute, wrapper)
+    counting("lift", frontend, "parameterize_dml")
+    counting("compile", DMLExecutor, "_compile_qualification")
+    from repro.viewupdate import executor as viewupdate_executor
+    counting("translate", viewupdate_executor, "translate_assignments")
+    counts["parse"] = parse_calls
+    return counts
+
+
+def wide_table(cached: bool = True) -> Database:
+    """T with 4,000 rows: 200 single-row deletes stay under the
+    statistics drift threshold."""
+    db = Database() if cached else uncached(Database())
+    db.execute("CREATE TABLE T (A INT PRIMARY KEY, B VARCHAR, C INT)")
+    table = db.catalog.table("T")
+    for number in range(4000):
+        table.insert((number, f"b{number}", number % 50))
+    return db
+
+
+@pytest.mark.parametrize("shape", [
+    "UPDATE T SET c = c + 1 WHERE a = {}",
+    "DELETE FROM T WHERE a = {}",
+])
+def test_dml_variants_parse_lift_and_compile_once(write_counts, shape):
+    db, twin = wide_table(), wide_table(cached=False)
+    texts = [shape.format(a) for a in
+             random.Random(27).sample(range(4000), 200)]
+    write_counts["parse"].clear()
+    counts = [db.execute(text) for text in texts]
+    assert (len(write_counts["parse"]), write_counts["lift"],
+            write_counts["compile"]) == (1, 1, 1)
+    assert counts == [1] * 200
+    assert counts == [twin.execute(text) for text in texts]
+    assert table_rows(db) == table_rows(twin)
+    assert db.engine.statements.stats.hits == 199
+    assert db.pipeline.plan_cache.stats.invalidations == 0
+
+
+def test_lens_variants_parse_lift_translate_and_compile_once(
+        write_counts):
+    def lens_database(cached: bool) -> Database:
+        db = org_database() if cached else uncached(org_database())
+        db.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
+        return db
+    db, twin = lens_database(True), lens_database(False)
+    enos = sorted(eno for eno, in db.query(
+        "SELECT eno FROM EMP, DEPT WHERE edno = dno AND loc = 'ARC'").rows)
+    rng = random.Random(27)
+    texts = [f"UPDATE deps_arc.XEMP SET sal = sal + {rng.randint(1, 9)} "
+             f"WHERE eno = {rng.choice(enos)}" for _ in range(200)]
+    for name in ("lift", "compile", "translate"):
+        write_counts[name] = 0
+    write_counts["parse"].clear()
+    counts = [db.execute(text) for text in texts]
+    assert (len(write_counts["parse"]), write_counts["lift"],
+            write_counts["translate"], write_counts["compile"]) \
+        == (1, 1, 1, 1)
+    assert counts == [1] * 200
+    assert counts == [twin.execute(text) for text in texts]
+    assert table_rows(db, "EMP") == table_rows(twin, "EMP")
