@@ -442,19 +442,17 @@ class Engine:
     # ------------------------------------------------------------------
     # The concurrency protocol
     # ------------------------------------------------------------------
-    @contextmanager
-    def reading(self, session):
+    def read(self, session, thunk):
         """Execute a read on behalf of ``session``: shared statement
         latch plus, when another session holds uncommitted writes, the
         committed-state read views."""
         self._check_open()
         with self._statement_latch.shared():
-            with read_views(self._read_views_for(session)):
-                yield
-
-    def read(self, session, thunk):
-        with self.reading(session):
-            return thunk()
+            views = self._read_views_for(session)
+            if not views:
+                return thunk()
+            with read_views(views):
+                return thunk()
 
     def write(self, session, thunk, committed_views: bool = False):
         """Execute a mutating operation on behalf of ``session``.
@@ -657,7 +655,8 @@ class Engine:
             parameterized = parameterize_xnf(query)
         executable = self._compile_xnf_cached(
             parameterized.statement, view_name,
-            xnf_options or self.xnf_options, parameterized.bindings)
+            xnf_options or self.xnf_options, parameterized.bindings,
+            parameterized.key)
         return executable, parameterized.bindings
 
     def compile_xnf_inline(self, query: ast.XNFQuery, view_name: str,
@@ -677,12 +676,14 @@ class Engine:
 
     def _compile_xnf_cached(self, query: ast.XNFQuery, view_name: str,
                             options: XNFOptions,
-                            peek: Optional[dict] = None) -> XNFExecutable:
+                            peek: Optional[dict] = None,
+                            hashed=None) -> XNFExecutable:
         # Entries invalidate with the catalog schema version (view/DDL
         # changes) and the statistics epoch like any cached plan.
+        # ``hashed`` is the lifted query's pre-hashed key, when known.
         key = self.pipeline.cache_key(
-            "xnf", query, view_name, options.output_optimization,
-            options.apply_nf_rewrite)
+            "xnf", query if hashed is None else hashed, view_name,
+            options.output_optimization, options.apply_nf_rewrite)
         return self.pipeline.cached_compile(
             key,
             lambda: self._compile_xnf_fresh(query, view_name, options,

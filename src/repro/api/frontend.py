@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Union
+from typing import Optional, Union
 
 from repro.executor.plan_cache import (CacheStats, HashedKey,
                                        ParameterizedStatement,
@@ -112,10 +112,13 @@ class SkeletonCache:
         self.stats = CacheStats()
         #: Skeleton -> the slots the lifter keeps inline.
         self._inline: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: (skeleton, inline literal texts) -> the front-end result of
-        #: the text that stored it.
-        self._entries: "OrderedDict[tuple, FrontEndStatement]" = \
-            OrderedDict()
+        #: (skeleton, inline literal texts) -> (that key, the front-end
+        #: result of the text that stored it).
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: Recent texts -> (entry key, inline slots, their front-end
+        #: result): an exact repeat of a text skips the lexer while its
+        #: entry lives.  The entry's own key object is kept, not a copy.
+        self._texts: "OrderedDict[str, tuple]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -124,6 +127,18 @@ class SkeletonCache:
     def parse(self, sql: str) -> FrontEndStatement:
         if self.capacity <= 0:
             return parser.parse_statement(sql)
+        with self._lock:
+            # An exact repeat: the lookup below, without the lexer.
+            seen = self._texts.get(sql)
+            if seen is not None:
+                full, inline, front = seen
+                if self._inline.get(full[0]) == inline \
+                        and full in self._entries:
+                    self._texts.move_to_end(sql)
+                    self._entries.move_to_end(full)
+                    self._inline.move_to_end(full[0])
+                    self.stats.hits += 1
+                    return front
         shape = skeleton(sql)
         if shape is not None:
             key, literals = shape
@@ -133,6 +148,8 @@ class SkeletonCache:
                 if inline is not None:
                     full = (key, tuple(literals[slot] for slot in inline))
                     entry = self._entries.get(full)
+                if entry is not None:
+                    full, entry = entry
                 if entry is None:
                     self.stats.misses += 1
                 else:
@@ -140,28 +157,43 @@ class SkeletonCache:
                     self._inline.move_to_end(key)
                     self.stats.hits += 1
             if entry is not None:
-                return _bind(entry, literals)
+                front = _bind(entry, literals)
+                self._remember(sql, full, inline, front)
+                return front
         else:
             with self._lock:
                 self.stats.misses += 1
         front = lift(parser.parse_statement(sql))
         if shape is not None:
-            self._store(key, literals, front)
+            stored = self._store(key, literals, front)
+            if stored is not None:
+                self._remember(sql, *stored, front)
         return front
 
+    def _remember(self, sql: str, full: tuple, inline: tuple,
+                  front: FrontEndStatement) -> None:
+        with self._lock:
+            self._texts[sql] = (full, inline, front)
+            self._texts.move_to_end(sql)
+            while len(self._texts) > self.capacity:
+                self._texts.popitem(last=False)
+
     def _store(self, key: tuple, literals: dict[int, str],
-               front: FrontEndStatement) -> None:
+               front: FrontEndStatement) -> Optional[tuple]:
+        """Cache ``front``; returns its (entry key, inline slots), or
+        None when the text's literals do not account for its
+        parameters."""
         params = front.slots \
             if isinstance(front, ParameterizedStatement) else ()
         if any(slot is None for slot, _index in params):
-            return  # a lifted literal no token accounts for
+            return None  # a lifted literal no token accounts for
         taken = {slot for slot, _index in params}
         inline = tuple(slot for slot in literals if slot not in taken)
         full = (key, tuple(literals[slot] for slot in inline))
         with self._lock:
             self._inline[key] = inline
             self._inline.move_to_end(key)
-            self._entries[full] = front
+            self._entries[full] = (full, front)
             self._entries.move_to_end(full)
             self.stats.stores += 1
             while len(self._entries) > self.capacity:
@@ -169,3 +201,4 @@ class SkeletonCache:
                 self.stats.evictions += 1
             while len(self._inline) > self.capacity:
                 self._inline.popitem(last=False)
+        return full, inline

@@ -16,11 +16,19 @@ simulator: it charges per-message overhead and per-value payload bytes
 and reports message/byte totals, which is precisely the quantity the
 paper argues about ("often increases the traffic ... by an order of
 magnitude").
+
+A :class:`COResult` is priced stream by stream, a column at a time: the
+sizes of a column whose values share one fixed-size type are one
+constant, and a column of ASCII strings costs its lengths.  The totals
+are the ones :func:`tuple_size` gives for each tuple of
+:meth:`COResult.wire_tuples`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
+from typing import Iterator, Union
 
 from repro.xnf.result import COResult
 
@@ -33,7 +41,16 @@ BOOLEAN_SIZE = 1
 PAGE_SIZE = 4096
 
 
+#: Sizes of the fixed-size types, by exact type: ``bool`` is an ``int``
+#: subclass but ships in one byte.
+_FIXED_SIZES = {type(None): NULL_SIZE, bool: BOOLEAN_SIZE,
+                int: INTEGER_SIZE, float: FLOAT_SIZE}
+
+
 def value_size(value) -> int:
+    size = _FIXED_SIZES.get(type(value))
+    if size is not None:
+        return size
     if value is None:
         return NULL_SIZE
     if isinstance(value, bool):
@@ -51,6 +68,60 @@ def value_size(value) -> int:
 
 def tuple_size(values: tuple) -> int:
     return sum(value_size(v) for v in values) + 2 * max(len(values), 1)
+
+
+def _column_sizes(column: tuple) -> Union[int, list[int]]:
+    """Wire sizes of one column's values: one int when they all cost
+    the same, else a list."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        size = _FIXED_SIZES.get(kind)
+        if size is not None:
+            return size
+        if kind is str:
+            if "".join(column).isascii():
+                return list(map(len, column))
+            return [len(value.encode("utf-8")) for value in column]
+    return list(map(value_size, column))
+
+
+def _tuple_sizes(rows: list[tuple], extra: list = None) -> list[int]:
+    """:func:`tuple_size` of every row (with ``extra[i]`` appended to
+    row ``i`` when given), priced a column at a time."""
+    if len(set(map(len, rows))) > 1:  # ragged: price tuple by tuple
+        if extra is not None:
+            rows = [row + (value,) for row, value in zip(rows, extra)]
+        return [tuple_size(row) for row in rows]
+    columns = list(zip(*rows))
+    if extra is not None:
+        columns.append(extra)
+    fixed = 2 * max(len(columns), 1)
+    totals = None
+    for column in columns:
+        sizes = _column_sizes(column)
+        if isinstance(sizes, int):
+            fixed += sizes
+        else:
+            totals = sizes if totals is None else list(map(add, totals,
+                                                           sizes))
+    if totals is None:
+        return [fixed] * len(rows)
+    return [fixed + size for size in totals]
+
+
+def _wire_sizes(result: COResult) -> Iterator[list[int]]:
+    """The :func:`tuple_size` of every tuple the server ships, one list
+    per stream in wire order (the order of :meth:`COResult.wire_tuples`):
+    component rows carry their embedded parent identity when the output
+    optimization applied; reconstructed connection streams never cross
+    the wire."""
+    for stream in result.components.values():
+        if stream.rows:
+            yield _tuple_sizes(stream.rows, stream.embedded_parent_oids)
+    for stream in result.relationships.values():
+        if stream.connections and not stream.reconstructed:
+            yield _tuple_sizes(stream.connections)
 
 
 @dataclass
@@ -102,11 +173,12 @@ class TransportSimulator:
     def tuple_at_a_time(self, result: COResult) -> TransportStats:
         """One fetch request + one reply per tuple (2 crossings each)."""
         stats = TransportStats(mode="tuple-at-a-time")
-        for tagged in result.wire_tuples():
-            stats.tuples += 1
-            stats.messages += 2  # request + response
-            stats.payload_bytes += tuple_size(tagged.values)
-        stats.messages += 2  # final fetch returning end-of-stream
+        for sizes in _wire_sizes(result):
+            stats.tuples += len(sizes)
+            stats.payload_bytes += sum(sizes)
+        # request + response per tuple, then the final fetch returning
+        # end-of-stream
+        stats.messages += 2 * stats.tuples + 2
         return stats
 
     def block_shipping(self, result: COResult,
@@ -116,15 +188,20 @@ class TransportSimulator:
         stats.messages += 1  # the single request
         current = 0
         open_block = False
-        for tagged in result.wire_tuples():
-            stats.tuples += 1
-            size = tuple_size(tagged.values) + 6  # component tag + id
-            if not open_block or current + size > block_bytes:
-                stats.messages += 1
-                open_block = True
-                current = 0
-            current += size
-            stats.payload_bytes += size
+        for sizes in _wire_sizes(result):
+            stats.tuples += len(sizes)
+            total = sum(sizes) + 6 * len(sizes)  # component tag + id
+            stats.payload_bytes += total
+            if open_block and current + total <= block_bytes:
+                current += total  # the whole stream fits the open block
+                continue
+            for size in sizes:
+                size += 6
+                if not open_block or current + size > block_bytes:
+                    stats.messages += 1
+                    open_block = True
+                    current = 0
+                current += size
         if not open_block:
             stats.messages += 1  # empty result still answers
         return stats
@@ -136,10 +213,10 @@ class TransportSimulator:
         overhead — the "order of magnitude" traffic increase of Sect. 5.3.
         """
         stats = TransportStats(mode="object")
-        for tagged in result.wire_tuples():
-            stats.tuples += 1
-            stats.messages += 1
-            stats.payload_bytes += tuple_size(tagged.values) + 6
+        for sizes in _wire_sizes(result):
+            stats.tuples += len(sizes)
+            stats.payload_bytes += sum(sizes) + 6 * len(sizes)
+        stats.messages = stats.tuples
         return stats
 
     def cursor_stream(self, cursor, block_rows: int = 0) -> TransportStats:
@@ -201,9 +278,9 @@ class TransportSimulator:
         stats = TransportStats(mode="page")
         stats.messages += 1
         wanted = 0
-        for tagged in result.wire_tuples():
-            stats.tuples += 1
-            wanted += tuple_size(tagged.values) + 6
+        for sizes in _wire_sizes(result):
+            stats.tuples += len(sizes)
+            wanted += sum(sizes) + 6 * len(sizes)
         pages = max(1, round(wanted / (PAGE_SIZE * page_fill)))
         stats.messages += pages
         stats.payload_bytes = pages * PAGE_SIZE

@@ -61,7 +61,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import CacheError, CatalogError
-from repro.executor.expressions import CompiledExpression, ExpressionCompiler
+from repro.executor.expressions import (BatchKernel, BatchPredicate,
+                                        ExpressionCompiler, column_kernel)
 from repro.executor.plan_cache import ParameterizedStatement, parameterize_xnf
 from repro.qgm.model import BaseBox, QRef, RidRef
 from repro.sql import ast
@@ -97,7 +98,8 @@ class _ComponentPlan:
     root_like: bool
     taken: bool
     stream_columns: list[str] = field(default_factory=list)
-    stream_positions: list[int] = field(default_factory=list)
+    #: the stream's value tuple of each stored row
+    stream_values: Optional[BatchKernel] = None
 
 
 @dataclass
@@ -156,8 +158,10 @@ class _RelationshipPlan:
     inputs: list  # _InputSpec: parent, child, then USING tables
     #: per start input: the _ProbeOrder that binds every other input
     probe_orders: list
-    predicate_fn: CompiledExpression = None
-    attr_fns: list = field(default_factory=list)
+    #: the relationship predicate over joined rows (batch filter)
+    predicate: BatchPredicate = None
+    #: the relationship attributes' tuple per joined row, if any
+    attributes: Optional[BatchKernel] = None
     poid_pos: int = 0
     coid_pos: int = 0
 
@@ -221,6 +225,7 @@ def _analyze_incremental(translated: TranslatedXNF,
         )
         if info.taken:
             plan.stream_columns = list(info.columns)
+            stream_positions = []
             for column in plan.stream_columns:
                 position = positions.get(column.upper())
                 if position is None:
@@ -228,7 +233,8 @@ def _analyze_incremental(translated: TranslatedXNF,
                         f"component {name}: stream column {column!r} "
                         f"is not a stored column"
                     )
-                plan.stream_positions.append(position)
+                stream_positions.append(position)
+            plan.stream_values = column_kernel(stream_positions)
         components[name] = plan
 
     relationships: dict = {}
@@ -416,9 +422,10 @@ def _analyze_relationship(name, rinfo, xnf, components, catalog):
         parent=relationship.parent, child=child, taken=rinfo.taken,
         attribute_names=tuple(n for n, _e in relationship.attributes),
         inputs=inputs, probe_orders=probe_orders,
-        predicate_fn=compiler.compile_condition(relationship.predicate),
-        attr_fns=[compiler.compile(e)
-                  for _n, e in relationship.attributes],
+        predicate=compiler.compile_filter(relationship.predicate),
+        attributes=(compiler.compile_project(
+            [e for _n, e in relationship.attributes])
+            if relationship.attributes else None),
         poid_pos=parent_spec.offset + parent_spec.width - 1,
         coid_pos=child_spec.offset + child_spec.width - 1,
     )
@@ -604,21 +611,18 @@ class _IncrementalState:
                                   for found in bucket.values()])
             rows = grown
         self.rows_probed += probed
-        predicate = relationship.predicate_fn
-        attr_fns = relationship.attr_fns
+        if not rows:
+            return []
+        if slices is not None:
+            rows = [tuple(value for low, high in slices
+                          for value in row[low:high]) for row in rows]
+        rows = relationship.predicate(rows, None)
         poid_pos = relationship.poid_pos
         coid_pos = relationship.coid_pos
-        keys: list[tuple] = []
-        for row in rows:
-            if slices is not None:
-                row = tuple(value for low, high in slices
-                            for value in row[low:high])
-            if predicate(row, None) is not True:
-                continue
-            key = (row[poid_pos], row[coid_pos])
-            if attr_fns:
-                key += tuple(fn(row, None) for fn in attr_fns)
-            keys.append(key)
+        keys = [(row[poid_pos], row[coid_pos]) for row in rows]
+        if relationship.attributes is not None and rows:
+            keys = [key + values for key, values in
+                    zip(keys, relationship.attributes(rows, None))]
         return keys
 
     def _term(self, relationship: _RelationshipPlan, index: int,
@@ -778,15 +782,13 @@ class _IncrementalState:
         for name, component in self.plan.components.items():
             if not component.taken:
                 continue
-            stream = ComponentStream(
+            rows = self.final[name].rows
+            components[name] = ComponentStream(
                 name=name, number=component.number,
                 columns=list(component.stream_columns),
+                rows=component.stream_values(list(rows.values()), None),
+                oids=list(rows),
             )
-            positions = component.stream_positions
-            for oid, row in self.final[name].rows.items():
-                stream.oids.append(oid)
-                stream.rows.append(tuple(row[p] for p in positions))
-            components[name] = stream
         relationships: dict[str, ConnectionStream] = {}
         for name, relationship in self.plan.relationships.items():
             if not relationship.taken:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
+from repro.errors import CatalogError
 from repro.executor.plan_cache import (CacheInfo, CompileClaim, PlanCache,
                                        ParameterizedStatement,
                                        parameterize_select)
@@ -292,8 +293,10 @@ class CompilationPipeline:
         this table are validated against.  Cardinality -1 when the
         table is gone (the schema version catches that anyway)."""
         name = table_name.upper()
-        live = len(self.catalog.table(name)) \
-            if self.catalog.has_table(name) else -1
+        try:
+            live = len(self.catalog.table(name))
+        except CatalogError:
+            live = -1
         return self.stats.table_epoch(name), live
 
     def _on_stats_drift(self, table_name: str) -> None:
@@ -342,7 +345,9 @@ class CompilationPipeline:
         Both the ad-hoc path (:meth:`compile_select_cached`) and
         prepared statements go through here.
         """
-        key = self.cache_key("select", parameterized.statement)
+        key = self.cache_key("select", parameterized.key
+                             if parameterized.key is not None
+                             else parameterized.statement)
         cache = self.plan_cache
         if not cache.enabled:
             cache.last_info = CacheInfo(status="bypass",

@@ -1,18 +1,36 @@
-"""Compilation of QGM expressions into Python closures.
+"""Compilation of QGM expressions into generated Python kernels.
 
 Expressions are compiled once per plan against a *layout* — a mapping
 from (quantifier id, column name) to a position in the flat intermediate
-row — and evaluated as ``fn(row, ctx)``.  SQL three-valued logic is
-implemented with ``None`` standing for UNKNOWN/NULL: comparisons with
-NULL yield None, AND/OR follow Kleene logic, and filters only keep rows
-whose predicate is exactly True.
+row.  SQL three-valued logic is implemented with ``None`` standing for
+UNKNOWN/NULL: comparisons with NULL yield None, AND/OR follow Kleene
+logic, and filters only keep rows whose predicate is exactly True.
+
+Compilation is produce/consume code generation (Neumann, VLDB 2011) at
+Python scale: the compiler writes Python source for a whole operator —
+one comprehension per batch for a filter, a projection (with a fused
+filter) or join keys, one function per row for a value — and runs it
+once with an environment of bound names.  A column becomes ``row[i]``,
+a parameter a local bound from ``ctx.parameters`` once per call;
+literals, regexes, functions and subquery ids are bound by name, never
+spliced into the text, so every literal variant of one expression shape
+compiles to the same (cached) source.  Comparisons and arithmetic are
+inlined with NULL guards; each kernel has a *checked twin*, built on
+first use, that resolves parameters per use and routes them through
+:func:`_compare` / :func:`_arith`.  When the fast kernel meets a
+``TypeError`` or an unbound parameter the twin reruns the call, so the
+error raised is the one those helpers raise.  Every operand of a value
+is evaluated, in order, as one call per node would (IN items and CASE
+branches lazily); a filter narrows a batch conjunct by conjunct.
 """
 
 from __future__ import annotations
 
-import operator
 import re
-from typing import Any, Callable, Optional
+from dataclasses import fields, is_dataclass, replace
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.qgm.model import QRef, RidRef
@@ -24,12 +42,13 @@ Layout = dict[tuple[int, str], int]
 
 RID_COLUMN = "$RID$"
 
+#: Value kernel: ``fn(row, ctx)`` -> the expression's value for one row.
 CompiledExpression = Callable[[tuple, Any], Any]
 
-#: Batch predicate: filters a list of rows, returning the kept rows in
-#: order (rows whose predicate is exactly True), with conjunct-level
-#: short-circuiting: later conjuncts only see survivors.
-BatchPredicate = Callable[[list, Any], list]
+#: Batch kernel: ``fn(rows, ctx)`` -> one output per input row (a
+#: projected tuple or a join key); a batch predicate gives the rows
+#: whose predicate is exactly True, in order.
+BatchKernel = BatchPredicate = Callable[[list, Any], list]
 
 
 def sql_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
@@ -138,20 +157,6 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
 }
 
 
-def column_ref(position: int) -> CompiledExpression:
-    """A compiled column reference.  ``position`` is exposed so batch
-    operators can fetch plain columns with ``itemgetter`` instead of a
-    call per row."""
-    def run(row, ctx):
-        return row[position]
-    run.position = position
-    return run
-
-
-_COMPARATORS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
-                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
 def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
     if left is None or right is None:
         return None
@@ -204,483 +209,501 @@ def _arith(op: str, left: Any, right: Any) -> Any:
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
-#: ``a op b`` is equivalent to ``b flip(op) a``.
-_FLIPPED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=",
-               ">": "<", ">=": "<="}
-
-
 def fold_constants(expression: ast.Expression) -> ast.Expression:
-    """Evaluate literal-only subexpressions at compile time.
+    """Replace each literal-only subexpression by the literal its value
+    kernel computes; one that raises (division by zero, a type mismatch)
+    stays, so the error surfaces at execution time."""
+    if isinstance(expression, ast.Literal) or not is_dataclass(expression):
+        return expression
+    if _constant(expression):
+        try:
+            return ast.Literal(_build_kernel(
+                {}, "row", lambda emitter: [emitter.value(expression)])(
+                    (), None))
+        except Exception:  # noqa: BLE001 - left for run time
+            pass
+    changes = {}
+    for field in fields(expression):
+        value = getattr(expression, field.name)
+        folded = _fold_value(value)
+        if folded is not value:
+            changes[field.name] = folded
+    return replace(expression, **changes) if changes else expression
 
-    Folds arithmetic, comparisons, AND/OR/NOT, and pure scalar functions
-    whose operands are all literals, replacing them with the literal the
-    runtime closure would have produced.  Anything that would raise
-    (division by zero, type mismatches) is left unfolded so the error
-    still surfaces at execution time.
-    """
-    if isinstance(expression, ast.BinaryOp):
-        left = fold_constants(expression.left)
-        right = fold_constants(expression.right)
-        if isinstance(left, ast.Literal) and isinstance(right, ast.Literal):
-            op = expression.op
-            try:
-                if op == "AND":
-                    return ast.Literal(sql_and(left.value, right.value))
-                if op == "OR":
-                    return ast.Literal(sql_or(left.value, right.value))
-                if op in _COMPARISON_OPS:
-                    return ast.Literal(_compare(op, left.value, right.value))
-                return ast.Literal(_arith(op, left.value, right.value))
-            except ExecutionError:
-                pass
-        if left is not expression.left or right is not expression.right:
-            return ast.BinaryOp(expression.op, left, right)
-        return expression
-    if isinstance(expression, ast.UnaryOp):
-        operand = fold_constants(expression.operand)
-        if isinstance(operand, ast.Literal):
-            if expression.op == "NOT":
-                return ast.Literal(sql_not(operand.value))
-            if expression.op == "-":
-                if operand.value is None:
-                    return ast.Literal(None)
-                try:
-                    return ast.Literal(-operand.value)
-                except TypeError:
-                    pass
-        if operand is not expression.operand:
-            return ast.UnaryOp(expression.op, operand)
-        return expression
+
+def _fold_value(value):
+    if isinstance(value, ast.Expression):
+        return fold_constants(value)
+    if isinstance(value, tuple):
+        folded = tuple(_fold_value(item) for item in value)
+        if any(a is not b for a, b in zip(folded, value)):
+            return folded
+    return value
+
+
+def _constant(expression) -> bool:
+    """Whether ``expression`` is built from literals by pure operators."""
+    if isinstance(expression, ast.Literal):
+        return True
     if isinstance(expression, ast.FunctionCall):
-        args = tuple(fold_constants(a) for a in expression.args)
         name = expression.name.upper()
-        if (not name.startswith("$") and name in SCALAR_FUNCTIONS
-                and not expression.distinct
-                and all(isinstance(a, ast.Literal) for a in args)):
-            try:
-                value = SCALAR_FUNCTIONS[name](*(a.value for a in args))
-                return ast.Literal(value)
-            except Exception:
-                pass
-        if any(a is not b for a, b in zip(args, expression.args)):
-            return ast.FunctionCall(expression.name, args,
-                                    expression.distinct)
-        return expression
-    if isinstance(expression, ast.IsNull):
-        operand = fold_constants(expression.operand)
-        if isinstance(operand, ast.Literal):
-            is_null = operand.value is None
-            return ast.Literal(not is_null if expression.negated
-                               else is_null)
-        if operand is not expression.operand:
-            return ast.IsNull(operand, expression.negated)
-        return expression
-    if isinstance(expression, ast.Between):
-        operand = fold_constants(expression.operand)
-        low = fold_constants(expression.low)
-        high = fold_constants(expression.high)
-        if (operand is not expression.operand or low is not expression.low
-                or high is not expression.high):
-            return ast.Between(operand, low, high, expression.negated)
-        return expression
-    if isinstance(expression, ast.InList):
-        operand = fold_constants(expression.operand)
-        items = tuple(fold_constants(i) for i in expression.items)
-        if (operand is not expression.operand
-                or any(a is not b for a, b in zip(items, expression.items))):
-            return ast.InList(operand, items, expression.negated)
-        return expression
-    return expression
+        if name.startswith("$") or name not in SCALAR_FUNCTIONS \
+                or expression.distinct:
+            return False
+    elif not isinstance(expression, (ast.BinaryOp, ast.UnaryOp, ast.IsNull,
+                                     ast.Between, ast.InList, ast.Like,
+                                     ast.CaseWhen)):
+        return False
+    return all(_constant(child) for field in fields(expression)
+               for child in _expressions(getattr(expression, field.name)))
 
 
-class ExpressionCompiler:
-    """Compiles QGM expressions against a fixed row layout."""
+def _expressions(value):
+    if isinstance(value, ast.Expression):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _expressions(item)
 
-    def __init__(self, layout: Layout):
+
+# ----------------------------------------------------------------------
+# Kernel generation
+# ----------------------------------------------------------------------
+def _param(ctx, key, marker: str) -> Any:
+    """A parameter's value at its point of use (the checked twin)."""
+    if ctx is None:
+        raise ExecutionError(f"statement parameter {marker} has no bound value")
+    return ctx.parameter(key)
+
+
+def _like(value, pattern, negated: bool) -> Optional[bool]:
+    """LIKE with a pattern computed per row."""
+    if value is None or pattern is None:
+        return None
+    matched = like_to_regex(pattern).match(value) is not None
+    return not matched if negated else matched
+
+
+#: Python spelling of the SQL operators the kernels inline.
+_PYTHON_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
+               ">=": ">=", "+": "+", "-": "-", "*": "*"}
+
+_HELPERS = {"_compare": _compare, "_arith": _arith, "_param": _param,
+            "_like": _like,
+            # What sends a fast kernel to its checked twin: an operator
+            # on mismatched types, or a parameter the context lacks.
+            "_FALLBACK": (TypeError, KeyError, AttributeError)}
+
+
+@lru_cache(maxsize=2048)
+def _code(source: str):
+    return compile(source, "<kernel>", "exec")
+
+
+class _Operand:
+    """An operand a compound form reads more than once: a pure one
+    (column, literal, hoisted parameter) is re-read in place, any other
+    is evaluated once, into a temporary, at its first use."""
+
+    __slots__ = ("source", "temp", "nullable", "used")
+
+    def __init__(self, source: str, temp: Optional[str], nullable: bool):
+        self.source, self.temp, self.nullable = source, temp, nullable
+        self.used = False
+
+    def use(self) -> str:
+        if self.temp is None or self.used:
+            return self.temp or self.source
+        self.used = True
+        return f"({self.temp} := {self.source})"
+
+
+class _Emitter:
+    """Source text and environment of one kernel: ``value`` renders an
+    expression's value, ``predicate`` a ``bool`` that is True exactly
+    when the value is; ``checked`` selects the twin's rendering."""
+
+    def __init__(self, layout: Layout, checked: bool):
         self.layout = layout
+        self.checked = checked
+        self.env: dict[str, Any] = dict(_HELPERS)
+        #: parameter key -> (local name, name of the bound key)
+        self.parameters: dict[Any, tuple[str, str]] = {}
+        #: True once the source can raise what the twin must re-raise.
+        self.fallible = False
+        self._names = 0
 
-    def compile(self, expression: ast.Expression) -> CompiledExpression:
-        return self._compile(fold_constants(expression))
+    def _name(self, prefix: str) -> str:
+        self._names += 1
+        return f"{prefix}{self._names}"
 
-    def compile_condition(self, expression: ast.Expression
-                          ) -> CompiledExpression:
-        """Compile a predicate for a per-row *filter* context (the
-        matview delta joins).
+    def bind(self, value: Any) -> str:
+        name = self._name("_b")
+        self.env[name] = value
+        return name
 
-        Same True/dropped outcome as :meth:`compile` for every row, but
-        conjunctions short-circuit exactly like the batch filter built
-        by :meth:`compile_filter`: a right conjunct is only evaluated
-        when the left conjunct is True, so both agree on which side
-        effects (runtime errors) can surface.  Only valid where UNKNOWN
-        and False are interchangeable — filters keep exactly-True rows —
-        not for value contexts.
-        """
-        return self._condition(fold_constants(expression))
-
-    def _condition(self, expression: ast.Expression) -> CompiledExpression:
-        if isinstance(expression, ast.BinaryOp) and expression.op == "AND":
-            left = self._condition(expression.left)
-            right = self._condition(expression.right)
-
-            def run(row, ctx):
-                if left(row, ctx) is True:
-                    return right(row, ctx)
-                return False
-            return run
-        return self._compile(expression)
-
-    def _compile(self, expression: ast.Expression) -> CompiledExpression:
+    def operand(self, expression: ast.Expression) -> _Operand:
+        source = self.value(expression)
         if isinstance(expression, ast.Literal):
-            value = expression.value
-            return lambda row, ctx: value
+            return _Operand(source, None, expression.value is None)
+        pure = isinstance(expression, RidRef) or (
+            isinstance(expression, ast.Parameter) and not self.checked) or (
+            isinstance(expression, QRef) and source.startswith("row["))
+        return _Operand(source, None if pure else self._name("_t"), True)
+
+    def _position(self, qid: int, column: str) -> Optional[int]:
+        return self.layout.get((qid, column.upper()))
+
+    @staticmethod
+    def _null_test(operands: list[_Operand], present: bool
+                   ) -> Optional[str]:
+        """Source testing that some operand is NULL (with ``present``:
+        that none is).  It evaluates every operand, in order; it only
+        short-circuits past pure ones."""
+        nullable = [op for op in operands if op.nullable]
+        if not nullable:
+            return None
+        test = "is not None" if present else "is None"
+        checks = [f"{op.use()} {test}" for op in nullable]
+        if all(op.temp is None for op in operands[1:]) \
+                or [op for op in operands if op.temp] == nullable[:1]:
+            return (" and " if present else " or ").join(checks)
+        return (" & " if present else " + ").join(f"({c})" for c in checks)
+
+    # -- values ----------------------------------------------------------
+    def value(self, expression: ast.Expression) -> str:
+        if isinstance(expression, ast.Literal):
+            return self.bind(expression.value)
         if isinstance(expression, ast.Parameter):
+            self.fallible = True
             key = expression.key
-            marker = str(expression)
-
-            def run_parameter(row, ctx):
-                if ctx is None:
-                    raise ExecutionError(
-                        f"statement parameter {marker} has no bound value"
-                    )
-                return ctx.parameter(key)
-            return run_parameter
+            if self.checked:
+                return (f"_param(ctx, {self.bind(key)}, "
+                        f"{self.bind(str(expression))})")
+            if key not in self.parameters:
+                self.parameters[key] = (self._name("p"), self.bind(key))
+            return self.parameters[key][0]
         if isinstance(expression, QRef):
-            position = self._position(expression.quantifier.qid,
-                                      expression.column)
-            if position is not None:
-                return column_ref(position)
-            # Not in the layout: a scalar-subquery quantifier, resolved
-            # through the execution context at run time.
-            quantifier = expression.quantifier
-            if quantifier.qtype != "S":
-                raise ExecutionError(
-                    f"column {quantifier.name}.{expression.column} is "
-                    f"not available in this plan"
-                )
-            qid = quantifier.qid
-            correlation = quantifier.correlation
-            if not correlation:
-                return lambda row, ctx: ctx.scalar_value(qid)
-            # Correlated: evaluate the outer-side expressions against
-            # the current row, then run the subquery plan with those
-            # values bound to its correlation slots (memoized per
-            # distinct binding).
-            slots = tuple(slot for slot, _leaf in correlation)
-            leaf_fns = tuple(self._compile(leaf)
-                             for _slot, leaf in correlation)
-
-            def run_correlated(row, ctx):
-                values = tuple(fn(row, ctx) for fn in leaf_fns)
-                return ctx.correlated_scalar(qid, slots, values)
-            return run_correlated
+            return self._column(expression)
         if isinstance(expression, RidRef):
-            position = self._position(expression.quantifier.qid, RID_COLUMN)
+            position = self._position(expression.quantifier.qid,
+                                      RID_COLUMN)
             if position is None:
                 raise ExecutionError(
                     f"RID of {expression.quantifier.name} not available "
                     f"in this plan"
                 )
-            return column_ref(position)
+            return f"row[{position}]"
         if isinstance(expression, ast.BinaryOp):
-            return self._compile_binary(expression)
+            return self._binary(expression)
         if isinstance(expression, ast.UnaryOp):
-            operand = self._compile(expression.operand)
-            if expression.op == "NOT":
-                return lambda row, ctx: sql_not(operand(row, ctx))
-            if expression.op == "-":
-                return lambda row, ctx: (
-                    None if operand(row, ctx) is None else -operand(row, ctx)
-                )
-            raise ExecutionError(f"unknown unary operator {expression.op!r}")
+            if expression.op not in ("NOT", "-"):
+                raise ExecutionError(
+                    f"unknown unary operator {expression.op!r}")
+            operand = self.operand(expression.operand)
+            test = operand.use()
+            op = "not " if expression.op == "NOT" else "-"
+            return f"(None if {test} is None else {op}{operand.use()})"
         if isinstance(expression, ast.FunctionCall):
-            return self._compile_function(expression)
+            name = expression.name.upper()
+            function = SCALAR_FUNCTIONS.get(name)
+            if function is None:
+                raise ExecutionError(f"unknown function {name!r}")
+            args = ", ".join(self.value(a) for a in expression.args)
+            return f"{self.bind(function)}({args})"
         if isinstance(expression, ast.IsNull):
-            operand = self._compile(expression.operand)
-            if expression.negated:
-                return lambda row, ctx: operand(row, ctx) is not None
-            return lambda row, ctx: operand(row, ctx) is None
+            test = "is not None" if expression.negated else "is None"
+            return f"({self.value(expression.operand)} {test})"
         if isinstance(expression, ast.Between):
-            return self._compile_between(expression)
+            value = self.operand(expression.operand)
+            both = self._kleene(
+                "AND", self._compare(">=", value,
+                                     self.operand(expression.low)),
+                self._compare("<=", value, self.operand(expression.high)))
+            if not expression.negated:
+                return both
+            inner = self._operand_of(both)
+            return f"(None if {inner.use()} is None else not {inner.use()})"
         if isinstance(expression, ast.Like):
-            return self._compile_like(expression)
+            return self._like(expression)
         if isinstance(expression, ast.InList):
-            return self._compile_in_list(expression)
+            return self._in_list(expression)
         if isinstance(expression, ast.CaseWhen):
-            return self._compile_case(expression)
+            branches = [f"{self.value(result)} if "
+                        f"{self.predicate(condition)} else "
+                        for condition, result in expression.whens]
+            default = (self.value(expression.default)
+                       if expression.default is not None else "None")
+            return f"({''.join(branches)}{default})"
         raise ExecutionError(f"cannot compile expression {expression!r}")
 
-    # ------------------------------------------------------------------
-    def _position(self, qid: int, column: str) -> Optional[int]:
-        return self.layout.get((qid, column.upper()))
+    def _column(self, expression: QRef) -> str:
+        position = self._position(expression.quantifier.qid,
+                                  expression.column)
+        if position is not None:
+            return f"row[{position}]"
+        # Not in the layout: a scalar-subquery quantifier, resolved
+        # through the execution context at run time.
+        quantifier = expression.quantifier
+        if quantifier.qtype != "S":
+            raise ExecutionError(
+                f"column {quantifier.name}.{expression.column} is "
+                f"not available in this plan"
+            )
+        qid = self.bind(quantifier.qid)
+        if not quantifier.correlation:
+            return f"ctx.scalar_value({qid})"
+        # Correlated: the outer-side values of the current row bind the
+        # subquery's correlation slots (memoized per distinct binding).
+        slots = self.bind(tuple(slot for slot, _leaf
+                                in quantifier.correlation))
+        leaves = "".join(f"{self.value(leaf)}, "
+                         for _slot, leaf in quantifier.correlation)
+        return f"ctx.correlated_scalar({qid}, {slots}, ({leaves}))"
 
-    def _compile_binary(self, expression: ast.BinaryOp) -> CompiledExpression:
-        left = self._compile(expression.left)
-        right = self._compile(expression.right)
+    def _operand_of(self, source: str) -> _Operand:
+        return _Operand(source, self._name("_t"), True)
+
+    def _kleene(self, op: str, left: str, right: str) -> str:
+        """Kleene AND/OR of two rendered values, both evaluated."""
+        left, right = self._operand_of(left), self._operand_of(right)
+        decisive, otherwise = (("False", "True") if op == "AND"
+                               else ("True", "False"))
+        return (f"({decisive} if ({left.use()} is {decisive}) + "
+                f"({right.use()} is {decisive}) else (None if "
+                f"{left.use()} is None or {right.use()} is None "
+                f"else {otherwise}))")
+
+    def _binary(self, expression: ast.BinaryOp) -> str:
         op = expression.op
-        if op == "AND":
-            return lambda row, ctx: sql_and(left(row, ctx), right(row, ctx))
-        if op == "OR":
-            return lambda row, ctx: sql_or(left(row, ctx), right(row, ctx))
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda row, ctx: _compare(op, left(row, ctx),
-                                             right(row, ctx))
-        return lambda row, ctx: _arith(op, left(row, ctx), right(row, ctx))
+        if op in ("AND", "OR"):
+            return self._kleene(op, self.value(expression.left),
+                                self.value(expression.right))
+        if op in _COMPARISON_OPS:
+            return self._compare(op, self.operand(expression.left),
+                                 self.operand(expression.right))
+        self.fallible = True
+        if self.checked or op not in _PYTHON_OPS:
+            # Division and concatenation always go through _arith.
+            return (f"_arith({self.bind(op)}, {self.value(expression.left)}"
+                    f", {self.value(expression.right)})")
+        return self._inline(op, self.operand(expression.left),
+                            self.operand(expression.right), present=False)
 
-    def _compile_function(self,
-                          expression: ast.FunctionCall) -> CompiledExpression:
-        name = expression.name.upper()
-        function = SCALAR_FUNCTIONS.get(name)
-        if function is None:
-            raise ExecutionError(f"unknown function {name!r}")
-        args = [self._compile(a) for a in expression.args]
-        return lambda row, ctx: function(*(a(row, ctx) for a in args))
+    def _inline(self, op: str, left: _Operand, right: _Operand,
+                present: bool) -> str:
+        """``left op right`` behind its NULL guard: the value (NULL when
+        an operand is) or, with ``present``, the predicate."""
+        test = self._null_test([left, right], present)
+        result = f"{left.use()} {_PYTHON_OPS[op]} {right.use()}"
+        if test is None:
+            return f"({result})"
+        return f"({test} and {result})" if present \
+            else f"(None if {test} else {result})"
 
-    def _compile_between(self,
-                         expression: ast.Between) -> CompiledExpression:
-        operand = self._compile(expression.operand)
-        low = self._compile(expression.low)
-        high = self._compile(expression.high)
+    def _compare(self, op: str, left: _Operand, right: _Operand,
+                 present: bool = False) -> str:
+        if op not in ("=", "<>"):
+            self.fallible = True  # ordering mismatched types raises
+        if self.checked:
+            result = f"_compare({self.bind(op)}, {left.use()}, {right.use()})"
+            return f"({result} is True)" if present else result
+        return self._inline(op, left, right, present)
 
-        def run(row, ctx):
-            value = operand(row, ctx)
-            result = sql_and(_compare(">=", value, low(row, ctx)),
-                             _compare("<=", value, high(row, ctx)))
-            return sql_not(result) if expression.negated else result
-        return run
+    def _like(self, expression: ast.Like) -> str:
+        pattern = expression.pattern
+        if isinstance(pattern, ast.Literal) and isinstance(pattern.value,
+                                                           str):
+            match = self.bind(like_to_regex(pattern.value).match)
+            value = self.operand(expression.operand)
+            test = value.use()
+            verdict = "is None" if expression.negated else "is not None"
+            return (f"(None if {test} is None else "
+                    f"{match}({value.use()}) {verdict})")
+        return (f"_like({self.value(expression.operand)}, "
+                f"{self.value(pattern)}, {self.bind(expression.negated)})")
 
-    def _compile_like(self, expression: ast.Like) -> CompiledExpression:
-        operand = self._compile(expression.operand)
-        if isinstance(expression.pattern, ast.Literal) \
-                and isinstance(expression.pattern.value, str):
-            regex = like_to_regex(expression.pattern.value)
+    def _in_list(self, expression: ast.InList) -> str:
+        # Items are evaluated lazily, in order, up to the first match.
+        value = self.operand(expression.operand)
+        test = value.use()
+        hit, miss = (("False", "True") if expression.negated
+                     else ("True", "False"))
+        items = [self.operand(i) for i in expression.items]
+        probes = "".join(f"{hit} if {item.use()} == {value.use()} else "
+                         for item in items)
+        nulls = [f"{item.use()} is None" for item in items if item.nullable]
+        if nulls:
+            miss = f"(None if {' or '.join(nulls)} else {miss})"
+        return f"(None if {test} is None else ({probes}{miss}))"
 
-            def run_static(row, ctx):
-                value = operand(row, ctx)
-                if value is None:
-                    return None
-                matched = regex.match(value) is not None
-                return not matched if expression.negated else matched
-            return run_static
-
-        pattern = self._compile(expression.pattern)
-
-        def run_dynamic(row, ctx):
-            value = operand(row, ctx)
-            pattern_value = pattern(row, ctx)
-            if value is None or pattern_value is None:
-                return None
-            matched = like_to_regex(pattern_value).match(value) is not None
-            return not matched if expression.negated else matched
-        return run_dynamic
-
-    def _compile_in_list(self, expression: ast.InList) -> CompiledExpression:
-        operand = self._compile(expression.operand)
-        items = [self._compile(i) for i in expression.items]
-
-        def run(row, ctx):
-            value = operand(row, ctx)
-            if value is None:
-                return None
-            saw_null = False
-            for item in items:
-                candidate = item(row, ctx)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return False if expression.negated else True
-            if saw_null:
-                return None
-            return True if expression.negated else False
-        return run
-
-    def _compile_case(self, expression: ast.CaseWhen) -> CompiledExpression:
-        whens = [(self._compile(c), self._compile(r))
-                 for c, r in expression.whens]
-        default = (self._compile(expression.default)
-                   if expression.default is not None else None)
-
-        def run(row, ctx):
-            for condition, result in whens:
-                if condition(row, ctx) is True:
-                    return result(row, ctx)
-            return default(row, ctx) if default is not None else None
-        return run
-
-    # ------------------------------------------------------------------
-    # Batch (vectorized) predicate compilation
-    # ------------------------------------------------------------------
-    def compile_filter(self, expression: ast.Expression) -> BatchPredicate:
-        """Compile a predicate into a batch filter.
-
-        The returned callable takes (rows, ctx) and returns the rows
-        whose predicate evaluates to exactly True, preserving order.
-        Conjunctions short-circuit at batch granularity (the right
-        conjunct only sees the left conjunct's survivors) and
-        column-vs-constant comparisons run as plain comprehensions with
-        no per-row closure call.
-        """
-        return self._filter(fold_constants(expression))
-
-    def _filter(self, expression: ast.Expression) -> BatchPredicate:
-        if isinstance(expression, ast.Literal):
-            if expression.value is True:
-                return lambda rows, ctx: rows
-            return lambda rows, ctx: []
-        if isinstance(expression, ast.BinaryOp):
-            if expression.op == "AND":
-                left = self._filter(expression.left)
-                right = self._filter(expression.right)
-
-                def run_and(rows, ctx):
-                    kept = left(rows, ctx)
-                    return right(kept, ctx) if kept else kept
-                return run_and
-            if expression.op in _COMPARISON_OPS:
-                fast = self._filter_comparison(expression)
-                if fast is not None:
-                    return fast
+    # -- predicates ------------------------------------------------------
+    def predicate(self, expression: ast.Expression) -> str:
+        if isinstance(expression, ast.BinaryOp) \
+                and expression.op in _COMPARISON_OPS:
+            return self._compare(expression.op,
+                                 self.operand(expression.left),
+                                 self.operand(expression.right), True)
+        if isinstance(expression, ast.Between) and not expression.negated:
+            value = self.operand(expression.operand)
+            low = self._compare(">=", value, self.operand(expression.low),
+                                True)
+            high = self._compare("<=", value,
+                                 self.operand(expression.high), True)
+            return f"({low} & {high})"
         if isinstance(expression, ast.IsNull):
-            fast = self._filter_is_null(expression)
-            if fast is not None:
-                return fast
-        fn = self._compile(expression)
-        return lambda rows, ctx: [row for row in rows
-                                  if fn(row, ctx) is True]
+            return self.value(expression)
+        return f"({self.value(expression)} is True)"
 
-    def _filter_comparison(self,
-                           expression: ast.BinaryOp
-                           ) -> Optional[BatchPredicate]:
-        """Fast path for ``column op constant-or-parameter`` (either side)
-        and ``column op column``."""
-        for this, other, op in (
-                (expression.left, expression.right, expression.op),
-                (expression.right, expression.left,
-                 _FLIPPED_OP[expression.op])):
-            if isinstance(this, QRef) and isinstance(other, ast.Literal):
-                position = self._position(this.quantifier.qid, this.column)
-                if position is None:
-                    return None  # scalar-subquery quantifier: generic path
-                value = other.value
-                if value is None:
-                    # Comparison with NULL is UNKNOWN: keeps nothing.
-                    return lambda rows, ctx: []
-                return _comparison_filter(op, position, value)
-            if isinstance(this, QRef) and isinstance(other, ast.Parameter):
-                position = self._position(this.quantifier.qid, this.column)
-                if position is None:
-                    return None
-                key = other.key
+    def narrow(self, conjuncts: list[ast.Expression]) -> list[str]:
+        """Statements keeping, conjunct by conjunct, the ``rows`` every
+        conjunct so far holds for: a conjunct only sees survivors."""
+        return [f"rows = [row for row in rows if {self.predicate(c)}]"
+                for c in conjuncts]
 
-                def run_bound(rows, ctx, _op=op, _position=position,
-                              _key=key):
-                    value = ctx.parameter(_key)
-                    if value is None:
-                        return []
-                    return _comparison_filter(_op, _position, value)(
-                        rows, ctx)
-                return run_bound
-            if isinstance(this, QRef) and isinstance(other, QRef):
-                position = self._position(this.quantifier.qid, this.column)
-                other_position = self._position(other.quantifier.qid,
-                                                other.column)
-                if position is None or other_position is None:
-                    return None
-                return _column_comparison_filter(op, position,
-                                                 other_position)
-        return None
-
-    def _filter_is_null(self, expression: ast.IsNull
-                        ) -> Optional[BatchPredicate]:
-        operand = expression.operand
-        if not isinstance(operand, QRef):
-            return None
-        position = self._position(operand.quantifier.qid, operand.column)
-        if position is None:
-            return None
-        if expression.negated:
-            return lambda rows, ctx: [r for r in rows
-                                      if r[position] is not None]
-        return lambda rows, ctx: [r for r in rows if r[position] is None]
+    # -- kernels ---------------------------------------------------------
+    def kernel_source(self, argument: str, body: list[str]) -> str:
+        """A kernel running the statements of ``body`` and returning
+        its last line's value."""
+        *steps, result = body
+        guarded = self.fallible and not self.checked
+        indent = " " * (8 if guarded else 4)
+        lines = [f"def _kernel({argument}, ctx):"]
+        if guarded:
+            lines.append("    try:")
+            lines.extend(f"{indent}{local} = ctx.parameters[{key}]"
+                         for local, key in self.parameters.values())
+        lines.extend(f"{indent}{step}" for step in steps)
+        lines.append(f"{indent}return {result}")
+        if guarded:
+            lines.append("    except _FALLBACK:")
+            lines.append(f"        return _twin({argument}, ctx)")
+        return "\n".join(lines) + "\n"
 
 
-def _comparison_filter(op: str, position: int, value) -> BatchPredicate:
-    """Comprehension-based filters matching 3VL row semantics.
+def _instantiate(source: str, env: dict) -> Callable:
+    exec(_code(source), env)
+    kernel = env["_kernel"]
+    kernel.source = source
+    return kernel
 
-    A NULL operand makes the comparison UNKNOWN, which never qualifies;
-    equality needs no explicit guard because ``None == value`` is False
-    for the non-NULL ``value`` the caller guarantees.  Ordering
-    comparisons fall back to the per-row comparator on type mismatches
-    so the error is the one :meth:`ExpressionCompiler.compile` raises.
+
+def _build_kernel(layout: Layout, argument: str,
+                  render: Callable[[_Emitter], list[str]]) -> Callable:
+    """One kernel: ``render`` writes the body's lines over an emitter;
+    the checked twin is rendered from the same ``render`` on first
+    use."""
+    emitter = _Emitter(layout, checked=False)
+    source = emitter.kernel_source(argument, render(emitter))
+    env = emitter.env
+    if emitter.fallible:
+        def twin(*args):
+            checked = _Emitter(layout, checked=True)
+            twin_source = checked.kernel_source(argument, render(checked))
+            built = env["_twin"] = _instantiate(twin_source, checked.env)
+            return built(*args)
+        env["_twin"] = twin
+    return _instantiate(source, env)
+
+
+def _getter_kernel(positions: tuple[int, ...]) -> BatchKernel:
+    """``itemgetter(*positions)`` over a batch: the bare value for one
+    position, else a tuple."""
+    return _instantiate("def _kernel(rows, ctx):\n"
+                        "    return list(map(_getter, rows))\n",
+                        {"_getter": itemgetter(*positions)})
+
+
+def column_kernel(positions: Sequence[int]) -> BatchKernel:
+    """Batch kernel projecting each row onto ``positions`` (a tuple per
+    row): the projection every plain-column Project and the XNF
+    component decoder share."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return _getter_kernel(positions)
+    items = "".join(f"row[{p}], " for p in positions)
+    return _instantiate(f"def _kernel(rows, ctx):\n"
+                        f"    return [({items}) for row in rows]\n", {})
+
+
+class ExpressionCompiler:
+    """Compiles QGM expressions against a fixed row layout into kernels.
+
+    ``compile`` gives a value kernel ``fn(row, ctx)``; the batch kernels
+    ``fn(rows, ctx)`` are ``compile_filter`` (the kept rows),
+    ``compile_project`` (a tuple per kept row, with an optional fused
+    filter) and ``compile_keys`` (a hashable equi-join key per row).
     """
-    if op == "=":
-        def run(rows, ctx):
-            return [r for r in rows if r[position] == value]
-    elif op == "<>":
-        def run(rows, ctx):
-            return [r for r in rows
-                    if r[position] is not None and r[position] != value]
-    elif op == "<":
-        def run(rows, ctx):
-            try:
-                return [r for r in rows
-                        if r[position] is not None and r[position] < value]
-            except TypeError:
-                return [r for r in rows
-                        if _compare("<", r[position], value) is True]
-    elif op == "<=":
-        def run(rows, ctx):
-            try:
-                return [r for r in rows
-                        if r[position] is not None and r[position] <= value]
-            except TypeError:
-                return [r for r in rows
-                        if _compare("<=", r[position], value) is True]
-    elif op == ">":
-        def run(rows, ctx):
-            try:
-                return [r for r in rows
-                        if r[position] is not None and r[position] > value]
-            except TypeError:
-                return [r for r in rows
-                        if _compare(">", r[position], value) is True]
-    elif op == ">=":
-        def run(rows, ctx):
-            try:
-                return [r for r in rows
-                        if r[position] is not None and r[position] >= value]
-            except TypeError:
-                return [r for r in rows
-                        if _compare(">=", r[position], value) is True]
-    else:  # pragma: no cover - caller restricts ops
-        raise ExecutionError(f"unknown comparison operator {op!r}")
-    return run
 
+    def __init__(self, layout: Layout):
+        self.layout = layout
 
-def _column_comparison_filter(op: str, left: int,
-                              right: int) -> BatchPredicate:
-    """``column op column`` as one comprehension; like
-    :func:`_comparison_filter`, a type mismatch falls back to the per-row
-    comparator so the error matches."""
-    compare = _COMPARATORS[op]
+    def compile(self, expression: ast.Expression) -> CompiledExpression:
+        expression = fold_constants(expression)
+        return _build_kernel(self.layout, "row",
+                             lambda emitter: [emitter.value(expression)])
 
-    def run(rows, ctx):
-        try:
-            return [r for r in rows
-                    if r[left] is not None and r[right] is not None
-                    and compare(r[left], r[right])]
-        except TypeError:
-            return [r for r in rows
-                    if _compare(op, r[left], r[right]) is True]
-    return run
+    def compile_filter(self, expression: ast.Expression) -> BatchPredicate:
+        """Compile a predicate into a batch filter: the rows whose
+        predicate is exactly True, in order, one comprehension per
+        top-level conjunct, each over the previous one's survivors."""
+        conjuncts = ast.conjuncts(fold_constants(expression))
+        return _build_kernel(
+            self.layout, "rows",
+            lambda emitter: emitter.narrow(conjuncts) + ["rows"])
 
+    def compile_project(self, expressions: Sequence[ast.Expression],
+                        where: Optional[ast.Expression] = None
+                        ) -> BatchKernel:
+        """A tuple of ``expressions`` per row — per row that satisfies
+        ``where`` when given (a filter fused under the projection)."""
+        expressions = [fold_constants(e) for e in expressions]
+        positions = self.positions(expressions)
+        if where is None and positions is not None:
+            return column_kernel(positions)
+        conjuncts = ast.conjuncts(fold_constants(where))
 
-def compile_predicate(expression: ast.Expression,
-                      layout: Layout) -> CompiledExpression:
-    """Compile a predicate; callers keep rows where the result is True."""
-    return ExpressionCompiler(layout).compile(expression)
+        def render(emitter: _Emitter) -> list[str]:
+            steps = emitter.narrow(conjuncts[:-1])
+            values = "".join(f"{emitter.value(e)}, " for e in expressions)
+            condition = (f" if {emitter.predicate(conjuncts[-1])}"
+                         if conjuncts else "")
+            return steps + [f"[({values}) for row in rows{condition}]"]
+        return _build_kernel(self.layout, "rows", render)
 
+    def compile_keys(self, expressions: Sequence[ast.Expression]
+                     ) -> BatchKernel:
+        """Equi-join keys per row: the bare value for one expression,
+        else a tuple; None whenever a component is NULL, since NULL keys
+        never match."""
+        expressions = [fold_constants(e) for e in expressions]
+        positions = self.positions(expressions)
+        if len(expressions) == 1 and positions is not None:
+            return _getter_kernel(positions)
 
-def compile_expressions(expressions: list[ast.Expression],
-                        layout: Layout) -> list[CompiledExpression]:
-    compiler = ExpressionCompiler(layout)
-    return [compiler.compile(e) for e in expressions]
+        def render(emitter: _Emitter) -> list[str]:
+            if len(expressions) == 1:
+                return [f"[{emitter.value(expressions[0])} for row in rows]"]
+            operands = [emitter.operand(e) for e in expressions]
+            test = emitter._null_test(operands, present=False)
+            key = "".join(f"{op.use()}, " for op in operands)
+            element = f"({key})" if test is None \
+                else f"(None if {test} else ({key}))"
+            return [f"[{element} for row in rows]"]
+        return _build_kernel(self.layout, "rows", render)
+
+    def positions(self, expressions: Sequence[ast.Expression]
+                  ) -> Optional[tuple[int, ...]]:
+        """Row positions when every expression is a plain column of the
+        layout, else None."""
+        found = []
+        for expression in expressions:
+            if not isinstance(expression, (QRef, RidRef)):
+                return None
+            column = getattr(expression, "column", RID_COLUMN)
+            position = self.layout.get((expression.quantifier.qid,
+                                        column.upper()))
+            if position is None:
+                return None
+            found.append(position)
+        return tuple(found)

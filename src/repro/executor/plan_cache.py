@@ -61,8 +61,8 @@ class ParameterizedStatement:
     #: :class:`repro.api.frontend.SkeletonCache`).
     slots: tuple = field(default=(), compare=False, repr=False)
     #: The statement's own plan-cache key, hashed once and shared by
-    #: every literal variant (DML: the qualification key; None for
-    #: the other kinds).
+    #: every literal variant (the lifted AST; for DML, the
+    #: qualification key).
     key: Any = field(default=None, compare=False, repr=False)
 
     @property
@@ -75,7 +75,8 @@ class HashedKey:
 
     A literal variant reuses the key object of its skeleton, so a probe
     costs one cached hash and an identity compare instead of a walk of
-    the whole AST.
+    the whole AST.  It hashes and compares equal to its content, so a
+    key built over the bare AST finds the same entry.
     """
 
     __slots__ = ("content", "_hash")
@@ -92,8 +93,9 @@ class HashedKey:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        return isinstance(other, HashedKey) \
-            and self.content == other.content
+        if isinstance(other, HashedKey):
+            other = other.content
+        return self.content == other
 
     def __repr__(self) -> str:
         return repr(self.content)
@@ -294,7 +296,8 @@ def parameterize_select(statement: ast.SelectStatement
     lifter = _Lifter(max_positional_index(statement) + 1)
     normalized = lifter.lift_select(statement)
     return ParameterizedStatement(normalized, tuple(lifter.values),
-                                  tuple(lifter.slots))
+                                  tuple(lifter.slots),
+                                  key=HashedKey(normalized))
 
 
 def _max_positional_in_xnf(query: ast.XNFQuery) -> int:
@@ -335,7 +338,8 @@ def parameterize_xnf(query: ast.XNFQuery) -> ParameterizedStatement:
         ))
     normalized = replace(query, definitions=tuple(definitions))
     return ParameterizedStatement(normalized, tuple(lifter.values),
-                                  tuple(lifter.slots))
+                                  tuple(lifter.slots),
+                                  key=HashedKey(normalized))
 
 
 def parameterize_dml(statement: Union[ast.UpdateStatement,

@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import PlanningError
-from repro.executor.expressions import (RID_COLUMN, CompiledExpression,
-                                        ExpressionCompiler, Layout)
+from repro.executor.expressions import (RID_COLUMN, ExpressionCompiler,
+                                        Layout)
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plan import (DEFAULT_BATCH_SIZE, Aggregate, Dedup,
                                   ExecutionContext, Filter, HashJoin,
@@ -175,7 +175,8 @@ class _Source:
 
 def _filter_node(node: PlanNode, compiler: ExpressionCompiler,
                  predicate: ast.Expression) -> Filter:
-    return Filter(node, compiler.compile_filter(predicate), str(predicate))
+    return Filter(node, compiler.compile_filter(predicate), str(predicate),
+                  predicate)
 
 
 def _referenced_quantifiers(expression: ast.Expression) -> set[Quantifier]:
@@ -347,14 +348,31 @@ class Planner:
                         [compiler.compile(e) for e, _d in box.order_by],
                         [d for _e, d in box.order_by])
 
-        compiler = ExpressionCompiler(layout)
-        fns = [compiler.compile(c.expression) for c in box.head]
-        node = Project(node, fns, [c.name for c in box.head])
+        # Filters right under the projection fuse into its kernel: one
+        # comprehension filters and projects each batch.
+        fused: list[ast.Expression] = []
+        while isinstance(node, Filter) and node.expression is not None:
+            fused.insert(0, node.expression)
+            node = node.child
+        node = self._project(node, layout, box.head, fused)
         if box.distinct:
             node = Dedup(node)
         if box.limit is not None or box.offset is not None:
             node = Limit(node, box.limit, box.offset)
         return node
+
+    @staticmethod
+    def _project(node: PlanNode, layout: Layout, head: list,
+                 where: Optional[list[ast.Expression]] = None) -> Project:
+        compiler = ExpressionCompiler(layout)
+        expressions = [c.expression for c in head]
+        names = [c.name for c in head]
+        if where:
+            return Project(node, compiler.compile_project(
+                expressions, ast.conjoin(where)), names,
+                where=" AND ".join(str(p) for p in where))
+        return Project(node, compiler.compile_project(expressions), names,
+                       positions=compiler.positions(expressions))
 
     # ------------------------------------------------------------------
     # Scalar subqueries (uncorrelated and correlated)
@@ -513,10 +531,9 @@ class Planner:
                     chosen_index, access_cost = (index, names), index_cost
             if chosen_index is not None:
                 index, names = chosen_index
-                empty_compiler = ExpressionCompiler({})
-                key_fns = [empty_compiler.compile(const_eq[name])
-                           for name in names]
-                node = IndexScan(table, index, key_fns, with_rid=with_rid)
+                keys = ExpressionCompiler({}).compile_project(
+                    [const_eq[name] for name in names])
+                node = IndexScan(table, index, keys, with_rid=with_rid)
                 # Only the predicates that became probe keys are
                 # consumed; a second equality on a keyed column (``a = 1
                 # AND a = 2``) still filters.
@@ -803,11 +820,10 @@ class Planner:
             # Index-nested-loop through a parent/child link.
             return self._index_probe(node, candidate, index, equi,
                                      layout, combined), combined
-        outer_compiler = ExpressionCompiler(layout)
-        inner_compiler = ExpressionCompiler(candidate.layout)
-        left_keys = [outer_compiler.compile(sides[0]) for _p, sides in equi]
-        right_keys = [inner_compiler.compile(sides[1])
-                      for _p, sides in equi]
+        left_keys = ExpressionCompiler(layout).compile_keys(
+            [sides[0] for _p, sides in equi])
+        right_keys = ExpressionCompiler(candidate.layout).compile_keys(
+            [sides[1] for _p, sides in equi])
         return HashJoin(node, candidate.node, left_keys, right_keys), \
             combined
 
@@ -828,18 +844,17 @@ class Planner:
                 # keyed column included — so it must hold on every
                 # probed row.
                 residual_preds.append(predicate)
-        outer_compiler = ExpressionCompiler(outer_layout)
-        key_fns = [outer_compiler.compile(by_column[name])
-                   for name in names]
+        keys = ExpressionCompiler(outer_layout).compile_project(
+            [by_column[name] for name in names])
         # Local filters on the candidate fold into the probe residual
         # (the probe replaces the candidate's filtered-scan subtree).
         residual_preds.extend(candidate.filter_preds)
         residual = None
         if residual_preds:
-            residual = ExpressionCompiler(combined_layout).compile(
+            residual = ExpressionCompiler(combined_layout).compile_filter(
                 ast.conjoin(residual_preds))
         return IndexNestedLoopJoin(
-            outer, candidate.table, index, key_fns,
+            outer, candidate.table, index, keys,
             with_rid=candidate.with_rid, residual=residual,
         )
 
@@ -906,18 +921,22 @@ class Planner:
                                                sources[0].layout)
 
         # Split cross predicates into hashable equi keys and residual.
-        outer_compiler = ExpressionCompiler(layout)
-        inner_compiler = ExpressionCompiler(inner_layout)
-        outer_keys: list[CompiledExpression] = []
-        inner_keys: list[CompiledExpression] = []
+        outer_sides: list[ast.Expression] = []
+        inner_sides: list[ast.Expression] = []
         residual: list[ast.Expression] = []
         for _position, predicate in cross:
             sides = self._split_cross_equality(predicate, member_set)
             if sides is not None:
-                outer_keys.append(outer_compiler.compile(sides[0]))
-                inner_keys.append(inner_compiler.compile(sides[1]))
+                outer_sides.append(sides[0])
+                inner_sides.append(sides[1])
             else:
                 residual.append(predicate)
+        outer_keys = inner_keys = None
+        if outer_sides:
+            outer_keys = ExpressionCompiler(layout).compile_project(
+                outer_sides)
+            inner_keys = ExpressionCompiler(inner_layout).compile_project(
+                inner_sides)
         residual_fn = None
         if residual:
             width = len(node.columns)
@@ -962,13 +981,14 @@ class Planner:
         layout = {(box.input.qid, c.name.upper()): positions[i]
                   for i, c in enumerate(box.input.box.head)}
         compiler = ExpressionCompiler(layout)
-        key_fns = [compiler.compile(k) for k in box.group_keys]
+        keys = (compiler.compile_project(box.group_keys)
+                if box.group_keys else None)
         specs = []
         key_count = 0
         for column in box.head:
             if column.name in box.aggregates:
                 spec = box.aggregates[column.name]
-                argument = (compiler.compile(spec.argument)
+                argument = (compiler.compile_keys([spec.argument])
                             if spec.argument is not None else None)
                 specs.append((spec.function, argument, spec.distinct))
             else:
@@ -979,8 +999,7 @@ class Planner:
                     )
         if key_count != len(box.group_keys):
             raise PlanningError("group-by head/key mismatch")
-        return Aggregate(child, key_fns, specs,
-                         [c.name for c in box.head])
+        return Aggregate(child, keys, specs, [c.name for c in box.head])
 
     def _plan_setop(self, box: SetOpBox) -> PlanNode:
         if len(box.inputs) != 2:
@@ -1001,26 +1020,28 @@ class Planner:
         for key, position in right_layout.items():
             combined[key] = position + width
 
-        left_keys: list[CompiledExpression] = []
-        right_keys: list[CompiledExpression] = []
+        left_sides: list[ast.Expression] = []
+        right_sides: list[ast.Expression] = []
         residual: list[ast.Expression] = []
-        left_compiler = ExpressionCompiler(left_layout)
-        right_compiler = ExpressionCompiler(right_layout)
         for conjunct in ast.conjuncts(box.condition):
             sides = self._outer_equality(conjunct, box)
             if sides is not None:
-                left_keys.append(left_compiler.compile(sides[0]))
-                right_keys.append(right_compiler.compile(sides[1]))
+                left_sides.append(sides[0])
+                right_sides.append(sides[1])
             else:
                 residual.append(conjunct)
+        left_keys = right_keys = None
+        if left_sides:
+            left_keys = ExpressionCompiler(left_layout).compile_keys(
+                left_sides)
+            right_keys = ExpressionCompiler(right_layout).compile_keys(
+                right_sides)
         residual_fn = None
         if residual:
-            residual_fn = ExpressionCompiler(combined).compile(
+            residual_fn = ExpressionCompiler(combined).compile_filter(
                 ast.conjoin(residual))
         node = LeftOuterJoin(left, right, left_keys, right_keys, residual_fn)
-        compiler = ExpressionCompiler(combined)
-        fns = [compiler.compile(c.expression) for c in box.head]
-        return Project(node, fns, [c.name for c in box.head])
+        return self._project(node, combined, box.head)
 
     def _outer_equality(self, conjunct: ast.Expression, box: OuterJoinBox):
         if not isinstance(conjunct, ast.BinaryOp) or conjunct.op != "=":

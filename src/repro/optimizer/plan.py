@@ -25,12 +25,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from functools import reduce
-from itertools import chain
-from operator import add, itemgetter
+from itertools import chain, repeat
+from operator import add
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
-from repro.executor.expressions import BatchPredicate, CompiledExpression
+from repro.executor.expressions import (BatchKernel, BatchPredicate,
+                                        CompiledExpression)
 from repro.storage.index import Index
 from repro.storage.table import (Table, active_read_view,
                                  visible_index_lookup)
@@ -250,41 +251,6 @@ def _full_batches(pieces: Iterator[list[Row]], batch_size: int,
         yield pending
 
 
-def _positions(fns: list[CompiledExpression]) -> Optional[tuple[int, ...]]:
-    """Row positions when every expression is a plain column reference
-    (see :func:`~repro.executor.expressions.column_ref`), else None."""
-    positions = tuple(getattr(fn, "position", None) for fn in fns)
-    return None if None in positions else positions
-
-
-def _column_values(fn: CompiledExpression, ctx: ExecutionContext
-                   ) -> Callable[[list[Row]], list]:
-    """Evaluate ``fn`` over a list of rows, as one ``itemgetter`` map
-    when it is a plain column reference."""
-    position = getattr(fn, "position", None)
-    if position is not None:
-        getter = itemgetter(position)
-        return lambda rows: list(map(getter, rows))
-    return lambda rows: [fn(row, ctx) for row in rows]
-
-
-def _join_keys(fns: list[CompiledExpression], ctx: ExecutionContext
-               ) -> Callable[[list[Row]], list]:
-    """Map a list of rows to their equi-join keys: the bare value for a
-    single key column, else a tuple; None whenever a component is NULL,
-    since NULL keys never match."""
-    if len(fns) == 1:
-        return _column_values(fns[0], ctx)
-
-    def keys(rows: list[Row]) -> list:
-        result = []
-        for row in rows:
-            values = tuple(fn(row, ctx) for fn in fns)
-            result.append(None if None in values else values)
-        return result
-    return keys
-
-
 def _build_buckets(join: "HashJoin | LeftOuterJoin", ctx: ExecutionContext,
                    batch_size: int) -> dict:
     """Build-side hash table of an equi-join's right input.  Worker
@@ -295,11 +261,11 @@ def _build_buckets(join: "HashJoin | LeftOuterJoin", ctx: ExecutionContext,
         cached = cache.get(id(join))
         if cached is not None:
             return cached
-    keys_of = _join_keys(join.right_keys, ctx)
+    keys_of = join.right_keys
     buckets: dict[Any, list[Row]] = {}
     setdefault = buckets.setdefault
     for batch in join.right.execute_batches(ctx, batch_size):
-        for key, row in zip(keys_of(batch), batch):
+        for key, row in zip(keys_of(batch, ctx), batch):
             if key is not None:
                 setdefault(key, []).append(row)
     if cache is not None:
@@ -349,23 +315,24 @@ class TableScan(PlanNode):
 
 
 class IndexScan(PlanNode):
-    """Equality access through an index; key values computed at open."""
+    """Equality access through an index; the key (a batch kernel over
+    one empty row) is computed at open."""
 
-    def __init__(self, table: Table, index: Index,
-                 key_fns: list[CompiledExpression], with_rid: bool = False):
+    def __init__(self, table: Table, index: Index, keys: BatchKernel,
+                 with_rid: bool = False):
         columns = list(table.column_names)
         if with_rid:
             columns.append("$RID$")
         super().__init__(columns)
         self.table = table
         self.index = index
-        self.key_fns = key_fns
+        self.keys = keys
         self.with_rid = with_rid
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        key = tuple(fn((), ctx) for fn in self.key_fns)
+        key = self.keys([()], ctx)[0]
         ctx.bump("index_lookups")
         pairs = visible_index_lookup(self.table, self.index, key)
         rows = ([row + (rid,) for rid, row in pairs] if self.with_rid
@@ -381,17 +348,18 @@ class IndexScan(PlanNode):
 class Filter(PlanNode):
     """Keeps rows whose predicate is exactly True.
 
-    ``predicate`` is a :data:`BatchPredicate`: it maps a batch to its
-    qualifying rows, in order, with comprehension fast paths and
-    conjunct short-circuiting.
+    ``predicate`` is a :data:`BatchPredicate` (a batch to its kept
+    rows); ``expression``, when given, is what it was compiled from,
+    for the planner to fuse into a Project above.
     """
 
     def __init__(self, child: PlanNode, predicate: BatchPredicate,
-                 description: str = ""):
+                 description: str = "", expression=None):
         super().__init__(child.columns)
         self.child = child
         self.predicate = predicate
         self.description = description
+        self.expression = expression
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -417,13 +385,20 @@ class Filter(PlanNode):
 
 
 class Project(PlanNode):
-    def __init__(self, child: PlanNode, fns: list[CompiledExpression],
-                 columns: Sequence[str]):
+    """One output tuple per input row, computed by a batch kernel; a
+    filter fused into the kernel (``where`` describes it) drops rows."""
+
+    def __init__(self, child: PlanNode, kernel: BatchKernel,
+                 columns: Sequence[str],
+                 positions: Optional[tuple[int, ...]] = None,
+                 where: str = ""):
         super().__init__(columns)
         self.child = child
-        self.fns = fns
-        #: Input positions when every output is a plain input column.
-        self.positions = _positions(fns)
+        self.kernel = kernel
+        #: Input positions when every output is a plain input column
+        #: and no filter is fused.
+        self.positions = positions
+        self.where = where
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -432,29 +407,29 @@ class Project(PlanNode):
 
     def pipe(self, stream: Iterator[list[Row]],
              ctx: ExecutionContext) -> Iterator[list[Row]]:
-        fns = self.fns
-        if len(fns) == 1:
-            fn = fns[0]
-            for batch in stream:
-                yield [(fn(row, ctx),) for row in batch]
-        else:
-            for batch in stream:
-                yield [tuple(fn(row, ctx) for fn in fns) for row in batch]
+        kernel = self.kernel
+        for batch in stream:
+            out = kernel(batch, ctx)
+            if out:
+                yield out
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
     def describe(self) -> str:
+        if self.where:
+            return f"FilterProject({', '.join(self.columns)}): {self.where}"
         return f"Project({', '.join(self.columns)})"
 
 
 class HashJoin(PlanNode):
-    """Equi inner join: builds on the right input, probes with the left."""
+    """Equi inner join: builds on the right input, probes with the left.
+    Keys are batch kernels (None for a NULL key); the residual is a
+    batch predicate over joined rows."""
 
     def __init__(self, left: PlanNode, right: PlanNode,
-                 left_keys: list[CompiledExpression],
-                 right_keys: list[CompiledExpression],
-                 residual: Optional[CompiledExpression] = None):
+                 left_keys: BatchKernel, right_keys: BatchKernel,
+                 residual: Optional[BatchPredicate] = None):
         super().__init__(list(left.columns) + list(right.columns))
         self.left = left
         self.right = right
@@ -472,16 +447,15 @@ class HashJoin(PlanNode):
                 batch_size: int) -> Iterator[list[Row]]:
         """The join result of each left batch."""
         get = _build_buckets(self, ctx, batch_size).get
-        keys_of = _join_keys(self.left_keys, ctx)
+        keys_of = self.left_keys
         residual = self.residual
         for batch in self.left.execute_batches(ctx, batch_size):
             # A NULL key is never a bucket key, so it finds no matches.
-            joined = [left_row + right_row
-                      for left_row, key in zip(batch, keys_of(batch))
-                      for right_row in get(key, ())]
-            if residual is not None:
-                joined = [row for row in joined
-                          if residual(row, ctx) is True]
+            joined = [left_row + right_row for left_row, matches
+                      in zip(batch, map(get, keys_of(batch, ctx)))
+                      if matches for right_row in matches]
+            if residual is not None and joined:
+                joined = residual(joined, ctx)
             yield joined
 
     def children(self) -> list[PlanNode]:
@@ -493,11 +467,13 @@ class HashJoin(PlanNode):
 
 class IndexNestedLoopJoin(PlanNode):
     """For each outer row, probe a base-table index (the paper's
-    'parent/child links' navigation, Sect. 5.1)."""
+    'parent/child links' navigation, Sect. 5.1).  ``keys`` is a batch
+    kernel giving each outer row's probe key tuple; the residual is a
+    batch predicate over joined rows."""
 
     def __init__(self, left: PlanNode, table: Table, index: Index,
-                 key_fns: list[CompiledExpression], with_rid: bool = False,
-                 residual: Optional[CompiledExpression] = None):
+                 keys: BatchKernel, with_rid: bool = False,
+                 residual: Optional[BatchPredicate] = None):
         inner_columns = list(table.column_names)
         if with_rid:
             inner_columns.append("$RID$")
@@ -505,7 +481,7 @@ class IndexNestedLoopJoin(PlanNode):
         self.left = left
         self.table = table
         self.index = index
-        self.key_fns = key_fns
+        self.keys = keys
         self.with_rid = with_rid
         self.residual = residual
 
@@ -519,9 +495,7 @@ class IndexNestedLoopJoin(PlanNode):
                 batch_size: int) -> Iterator[list[Row]]:
         """The join result of each left batch."""
         residual = self.residual
-        key_fns = self.key_fns
-        single = len(key_fns) == 1
-        key_fn = key_fns[0] if single else None
+        keys_of = self.keys
         lookup = self.index.lookup
         fetch = self.table.fetch
         with_rid = self.with_rid
@@ -532,20 +506,16 @@ class IndexNestedLoopJoin(PlanNode):
             overlaid = active_read_view(self.table.name) is not None
             ctx.bump("index_lookups", len(batch))
             joined: list[Row] = []
-            for left_row in batch:
-                key = ((key_fn(left_row, ctx),) if single
-                       else tuple(fn(left_row, ctx) for fn in key_fns))
-                if overlaid:
-                    pairs = visible_index_lookup(self.table, self.index,
-                                                 key)
-                else:
-                    pairs = [(rid, fetch(rid)) for rid in lookup(key)]
-                for rid, inner in pairs:
-                    if with_rid:
-                        inner = inner + (rid,)
-                    row = left_row + inner
-                    if residual is None or residual(row, ctx) is True:
-                        joined.append(row)
+            extend = joined.extend
+            for left_row, key in zip(batch, keys_of(batch, ctx)):
+                pairs = (visible_index_lookup(self.table, self.index, key)
+                         if overlaid
+                         else [(rid, fetch(rid)) for rid in lookup(key)])
+                extend([left_row + inner + (rid,) for rid, inner in pairs]
+                       if with_rid
+                       else [left_row + inner for _rid, inner in pairs])
+            if residual is not None and joined:
+                joined = residual(joined, ctx)
             yield joined
 
     def children(self) -> list[PlanNode]:
@@ -556,10 +526,11 @@ class IndexNestedLoopJoin(PlanNode):
 
 
 class NestedLoopJoin(PlanNode):
-    """General inner join; the right input is materialized once."""
+    """General inner join; the right input is materialized once.  The
+    condition is a batch predicate over joined rows."""
 
     def __init__(self, left: PlanNode, right: PlanNode,
-                 condition: Optional[CompiledExpression] = None):
+                 condition: Optional[BatchPredicate] = None):
         super().__init__(list(left.columns) + list(right.columns))
         self.left = left
         self.right = right
@@ -580,9 +551,8 @@ class NestedLoopJoin(PlanNode):
         for batch in self.left.execute_batches(ctx, batch_size):
             for left_row in batch:
                 joined = [left_row + right_row for right_row in right_rows]
-                if condition is not None:
-                    joined = [row for row in joined
-                              if condition(row, ctx) is True]
+                if condition is not None and joined:
+                    joined = condition(joined, ctx)
                 yield joined
 
     def children(self) -> list[PlanNode]:
@@ -593,12 +563,14 @@ class NestedLoopJoin(PlanNode):
 
 
 class LeftOuterJoin(PlanNode):
-    """LEFT OUTER JOIN; hash-based when keys given, else nested loops."""
+    """LEFT OUTER JOIN; hash-based when key kernels are given (as for
+    :class:`HashJoin`), else nested loops.  The residual is a batch
+    predicate over one left row's joined rows."""
 
     def __init__(self, left: PlanNode, right: PlanNode,
-                 left_keys: list[CompiledExpression],
-                 right_keys: list[CompiledExpression],
-                 residual: Optional[CompiledExpression] = None):
+                 left_keys: Optional[BatchKernel],
+                 right_keys: Optional[BatchKernel],
+                 residual: Optional[BatchPredicate] = None):
         super().__init__(list(left.columns) + list(right.columns))
         self.left = left
         self.right = right
@@ -616,12 +588,12 @@ class LeftOuterJoin(PlanNode):
     def _joined(self, ctx: ExecutionContext,
                 batch_size: int) -> Iterator[list[Row]]:
         """The join result of each left batch, unmatched rows padded."""
-        if self.left_keys:
+        if self.left_keys is not None:
             get = _build_buckets(self, ctx, batch_size).get
-            keys_of = _join_keys(self.left_keys, ctx)
+            keys_of = self.left_keys
 
             def candidates(batch: list[Row]) -> list:
-                return [get(key, ()) for key in keys_of(batch)]
+                return [get(key, ()) for key in keys_of(batch, ctx)]
         else:
             right_rows = _materialize(self.right, ctx, batch_size)
 
@@ -633,9 +605,8 @@ class LeftOuterJoin(PlanNode):
             out: list[Row] = []
             for left_row, matches in zip(batch, candidates(batch)):
                 joined = [left_row + right_row for right_row in matches]
-                if residual is not None:
-                    joined = [row for row in joined
-                              if residual(row, ctx) is True]
+                if residual is not None and joined:
+                    joined = residual(joined, ctx)
                 if joined:
                     out.extend(joined)
                 else:
@@ -654,12 +625,14 @@ class SemiJoin(PlanNode):
 
     Emits outer rows that have (semi) / lack (anti) a matching inner
     row.  ``null_poison`` gives NOT IN semantics: an UNKNOWN comparison
-    rejects the outer row.
+    rejects the outer row.  The keys are batch kernels giving each
+    row's key tuple (NULLs kept); the residual is a value kernel over
+    the concatenated outer + inner row, since UNKNOWN matters here.
     """
 
     def __init__(self, outer: PlanNode, inner: PlanNode,
-                 outer_keys: list[CompiledExpression],
-                 inner_keys: list[CompiledExpression],
+                 outer_keys: Optional[BatchKernel],
+                 inner_keys: Optional[BatchKernel],
                  residual: Optional[CompiledExpression] = None,
                  anti: bool = False, null_poison: bool = False):
         super().__init__(outer.columns)
@@ -675,7 +648,7 @@ class SemiJoin(PlanNode):
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
         inner_rows = _materialize(self.inner, ctx, batch_size)
-        if self.outer_keys and self.residual is None:
+        if self.outer_keys is not None and self.residual is None:
             keep = self._hash_path(ctx, inner_rows)
         else:
             keep = self._scan_path(ctx, inner_rows)
@@ -686,39 +659,45 @@ class SemiJoin(PlanNode):
 
     def _hash_path(self, ctx: ExecutionContext, inner_rows: list[Row]
                    ) -> Callable[[list[Row]], list[Row]]:
-        inner_keys = _join_keys(self.inner_keys, ctx)(inner_rows)
-        keys = {key for key in inner_keys if key is not None}
-        inner_has_null = None in inner_keys
-        outer_keys = _join_keys(self.outer_keys, ctx)
+        inner_keys = self.inner_keys(inner_rows, ctx) if inner_rows else []
+        keys = {key for key in inner_keys if None not in key}
+        inner_has_null = any(None in key for key in inner_keys)
+        outer_keys = self.outer_keys
         poison = self.null_poison
 
         def anti_keeps(key) -> bool:
             if not inner_rows:
                 return True
-            if key is None:
+            if None in key:
                 # NOT EXISTS: a NULL key never matches; NOT IN: UNKNOWN.
                 return not poison
             if poison and inner_has_null:
                 return False
             return key not in keys
-        # Semi: a NULL key is never in ``keys``, so it never matches.
+        # Semi: a key with a NULL is never in ``keys``, so it never
+        # matches.
         keeps = anti_keeps if self.anti else keys.__contains__
-        return lambda batch: [row for row, key in zip(batch, outer_keys(batch))
+        return lambda batch: [row for row, key
+                              in zip(batch, outer_keys(batch, ctx))
                               if keeps(key)]
 
     def _scan_path(self, ctx: ExecutionContext, inner_rows: list[Row]
                    ) -> Callable[[list[Row]], list[Row]]:
+        if not inner_rows:
+            # Nothing to match: semi keeps no row, anti keeps every row.
+            return (lambda batch: batch) if self.anti else (lambda batch: [])
         residual = self.residual
-        pairs = list(zip(self.outer_keys, self.inner_keys))
+        keys_of = self.outer_keys
+        inner = list(zip(inner_rows, [()] * len(inner_rows)
+                         if keys_of is None
+                         else self.inner_keys(inner_rows, ctx)))
 
-        def qualifies(outer_row: Row) -> bool:
+        def qualifies(outer_row: Row, outer_key: tuple) -> bool:
             matched = False
             unknown = False
-            for inner_row in inner_rows:
+            for inner_row, inner_key in inner:
                 verdict = True
-                for okey, ikey in pairs:
-                    left = okey(outer_row, ctx)
-                    right = ikey(inner_row, ctx)
+                for left, right in zip(outer_key, inner_key):
                     if left is None or right is None:
                         verdict = None
                         break
@@ -735,14 +714,20 @@ class SemiJoin(PlanNode):
             if not self.anti:
                 return matched
             return not matched and not (self.null_poison and unknown)
-        return lambda batch: [row for row in batch if qualifies(row)]
+
+        def keep(batch: list[Row]) -> list[Row]:
+            keys = repeat(()) if keys_of is None else keys_of(batch, ctx)
+            return [row for row, key in zip(batch, keys)
+                    if qualifies(row, key)]
+        return keep
 
     def children(self) -> list[PlanNode]:
         return [self.outer, self.inner]
 
     def describe(self) -> str:
         kind = "AntiJoin" if self.anti else "SemiJoin"
-        method = "hash" if self.outer_keys and self.residual is None else "nl"
+        method = "hash" if self.outer_keys is not None \
+            and self.residual is None else "nl"
         return f"{kind}[{method}]"
 
 
@@ -925,18 +910,18 @@ class SetOperation(PlanNode):
 
 
 class Aggregate(PlanNode):
-    """Hash aggregation.  ``specs`` are (function, argument-fn, distinct)
-    triples; a None argument means COUNT(*)."""
+    """Hash aggregation.  ``keys`` is a batch kernel giving each row's
+    group-key tuple (None: one global group); ``specs`` are (function,
+    argument kernel, distinct) triples, where the argument kernel gives
+    one value per row and None means COUNT(*)."""
 
-    def __init__(self, child: PlanNode,
-                 key_fns: list[CompiledExpression],
-                 specs: list[tuple[str, Optional[CompiledExpression], bool]],
+    def __init__(self, child: PlanNode, keys: Optional[BatchKernel],
+                 specs: list[tuple[str, Optional[BatchKernel], bool]],
                  columns: Sequence[str]):
         super().__init__(columns)
         self.child = child
-        self.key_fns = key_fns
+        self.keys = keys
         self.specs = specs
-        self._key_positions = _positions(key_fns)
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -957,9 +942,7 @@ class Aggregate(PlanNode):
         first-seen order.  Each input batch is grouped, then every
         group's rows of that batch are folded into the group's states in
         one step; only the states outlive the batch."""
-        specs = [(function, None if argument is None
-                  else _column_values(argument, ctx), distinct)
-                 for function, argument, distinct in self.specs]
+        specs = self.specs
         states: dict[tuple, list] = {}
         fold = self._fold
         for batch in self.child.execute_batches(ctx, batch_size):
@@ -970,37 +953,28 @@ class Aggregate(PlanNode):
                         [0, None, None, None, set() if distinct else None]
                         for _function, _values_of, distinct in specs]
                 for accumulator, spec in zip(state, specs):
-                    fold(accumulator, rows, *spec)
+                    fold(accumulator, rows, ctx, *spec)
         return states
 
     def _group(self, batch: list[Row],
                ctx: ExecutionContext) -> dict[tuple, list[Row]]:
         """One batch's rows by group key, keys in first-seen order."""
-        if not self.key_fns:
+        if self.keys is None:
             return {(): batch}
-        positions = self._key_positions
         groups: dict[Any, list[Row]] = defaultdict(list)
-        if positions is not None and len(positions) == 1:
-            position = positions[0]
-            for row in batch:
-                groups[row[position]].append(row)
-            return {(value,): rows for value, rows in groups.items()}
-        keys = (map(itemgetter(*positions), batch) if positions
-                else [tuple(fn(row, ctx) for fn in self.key_fns)
-                      for row in batch])
-        for key, row in zip(keys, batch):
+        for key, row in zip(self.keys(batch, ctx), batch):
             groups[key].append(row)
         return groups
 
     @staticmethod
-    def _fold(state: list, rows: list[Row], function: str, values_of,
-              distinct: bool) -> None:
+    def _fold(state: list, rows: list[Row], ctx: ExecutionContext,
+              function: str, values_of, distinct: bool) -> None:
         """Fold one group's rows of one batch into the accumulator of
         one aggregate, in input order, as one value at a time would."""
         if values_of is None:  # COUNT(*)
             state[_COUNT] += len(rows)
             return
-        values = values_of(rows)
+        values = values_of(rows, ctx)
         if None in values:
             values = [value for value in values if value is not None]
         if distinct:
@@ -1025,7 +999,7 @@ class Aggregate(PlanNode):
                 state[_MAX] = high
 
     def _results(self, states: dict[tuple, list]) -> Iterator[Row]:
-        if not states and not self.key_fns:
+        if not states and self.keys is None:
             # Global aggregate over an empty input: one default row.
             states = {(): [[0, None, None, None, None] for _ in self.specs]}
         functions = [spec[0] for spec in self.specs]
@@ -1061,7 +1035,6 @@ class Aggregate(PlanNode):
         if other[_MAX] is not None and (into[_MAX] is None
                                         or other[_MAX] > into[_MAX]):
             into[_MAX] = other[_MAX]
-
 
     @staticmethod
     def _finalize(state: list, function: str):

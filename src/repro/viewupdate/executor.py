@@ -238,8 +238,9 @@ class ViewUpdateManager:
         """``(classified view, assignments, WHERE, qualification key)``
         of a view UPDATE or DELETE; the WHERE is in base-table terms for
         single-source views and stays over the view for key-preserved
-        joins.  The key (single-source views only) names the base
-        qualification in the plan cache."""
+        joins.  The key names the qualification plan in the plan cache:
+        the base qualification of a single-source view, the view
+        qualification of a join view."""
         statement = lifted.statement
         cached = self._analyze(statement.table)
         plan = cached.plan
@@ -248,7 +249,9 @@ class ViewUpdateManager:
         def build():
             translated = translate_assignments(plan, assignments)
             if not plan.single_source:
-                return translated, statement.where, None
+                key = HashedKey(("join_view", plan.name, statement.where)
+                                + tuple(value for _, _, value in translated))
+                return translated, statement.where, key
             where = translate_where(plan, statement.where)
             key = HashedKey((plan.table, where)
                             + tuple(value for _, _, value in translated))
@@ -264,15 +267,41 @@ class ViewUpdateManager:
         if plan.single_source:
             return self.engine.dml.qualification_plan(
                 self.catalog.table(plan.table), where, values, key)
-        return compile_join_qualification(self.engine.pipeline, plan,
-                                          where, values)
+        return self._join_qualification(plan, where, values, key)
+
+    def _join_qualification(self, plan: ViewWritePlan, where,
+                            values: list, key: HashedKey):
+        """A join view's qualification plan, read through the plan
+        cache under ``key`` (validated against the schema version and
+        the statistics epochs of the tables the view joins)."""
+        pipeline = self.engine.pipeline
+        tables: list[str] = []
+
+        def compile_plan():
+            compiled = compile_join_qualification(pipeline, plan, where,
+                                                  values)
+            tables.extend(pipeline.graph_tables(compiled.graph))
+            return compiled.plan
+        return pipeline.cached_compile(
+            pipeline.cache_key("dml_qualify", key), compile_plan,
+            tables_of=lambda _plan: tables)
+
+    def _run_join_qualification(self, plan: ViewWritePlan, where,
+                                values: list, key: HashedKey, params,
+                                bindings) -> list[tuple]:
+        qualification = self._join_qualification(plan, where, values, key)
+        ctx = qualification.new_context(params)
+        if bindings:
+            ctx.parameters.update(bindings)
+        _stream, node = qualification.single_output()
+        return qualification.run_node(node, ctx)
 
     def update(self, lifted: ParameterizedStatement, params=None) -> int:
         cached, assignments, where, key = self._translate(lifted)
         if cached.plan.single_source:
             return self._update_single(cached, assignments, where, key,
                                        params, lifted.bindings)
-        return self._update_join(cached, assignments, where, params,
+        return self._update_join(cached, assignments, where, key, params,
                                  lifted.bindings)
 
     def _update_single(self, cached: _CachedPlan, assignments,
@@ -288,17 +317,12 @@ class ViewUpdateManager:
                                   [v for v, _, _ in assignments])
 
     def _update_join(self, cached: _CachedPlan, assignments,
-                     where, params, bindings) -> int:
+                     where, key, params, bindings) -> int:
         plan = cached.plan
         table = plan.anchor.box.table
-        value_expressions = [value for _, _, value in assignments]
-        qualification = compile_join_qualification(
-            self.engine.pipeline, plan, where, value_expressions)
-        ctx = qualification.new_context(params)
-        if bindings:
-            ctx.parameters.update(bindings)
-        _stream, node = qualification.single_output()
-        rows = qualification.run_node(node, ctx)
+        rows = self._run_join_qualification(
+            plan, where, [value for _, _, value in assignments], key,
+            params, bindings)
         deduped: dict[int, tuple] = {}
         for row in rows:
             rid, values = row[0], tuple(row[1:])
@@ -356,15 +380,9 @@ class ViewUpdateManager:
                                            lifted.bindings)
         else:
             table = plan.anchor.box.table
-            qualification = compile_join_qualification(
-                self.engine.pipeline, plan, where, [])
-            ctx = qualification.new_context(params)
-            if lifted.bindings:
-                ctx.parameters.update(lifted.bindings)
-            _stream, node = qualification.single_output()
-            rows = [(rid,) for rid in
-                    dict.fromkeys(r[0] for r in
-                                  qualification.run_node(node, ctx))]
+            rows = [(rid,) for rid in dict.fromkeys(
+                r[0] for r in self._run_join_qualification(
+                    plan, where, [], key, params, lifted.bindings))]
         delta = TableDelta(table.name) if self.catalog.wants_deltas \
             else None
         deleted = 0

@@ -110,7 +110,8 @@ def translate_assignments(plan: ViewWritePlan,
 def compile_join_qualification(pipeline, plan: ViewWritePlan,
                                where: Optional[ast.Expression],
                                value_expressions: list[ast.Expression]):
-    """Plan ``SELECT anchor_rid, <exprs> FROM view WHERE pred``.
+    """Compile ``SELECT anchor_rid, <exprs> FROM view WHERE pred``
+    (the compiled query: its graph names the tables the plan reads).
 
     The view's box already exposes the anchor rid as ``$ARID$`` (the
     provenance analysis appended it); this wraps it in a qualification
@@ -138,4 +139,4 @@ def compile_join_qualification(pipeline, plan: ViewWritePlan,
     top = TopBox()
     top.outputs.append(OutputStream(name="VIEWDML", box=box))
     graph = QGMGraph(top=top, statement_kind="select")
-    return pipeline.compile_graph(graph).plan
+    return pipeline.compile_graph(graph)

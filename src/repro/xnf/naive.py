@@ -15,8 +15,7 @@ set-oriented translation avoids.
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.errors import XNFError
 from repro.executor.expressions import ExpressionCompiler, Layout
@@ -28,6 +27,12 @@ from repro.storage.stats import StatisticsManager
 from repro.xnf.result import ComponentStream, ConnectionStream, COResult
 from repro.xnf.schema_graph import SchemaGraph
 from repro.xnf.translate import OID, XNFTranslator
+
+
+def _extend(prefixes: Iterator[tuple], rows: list[tuple]
+            ) -> Iterator[tuple]:
+    """Every prefix concatenated with every row, prefix-major."""
+    return (prefix + row for prefix in prefixes for row in rows)
 
 
 class NaiveXNFEvaluator:
@@ -123,15 +128,12 @@ class NaiveXNFEvaluator:
             widths.append(len(head))
             offset += len(head)
 
+        compiler = ExpressionCompiler(layout)
         predicate_fn = None
         if relationship.predicate is not None:
-            predicate_fn = ExpressionCompiler(layout).compile(
-                relationship.predicate
-            )
-        attribute_fns = [
-            ExpressionCompiler(layout).compile(expression)
-            for _name, expression in relationship.attributes
-        ]
+            predicate_fn = compiler.compile(relationship.predicate)
+        attribute_fns = [compiler.compile(expression)
+                         for _name, expression in relationship.attributes]
 
         oid_positions = []
         for quantifier in [relationship.parent_quantifier,
@@ -142,9 +144,10 @@ class NaiveXNFEvaluator:
 
         found: list[tuple] = []
         seen: set = set()
-        row_lists = [parent_rows, *child_row_lists, *using_row_lists]
-        for combination in itertools.product(*row_lists):
-            joined = tuple(itertools.chain.from_iterable(combination))
+        combinations: Iterator[tuple] = iter([()])
+        for rows in [parent_rows, *child_row_lists, *using_row_lists]:
+            combinations = _extend(combinations, rows)
+        for joined in combinations:
             if predicate_fn is not None and \
                     predicate_fn(joined, None) is not True:
                 continue

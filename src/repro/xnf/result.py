@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.errors import XNFError
+from repro.executor.expressions import column_kernel
 from repro.optimizer.optimizer import (ExecutablePlan, Planner,
                                        PlannerOptions)
 from repro.optimizer.plan import ExecutionContext
@@ -160,6 +161,8 @@ class XNFExecutable:
         planner = Planner(catalog, self.stats, self.planner_options,
                           peek=peek)
         self.plan: ExecutablePlan = planner.plan(translated.graph)
+        #: component stream name -> (value columns, value kernel)
+        self._decoders: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     def run(self, ctx: Optional[ExecutionContext] = None) -> COResult:
@@ -219,42 +222,38 @@ class XNFExecutable:
             raise XNFError(
                 f"component stream {stream.name!r} lacks an identity column"
             )
-        system_positions = {identity_position}
         embedded = stream.embedded_parent
-        if embedded is not None:
-            _rel, _parent, parent_position = embedded
-            system_positions.add(parent_position)
-        value_positions = [i for i in range(len(node.columns))
-                           if i not in system_positions]
-        columns = [node.columns[i] for i in value_positions]
+        decoder = self._decoders.get(stream.name)
+        if decoder is None:
+            system_positions = {identity_position}
+            if embedded is not None:
+                system_positions.add(embedded[2])
+            value_positions = [i for i in range(len(node.columns))
+                               if i not in system_positions]
+            decoder = self._decoders[stream.name] = (
+                [node.columns[i] for i in value_positions],
+                column_kernel(value_positions))
+        columns, values_of = decoder
+        oids = [row[identity_position] for row in rows]
+        unique = rows
+        if len(set(oids)) < len(oids):
+            # Object sharing: one tuple per identity, the first row's.
+            first: dict = {}
+            for oid, row in zip(oids, rows):
+                first.setdefault(oid, row)
+            oids, unique = list(first), list(first.values())
         component = ComponentStream(
             name=stream.name.upper(), number=stream.component_number,
-            columns=columns,
+            columns=list(columns), rows=values_of(unique, None), oids=oids,
         )
-        seen: set = set()
-        pending: list[tuple] = []
         if embedded is not None:
-            component.embedded_parent_oids = []
-        for row in rows:
-            oid = row[identity_position]
-            if embedded is not None:
-                parent_oid = row[embedded[2]]
-                pending.append((parent_oid, oid))
-            if oid in seen:
-                continue  # object sharing: one tuple per identity
-            seen.add(oid)
-            component.oids.append(oid)
-            component.rows.append(tuple(row[i] for i in value_positions))
-            if embedded is not None:
-                component.embedded_parent_oids.append(row[embedded[2]])
-        if embedded is not None:
-            rel_name = embedded[0].upper()
-            bucket = embedded_connections.setdefault(rel_name, [])
-            dedup: set = set()
-            for connection in pending:
-                if connection not in dedup:
-                    dedup.add(connection)
-                    bucket.append(connection)
+            parent_position = embedded[2]
+            component.embedded_parent_oids = [row[parent_position]
+                                              for row in unique]
+            bucket = embedded_connections.setdefault(embedded[0].upper(), [])
+            bucket.extend(dict.fromkeys(
+                (row[parent_position], row[identity_position])
+                for row in rows))
         return component
 
     # ------------------------------------------------------------------

@@ -367,17 +367,20 @@ class TestBatchFilters:
 
     def test_and_error_parity_between_condition_and_batch(self):
         """A right conjunct that would raise on rows the left conjunct
-        excludes: neither the condition compiler (per row) nor the
-        batch filter may surface that error — and both must raise it
-        for rows that do reach the right conjunct."""
+        excludes: the filter may not surface that error, whether it
+        runs one row at a time (the matview delta joins) or over a
+        batch — and must raise it for rows that do reach the right
+        conjunct."""
         from repro.sql import ast
         predicate = ast.BinaryOp(
             "AND",
             ast.BinaryOp(">", self.qref("A"), ast.Literal(1)),
             ast.BinaryOp("<", self.qref("B"), ast.Literal(5)))
         _q, compiler = self.predicate_env
-        condition = compiler.compile_condition(predicate)
         batch_fn = compiler.compile_filter(predicate)
+
+        def condition(row, ctx):
+            return bool(batch_fn([row], ctx))
         # Row (0, 'oops') fails the left conjunct; the right conjunct
         # (which would raise on 'oops' < 5) must never run.
         safe_rows = [(0, "oops"), (2, 3)]

@@ -9,7 +9,27 @@ from repro.optimizer.plan import (Aggregate, Dedup, ExecutionContext,
 
 
 def const(position):
+    """Value kernel: one column of a row (sort keys, semi-join
+    residuals)."""
     return lambda row, ctx: row[position]
+
+
+def key(position):
+    """Batch kernel: one column's value per row (hash-join keys,
+    aggregate arguments)."""
+    return lambda rows, ctx: [row[position] for row in rows]
+
+
+def key_tuple(*positions):
+    """Batch kernel: a tuple of columns per row (semi-join and
+    group-by keys)."""
+    return lambda rows, ctx: [tuple(row[p] for p in positions)
+                              for row in rows]
+
+
+def where(test):
+    """Batch predicate: the rows for which ``test`` is True."""
+    return lambda rows, ctx: [row for row in rows if test(row) is True]
 
 
 def mat(columns, rows):
@@ -64,20 +84,20 @@ class TestJoins:
     def test_hash_join(self, ctx):
         node = HashJoin(mat(["L", "K"], self.LEFT),
                         mat(["K2", "R"], self.RIGHT),
-                        [const(1)], [const(0)])
+                        key(1), key(0))
         assert sorted(node.execute(ctx)) == [
             ("a", 1, 1, "x"), ("a", 1, 1, "y")]
 
     def test_hash_join_null_keys_never_match(self, ctx):
         node = HashJoin(mat(["L", "K"], [("n", None)]),
                         mat(["K2", "R"], [(None, "x")]),
-                        [const(1)], [const(0)])
+                        key(1), key(0))
         assert list(node.execute(ctx)) == []
 
     def test_left_outer_join_pads(self, ctx):
         node = LeftOuterJoin(mat(["L", "K"], self.LEFT),
                              mat(["K2", "R"], self.RIGHT),
-                             [const(1)], [const(0)])
+                             key(1), key(0))
         rows = sorted(node.execute(ctx), key=repr)
         assert ("b", 2, None, None) in rows
         assert ("c", None, None, None) in rows
@@ -85,32 +105,32 @@ class TestJoins:
     def test_semi_join_hash(self, ctx):
         node = SemiJoin(mat(["L", "K"], self.LEFT),
                         mat(["K2"], [(1,), (99,)]),
-                        [const(1)], [const(0)])
+                        key_tuple(1), key_tuple(0))
         assert list(node.execute(ctx)) == [("a", 1)]
 
     def test_anti_join(self, ctx):
         node = SemiJoin(mat(["L", "K"], self.LEFT),
                         mat(["K2"], [(1,)]),
-                        [const(1)], [const(0)], anti=True)
+                        key_tuple(1), key_tuple(0), anti=True)
         assert list(node.execute(ctx)) == [("b", 2), ("c", None)]
 
     def test_anti_join_null_poison(self, ctx):
         node = SemiJoin(mat(["L", "K"], self.LEFT),
                         mat(["K2"], [(1,), (None,)]),
-                        [const(1)], [const(0)], anti=True,
+                        key_tuple(1), key_tuple(0), anti=True,
                         null_poison=True)
         assert list(node.execute(ctx)) == []  # NULL poisons everything
 
     def test_anti_join_empty_inner_passes_all(self, ctx):
         node = SemiJoin(mat(["L", "K"], self.LEFT), mat(["K2"], []),
-                        [const(1)], [const(0)], anti=True,
+                        key_tuple(1), key_tuple(0), anti=True,
                         null_poison=True)
         assert len(list(node.execute(ctx))) == 3
 
     def test_semi_join_with_residual_uses_scan_path(self, ctx):
         node = SemiJoin(
             mat(["L", "K"], self.LEFT), mat(["K2", "R"], self.RIGHT),
-            [const(1)], [const(0)],
+            key_tuple(1), key_tuple(0),
             residual=lambda row, ctx: row[3] == "y",
         )
         assert list(node.execute(ctx)) == [("a", 1)]
@@ -152,9 +172,9 @@ class TestAggregateOperator:
     def test_grouped(self, ctx):
         node = Aggregate(
             mat(["G", "V"], [("a", 1), ("a", 2), ("b", None)]),
-            [const(0)],
-            [("COUNT", None, False), ("SUM", const(1), False),
-             ("MIN", const(1), False)],
+            key_tuple(0),
+            [("COUNT", None, False), ("SUM", key(1), False),
+             ("MIN", key(1), False)],
             ["G", "N", "S", "M"],
         )
         rows = dict((r[0], r[1:]) for r in node.execute(ctx))
@@ -163,15 +183,15 @@ class TestAggregateOperator:
 
     def test_distinct_aggregate(self, ctx):
         node = Aggregate(
-            mat(["V"], [(1,), (1,), (2,)]), [],
-            [("COUNT", const(0), True), ("SUM", const(0), True)],
+            mat(["V"], [(1,), (1,), (2,)]), None,
+            [("COUNT", key(0), True), ("SUM", key(0), True)],
             ["N", "S"],
         )
         assert list(node.execute(ctx)) == [(2, 3)]
 
     def test_avg(self, ctx):
-        node = Aggregate(mat(["V"], [(1,), (3,)]), [],
-                         [("AVG", const(0), False)], ["A"])
+        node = Aggregate(mat(["V"], [(1,), (3,)]), None,
+                         [("AVG", key(0), False)], ["A"])
         assert list(node.execute(ctx)) == [(2.0,)]
 
 
@@ -244,7 +264,7 @@ class TestBatchProtocol:
     def test_hash_join_chunk_bound_and_counters(self, ctx):
         left = mat(["L", "K"], [("a", 1)])
         right = mat(["K", "R"], [(1, i) for i in range(5)])
-        node = HashJoin(left, right, [const(1)], [const(0)])
+        node = HashJoin(left, right, key(1), key(0))
         chunks = list(node.execute_batches(ctx, 2))
         assert [len(chunk) for chunk in chunks] == [2, 2, 1]
         assert ctx.counters["rows_joined"] == 5
@@ -266,7 +286,7 @@ class TestBatchProtocol:
 
     def test_aggregate_batches(self, ctx):
         node = Aggregate(mat(["K", "V"], [("x", 1), ("y", 2), ("x", 3)]),
-                         [const(0)], [("SUM", const(1), False)],
+                         key_tuple(0), [("SUM", key(1), False)],
                          ["K", "S"])
         assert [row for chunk in node.execute_batches(ctx, 1)
                 for row in chunk] == [("x", 4), ("y", 2)]
@@ -274,7 +294,7 @@ class TestBatchProtocol:
     def test_nested_loop_join_chunk_bound_and_counters(self, ctx):
         node = NestedLoopJoin(mat(["L"], [(1,), (2,), (3,)]),
                               mat(["R"], [(1,), (2,)]),
-                              lambda row, ctx: row[0] <= row[1])
+                              where(lambda row: row[0] <= row[1]))
         chunks = list(node.execute_batches(ctx, 2))
         assert [len(chunk) for chunk in chunks] == [2, 1]
         assert [row for chunk in chunks for row in chunk] == \
@@ -285,21 +305,21 @@ class TestBatchProtocol:
         # Hash path: key 1 matches, but the residual rejects "y".
         node = LeftOuterJoin(mat(["L", "K"], [("a", 1), ("b", 2)]),
                              mat(["K2", "R"], [(1, "y"), (2, "z")]),
-                             [const(1)], [const(0)],
-                             residual=lambda row, ctx: row[3] == "z")
+                             key(1), key(0),
+                             residual=where(lambda row: row[3] == "z"))
         assert list(node.execute(ctx, 1)) == [
             ("a", 1, None, None), ("b", 2, 2, "z")]
 
     def test_left_outer_join_nested_loop_path(self, ctx):
         node = LeftOuterJoin(mat(["L"], [(1,), (5,)]),
-                             mat(["R"], [(2,), (3,)]), [], [],
-                             residual=lambda row, ctx: row[0] < row[1])
+                             mat(["R"], [(2,), (3,)]), None, None,
+                             residual=where(lambda row: row[0] < row[1]))
         assert list(node.execute(ctx, 1)) == [(1, 2), (1, 3), (5, None)]
 
     def test_anti_join_null_outer_key_without_poison(self, ctx):
         # NOT EXISTS: a NULL outer key never matches, so the row stays.
         node = SemiJoin(mat(["K"], [(None,), (1,)]), mat(["K2"], [(1,)]),
-                        [const(0)], [const(0)], anti=True)
+                        key_tuple(0), key_tuple(0), anti=True)
         assert list(node.execute(ctx, 1)) == [(None,)]
 
     def test_set_operations_ignore_batch_boundaries(self, ctx):
@@ -317,10 +337,10 @@ class TestBatchProtocol:
 
     def test_aggregate_groups_span_batches(self, ctx):
         rows = [("x", 1), ("y", None), ("x", 1), ("x", 3), ("y", 2)]
-        node = Aggregate(mat(["K", "V"], rows), [const(0)],
-                         [("COUNT", None, False), ("SUM", const(1), True),
-                          ("MIN", const(1), False),
-                          ("MAX", const(1), False)],
+        node = Aggregate(mat(["K", "V"], rows), key_tuple(0),
+                         [("COUNT", None, False), ("SUM", key(1), True),
+                          ("MIN", key(1), False),
+                          ("MAX", key(1), False)],
                          ["K", "N", "S", "LO", "HI"])
         expected = [("x", 3, 4, 1, 3), ("y", 2, 2, 2, 2)]
         for batch_size in (1, 2, 1024):

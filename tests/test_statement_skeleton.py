@@ -36,6 +36,7 @@ from repro.api.frontend import lift
 from repro.errors import LexerError, ParseError
 from repro.executor.dml import DMLExecutor
 from repro.executor.plan_cache import ParameterizedStatement
+from repro.executor.runtime import PipelineOptions, QueryPipeline
 from repro.sql import ast, parser
 from repro.sql.lexer import TokenType, tokenize
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, create_org_schema,
@@ -554,3 +555,41 @@ def test_lens_variants_parse_lift_translate_and_compile_once(
     assert counts == [1] * 200
     assert counts == [twin.execute(text) for text in texts]
     assert table_rows(db, "EMP") == table_rows(twin, "EMP")
+
+
+def test_join_view_variants_compile_qualification_once(monkeypatch):
+    """UPDATEs through a key-preserved join view qualify through the
+    view; literal variants read that plan through the plan cache, so
+    it compiles once — with the rows of a twin whose plan cache is off
+    (every statement compiled over its literal AST)."""
+    def join_view_database(options=None) -> Database:
+        db = Database(options)
+        db.execute("CREATE TABLE DEPT (DNO INT PRIMARY KEY, BUDGET INT)")
+        db.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, SAL INT, "
+                   "DNO INT)")
+        dept, emp = db.catalog.table("DEPT"), db.catalog.table("EMP")
+        for dno in range(1, 21):
+            dept.insert((dno, 100 * dno))
+        for eno in range(1, 401):
+            emp.insert((eno, 1000 + eno, 1 + eno % 20))
+        db.execute("CREATE VIEW ED AS SELECT E.ENO, E.SAL, D.BUDGET "
+                   "FROM EMP E, DEPT D WHERE E.DNO = D.DNO")
+        return db
+    db = join_view_database()
+    twin = join_view_database(PipelineOptions(plan_cache_size=0))
+    rng = random.Random(28)
+    texts = [f"UPDATE ED SET sal = sal + {rng.randint(1, 9)} "
+             f"WHERE eno = {rng.randint(1, 400)}" for _ in range(20)]
+    compiles = []
+    original = QueryPipeline.compile_graph
+
+    def counting(self, graph):
+        compiles.append(graph)
+        return original(self, graph)
+    monkeypatch.setattr(QueryPipeline, "compile_graph", counting)
+    counts = [db.execute(text) for text in texts]
+    assert len(compiles) == 1
+    assert counts == [1] * 20
+    assert counts == [twin.execute(text) for text in texts]
+    assert table_rows(db, "EMP") == table_rows(twin, "EMP")
+    assert db.pipeline.plan_cache.stats.invalidations == 0

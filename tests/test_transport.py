@@ -1,10 +1,20 @@
-"""Transport simulator tests (Sect. 5.3 shipping disciplines)."""
+"""Transport simulator tests (Sect. 5.3 shipping disciplines).
+
+The simulator prices a composite object stream by stream; the generated
+sweep at the end checks it against pricing one wire tuple at a time
+(``REPRO_DIFF_SEEDS=<n>`` adds seeds).
+"""
+
+import enum
+import os
+import random
 
 import pytest
 
-from repro.api.transport import (MESSAGE_OVERHEAD, TransportSimulator,
-                                 TransportStats, entry_size, tuple_size,
-                                 value_size)
+from repro.api.transport import (MESSAGE_OVERHEAD, PAGE_SIZE,
+                                 TransportSimulator, TransportStats,
+                                 entry_size, tuple_size, value_size)
+from repro.xnf.result import ComponentStream, ConnectionStream, COResult
 
 
 @pytest.fixture
@@ -134,3 +144,124 @@ class TestUpDirection:
         stats = TransportSimulator().update_block_shipping([])
         assert stats.updates_shipped == 0
         assert stats.messages == 1  # the (empty) commit round trip
+
+
+# ----------------------------------------------------------------------
+# Per-stream pricing == per-tuple pricing
+# ----------------------------------------------------------------------
+class Flag(enum.IntEnum):
+    """An ``int`` subclass: priced like an int, through ``isinstance``."""
+
+    ON = 1
+
+
+#: Value pools by column kind; NULLs are drawn separately.
+KINDS = {
+    "int": (0, 7, -3, 2 ** 40),
+    "bool": (True, False),
+    "float": (0.5, -2.25),
+    "ascii": ("a", "abc", "", "x) or (1"),
+    "unicode": ("é", "日本", "naïve", "a"),
+    "oid": ((1, "a"), (2, "é"), (3,), ()),
+    "mixed": (1, "ab", True, 2.5, (4, "b"), Flag.ON, "ü"),
+}
+
+
+def per_tuple(result: COResult, mode: str, block_bytes: int = 32 * 1024):
+    """(messages, tuples, payload bytes) priced one wire tuple at a
+    time with :func:`tuple_size`, as the disciplines are defined."""
+    sizes = [tuple_size(tagged.values) for tagged in result.wire_tuples()]
+    if mode == "tuple_at_a_time":
+        return 2 * len(sizes) + 2, len(sizes), sum(sizes)
+    if mode == "object_shipping":
+        return len(sizes), len(sizes), sum(size + 6 for size in sizes)
+    if mode == "page_shipping":
+        wanted = sum(size + 6 for size in sizes)
+        pages = max(1, round(wanted / (PAGE_SIZE * 0.5)))
+        return 1 + pages, len(sizes), pages * PAGE_SIZE
+    messages, current, open_block = 1, 0, False
+    for size in sizes:
+        size += 6
+        if not open_block or current + size > block_bytes:
+            messages += 1
+            open_block, current = True, 0
+        current += size
+    if not open_block:
+        messages += 1
+    return messages, len(sizes), sum(size + 6 for size in sizes)
+
+
+def generated_result(rng: random.Random) -> COResult:
+    def value(kind):
+        if rng.random() < 0.2:
+            return None
+        return rng.choice(KINDS[kind])
+
+    components = {}
+    for number in range(rng.randint(0, 4)):
+        kinds = [rng.choice(list(KINDS)) for _ in range(rng.randint(0, 5))]
+        count = rng.randint(0, 30)
+        rows = [tuple(value(kind) for kind in kinds) for _ in range(count)]
+        if rows and rng.random() < 0.1:  # a ragged stream
+            rows[0] = rows[0] + ("extra",)
+        name = f"C{number}"
+        components[name] = ComponentStream(
+            name=name, number=number, columns=[f"A{i}" for i in
+                                               range(len(kinds))],
+            rows=rows, oids=[(number, i) for i in range(count)],
+            embedded_parent_oids=(
+                [value(rng.choice(("int", "oid"))) for _ in range(count)]
+                if rng.random() < 0.4 else None))
+    relationships = {}
+    for number in range(rng.randint(0, 3)):
+        width = rng.randint(2, 4)
+        kinds = [rng.choice(("int", "oid", "mixed")) for _ in range(width)]
+        name = f"R{number}"
+        relationships[name] = ConnectionStream(
+            name=name, number=10 + number, role="HAS", parent="C0",
+            children=("C1",),
+            connections=[tuple(value(kind) for kind in kinds)
+                         for _ in range(rng.randint(0, 40))],
+            reconstructed=rng.random() < 0.3)
+    return COResult(schema=None, components=components,
+                    relationships=relationships)
+
+
+def _seeds() -> list[int]:
+    extra = int(os.environ.get("REPRO_DIFF_SEEDS", "0"))
+    return [28] + [29 + i for i in range(extra)]
+
+
+@pytest.mark.parametrize("seed", _seeds())
+def test_stream_pricing_matches_per_tuple_pricing(seed):
+    rng = random.Random(seed)
+    simulator = TransportSimulator()
+    for _ in range(60):
+        result = generated_result(rng)
+        for mode in ("tuple_at_a_time", "object_shipping",
+                     "page_shipping"):
+            stats = getattr(simulator, mode)(result)
+            assert (stats.messages, stats.tuples, stats.payload_bytes) \
+                == per_tuple(result, mode), mode
+        for block_bytes in (32 * 1024, 40, 120, 1):
+            stats = simulator.block_shipping(result, block_bytes)
+            assert (stats.messages, stats.tuples, stats.payload_bytes) \
+                == per_tuple(result, "block_shipping", block_bytes)
+
+
+def test_stream_pricing_matches_on_an_extraction(co):
+    simulator = TransportSimulator()
+    for mode in ("tuple_at_a_time", "object_shipping", "page_shipping"):
+        stats = getattr(simulator, mode)(co)
+        assert (stats.messages, stats.tuples, stats.payload_bytes) \
+            == per_tuple(co, mode)
+    for block_bytes in (32 * 1024, 256):
+        stats = simulator.block_shipping(co, block_bytes)
+        assert (stats.messages, stats.tuples, stats.payload_bytes) \
+            == per_tuple(co, "block_shipping", block_bytes)
+
+
+def test_fixed_sizes_dispatch_on_exact_type():
+    assert value_size(True) == 1 and value_size(1) == 4
+    assert value_size(Flag.ON) == 4
+    assert value_size("é") == 2 and value_size("日本") == 6
