@@ -10,7 +10,8 @@ main-memory representation."
 out cursors, persists itself to disk ("for long transactions, XNF allows
 the cache to be stored on disk and retrieved later, thereby protecting
 the cache from client machine's failure"), and writes local changes back
-through the updatability analysis of :mod:`repro.xnf.updates`.
+through the put-back of :mod:`repro.viewupdate.objects` (the analysis
+and checks SQL view DML uses).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.cache.cursor import DependentCursor, IndependentCursor, PathCursor
 from repro.cache.workspace import CachedObject, LogEntry, Workspace
 from repro.xnf.result import ComponentStream, ConnectionStream, COResult
 from repro.xnf.schema_graph import SchemaEdge, SchemaGraph
-from repro.xnf.updates import (CacheWriteBack, analyze_xnf_box)
+from repro.viewupdate import objects as put_back
 
 SNAPSHOT_FORMAT = 1
 
@@ -45,11 +46,10 @@ class XNFCache:
         #: of batching in the update log until ``write_back``.
         self.write_through = write_through
         self._in_write = False
-        self.component_updatability = {}
-        self.relationship_updatability = {}
-        if translated is not None and translated.xnf_box is not None:
-            self.component_updatability, self.relationship_updatability = \
-                analyze_xnf_box(translated.xnf_box)
+        self.workspace.one_write = self.one_write
+        #: (catalog, component write plans, relationship strategies),
+        #: analyzed on the first write
+        self._analysis: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -122,7 +122,8 @@ class XNFCache:
         """Transfer local changes to the server, all-or-nothing."""
         return self._writer(catalog, transactions).apply(self.workspace)
 
-    def _writer(self, catalog=None, transactions=None) -> CacheWriteBack:
+    def _writer(self, catalog=None,
+                transactions=None) -> put_back.CacheWriteBack:
         catalog = catalog or self._catalog
         transactions = transactions or self._transactions
         if catalog is None:
@@ -130,9 +131,20 @@ class XNFCache:
         if transactions is None:
             from repro.storage.transactions import TransactionManager
             transactions = TransactionManager(catalog)
-        return CacheWriteBack(catalog, transactions,
-                              self.component_updatability,
-                              self.relationship_updatability)
+        return put_back.CacheWriteBack(catalog, transactions,
+                                       *self.updatability(catalog))
+
+    def updatability(self, catalog=None) -> tuple[dict, dict]:
+        """The view's write paths: component -> write plan (or the
+        :class:`~repro.errors.NotUpdatableError` rejecting it), and
+        relationship -> connect strategy."""
+        catalog = catalog or self._catalog
+        if self._analysis is None or self._analysis[0] is not catalog:
+            xnf = getattr(self._translated, "xnf_box", None)
+            found = put_back.analyze_xnf(xnf, catalog) \
+                if xnf is not None else ({}, {})
+            self._analysis = (catalog, *found)
+        return self._analysis[1], self._analysis[2]
 
     # ------------------------------------------------------------------
     # Write-through (updatable-view CRUD through the gateway)
@@ -158,18 +170,16 @@ class XNFCache:
         try:
             yield
         except Exception:
-            from repro.viewupdate.objects import revert_entries
             entries = log[mark:]
             del log[mark:]
-            revert_entries(self.workspace, entries)
+            put_back.revert_entries(self.workspace, entries)
             raise
         finally:
             self._in_write = False
         if self.write_through and len(log) > mark:
             entries = log[mark:]
             del log[mark:]
-            from repro.viewupdate.objects import apply_write_through
-            apply_write_through(self, entries)
+            put_back.apply_write_through(self, entries)
 
     # ------------------------------------------------------------------
     # Export (the multi-lingual API surface, Sect. 5.2)

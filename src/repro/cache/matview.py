@@ -10,16 +10,18 @@ incremental view maintenance a la relational lenses).
 How a view stays fresh
 ======================
 
-DML (:mod:`repro.executor.dml`) and cache write-back
-(:class:`repro.xnf.updates.CacheWriteBack`) publish one
+Every base-row write (:class:`repro.executor.dml.RowWriter`: SQL DML,
+view DML and cache write-back alike) publishes one
 :class:`~repro.storage.catalog.TableDelta` per touched base table per
 statement through ``catalog.delta_listeners``.  For each registered
 view the delta either:
 
 * propagates **incrementally** — the common case, when every component
-  derivation is a select/project of one base table (the same shape the
-  Sect. 2 updatability analysis accepts) and every relationship
-  predicate is an equi-join between parent, child and USING tables; or
+  derivation is a select/project of one base table whose objects are
+  identified by base RID (classified by the Sect. 2 updatability
+  analysis, :func:`repro.viewupdate.objects.component_write_plan`) and
+  every relationship predicate is an equi-join between parent, child
+  and USING tables; or
 * marks the view for **full refresh** — recursive COs, joins or
   DISTINCT inside component derivations, n-ary relationships,
   non-equi-join predicates (see ``fallback_reason``).
@@ -60,17 +62,18 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Union
 
-from repro.errors import CacheError, CatalogError
+from repro.errors import CacheError, CatalogError, NotUpdatableError
 from repro.executor.expressions import (BatchKernel, BatchPredicate,
-                                        ExpressionCompiler, column_kernel)
+                                        ExpressionCompiler)
 from repro.executor.plan_cache import ParameterizedStatement, parameterize_xnf
 from repro.qgm.model import BaseBox, QRef, RidRef
 from repro.sql import ast
 from repro.storage.catalog import Catalog, TableDelta
 from repro.xnf.result import (ComponentStream, ConnectionStream, COResult,
                               XNFExecutable)
-from repro.xnf.translate import TranslatedXNF
-from repro.xnf.updates import analyze_component
+from repro.viewupdate.executor import compile_base_project
+from repro.viewupdate.objects import component_write_plan
+from repro.xnf.translate import OID, TranslatedXNF
 
 #: (rid, row) pairs — the currency of raw extents and deltas.
 Pairs = list
@@ -90,10 +93,9 @@ class _ComponentPlan:
     name: str
     number: int
     table: str
-    qid: int
     #: view column (upper) -> base column position
     base_positions_by_column: dict[str, int]
-    checks: list  # compiled predicates over the full base row
+    checks: list  # (compiled predicate over the full base row, text)
     #: final extent equals raw extent (root / reachability not required)
     root_like: bool
     taken: bool
@@ -198,19 +200,19 @@ def _analyze_incremental(translated: TranslatedXNF,
     components: dict = {}
     for name, info in translated.components.items():
         box = xnf.components[name].box
-        updatability = analyze_component(box)
-        if not updatability.updatable:
-            raise _Fallback(f"component {name}: {updatability.reason}")
-        if len(updatability.check_predicates) != len(box.predicates):
-            raise _Fallback(
-                f"component {name}: derivation predicate is not local "
-                f"to its base table"
-            )
-        table = catalog.table(updatability.table)
+        try:
+            compiled = component_write_plan(box, name, catalog)
+        except NotUpdatableError as exc:
+            raise _Fallback(f"component {name}: {exc}") from None
+        if not isinstance(box.head[box.head_position(OID)].expression,
+                          RidRef):
+            raise _Fallback(f"component {name}: objects have value-based "
+                            f"identity, not the base RID")
+        table = catalog.table(compiled.plan.table)
         positions = {
             view_column: table.column_position(base_column)
             for view_column, base_column in
-            updatability.column_map.items()
+            compiled.plan.column_map.items()
         }
         incoming_edges = translated.schema.incoming(name)
         root_like = (xnf.components[name].is_root
@@ -218,23 +220,16 @@ def _analyze_incremental(translated: TranslatedXNF,
                      or not incoming_edges)
         plan = _ComponentPlan(
             name=name, number=info.number, table=table.name,
-            qid=box.foreach_quantifiers()[0].qid,
             base_positions_by_column=positions,
-            checks=updatability.check_predicates,
+            checks=compiled.checks,
             root_like=root_like, taken=info.taken,
         )
         if info.taken:
+            # computed columns too: each is an expression over the row
             plan.stream_columns = list(info.columns)
-            stream_positions = []
-            for column in plan.stream_columns:
-                position = positions.get(column.upper())
-                if position is None:
-                    raise _Fallback(
-                        f"component {name}: stream column {column!r} "
-                        f"is not a stored column"
-                    )
-                stream_positions.append(position)
-            plan.stream_values = column_kernel(stream_positions)
+            plan.stream_values = compile_base_project(
+                [compiled.plan.base_ast[c.upper()]
+                 for c in plan.stream_columns], table)
         components[name] = plan
 
     relationships: dict = {}
@@ -561,7 +556,7 @@ class _IncrementalState:
             self.raw[component.name].load(
                 (rid, row)
                 for rid, row in self.catalog.table(component.table).scan()
-                if all(check(row, None) is True for check in checks))
+                if all(check(row) is True for check, _text in checks))
         for name in self.plan.topo:
             for relationship in self.plan.incoming[name]:
                 self.conn[relationship.name] = Counter(self._enumerate(
@@ -669,8 +664,8 @@ class _IncrementalState:
             removed = [(rid, raw.rows[rid]) for rid, _row in delta.deleted
                        if rid in raw.rows]
             added = [(rid, row) for rid, row in delta.inserted
-                     if all(check(row, None) is True
-                            for check in component.checks)]
+                     if all(check(row) is True
+                            for check, _text in component.checks)]
             if not removed and not added:
                 continue
             raw_deltas[component.name] = (removed, added)

@@ -126,8 +126,7 @@ def _make_column_property(column: str, position: int):
         return self.values[position]
 
     def setter(self, value):
-        with self._cache.one_write():
-            self.set(column, value)
+        self.set(column, value)
 
     return property(getter, setter, doc=f"column {column}")
 

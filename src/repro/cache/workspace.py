@@ -17,6 +17,7 @@ CO update operators: insert/read/update/delete plus connect/disconnect).
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -78,8 +79,10 @@ class CachedObject:
             raise AttributeError(name) from None
 
     def set(self, column: str, value) -> None:
-        """Update a column locally, logging for write-back."""
-        self.workspace.update_object(self, column, value)
+        """Update a column locally, logging for write-back (one write:
+        a write-through cache puts it back before returning)."""
+        with self.workspace.one_write():
+            self.workspace.update_object(self, column, value)
 
     def as_dict(self) -> dict:
         columns = self.workspace.components_columns[self.component]
@@ -133,6 +136,9 @@ class Workspace:
         #: parallel connection between the same partners
         self._connection_attributes: dict[tuple, list[dict]] = {}
         self.log: list[LogEntry] = []
+        #: context of one write; the owning cache installs its
+        #: ``XNFCache.one_write``, which a write-through cache puts back
+        self.one_write = nullcontext
         self.dangling_connections = 0
         self._new_oid_counter = itertools.count(1)
         self._load(result)

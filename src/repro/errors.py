@@ -83,10 +83,6 @@ class UpdateError(ReproError):
     """An update through a view or cache cannot be applied."""
 
 
-class NotUpdatableError(UpdateError):
-    """The view or relationship is read-only per updatability analysis."""
-
-
 class ViewUpdateError(UpdateError):
     """A DML statement against a view has no sound base-table
     translation, or its put-back failed the well-definedness check.
@@ -109,3 +105,9 @@ class ViewUpdateError(UpdateError):
         self.box = box
         self.column = column
         self.reason = reason
+
+
+class NotUpdatableError(ViewUpdateError):
+    """The view, component, column or relationship is read-only per the
+    static updatability analysis: the write is rejected before it
+    touches a row."""

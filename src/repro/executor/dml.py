@@ -1,10 +1,10 @@
-"""INSERT / UPDATE / DELETE execution.
+"""INSERT / UPDATE / DELETE execution, and the one base-row writer.
 
 DML reuses the query pipeline for anything SELECT-shaped (INSERT ...
 SELECT, and the row-qualification part of UPDATE/DELETE, which compiles
 to a plan producing RIDs plus new values) and then applies storage
-mutations with foreign-key checks.  Atomicity is the caller's concern:
-the Database facade wraps each statement in ``run_atomic``.
+mutations through :class:`RowWriter`.  Atomicity is the caller's
+concern: the Database facade wraps each statement in ``run_atomic``.
 
 UPDATE and DELETE arrive in one form: the front end's
 :class:`~repro.executor.plan_cache.ParameterizedStatement`, its SET and
@@ -16,12 +16,16 @@ statement's pre-hashed key, so every literal variant of one write
 shares one plan and a hit never walks the AST.  INSERT keeps its
 literals inline.
 
-Every successful statement additionally publishes one per-table
-:class:`~repro.storage.catalog.TableDelta` through the catalog's delta
-protocol (when anyone subscribed), which is how materialized
-composite-object views are maintained incrementally instead of being
-recomputed.  A statement that raises mid-way publishes nothing: the
-facade's ``run_atomic`` rolls the partial mutations back.
+:class:`RowWriter` is every base-table write under a statement, a view
+statement (:mod:`repro.viewupdate.executor`) or a cache write-back
+(:mod:`repro.viewupdate.objects`): the foreign-key checks, RESTRICT
+when a referenced key moves, partition relocation, and the delta
+protocol.  Each statement or batch publishes one consolidated
+:class:`~repro.storage.catalog.TableDelta` per touched table (when
+anyone subscribed), which is how materialized composite-object views
+are maintained incrementally instead of being recomputed.  A statement
+that raises mid-way publishes nothing: the caller's ``run_atomic``
+rolls the partial mutations back.
 """
 
 from __future__ import annotations
@@ -38,8 +42,80 @@ from repro.qgm.builder import Scope, validate_subquery_positions
 from repro.qgm.model import (BaseBox, HeadColumn, OutputStream, QGMGraph,
                              Quantifier, RidRef, SelectBox, TopBox)
 from repro.sql import ast
-from repro.storage.catalog import Catalog, TableDelta
-from repro.storage.table import Table
+from repro.storage.catalog import Catalog, DeltaRecorder
+from repro.storage.table import Rid, Row, Table
+
+
+class RowWriter:
+    """Applies one statement's (or one write batch's) base-row writes.
+
+    Every write is checked the way SQL checks it: a written row must
+    satisfy its outgoing foreign keys, and a row whose referenced key
+    moves, or that is deleted, must not strand referencing children
+    (RESTRICT).  An update that changes a partition key relocates the
+    row to a fresh rid; later writes addressing the old rid follow the
+    relocation chain.  :meth:`emit` publishes the consolidated deltas.
+    """
+
+    def __init__(self, catalog: Catalog):
+        self.catalog = catalog
+        self._recorder = DeltaRecorder() if catalog.wants_deltas else None
+        #: (table, rid) -> rid the row was relocated to
+        self.moved: dict = {}
+
+    def current_rid(self, table_name: str, rid: Rid) -> Rid:
+        """The rid the row addressed by ``rid`` lives at now."""
+        while (table_name, rid) in self.moved:
+            rid = self.moved[(table_name, rid)]
+        return rid
+
+    def _record(self, table: Table, rid: Rid, old, new) -> None:
+        if self._recorder is not None:
+            self._recorder.record(table.name, rid, old, new)
+
+    def insert(self, table: Table, row) -> tuple[Rid, Row]:
+        self.catalog.check_foreign_keys(table.name, tuple(row))
+        rid = table.insert(row)
+        stored = table.fetch(rid)
+        self._record(table, rid, None, stored)
+        return rid, stored
+
+    def update(self, table: Table, rid: Rid, positions,
+               values) -> tuple[Rid, Row]:
+        """Write ``values`` over ``positions`` of the row at ``rid``;
+        returns the row's (possibly new) rid and its stored image."""
+        rid = self.current_rid(table.name, rid)
+        old = table.fetch(rid)
+        new = list(old)
+        for position, value in zip(positions, values):
+            new[position] = value
+        if any(old[p] != new[p]
+               for p in self.catalog.referenced_positions(table)):
+            self.catalog.check_no_referencing_children(table.name, old,
+                                                       new)
+        self.catalog.check_foreign_keys(table.name, tuple(new))
+        new_rid, stored = table.update_row(rid, new)
+        if new_rid == rid:
+            self._record(table, rid, old, stored)
+        else:
+            self.moved[(table.name, rid)] = new_rid
+            self._record(table, rid, old, None)
+            self._record(table, new_rid, None, stored)
+        return new_rid, stored
+
+    def delete(self, table: Table, rid: Rid) -> Row:
+        rid = self.current_rid(table.name, rid)
+        old = table.fetch(rid)
+        self.catalog.check_no_referencing_children(table.name, old)
+        table.delete(rid)
+        self._record(table, rid, old, None)
+        return old
+
+    def emit(self) -> None:
+        """Publish this writer's consolidated per-table deltas."""
+        if self._recorder is not None:
+            for delta in self._recorder.deltas():
+                self.catalog.emit_table_delta(delta)
 
 
 class DMLExecutor:
@@ -55,50 +131,42 @@ class DMLExecutor:
     def insert(self, statement: ast.InsertStatement, params=None) -> int:
         table = self.catalog.table(statement.table)
         target_positions = self._target_positions(table, statement.columns)
-        if statement.query is not None:
-            result = self.pipeline.run_select(statement.query,
-                                              params=params)
-            rows = result.rows
-            width = len(result.columns)
-        else:
-            compiler = ExpressionCompiler({})
-            value_ctx = ExecutionContext()
-            value_ctx.bind_parameters(params)
-            rows = []
-            width = None
-            for value_row in statement.rows:
-                values = tuple(
-                    compiler.compile(expression)((), value_ctx)
-                    for expression in value_row
-                )
-                width = len(values) if width is None else width
-                if len(values) != width:
-                    raise SemanticError(
-                        "INSERT rows have inconsistent widths"
-                    )
-                rows.append(values)
-        if width is not None and width != len(target_positions):
-            raise SemanticError(
-                f"INSERT provides {width} values for "
-                f"{len(target_positions)} columns"
-            )
-        inserted = 0
-        delta = TableDelta(table.name) if self.catalog.wants_deltas \
-            else None
+        rows = self.insert_rows(statement, len(target_positions), params)
+        writer = RowWriter(self.catalog)
         for values in rows:
             full_row = [None] * len(table.columns)
             for position, value in zip(target_positions, values):
                 full_row[position] = value
-            self.catalog.check_foreign_keys(table.name, tuple(full_row))
-            rid = table.insert(full_row)
-            if delta is not None:
-                delta.inserted.append((rid, table.fetch(rid)))
-            inserted += 1
+            writer.insert(table, full_row)
         # Statistics invalidation rides the delta protocol (the
         # pipeline's manager subscribes to catalog.delta_listeners).
-        if delta is not None:
-            self.catalog.emit_table_delta(delta)
-        return inserted
+        writer.emit()
+        return len(rows)
+
+    def insert_rows(self, statement: ast.InsertStatement, width: int,
+                    params=None) -> list[tuple]:
+        """The value rows an INSERT provides, checked to be ``width``
+        wide."""
+        if statement.query is not None:
+            result = self.pipeline.run_select(statement.query,
+                                              params=params)
+            rows = result.rows
+            provided = len(result.columns)
+        else:
+            compiler = ExpressionCompiler({})
+            value_ctx = ExecutionContext()
+            value_ctx.bind_parameters(params)
+            rows = [tuple(compiler.compile(expression)((), value_ctx)
+                          for expression in value_row)
+                    for value_row in statement.rows]
+            if len({len(values) for values in rows}) > 1:
+                raise SemanticError("INSERT rows have inconsistent widths")
+            provided = len(rows[0]) if rows else width
+        if provided != width:
+            raise SemanticError(
+                f"INSERT provides {provided} values for {width} columns"
+            )
+        return rows
 
     @staticmethod
     def _target_positions(table: Table,
@@ -119,34 +187,12 @@ class DMLExecutor:
         expressions = [a.value for a in statement.assignments]
         rows = self.qualify(table, statement.where, expressions,
                             lifted.key, params, lifted.bindings)
-        updated = 0
-        delta = TableDelta(table.name) if self.catalog.wants_deltas \
-            else None
-        pk_positions = {table.column_position(c)
-                        for c in table.primary_key}
+        writer = RowWriter(self.catalog)
         for row_values in rows:
-            rid = row_values[0]
-            new_values = row_values[1:]
-            old_row = table.fetch(rid)
-            new_row = list(old_row)
-            for position, value in zip(assigned_positions, new_values):
-                new_row[position] = value
-            if any(p in pk_positions and old_row[p] != new_row[p]
-                   for p in assigned_positions):
-                self.catalog.check_no_referencing_children(table.name,
-                                                           old_row)
-            self.catalog.check_foreign_keys(table.name, tuple(new_row))
-            # update_row relocates the row (fresh rid) when a changed
-            # partition key routes it to another partition; in place
-            # otherwise.
-            stored_rid, stored = table.update_row(rid, new_row)
-            if delta is not None and stored != old_row:
-                delta.deleted.append((rid, old_row))
-                delta.inserted.append((stored_rid, stored))
-            updated += 1
-        if delta is not None:
-            self.catalog.emit_table_delta(delta)
-        return updated
+            writer.update(table, row_values[0], assigned_positions,
+                          row_values[1:])
+        writer.emit()
+        return len(rows)
 
     # ------------------------------------------------------------------
     # DELETE
@@ -156,20 +202,11 @@ class DMLExecutor:
         table = self.catalog.table(statement.table)
         rows = self.qualify(table, statement.where, [], lifted.key, params,
                             lifted.bindings)
-        deleted = 0
-        delta = TableDelta(table.name) if self.catalog.wants_deltas \
-            else None
+        writer = RowWriter(self.catalog)
         for row_values in rows:
-            rid = row_values[0]
-            old_row = table.fetch(rid)
-            self.catalog.check_no_referencing_children(table.name, old_row)
-            table.delete(rid)
-            if delta is not None:
-                delta.deleted.append((rid, old_row))
-            deleted += 1
-        if delta is not None:
-            self.catalog.emit_table_delta(delta)
-        return deleted
+            writer.delete(table, row_values[0])
+        writer.emit()
+        return len(rows)
 
     # ------------------------------------------------------------------
     def qualify(self, table: Table, where: Optional[ast.Expression],

@@ -148,9 +148,12 @@ class Catalog:
         #: indexes, views, foreign keys) bumps it; the plan cache keys
         #: compiled plans on it so any DDL invalidates them wholesale.
         self.schema_version: int = 0
+        #: table -> positions its foreign keys reference (this version)
+        self._referenced: dict[str, tuple[int, ...]] = {}
 
     def _bump_schema_version(self) -> None:
         self.schema_version += 1
+        self._referenced.clear()
 
     def _emit_ddl(self, op: str, **payload: Any) -> None:
         for listener in list(self.ddl_listeners):
@@ -383,18 +386,32 @@ class Catalog:
                     f"{values!r} has no parent in {fk.parent_table}"
                 )
 
-    def check_no_referencing_children(self, table_name: str,
-                                      row: Row) -> None:
-        """RESTRICT semantics: deleting (or re-keying) a parent row must
-        not strand children referencing it."""
+    def referenced_positions(self, table: Table) -> tuple[int, ...]:
+        """Positions of ``table``'s columns some foreign key references:
+        an update moving one must pass
+        :meth:`check_no_referencing_children`."""
+        positions = self._referenced.get(table.name)
+        if positions is None:
+            positions = self._referenced[table.name] = tuple({
+                table.column_position(column)
+                for fk in self.foreign_keys()
+                if fk.parent_table == table.name
+                for column in fk.parent_columns})
+        return positions
+
+    def check_no_referencing_children(self, table_name: str, row: Row,
+                                      new_row: Row | None = None) -> None:
+        """RESTRICT semantics: deleting a parent row, or re-keying it to
+        ``new_row``, must not strand children referencing it."""
         parent = self.table(table_name)
         for fk in self.foreign_keys():
             if self._key(fk.parent_table) != parent.name:
                 continue
-            parent_values = tuple(
-                row[parent.column_position(c)] for c in fk.parent_columns
-            )
-            if None in parent_values:
+            positions = [parent.column_position(c) for c in fk.parent_columns]
+            parent_values = tuple(row[p] for p in positions)
+            if None in parent_values or (
+                    new_row is not None
+                    and tuple(new_row[p] for p in positions) == parent_values):
                 continue
             child = self.table(fk.child_table)
             positions = [child.column_position(c) for c in fk.child_columns]

@@ -13,16 +13,19 @@ transaction).
 
 Modules:
 
-* :mod:`repro.viewupdate.provenance` — classify a view's derivation box
-  as translatable or not; trace view columns to base columns.
+* :mod:`repro.viewupdate.provenance` — the one updatability analysis:
+  classify a view's (or a CO component's) derivation box as
+  translatable or not; trace view columns to base columns.
 * :mod:`repro.viewupdate.translator` — rewrite view DML ASTs into
   base-table form (single-source views) or a view-qualification plan
   (key-preserved joins).
-* :mod:`repro.viewupdate.executor` — the engine-side manager: apply the
-  translated mutations atomically, emit ordinary ``TableDelta``s, and
-  run the dynamic round-trip check.
-* :mod:`repro.viewupdate.objects` — the gateway's write-through object
-  CRUD (``co.update`` / ``co.insert_child`` / ``co.delete``).
+* :mod:`repro.viewupdate.executor` — the compiled get∘put check
+  (:class:`~repro.viewupdate.executor.CompiledWritePlan`) and the
+  engine-side manager applying view DML through the one base-row
+  writer (:class:`~repro.executor.dml.RowWriter`).
+* :mod:`repro.viewupdate.objects` — the gateway's put-back: relationship
+  connect analysis, deferred write-back and write-through object CRUD,
+  through the same writer and check.
 """
 
 from repro.viewupdate.executor import ViewUpdateManager

@@ -15,10 +15,13 @@ View UPDATE / DELETE arrive as the front end lifted them (see
 literal variant of a statement shape, and the lifted literals are bound
 when the qualification plan runs.
 
-Mutations emit ordinary per-table :class:`TableDelta`s through the
-catalog's delta protocol, so materialized views, statistics and the WAL
-observe a view write exactly as they would the equivalent hand-written
-base DML.
+Mutations go through the one base-row writer
+(:class:`~repro.executor.dml.RowWriter`), so foreign keys, RESTRICT,
+partition relocation and the delta protocol treat a view write exactly
+as they would the equivalent hand-written base DML.  The compiled
+checks (:class:`CompiledWritePlan`) are shared with the object
+gateway's put-back, which verifies the final state of every row a
+write batch touched the same way.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.errors import CatalogError, SemanticError, ViewUpdateError
-from repro.executor.expressions import ExpressionCompiler
+from repro.executor.dml import RowWriter
+from repro.executor.expressions import BatchKernel, ExpressionCompiler
 from repro.executor.plan_cache import HashedKey, ParameterizedStatement
 from repro.optimizer.plan import ExecutionContext
+from repro.qgm.model import QRef, replace_qrefs
 from repro.sql import ast
-from repro.storage.catalog import TableDelta
 from repro.viewupdate.provenance import ViewWritePlan, analyze_view_box
 from repro.viewupdate.translator import (compile_join_qualification,
                                          translate_assignments,
@@ -44,24 +48,36 @@ class _BaseRow:
     qid = 0
 
 
+def _base_compiler(table) -> ExpressionCompiler:
+    return ExpressionCompiler(
+        {(0, c.name.upper()): i for i, c in enumerate(table.columns)})
+
+
+def _over_base_row(expression: ast.Expression) -> ast.Expression:
+    return ast.replace_column_refs(
+        expression, lambda ref: QRef(_BaseRow, ref.column.upper()))
+
+
 def compile_base_expression(expression: ast.Expression, table):
     """Compile an AST over ``table``'s columns into ``fn(row) -> value``."""
-    def to_qref(ref: ast.ColumnRef):
-        from repro.qgm.model import QRef
-        return QRef(_BaseRow, ref.column.upper())
-    layout = {(0, c.name.upper()): i for i, c in enumerate(table.columns)}
-    compiled = ExpressionCompiler(layout).compile(
-        ast.replace_column_refs(expression, to_qref))
+    compiled = _base_compiler(table).compile(_over_base_row(expression))
     ctx = ExecutionContext()
     return lambda row: compiled(row, ctx)
 
 
-class _CachedPlan:
-    """A classified view plus its compiled dynamic-check artifacts."""
+def compile_base_project(expressions: list, table) -> BatchKernel:
+    """Compile ASTs over ``table``'s columns into a batch kernel giving
+    the tuple of their values per row."""
+    return _base_compiler(table).compile_project(
+        [_over_base_row(e) for e in expressions])
+
+
+class CompiledWritePlan:
+    """A classified view plus its compiled dynamic-check artifacts:
+    what :meth:`verify` re-evaluates a written row against."""
 
     def __init__(self, plan: ViewWritePlan, catalog):
         self.plan = plan
-        self.catalog = catalog
         #: view column -> base Column, for coercing written values the
         #: way storage does (CHAR padding etc.) before the round-trip
         #: comparison.
@@ -114,10 +130,76 @@ class _CachedPlan:
             return value
         return normalizer.validate(value)
 
+    def verify(self, stored_row, written: dict) -> None:
+        """The dynamic well-definedness check (get∘put = identity):
+        re-evaluate one touched view row against the derivation.
+
+        ``stored_row`` is the base row as stored; ``written`` maps view
+        columns to the values the statement assigned.  The row must (a)
+        still satisfy the view's selection predicates — and, for joins,
+        still find exactly one partner per key-bound side — and (b)
+        read back exactly the written values.  Any failure aborts the
+        statement (and, through run_atomic, undoes its mutations).
+        """
+        plan = self.plan
+        for check, text in self.checks:
+            if check(stored_row) is not True:
+                raise ViewUpdateError(
+                    "write escapes the view", box=plan.box.label,
+                    reason=f"the stored row no longer satisfies the "
+                           f"view predicate ({text}); get∘put is not "
+                           f"the identity, statement aborted")
+        if plan.single_source:
+            for column, value in written.items():
+                getter = self.getters.get(column.upper())
+                if getter is not None \
+                        and getter(stored_row) != self.expected(column,
+                                                                  value):
+                    raise ViewUpdateError(
+                        "write does not round-trip", box=plan.box.label,
+                        column=column.upper(),
+                        reason="re-reading the view yields a different "
+                               "value than was written")
+            return
+        for side_table, side_checks, pairs in self.partners:
+            matches = 0
+            wanted = [(position, value_of(stored_row))
+                      for position, value_of in pairs]
+            for _rid, row in side_table.scan():
+                if all(row[position] == value
+                       for position, value in wanted) \
+                        and all(c(row) is True for c in side_checks):
+                    matches += 1
+                    if matches > 1:
+                        break
+            if matches != 1:
+                raise ViewUpdateError(
+                    "write escapes the view", box=plan.box.label,
+                    reason=f"the updated row finds {matches} partners "
+                           f"in key-bound side {side_table.name} "
+                           f"(exactly one required); get∘put is not "
+                           f"the identity, statement aborted")
+        anchor_table = plan.anchor.box.table
+        for column, value in written.items():
+            source = plan.column_sources.get(column.upper())
+            if source is not None and source[0] == plan.anchor.qid:
+                position = anchor_table.column_position(source[1])
+                if stored_row[position] != self.expected(column, value):
+                    raise ViewUpdateError(
+                        "write does not round-trip",
+                        box=plan.box.label, column=column.upper(),
+                        reason="re-reading the view yields a different "
+                               "value than was written")
+
+
+def compile_write_plan(box, name: str, catalog) -> CompiledWritePlan:
+    """Classify ``box`` for put-back and compile its checks: the one
+    analysis behind view DML, the object gateway and the matviews."""
+    return CompiledWritePlan(analyze_view_box(box, name, catalog), catalog)
+
 
 def _deqref(expression: ast.Expression) -> ast.Expression:
     """QGM predicate (QRef leaves over one quantifier) -> base AST."""
-    from repro.qgm.model import replace_qrefs
     return replace_qrefs(
         expression, lambda leaf: ast.ColumnRef(None, leaf.column.upper()))
 
@@ -144,7 +226,7 @@ class ViewUpdateManager:
         shared — stay with the plain DML executor."""
         return "." in target or self.catalog.has_view(target)
 
-    def _analyze(self, target: str) -> _CachedPlan:
+    def _analyze(self, target: str) -> CompiledWritePlan:
         key = (target.upper(), self.catalog.schema_version)
         cached = self._plans.get(key)
         if cached is not None:
@@ -163,9 +245,8 @@ class ViewUpdateManager:
                     f"view {target!r} is not updatable", box=view.name,
                     reason="target one component of the XNF view as "
                            f"{target}.<component> instead")
-        box = self._resolve_target_box(target)
-        plan = analyze_view_box(box, target, self.catalog)
-        cached = _CachedPlan(plan, self.catalog)
+        cached = compile_write_plan(self._resolve_target_box(target),
+                                    target, self.catalog)
         self._plans[key] = cached
         while len(self._plans) > self.PLAN_CAPACITY:
             self._plans.popitem(last=False)
@@ -304,7 +385,7 @@ class ViewUpdateManager:
         return self._update_join(cached, assignments, where, key, params,
                                  lifted.bindings)
 
-    def _update_single(self, cached: _CachedPlan, assignments,
+    def _update_single(self, cached: CompiledWritePlan, assignments,
                        where, key, params, bindings) -> int:
         plan = cached.plan
         table = self.catalog.table(plan.table)
@@ -316,7 +397,7 @@ class ViewUpdateManager:
         return self._apply_update(cached, table, rows, positions,
                                   [v for v, _, _ in assignments])
 
-    def _update_join(self, cached: _CachedPlan, assignments,
+    def _update_join(self, cached: CompiledWritePlan, assignments,
                      where, key, params, bindings) -> int:
         plan = cached.plan
         table = plan.anchor.box.table
@@ -338,35 +419,16 @@ class ViewUpdateManager:
             [(rid,) + values for rid, values in deduped.items()],
             positions, [v for v, _, _ in assignments])
 
-    def _apply_update(self, cached: _CachedPlan, table, rows,
+    def _apply_update(self, cached: CompiledWritePlan, table, rows,
                       positions, view_columns) -> int:
-        delta = TableDelta(table.name) if self.catalog.wants_deltas \
-            else None
-        pk_positions = {table.column_position(c)
-                        for c in table.primary_key}
-        updated = 0
+        writer = RowWriter(self.catalog)
         for row_values in rows:
-            rid = row_values[0]
             new_values = row_values[1:]
-            old_row = table.fetch(rid)
-            new_row = list(old_row)
-            for position, value in zip(positions, new_values):
-                new_row[position] = value
-            if any(p in pk_positions and old_row[p] != new_row[p]
-                   for p in positions):
-                self.catalog.check_no_referencing_children(table.name,
-                                                           old_row)
-            self.catalog.check_foreign_keys(table.name, tuple(new_row))
-            stored_rid, stored = table.update_row(rid, new_row)
-            self._verify_row(cached, stored,
-                             dict(zip(view_columns, new_values)))
-            if delta is not None and stored != old_row:
-                delta.deleted.append((rid, old_row))
-                delta.inserted.append((stored_rid, stored))
-            updated += 1
-        if delta is not None:
-            self.catalog.emit_table_delta(delta)
-        return updated
+            _rid, stored = writer.update(table, row_values[0], positions,
+                                         new_values)
+            cached.verify(stored, dict(zip(view_columns, new_values)))
+        writer.emit()
+        return len(rows)
 
     # ------------------------------------------------------------------
     # DELETE
@@ -376,28 +438,18 @@ class ViewUpdateManager:
         plan = cached.plan
         if plan.single_source:
             table = self.catalog.table(plan.table)
-            rows = self.engine.dml.qualify(table, where, [], key, params,
-                                           lifted.bindings)
+            rids = [row[0] for row in self.engine.dml.qualify(
+                table, where, [], key, params, lifted.bindings)]
         else:
             table = plan.anchor.box.table
-            rows = [(rid,) for rid in dict.fromkeys(
+            rids = list(dict.fromkeys(
                 r[0] for r in self._run_join_qualification(
-                    plan, where, [], key, params, lifted.bindings))]
-        delta = TableDelta(table.name) if self.catalog.wants_deltas \
-            else None
-        deleted = 0
-        for row_values in rows:
-            rid = row_values[0]
-            old_row = table.fetch(rid)
-            self.catalog.check_no_referencing_children(table.name,
-                                                       old_row)
-            table.delete(rid)
-            if delta is not None:
-                delta.deleted.append((rid, old_row))
-            deleted += 1
-        if delta is not None:
-            self.catalog.emit_table_delta(delta)
-        return deleted
+                    plan, where, [], key, params, lifted.bindings)))
+        writer = RowWriter(self.catalog)
+        for rid in rids:
+            writer.delete(table, rid)
+        writer.emit()
+        return len(rids)
 
     # ------------------------------------------------------------------
     # INSERT
@@ -422,94 +474,13 @@ class ViewUpdateManager:
              if not c.name.startswith("$")]
         positions = [table.column_position(plan.writable_base_column(c))
                      for c in view_columns]
-        compiler = ExpressionCompiler({})
-        value_ctx = ExecutionContext()
-        value_ctx.bind_parameters(params)
-        delta = TableDelta(table.name) if self.catalog.wants_deltas \
-            else None
-        inserted = 0
-        for value_row in statement.rows:
-            values = tuple(compiler.compile(expression)((), value_ctx)
-                           for expression in value_row)
-            if len(values) != len(positions):
-                raise SemanticError(
-                    f"INSERT provides {len(values)} values for "
-                    f"{len(positions)} columns")
+        writer = RowWriter(self.catalog)
+        rows = self.engine.dml.insert_rows(statement, len(positions), params)
+        for values in rows:
             full_row = [None] * len(table.columns)
             for position, value in zip(positions, values):
                 full_row[position] = value
-            self.catalog.check_foreign_keys(table.name, tuple(full_row))
-            rid = table.insert(full_row)
-            stored = table.fetch(rid)
-            self._verify_row(cached, stored,
-                             dict(zip(view_columns, values)))
-            if delta is not None:
-                delta.inserted.append((rid, stored))
-            inserted += 1
-        if delta is not None:
-            self.catalog.emit_table_delta(delta)
-        return inserted
-
-    # ------------------------------------------------------------------
-    # The dynamic well-definedness check (get∘put = identity)
-    # ------------------------------------------------------------------
-    def _verify_row(self, cached: _CachedPlan, stored_row,
-                    written: dict) -> None:
-        """Re-evaluate one touched view row against the derivation.
-
-        ``stored_row`` is the base row as stored; ``written`` maps view
-        columns to the values the statement assigned.  The row must (a)
-        still satisfy the view's selection predicates — and, for joins,
-        still find exactly one partner per key-bound side — and (b)
-        read back exactly the written values.  Any failure aborts the
-        statement (and, through run_atomic, undoes its mutations).
-        """
-        plan = cached.plan
-        for check, text in cached.checks:
-            if check(stored_row) is not True:
-                raise ViewUpdateError(
-                    "write escapes the view", box=plan.box.label,
-                    reason=f"the stored row no longer satisfies the "
-                           f"view predicate ({text}); get∘put is not "
-                           f"the identity, statement aborted")
-        if plan.single_source:
-            for column, value in written.items():
-                getter = cached.getters.get(column.upper())
-                if getter is not None \
-                        and getter(stored_row) != cached.expected(column,
-                                                                  value):
-                    raise ViewUpdateError(
-                        "write does not round-trip", box=plan.box.label,
-                        column=column.upper(),
-                        reason="re-reading the view yields a different "
-                               "value than was written")
-            return
-        for side_table, side_checks, pairs in cached.partners:
-            matches = 0
-            wanted = [(position, value_of(stored_row))
-                      for position, value_of in pairs]
-            for _rid, row in side_table.scan():
-                if all(row[position] == value
-                       for position, value in wanted) \
-                        and all(c(row) is True for c in side_checks):
-                    matches += 1
-                    if matches > 1:
-                        break
-            if matches != 1:
-                raise ViewUpdateError(
-                    "write escapes the view", box=plan.box.label,
-                    reason=f"the updated row finds {matches} partners "
-                           f"in key-bound side {side_table.name} "
-                           f"(exactly one required); get∘put is not "
-                           f"the identity, statement aborted")
-        anchor_table = plan.anchor.box.table
-        for column, value in written.items():
-            source = plan.column_sources.get(column.upper())
-            if source is not None and source[0] == plan.anchor.qid:
-                position = anchor_table.column_position(source[1])
-                if stored_row[position] != cached.expected(column, value):
-                    raise ViewUpdateError(
-                        "write does not round-trip",
-                        box=plan.box.label, column=column.upper(),
-                        reason="re-reading the view yields a different "
-                               "value than was written")
+            _rid, stored = writer.insert(table, full_row)
+            cached.verify(stored, dict(zip(view_columns, values)))
+        writer.emit()
+        return len(rows)

@@ -15,8 +15,12 @@ guarantees each base row surfaces at most once:
   are sound;
 * everything else (aggregation, DISTINCT, set operations, outer joins,
   subquery quantifiers, computed columns, non-anchor columns) is
-  rejected with a :class:`~repro.errors.ViewUpdateError` naming the
+  rejected with a :class:`~repro.errors.NotUpdatableError` naming the
   offending box/column and the reason.
+
+The one analysis serves SQL view DML, the object gateway (deferred and
+write-through) and the materialized views' incremental fragment.  It
+only reads the box: nothing it returns is attached to the derivation.
 """
 
 from __future__ import annotations
@@ -24,14 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import ViewUpdateError
-from repro.qgm.model import (BaseBox, HeadColumn, QRef, Quantifier, RidRef,
-                             SelectBox, quantifiers_in, replace_qrefs,
-                             trace_column)
+from repro.errors import NotUpdatableError
+from repro.qgm.model import (BaseBox, QRef, Quantifier, RidRef, SelectBox,
+                             quantifiers_in, replace_qrefs, trace_column)
 from repro.sql import ast
-
-#: Head column appended to a join view's box exposing the anchor rid.
-ANCHOR_RID = "$ARID$"
 
 
 @dataclass
@@ -70,33 +70,40 @@ class ViewWritePlan:
         field(default_factory=dict)
 
     # -- write-side lookups -------------------------------------------
+    @property
+    def column_map(self) -> dict[str, str]:
+        """Single-source only: writable view column -> base column."""
+        return {column: expr.column.upper()
+                for column, expr in self.base_ast.items()
+                if isinstance(expr, ast.ColumnRef)}
+
     def writable_base_column(self, column: str) -> str:
         """The unique base column a written view column maps to."""
         upper = column.upper()
         if self.single_source:
             expr = self.base_ast.get(upper)
             if expr is None:
-                raise ViewUpdateError(
+                raise NotUpdatableError(
                     "view has no such column", box=self.box.label,
                     column=upper)
             if not isinstance(expr, ast.ColumnRef):
-                raise ViewUpdateError(
+                raise NotUpdatableError(
                     "cannot write a computed column", box=self.box.label,
                     column=upper,
                     reason="it does not trace to a unique stored column")
             return expr.column
         source = self.column_sources.get(upper, "missing")
         if source == "missing":
-            raise ViewUpdateError(
+            raise NotUpdatableError(
                 "view has no such column", box=self.box.label, column=upper)
         if source is None:
-            raise ViewUpdateError(
+            raise NotUpdatableError(
                 "cannot write a computed column", box=self.box.label,
                 column=upper,
                 reason="it does not trace to a unique stored column")
         qid, base_column = source
         if qid != self.anchor.qid:
-            raise ViewUpdateError(
+            raise NotUpdatableError(
                 "cannot write through a key-bound join side",
                 box=self.box.label, column=upper,
                 reason=f"it traces to table "
@@ -116,7 +123,7 @@ def _qref_is(expr, quantifier) -> bool:
     return isinstance(expr, QRef) and expr.quantifier is quantifier
 
 
-def _reject_kind(box, name: str) -> ViewUpdateError:
+def _reject_kind(box, name: str) -> NotUpdatableError:
     reasons = {
         "groupby": "aggregation collapses base rows; no row-level "
                    "put-back exists",
@@ -128,7 +135,7 @@ def _reject_kind(box, name: str) -> ViewUpdateError:
     }
     reason = reasons.get(box.kind, f"a {box.kind} derivation is not "
                                    f"translatable")
-    return ViewUpdateError(f"view {name!r} is not updatable",
+    return NotUpdatableError(f"view {name!r} is not updatable",
                            box=box.label, reason=reason)
 
 
@@ -139,25 +146,25 @@ def _single_source_of(box: SelectBox, name: str):
     every head column (upper) to an AST over the base table's columns
     (plain :class:`ast.ColumnRef` for stored columns) and
     ``predicates`` are the accumulated selection predicates, also over
-    base columns.  Raises :class:`ViewUpdateError` when the chain is
+    base columns.  Raises :class:`NotUpdatableError` when the chain is
     not single-source.
     """
     if not isinstance(box, SelectBox):
         raise _reject_kind(box, name)
     if box.distinct:
-        raise ViewUpdateError(
+        raise NotUpdatableError(
             f"view {name!r} is not updatable", box=box.label,
             reason="DISTINCT merges duplicate rows; the put-back of one "
                    "view row is ambiguous")
     for q in box.body_quantifiers:
         if q.qtype != Quantifier.F:
-            raise ViewUpdateError(
+            raise NotUpdatableError(
                 f"view {name!r} is not updatable", box=box.label,
                 reason=f"derivation contains a {q.qtype}-quantifier "
                        f"(subquery) over {q.box.label!r}")
     foreach = box.foreach_quantifiers()
     if len(foreach) != 1:
-        raise ViewUpdateError(
+        raise NotUpdatableError(
             f"view {name!r} is not updatable", box=box.label,
             reason="derivation does not range over exactly one table")
     quantifier = foreach[0]
@@ -173,13 +180,13 @@ def _single_source_of(box: SelectBox, name: str):
     def to_base(expr: ast.Expression) -> ast.Expression:
         def mapping(leaf):
             if isinstance(leaf, RidRef):
-                raise ViewUpdateError(
+                raise NotUpdatableError(
                     f"view {name!r} is not updatable", box=box.label,
                     reason="derivation exposes row identity, which has "
                            "no base-level rewrite")
             source = inner_ast.get(leaf.column.upper())
             if source is None:
-                raise ViewUpdateError(
+                raise NotUpdatableError(
                     f"view {name!r} is not updatable", box=box.label,
                     column=leaf.column.upper(),
                     reason="referenced column vanished in the nested "
@@ -213,12 +220,12 @@ def _analyze_join(box: SelectBox, name: str, catalog) -> ViewWritePlan:
     foreach = box.foreach_quantifiers()
     for q in box.body_quantifiers:
         if q.qtype != Quantifier.F:
-            raise ViewUpdateError(
+            raise NotUpdatableError(
                 f"view {name!r} is not updatable", box=box.label,
                 reason=f"derivation contains a {q.qtype}-quantifier "
                        f"(subquery) over {q.box.label!r}")
         if not isinstance(q.box, BaseBox):
-            raise ViewUpdateError(
+            raise NotUpdatableError(
                 f"view {name!r} is not updatable", box=box.label,
                 reason=f"join side {q.box.label!r} is itself derived; "
                        f"only joins of base tables are key-preservable "
@@ -251,7 +258,7 @@ def _analyze_join(box: SelectBox, name: str, catalog) -> ViewWritePlan:
 
     anchors = [q for q in foreach if q.qid not in key_bound]
     if len(anchors) > 1:
-        raise ViewUpdateError(
+        raise NotUpdatableError(
             f"view {name!r} is not updatable", box=box.label,
             reason=f"join is not key-preserving: sides "
                    f"{[q.box.table.name for q in anchors]} are all "
@@ -267,14 +274,14 @@ def _analyze_join(box: SelectBox, name: str, catalog) -> ViewWritePlan:
 
         def to_anchor_ast(leaf):
             if not isinstance(leaf, QRef):
-                raise ViewUpdateError(
+                raise NotUpdatableError(
                     f"view {name!r} is not updatable", box=box.label,
                     reason="join predicate references row identity")
             return ast.ColumnRef(None, leaf.column.upper())
 
         for column, expr in key_bound[q.qid]:
             if quantifiers_in(expr) != {anchor}:
-                raise ViewUpdateError(
+                raise NotUpdatableError(
                     f"view {name!r} is not updatable", box=box.label,
                     reason=f"join side {q.box.table.name} is bound "
                            f"through another joined table, not the "
@@ -293,8 +300,6 @@ def _analyze_join(box: SelectBox, name: str, catalog) -> ViewWritePlan:
         else:
             sources[column.name.upper()] = None
 
-    if not box.has_head_column(ANCHOR_RID):
-        box.head.append(HeadColumn(ANCHOR_RID, RidRef(anchor)))
     return ViewWritePlan(name=name, box=box, single_source=False,
                          anchor=anchor, key_bindings=bindings,
                          column_sources=sources)
@@ -304,13 +309,13 @@ def analyze_view_box(box, name: str, catalog=None) -> ViewWritePlan:
     """Classify ``box`` (the view's derivation) for put-back.
 
     Returns a :class:`ViewWritePlan`; raises
-    :class:`~repro.errors.ViewUpdateError` naming the box and the reason
-    when no sound translation exists.
+    :class:`~repro.errors.NotUpdatableError` naming the box and the
+    reason when no sound translation exists.
     """
     if not isinstance(box, SelectBox):
         raise _reject_kind(box, name)
     if box.distinct:
-        raise ViewUpdateError(
+        raise NotUpdatableError(
             f"view {name!r} is not updatable", box=box.label,
             reason="DISTINCT merges duplicate rows; the put-back of one "
                    "view row is ambiguous")

@@ -9,8 +9,7 @@ view path costs one dictionary-driven AST rewrite over the hand-written
 statement.
 
 Key-preserved joins qualify through the *view* instead: the view's box
-(with the anchor rid appended to its head by the provenance analysis)
-is wrapped in a qualification box producing ``(anchor_rid, value...)``
+(with the anchor rid appended to its head) is wrapped in a qualification box producing ``(anchor_rid, value...)``
 rows, compiled through the normal pipeline.
 """
 
@@ -21,9 +20,12 @@ from typing import Optional
 from repro.errors import ViewUpdateError
 from repro.qgm.builder import Scope, validate_subquery_positions
 from repro.qgm.model import (HeadColumn, OutputStream, QGMGraph, QRef,
-                             Quantifier, SelectBox, TopBox)
+                             Quantifier, RidRef, SelectBox, TopBox)
 from repro.sql import ast
-from repro.viewupdate.provenance import ANCHOR_RID, ViewWritePlan
+from repro.viewupdate.provenance import ViewWritePlan
+
+#: Head column appended to a join view's box exposing the anchor rid.
+ANCHOR_RID = "$ARID$"
 
 
 def reject_subqueries(expr: Optional[ast.Expression],
@@ -113,10 +115,12 @@ def compile_join_qualification(pipeline, plan: ViewWritePlan,
     """Compile ``SELECT anchor_rid, <exprs> FROM view WHERE pred``
     (the compiled query: its graph names the tables the plan reads).
 
-    The view's box already exposes the anchor rid as ``$ARID$`` (the
-    provenance analysis appended it); this wraps it in a qualification
-    box exactly like the base-table DML path wraps a BaseBox.
+    The view's box is extended once to expose the anchor rid as
+    ``$ARID$``; this wraps it in a qualification box exactly like the
+    base-table DML path wraps a BaseBox.
     """
+    if not plan.box.has_head_column(ANCHOR_RID):
+        plan.box.head.append(HeadColumn(ANCHOR_RID, RidRef(plan.anchor)))
     builder = pipeline.builder()
     box = SelectBox(label=f"viewdml_{plan.name}")
     quantifier = box.add_quantifier(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CacheError
 from repro.cache.manager import XNFCache
+from repro.viewupdate.executor import CompiledWritePlan
 
 
 class TestEvaluate:
@@ -23,9 +24,9 @@ class TestEvaluate:
 
     def test_updatability_metadata_loaded(self, org_db):
         cache = org_db.open_cache("deps_arc")
-        assert cache.component_updatability["XEMP"].updatable
-        assert cache.relationship_updatability["EMPLOYMENT"].kind == \
-            "foreign_key"
+        components, relationships = cache.updatability()
+        assert isinstance(components["XEMP"], CompiledWritePlan)
+        assert relationships["EMPLOYMENT"].kind == "foreign_key"
 
 
 class TestPersistence:

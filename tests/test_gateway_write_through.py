@@ -10,7 +10,7 @@ drifts from the database.
 import pytest
 
 from repro.cache.objects import bind_classes
-from repro.errors import ViewUpdateError
+from repro.errors import UpdateError, ViewUpdateError
 
 
 @pytest.fixture
@@ -188,3 +188,45 @@ class TestDeferredStillWorks:
         refreshed = next(o for o in view.classes["XEMP"].extent
                          if o.eno == emp.eno)
         assert refreshed.sal == emp.sal
+
+
+def base_tables(org_db) -> dict:
+    return {table: sorted(org_db.query(f"SELECT * FROM {table}").rows)
+            for table in ("DEPT", "EMP", "EMPSKILLS")}
+
+
+class TestSharedWriterChecks:
+    """The gateway writes through the writer SQL DML uses, so it
+    enforces what ``UPDATE DEPT SET dno = ...`` enforces."""
+
+    @pytest.mark.parametrize("write_through", [False, True])
+    def test_rekeying_a_parent_with_children_is_restricted(
+            self, org_db, write_through):
+        before = base_tables(org_db)
+        view = org_db.objects.open("deps_arc", write_through=write_through)
+        dept = next(d for d in view.extent("xdept") if d.employs())
+        old = dept.dno
+        with pytest.raises(UpdateError, match="still references"):
+            dept.dno = 999  # its employees would be stranded
+            view.commit()
+        assert base_tables(org_db) == before
+        if write_through:
+            assert dept.dno == old  # the cached object is reverted
+            assert not view.dirty
+
+    def test_set_on_a_write_through_cache_puts_back(self, org_db):
+        cache = org_db.open_cache("deps_arc", write_through=True)
+        emp = cache.extent("xemp")[0]
+        emp.set("SAL", 4242)  # a bare cached object, no bound classes
+        assert base_emp(org_db, emp.get("ENO"))[2] == 4242
+        assert not cache.dirty
+
+    def test_rejected_set_reverts_the_object(self, org_db):
+        cache = org_db.open_cache("deps_arc", write_through=True)
+        emp = cache.extent("xemp")[0]
+        old = emp.get("EDNO")
+        with pytest.raises(ViewUpdateError):
+            emp.set("EDNO", 424242)
+        assert emp.get("EDNO") == old
+        assert base_emp(org_db, emp.get("ENO"))[1] == old
+        assert not cache.dirty

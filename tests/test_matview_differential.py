@@ -44,6 +44,18 @@ OUT OF xassembly AS (SELECT * FROM PART WHERE kind = 'assembly'),
 TAKE *
 """
 
+#: Components with computed columns: each streamed value is an
+#: expression over the component's base row, maintained incrementally.
+COMPUTED_QUERY = """
+OUT OF xdept AS (SELECT dno, loc, dno * 10 + 1 AS code FROM DEPT
+                 WHERE loc = 'ARC'),
+       xemp AS (SELECT eno, edno, sal / 1000 AS ksal FROM EMP
+                WHERE sal > 50000),
+       employment AS (RELATE xdept VIA EMPLOYS, xemp
+                      WHERE xdept.dno = xemp.edno)
+TAKE *
+"""
+
 
 def check_view(db: Database, name: str, context: str) -> None:
     view = db.matviews.get(name)
@@ -309,7 +321,9 @@ def run_org_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
     db.execute(f"CREATE MATERIALIZED VIEW eager_v AS {DEPS_ARC_QUERY}")
     db.execute(f"CREATE MATERIALIZED VIEW lazy_v REFRESH DEFERRED "
                f"AS {DEPS_ARC_QUERY}")
+    db.execute(f"CREATE MATERIALIZED VIEW computed_v AS {COMPUTED_QUERY}")
     assert db.matviews.get("eager_v").is_incremental
+    assert db.matviews.get("computed_v").is_incremental
     mutator = OrgMutator(db, seed)
     applied = 0
     for _step in range(operations):
@@ -320,6 +334,7 @@ def run_org_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
             applied += 1
             check_view(db, "eager_v", step)
             check_view(db, "lazy_v", step)
+            check_view(db, "computed_v", step)
     assert applied > operations // 3, "generator mostly produced no-ops"
 
 

@@ -5,13 +5,18 @@ import pytest
 from repro.errors import NotUpdatableError, UpdateError
 from repro.qgm.builder import QGMBuilder
 from repro.sql.parser import parse_statement
-from repro.xnf.updates import analyze_xnf_box
+from repro.viewupdate.executor import CompiledWritePlan
+from repro.viewupdate.objects import analyze_xnf
 
 
 def analysis_for(db, query_text):
     builder = QGMBuilder(db.catalog)
     graph = builder.build_xnf(parse_statement(query_text), "V")
-    return analyze_xnf_box(graph.xnf_box())
+    return analyze_xnf(graph.xnf_box(), db.catalog)
+
+
+def updatable(found) -> bool:
+    return isinstance(found, CompiledWritePlan)
 
 
 class TestComponentEdges:
@@ -21,15 +26,15 @@ class TestComponentEdges:
                      (SELECT 1 FROM DEPT d WHERE d.dno = e.edno))
         TAKE *
         """)
-        assert not components["X"].updatable
-        assert "subqueries" in components["X"].reason
+        assert not updatable(components["X"])
+        assert "subquery" in str(components["X"])
 
     def test_union_component_readonly(self, org_db):
         components, _rels = analysis_for(org_db, """
         OUT OF x AS (SELECT eno FROM EMP UNION SELECT dno FROM DEPT)
         TAKE *
         """)
-        assert not components["X"].updatable
+        assert not updatable(components["X"])
 
     def test_renamed_columns_still_map(self, org_db):
         components, _rels = analysis_for(org_db, """
@@ -37,15 +42,23 @@ class TestComponentEdges:
         TAKE *
         """)
         info = components["X"]
-        assert info.updatable
-        assert info.column_map == {"BADGE": "ENO", "WHO": "ENAME"}
+        assert updatable(info)
+        assert info.plan.column_map == {"BADGE": "ENO", "WHO": "ENAME"}
 
     def test_multiple_checks_recorded(self, org_db):
         components, _rels = analysis_for(org_db, """
         OUT OF x AS (SELECT * FROM EMP WHERE sal > 10 AND eno < 500)
         TAKE *
         """)
-        assert len(components["X"].check_predicates) == 2
+        assert len(components["X"].checks) == 2
+
+
+COMPUTED_CHILD = """
+OUT OF d AS DEPT,
+       e AS (SELECT eno, edno, sal * 1 AS pay FROM EMP),
+       r AS (RELATE d VIA X, e WHERE d.dno = e.edno)
+TAKE *
+"""
 
 
 class TestRelationshipEdges:
@@ -70,15 +83,38 @@ class TestRelationshipEdges:
         """)
         assert rels["R"].kind == "readonly"
 
-    def test_readonly_child_blocks_fk_kind(self, org_db):
+    def test_computed_child_column_keeps_fk_kind(self, org_db):
+        # a computed column makes that column read-only, not the child
+        # component: the stored join column still carries connects
+        _components, rels = analysis_for(org_db, COMPUTED_CHILD)
+        assert rels["R"].kind == "foreign_key"
+        assert rels["R"].fk_pairs == [("EDNO", "DNO")]
+
+    def test_computed_join_column_blocks_fk_kind(self, org_db):
         _components, rels = analysis_for(org_db, """
         OUT OF d AS DEPT,
-               e AS (SELECT eno, edno, sal * 1 AS pay FROM EMP),
-               r AS (RELATE d VIA X, e WHERE d.dno = e.edno)
+               e AS (SELECT eno, edno + 0 AS home FROM EMP),
+               r AS (RELATE d VIA X, e WHERE d.dno = e.home)
         TAKE *
         """)
         assert rels["R"].kind == "readonly"
-        assert "not updatable" in rels["R"].reason
+        assert "not a stored column" in rels["R"].reason
+
+    def test_connect_through_computed_child_round_trips(self, org_db):
+        cache = org_db.open_cache(COMPUTED_CHILD)
+        depts = cache.extent("d")
+        emp = depts[0].children("r")[0]
+        cache.disconnect("r", depts[0], emp)
+        cache.connect("r", depts[1], emp)
+        cache.write_back()
+        assert org_db.query(
+            f"SELECT edno FROM EMP WHERE eno = {emp.eno}").rows == \
+            [(depts[1].dno,)]
+        assert emp.edno == depts[1].dno  # the cache shows the write
+        fresh = org_db.open_cache(COMPUTED_CHILD)
+        moved = fresh.find("e", eno=emp.eno)[0]
+        assert [d.dno for d in moved.parents("r")] == [depts[1].dno]
+        assert moved.pay == emp.pay
 
 
 class TestWriteBackEdges:

@@ -5,13 +5,18 @@ import pytest
 from repro.errors import NotUpdatableError, UpdateError
 from repro.qgm.builder import QGMBuilder
 from repro.sql.parser import parse_statement
-from repro.xnf.updates import analyze_xnf_box
+from repro.viewupdate.executor import CompiledWritePlan
+from repro.viewupdate.objects import analyze_xnf
 
 
 def analysis_for(db, query_text):
     builder = QGMBuilder(db.catalog)
     graph = builder.build_xnf(parse_statement(query_text), "V")
-    return analyze_xnf_box(graph.xnf_box())
+    return analyze_xnf(graph.xnf_box(), db.catalog)
+
+
+def updatable(found) -> bool:
+    return isinstance(found, CompiledWritePlan)
 
 
 class TestComponentAnalysis:
@@ -20,44 +25,47 @@ class TestComponentAnalysis:
         OUT OF d AS (SELECT * FROM DEPT WHERE loc = 'ARC') TAKE *
         """)
         info = components["D"]
-        assert info.updatable
-        assert info.table == "DEPT"
-        assert info.column_map["DNO"] == "DNO"
-        assert info.check_texts  # the loc predicate became a check
+        assert updatable(info)
+        assert info.plan.table == "DEPT"
+        assert info.plan.column_map["DNO"] == "DNO"
+        assert info.checks  # the loc predicate became a check
 
     def test_projection_is_updatable(self, org_db):
         components, _rels = analysis_for(org_db, """
         OUT OF d AS (SELECT dno, dname FROM DEPT) TAKE *
         """)
-        assert components["D"].updatable
+        assert updatable(components["D"])
 
     def test_join_is_read_only(self, org_db):
         components, _rels = analysis_for(org_db, """
         OUT OF x AS (SELECT e.eno, d.dname FROM EMP e, DEPT d
                      WHERE e.edno = d.dno) TAKE *
         """)
-        assert not components["X"].updatable
-        assert "joins" in components["X"].reason
+        assert not updatable(components["X"])
+        assert "joins" in str(components["X"])
 
     def test_aggregate_is_read_only(self, org_db):
         components, _rels = analysis_for(org_db, """
         OUT OF x AS (SELECT loc, COUNT(*) AS n FROM DEPT GROUP BY loc)
         TAKE *
         """)
-        assert not components["X"].updatable
+        assert not updatable(components["X"])
 
     def test_computed_column_is_read_only(self, org_db):
         components, _rels = analysis_for(org_db, """
         OUT OF x AS (SELECT eno, sal * 2 AS double_sal FROM EMP) TAKE *
         """)
-        assert not components["X"].updatable
-        assert "computed" in components["X"].reason
+        info = components["X"]
+        # the column is read-only, the stored ones stay writable
+        with pytest.raises(NotUpdatableError, match="computed"):
+            info.plan.writable_base_column("DOUBLE_SAL")
+        assert info.plan.writable_base_column("ENO") == "ENO"
 
     def test_distinct_is_read_only(self, org_db):
         components, _rels = analysis_for(org_db, """
         OUT OF x AS (SELECT DISTINCT loc FROM DEPT) TAKE *
         """)
-        assert not components["X"].updatable
+        assert not updatable(components["X"])
 
 
 class TestRelationshipAnalysis:
@@ -122,6 +130,19 @@ class TestWriteBack:
         cache.write_back()
         assert org_db.query(
             "SELECT sal FROM EMP WHERE eno = 500").rows == [(2,)]
+
+    def test_inserted_object_takes_its_rid_at_commit(self, org_db):
+        # a later batch must still address the object it inserted
+        cache = org_db.open_cache("deps_arc")
+        dept = cache.extent("xdept")[0]
+        new = cache.insert("xemp", ENO=502, ENAME="n", EDNO=dept.dno,
+                           SAL=1)
+        cache.write_back()
+        assert isinstance(new.oid, int) and not new.is_new
+        new.set("SAL", 3)
+        cache.write_back()
+        assert org_db.query(
+            "SELECT sal FROM EMP WHERE eno = 502").rows == [(3,)]
 
     def test_delete_reaches_base_table(self, org_db):
         org_db.execute("INSERT INTO DEPT VALUES (99, 'empty', 'ARC')")
