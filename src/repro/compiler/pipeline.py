@@ -41,6 +41,7 @@ from repro.rewrite.nf_rules import default_nf_rules, prune_unused_columns
 from repro.sql import ast
 from repro.storage.catalog import Catalog
 from repro.storage.stats import StatisticsManager
+from repro.storage.table import read_view_installed
 
 
 #: A SELECT as the compile entry points take it: the parsed AST, or the
@@ -175,7 +176,8 @@ class CompilationPipeline:
         self.stats = stats or StatisticsManager(catalog, subscribe=True)
         self.options = options or PipelineOptions()
         self.xnf_component_resolver = xnf_component_resolver
-        self.plan_cache = PlanCache(self.options.plan_cache_size)
+        self.plan_cache = PlanCache(self.options.plan_cache_size,
+                                    clock=self._validation_clock)
 
     # ------------------------------------------------------------------
     # Stages
@@ -298,6 +300,12 @@ class CompilationPipeline:
         except CatalogError:
             live = -1
         return self.stats.table_epoch(name), live
+
+    def _validation_clock(self) -> Optional[int]:
+        """The catalog's change count, which moves with everything
+        :meth:`_stats_view` reads — except a read view's live-count
+        overlay, so under one there is no value to vouch with."""
+        return None if read_view_installed() else self.catalog.changes.value
 
     def _on_stats_drift(self, table_name: str) -> None:
         """Lookup detected direct-storage drift the delta protocol

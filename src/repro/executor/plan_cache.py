@@ -48,6 +48,11 @@ from repro.storage.stats import material_drift
 #: statistics state a cached entry is validated against.
 StatsView = Callable[[str], tuple[int, int]]
 
+#: ``clock() -> count or None``: a counter that moves whenever any
+#: statistics view could read differently, or None when it cannot vouch
+#: for them right now (a committed-state read view is installed).
+ValidationClock = Callable[[], Optional[int]]
+
 
 @dataclass(frozen=True)
 class ParameterizedStatement:
@@ -377,6 +382,9 @@ class CacheEntry:
     #: ``(table, table_epoch_at_store, cardinality_at_store)``.  Drift
     #: on an *unrelated* table therefore never invalidates this entry.
     stats_keys: tuple[tuple[str, int, int], ...] = ()
+    #: The validation clock's value at the last walk of ``stats_keys``
+    #: that passed with no read view installed (None: never).
+    validated_at: Optional[int] = None
     hits: int = 0
     #: Planner-estimated output rows snapshotted at store time (-1
     #: when the artifact has no single row estimate).
@@ -455,14 +463,21 @@ class PlanCache:
     check.  ``capacity <= 0`` disables the cache entirely (every
     lookup is a bypass).
 
+    With a ``clock`` (:data:`ValidationClock`), a hit whose entry
+    passed its statistics walk at the clock's current value is served
+    without walking again; any other hit walks, and a passing walk
+    re-stamps the entry when the clock could vouch for it.
+
     ``capacity`` counts compiled *artifacts*.  Extra keys for one
     artifact (the pipeline's post-rewrite canonical key, say) are
     :meth:`alias` entries: free of capacity, resolved on lookup, and
     dropped together with the artifact they name.
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = 256,
+                 clock: Optional[ValidationClock] = None):
         self.capacity = capacity
+        self._clock = clock
         #: Primary key -> artifact entry, in LRU order.
         self._entries: "OrderedDict[Any, CacheEntry]" = OrderedDict()
         #: Alias key -> primary key.
@@ -500,6 +515,11 @@ class PlanCache:
         else the invalidation reason."""
         if stats_view is None:
             return None
+        # Read before the walk: a change racing it moves the clock past
+        # the stamp, so the next hit walks again.
+        now = self._clock() if self._clock is not None else None
+        if now is not None and entry.validated_at == now:
+            return None
         for table, epoch, cardinality in entry.stats_keys:
             current_epoch, live = stats_view(table)
             if current_epoch != epoch:
@@ -514,6 +534,8 @@ class PlanCache:
                     on_drift(table)
                 return f"statistics drifted ({table} changed size " \
                        f"materially)"
+        if now is not None:
+            entry.validated_at = now
         return None
 
     def _invalid_reason(self, entry: CacheEntry, schema_version: int,

@@ -496,24 +496,41 @@ class IndexNestedLoopJoin(PlanNode):
         """The join result of each left batch."""
         residual = self.residual
         keys_of = self.keys
-        lookup = self.index.lookup
-        fetch = self.table.fetch
+        table = self.table
+        index = self.index
+        lookup = index.lookup
+        fetch_many = table.fetch_many
         with_rid = self.with_rid
         for batch in self.left.execute_batches(ctx, batch_size):
-            # Re-checked per input batch: a streaming cursor's pulls may
-            # install (or drop) a committed-state read view between
+            # Looked up once per input batch: a streaming cursor's pulls
+            # may install (or drop) a committed-state read view between
             # batches as foreign writers come and go.
-            overlaid = active_read_view(self.table.name) is not None
+            view = active_read_view(table.name)
             ctx.bump("index_lookups", len(batch))
-            joined: list[Row] = []
-            extend = joined.extend
-            for left_row, key in zip(batch, keys_of(batch, ctx)):
-                pairs = (visible_index_lookup(self.table, self.index, key)
-                         if overlaid
-                         else [(rid, fetch(rid)) for rid in lookup(key)])
-                extend([left_row + inner + (rid,) for rid, inner in pairs]
-                       if with_rid
-                       else [left_row + inner for _rid, inner in pairs])
+            keys = keys_of(batch, ctx)
+            if view is None:
+                # One heap read for the batch: every outer row repeated
+                # once per RID its key found, zipped with the fetch.
+                lefts: list[Row] = []
+                rids: list = []
+                for left_row, found in zip(batch, map(lookup, keys)):
+                    if found:
+                        rids += found
+                        lefts += [left_row] * len(found)
+                pairs = zip(lefts, fetch_many(rids, view=None))
+                joined = ([left_row + inner + (rid,)
+                           for left_row, (rid, inner) in pairs]
+                          if with_rid
+                          else [left_row + inner
+                                for left_row, (_rid, inner) in pairs])
+            else:
+                joined = []
+                for left_row, key in zip(batch, keys):
+                    found = visible_index_lookup(table, index, key)
+                    joined += ([left_row + inner + (rid,)
+                                for rid, inner in found] if with_rid
+                               else [left_row + inner
+                                     for _rid, inner in found])
             if residual is not None and joined:
                 joined = residual(joined, ctx)
             yield joined

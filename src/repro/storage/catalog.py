@@ -15,7 +15,8 @@ from typing import Any, Callable, Sequence
 from repro.errors import CatalogError, UpdateError
 from repro.storage.index import HashIndex, Index, OrderedIndex
 from repro.storage.partition import Partitioning
-from repro.storage.table import Rid, Row, Table
+from repro.storage.table import (ChangeCounter, Rid, Row, Table,
+                                 visible_index_lookup)
 from repro.storage.types import Column
 
 
@@ -148,11 +149,16 @@ class Catalog:
         #: indexes, views, foreign keys) bumps it; the plan cache keys
         #: compiled plans on it so any DDL invalidates them wholesale.
         self.schema_version: int = 0
+        #: Moves with the schema version, every statistics epoch and
+        #: every table's live-row count: a plan-cache hit whose entry
+        #: was validated at the current value need not look further.
+        self.changes = ChangeCounter()
         #: table -> positions its foreign keys reference (this version)
         self._referenced: dict[str, tuple[int, ...]] = {}
 
     def _bump_schema_version(self) -> None:
         self.schema_version += 1
+        self.changes.bump()
         self._referenced.clear()
 
     def _emit_ddl(self, op: str, **payload: Any) -> None:
@@ -203,7 +209,8 @@ class Catalog:
     def create_table(self, name: str, columns: Sequence[Column],
                      partitioning: Partitioning | None = None) -> Table:
         self._check_fresh(name)
-        table = Table(self._key(name), columns, partitioning=partitioning)
+        table = Table(self._key(name), columns, partitioning=partitioning,
+                      changes=self.changes)
         self._tables[self._key(name)] = table
         self._bump_schema_version()
         self._emit_ddl("create_table", name=table.name,
@@ -379,7 +386,7 @@ class Catalog:
             if None in values:
                 continue
             parent = self.table(fk.parent_table)
-            if not self._parent_key_exists(parent, fk.parent_columns, values):
+            if not self._key_exists(parent, fk.parent_columns, values):
                 raise UpdateError(
                     f"foreign key {fk.name!r} violated: "
                     f"{fk.child_table}({', '.join(fk.child_columns)}) = "
@@ -413,32 +420,31 @@ class Catalog:
                     new_row is not None
                     and tuple(new_row[p] for p in positions) == parent_values):
                 continue
-            child = self.table(fk.child_table)
-            positions = [child.column_position(c) for c in fk.child_columns]
-            for child_row in child.rows():
-                if tuple(child_row[p] for p in positions) == parent_values:
-                    raise UpdateError(
-                        f"foreign key {fk.name!r} violated: row in "
-                        f"{fk.child_table} still references "
-                        f"{fk.parent_table}{parent_values!r}"
-                    )
+            if self._key_exists(self.table(fk.child_table),
+                                fk.child_columns, parent_values):
+                raise UpdateError(
+                    f"foreign key {fk.name!r} violated: row in "
+                    f"{fk.child_table} still references "
+                    f"{fk.parent_table}{parent_values!r}"
+                )
 
-    def _parent_key_exists(self, parent: Table, columns: tuple[str, ...],
-                           values: tuple) -> bool:
-        if set(columns) == set(parent.primary_key) and parent.primary_key:
-            ordered = tuple(
-                values[columns.index(c)] for c in parent.primary_key
-            )
-            return parent.lookup_pk(ordered) is not None
-        for index in self.indexes_on(parent.name, columns):
-            ordered = tuple(
-                values[columns.index(c.upper())] for c in index.column_names
-            )
-            return bool(index.lookup(ordered))
-        positions = [parent.column_position(c) for c in columns]
-        return any(
-            tuple(row[p] for p in positions) == values for row in parent.rows()
-        )
+    @staticmethod
+    def _key_exists(table: Table, columns: tuple[str, ...],
+                    values: tuple) -> bool:
+        """Whether a visible row of ``table`` has ``columns`` equal to
+        ``values``: probed through an index keyed on exactly those
+        columns (the primary key's first) when there is one, else by a
+        scan.  The FK check asks it of the parent, RESTRICT of the
+        child."""
+        wanted = set(columns)
+        for index in table.access_indexes:
+            names = [c.upper() for c in index.column_names]
+            if set(names) == wanted:
+                key = tuple(values[columns.index(c)] for c in names)
+                return bool(visible_index_lookup(table, index, key))
+        positions = [table.column_position(c) for c in columns]
+        return any(tuple(row[p] for p in positions) == values
+                   for row in table.rows())
 
     # ------------------------------------------------------------------
     # Views

@@ -392,6 +392,7 @@ class StatisticsManager:
 
     def _bump_table_epoch(self, key: str) -> None:
         self._table_epochs[key] = self._table_epochs.get(key, 0) + 1
+        self._catalog.changes.bump()
 
     def table_epochs(self) -> dict[str, int]:
         """Snapshot of the per-table epochs (checkpointing)."""
@@ -413,6 +414,7 @@ class StatisticsManager:
         self._table_epochs = {k.upper(): v
                               for k, v in table_epochs.items()}
         self._global_epoch = global_epoch + 1
+        self._catalog.changes.bump()
         self._snapshots.clear()
         self._pending_changes.clear()
         self._baseline_cardinality.clear()
@@ -445,6 +447,7 @@ class StatisticsManager:
             self._pending_changes.clear()
             self._baseline_cardinality.clear()
             self._global_epoch += 1
+            self._catalog.changes.bump()
         else:
             key = table_name.upper()
             self._snapshots.pop(key, None)

@@ -18,6 +18,7 @@ overlays — works unchanged.  The parallel executor carves scans into
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -37,6 +38,9 @@ Rid = int
 PARTITION_SHIFT = 40
 PARTITION_STRIDE = 1 << PARTITION_SHIFT
 _SLOT_MASK = PARTITION_STRIDE - 1
+
+#: :meth:`Table.fetch_many`'s default ``view``: look the view up.
+_LOOK_UP = object()
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +101,32 @@ def read_views(views: dict[str, TableReadView] | None):
         _read_views.views = previous
 
 
+def read_view_installed() -> bool:
+    """Whether any committed-state read view is installed on this
+    thread (for any table)."""
+    return bool(getattr(_read_views, "views", None))
+
+
+class ChangeCounter:
+    """A catalog-wide count of the events that can invalidate a cached
+    plan's statistics snapshot: schema changes, statistics epochs, and
+    physical live-row counts of every table.
+
+    ``value`` only ever takes values drawn from one ``itertools.count``
+    (whose ``next`` is atomic), so two concurrent bumps can never leave
+    it at a value an earlier reader already saw with other state.
+    """
+
+    __slots__ = ("value", "_ticks")
+
+    def __init__(self) -> None:
+        self._ticks = itertools.count(1)
+        self.value = 0
+
+    def bump(self) -> None:
+        self.value = next(self._ticks)
+
+
 def visible_index_lookup(table: "Table", index: Any,
                          key: tuple) -> list[tuple[Rid, Row]]:
     """Index equality lookup returning the *visible* ``(rid, row)``
@@ -106,12 +136,12 @@ def visible_index_lookup(table: "Table", index: Any,
     image of each overlaid RID is re-checked against the probe key, and
     rows whose committed key matches but whose physical index entry was
     moved or removed by the uncommitted writer are recovered from the
-    overlay.  With no view installed this is a plain lookup+fetch.
+    overlay.  With no view installed this is a plain lookup plus one
+    :meth:`Table.fetch_many`.
     """
     view = active_read_view(table.name)
     if view is None:
-        fetch = table.fetch
-        return [(rid, fetch(rid)) for rid in index.lookup(key)]
+        return table.fetch_many(index.lookup(key), view=None)
     key = tuple(key)
     key_of = index.key_of
     out: list[tuple[Rid, Row]] = []
@@ -149,7 +179,8 @@ class Table:
     """
 
     def __init__(self, name: str, columns: Sequence[Column],
-                 partitioning: Partitioning | None = None):
+                 partitioning: Partitioning | None = None,
+                 changes: ChangeCounter | None = None):
         if not columns:
             raise StorageError(f"table {name!r} must have at least one column")
         names = [c.name for c in columns]
@@ -177,6 +208,9 @@ class Table:
         #: worker pool uses it (with the schema version) to detect that
         #: forked committed-state replicas have gone stale.
         self.version = 0
+        #: Bumped whenever the physical live-row count moves (shared
+        #: catalog-wide; the plan cache validates hits against it).
+        self.changes = changes if changes is not None else ChangeCounter()
         self.partitioning: Partitioning | None = None
         self._parts: list[list[Row | None]] = []
         self._part_live: list[int] = []
@@ -450,15 +484,54 @@ class Table:
                     yield chunk
 
     def fetch(self, rid: Rid) -> Row:
-        """Return the visible row at ``rid``; raise if deleted/invalid."""
+        """Return the visible row at ``rid``; raise if deleted/invalid.
+
+        For single rows; a caller reading many RIDs at once uses
+        :meth:`fetch_many`, which looks the read view up once."""
         view = active_read_view(self.name)
         if view is not None and rid in view.rows:
             row = view.rows[rid]
         else:
             row = self._physical_row(rid)
         if row is None:
-            raise StorageError(f"table {self.name!r}: rid {rid} is not live")
+            raise self._not_live(rid)
         return row
+
+    def fetch_many(self, rids: Iterable[Rid],
+                   view: Any = _LOOK_UP) -> list[tuple[Rid, Row]]:
+        """``[(rid, self.fetch(rid)) for rid in rids]``, with the read
+        view looked up once for the whole batch instead of per RID.
+
+        A caller that has already looked this table's read view up for
+        the batch (the index join) passes it as ``view`` — ``None`` for
+        no view — so the batch costs exactly one lookup.  A dead or
+        out-of-range RID raises :meth:`fetch`'s error.
+        """
+        if view is _LOOK_UP:
+            view = active_read_view(self.name)
+        rids = rids if isinstance(rids, list) else list(rids)
+        if view is None and self.partitioning is None:
+            slots = self._slots
+            try:
+                rows = [slots[rid] for rid in rids]
+            except IndexError:
+                rows = None
+            # Negative RIDs index from the end of a list: refuse them.
+            if rows is not None and None not in rows \
+                    and (not rids or min(rids) >= 0):
+                return list(zip(rids, rows))
+        overlaid = view.rows if view is not None else {}
+        physical_row = self._physical_row
+        out = []
+        for rid in rids:
+            row = overlaid[rid] if rid in overlaid else physical_row(rid)
+            if row is None:
+                raise self._not_live(rid)
+            out.append((rid, row))
+        return out
+
+    def _not_live(self, rid: Rid) -> StorageError:
+        return StorageError(f"table {self.name!r}: rid {rid} is not live")
 
     def is_live(self, rid: Rid) -> bool:
         view = active_read_view(self.name)
@@ -491,6 +564,7 @@ class Table:
                 self._part_live[pid] += 1
         self._live += 1
         self.version += 1
+        self.changes.bump()
         for index in self._indexes:
             index.on_insert(rid, row)
         if self.on_mutation is not None:
@@ -521,6 +595,7 @@ class Table:
         if self.partitioning is not None:
             self._part_live[rid >> PARTITION_SHIFT] += 1
         self.version += 1
+        self.changes.bump()
         for index in self._indexes:
             index.on_insert(rid, row)
 
@@ -583,6 +658,7 @@ class Table:
                 self._part_live[pid] -= 1
         self._live -= 1
         self.version += 1
+        self.changes.bump()
         for index in self._indexes:
             index.on_delete(rid, old)
         if self.on_mutation is not None:
@@ -597,6 +673,7 @@ class Table:
         self._part_live = [0] * len(self._parts)
         self._live = 0
         self.version += 1
+        self.changes.bump()
         for index in self._indexes:
             index.rebuild(self)
 
@@ -630,6 +707,7 @@ class Table:
                 self._part_live[pid] += 1
             self._live += 1
         self.version += 1
+        self.changes.bump()
         for index in self._indexes:
             index.rebuild(self)
 
@@ -698,6 +776,7 @@ class Table:
                                for part in self._parts]
             self._live = sum(self._part_live)
         self.version += 1
+        self.changes.bump()
         for index in self._indexes:
             index.rebuild(self)
 
