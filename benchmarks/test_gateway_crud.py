@@ -12,8 +12,12 @@ DML.  The A/B, same engine, same rows:
   caches warm after the first).
 
 Acceptance ceiling: the view path is at most ``2x`` the hand-written
-per-statement time.  Results land in ``BENCH_view_update.json``
-under ``REPRO_BENCH_WRITE=1``.
+per-statement time.  The ceiling moves with machine load, so the test
+asserts only the clock-free part (both sides run every statement with
+the same row counts and end with equal base tables) and records the
+unrounded ``overhead`` beside its ``ceiling`` in
+``BENCH_view_update.json`` under ``REPRO_BENCH_WRITE=1``; the CI
+``view-updates`` job fails the build when the overhead is above it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import pytest
 from benchmarks.conftest import print_table, write_results
 from repro.api.engine import Engine
 
-#: Acceptance ceiling: view-path CRUD vs hand-written base DML.
+#: Acceptance ceiling: view-path CRUD vs hand-written base DML,
+#: recorded in ``BENCH_view_update.json`` and enforced by CI.
 MAX_OVERHEAD = 2.0
 
 #: Timed repetitions; the best (lowest-overhead) one is reported.
@@ -56,36 +61,48 @@ def build_session():
     return engine, session
 
 
-def drive(session, target: str, columns: tuple[str, str, str]) -> float:
-    """Time a mixed CRUD loop against ``target``; seconds of wall."""
+def drive(session, target: str, columns: tuple[str, str, str]
+          ) -> tuple[float, list]:
+    """Run a mixed CRUD loop against ``target``: seconds of wall and
+    each statement's row count."""
     key, name, pay = columns
+    counts = []
     start = time.perf_counter()
     for i in range(N_STATEMENTS):
         kind = i % 3
         if kind == 0:
-            session.execute(
+            counts.append(session.execute(
                 f"UPDATE {target} SET {pay} = {pay} + 1"
-                f" WHERE {key} = ?", [i % N_ROWS])
+                f" WHERE {key} = ?", [i % N_ROWS]))
         elif kind == 1:
-            session.execute(
+            counts.append(session.execute(
                 f"INSERT INTO {target} ({key}, {name}, {pay})"
-                f" VALUES (?, ?, ?)", [10_000 + i, f"n{i}", 7])
+                f" VALUES (?, ?, ?)", [10_000 + i, f"n{i}", 7]))
         else:
-            session.execute(
+            counts.append(session.execute(
                 f"DELETE FROM {target} WHERE {key} = ?",
-                [10_000 + i - 2])
-    return time.perf_counter() - start
+                [10_000 + i - 2]))
+    return time.perf_counter() - start, counts
+
+
+def base_rows(session) -> list:
+    return sorted(session.query("SELECT * FROM EMP").rows)
 
 
 def test_view_crud_overhead_bounded():
     best = None
     for _ in range(BEST_OF):
         engine, session = build_session()
-        base_s = drive(session, "EMP", ("ENO", "ENAME", "SAL"))
+        base_s, base_counts = drive(session, "EMP",
+                                    ("ENO", "ENAME", "SAL"))
+        expected = base_rows(session)
         engine.close()
 
         engine, session = build_session()
-        view_s = drive(session, "VEMP", ("ID", "NAME", "PAY"))
+        view_s, view_counts = drive(session, "VEMP",
+                                    ("ID", "NAME", "PAY"))
+        assert view_counts == base_counts
+        assert base_rows(session) == expected
         engine.close()
 
         measurement = {"base_s": base_s, "view_s": view_s,
@@ -100,7 +117,8 @@ def test_view_crud_overhead_bounded():
         "statements": N_STATEMENTS,
         "base_per_stmt_us": round(base_us, 1),
         "view_per_stmt_us": round(view_us, 1),
-        "overhead": round(best["overhead"], 3),
+        # Unrounded: CI compares it with the ceiling.
+        "overhead": best["overhead"],
         "ceiling": MAX_OVERHEAD,
         "note": ("overhead = identical logical CRUD through the "
                  "put-back translator (incl. the get-put round-trip "
@@ -114,10 +132,6 @@ def test_view_crud_overhead_bounded():
          ["view DML (lens put-back)", f"{view_us:.0f} us"],
          ["overhead",
           f"{best['overhead']:.2f}x (ceiling {MAX_OVERHEAD}x)"]],
-    )
-    assert best["overhead"] <= MAX_OVERHEAD, (
-        f"view-path CRUD is {best['overhead']:.2f}x hand-written base "
-        f"DML (ceiling {MAX_OVERHEAD}x)"
     )
 
 

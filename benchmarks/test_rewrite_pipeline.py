@@ -16,6 +16,11 @@ best-of-N harness as the plan-cache benchmark:
   pushdown collapse it into a single indexed join (and JoinElim drops
   the redundant self-join of the dual reference).  Floor: >= 2x.
 
+Timing: the two sides run in alternating repetitions (which side goes
+first alternates too), each repetition long enough to take at least
+``MIN_REPETITION_S``; the recorded speedup is the median of the
+per-repetition ratios, with their range as ``spread``.
+
 Result equality between the two engines is asserted on every workload,
 so the benchmark doubles as a soundness check.  Results land in
 ``BENCH_rewrite.json`` at the repository root under
@@ -24,6 +29,8 @@ so the benchmark doubles as a soundness check.  Results land in
 
 from __future__ import annotations
 
+import math
+import statistics
 import time
 from pathlib import Path
 
@@ -39,11 +46,12 @@ from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
 REQUIRED_CORRELATED_SPEEDUP = 3.0
 REQUIRED_VIEW_STACK_SPEEDUP = 2.0
 
-#: Timed repetitions; the fastest one is reported.
-BEST_OF = 3
+#: Timed repetitions per side, interleaved; the median ratio is
+#: reported.
+REPETITIONS = 5
 
-#: Executions per timed repetition.
-RUNS = 40
+#: Each timed repetition runs enough executions to take this long.
+MIN_REPETITION_S = 0.2
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent \
     / "BENCH_rewrite.json"
@@ -86,37 +94,59 @@ def ab() -> tuple[Database, Database]:
     return build_db(True), build_db(False)
 
 
-def best_of(measure, repetitions: int = BEST_OF) -> float:
-    return min(measure() for _ in range(repetitions))
-
-
-def timed(run_all) -> float:
+def timed(run_once, executions: int) -> float:
+    """Seconds per execution of ``run_once`` over ``executions``."""
     start = time.perf_counter()
-    run_all()
-    return time.perf_counter() - start
+    for _ in range(executions):
+        run_once()
+    return (time.perf_counter() - start) / executions
 
 
-def record(name: str, queries: int, rewritten_s: float, raw_s: float,
-           floor: float) -> float:
-    speedup = raw_s / rewritten_s
+def executions_for(run_once) -> int:
+    """Executions of ``run_once`` that take ``MIN_REPETITION_S``, with
+    a quarter to spare (estimated from ten warm executions)."""
+    per_execution = timed(run_once, 10)
+    return max(10, math.ceil(1.25 * MIN_REPETITION_S / per_execution))
+
+
+def interleaved_ab(name: str, queries_per_execution: int,
+                   rewritten_once, raw_once, floor: float) -> float:
+    """Time both sides in interleaved repetitions and record the median
+    per-repetition speedup; returns it."""
+    counts = {"rewritten": executions_for(rewritten_once),
+              "raw": executions_for(raw_once)}
+    runs = {"rewritten": rewritten_once, "raw": raw_once}
+    seconds: dict[str, list[float]] = {"rewritten": [], "raw": []}
+    for repetition in range(REPETITIONS):
+        order = ("rewritten", "raw") if repetition % 2 == 0 \
+            else ("raw", "rewritten")
+        for side in order:
+            seconds[side].append(timed(runs[side], counts[side]))
+    ratios = sorted(raw / rewritten for raw, rewritten
+                    in zip(seconds["raw"], seconds["rewritten"]))
+    speedup = statistics.median(ratios)
+    raw_s = statistics.median(seconds["raw"])
+    rewritten_s = statistics.median(seconds["rewritten"])
     _results[name] = {
-        "queries": queries,
-        "raw_seconds": round(raw_s, 6),
-        "rewritten_seconds": round(rewritten_s, 6),
-        "raw_qps": round(queries / raw_s, 1),
-        "rewritten_qps": round(queries / rewritten_s, 1),
+        "queries_per_execution": queries_per_execution,
+        "executions": counts,
+        "raw_seconds_per_execution": raw_s,
+        "rewritten_seconds_per_execution": rewritten_s,
         # Unrounded: CI compares it with the floor.
         "speedup": speedup,
+        "spread": [ratios[0], ratios[-1]],
         "floor": floor,
-        "best_of": BEST_OF,
+        "repetitions": REPETITIONS,
     }
     write_results(RESULTS_PATH, _results)
+    qps = queries_per_execution
     print_table(
-        f"rewrite A/B: {name} (best of {BEST_OF})",
+        f"rewrite A/B: {name} (median of {REPETITIONS} interleaved "
+        f"repetitions)",
         ["pipeline", "queries/sec", "speedup"],
-        [["rewrite disabled", f"{queries / raw_s:,.0f}", "1.0x"],
-         ["full rule catalog", f"{queries / rewritten_s:,.0f}",
-          f"{speedup:.1f}x"]],
+        [["rewrite disabled", f"{qps / raw_s:,.0f}", "1.0x"],
+         ["full rule catalog", f"{qps / rewritten_s:,.0f}",
+          f"{speedup:.1f}x [{ratios[0]:.1f}, {ratios[-1]:.1f}]"]],
     )
     return speedup
 
@@ -139,12 +169,10 @@ def test_correlated_subquery_speedup(ab):
     trace = rewritten.explain(CORRELATED_SQL, rewrite_trace=True)
     assert "ScalarAggToJoin" in trace
 
-    rewritten_s = best_of(lambda: timed(
-        lambda: [rewritten.query(CORRELATED_SQL) for _ in range(RUNS)]))
-    raw_s = best_of(lambda: timed(
-        lambda: [raw.query(CORRELATED_SQL) for _ in range(RUNS)]))
-    speedup = record("correlated_subquery", RUNS, rewritten_s, raw_s,
-                     REQUIRED_CORRELATED_SPEEDUP)
+    speedup = interleaved_ab("correlated_subquery", 1,
+                             lambda: rewritten.query(CORRELATED_SQL),
+                             lambda: raw.query(CORRELATED_SQL),
+                             REQUIRED_CORRELATED_SPEEDUP)
     # The wall-clock floor is enforced by the CI rewrite-bench job on
     # the recorded speedup; here only the winning side is checked.
     assert speedup > 1.0, (
@@ -177,15 +205,11 @@ def test_view_stack_speedup(ab):
         assert sorted(rewritten.query(sql).rows) \
             == sorted(raw.query(sql).rows), sql
 
-    rewritten_s = best_of(lambda: timed(lambda: [
-        rewritten.query(sql) for _ in range(RUNS // 4)
-        for sql in queries]))
-    raw_s = best_of(lambda: timed(lambda: [
-        raw.query(sql) for _ in range(RUNS // 4)
-        for sql in queries]))
-    runs = (RUNS // 4) * len(queries)
-    speedup = record("view_stack", runs, rewritten_s, raw_s,
-                     REQUIRED_VIEW_STACK_SPEEDUP)
+    speedup = interleaved_ab("view_stack", len(queries),
+                             lambda: [rewritten.query(sql)
+                                      for sql in queries],
+                             lambda: [raw.query(sql) for sql in queries],
+                             REQUIRED_VIEW_STACK_SPEEDUP)
     # The wall-clock floor is enforced by the CI rewrite-bench job on
     # the recorded speedup; here only the winning side is checked.
     assert speedup > 1.0, (

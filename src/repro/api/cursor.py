@@ -9,10 +9,15 @@ each ``fetchone``/``fetchmany``/``fetchall`` pulls batches from the
 executor on demand, so the first row of a million-row scan costs one
 batch, not a full result.
 
-Streaming reads are *read-committed per pull*: each fetch observes the
-committed database state at that moment (plus the session's own open
-transaction).  Operators that began scanning under one state keep
-their iteration position; rows already delivered are not retracted.
+Streaming reads are *read-committed per fetch call*: each
+``fetchone``/``fetchmany``/``fetchall`` takes the engine's shared
+statement latch once and observes the committed database state at that
+moment (plus the session's own open transaction).  A ``fetchall``
+drains the rest of the stream under that one hold, so a writer arriving
+meanwhile waits for the call to finish; ``fetchmany(n)`` pulls batches
+under one hold until it has ``n`` rows; ``fetchone`` pulls at most one
+batch.  Operators that began scanning under one state keep their
+iteration position; rows already delivered are not retracted.
 """
 
 from __future__ import annotations
@@ -162,27 +167,30 @@ class Cursor:
             raise InterfaceError(
                 "no result set; execute a SELECT on this cursor first")
 
-    def _refill(self) -> bool:
-        """Pull the next batch into the buffer; False at end of stream."""
-        if self._stream is None or self._exhausted:
-            return False
-        batch = self.session._next_batch(self._stream)
-        if batch is None:
+    def _fill(self, want: Optional[int]) -> None:
+        """Buffer at least ``want`` rows (``None``: the rest of the
+        stream) with one pull, i.e. one shared latch hold."""
+        if self._exhausted:
+            return
+        if want is not None:
+            want -= len(self._buffer)
+            if want <= 0:
+                return
+        rows, ended = self.session._pull(self._stream, want)
+        self._buffer.extend(rows)
+        if ended:
             # The stream is kept (its counters remain readable);
             # everything is known now: rows already delivered plus the
             # buffered tail that will be.
             self._exhausted = True
             self._rowcount = self._delivered + len(self._buffer)
-            return False
-        self._buffer.extend(batch)
-        return True
 
     def fetchone(self) -> Optional[tuple]:
         self._check_open()
         self._require_result()
-        while not self._buffer:
-            if not self._refill():
-                return None
+        self._fill(1)
+        if not self._buffer:
+            return None
         self._delivered += 1
         return self._buffer.popleft()
 
@@ -192,9 +200,7 @@ class Cursor:
         size = self.arraysize if size is None else size
         if size <= 0:
             return []
-        while len(self._buffer) < size:
-            if not self._refill():
-                break
+        self._fill(size)
         out = [self._buffer.popleft()
                for _ in range(min(size, len(self._buffer)))]
         self._delivered += len(out)
@@ -203,8 +209,7 @@ class Cursor:
     def fetchall(self) -> list[tuple]:
         self._check_open()
         self._require_result()
-        while self._refill():
-            pass
+        self._fill(None)
         out = list(self._buffer)
         self._buffer.clear()
         self._delivered += len(out)

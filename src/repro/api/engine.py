@@ -19,10 +19,10 @@ Concurrency model (read-committed, serialized writers)
   another thread) or fails fast with :class:`TransactionError` (same
   thread, where blocking would self-deadlock).
 * **Statement latch** — a reader/writer lock scoped to single
-  statements: mutations and commit/rollback run exclusive, reads run
-  shared.  It only guards physical structures (slot lists, indexes);
-  it is never held across user code, so open transactions do not block
-  readers.
+  statements: mutations and commit/rollback run exclusive, reads (a
+  statement, or one cursor fetch call) run shared.  It only guards
+  physical structures (slot lists, indexes); it is never held across
+  user code, so open transactions do not block readers.
 * **Committed-state read views** — a reader overlapping another
   session's open write transaction sees the *committed* database: the
   writer's undo log is distilled into per-table overlays
@@ -79,71 +79,112 @@ class _StatementLatch:
     they would deadlock against the writer waiting for them).  Without
     this, overlapping readers could keep the reader set non-empty for
     as long as they kept arriving and starve every writer.
+
+    An uncontended entry or release is one round trip on a plain lock.
+    Only waiters are woken: readers wait for writers alone, so a shared
+    release notifies only when a writer waits, and an exclusive release
+    only when anyone does.
     """
 
     def __init__(self, timeout: float):
-        self._cond = threading.Condition()
+        # Entries and releases take the plain lock directly; only
+        # waiting goes through the condition built on it.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._timeout = timeout
         self._readers: dict[int, int] = {}
         self._writer: Optional[int] = None
         self._writer_depth = 0
         self._writers_waiting = 0
+        self._readers_waiting = 0
 
     def _wait(self, predicate, what: str) -> None:
         if not self._cond.wait_for(predicate, timeout=self._timeout):
             raise TransactionError(
                 f"timed out after {self._timeout}s waiting for {what}")
 
+    def acquire_shared(self) -> int:
+        """Enter shared; returns the token for :meth:`release_shared`."""
+        tid = threading.get_ident()
+        with self._mutex:
+            depth = self._readers.get(tid)
+            if depth:
+                self._readers[tid] = depth + 1
+                return tid
+            if self._writer != tid and (self._writer is not None
+                                        or self._writers_waiting):
+                self._readers_waiting += 1
+                try:
+                    self._wait(lambda: self._writer is None
+                               and not self._writers_waiting,
+                               "a concurrent statement to finish")
+                finally:
+                    self._readers_waiting -= 1
+            self._readers[tid] = 1
+        return tid
+
+    def release_shared(self, tid: int) -> None:
+        with self._mutex:
+            depth = self._readers[tid] - 1
+            if depth:
+                self._readers[tid] = depth
+                return
+            del self._readers[tid]
+            if self._writers_waiting:
+                self._cond.notify_all()
+
+    def acquire_exclusive(self) -> None:
+        tid = threading.get_ident()
+        with self._mutex:
+            if self._writer == tid:
+                self._writer_depth += 1
+                return
+            if self._readers.get(tid):
+                raise TransactionError(
+                    "cannot start a mutating statement from inside "
+                    "a read (lock upgrade)")
+
+            def free() -> bool:
+                return self._writer is None and not any(
+                    t != tid for t in self._readers)
+
+            if not free():
+                self._writers_waiting += 1
+                try:
+                    self._wait(free, "concurrent readers to finish")
+                except BaseException:
+                    self._writers_waiting -= 1
+                    # Readers parked behind this intent re-check.
+                    if self._readers_waiting:
+                        self._cond.notify_all()
+                    raise
+                self._writers_waiting -= 1
+            self._writer = tid
+            self._writer_depth = 1
+
+    def release_exclusive(self) -> None:
+        with self._mutex:
+            self._writer_depth -= 1
+            if not self._writer_depth:
+                self._writer = None
+                if self._readers_waiting or self._writers_waiting:
+                    self._cond.notify_all()
+
     @contextmanager
     def shared(self):
-        tid = threading.get_ident()
-        with self._cond:
-            if self._writer != tid and tid not in self._readers:
-                self._wait(lambda: self._writer is None
-                           and not self._writers_waiting,
-                           "a concurrent statement to finish")
-            self._readers[tid] = self._readers.get(tid, 0) + 1
+        tid = self.acquire_shared()
         try:
             yield
         finally:
-            with self._cond:
-                self._readers[tid] -= 1
-                if not self._readers[tid]:
-                    del self._readers[tid]
-                self._cond.notify_all()
+            self.release_shared(tid)
 
     @contextmanager
     def exclusive(self):
-        tid = threading.get_ident()
-        with self._cond:
-            if self._writer == tid:
-                self._writer_depth += 1
-            else:
-                if self._readers.get(tid):
-                    raise TransactionError(
-                        "cannot start a mutating statement from inside "
-                        "a read (lock upgrade)")
-                self._writers_waiting += 1
-                try:
-                    self._wait(
-                        lambda: self._writer is None and not any(
-                            t != tid for t in self._readers),
-                        "concurrent readers to finish",
-                    )
-                finally:
-                    self._writers_waiting -= 1
-                    # Readers parked behind this intent re-check.
-                    self._cond.notify_all()
-                self._writer = tid
-                self._writer_depth = 1
+        self.acquire_exclusive()
         try:
             yield
         finally:
-            with self._cond:
-                self._writer_depth -= 1
-                if not self._writer_depth:
-                    self._writer = None
-                self._cond.notify_all()
+            self.release_exclusive()
 
 
 class _WriterLatch:
@@ -447,12 +488,16 @@ class Engine:
         latch plus, when another session holds uncommitted writes, the
         committed-state read views."""
         self._check_open()
-        with self._statement_latch.shared():
+        latch = self._statement_latch
+        token = latch.acquire_shared()
+        try:
             views = self._read_views_for(session)
             if not views:
                 return thunk()
             with read_views(views):
                 return thunk()
+        finally:
+            latch.release_shared(token)
 
     def write(self, session, thunk, committed_views: bool = False):
         """Execute a mutating operation on behalf of ``session``.

@@ -340,9 +340,23 @@ class Session:
             self, lambda: engine.pipeline.stream_select(
                 statement, params=params, batch_size=self.batch_size))
 
-    def _next_batch(self, stream: QueryStream) -> Optional[list[tuple]]:
+    def _pull(self, stream: QueryStream, want: Optional[int]
+              ) -> tuple[list[tuple], bool]:
+        """Pull batches from ``stream`` under one shared latch hold
+        until at least ``want`` rows arrived (``None``: the rest of the
+        stream).  Returns the rows and whether the stream ended."""
         self._check_open()
-        return self.engine.read(self, stream.next_batch)
+
+        def drain():
+            rows: list[tuple] = []
+            while want is None or len(rows) < want:
+                batch = stream.next_batch()
+                if batch is None:
+                    return rows, True
+                rows.extend(batch)
+            return rows, False
+
+        return self.engine.read(self, drain)
 
     # ------------------------------------------------------------------
     # DDL handlers

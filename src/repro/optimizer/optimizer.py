@@ -344,17 +344,23 @@ class Planner:
         # ORDER BY runs before projection (its keys may use any column).
         if box.order_by:
             compiler = ExpressionCompiler(layout)
+            rows = node.estimated_rows
             node = Sort(node,
                         [compiler.compile(e) for e, _d in box.order_by],
                         [d for _e, d in box.order_by])
+            node.estimated_rows = rows
 
         # Filters right under the projection fuse into its kernel: one
-        # comprehension filters and projects each batch.
+        # comprehension filters and projects each batch.  The Project
+        # keeps the estimate of its filtered input (plan_box overrides
+        # it with the box estimate when nothing sits above it).
+        rows = node.estimated_rows
         fused: list[ast.Expression] = []
         while isinstance(node, Filter) and node.expression is not None:
             fused.insert(0, node.expression)
             node = node.child
         node = self._project(node, layout, box.head, fused)
+        node.estimated_rows = rows
         if box.distinct:
             node = Dedup(node)
         if box.limit is not None or box.offset is not None:

@@ -47,6 +47,18 @@ class TestPlanExplain:
             .parse_statement("SELECT * FROM EMP"))
         assert "rows]" in compiled.plan.explain()
 
+    def test_project_and_sort_carry_their_input_estimate(self, org_db):
+        # Under a Dedup (every XNF component is DISTINCT) or a Sort,
+        # the Project keeps its filtered input's estimate.
+        text = org_db.xnf_executable("deps_arc").explain() + \
+            org_db.explain("SELECT DISTINCT edno FROM EMP "
+                           "WHERE sal > 0 ORDER BY edno")
+        lines = [line.strip() for line in text.splitlines()
+                 if line.strip().startswith(("Project", "FilterProject",
+                                             "Sort"))]
+        assert any(line.startswith("Sort") for line in lines)
+        assert [line for line in lines if "[~0 rows" in line] == []
+
 
 class TestNAryPaths:
     @pytest.fixture
