@@ -81,8 +81,14 @@ def drive(session, target: str, columns: tuple[str, str, str]
         else:
             counts.append(session.execute(
                 f"DELETE FROM {target} WHERE {key} = ?",
-                [10_000 + i - 2]))
+                [10_000 + i - 1]))  # the row inserted just before
     return time.perf_counter() - start, counts
+
+
+def kind_totals(counts: list) -> dict:
+    """Rows touched per statement kind of :func:`drive`."""
+    return {kind: sum(counts[index::3]) for index, kind
+            in enumerate(("UPDATE", "INSERT", "DELETE"))}
 
 
 def base_rows(session) -> list:
@@ -102,6 +108,9 @@ def test_view_crud_overhead_bounded():
         view_s, view_counts = drive(session, "VEMP",
                                     ("ID", "NAME", "PAY"))
         assert view_counts == base_counts
+        assert kind_totals(view_counts) == {"UPDATE": N_STATEMENTS // 3,
+                                            "INSERT": N_STATEMENTS // 3,
+                                            "DELETE": N_STATEMENTS // 3}
         assert base_rows(session) == expected
         engine.close()
 

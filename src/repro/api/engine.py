@@ -563,6 +563,16 @@ class Engine:
             with read_views(self._read_views_for(None)):
                 return thunk()
 
+    def begin_transaction(self, session) -> None:
+        """Open ``session``'s transaction.  Exclusive, like its end:
+        the transaction ids and the table hooks a begin installs are
+        shared by every session, and a begin racing another's commit
+        could take a used id (whose read views a reader then reuses)
+        or open with the hooks just removed (its writes unlogged)."""
+        self._check_open()
+        with self._statement_latch.exclusive():
+            self.transactions.begin(session.scope)
+
     def end_transaction(self, session, commit: bool) -> None:
         """Commit or roll back the session's open transaction."""
         self._check_open()

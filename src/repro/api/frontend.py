@@ -30,6 +30,18 @@ literal inline, so they hit only on a text equal to the cached one up
 to whitespace, comments and keyword case, and they come back as the
 plain parsed AST.  A text that does not lex or parse is never cached:
 it goes to the parser, which raises.
+
+Finding the skeleton runs the lexer over the whole text.  A hit skips
+it: a memo maps the text's *literal cut*
+(:func:`repro.sql.lexer.literal_cut`, one ``re.split`` at the string
+and number literals) to the skeleton and the token index of each
+literal, so a literal variant of a text seen before finds its entry
+from the cut alone and binds the same way.  A cut is stored only after
+the lexer, on that same text, found exactly the cut's literals, in
+order; a text that does not lex is never stored.  Texts with a quoted
+identifier or a comment (``"``, ``--``, ``/*``) or a non-ASCII
+character are not cut and take the lexer every time.  The memo shares
+the cache's bound.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from repro.executor.plan_cache import (CacheStats, HashedKey,
                                        parameterize_dml, parameterize_select,
                                        parameterize_xnf)
 from repro.sql import ast, parser
-from repro.sql.lexer import literal_value, skeleton
+from repro.sql.lexer import literal_cut, literal_value, skeleton
 
 #: What the front end hands on: a lifted SELECT / XNF query / UPDATE /
 #: DELETE with its bindings, or the parsed AST of any other statement.
@@ -102,9 +114,10 @@ class SkeletonCache:
     """A bounded LRU of statement skeletons -> front-end results.
 
     One instance per engine, shared (under a lock) by every session.
-    ``capacity`` counts entries; ``capacity <= 0`` disables the cache,
-    and then :meth:`parse` neither caches nor lifts, so compilation
-    sees the literal AST.
+    ``capacity`` bounds the entries, and apart from them the remembered
+    literal cuts; ``capacity <= 0`` disables the cache, and then
+    :meth:`parse` neither caches nor lifts, so compilation sees the
+    literal AST.
     """
 
     def __init__(self, capacity: int):
@@ -112,13 +125,15 @@ class SkeletonCache:
         self.stats = CacheStats()
         #: Skeleton -> the slots the lifter keeps inline.
         self._inline: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: (skeleton, inline literal texts) -> (that key, the front-end
-        #: result of the text that stored it).
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: Recent texts -> (entry key, inline slots, their front-end
-        #: result): an exact repeat of a text skips the lexer while its
-        #: entry lives.  The entry's own key object is kept, not a copy.
-        self._texts: "OrderedDict[str, tuple]" = OrderedDict()
+        #: (skeleton, inline literal texts) -> the front-end result of
+        #: the text that stored it.
+        self._entries: "OrderedDict[tuple, FrontEndStatement]" = \
+            OrderedDict()
+        #: Literal cuts (:func:`~repro.sql.lexer.literal_cut`) ->
+        #: (skeleton, literal slots): a text whose cut is known skips
+        #: the lexer.  A cut is stored only from a text whose skeleton
+        #: found exactly the cut's literals.
+        self._cuts: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -127,73 +142,76 @@ class SkeletonCache:
     def parse(self, sql: str) -> FrontEndStatement:
         if self.capacity <= 0:
             return parser.parse_statement(sql)
-        with self._lock:
-            # An exact repeat: the lookup below, without the lexer.
-            seen = self._texts.get(sql)
-            if seen is not None:
-                full, inline, front = seen
-                if self._inline.get(full[0]) == inline \
-                        and full in self._entries:
-                    self._texts.move_to_end(sql)
-                    self._entries.move_to_end(full)
-                    self._inline.move_to_end(full[0])
-                    self.stats.hits += 1
-                    return front
-        shape = skeleton(sql)
-        if shape is not None:
-            key, literals = shape
+        cut = literal_cut(sql)
+        known = None
+        if cut is not None:
             with self._lock:
-                inline = self._inline.get(key)
-                entry = None
-                if inline is not None:
-                    full = (key, tuple(literals[slot] for slot in inline))
-                    entry = self._entries.get(full)
-                if entry is not None:
-                    full, entry = entry
-                if entry is None:
-                    self.stats.misses += 1
-                else:
-                    self._entries.move_to_end(full)
-                    self._inline.move_to_end(key)
-                    self.stats.hits += 1
+                known = self._cuts.get(cut[0])
+                if known is not None:
+                    self._cuts.move_to_end(cut[0])
+                    shape = known[0], dict(zip(known[1], cut[1]))
+                    entry = self._lookup(shape)
+        if known is None:
+            shape = skeleton(sql)
+            with self._lock:
+                entry = self._lookup(shape)
             if entry is not None:
-                front = _bind(entry, literals)
-                self._remember(sql, full, inline, front)
-                return front
-        else:
-            with self._lock:
-                self.stats.misses += 1
+                self._remember(cut, shape)
+        if entry is not None:
+            return _bind(entry, shape[1])
         front = lift(parser.parse_statement(sql))
-        if shape is not None:
-            stored = self._store(key, literals, front)
-            if stored is not None:
-                self._remember(sql, *stored, front)
+        if shape is not None and self._store(*shape, front) \
+                and known is None:
+            self._remember(cut, shape)
         return front
 
-    def _remember(self, sql: str, full: tuple, inline: tuple,
-                  front: FrontEndStatement) -> None:
+    def _lookup(self, shape: Optional[tuple]
+                ) -> Optional[FrontEndStatement]:
+        """The cached result for a ``(skeleton, literals)`` shape, or
+        None (a miss); keeps LRU order and ``stats``.  Call with the
+        lock held."""
+        entry = None
+        if shape is not None:
+            key, literals = shape
+            inline = self._inline.get(key)
+            if inline is not None:
+                full = (key, tuple(literals[slot] for slot in inline))
+                entry = self._entries.get(full)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        self._entries.move_to_end(full)
+        self._inline.move_to_end(key)
+        self.stats.hits += 1
+        return entry
+
+    def _remember(self, cut: Optional[tuple], shape: tuple) -> None:
+        """Map ``cut`` to the skeleton and literal slots of ``shape``,
+        when the lexer found exactly the cut's literals."""
+        key, literals = shape
+        if cut is None or tuple(literals.values()) != cut[1]:
+            return
         with self._lock:
-            self._texts[sql] = (full, inline, front)
-            self._texts.move_to_end(sql)
-            while len(self._texts) > self.capacity:
-                self._texts.popitem(last=False)
+            self._cuts[cut[0]] = (key, tuple(literals))
+            self._cuts.move_to_end(cut[0])
+            while len(self._cuts) > self.capacity:
+                self._cuts.popitem(last=False)
 
     def _store(self, key: tuple, literals: dict[int, str],
-               front: FrontEndStatement) -> Optional[tuple]:
-        """Cache ``front``; returns its (entry key, inline slots), or
-        None when the text's literals do not account for its
-        parameters."""
+               front: FrontEndStatement) -> bool:
+        """Cache ``front``; False when the text's literals do not
+        account for its parameters (nothing is cached)."""
         params = front.slots \
             if isinstance(front, ParameterizedStatement) else ()
         if any(slot is None for slot, _index in params):
-            return None  # a lifted literal no token accounts for
+            return False  # a lifted literal no token accounts for
         taken = {slot for slot, _index in params}
         inline = tuple(slot for slot in literals if slot not in taken)
         full = (key, tuple(literals[slot] for slot in inline))
         with self._lock:
             self._inline[key] = inline
             self._inline.move_to_end(key)
-            self._entries[full] = (full, front)
+            self._entries[full] = front
             self._entries.move_to_end(full)
             self.stats.stores += 1
             while len(self._entries) > self.capacity:
@@ -201,4 +219,4 @@ class SkeletonCache:
                 self.stats.evictions += 1
             while len(self._inline) > self.capacity:
                 self._inline.popitem(last=False)
-        return full, inline
+        return True

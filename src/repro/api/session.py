@@ -148,7 +148,7 @@ class Session:
 
     def begin(self) -> None:
         self._check_open()
-        self.engine.transactions.begin(self.scope)
+        self.engine.begin_transaction(self)
 
     def commit(self) -> None:
         self._check_open()

@@ -322,8 +322,12 @@ class Workspace:
         obj.is_new = True
         self.objects[name].append(obj)
         self.by_oid[(name, oid)] = obj
+        # Only the given columns are put back, as an SQL INSERT with a
+        # column list would: the others may be computed.
         self.log.append(LogEntry("insert", name, {
-            "oid": oid, "values": dict(zip(columns, row)),
+            "oid": oid, "values": {column: value for column, value
+                                   in zip(columns, row)
+                                   if column in provided},
         }))
         return obj
 

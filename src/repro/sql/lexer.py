@@ -11,7 +11,9 @@ an alternation of named groups, one group per lexical form.  The last
 groups match what cannot start a token: an unterminated string, quoted
 identifier or block comment, a ``:`` without a name, or any other
 character.  Each of them becomes a :class:`LexerError` at that spot.
-:func:`skeleton` walks the same pattern to key the statement cache.
+:func:`skeleton` walks the same pattern to key the statement cache;
+:func:`literal_cut` splits a text at its literals alone, with the same
+literal forms, so the cache can find a known skeleton without a scan.
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ class Token(NamedTuple):
         return f"Token({self.type.name}, {self.value!r})"
 
 
+#: The literal forms, shared by the master pattern and
+#: :func:`literal_cut`.
+_NUMBER = r"[{digit}]+(?:\.[{digit}]+)?"
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+
 #: The master pattern.  ``\w`` is exactly ``str.isalnum()`` or ``_``;
 #: ``re`` has no class for ``str.isalpha()`` / ``str.isdigit()``, so
 #: ``{letter}`` / ``{digit}`` are the ASCII ranges plus those non-ASCII
@@ -83,8 +90,8 @@ class Token(NamedTuple):
 _FORMS = r"""
 (?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)*
 (?:(?P<word>[{letter}_]\w*)
-  |(?P<number>[{digit}]+(?:\.[{digit}]+)?)
-  |(?P<string>'[^']*(?:''[^']*)*'(?!'))
+  |(?P<number>{number})
+  |(?P<string>{string})
   |(?P<quoted>"[^"]*")
   |(?P<parameter>\?|:(?![{digit}])\w+)
   |(?P<comment>/\*)
@@ -111,8 +118,10 @@ _PLAIN = {"number": TokenType.NUMBER, "operator": TokenType.OPERATOR,
 
 @lru_cache(maxsize=64)
 def _compile(letters: str, digits: str) -> re.Pattern:
+    digit = "0-9" + re.escape(digits)
     return re.compile(_FORMS.format(
-        letter="A-Za-z" + re.escape(letters), digit="0-9" + re.escape(digits),
+        letter="A-Za-z" + re.escape(letters), digit=digit,
+        number=_NUMBER.format(digit=digit), string=_STRING,
         operators="|".join(map(re.escape, OPERATORS)),
         punctuation=re.escape(PUNCTUATION)), re.VERBOSE | re.DOTALL)
 
@@ -208,6 +217,41 @@ def skeleton(text: str) -> Optional[tuple[tuple, dict[int, str]]]:
         else:
             parts.append(value)
     return None
+
+
+#: The literals of a text, as the master pattern reads them: a string,
+#: or an ASCII number that does not follow a word character (whose
+#: digits the master pattern reads as part of the word).  The leading
+#: lookahead lets ``re`` skip to the next quote or digit quickly.
+_CUT = re.compile("(?=['0-9])({}|(?<!\\w){})".format(
+    _STRING, _NUMBER.format(digit="0-9")), re.ASCII)
+
+
+def literal_cut(text: str) -> Optional[tuple[tuple, tuple[str, ...]]]:
+    """``(key, sources)``: ``text`` cut at its literals, or None when
+    the text is not cut (it is not ASCII, or holds ``"``, ``--`` or
+    ``/*``).
+
+    ``key`` alternates the text between literals, verbatim, with each
+    literal's slot type (:data:`INT_SLOT`, :data:`FLOAT_SLOT`,
+    :data:`STRING_SLOT`); ``sources`` are the literals' source texts,
+    in order.  One ``re.split``, no token stream.
+
+    Without quoted identifiers and comments, a literal is not read
+    differently for its value: texts that share a key lex alike, up to
+    the literal values, whenever :func:`skeleton` of one of them finds
+    exactly that text's ``sources`` as its literals.  Other texts (a
+    ``$`` or an unterminated string, say) may cut where the lexer does
+    not; the caller must check that agreement before it trusts a key.
+    """
+    if not text.isascii() or '"' in text or "--" in text or "/*" in text:
+        return None
+    parts = _CUT.split(text)
+    sources = tuple(parts[1::2])
+    parts[1::2] = [STRING_SLOT if source[0] == "'" else
+                   FLOAT_SLOT if "." in source else INT_SLOT
+                   for source in sources]
+    return tuple(parts), sources
 
 
 def literal_value(source: str):

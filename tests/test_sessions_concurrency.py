@@ -9,6 +9,7 @@ Every thread gets its own session (sessions are single-threaded
 handles; the engine is the shared, thread-safe object).
 """
 
+import sys
 import threading
 
 import pytest
@@ -263,6 +264,53 @@ class TestMixedWorkload:
             assert [r[0] for r in rows] \
                 == [1000 + worker * 100 + i for i in committed]
             assert [r[1] for r in rows] == [i + 1 for i in committed]
+
+
+class TestConcurrentBegin:
+    def test_begin_racing_commits_takes_a_fresh_id_and_logs(self):
+        """Sessions beginning while another commits, switching every
+        microsecond: every transaction gets its own id (readers key
+        their committed-state overlays on it), and every open
+        transaction has the tables' undo hooks installed."""
+        engine = Engine()
+        engine.connect().execute("CREATE TABLE T (A INT PRIMARY KEY)")
+        table = engine.catalog.table("T")
+        ids, unhooked = [], []
+        done = threading.Event()
+
+        def committer():
+            session = engine.connect()
+            key = 0
+            while not done.is_set():
+                session.begin()
+                ids.append(engine.transactions.transaction_for(
+                    session.scope).txn_id)
+                session.execute(f"INSERT INTO T VALUES ({key})")
+                session.commit()
+                key += 1
+
+        def beginner():
+            session = engine.connect()
+            try:
+                for _ in range(8000):
+                    session.begin()
+                    ids.append(engine.transactions.transaction_for(
+                        session.scope).txn_id)
+                    if table.on_mutation is None:
+                        unhooked.append(session.label)
+                    session.rollback()
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([committer, beginner, beginner])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ids) > 16000
+        assert len(set(ids)) == len(ids)
+        assert unhooked == []
 
 
 class TestMatviewFreshnessUnderConcurrency:

@@ -17,7 +17,8 @@ types, keyword case and layout, explicit markers, unary minus, error
 texts, the materialized-view read-through and DML, whose UPDATE and
 DELETE variants hit and bind like a SELECT's (checked against a twin
 with the plan cache off).  The clock-free counts at the end check that
-literal variants parse, lift and compile once.
+literal variants lex, parse, lift and compile once, and that texts
+with a comment, a quoted identifier or non-ASCII lex every time.
 ``REPRO_DIFF_SEEDS=<n>`` widens the generated sweeps.
 """
 
@@ -480,6 +481,95 @@ def test_cursor_point_selects_parse_once(parse_calls):
         assert [row[0] for row in rows] == [eno]
     assert (stats.hits, stats.misses, len(parse_calls)) \
         == (before[0] + 199, before[1] + 1, before[2] + 1)
+
+
+@pytest.fixture
+def lex_calls(monkeypatch) -> list:
+    """Texts the front end ran the skeleton lexer over."""
+    calls = []
+    original = frontend.skeleton
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+    monkeypatch.setattr(frontend, "skeleton", counting)
+    return calls
+
+
+def co_read_text(low: int, width: int) -> str:
+    """A ``co_read`` extraction: DEPS_ARC over a range of departments."""
+    return deps_query(f"WHERE dno BETWEEN {low} AND {low + width}")
+
+
+def test_literal_variants_lex_once(lex_calls, parse_calls):
+    """A literal variant of a text seen before finds its entry from
+    the literal cut: 200 point SELECTs, 200 keyed UPDATEs and 50
+    extractions each run the lexer once, on the first text."""
+    engine = Engine()
+    create_org_schema(engine.catalog)
+    populate_org(engine.catalog, ORG)
+    session = engine.connect()
+    cursor = session.cursor()
+    enos = sorted(row[0] for row in engine.catalog.table("EMP").rows())
+    rng = random.Random(33)
+    stats = engine.statements.stats
+    runs = (
+        [lambda eno=eno: cursor.execute(
+            f"SELECT * FROM EMP WHERE eno = {eno}").fetchall()
+         for eno in rng.choices(enos, k=200)],
+        [lambda eno=eno: session.execute(
+            f"UPDATE EMP SET sal = sal + 1 WHERE eno = {eno}")
+         for eno in rng.choices(enos, k=200)],
+        [lambda low=low, width=width: session.xnf(co_read_text(low, width))
+         for low, width in ((rng.randint(1, ORG.departments - 3),
+                             rng.randint(1, 2)) for _ in range(50))],
+    )
+    for thunks in runs:
+        lex_calls.clear()
+        parse_calls.clear()
+        hits = stats.hits
+        outputs = [thunk() for thunk in thunks]
+        assert (len(lex_calls), len(parse_calls)) == (1, 1)
+        assert stats.hits == hits + len(thunks) - 1
+        assert all(outputs)
+
+
+@pytest.mark.parametrize("shape", [
+    "SELECT a, b FROM T WHERE c >= {} -- a comment",
+    "SELECT a, b FROM T /* a comment */ WHERE c >= {}",
+    'SELECT a, "B" FROM T WHERE c >= {}',
+    "SELECT a, b FROM T WHERE c >= {} AND b <> 'é'",
+])
+def test_texts_not_cut_lex_every_time_and_still_hit(db, lex_calls, shape):
+    numbers = (5, 25, 35, 15)
+    texts = [shape.format(number) for number in numbers]
+    results = [front(db, text) for text in texts]
+    assert len(lex_calls) == len(texts)
+    assert [status for _result, status in results] \
+        == ["miss", "hit", "hit", "hit"]
+    for text, number, (result, _status) in zip(texts, numbers, results):
+        assert result == full_path(text)
+        assert result.bindings[0] == number
+    twin = uncached_twin(db)
+    for text in texts:
+        assert multiset(db.query(text).rows) \
+            == multiset(twin.query(text).rows)
+
+
+def test_insert_repeat_hits_only_on_identical_literals(db, lex_calls,
+                                                       parse_calls):
+    text = "INSERT INTO T VALUES (5, 'q', 50)"
+    statuses = [front(db, sql)[1] for sql in (
+        text, text, "insert into T values (5, 'q', 50)",
+        text.replace("50", "51"), text.replace("'q'", "'r'"))]
+    assert statuses == ["miss", "hit", "hit", "miss", "miss"]
+    # the keyword-case variant cuts differently: it is lexed once
+    assert len(lex_calls) == 2
+    assert len(parse_calls) == 3
+    for sql in (text, text.replace("50", "51")):
+        result = db.engine.parse(sql)
+        assert result == parser.parse_statement(sql)
+        assert isinstance(result, ast.InsertStatement)
 
 
 @pytest.fixture

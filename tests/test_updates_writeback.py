@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro.api.database import Database
 from repro.errors import NotUpdatableError, UpdateError
 from repro.qgm.builder import QGMBuilder
 from repro.sql.parser import parse_statement
 from repro.viewupdate.executor import CompiledWritePlan
 from repro.viewupdate.objects import analyze_xnf
+from repro.workloads.orgdb import create_org_schema, populate_org
+from tests.conftest import SMALL_ORG
+
+#: A component with a computed column next to its stored ones.
+COMPUTED_VIEW = ("CREATE VIEW cv AS OUT OF e AS (SELECT eno, ename, edno, "
+                 "sal, sal * 2 AS dsal FROM EMP) TAKE *")
 
 
 def analysis_for(db, query_text):
@@ -143,6 +150,34 @@ class TestWriteBack:
         cache.write_back()
         assert org_db.query(
             "SELECT sal FROM EMP WHERE eno = 502").rows == [(3,)]
+
+    @pytest.mark.parametrize("write_through", [False, True])
+    def test_insert_into_component_with_computed_column(self, org_db,
+                                                        write_through):
+        # Only the given columns are put back, so the cache inserts the
+        # base row the SQL INSERT inserts; giving the computed column
+        # is rejected, as in SQL.
+        org_db.execute(COMPUTED_VIEW)
+        twin = Database()
+        create_org_schema(twin.catalog)
+        populate_org(twin.catalog, SMALL_ORG)
+        twin.execute(COMPUTED_VIEW)
+        assert twin.execute("INSERT INTO cv.E (ENO, ENAME, EDNO, SAL) "
+                            "VALUES (901, 'y', 1, 6)") == 1
+        cache = org_db.open_cache("cv", write_through=write_through)
+        cache.insert("E", ENO=901, ENAME="y", EDNO=1, SAL=6)
+        cache.write_back()
+        row = "SELECT * FROM EMP WHERE eno = 901"
+        assert org_db.query(row).rows == twin.query(row).rows \
+            == [(901, "y", 1, 6)]
+        with pytest.raises(NotUpdatableError, match="computed"):
+            twin.execute("INSERT INTO cv.E (ENO, ENAME, EDNO, SAL, DSAL) "
+                         "VALUES (902, 'z', 1, 6, 12)")
+        with pytest.raises(NotUpdatableError, match="computed"):
+            cache.insert("E", ENO=902, ENAME="z", EDNO=1, SAL=6, DSAL=12)
+            cache.write_back()
+        assert org_db.query("SELECT * FROM EMP WHERE eno = 902").rows \
+            == []
 
     def test_delete_reaches_base_table(self, org_db):
         org_db.execute("INSERT INTO DEPT VALUES (99, 'empty', 'ARC')")
