@@ -158,7 +158,10 @@ class SkeletonCache:
             if entry is not None:
                 self._remember(cut, shape)
         if entry is not None:
-            return _bind(entry, shape[1])
+            try:
+                return _bind(entry, shape[1])
+            except ValueError:
+                pass  # a number only the lexer reads: the parser says where
         front = lift(parser.parse_statement(sql))
         if shape is not None and self._store(*shape, front) \
                 and known is None:

@@ -49,12 +49,13 @@ from repro.storage.table import Rid, Row, Table
 class RowWriter:
     """Applies one statement's (or one write batch's) base-row writes.
 
-    Every write is checked the way SQL checks it: a written row must
-    satisfy its outgoing foreign keys, and a row whose referenced key
-    moves, or that is deleted, must not strand referencing children
-    (RESTRICT).  An update that changes a partition key relocates the
-    row to a fresh rid; later writes addressing the old rid follow the
-    relocation chain.  :meth:`emit` publishes the consolidated deltas.
+    Every write is checked the way SQL checks it: an inserted row, and
+    an updated row whose foreign-key columns moved, must satisfy its
+    outgoing foreign keys, and a row whose referenced key moves, or
+    that is deleted, must not strand referencing children (RESTRICT).
+    An update that changes a partition key relocates the row to a fresh
+    rid; later writes addressing the old rid follow the relocation
+    chain.  :meth:`emit` publishes the consolidated deltas.
     """
 
     def __init__(self, catalog: Catalog):
@@ -89,11 +90,14 @@ class RowWriter:
         new = list(old)
         for position, value in zip(positions, values):
             new[position] = value
+        catalog = self.catalog
+        if any(old[p] != new[p] for p in catalog.referenced_positions(table)):
+            catalog.check_no_referencing_children(table.name, old, new)
+        # An unchanged foreign key was checked when it was written; a
+        # row older than its constraint is not revalidated.
         if any(old[p] != new[p]
-               for p in self.catalog.referenced_positions(table)):
-            self.catalog.check_no_referencing_children(table.name, old,
-                                                       new)
-        self.catalog.check_foreign_keys(table.name, tuple(new))
+               for p in catalog.referencing_positions(table)):
+            catalog.check_foreign_keys(table.name, tuple(new))
         new_rid, stored = table.update_row(rid, new)
         if new_rid == rid:
             self._record(table, rid, old, stored)

@@ -27,10 +27,11 @@ from repro.executor.expressions import (RID_COLUMN, ExpressionCompiler,
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plan import (DEFAULT_BATCH_SIZE, Aggregate, Dedup,
                                   ExecutionContext, Filter, HashJoin,
-                                  IndexNestedLoopJoin, IndexScan,
-                                  LeftOuterJoin, Limit, NestedLoopJoin,
-                                  PlanNode, Project, SemiJoin, SetOperation,
-                                  SingleRow, Sort, Spool, TableScan)
+                                  IndexNestedLoopJoin, IndexRangeScan,
+                                  IndexScan, LeftOuterJoin, Limit,
+                                  NestedLoopJoin, PlanNode, Project, SemiJoin,
+                                  SetOperation, SingleRow, Sort, Spool,
+                                  TableScan)
 from repro.qgm.model import (BaseBox, Box, GroupByBox, OuterJoinBox,
                              OutputStream, QGMGraph, QRef, Quantifier, RidRef,
                              SelectBox, SetOpBox, XNFBox, replace_qrefs,
@@ -43,6 +44,9 @@ from repro.storage.stats import StatisticsManager
 #: Join fans up to this many sources are ordered by exhaustive
 #: left-deep DP (2^n subsets); wider fans are ordered greedily.
 DP_JOIN_THRESHOLD = 8
+
+#: A range comparison read from its other side.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 @dataclass
@@ -163,9 +167,10 @@ class _Source:
     #: Estimated cost of producing this source once (scan or index
     #: scan plus filters) — the DP enumeration's leaf costs.
     access_cost: float = 0.0
-    #: For base sources planned as (possibly filtered) scans: the
-    #: underlying table, so an index-nested-loop probe can replace the
-    #: scan with the local filters folded into the probe residual.
+    #: For base sources planned as (possibly filtered) scans or range
+    #: reads: the underlying table, so an index-nested-loop probe can
+    #: replace the scan with the local filters folded into the probe
+    #: residual.
     #: None when a constant-equality index scan was already chosen.
     table: Optional[object] = None
     #: The local predicates applied as filters over the scan (become
@@ -510,44 +515,68 @@ class Planner:
         cardinality = float(max(len(table), 1))
         full_scan_cost = self.cost.scan_cost(cardinality)
 
-        # Access-path selection for constant equality predicates: every
-        # index fully covered by them — the primary key's among them —
-        # is a candidate; cost-compare against the full scan.
+        # Access-path selection: every index fully covered by constant
+        # equalities (the primary key's among them), and every
+        # single-column ordered one (the primary key or an ordered
+        # index) a constant range bounds, is a candidate; cost-compare
+        # them against the full scan.
         remaining = list(local_preds)
-        node: PlanNode
+        node: PlanNode = TableScan(table, with_rid=with_rid)
         access_cost = full_scan_cost
-        chosen_index = None
+        probeable = True
         if self.options.use_indexes:
             const_eq: dict[str, ast.Expression] = {}
             const_pred: dict[str, ast.Expression] = {}
+            ranges: dict[str, list] = {}
             for predicate in local_preds:
                 column, value = self._constant_equality(predicate,
                                                         quantifier)
                 if column is not None and column not in const_eq:
                     const_eq[column] = value
                     const_pred[column] = predicate
+                self._collect_range(predicate, quantifier, ranges)
+            chosen = None
             for index in table.access_indexes:
                 names = [c.upper() for c in index.column_names]
-                if not all(name in const_eq for name in names):
+                if all(name in const_eq for name in names):
+                    ranged = False
+                    bounding = [const_pred[name] for name in names]
+                elif index.ordered and len(names) == 1 \
+                        and names[0] in ranges:
+                    ranged = True
+                    bounding = ranges[names[0]][2]
+                else:
                     continue
-                matching = cardinality * self.cost.conjunct_selectivity(
-                    [const_pred[name] for name in names])
+                matching = cardinality \
+                    * self.cost.conjunct_selectivity(bounding)
                 index_cost = self.cost.index_scan_cost(matching)
                 if index_cost < access_cost:
-                    chosen_index, access_cost = (index, names), index_cost
-            if chosen_index is not None:
-                index, names = chosen_index
-                keys = ExpressionCompiler({}).compile_project(
-                    [const_eq[name] for name in names])
-                node = IndexScan(table, index, keys, with_rid=with_rid)
-                # Only the predicates that became probe keys are
-                # consumed; a second equality on a keyed column (``a = 1
-                # AND a = 2``) still filters.
-                keys = [const_pred[name] for name in names]
-                remaining = [p for p in local_preds
-                             if not any(p is key for key in keys)]
-        if chosen_index is None:
-            node = TableScan(table, with_rid=with_rid)
+                    chosen = (index, names, ranged)
+                    access_cost = index_cost
+            if chosen is not None:
+                index, names, ranged = chosen
+                if not ranged:
+                    keys = ExpressionCompiler({}).compile_project(
+                        [const_eq[name] for name in names])
+                    node = IndexScan(table, index, keys,
+                                     with_rid=with_rid)
+                    # Only the predicates that became probe keys are
+                    # consumed; a second equality on a keyed column
+                    # (``a = 1 AND a = 2``) still filters.
+                    keys = [const_pred[name] for name in names]
+                    remaining = [p for p in local_preds
+                                 if not any(p is key for key in keys)]
+                    probeable = False
+                else:
+                    # The range predicates stay in the filter: the
+                    # range read only narrows what it scans.
+                    low, high, _preds = ranges[names[0]]
+                    null = (ast.Literal(None), True)
+                    low, high = low or null, high or null
+                    bounds = ExpressionCompiler({}).compile_project(
+                        [low[0], high[0]])
+                    node = IndexRangeScan(table, index, bounds, low[1],
+                                          high[1], with_rid=with_rid)
         node.estimated_rows = rows
         node.estimated_cost = access_cost
         if remaining:
@@ -558,9 +587,8 @@ class Planner:
             node.estimated_cost = access_cost
         return _Source(quantifier, node, layout, rows,
                        with_rid=with_rid, access_cost=access_cost,
-                       table=table if chosen_index is None else None,
-                       filter_preds=remaining if chosen_index is None
-                       else [])
+                       table=table if probeable else None,
+                       filter_preds=remaining if probeable else [])
 
     @staticmethod
     def _constant_equality(predicate: ast.Expression,
@@ -574,6 +602,56 @@ class Planner:
                     and not _referenced_quantifiers(other):
                 return this.column.upper(), other
         return None, None
+
+    @staticmethod
+    def _collect_range(predicate: ast.Expression, quantifier: Quantifier,
+                       ranges: dict[str, list]) -> None:
+        """Add a constant bound of ``q.col`` — a non-negated BETWEEN, or
+        ``<``, ``<=``, ``>``, ``>=`` against a constant expression
+        (either side) — to ``ranges``: column -> [low, high, the
+        predicates giving them], each bound ``(expression, inclusive)``
+        and the first one found on each side kept."""
+        def column_of(expression):
+            if isinstance(expression, QRef) \
+                    and expression.quantifier is quantifier:
+                return expression.column.upper()
+            return None
+
+        def constant(expression):
+            return not _referenced_quantifiers(expression)
+
+        low = high = None
+        if isinstance(predicate, ast.Between):
+            column = column_of(predicate.operand)
+            if predicate.negated or column is None \
+                    or not constant(predicate.low) \
+                    or not constant(predicate.high):
+                return
+            low, high = (predicate.low, True), (predicate.high, True)
+        elif isinstance(predicate, ast.BinaryOp) \
+                and predicate.op in _FLIPPED:
+            op, column, value = predicate.op, \
+                column_of(predicate.left), predicate.right
+            if column is None:
+                op, column, value = _FLIPPED[op], \
+                    column_of(predicate.right), predicate.left
+            if column is None or not constant(value):
+                return
+            bound = (value, op in ("<=", ">="))
+            if op in (">", ">="):
+                low = bound
+            else:
+                high = bound
+        else:
+            return
+        entry = ranges.setdefault(column, [None, None, []])
+        used = False
+        for side, bound in ((0, low), (1, high)):
+            if bound is not None and entry[side] is None:
+                entry[side] = bound
+                used = True
+        if used:
+            entry[2].append(predicate)
 
     # ------------------------------------------------------------------
     def _join_sources(self, sources: list[_Source],

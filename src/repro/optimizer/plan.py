@@ -332,17 +332,63 @@ class IndexScan(PlanNode):
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        key = self.keys([()], ctx)[0]
         ctx.bump("index_lookups")
-        pairs = visible_index_lookup(self.table, self.index, key)
+        pairs = self._read(ctx)
         rows = ([row + (rid,) for rid, row in pairs] if self.with_rid
                 else [row for _rid, row in pairs])
         ctx.bump("rows_scanned", len(rows))
         yield from _chunked(rows, batch_size)
 
+    def _read(self, ctx: ExecutionContext) -> list[tuple[int, Row]]:
+        """The visible ``(rid, row)`` pairs the index access reads."""
+        return visible_index_lookup(self.table, self.index,
+                                    self.keys([()], ctx)[0])
+
     def describe(self) -> str:
-        return (f"IndexScan({self.table.name} via {self.index.name} "
-                f"on {','.join(self.index.column_names)})")
+        return (f"{type(self).__name__}({self.table.name} via "
+                f"{self.index.name} on {','.join(self.index.column_names)})")
+
+
+class IndexRangeScan(IndexScan):
+    """Range access through a single-column ordered key structure (the
+    primary key or an ordered index).  ``keys`` gives the ``(low,
+    high)`` bound values; a NULL (or absent) bound reads open-ended.
+
+    The range predicate stays in the filter above, so the range read
+    only has to find a superset of the qualifying rows: it reads them
+    in heap order, as the scan it replaces would.  A bound that does
+    not evaluate, or that the keys do not compare with, reads every
+    row, and the filter decides (or raises) as it does over a scan.
+    Under a read view the candidates are the physical range plus every
+    row the view overlays, read through the view (the physical index
+    holds the uncommitted keys).
+    """
+
+    def __init__(self, table: Table, index: Index, keys: BatchKernel,
+                 low_inclusive: bool, high_inclusive: bool,
+                 with_rid: bool = False):
+        super().__init__(table, index, keys, with_rid=with_rid)
+        self.low_inclusive = low_inclusive
+        self.high_inclusive = high_inclusive
+
+    def _read(self, ctx: ExecutionContext) -> list[tuple[int, Row]]:
+        table = self.table
+        view = active_read_view(table.name)
+        try:
+            low, high = self.keys([()], ctx)[0]
+            rids = self.index.range_scan(
+                None if low is None else (low,),
+                None if high is None else (high,),
+                self.low_inclusive, self.high_inclusive)
+        except (TypeError, ExecutionError):
+            return list(table.scan())
+        if view is not None:
+            overlaid = view.rows
+            rids = [rid for rid in rids if rid not in overlaid]
+            rids += [rid for rid, image in overlaid.items()
+                     if image is not None]
+        rids.sort()
+        return table.fetch_many(rids, view=view)
 
 
 class Filter(PlanNode):
@@ -498,7 +544,7 @@ class IndexNestedLoopJoin(PlanNode):
         keys_of = self.keys
         table = self.table
         index = self.index
-        lookup = index.lookup
+        lookup_many = index.lookup_many
         fetch_many = table.fetch_many
         with_rid = self.with_rid
         for batch in self.left.execute_batches(ctx, batch_size):
@@ -509,15 +555,11 @@ class IndexNestedLoopJoin(PlanNode):
             ctx.bump("index_lookups", len(batch))
             keys = keys_of(batch, ctx)
             if view is None:
-                # One heap read for the batch: every outer row repeated
-                # once per RID its key found, zipped with the fetch.
-                lefts: list[Row] = []
-                rids: list = []
-                for left_row, found in zip(batch, map(lookup, keys)):
-                    if found:
-                        rids += found
-                        lefts += [left_row] * len(found)
-                pairs = zip(lefts, fetch_many(rids, view=None))
+                # One probe and one heap read for the batch: each outer
+                # row once per RID its key found, zipped with the fetch.
+                positions, rids = lookup_many(keys)
+                pairs = zip(map(batch.__getitem__, positions),
+                            fetch_many(rids, view=None))
                 joined = ([left_row + inner + (rid,)
                            for left_row, (rid, inner) in pairs]
                           if with_rid
@@ -764,15 +806,13 @@ class Dedup(PlanNode):
              ) -> Iterator[list[Row]]:
         """First occurrence of every row of ``stream``, in order."""
         seen: set[Row] = set()
-        add = seen.add
         for batch in stream:
-            fresh = []
-            for row in batch:
-                if row not in seen:
-                    add(row)
-                    fresh.append(row)
+            fresh = dict.fromkeys(batch)
+            for row in seen.intersection(fresh):
+                del fresh[row]
             if fresh:
-                yield fresh
+                seen.update(fresh)
+                yield list(fresh)
 
     def children(self) -> list[PlanNode]:
         return [self.child]

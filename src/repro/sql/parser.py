@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.errors import ParseError
 from repro.sql import ast
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, literal_value, tokenize
 
 #: Binary comparison operators in the grammar.
 COMPARISONS = ("=", "<>", "!=", "<", ">", "<=", ">=")
@@ -56,12 +56,23 @@ class Parser:
             self.position += 1
         return token
 
-    def _error(self, message: str) -> ParseError:
-        token = self.current
+    def _error(self, message: str, token: Optional[Token] = None
+               ) -> ParseError:
+        token = token or self.current
         return ParseError(
             f"{message} at line {token.line}, column {token.column} "
             f"(near {token.value!r})"
         )
+
+    def _number(self) -> int | float:
+        """Consume a NUMBER token and return its value.  The lexer reads
+        any ``str.isdigit`` character as a digit, and not every one is
+        a digit ``int()`` / ``float()`` reads (``1²``)."""
+        token = self._advance()
+        try:
+            return literal_value(token.value)
+        except ValueError:
+            raise self._error("malformed number", token) from None
 
     def _expect_keyword(self, *words: str) -> Token:
         if self.current.is_keyword(*words):
@@ -248,10 +259,9 @@ class Parser:
     def _parse_integer(self, what: str) -> int:
         if self.current.type is not TokenType.NUMBER:
             raise self._error(f"expected integer {what}")
-        text = self._advance().value
-        if "." in text:
+        if "." in self.current.value:
             raise self._error(f"expected integer {what}")
-        return int(text)
+        return self._number()
 
     def _parse_select_items(self) -> tuple[ast.SelectItem, ...]:
         items = [self._parse_select_item()]
@@ -447,9 +457,7 @@ class Parser:
             return ast.Parameter(name=token.value.upper())
         if token.type is TokenType.NUMBER:
             slot = self.position
-            self._advance()
-            value = float(token.value) if "." in token.value else int(token.value)
-            return ast.Literal(value, slot)
+            return ast.Literal(self._number(), slot)
         if token.type is TokenType.STRING:
             slot = self.position
             self._advance()
@@ -698,9 +706,7 @@ class Parser:
             negative = True
         token = self.current
         if token.type is TokenType.NUMBER:
-            self._advance()
-            value = float(token.value) if "." in token.value \
-                else int(token.value)
+            value = self._number()
             return -value if negative else value
         if token.type is TokenType.STRING and not negative:
             self._advance()

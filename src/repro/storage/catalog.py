@@ -153,13 +153,15 @@ class Catalog:
         #: every table's live-row count: a plan-cache hit whose entry
         #: was validated at the current value need not look further.
         self.changes = ChangeCounter()
-        #: table -> positions its foreign keys reference (this version)
-        self._referenced: dict[str, tuple[int, ...]] = {}
+        #: (table, side) -> positions of the table's columns on that
+        #: side of some foreign key at this schema version: "parent"
+        #: (referenced) or "child" (referencing)
+        self._fk_positions: dict[tuple[str, str], tuple[int, ...]] = {}
 
     def _bump_schema_version(self) -> None:
         self.schema_version += 1
         self.changes.bump()
-        self._referenced.clear()
+        self._fk_positions.clear()
 
     def _emit_ddl(self, op: str, **payload: Any) -> None:
         for listener in list(self.ddl_listeners):
@@ -397,13 +399,21 @@ class Catalog:
         """Positions of ``table``'s columns some foreign key references:
         an update moving one must pass
         :meth:`check_no_referencing_children`."""
-        positions = self._referenced.get(table.name)
+        return self._fk_side(table, "parent")
+
+    def referencing_positions(self, table: Table) -> tuple[int, ...]:
+        """Positions of ``table``'s foreign-key columns: an update
+        moving one must pass :meth:`check_foreign_keys`."""
+        return self._fk_side(table, "child")
+
+    def _fk_side(self, table: Table, side: str) -> tuple[int, ...]:
+        positions = self._fk_positions.get((table.name, side))
         if positions is None:
-            positions = self._referenced[table.name] = tuple({
+            positions = self._fk_positions[(table.name, side)] = tuple({
                 table.column_position(column)
                 for fk in self.foreign_keys()
-                if fk.parent_table == table.name
-                for column in fk.parent_columns})
+                if getattr(fk, f"{side}_table") == table.name
+                for column in getattr(fk, f"{side}_columns")})
         return positions
 
     def check_no_referencing_children(self, table_name: str, row: Row,

@@ -13,6 +13,13 @@ A table's primary key is a :class:`PrimaryKeyIndex`, a unique hash
 index the table creates itself: it is the one key-lookup mechanism for
 constraint checks, point reads and index nested-loop probes alike.
 
+Every index answers :meth:`Index.lookup_many`, one probe for a whole
+batch of keys.  The two key structures with an order, the primary key
+and the ordered index, answer :meth:`Index.range_scan`: one method
+over a sorted key list, which the ordered index keeps eagerly and the
+primary key builds on the first range read and drops when a key is
+inserted or deleted.
+
 Indexes are maintained eagerly by the owning :class:`~repro.storage.table.Table`
 through the ``on_insert`` / ``on_update`` / ``on_delete`` notifications.
 """
@@ -35,6 +42,9 @@ _REBUILD_BATCH = 4096
 
 class Index:
     """Common behaviour for all index types."""
+
+    #: Whether the index answers :meth:`range_scan` (it has a key order).
+    ordered = False
 
     def __init__(self, name: str, table: Table, column_names: Sequence[str],
                  unique: bool = False):
@@ -78,6 +88,50 @@ class Index:
     def lookup(self, key: tuple) -> list[Rid]:
         raise NotImplementedError
 
+    def lookup_many(self, keys: Sequence[tuple]
+                    ) -> tuple[Sequence[int], list[Rid]]:
+        """Probe every key tuple of ``keys`` at once.
+
+        Returns ``(positions, rids)``: every RID a key found, in key
+        order, beside the position in ``keys`` of the key that found
+        it.  A key with a NULL finds nothing, as in :meth:`lookup`.
+        """
+        positions: list[int] = []
+        rids: list[Rid] = []
+        for position, key in enumerate(keys):
+            found = self.lookup(key)
+            if found:
+                positions += [position] * len(found)
+                rids += found
+        return positions, rids
+
+    def range_scan(self, low: tuple | None = None,
+                   high: tuple | None = None, low_inclusive: bool = True,
+                   high_inclusive: bool = True) -> list[Rid]:
+        """RIDs whose key lies between ``low`` and ``high`` (``None``:
+        open), in key order; a NULL key is never returned.
+
+        Bounds compare with keys as Python compares tuples, so a
+        bound of a type the keys do not compare with raises
+        ``TypeError`` (the caller decides what that means), and a
+        bound shorter than the key compares as a key prefix.
+        """
+        keys, rids = self._sorted()
+        lo = 0
+        if low is not None:
+            lo = (bisect.bisect_left if low_inclusive
+                  else bisect.bisect_right)(keys, tuple(low))
+        hi = len(keys)
+        if high is not None:
+            hi = (bisect.bisect_right if high_inclusive
+                  else bisect.bisect_left)(keys, tuple(high))
+        return rids[lo:hi]
+
+    def _sorted(self) -> tuple[list[tuple], list[Rid]]:
+        """The NULL-free keys in order and their RIDs (ordered
+        indexes only)."""
+        raise StorageError(f"index {self.name!r} has no key order")
+
     def _check_unique(self, key: tuple, existing: Sequence[Rid]) -> None:
         if self.unique and existing and None not in key:
             cols = ", ".join(self.column_names)
@@ -87,7 +141,8 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality index: dict from key tuple to list of RIDs."""
+    """Equality index: dict from key tuple to list of RIDs.  A key with
+    a NULL never matches, so it is not stored."""
 
     def __init__(self, name: str, table: Table, column_names: Sequence[str],
                  unique: bool = False):
@@ -95,19 +150,33 @@ class HashIndex(Index):
         self._buckets: dict[tuple, list[Rid]] = {}
 
     def rebuild(self, table: Table) -> None:
-        self._buckets = {}
+        buckets: dict[tuple, list[Rid]] = {}
+        key_of = self.key_of
         for chunk in table.scan_batches(_REBUILD_BATCH):
             for rid, row in chunk:
-                self.on_insert(rid, row)
+                key = key_of(row)
+                if None in key:
+                    continue
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [rid]
+                else:
+                    self._check_unique(key, bucket)
+                    bucket.append(rid)
+        self._buckets = buckets
 
     def on_insert(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)
+        if None in key:
+            return
         bucket = self._buckets.setdefault(key, [])
         self._check_unique(key, bucket)
         bucket.append(rid)
 
     def on_delete(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)
+        if None in key:
+            return
         bucket = self._buckets.get(key)
         if bucket is None or rid not in bucket:
             raise StorageError(
@@ -119,10 +188,15 @@ class HashIndex(Index):
 
     def lookup(self, key: tuple) -> list[Rid]:
         """RIDs of rows whose indexed columns equal ``key`` (NULL never matches)."""
-        key = tuple(key)
-        if None in key:
-            return []
-        return list(self._buckets.get(key, ()))
+        return list(self._buckets.get(tuple(key), ()))
+
+    def lookup_many(self, keys: Sequence[tuple]
+                    ) -> tuple[Sequence[int], list[Rid]]:
+        found = list(map(self._buckets.get, keys))
+        rids = [rid for bucket in found if bucket for rid in bucket]
+        positions = [position for position, bucket in enumerate(found)
+                     if bucket for _rid in bucket]
+        return positions, rids
 
     def distinct_keys(self) -> int:
         return len(self._buckets)
@@ -138,12 +212,36 @@ class PrimaryKeyIndex(HashIndex):
     Owned by the table and implied by its schema: it is never a catalog
     object, never logged as DDL and never listed in a snapshot.  Each
     key maps straight to its one RID (``_buckets`` holds RIDs, not RID
-    lists), so the index costs no more memory than a plain dict.
+    lists), so the index costs no more memory than a plain dict.  The
+    sorted key list of :meth:`range_scan` is built on the first range
+    read and dropped when a key is inserted or deleted; an update that
+    keeps the key keeps it.
     """
+
+    ordered = True
 
     def __init__(self, table: Table):
         super().__init__(f"PK_{table.name}", table, table.primary_key,
                          unique=True)
+        self._order: tuple[list[tuple], list[Rid]] | None = None
+
+    def rebuild(self, table: Table) -> None:
+        self._buckets = {}
+        for chunk in table.scan_batches(_REBUILD_BATCH):
+            for rid, row in chunk:
+                self.on_insert(rid, row)
+        self._order = None
+
+    def _sorted(self) -> tuple[list[tuple], list[Rid]]:
+        order = self._order
+        if order is None:
+            # Key columns are NOT NULL and of one type each, so the
+            # keys sort without a NULL or a type to order around.
+            keys = sorted(self._buckets)
+            order = self._order = (keys,
+                                   list(map(self._buckets.__getitem__,
+                                            keys)))
+        return order
 
     def check_available(self, row: Row) -> None:
         """Raise if another row already holds ``row``'s key."""
@@ -158,6 +256,7 @@ class PrimaryKeyIndex(HashIndex):
     def on_insert(self, rid: Rid, row: Row) -> None:
         self.check_available(row)
         self._buckets[self.key_of(row)] = rid
+        self._order = None
 
     def on_delete(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)
@@ -166,80 +265,84 @@ class PrimaryKeyIndex(HashIndex):
                 f"index {self.name!r} out of sync: rid {rid} missing for {key!r}"
             )
         del self._buckets[key]
+        self._order = None
 
     def lookup(self, key: tuple) -> list[Rid]:
         rid = self._buckets.get(tuple(key))
         return [] if rid is None else [rid]
+
+    def lookup_many(self, keys: Sequence[tuple]
+                    ) -> tuple[Sequence[int], list[Rid]]:
+        found = list(map(self._buckets.get, keys))
+        if None not in found:
+            return range(len(found)), found
+        positions = [position for position, rid in enumerate(found)
+                     if rid is not None]
+        return positions, [found[position] for position in positions]
 
     def __repr__(self) -> str:
         return (f"<PrimaryKeyIndex {self.name} on {self.table_name}"
                 f"({', '.join(self.column_names)})>")
 
 
-class _KeyWrapper:
-    """Total order over key tuples that may contain NULLs or mixed types.
-
-    NULLs sort low; values compare within their Python type, and distinct
-    types order by type name so that sorting never raises.  Range lookups
-    only make sense over homogeneous keys, which the planner guarantees.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple):
-        self.key = key
-
-    def _rank(self):
-        return tuple(
-            (0, "", "") if v is None else (1, type(v).__name__, v)
-            for v in self.key
-        )
-
-    def __lt__(self, other: "_KeyWrapper") -> bool:
-        return self._rank() < other._rank()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _KeyWrapper) and self.key == other.key
-
-
 class OrderedIndex(Index):
     """Sorted index supporting equality and range scans.
 
-    Keeps a sorted list of (key, rid) wrappers; binary search gives
-    O(log n) positioning and ordered iteration gives range scans, which is
-    the behaviour the optimizer relies on from a B-tree.
+    Keeps the keys without a NULL in a sorted list beside their RIDs;
+    binary search gives O(log n) positioning and ordered iteration gives
+    range scans, which is the behaviour the optimizer relies on from a
+    B-tree.  Keys are plain tuples: a column holds values of one type,
+    so they sort as Python sorts them.  A key with a NULL matches no
+    equality or range and is kept aside (``_nulls``, RID -> key).
     """
+
+    ordered = True
 
     def __init__(self, name: str, table: Table, column_names: Sequence[str],
                  unique: bool = False):
         super().__init__(name, table, column_names, unique)
-        self._keys: list[_KeyWrapper] = []
+        self._keys: list[tuple] = []
         self._rids: list[Rid] = []
+        self._nulls: dict[Rid, tuple] = {}
 
     def rebuild(self, table: Table) -> None:
-        pairs = sorted(
-            ((_KeyWrapper(self.key_of(row)), rid) for rid, row in table.scan()),
-            key=lambda p: (p[0]._rank(), p[1]),
-        )
-        self._keys = [p[0] for p in pairs]
-        self._rids = [p[1] for p in pairs]
+        pairs = []
+        self._nulls = {}
+        for rid, row in table.scan():
+            key = self.key_of(row)
+            if None in key:
+                self._nulls[rid] = key
+            else:
+                pairs.append((key, rid))
+        pairs.sort()
+        self._keys = [key for key, _rid in pairs]
+        self._rids = [rid for _key, rid in pairs]
         if self.unique:
             for i in range(1, len(self._keys)):
                 if self._keys[i] == self._keys[i - 1]:
-                    self._check_unique(self._keys[i].key, [self._rids[i - 1]])
+                    self._check_unique(self._keys[i], [self._rids[i - 1]])
 
     def on_insert(self, rid: Rid, row: Row) -> None:
-        wrapper = _KeyWrapper(self.key_of(row))
-        lo = bisect.bisect_left(self._keys, wrapper)
-        hi = bisect.bisect_right(self._keys, wrapper)
-        self._check_unique(wrapper.key, self._rids[lo:hi])
-        self._keys.insert(hi, wrapper)
+        key = self.key_of(row)
+        if None in key:
+            self._nulls[rid] = key
+            return
+        lo = bisect.bisect_left(self._keys, key)
+        hi = bisect.bisect_right(self._keys, key, lo)
+        self._check_unique(key, self._rids[lo:hi])
+        self._keys.insert(hi, key)
         self._rids.insert(hi, rid)
 
     def on_delete(self, rid: Rid, row: Row) -> None:
-        wrapper = _KeyWrapper(self.key_of(row))
-        lo = bisect.bisect_left(self._keys, wrapper)
-        hi = bisect.bisect_right(self._keys, wrapper)
+        key = self.key_of(row)
+        if None in key:
+            if self._nulls.pop(rid, None) is None:
+                raise StorageError(
+                    f"index {self.name!r} out of sync: rid {rid} missing"
+                )
+            return
+        lo = bisect.bisect_left(self._keys, key)
+        hi = bisect.bisect_right(self._keys, key, lo)
         for i in range(lo, hi):
             if self._rids[i] == rid:
                 del self._keys[i]
@@ -253,44 +356,27 @@ class OrderedIndex(Index):
         key = tuple(key)
         if None in key:
             return []
-        wrapper = _KeyWrapper(key)
-        lo = bisect.bisect_left(self._keys, wrapper)
-        hi = bisect.bisect_right(self._keys, wrapper)
+        try:
+            lo = bisect.bisect_left(self._keys, key)
+        except TypeError:
+            return []  # a key the stored keys do not compare with
+        hi = bisect.bisect_right(self._keys, key, lo)
         return self._rids[lo:hi]
 
-    def range_scan(self, low: tuple | None = None, high: tuple | None = None,
-                   low_inclusive: bool = True,
-                   high_inclusive: bool = True) -> Iterator[Rid]:
-        """Yield RIDs with keys in [low, high] (bounds optional), in order.
-
-        NULL keys are never returned: SQL range predicates are unknown on
-        NULL, so a NULL key can never satisfy them.
-        """
-        lo = 0
-        if low is not None:
-            wrapper = _KeyWrapper(tuple(low))
-            lo = (bisect.bisect_left(self._keys, wrapper) if low_inclusive
-                  else bisect.bisect_right(self._keys, wrapper))
-        hi = len(self._keys)
-        if high is not None:
-            wrapper = _KeyWrapper(tuple(high))
-            hi = (bisect.bisect_right(self._keys, wrapper) if high_inclusive
-                  else bisect.bisect_left(self._keys, wrapper))
-        for i in range(lo, hi):
-            if None not in self._keys[i].key:
-                yield self._rids[i]
+    def _sorted(self) -> tuple[list[tuple], list[Rid]]:
+        return self._keys, self._rids
 
     def ordered_rids(self) -> Iterator[Rid]:
         """All RIDs in key order (NULL keys first)."""
-        return iter(list(self._rids))
+        return iter(list(self._nulls) + self._rids)
 
     def distinct_keys(self) -> int:
-        count = 0
+        count = len(set(self._nulls.values()))
         prev = None
-        for wrapper in self._keys:
-            if prev is None or wrapper.key != prev:
+        for key in self._keys:
+            if prev is None or key != prev:
                 count += 1
-            prev = wrapper.key
+            prev = key
         return count
 
     def __repr__(self) -> str:

@@ -142,3 +142,64 @@ class TestTransactionsThroughDatabase:
         simple_db.commit()  # the failed statement rolled back alone
         assert simple_db.query(
             "SELECT sal FROM EMP WHERE eno = 10").rows == [(1,)]
+
+
+class TestForeignKeyCheckOnUpdate:
+    """An UPDATE checks its row's foreign keys only when a referencing
+    column changed (PostgreSQL's rule for the referencing side)."""
+
+    @staticmethod
+    def parent_probes(monkeypatch) -> list:
+        from repro.storage.catalog import Catalog
+
+        probes = []
+        real = Catalog._key_exists
+
+        def counting(table, columns, values):
+            if table.name == "DEPT":
+                probes.append(values)
+            return real(table, columns, values)
+
+        monkeypatch.setattr(Catalog, "_key_exists", staticmethod(counting))
+        return probes
+
+    @staticmethod
+    def org_session():
+        from repro import Engine
+        from repro.workloads.orgdb import (OrgScale, create_org_schema,
+                                           populate_org)
+
+        engine = Engine()
+        create_org_schema(engine.catalog)
+        populate_org(engine.catalog, OrgScale(seed=3))
+        return engine.connect()
+
+    def test_non_key_updates_do_not_probe_the_parent(self, monkeypatch):
+        session = self.org_session()
+        probes = self.parent_probes(monkeypatch)
+        for eno in range(1, 101):
+            assert session.execute(
+                f"UPDATE EMP SET sal = sal + 1 WHERE eno = {eno % 40 + 1}"
+            ) == 1
+        assert probes == []
+        # Moving the referencing column still checks, once per row.
+        session.execute("UPDATE EMP SET edno = 2 WHERE eno = 1")
+        assert probes == [(2,)]
+        with pytest.raises(UpdateError, match="no parent"):
+            session.execute("UPDATE EMP SET edno = 999 WHERE eno = 1")
+
+    def test_orphan_older_than_its_key_keeps_other_columns_writable(self):
+        from repro import Engine
+
+        session = Engine().connect()
+        session.execute("CREATE TABLE P (ID INT PRIMARY KEY)")
+        session.execute("CREATE TABLE C (ID INT PRIMARY KEY, PID INT, "
+                        "V INT)")
+        session.execute("INSERT INTO C VALUES (1, 42, 0)")
+        # add_foreign_key does not validate the rows already there.
+        session.engine.catalog.add_foreign_key("FK_C_P", "C", ["PID"],
+                                               "P", ["ID"])
+        session.execute("UPDATE C SET v = 1 WHERE id = 1")
+        with pytest.raises(UpdateError, match="no parent"):
+            session.execute("UPDATE C SET pid = 43 WHERE id = 1")
+        assert session.query("SELECT * FROM C").rows == [(1, 42, 1)]

@@ -387,3 +387,32 @@ class TestScripts:
 
     def test_trailing_semicolon_optional(self):
         assert len(parse_script("SELECT 1")) == 1
+
+
+class TestMalformedNumbers:
+    """The lexer reads any ``str.isdigit`` character as a digit; a
+    number ``int()`` / ``float()`` cannot read is a ParseError at the
+    token, whether it is an operand, a LIMIT or a partition bound."""
+
+    @pytest.mark.parametrize("sql, column", [
+        ("SELECT a FROM T WHERE a = 1²", 27),
+        ("SELECT a FROM T WHERE a = 2.5³", 27),
+        ("SELECT a FROM T LIMIT 3²", 23),
+        ("CREATE TABLE P (A INT) PARTITION BY RANGE (A) "
+         "VALUES LESS THAN (1²)", 65),
+    ])
+    def test_parse_error_at_the_token(self, sql, column):
+        with pytest.raises(ParseError, match="malformed number") as error:
+            parse_statement(sql)
+        assert f"line 1, column {column}" in str(error.value)
+
+    def test_engine_reports_it_after_a_cached_variant(self):
+        from repro import Engine
+
+        session = Engine().connect()
+        session.execute("CREATE TABLE T (A INT PRIMARY KEY)")
+        session.execute("INSERT INTO T VALUES (1)")
+        assert session.query("SELECT a FROM T WHERE a = 1").rows == [(1,)]
+        # The variant's skeleton is cached; its literal is not a number.
+        with pytest.raises(ParseError, match="column 27"):
+            session.query("SELECT a FROM T WHERE a = 1²")

@@ -154,6 +154,76 @@ class TestOrderedIndex:
         assert index.distinct_keys() == 3
 
 
+class TestRangeScan:
+    """One range method for both ordered key structures."""
+
+    @pytest.mark.parametrize("make", ["pk", "ordered"])
+    def test_bounds(self, table, make):
+        if make == "pk":
+            index = table.pk_index
+        else:
+            index = OrderedIndex("OX", table, ["ID"])
+            table.attach_index(index)
+        assert index.ordered
+        assert index.range_scan((3,), (5,)) == [3, 4, 5]
+        assert index.range_scan((3,), (6,), low_inclusive=False,
+                                high_inclusive=False) == [4, 5]
+        assert index.range_scan(low=(8,)) == [8, 9]
+        assert index.range_scan(high=(1,)) == [0, 1]
+        assert index.range_scan((2.5,), (4.5,)) == [3, 4]
+        assert index.range_scan((6,), (2,)) == []
+        with pytest.raises(TypeError):
+            index.range_scan(("x",))
+
+    def test_hash_index_has_no_key_order(self, table):
+        index = HashIndex("IX", table, ["GRP"])
+        assert not index.ordered
+        with pytest.raises(StorageError, match="no key order"):
+            index.range_scan((1,))
+
+    def test_pk_sorted_keys_follow_inserts_and_deletes(self, table):
+        pk = table.pk_index
+        assert pk.range_scan((8,)) == [8, 9]
+        kept = pk._order
+        table.update(8, (8, 2, "renamed"))  # the key stays
+        assert pk._order is kept
+        rid = table.insert((85, 0, "new"))
+        assert pk._order is None
+        assert pk.range_scan((8,)) == [8, 9, rid]
+        table.delete(9)
+        assert pk.range_scan((8,)) == [8, rid]
+        table.update(8, (100, 2, "moved"))  # the key moves
+        assert pk.range_scan((8,), (99,)) == [rid]
+        table.truncate()
+        assert pk.range_scan() == []
+
+    def test_ordered_lookup_of_another_type_finds_nothing(self, table):
+        index = OrderedIndex("OX", table, ["ID"])
+        table.attach_index(index)
+        assert index.lookup(("x",)) == []
+        assert index.lookup((3.0,)) == [3]
+
+
+class TestLookupMany:
+    @pytest.mark.parametrize("make", ["pk", "hash", "ordered"])
+    def test_equals_one_lookup_per_key(self, table, make):
+        if make == "pk":
+            index = table.pk_index
+            keys = [(3,), (99,), (0,), (None,), (3,), (9.0,)]
+        else:
+            index = (HashIndex if make == "hash" else OrderedIndex)(
+                "IX", table, ["GRP"])
+            table.attach_index(index)
+            table.insert((100, None, "null"))
+            keys = [(1,), (None,), (7,), (0,), (1.0,), ("x",)]
+        positions, rids = index.lookup_many(keys)
+        expected = [(position, rid) for position, key in enumerate(keys)
+                    for rid in index.lookup(key)]
+        assert list(zip(positions, rids)) == expected
+        positions, rids = index.lookup_many([])
+        assert list(positions) == [] and rids == []
+
+
 class TestIndexOnTable:
     def test_empty_columns_rejected(self, table):
         with pytest.raises(StorageError):
