@@ -51,11 +51,7 @@ def value_size(value) -> int:
     size = _FIXED_SIZES.get(type(value))
     if size is not None:
         return size
-    if value is None:
-        return NULL_SIZE
-    if isinstance(value, bool):
-        return BOOLEAN_SIZE
-    if isinstance(value, int):
+    if isinstance(value, int):  # int subclasses (bool cannot be one)
         return INTEGER_SIZE
     if isinstance(value, float):
         return FLOAT_SIZE

@@ -43,6 +43,11 @@ reaches, not the size of the extents.  Buckets reference the extents'
 row tuples rather than copying them.  Connection multisets and
 per-child support counts make deletions exact without recomputation.
 
+An update that changes no column the view's predicates, joins or
+relationship attributes read (the table's *value key*) cannot change a
+connection, a support count or membership: such a row is replaced in
+place in every extent holding its RID, and no delta join runs.
+
 Staleness policies
 ==================
 
@@ -179,6 +184,11 @@ class _IncrementalPlan:
     using_tables: set
     #: extent source -> the key positions its hash indexes cover
     indexes: dict
+    #: base table -> row -> the values maintenance reads: every column
+    #: of a component's selection predicates and every column a
+    #: relationship predicate or attribute reads.  An update that keeps
+    #: this key changes no connection, support count or membership.
+    value_keys: dict
 
 
 def _check_no_subqueries(expression: ast.Expression, where: str) -> None:
@@ -198,6 +208,8 @@ def _analyze_incremental(translated: TranslatedXNF,
         raise _Fallback("translation kept no XNF operator box")
 
     components: dict = {}
+    #: base table -> positions maintenance reads (see value_keys)
+    reads: dict[str, set] = {}
     for name, info in translated.components.items():
         box = xnf.components[name].box
         try:
@@ -214,6 +226,11 @@ def _analyze_incremental(translated: TranslatedXNF,
             for view_column, base_column in
             compiled.plan.column_map.items()
         }
+        read = reads.setdefault(table.name, set())
+        for predicate in compiled.plan.predicates:
+            read.update(table.column_position(node.column)
+                        for node in ast.walk_expression(predicate)
+                        if isinstance(node, ast.ColumnRef))
         incoming_edges = translated.schema.incoming(name)
         root_like = (xnf.components[name].is_root
                      or not xnf.components[name].reachability_required
@@ -236,7 +253,7 @@ def _analyze_incremental(translated: TranslatedXNF,
     incoming: dict = {name: [] for name in components}
     for name, rinfo in translated.relationships.items():
         relationships[name] = _analyze_relationship(
-            name, rinfo, xnf, components, catalog)
+            name, rinfo, xnf, components, catalog, reads)
         incoming[relationships[name].child].append(relationships[name])
 
     topo = translated.schema.topological_order()
@@ -255,10 +272,20 @@ def _analyze_incremental(translated: TranslatedXNF,
                     rel.inputs[step.target].source, [])
                 if step.positions not in positions:
                     positions.append(step.positions)
+    value_keys = {table: _key_of_values(sorted(positions))
+                  for table, positions in reads.items()}
     return _IncrementalPlan(components=components,
                             relationships=relationships, topo=topo,
                             incoming=incoming, using_tables=using_tables,
-                            indexes=indexes)
+                            indexes=indexes, value_keys=value_keys)
+
+
+def _key_of_values(positions: list) -> Callable:
+    """Row -> the values at ``positions``, compared as they are (NULLs
+    included; a NaN compares unequal, which is the safe answer)."""
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
 
 
 def _probe_order(name: str, start: int, pairs: list,
@@ -296,7 +323,9 @@ def _probe_order(name: str, start: int, pairs: list,
     return steps, offsets
 
 
-def _analyze_relationship(name, rinfo, xnf, components, catalog):
+def _analyze_relationship(name, rinfo, xnf, components, catalog, reads):
+    """The maintenance plan of one relationship; adds the base columns
+    its predicate and attributes read to ``reads``."""
     relationship = xnf.relationships[name]
     if len(relationship.children) != 1:
         raise _Fallback(f"relationship {name}: n-ary relationships are "
@@ -344,15 +373,17 @@ def _analyze_relationship(name, rinfo, xnf, components, catalog):
             )
         spec = inputs[index]
         if spec.kind == "using":
-            return index, catalog.table(spec.table).column_position(
+            position = catalog.table(spec.table).column_position(
                 qref.column)
-        position = components[spec.name].base_positions_by_column.get(
-            qref.column.upper())
-        if position is None:
-            raise _Fallback(
-                f"relationship {name}: column {qref.column!r} of "
-                f"{spec.name} is not a stored column"
-            )
+        else:
+            position = components[spec.name].base_positions_by_column.get(
+                qref.column.upper())
+            if position is None:
+                raise _Fallback(
+                    f"relationship {name}: column {qref.column!r} of "
+                    f"{spec.name} is not a stored column"
+                )
+        reads.setdefault(spec.table, set()).add(position)
         return index, position
 
     # Validate every reference; collect equi pairs for the probe orders.
@@ -526,6 +557,13 @@ class _IncrementalState:
                       for name in plan.components}
         self.using = {table: self._extent(("using", table))
                       for table in plan.using_tables}
+        #: base table -> every extent holding rows of that table
+        self.table_extents: dict[str, list[_Extent]] = {}
+        for table, shadow in self.using.items():
+            self.table_extents.setdefault(table, []).append(shadow)
+        for name, component in plan.components.items():
+            self.table_extents.setdefault(component.table, []).extend(
+                (self.raw[name], self.final[name]))
         self.support: dict[str, Counter] = {}
         self.conn: dict[str, Counter] = {}  # relationship -> key -> count
         #: relationship -> per start input -> ([(probe key, target index
@@ -630,11 +668,47 @@ class _IncrementalState:
             delta.update(self._enumerate(relationship, index, added))
 
     # -- delta application ----------------------------------------------
+    def _replace_values(self, table_name: str, deleted: Pairs,
+                        inserted: Pairs) -> tuple[Pairs, Pairs]:
+        """Apply the value-only part of a delta in place and return the
+        rest.  An old/new pair under one RID that agrees on the table's
+        value key (:attr:`_IncrementalPlan.value_keys`) changes no
+        connection, support count or membership: every extent holding
+        the RID takes the new row, and that is the pair's whole effect
+        (stream values are derived from the rows at snapshot time)."""
+        key_of = self.plan.value_keys.get(table_name)
+        if key_of is None or not deleted or not inserted:
+            return deleted, inserted
+        old_rows = dict(deleted)
+        if len(old_rows) != len(deleted):  # a RID twice: not consolidated
+            return deleted, inserted
+        rest: Pairs = []
+        replaced: Pairs = []
+        for rid, row in inserted:
+            old = old_rows.get(rid)
+            if old is not None and key_of(old) == key_of(row):
+                del old_rows[rid]
+                replaced.append((rid, row))
+            else:
+                rest.append((rid, row))
+        if not replaced:
+            return deleted, inserted
+        extents = self.table_extents[table_name]
+        for rid, row in replaced:
+            for extent in extents:
+                if rid in extent.rows:
+                    extent.put(rid, row)
+        return list(old_rows.items()), rest
+
     def apply(self, delta: TableDelta) -> int:
         """Propagate one table's delta through every stream, exactly;
         returns the number of extent rows the round probed."""
         self.rows_probed = 0
         table_name = delta.table.upper()
+        deleted, inserted = self._replace_values(
+            table_name, delta.deleted, delta.inserted)
+        if not deleted and not inserted:
+            return 0
         conn_deltas: dict[str, Counter] = {
             name: Counter() for name in self.plan.relationships}
         raw_deltas: dict[str, tuple[Pairs, Pairs]] = {}
@@ -644,9 +718,9 @@ class _IncrementalState:
         # contributes its delta-join terms before the next advances.
         if table_name in self.using:
             shadow = self.using[table_name]
-            removed = [(rid, shadow.rows[rid]) for rid, _row in delta.deleted
+            removed = [(rid, shadow.rows[rid]) for rid, _row in deleted
                        if rid in shadow.rows]
-            added = list(delta.inserted)
+            added = list(inserted)
             for relationship in self.plan.relationships.values():
                 for index, spec in enumerate(relationship.inputs):
                     if spec.kind == "using" and spec.table == table_name:
@@ -661,9 +735,9 @@ class _IncrementalState:
             if component.table != table_name:
                 continue
             raw = self.raw[component.name]
-            removed = [(rid, raw.rows[rid]) for rid, _row in delta.deleted
+            removed = [(rid, raw.rows[rid]) for rid, _row in deleted
                        if rid in raw.rows]
-            added = [(rid, row) for rid, row in delta.inserted
+            added = [(rid, row) for rid, row in inserted
                      if all(check(row) is True
                             for check, _text in component.checks)]
             if not removed and not added:

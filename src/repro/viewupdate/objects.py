@@ -191,6 +191,9 @@ class CacheWriteBack:
         #: (component, rid when first written) -> {view column: value}:
         #: what each written object must read back once the batch ends
         self._written: dict = {}
+        #: (base table, final rid) -> the row stored there once the
+        #: batch ended, as its verification fetched it
+        self._stored: dict = {}
 
     # ------------------------------------------------------------------
     def apply(self, workspace) -> int:
@@ -209,14 +212,16 @@ class CacheWriteBack:
             self.writer = RowWriter(self.catalog)
             self._new_rids = {}
             self._written = {}
+            self._stored = {}
             for entry in entries:
                 self._apply_entry(entry)
             for (component, rid), written in self._written.items():
                 compiled = self.components[component]
                 table = self.catalog.table(compiled.plan.table)
-                compiled.verify(
-                    table.fetch(self.writer.current_rid(table.name, rid)),
-                    written)
+                rid = self.writer.current_rid(table.name, rid)
+                stored = table.fetch(rid)
+                compiled.verify(stored, written)
+                self._stored[(table.name, rid)] = stored
             self.writer.emit()
             return len(entries)
 
@@ -226,8 +231,10 @@ class CacheWriteBack:
         """After a successful put-back, make the cached objects address
         and show what the base tables now hold: inserted objects take
         their storage rids, relocated rows (a partition-key change)
-        their new rids, and connected children the foreign-key values
-        the connect wrote."""
+        their new rids, every object over a written row the values its
+        derivation gives for the stored row (computed columns
+        included), and connected children the foreign-key values the
+        connect wrote."""
         by_oid = workspace.by_oid
 
         def move(component, old, new) -> None:
@@ -247,6 +254,16 @@ class CacheWriteBack:
             for component, base in tables.items():
                 if base == table_name:
                     move(component, old, final)
+        for (table_name, rid), stored in self._stored.items():
+            for component, base in tables.items():
+                obj = by_oid.get((component, rid))
+                compiled = self.components[component]
+                if base == table_name and obj is not None \
+                        and compiled.plan.single_source:
+                    getters = compiled.getters
+                    obj.values[:] = [
+                        getters[column.upper()](stored) for column in
+                        workspace.components_columns[component]]
         for entry in entries:
             if entry.operation not in ("connect", "disconnect"):
                 continue

@@ -15,6 +15,7 @@ reproduces the wire format the XNF cache consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from repro.errors import XNFError
@@ -192,7 +193,7 @@ class XNFExecutable:
                         name=stream.name.upper(), number=stream.component_number,
                         role=stream.role or "", parent=stream.parent or "",
                         children=stream.children,
-                        connections=[tuple(r) for r in rows],
+                        connections=rows,
                         attribute_names=stream.attribute_names,
                     )
             else:  # pragma: no cover - translate only emits these kinds
@@ -234,12 +235,12 @@ class XNFExecutable:
                 [node.columns[i] for i in value_positions],
                 column_kernel(value_positions))
         columns, values_of = decoder
-        oids = [row[identity_position] for row in rows]
-        unique = rows
-        if len(set(oids)) < len(oids):
+        identities = list(map(itemgetter(identity_position), rows))
+        oids, unique = identities, rows
+        if len(set(identities)) < len(identities):
             # Object sharing: one tuple per identity, the first row's.
             first: dict = {}
-            for oid, row in zip(oids, rows):
+            for oid, row in zip(identities, rows):
                 first.setdefault(oid, row)
             oids, unique = list(first), list(first.values())
         component = ComponentStream(
@@ -247,13 +248,11 @@ class XNFExecutable:
             columns=list(columns), rows=values_of(unique, None), oids=oids,
         )
         if embedded is not None:
-            parent_position = embedded[2]
-            component.embedded_parent_oids = [row[parent_position]
-                                              for row in unique]
+            parent_of = itemgetter(embedded[2])
+            component.embedded_parent_oids = list(map(parent_of, unique))
             bucket = embedded_connections.setdefault(embedded[0].upper(), [])
-            bucket.extend(dict.fromkeys(
-                (row[parent_position], row[identity_position])
-                for row in rows))
+            bucket.extend(dict.fromkeys(zip(map(parent_of, rows),
+                                            identities)))
         return component
 
     # ------------------------------------------------------------------

@@ -147,6 +147,112 @@ class TestEagerMaintenance:
 
 
 # ----------------------------------------------------------------------
+# Value-only replacement
+# ----------------------------------------------------------------------
+def lens_db(policy: str = "EAGER") -> Database:
+    """The org database with the ``deps_arc`` view for lens writes and
+    a materialized ``deps_m`` of the same definition."""
+    db = make_org_db()
+    db.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
+    db.execute(f"CREATE MATERIALIZED VIEW deps_m REFRESH {policy} "
+               f"AS {DEPS_ARC_QUERY}")
+    return db
+
+
+def arc_employees(db: Database) -> list[int]:
+    return [row[0] for row in db.query(
+        "SELECT e.eno FROM EMP e, DEPT d WHERE e.edno = d.dno "
+        "AND d.loc = 'ARC' ORDER BY e.eno").rows]
+
+
+class TestValueOnlyReplacement:
+    """An update that changes no column a predicate, join or attribute
+    of the view reads replaces rows in place: no delta join runs."""
+
+    def test_lens_salary_updates_probe_nothing(self):
+        db = lens_db()
+        view = db.matviews.get("deps_m")
+        employees = arc_employees(db)
+        assert employees
+        for step in range(50):
+            eno = employees[step % len(employees)]
+            probed = view.stats["rows_probed"]
+            full = view.stats["full_refreshes"]
+            incremental = view.stats["incremental_refreshes"]
+            assert db.execute(f"UPDATE deps_arc.XEMP SET sal = sal + 1 "
+                              f"WHERE eno = {eno}") == 1
+            assert view.stats["rows_probed"] == probed
+            assert view.stats["full_refreshes"] == full
+            assert view.stats["incremental_refreshes"] == incremental + 1
+            assert co_results_equal(view.result, view.refresh(full=True))
+        sal = dict(db.query("SELECT eno, sal FROM EMP").rows)
+        assert all(row["SAL"] == sal[row["ENO"]] for row in
+                   view.result.component("xemp").as_dicts())
+
+    def test_department_move_still_probes(self):
+        db = lens_db()
+        view = db.matviews.get("deps_m")
+        eno = arc_employees(db)[0]
+        edno, = db.query(f"SELECT edno FROM EMP WHERE eno = {eno}").rows[0]
+        other = next(dno for dno, in db.query(
+            "SELECT dno FROM DEPT WHERE loc = 'ARC'").rows if dno != edno)
+        probed = view.stats["rows_probed"]
+        db.execute(f"UPDATE deps_arc.XEMP SET edno = {other} "
+                   f"WHERE eno = {eno}")
+        assert view.stats["rows_probed"] > probed
+        assert co_results_equal(view.result, view.refresh(full=True))
+
+    def test_computed_column_follows_a_value_only_update(self):
+        db = make_org_db()
+        view = db.create_materialized_view("doubled", """
+            OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),
+                   xemp AS (SELECT eno, edno, sal * 2 AS dsal FROM EMP),
+                   employment AS (RELATE xdept VIA EMPLOYS, xemp
+                                  WHERE xdept.dno = xemp.edno)
+            TAKE *
+        """)
+        eno = arc_employees(db)[0]
+        db.execute(f"UPDATE EMP SET SAL = 7 WHERE ENO = {eno}")
+        assert view.stats["rows_probed"] == 0
+        rows = {row["eno"]: row["dsal"]
+                for row in view.result.component("xemp").as_dicts()}
+        assert rows[eno] == 14
+        assert_fresh_equal(db, "doubled")
+
+    def test_predicate_column_takes_the_general_path(self):
+        # SAL feeds the component predicate here, so a salary update
+        # is structural: it can move the employee out of the view.
+        db = make_org_db()
+        view = db.create_materialized_view("rich", """
+            OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),
+                   xemp AS (SELECT * FROM EMP WHERE sal > 10),
+                   employment AS (RELATE xdept VIA EMPLOYS, xemp
+                                  WHERE xdept.dno = xemp.edno)
+            TAKE *
+        """)
+        eno = arc_employees(db)[0]
+        before = len(view.result.component("xemp"))
+        db.execute(f"UPDATE EMP SET SAL = 1 WHERE ENO = {eno}")
+        assert view.stats["rows_probed"] > 0
+        assert len(view.result.component("xemp")) == before - 1
+        assert_fresh_equal(db, "rich")
+
+    def test_deferred_queue_mixes_both_paths_on_one_rid(self):
+        db = lens_db("DEFERRED")
+        view = db.matviews.get("deps_m")
+        eno = arc_employees(db)[0]
+        other = db.query("SELECT dno FROM DEPT WHERE loc <> 'ARC'").rows[0][0]
+        db.execute(f"UPDATE deps_arc.XEMP SET sal = sal + 1 "
+                   f"WHERE eno = {eno}")
+        db.execute(f"UPDATE EMP SET EDNO = {other} WHERE ENO = {eno}")
+        db.execute(f"UPDATE EMP SET SAL = SAL + 1 WHERE ENO = {eno}")
+        assert len(view.pending) == 3
+        assert_fresh_equal(db, "deps_m")
+        assert eno not in {row["ENO"] for row in
+                           view.result.component("xemp").as_dicts()}
+
+
+# ----------------------------------------------------------------------
 # Deferred policy
 # ----------------------------------------------------------------------
 class TestDeferredPolicy:

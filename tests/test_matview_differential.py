@@ -25,6 +25,7 @@ from repro.api.database import Database
 from repro.cache.matview import _HashIndex, _IncrementalState, co_canonical
 from repro.errors import ReproError
 from repro.storage.catalog import TableDelta
+from repro.storage.partition import HashPartitioning
 from repro.workloads.bom import BOMScale, create_bom_schema, populate_bom
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
@@ -44,6 +45,17 @@ OUT OF xassembly AS (SELECT * FROM PART WHERE kind = 'assembly'),
 TAKE *
 """
 
+#: The same levels without the attribute: a QTY update changes no
+#: column the view reads, so it replaces the USING shadow's row only.
+BOM_PLAIN_QUERY = """
+OUT OF xassembly AS (SELECT * FROM PART WHERE kind = 'assembly'),
+       xpart AS PART,
+       holds AS (RELATE xassembly VIA HOLDS, xpart
+                 USING CONTAINS c
+                 WHERE xassembly.pno = c.parent AND c.child = xpart.pno)
+TAKE *
+"""
+
 #: Components with computed columns: each streamed value is an
 #: expression over the component's base row, maintained incrementally.
 COMPUTED_QUERY = """
@@ -55,6 +67,32 @@ OUT OF xdept AS (SELECT dno, loc, dno * 10 + 1 AS code FROM DEPT
                       WHERE xdept.dno = xemp.edno)
 TAKE *
 """
+
+#: Value-only updates that must still reach the snapshot: DSAL is
+#: computed from SAL, which no predicate or attribute of this view
+#: reads, and the ownership attribute reads PROJ.BUDGET, so a budget
+#: update changes connections.
+VALUES_QUERY = """
+OUT OF xdept AS (SELECT dno, loc FROM DEPT WHERE loc = 'ARC'),
+       xemp AS (SELECT eno, edno, sal * 2 AS dsal FROM EMP),
+       xproj AS PROJ,
+       employment AS (RELATE xdept VIA EMPLOYS, xemp
+                      WHERE xdept.dno = xemp.edno),
+       ownership AS (RELATE xdept VIA HAS, xproj
+                     WITH xproj.budget AS budget
+                     WHERE xdept.dno = xproj.pdno)
+TAKE *
+"""
+
+#: The org views every org driver maintains and checks.
+ORG_VIEWS = (
+    ("eager_v", f"CREATE MATERIALIZED VIEW eager_v AS {DEPS_ARC_QUERY}"),
+    ("lazy_v", f"CREATE MATERIALIZED VIEW lazy_v REFRESH DEFERRED "
+               f"AS {DEPS_ARC_QUERY}"),
+    ("computed_v", f"CREATE MATERIALIZED VIEW computed_v AS "
+                   f"{COMPUTED_QUERY}"),
+    ("values_v", f"CREATE MATERIALIZED VIEW values_v AS {VALUES_QUERY}"),
+)
 
 
 def check_view(db: Database, name: str, context: str) -> None:
@@ -109,6 +147,22 @@ class DeleteOneRow:
         return f"delete one {self.table} row {self.row}"
 
 
+class Burst:
+    """Several statements with no read between them, so a deferred
+    view's queue holds all their deltas at once."""
+
+    def __init__(self, db: Database, statements: list[str]):
+        self.db = db
+        self.statements = statements
+
+    def __call__(self) -> None:
+        for statement in self.statements:
+            self.db.execute(statement)
+
+    def __repr__(self) -> str:
+        return f"burst {self.statements}"
+
+
 def run_step(db: Database, step) -> bool:
     """Run one SQL statement (or row-level step); False if rejected."""
     try:
@@ -152,7 +206,8 @@ class OrgMutator:
             "delete_empskills", "insert_projskills",
             "delete_projskills", "insert_skill", "update_skill",
             "null_emp_dept", "move_empskills", "move_projskills",
-            "duplicate_mapping",
+            "duplicate_mapping", "mixed_emp_update", "self_assign_dept",
+            "queued_same_rid",
         ])
         if choice == "insert_emp":
             dno = self.sample_pk("DEPT")
@@ -165,6 +220,27 @@ class OrgMutator:
             eno = self.sample_pk("EMP")
             return (f"UPDATE EMP SET SAL = {rng.randint(1, 300) * 1000} "
                     f"WHERE ENO = {eno}")
+        if choice == "mixed_emp_update":
+            # One statement, value-only and structural rows mixed: every
+            # row's SAL moves, the first row also changes department.
+            enos = [self.sample_pk("EMP") for _ in range(3)]
+            return (f"UPDATE EMP SET SAL = SAL + 1, EDNO = CASE WHEN "
+                    f"ENO = {enos[0]} THEN {self.sample_pk('DEPT')} "
+                    f"ELSE EDNO END WHERE ENO IN "
+                    f"({', '.join(map(str, enos))})")
+        if choice == "self_assign_dept":
+            return f"UPDATE EMP SET EDNO = EDNO WHERE ENO = " \
+                   f"{self.sample_pk('EMP')}"
+        if choice == "queued_same_rid":
+            # Value-only, structural, value-only on one RID, all queued
+            # in the deferred view before it is read.
+            eno = self.sample_pk("EMP")
+            return Burst(self.db, [
+                f"UPDATE EMP SET SAL = SAL + 3 WHERE ENO = {eno}",
+                f"UPDATE EMP SET EDNO = {self.sample_pk('DEPT')} "
+                f"WHERE ENO = {eno}",
+                f"UPDATE EMP SET SAL = SAL + 5 WHERE ENO = {eno}",
+            ])
         if choice == "update_emp_dept":
             eno = self.sample_pk("EMP")
             dno = self.sample_pk("DEPT")
@@ -311,19 +387,24 @@ class BOMMutator:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def run_org_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
+def org_database(seed: int, partitioning=None) -> Database:
+    """The small org database with every view of ``ORG_VIEWS``; EMP is
+    repartitioned first when ``partitioning`` is given."""
     db = Database()
     create_org_schema(db.catalog)
     populate_org(db.catalog, OrgScale(departments=6,
                                       employees_per_dept=4,
                                       projects_per_dept=2, skills=10,
                                       arc_fraction=0.4, seed=seed % 997))
-    db.execute(f"CREATE MATERIALIZED VIEW eager_v AS {DEPS_ARC_QUERY}")
-    db.execute(f"CREATE MATERIALIZED VIEW lazy_v REFRESH DEFERRED "
-               f"AS {DEPS_ARC_QUERY}")
-    db.execute(f"CREATE MATERIALIZED VIEW computed_v AS {COMPUTED_QUERY}")
-    assert db.matviews.get("eager_v").is_incremental
-    assert db.matviews.get("computed_v").is_incremental
+    if partitioning is not None:
+        db.repartition("EMP", partitioning)
+    for name, statement in ORG_VIEWS:
+        db.execute(statement)
+        assert db.matviews.get(name).is_incremental, name
+    return db
+
+
+def run_org_steps(db: Database, seed: int, operations: int) -> None:
     mutator = OrgMutator(db, seed)
     applied = 0
     for _step in range(operations):
@@ -332,10 +413,40 @@ def run_org_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
             if not run_step(db, step):
                 break
             applied += 1
-            check_view(db, "eager_v", step)
-            check_view(db, "lazy_v", step)
-            check_view(db, "computed_v", step)
+            for name, _statement in ORG_VIEWS:
+                check_view(db, name, step)
     assert applied > operations // 3, "generator mostly produced no-ops"
+
+
+def run_org_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
+    run_org_steps(org_database(seed), seed, operations)
+
+
+def emp_rid(db: Database, eno: int):
+    return next(rid for rid, row in db.catalog.table("EMP").scan()
+                if row[0] == eno)
+
+
+def run_partitioned_seed(seed: int,
+                         operations: int = OPERATIONS_PER_SEED) -> None:
+    """EMP hash-partitioned on SAL: a salary update, value-only for
+    ``eager_v``, moves the row to another RID and so takes the general
+    path."""
+    db = org_database(seed, HashPartitioning(("SAL",), 4))
+    rng = random.Random(seed)
+    moved = 0
+    for _step in range(12):
+        eno = rng.choice([row[0] for row in
+                          db.catalog.table("EMP").rows()])
+        before = emp_rid(db, eno)
+        step = f"UPDATE EMP SET SAL = SAL + {rng.randint(1, 9)} " \
+               f"WHERE ENO = {eno}"
+        assert run_step(db, step)
+        moved += emp_rid(db, eno) != before
+        for name, _statement in ORG_VIEWS:
+            check_view(db, name, step)
+    assert moved, "no salary update moved its row"
+    run_org_steps(db, seed, operations)
 
 
 def run_bom_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
@@ -344,12 +455,15 @@ def run_bom_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
     populate_bom(db.catalog, BOMScale(roots=2, depth=3, fanout=2,
                                       seed=seed % 991))
     db.execute(f"CREATE MATERIALIZED VIEW levels AS {BOM_LEVELS_QUERY}")
+    db.execute(f"CREATE MATERIALIZED VIEW plain AS {BOM_PLAIN_QUERY}")
     assert db.matviews.get("levels").is_incremental
+    assert db.matviews.get("plain").is_incremental
     mutator = BOMMutator(db, seed)
     for _step in range(operations):
         sql = mutator.statement()
         if run_step(db, sql):
             check_view(db, "levels", sql)
+            check_view(db, "plain", sql)
 
 
 def extra_seeds() -> list[int]:
@@ -366,6 +480,10 @@ def test_org_matview_differential_fixed_seed():
 
 def test_bom_matview_differential_fixed_seed():
     run_bom_seed(BASE_SEED)
+
+
+def test_partitioned_matview_differential_fixed_seed():
+    run_partitioned_seed(BASE_SEED)
 
 
 def test_writeback_differential_fixed_seed():
@@ -404,3 +522,10 @@ def test_bom_matview_differential_extended(seed):
     if seed is None:
         pytest.skip("set REPRO_DIFF_SEEDS=<n> to sweep more seeds")
     run_bom_seed(seed)
+
+
+@pytest.mark.parametrize("seed", extra_seeds() or [None])
+def test_partitioned_matview_differential_extended(seed):
+    if seed is None:
+        pytest.skip("set REPRO_DIFF_SEEDS=<n> to sweep more seeds")
+    run_partitioned_seed(seed)

@@ -179,6 +179,39 @@ class TestWriteBack:
         assert org_db.query("SELECT * FROM EMP WHERE eno = 902").rows \
             == []
 
+    @pytest.mark.parametrize("write_through", [False, True])
+    def test_put_back_re_derives_computed_columns(self, org_db,
+                                                  write_through):
+        # After a put-back the cached objects read what a fresh open
+        # reads, computed columns included.
+        org_db.execute(COMPUTED_VIEW)
+        cache = org_db.open_cache("cv", write_through=write_through)
+        new = cache.insert("E", ENO=901, ENAME="y", EDNO=1, SAL=6)
+        old = cache.extent("E")[0]
+        old.set("SAL", 10)
+        cache.write_back()
+        fresh = org_db.open_cache("cv")
+        for obj in (new, old):
+            assert obj.as_dict() == fresh.find("E", eno=obj.eno)[0] \
+                .as_dict()
+        assert new.get("DSAL") == 12
+        assert old.get("DSAL") == 20
+
+    @pytest.mark.parametrize("write_through", [False, True])
+    def test_put_back_refreshes_every_object_of_the_row(self, org_db,
+                                                        write_through):
+        # Two components over EMP: a write through one shows in the
+        # other's object for the same row, as a fresh open shows it.
+        org_db.execute("CREATE VIEW two AS OUT OF a AS (SELECT eno, sal, "
+                       "sal + 1 AS nsal FROM EMP), b AS EMP TAKE *")
+        cache = org_db.open_cache("two", write_through=write_through)
+        target = cache.extent("b")[0]
+        twin = next(obj for obj in cache.extent("a")
+                    if obj.oid == target.oid)
+        target.set("SAL", 41)
+        cache.write_back()
+        assert (twin.get("SAL"), twin.get("NSAL")) == (41, 42)
+
     def test_delete_reaches_base_table(self, org_db):
         org_db.execute("INSERT INTO DEPT VALUES (99, 'empty', 'ARC')")
         cache = org_db.open_cache("deps_arc")
