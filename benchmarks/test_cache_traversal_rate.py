@@ -10,16 +10,22 @@ excluded, as in the paper's "pre-loaded XNF cache").  Two paths are
 timed: the workspace's ``children("connects")`` and the generated
 class's ``connects()``, the path applications and perfbench's
 ``co_cache`` take.
+
+The tests assert tuple counts only.  Each records its rate beside the
+paper's 100,000 tuples/s floor in ``BENCH_cache_traversal.json`` at the
+repository root under ``REPRO_BENCH_WRITE=1``; CI uploads the file and
+enforces the floors with ``tools/check_bench.py``.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_results
 from repro.api.engine import Engine
 from repro.cache.manager import XNFCache
 from repro.cache.objects import bind_classes
@@ -28,6 +34,18 @@ from repro.workloads.oo1 import (OO1Scale, create_oo1_schema,
 
 PAPER_CLAIM_TUPLES_PER_SECOND = 100_000
 TRAVERSAL_DEPTH = 7
+
+RESULTS_PATH = Path(__file__).resolve().parent.parent \
+    / "BENCH_cache_traversal.json"
+_results: dict = {}
+
+
+def record(name: str, rate: float, tuples: int) -> None:
+    """Record a measured rate beside the paper's floor (unrounded: CI
+    compares the two)."""
+    _results[name] = {"rate": rate, "floor": PAPER_CLAIM_TUPLES_PER_SECOND,
+                      "tuples": tuples}
+    write_results(RESULTS_PATH, _results)
 
 
 def build_cache(parts: int) -> XNFCache:
@@ -96,14 +114,12 @@ def test_oo1_traversal_rate(benchmark):
          ["cached parts", "20,000 (small OO1)", f"{len(parts):,}"]],
     )
     assert generated_touched == touched
-    assert rate > PAPER_CLAIM_TUPLES_PER_SECOND, (
-        f"traversal rate {rate:,.0f} under the paper's 100k/s claim"
-    )
+    record("oo1_traversal", rate, touched)
 
 
 @pytest.mark.benchmark(group="cache-traversal")
 def test_cursor_scan_rate(benchmark):
-    """Independent-cursor browsing is also above the claimed rate."""
+    """Independent-cursor browsing, timed against the same claim."""
     cache = build_cache(parts=5000)
 
     def scan() -> int:
@@ -118,26 +134,30 @@ def test_cursor_scan_rate(benchmark):
     count, rate = timed(scan)
     benchmark(scan)
     print(f"\ncursor scan: {count:,} tuples at {rate:,.0f} tuples/s")
-    assert rate > PAPER_CLAIM_TUPLES_PER_SECOND
+    assert count == len(cache.extent("xpart"))
+    record("cursor_scan", rate, count)
 
 
 @pytest.mark.benchmark(group="cache-traversal")
 def test_traversal_rate_scales_with_cache_size(benchmark):
-    """The rate holds as the cached CO grows (pointer navigation is
-    size-independent)."""
+    """The rate as the cached CO grows (pointer navigation is
+    size-independent); the slowest size is recorded."""
     rows = []
     rates = []
+    touched_total = 0
     for parts in (1000, 5000, 15000):
         cache = build_cache(parts=parts)
         extent = cache.extent("xpart")
         rng = random.Random(3)
         starts = [rng.choice(extent) for _ in range(10)]
-        _touched, rate = timed(
+        touched, rate = timed(
             lambda: sum(traverse(s, TRAVERSAL_DEPTH) for s in starts))
+        assert touched >= len(starts)
+        touched_total += touched
         rates.append(rate)
         rows.append([f"{parts:,}", f"{len(extent):,}",
                      f"{rates[-1]:,.0f}"])
     print_table("Sect. 5.2 — traversal rate vs cache size",
                 ["parts in db", "parts cached", "tuples/s"], rows)
     benchmark(lambda: rates)
-    assert min(rates) > PAPER_CLAIM_TUPLES_PER_SECOND
+    record("traversal_by_cache_size", min(rates), touched_total)

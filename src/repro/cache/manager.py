@@ -48,8 +48,11 @@ class XNFCache:
         self._in_write = False
         self.workspace.one_write = self.one_write
         #: (catalog, component write plans, relationship strategies),
-        #: analyzed on the first write
+        #: analyzed when the cache opens: the workspace's foreign-key
+        #: links come from it
         self._analysis: Optional[tuple] = None
+        if catalog is not None:
+            self.updatability()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -144,6 +147,9 @@ class XNFCache:
             found = put_back.analyze_xnf(xnf, catalog) \
                 if xnf is not None else ({}, {})
             self._analysis = (catalog, *found)
+            self.workspace.link_foreign_keys(
+                {name: info.fk_pairs for name, info in found[1].items()
+                 if info.kind == "foreign_key"})
         return self._analysis[1], self._analysis[2]
 
     # ------------------------------------------------------------------

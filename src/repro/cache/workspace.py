@@ -135,6 +135,11 @@ class Workspace:
         #: (rel, id(parent), ids(children)) -> attribute dicts, one per
         #: parallel connection between the same partners
         self._connection_attributes: dict[tuple, list[dict]] = {}
+        #: (child component, column) -> the foreign-key relationships
+        #: that column links, as ``(relationship, fk_pairs)``: an update
+        #: of the column rewires the child's parent (see
+        #: :meth:`link_foreign_keys`)
+        self.foreign_keys: dict[tuple[str, str], list[tuple]] = {}
         self.log: list[LogEntry] = []
         #: context of one write; the owning cache installs its
         #: ``XNFCache.one_write``, which a write-through cache puts back
@@ -300,10 +305,56 @@ class Workspace:
         if old == value:
             return
         obj.values[position] = value
-        self.log.append(LogEntry("update", obj.component, {
-            "oid": obj.oid, "column": column.upper(),
+        column = column.upper()
+        entry = LogEntry("update", obj.component, {
+            "oid": obj.oid, "column": column,
             "old": old, "new": value, "is_new": obj.is_new,
-        }))
+        })
+        links = self.foreign_keys.get((obj.component, column))
+        if links:
+            for name, pairs in links:
+                self._relink(name, pairs, obj, entry.undo)
+        self.log.append(entry)
+
+    def link_foreign_keys(self, relationships: dict) -> None:
+        """Install the foreign-key relationships (name -> ``(child
+        column, parent column)`` pairs) whose child columns an update
+        rewires; a relationship the result does not take is skipped."""
+        self.foreign_keys = {}
+        for name, pairs in relationships.items():
+            children = self.relationship_children.get(name)
+            if children is None:
+                continue
+            for child_column, _parent_column in pairs:
+                self.foreign_keys.setdefault(
+                    (children[0], child_column), []).append((name, pairs))
+
+    def _relink(self, name: str, pairs: list, child: CachedObject,
+                undo: list) -> None:
+        """Connect ``child`` along the foreign-key relationship ``name``
+        to exactly the cached parents its key columns now equal (none
+        while a column is NULL), recording each edit in ``undo``.  A
+        parent that is not cached is not linked: an extraction would
+        not reach the child through it either."""
+        parent_component = self.relationship_parent[name]
+        key = [child.get(child_column) for child_column, _ in pairs]
+        wanted = [] if None in key else [
+            parent for parent in self.objects[parent_component]
+            if not parent.deleted and all(
+                parent.get(parent_column) == value
+                for (_, parent_column), value in zip(pairs, key))]
+        parents = child.parent_lists[self.incoming[child.component][name]]
+        at = self.outgoing[parent_component][name]
+        for parent in [p for p in parents if p not in wanted]:
+            siblings = parent.child_lists[at]
+            self._drop(name, parent, siblings, siblings.index(child), undo)
+        for parent in wanted:
+            if parent in parents:
+                continue
+            for items, added in ((parent.child_lists[at], child),
+                                 (parents, parent)):
+                items.append(added)
+                undo.append((items, len(items) - 1, None))
 
     def insert_object(self, component: str, values: dict) -> CachedObject:
         name = component.upper()

@@ -27,6 +27,7 @@ through the ``on_insert`` / ``on_update`` / ``on_delete`` notifications.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -38,6 +39,8 @@ if TYPE_CHECKING:  # the table module imports this one
 
 #: Rows fetched per heap batch while an index is (re)built.
 _REBUILD_BATCH = 4096
+#: The two halves of a ``(rid, row)`` pair of :meth:`Table.scan_batches`.
+_RID, _ROW = itemgetter(0), itemgetter(1)
 
 
 class Index:
@@ -83,6 +86,17 @@ class Index:
 
     def rebuild(self, table: Table) -> None:
         raise NotImplementedError
+
+    def _chunk_keys(self, chunk: list[tuple[Rid, Row]]
+                    ) -> tuple[Iterator[tuple], Iterator[Rid]]:
+        """One rebuild batch's keys and RIDs, column-wise: the keys
+        :meth:`key_of` gives, built without a Python call per row."""
+        keys = map(self._getter, map(_ROW, chunk))
+        # A one-column itemgetter gives the bare value; ``zip`` of one
+        # iterable wraps each in the 1-tuple ``key_of`` returns.
+        if self._single is not None:
+            keys = zip(keys)
+        return keys, map(_RID, chunk)
 
     # -- lookups --------------------------------------------------------
     def lookup(self, key: tuple) -> list[Rid]:
@@ -151,17 +165,17 @@ class HashIndex(Index):
 
     def rebuild(self, table: Table) -> None:
         buckets: dict[tuple, list[Rid]] = {}
-        key_of = self.key_of
+        unique = self.unique
         for chunk in table.scan_batches(_REBUILD_BATCH):
-            for rid, row in chunk:
-                key = key_of(row)
+            for key, rid in zip(*self._chunk_keys(chunk)):
                 if None in key:
                     continue
                 bucket = buckets.get(key)
                 if bucket is None:
                     buckets[key] = [rid]
                 else:
-                    self._check_unique(key, bucket)
+                    if unique:
+                        self._check_unique(key, bucket)
                     bucket.append(rid)
         self._buckets = buckets
 
@@ -226,11 +240,20 @@ class PrimaryKeyIndex(HashIndex):
         self._order: tuple[list[tuple], list[Rid]] | None = None
 
     def rebuild(self, table: Table) -> None:
-        self._buckets = {}
-        for chunk in table.scan_batches(_REBUILD_BATCH):
-            for rid, row in chunk:
-                self.on_insert(rid, row)
+        buckets: dict[tuple, Rid] = {}
+        self._buckets = buckets
         self._order = None
+        for chunk in table.scan_batches(_REBUILD_BATCH):
+            before = len(buckets)
+            buckets.update(zip(*self._chunk_keys(chunk)))
+            if len(buckets) - before < len(chunk):
+                # A key repeats.  Replay row by row, so the first
+                # repeat in scan order raises check_available's error.
+                self._buckets = {}
+                for rid, row in chain.from_iterable(
+                        table.scan_batches(_REBUILD_BATCH)):
+                    self.on_insert(rid, row)
+                return
 
     def _sorted(self) -> tuple[list[tuple], list[Rid]]:
         order = self._order

@@ -45,6 +45,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from repro.storage.catalog import Catalog, TableDelta
@@ -68,6 +70,8 @@ NDV_SAMPLE_SIZE = 1024
 _NDV_SAMPLE_SEED = 0x5EED
 #: At most this many most-common values are kept per column.
 MCV_KEEP = 8
+#: Rows fetched per heap batch while ANALYZE reads a table.
+_ANALYZE_BATCH = 4096
 
 
 def material_drift(drift: int, baseline: int) -> bool:
@@ -244,19 +248,25 @@ class TableStats:
 
 
 def analyze_table(table: Table) -> TableStats:
-    """Compute fresh statistics by a full scan of the table."""
+    """Compute fresh statistics by a full scan of the table.
+
+    Column-at-a-time: the rows are read a batch at a time (one read-view
+    lookup per batch) and each column is cut out of them in one
+    ``map``, so no per-row Python runs outside the value counts.
+    """
     cardinality = len(table)
     stats = TableStats(cardinality=cardinality)
     if cardinality == 0:
         for column in table.columns:
             stats.columns[column.name.upper()] = ColumnStats(distinct=0)
         return stats
-    rows = list(table.rows())
+    rows = list(chain.from_iterable(table.batches(_ANALYZE_BATCH)))
     unique_columns = _unique_columns(table)
     for position, column in enumerate(table.columns):
         key = column.name.upper()
-        non_null = [row[position] for row in rows
-                    if row[position] is not None]
+        non_null = list(map(itemgetter(position), rows))
+        if None in non_null:
+            non_null = [value for value in non_null if value is not None]
         nulls = cardinality - len(non_null)
         stats.columns[key] = _analyze_column(
             non_null, nulls, cardinality, is_unique=key in unique_columns)
@@ -304,12 +314,8 @@ def _estimate_ndv(non_null: list, is_unique: bool) -> tuple[int, bool]:
     count = len(non_null)
     if is_unique:
         return count, True
-    seen: set = set()
-    for value in non_null:
-        seen.add(value)
-        if len(seen) > NDV_EXACT_THRESHOLD:
-            break
-    else:
+    seen = set(non_null)
+    if len(seen) <= NDV_EXACT_THRESHOLD:
         return max(len(seen), 1), True
     # The exact set overflowed: estimate from a fixed-size sample with
     # the GEE estimator sqrt(n/r)*f1 + (d - f1), where f1 counts the
@@ -332,10 +338,14 @@ def _most_common(non_null: list, distinct: int) -> tuple:
     Only values strictly more frequent than the uniform expectation
     qualify — a uniform column keeps none, so its estimates stay on
     the plain 1/NDV path.  Selection order is deterministic:
-    by descending count, then by value repr.
+    by descending count, then by value repr.  A column with as many
+    distinct values as rows has no heavy hitter, so it is not counted.
+    (A sampled estimate reaches the row count only when every value is
+    distinct: it stays below ``sqrt(rows * sample)`` or at the
+    threshold floor.)
     """
     count = len(non_null)
-    if count == 0 or distinct <= 1:
+    if count == 0 or distinct <= 1 or distinct >= count:
         return ()
     uniform = count / max(distinct, 1)
     frequencies = Counter(non_null)

@@ -6,11 +6,12 @@ hash-partitioned on a column the mutations change, so that writes
 relocate rows (new RIDs) under cached objects:
 
 * committed steps — connect, disconnect, moving a child to another
-  parent (disconnect + connect as one write), delete, ``insert_child``
-  and, on OO1, assignments to the partition key;
+  parent (disconnect + connect as one write), delete, ``insert_child``,
+  on the org view assignments to the foreign key, and on OO1
+  assignments to the partition key;
 * rejected steps — deletes the foreign keys restrict, duplicate-key
-  ``insert_child``, and list edits batched with a value the base column
-  refuses.
+  ``insert_child``, foreign-key assignments to no department, and list
+  edits batched with a value the base column refuses.
 
 After each committed step the cached graph must equal a fresh
 ``gateway.open`` of the same view (cached == fresh): the same objects,
@@ -134,6 +135,7 @@ class Harness:
     """One write-through view plus its fresh-extraction oracle."""
 
     def __init__(self, session, view_text: str, keys: dict):
+        self.session = session
         self.gateway = ObjectGateway(session)
         self.view_text = view_text
         self.keys = keys
@@ -241,6 +243,18 @@ def org_steps(h: Harness, rng: random.Random):
             return False
         cache.disconnect("empproperty", emp, rng.choice(skills))
 
+    dnos = [row[0] for row in
+            h.session.query("SELECT dno FROM DEPT").rows]
+
+    def assign_fk():
+        # A department in or out of the view, NULL, or none at all
+        # (refused): the employee moves between the cached parents.
+        emp = rng.choice(h.live("xemp"))
+        edno = rng.choice(dnos + [None, 424242])
+        if edno == emp.edno:
+            return False
+        emp.edno = edno
+
     def release():
         # Sets the base EDNO to NULL: the employee leaves the view.
         emp = rng.choice(h.live("xemp"))
@@ -258,7 +272,7 @@ def org_steps(h: Harness, rng: random.Random):
         rng.choice(h.live("xdept")).delete()
 
     return [move, move_refused, hire, hire_duplicate, learn, forget,
-            release, fire, close_dept]
+            assign_fk, release, fire, close_dept]
 
 
 # ----------------------------------------------------------------------

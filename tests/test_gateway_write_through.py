@@ -167,6 +167,75 @@ class TestCacheMethodsWriteThrough:
         assert batches == [2]  # the insert and its connect, together
 
 
+@pytest.mark.parametrize("write_through", (True, False))
+class TestForeignKeyAssignment:
+    """Assigning a child's foreign-key column moves it between the
+    cached parents, in both modes, as a fresh extraction would show."""
+
+    @staticmethod
+    def open(org_db, write_through):
+        cache = org_db.open_cache("deps_arc", write_through=write_through)
+        classes = bind_classes(cache)
+        depts = {d.dno: d for d in classes["XDEPT"].extent}
+        emp = depts[1].employs()[0]
+        return cache, depts, emp
+
+    @staticmethod
+    def fresh_parents(org_db, eno) -> list:
+        """An extraction returns only the employees it reaches."""
+        fresh = bind_classes(org_db.open_cache("deps_arc"))
+        return [d.dno for e in fresh["XEMP"].extent if e.eno == eno
+                for d in e.employs_parents()]
+
+    def test_assignment_moves_the_child(self, org_db, write_through):
+        cache, depts, emp = self.open(org_db, write_through)
+        emp.edno = 2
+        if not write_through:
+            cache.write_back()
+        assert base_emp(org_db, emp.eno)[1] == 2
+        assert emp.employs_parents() == [depts[2]]
+        assert emp not in depts[1].employs()
+        assert emp in depts[2].employs()
+        assert self.fresh_parents(org_db, emp.eno) == [2]
+
+    @pytest.mark.parametrize("edno", (3, None))
+    def test_assignment_away_from_the_view_unlinks(self, org_db,
+                                                   write_through, edno):
+        # Department 3 is not at ARC, so it is not cached.
+        cache, depts, emp = self.open(org_db, write_through)
+        emp.edno = edno
+        if not write_through:
+            cache.write_back()
+        assert base_emp(org_db, emp.eno)[1] == edno
+        assert emp.employs_parents() == []
+        assert emp not in depts[1].employs()
+        assert self.fresh_parents(org_db, emp.eno) == []
+        emp.edno = 1
+        if not write_through:
+            cache.write_back()
+        assert emp.employs_parents() == [depts[1]]
+
+    def test_reverted_assignment_restores_lists(self, org_db,
+                                                write_through):
+        cache, depts, emp = self.open(org_db, write_through)
+        before = lists_of(cache)
+        with pytest.raises(RuntimeError):
+            with cache.one_write():
+                emp.edno = 2
+                assert emp.employs_parents() == [depts[2]]
+                raise RuntimeError("abandon the write")
+        assert lists_of(cache) == before
+        assert emp.edno == 1 and not cache.dirty
+        if write_through:
+            # Rejected by the server: no such department.
+            with pytest.raises(ViewUpdateError):
+                emp.edno = 424242
+            with pytest.raises(ViewUpdateError):
+                emp.update(EDNO=2, SAL="not a salary")
+            assert lists_of(cache) == before
+            assert base_emp(org_db, emp.eno)[1] == 1
+
+
 class TestDeferredStillWorks:
     def test_deferred_mode_queues_until_writeback(self, org_db):
         cache = org_db.open_cache("deps_arc")  # write_through=False

@@ -9,14 +9,19 @@ of its final record — so each recovery branch is exercised by name.
 import os
 import shutil
 import struct
+from collections import Counter
 
 import pytest
 
 from repro.api.engine import Engine
+from repro.cache.matview import co_canonical
 from repro.errors import StorageError
 from repro.storage import recovery as rec
+from repro.storage import stats
 from repro.storage.wal import (WAL_MAGIC, WriteAheadLog, encode_record,
                                read_records)
+from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
+                                   create_org_schema, populate_org)
 
 _HEADER = struct.Struct("<QII")  # mirrors wal._HEADER (lsn, len, crc32)
 
@@ -333,3 +338,43 @@ def test_unknown_record_kind_is_an_error(tmp_path):
     from repro.storage.catalog import Catalog
     with pytest.raises(StorageError):
         rec.recover(directory, Catalog())
+
+
+# ----------------------------------------------------------------------
+# Materialized views across reopen
+# ----------------------------------------------------------------------
+def test_matview_drop_survives_reopen(tmp_path, monkeypatch):
+    """A dropped materialized view stays dropped after a reopen (the
+    drop is logged), a re-created one comes back equal to a fresh
+    extraction, and the reopen analyzes each table at most once."""
+    dbdir = str(tmp_path / "db")
+    engine = open_engine(dbdir)
+    create_org_schema(engine.catalog)
+    populate_org(engine.catalog, OrgScale(departments=4, seed=5))
+    engine.checkpoint()   # the loader writes storage directly
+    session = engine.connect()
+    create = f"CREATE MATERIALIZED VIEW deps_m AS {DEPS_ARC_QUERY}"
+    session.execute(create)
+    session.execute("DROP MATERIALIZED VIEW deps_m")
+    engine.close()
+
+    engine = open_engine(dbdir)
+    assert [view.name for view in engine.matviews.views()] == []
+    assert not engine.catalog.has_view("DEPS_M")
+    engine.connect().execute(create)
+    engine.close()
+
+    analyzed: Counter = Counter()
+    analyze_table = stats.analyze_table
+    monkeypatch.setattr(stats, "analyze_table", lambda table: (
+        analyzed.update([table.name]), analyze_table(table))[1])
+    engine = open_engine(dbdir)
+    try:
+        assert [view.name for view in engine.matviews.views()] \
+            == ["DEPS_M"]
+        view = engine.matviews.get("deps_m")
+        assert co_canonical(view.read()) \
+            == co_canonical(view.executable.run())
+        assert analyzed and max(analyzed.values()) == 1
+    finally:
+        engine.close()
