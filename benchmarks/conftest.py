@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
 
@@ -25,17 +27,20 @@ BENCH_ORG = OrgScale(departments=30, employees_per_dept=10,
 
 
 def make_org_db(scale: OrgScale = BENCH_ORG,
-                with_indexes: bool = True) -> Database:
-    db = Database()
-    create_org_schema(db.catalog, with_indexes=with_indexes)
-    populate_org(db.catalog, scale)
-    db.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
-    return db
+                with_indexes: bool = True) -> Session:
+    """A session of a fresh engine holding the org database."""
+    session = Engine().connect()
+    create_org_schema(session.engine.catalog, with_indexes=with_indexes)
+    populate_org(session.engine.catalog, scale)
+    session.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
+    return session
 
 
 @pytest.fixture(scope="module")
-def bench_org_db() -> Database:
-    return make_org_db()
+def bench_org_db() -> Iterator[Session]:
+    session = make_org_db()
+    yield session
+    session.engine.close()
 
 
 def write_results(path: Path, results: dict) -> None:

@@ -29,7 +29,7 @@ def test_co_clustering_reduces_page_faults(benchmark):
                               skills_per_employee=3,
                               skills_per_project=3, arc_fraction=0.3,
                               seed=51))
-    catalog = db.catalog
+    catalog = db.engine.catalog
     trace = list(hierarchical_access_trace(catalog, "DEPT"))
     tables = sorted({t for t, _r in trace})
     sequential = sequential_layout(catalog, tables, rows_per_page=8)
@@ -69,7 +69,7 @@ def test_scan_pattern_unharmed_by_clustering(benchmark):
     db = make_org_db(OrgScale(departments=30, employees_per_dept=8,
                               projects_per_dept=4, skills=40,
                               arc_fraction=0.3, seed=52))
-    catalog = db.catalog
+    catalog = db.engine.catalog
     tables = ["DEPT", "EMP", "PROJ", "SKILLS", "EMPSKILLS", "PROJSKILLS"]
     scan_trace = [
         (name, rid)

@@ -35,7 +35,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_table, write_results
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.executor.runtime import PipelineOptions, QueryPipeline
 from repro.optimizer.optimizer import PlannerOptions
 from repro.sql.parser import parse_statement
@@ -60,7 +61,7 @@ ORDERS = 6_000
 LINES = 12_000
 
 
-def build_skew_db() -> Database:
+def build_skew_db() -> Session:
     """CUST -> ORDERS -> LINES with a 95%-hot ORDERS.STATUS.
 
     * CUST.REGION: 3 heavy regions (~663 rows each, MCV territory) and
@@ -71,7 +72,7 @@ def build_skew_db() -> Database:
     * LINES.KIND: ~99 kinds with 'RARE' on 2% of rows, phased so the
       3-way workload returns a non-empty answer.
     """
-    db = Database()
+    db = Engine().connect()
     db.execute("CREATE TABLE CUST (CID INT PRIMARY KEY, REGION VARCHAR)")
     db.execute("CREATE TABLE ORDERS (OID INT PRIMARY KEY, CID INT, "
                "STATUS VARCHAR)")
@@ -112,14 +113,14 @@ WORKLOADS = {
 }
 
 
-def compile_order(db: Database, sql: str, order=None):
+def compile_order(db: Session, sql: str, order=None):
     """Compile ``sql`` uncached; ``order`` forces the join fan's order
     through the hook, None keeps the planner's choice."""
     hook = None if order is None else (lambda names: list(order))
-    pipeline = QueryPipeline(db.catalog, db.stats,
+    pipeline = QueryPipeline(db.engine.catalog, db.engine.stats,
                              PipelineOptions(planner=PlannerOptions(
                                  join_order_hook=hook)),
-                             db.pipeline.xnf_component_resolver)
+                             db.engine.pipeline.xnf_component_resolver)
     compiled = pipeline.compile_select(parse_statement(sql))
     return pipeline, compiled
 
@@ -136,11 +137,11 @@ def best_of(pipeline, compiled, repetitions: int = BEST_OF) -> float:
 
 
 @pytest.fixture(scope="module")
-def skew_db() -> Database:
+def skew_db() -> Session:
     return build_skew_db()
 
 
-def run_workload(db: Database, name: str, floor: float | None = None):
+def run_workload(db: Session, name: str, floor: float | None = None):
     sql = WORKLOADS[name]
     pipeline, chosen = compile_order(db, sql)
     record = chosen.plan.join_orders[0]

@@ -26,7 +26,7 @@ def extract_both(db):
     # client: each fragment is an independent ad-hoc statement, so it
     # runs through a cache-disabled pipeline (the server-side plan
     # cache is this repo's addition and would mask the paper's shape).
-    nav_pipeline = QueryPipeline(db.catalog, db.stats,
+    nav_pipeline = QueryPipeline(db.engine.catalog, db.engine.stats,
                                  PipelineOptions(plan_cache_size=0))
     navigator = NavigationalExtractor(nav_pipeline)
     start = time.perf_counter()

@@ -42,7 +42,7 @@ SCALE = OrgScale(departments=120, employees_per_dept=25,
 
 def tuple_at_a_time(db) -> list:
     """Per-employee correlated execution (one prepared probe plan)."""
-    probe = QueryPipeline(db.catalog, db.stats)
+    probe = QueryPipeline(db.engine.catalog, db.engine.stats)
     compiled = probe.compile_select(parse_statement(
         "SELECT dno, loc FROM DEPT"))
     departments = probe.run_compiled(compiled).rows
@@ -65,7 +65,7 @@ def compile_with_options(db, apply_rewrite: bool, use_indexes: bool):
         apply_nf_rewrite=apply_rewrite,
         planner=PlannerOptions(use_indexes=use_indexes),
     )
-    pipeline = QueryPipeline(db.catalog, db.stats, options)
+    pipeline = QueryPipeline(db.engine.catalog, db.engine.stats, options)
     compiled = pipeline.compile_select(parse_statement(QUERY))
 
     def run():

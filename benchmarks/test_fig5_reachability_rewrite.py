@@ -24,7 +24,7 @@ from repro.workloads.orgdb import DEPS_ARC_QUERY, OrgScale
 
 
 def run_baseline(db, queries):
-    derivation = SingleComponentDerivation(db.catalog)
+    derivation = SingleComponentDerivation(db.engine.catalog)
     return derivation.run_queries(queries)
 
 
@@ -45,7 +45,7 @@ def test_fig5_multi_output_vs_single_component(benchmark):
                      skills_per_employee=3, skills_per_project=3,
                      arc_fraction=0.25, seed=5)
     db = make_org_db(scale)
-    derivation = SingleComponentDerivation(db.catalog)
+    derivation = SingleComponentDerivation(db.engine.catalog)
     queries = derivation.build_queries(parse_statement(DEPS_ARC_QUERY))
     executable = db.xnf_executable("deps_arc")
 
@@ -87,7 +87,7 @@ def test_fig5_scale_sweep(benchmark):
                          skills_per_employee=2, skills_per_project=2,
                          arc_fraction=0.3, seed=6)
         db = make_org_db(scale)
-        derivation = SingleComponentDerivation(db.catalog)
+        derivation = SingleComponentDerivation(db.engine.catalog)
         queries = derivation.build_queries(
             parse_statement(DEPS_ARC_QUERY))
         executable = db.xnf_executable("deps_arc")

@@ -27,7 +27,7 @@ def executables(db):
     shared = db.xnf_executable("deps_arc")
     translated = db.xnf_executable("deps_arc").translated
     unshared = XNFExecutable(
-        translated, db.catalog, db.stats,
+        translated, db.engine.catalog, db.engine.stats,
         PlannerOptions(share_common_subexpressions=False),
     )
     return shared, unshared

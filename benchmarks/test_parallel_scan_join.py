@@ -25,7 +25,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_table, write_results
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.executor.runtime import PipelineOptions
 from repro.optimizer.optimizer import PlannerOptions
 from repro.storage.partition import HashPartitioning
@@ -52,18 +53,18 @@ JOIN_SQL = ("SELECT d.LABEL, COUNT(*), SUM(f.V), AVG(f.W) "
 _results: dict[str, dict] = {}
 
 
-def build_db(degree: int) -> Database:
+def build_db(degree: int) -> Session:
     options = PipelineOptions(planner=PlannerOptions(
         parallel_degree=degree, parallel_row_threshold=1024))
-    db = Database(pipeline_options=options)
+    db = Engine(pipeline_options=options).connect()
     partitioning = HashPartitioning(("ID",), DEGREE) if degree > 1 \
         else None
-    fact = db.catalog.create_table("FACT", [
+    fact = db.engine.catalog.create_table("FACT", [
         Column("ID", INTEGER, primary_key=True),
         Column("G", INTEGER), Column("V", INTEGER),
         Column("W", INTEGER),
     ], partitioning=partitioning)
-    dim = db.catalog.create_table("DIM", [
+    dim = db.engine.catalog.create_table("DIM", [
         Column("G", INTEGER, primary_key=True),
         Column("LABEL", VARCHAR),
     ])
@@ -77,7 +78,7 @@ def build_db(degree: int) -> Database:
     return db
 
 
-def best_time(db: Database, sql: str) -> tuple[float, list]:
+def best_time(db: Session, sql: str) -> tuple[float, list]:
     rows = None
     best = None
     for _ in range(BEST_OF):

@@ -31,7 +31,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_table, write_results
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.executor.runtime import PipelineOptions
 from repro.workloads.oo1 import OO1Scale, create_oo1_schema, populate_oo1
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
@@ -55,25 +56,25 @@ ORG_SCALE = OrgScale(departments=20, employees_per_dept=10,
 OO1_SCALE = OO1Scale(parts=400, fanout=3, seed=1994)
 
 
-def build_org(cache_enabled: bool) -> Database:
+def build_org(cache_enabled: bool) -> Session:
     options = PipelineOptions()
     if not cache_enabled:
         options.plan_cache_size = 0
-    db = Database(options)
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, ORG_SCALE)
+    db = Engine(options).connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, ORG_SCALE)
     # Point lookups go through an index, like any OLTP key access.
     db.execute("CREATE INDEX IX_EMP_ENO ON EMP (ENO)")
     return db
 
 
-def build_oo1(cache_enabled: bool) -> Database:
+def build_oo1(cache_enabled: bool) -> Session:
     options = PipelineOptions()
     if not cache_enabled:
         options.plan_cache_size = 0
-    db = Database(options)
-    create_oo1_schema(db.catalog)
-    populate_oo1(db.catalog, OO1_SCALE)
+    db = Engine(options).connect()
+    create_oo1_schema(db.engine.catalog)
+    populate_oo1(db.engine.catalog, OO1_SCALE)
     return db
 
 
@@ -121,12 +122,12 @@ def record(name: str, queries: int, cached_s: float, uncached_s: float,
 # Workload 1: org point lookups, ad-hoc literal SQL (auto-param path)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def org_ab() -> tuple[Database, Database]:
+def org_ab() -> tuple[Session, Session]:
     return build_org(True), build_org(False)
 
 
 @pytest.fixture(scope="module")
-def oo1_ab() -> tuple[Database, Database]:
+def oo1_ab() -> tuple[Session, Session]:
     return build_oo1(True), build_oo1(False)
 
 

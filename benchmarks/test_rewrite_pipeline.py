@@ -37,7 +37,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_table, write_results
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.executor.runtime import PipelineOptions
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
 
@@ -71,15 +72,15 @@ VIEW_DDL = (
 )
 
 
-def build_db(rewrite: bool) -> Database:
+def build_db(rewrite: bool) -> Session:
     options = PipelineOptions(apply_nf_rewrite=rewrite)
-    db = Database(options)
+    db = Engine(options).connect()
     # No join indexes: the correlation column (EDNO) is deliberately
     # unindexed, as in any schema where not every predicate column has
     # an access path — nested re-execution then pays a scan per
     # distinct binding, which is the cost decorrelation removes.
-    create_org_schema(db.catalog, with_indexes=False)
-    populate_org(db.catalog, ORG_SCALE)
+    create_org_schema(db.engine.catalog, with_indexes=False)
+    populate_org(db.engine.catalog, ORG_SCALE)
     # The view-stack point queries go through a key index like any
     # OLTP access; only the *merged* plan can reach it.
     db.execute("CREATE INDEX IX_EMP_ENO ON EMP (ENO)")
@@ -90,7 +91,7 @@ def build_db(rewrite: bool) -> Database:
 
 
 @pytest.fixture(scope="module")
-def ab() -> tuple[Database, Database]:
+def ab() -> tuple[Session, Session]:
     return build_db(True), build_db(False)
 
 

@@ -2,7 +2,7 @@
 
 The ISSUE-5 tentpole claim: serving N clients from one shared
 :class:`~repro.api.engine.Engine` beats the old architecture's answer
-to multi-client access — one private ``Database`` per client — because
+to multi-client access — one private engine per client — because
 sessions share the compiled state (plan cache, XNF compiles, statistics
 snapshots): a statement shape any client has run is a cache hit for
 every other client.
@@ -10,7 +10,7 @@ every other client.
 Methodology: the same workload (4 clients x M point/navigation
 queries, literals varying per query) runs twice —
 
-* **per-client engines**: four fresh ``Database`` instances, each
+* **per-client engines**: four fresh ``Engine`` instances, each
   compiling every statement shape from scratch (cold caches), issued
   serially;
 * **shared engine**: four sessions of one fresh ``Engine``, each
@@ -46,7 +46,6 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_table, write_results
-from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
 
@@ -127,8 +126,8 @@ def run_per_client_engines(workloads) -> tuple[float, list, list]:
     engine's plan-cache counters."""
     databases = []
     for _ in workloads:
-        db = Database()
-        populate(db.catalog)
+        db = Engine().connect()
+        populate(db.engine.catalog)
         databases.append(db)
     results = [None] * len(workloads)
     start = time.perf_counter()
@@ -136,7 +135,7 @@ def run_per_client_engines(workloads) -> tuple[float, list, list]:
         results[index] = [tuple(db.query(sql, params).rows)
                           for sql, params in workload]
     elapsed = time.perf_counter() - start
-    return elapsed, results, [db.pipeline.plan_cache.stats.as_dict()
+    return elapsed, results, [db.engine.pipeline.plan_cache.stats.as_dict()
                               for db in databases]
 
 
@@ -221,7 +220,7 @@ def test_shared_engine_beats_per_client_engines():
     print_table(
         "session throughput: 4 clients, same workload",
         ["architecture", "seconds"],
-        [["4x private Database (serial, cold)",
+        [["4x private Engine (serial, cold)",
           f"{baseline_time:.4f}"],
          ["1x Engine + 4 sessions (threads)", f"{shared_time:.4f}"],
          ["speedup", f"{speedup:.2f}x (floor {REQUIRED_SPEEDUP}x, "

@@ -59,7 +59,7 @@ def test_projection_ships_requested_attributes_only(bench_org_db,
     """RDBMS-style attribute filtering through TAKE projection."""
     db = bench_org_db
     full = db.xnf("deps_arc")
-    definition = db.catalog.view("deps_arc").definition
+    definition = db.engine.catalog.view("deps_arc").definition
     narrow_query = ast.XNFQuery(
         definitions=definition.definitions,
         take_all=False,

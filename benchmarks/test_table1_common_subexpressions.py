@@ -50,7 +50,7 @@ PAPER_XNF = {"XDEPT": 1, "XEMP": 1, "XPROJ": 1, "EMPLOYMENT": 0,
 
 def build_counts(db):
     query = parse_statement(DEPS_ARC_QUERY)
-    derivation = SingleComponentDerivation(db.catalog)
+    derivation = SingleComponentDerivation(db.engine.catalog)
     queries = derivation.build_queries(query)
     translated = db.xnf_executable("deps_arc").translated
     xnf_ops = count_operations(translated.graph)
@@ -112,7 +112,7 @@ def test_table1_execution_cost_follows_counts(bench_org_db, benchmark):
     """Operation counts translate to real work: executing the 8
     standalone queries scans strictly more rows than the XNF plan."""
     query = parse_statement(DEPS_ARC_QUERY)
-    derivation = SingleComponentDerivation(bench_org_db.catalog)
+    derivation = SingleComponentDerivation(bench_org_db.engine.catalog)
     queries = derivation.build_queries(query)
 
     def run_baseline():

@@ -15,8 +15,7 @@ Run:  python examples/design_cad.py
 import random
 import time
 
-from repro import Database
-from repro.cache.manager import XNFCache
+from repro import Engine
 from repro.workloads.oo1 import (OO1Scale, create_oo1_schema,
                                  oo1_view_query, populate_oo1)
 
@@ -35,17 +34,17 @@ def traverse(part, depth: int) -> int:
 
 
 def main() -> None:
-    db = Database()
-    create_oo1_schema(db.catalog)
-    summary = populate_oo1(db.catalog, OO1Scale(parts=PARTS, seed=1994))
+    engine = Engine()
+    session = engine.connect()
+    create_oo1_schema(engine.catalog)
+    summary = populate_oo1(engine.catalog, OO1Scale(parts=PARTS, seed=1994))
     print(f"OO1 database: {summary['parts']} parts, "
           f"{summary['connections']} connections")
 
     # Extract the design: anchors plus the transitive CONNECTS closure
     # (a recursive CO evaluated by fixpoint, Sect. 2).
     start = time.perf_counter()
-    executable = db.xnf_executable(oo1_view_query(1, PARTS // 100))
-    cache = XNFCache.evaluate(executable)
+    cache = session.open_cache(oo1_view_query(1, PARTS // 100))
     load_time = time.perf_counter() - start
     parts = cache.extent("xpart")
     connections = sum(len(p.children("connects")) for p in parts)

@@ -11,23 +11,24 @@ Run:  python examples/org_browser.py
 import os
 import tempfile
 
-from repro import Database
+from repro import Engine
 from repro.cache.manager import XNFCache
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
 
 
 def main() -> None:
-    db = Database()
-    create_org_schema(db.catalog)
-    counts = populate_org(db.catalog, OrgScale(
+    engine = Engine()
+    session = engine.connect()
+    create_org_schema(engine.catalog)
+    counts = populate_org(engine.catalog, OrgScale(
         departments=8, employees_per_dept=4, projects_per_dept=3,
         skills=12, arc_fraction=0.25, seed=21,
     ))
     print("base data:", counts)
 
-    db.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
-    cache = db.open_cache("deps_arc")
+    session.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
+    cache = session.open_cache("deps_arc")
     workspace = cache.workspace
 
     # --- reachability (Sect. 2): only ARC-anchored tuples appear --------
@@ -76,18 +77,18 @@ def main() -> None:
     applied = cache.write_back()
     print(f"write-back applied {applied} changes")
     print("server sees grace:",
-          db.query("SELECT ename, edno FROM EMP WHERE eno = 9001").rows)
+          session.query("SELECT ename, edno FROM EMP WHERE eno = 9001").rows)
     print("and her skill row:",
-          db.query("SELECT * FROM EMPSKILLS WHERE eseno = 9001").rows)
+          session.query("SELECT * FROM EMPSKILLS WHERE eseno = 9001").rows)
 
     # --- long transactions: persist the cache (Sect. 3) ------------------
     snapshot = os.path.join(tempfile.gettempdir(), "deps_arc.cache")
-    fresh = db.open_cache("deps_arc")
+    fresh = session.open_cache("deps_arc")
     fresh.extent("xemp")[0].set("SAL", 1_000_000)  # not yet written back
     fresh.save(snapshot)
     reloaded = XNFCache.load(
-        snapshot, catalog=db.catalog, transactions=db.transactions,
-        translated=db.xnf_executable("deps_arc").translated,
+        snapshot, catalog=engine.catalog, transactions=engine.transactions,
+        translated=session.xnf_executable("deps_arc").translated,
     )
     print(f"\nreloaded cache from {snapshot}: "
           f"{reloaded.object_count()} objects, "

@@ -12,7 +12,7 @@ the cache walks the explosion and costs the assemblies.
 Run:  python examples/recursive_bom.py
 """
 
-from repro import Database
+from repro import Engine
 from repro.workloads.bom import (BOMScale, bom_view_query,
                                  create_bom_schema, populate_bom)
 
@@ -36,22 +36,23 @@ def explode(cache, part, depth: int = 0, budget: list | None = None,
 
 
 def main() -> None:
-    db = Database()
-    create_bom_schema(db.catalog)
-    info = populate_bom(db.catalog, BOMScale(
+    engine = Engine()
+    session = engine.connect()
+    create_bom_schema(engine.catalog)
+    info = populate_bom(engine.catalog, BOMScale(
         roots=2, depth=3, fanout=2, share_probability=0.25, seed=13,
     ))
     print(f"parts database: {info['parts']} parts, "
           f"{info['edges']} containment edges, "
           f"roots = {info['roots']}")
 
-    co = db.xnf(bom_view_query(info["roots"]))
+    co = session.xnf(bom_view_query(info["roots"]))
     print(f"\nfixpoint closed in "
           f"{co.counters['fixpoint_iterations']} iterations; "
           f"{len(co.component('xpart'))} of {info['parts']} parts are "
           f"reachable from the anchors")
 
-    cache = db.open_cache(bom_view_query(info["roots"]))
+    cache = session.open_cache(bom_view_query(info["roots"]))
     for root in cache.extent("xassembly"):
         print(f"\nexplosion of {root.pname}:")
         budget = [root.cost]
@@ -62,7 +63,7 @@ def main() -> None:
         print(f"  => total materialized cost: {budget[0]}")
 
     # The flat relational view of the same data stays available.
-    heaviest = db.query(
+    heaviest = session.query(
         "SELECT p.pname, COUNT(*) AS uses FROM PART p, CONTAINS c "
         "WHERE p.pno = c.child GROUP BY p.pname "
         "ORDER BY uses DESC, p.pname LIMIT 3")

@@ -15,7 +15,7 @@ Run:  python examples/xnf_shell.py            (interactive)
 
 import sys
 
-from repro import Database
+from repro import Engine, Session
 from repro.errors import ReproError
 from repro.executor.runtime import QueryResult
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
@@ -55,41 +55,42 @@ def print_co(co: COResult) -> None:
               f"{','.join(stream.children)}){origin}")
 
 
-def make_database() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=6,
+def make_database() -> Session:
+    engine = Engine()
+    session = engine.connect()
+    create_org_schema(engine.catalog)
+    populate_org(engine.catalog, OrgScale(departments=6,
                                       employees_per_dept=4,
                                       projects_per_dept=2, skills=10,
                                       arc_fraction=0.34, seed=1))
-    db.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
-    return db
+    session.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
+    return session
 
 
-def handle_meta(db: Database, line: str) -> bool:
+def handle_meta(session: Session, line: str) -> bool:
     """Returns False when the shell should exit."""
     if line in ("\\q", "\\quit", "exit"):
         return False
     if line == "\\d":
-        for table in db.catalog.tables():
+        for table in session.engine.catalog.tables():
             print(f"table {table.name} ({len(table)} rows): "
                   f"{', '.join(table.column_names)}")
-        for view in db.catalog.views():
+        for view in session.engine.catalog.views():
             kind = "XNF view" if view.is_xnf else "view"
             print(f"{kind} {view.name}")
         return True
     if line.startswith("\\explain "):
-        print(db.explain(line[len("\\explain "):]))
+        print(session.explain(line[len("\\explain "):]))
         return True
     if line.startswith("\\co "):
-        print_co(db.xnf(line[len("\\co "):].strip()))
+        print_co(session.xnf(line[len("\\co "):].strip()))
         return True
     print(f"unknown meta command: {line.split()[0]}")
     return True
 
 
 def main() -> None:
-    db = make_database()
+    session = make_database()
     interactive = sys.stdin.isatty()
     if interactive:
         print(__doc__)
@@ -108,7 +109,7 @@ def main() -> None:
         if not line:
             continue
         if line.startswith("\\") or line == "exit":
-            if not handle_meta(db, line):
+            if not handle_meta(session, line):
                 break
             continue
         buffer.append(line)
@@ -119,7 +120,7 @@ def main() -> None:
         statement = " ".join(buffer).rstrip(";")
         buffer = []
         try:
-            print_result(db.execute(statement))
+            print_result(session.execute(statement))
         except ReproError as exc:
             print(f"error: {exc}")
 

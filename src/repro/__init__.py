@@ -10,13 +10,13 @@ cursors, a seamless object interface and write-back.
 
 Quickstart::
 
-    from repro import Database
-    db = Database()
-    db.execute("CREATE TABLE DEPT (DNO INT PRIMARY KEY, LOC VARCHAR)")
-    db.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, EDNO INT)")
-    db.execute("INSERT INTO DEPT VALUES (1, 'ARC')")
-    db.execute("INSERT INTO EMP VALUES (10, 1)")
-    cache = db.open_cache('''
+    from repro import Engine
+    session = Engine().connect()
+    session.execute("CREATE TABLE DEPT (DNO INT PRIMARY KEY, LOC VARCHAR)")
+    session.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, EDNO INT)")
+    session.execute("INSERT INTO DEPT VALUES (1, 'ARC')")
+    session.execute("INSERT INTO EMP VALUES (10, 1)")
+    cache = session.open_cache('''
         OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),
                xemp AS EMP,
                employment AS (RELATE xdept VIA EMPLOYS, xemp
@@ -28,7 +28,6 @@ Quickstart::
 """
 
 from repro.api.cursor import Cursor
-from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.api.gateway import ObjectGateway, ObjectView
 from repro.api.session import Session
@@ -41,7 +40,7 @@ from repro.xnf.result import COResult
 __version__ = "1.1.0"
 
 __all__ = [
-    "Engine", "Session", "Cursor", "Database",
+    "Engine", "Session", "Cursor",
     "ObjectGateway", "ObjectView", "TransportSimulator",
     "XNFCache", "ReproError", "QueryResult", "COResult",
     "__version__",

@@ -1,8 +1,7 @@
-"""Public API: engine/session surface, database facade, transport
-simulation, object gateway."""
+"""Public API: engine/session surface, transport simulation, object
+gateway."""
 
 from repro.api.cursor import Cursor
-from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.api.gateway import ObjectGateway, ObjectView
 from repro.api.prepared import PreparedStatement
@@ -11,8 +10,7 @@ from repro.api.transport import (TransportSimulator, TransportStats,
                                  tuple_size, value_size)
 
 __all__ = [
-    "Engine", "Session", "Cursor",
-    "Database", "PreparedStatement",
+    "Engine", "Session", "Cursor", "PreparedStatement",
     "ObjectGateway", "ObjectView",
     "TransportSimulator", "TransportStats", "tuple_size", "value_size",
 ]

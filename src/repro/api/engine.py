@@ -58,8 +58,7 @@ from repro.storage.recovery import (RecoveryReport, build_snapshot_payload,
                                     write_snapshot)
 from repro.storage.stats import StatisticsManager
 from repro.storage.table import TableReadView, read_views
-from repro.storage.transactions import (DEFAULT_SCOPE, Transaction,
-                                        TransactionManager)
+from repro.storage.transactions import Transaction, TransactionManager
 from repro.storage.wal import WriteAheadLog
 from repro.xnf.result import XNFExecutable
 from repro.xnf.translate import XNFOptions, XNFTranslator
@@ -429,15 +428,9 @@ class Engine:
         """
         from repro.api.session import Session
         self._check_open()
-        number = next(self._session_counter)
-        # The first session takes the manager's default scope, so the
-        # legacy no-argument transaction API (db.transactions.begin()
-        # and friends) and the facade's default session agree on which
-        # transaction they drive.
-        scope = DEFAULT_SCOPE if number == 0 else f"session-{number}"
+        scope = f"session-{next(self._session_counter)}"
         session = Session(
-            self, scope=scope,
-            label=label or f"session-{number}",
+            self, scope=scope, label=label or scope,
             arraysize=arraysize, batch_size=batch_size,
             xnf_options=xnf_options,
         )

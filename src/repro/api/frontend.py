@@ -99,7 +99,7 @@ def write_form(statement: FrontEndStatement,
     """An UPDATE / DELETE in the one form the write path takes.
 
     A statement the front end lifted is taken as it is.  A parsed AST
-    (a script, a facade caller) is lifted when ``lifting`` (the plan
+    (a script, a caller's own AST) is lifted when ``lifting`` (the plan
     cache is on); otherwise it is wrapped with no bindings, so its
     qualification compiles over the literal AST.
     """

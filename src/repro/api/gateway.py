@@ -13,17 +13,15 @@ updatability analysis — the Persistence-DBMS/ObjectStore bridging role
 the paper's introduction motivates.
 
 The gateway rides the session surface: construct it over a
-:class:`~repro.api.session.Session` (one application client), an
-:class:`~repro.api.engine.Engine` (a private session is opened), or a
-legacy :class:`~repro.api.database.Database` (its default session is
-used).  View commits apply through that session's transaction scope.
+:class:`~repro.api.session.Session` (one application client) or an
+:class:`~repro.api.engine.Engine` (a private session is opened).  View
+commits apply through that session's transaction scope.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.api.session import Session
 from repro.errors import CacheError
@@ -31,18 +29,15 @@ from repro.cache.manager import XNFCache
 from repro.cache.objects import bind_classes
 
 
-def _session_of(target: Union[Session, Engine, Database]
-                ) -> tuple[Session, bool]:
+def _session_of(target: Union[Session, Engine]) -> tuple[Session, bool]:
     """Resolve to a session, reporting whether we opened it (and thus
     own closing it)."""
     if isinstance(target, Session):
         return target, False
     if isinstance(target, Engine):
         return target.connect(label="gateway"), True
-    if isinstance(target, Database):
-        return target.session, False
     raise TypeError(
-        f"ObjectGateway expects a Session, Engine or Database, "
+        f"ObjectGateway expects a Session or an Engine, "
         f"not {type(target).__name__}"
     )
 
@@ -50,7 +45,7 @@ def _session_of(target: Union[Session, Engine, Database]
 class ObjectView:
     """One opened CO view: classes, extents, and a unit of work."""
 
-    def __init__(self, session: Union[Session, Engine, Database],
+    def __init__(self, session: Union[Session, Engine],
                  source: str, write_through: bool = False):
         self.session, self._owns_session = _session_of(session)
         self.source = source
@@ -102,13 +97,9 @@ class ObjectGateway:
     :meth:`close` (or use it as a context manager) to release it.
     """
 
-    def __init__(self, session: Union[Session, Engine, Database]):
+    def __init__(self, session: Union[Session, Engine]):
         self.session, self._owns_session = _session_of(session)
         self._views: dict[str, ObjectView] = {}
-
-    @property
-    def database(self):  # pragma: no cover - legacy accessor
-        return self.session
 
     def open(self, source: str, name: Optional[str] = None,
              write_through: bool = False) -> ObjectView:

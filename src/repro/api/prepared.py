@@ -1,11 +1,10 @@
 """Prepared statements: parse once, execute many.
 
-``session.prepare(sql)`` (or the facade's ``db.prepare``) runs the
-front half of the pipeline (lexing, parsing, and — for SELECT, UPDATE
-and DELETE — literal lifting) exactly once and returns a
-:class:`PreparedStatement` bound to that session.  Each
-:meth:`~PreparedStatement.run` binds fresh parameter values and goes
-through the engine's shared plan cache, so the compile stages (QGM
+``session.prepare(sql)`` runs the front half of the pipeline (lexing,
+parsing, and — for SELECT, UPDATE and DELETE — literal lifting) exactly
+once and returns a :class:`PreparedStatement` bound to that session.
+Each :meth:`~PreparedStatement.run` binds fresh parameter values and
+goes through the engine's shared plan cache, so the compile stages (QGM
 build, rewrite, plan optimization) are also skipped on every execution
 after the first.
 

@@ -551,8 +551,18 @@ class Session:
     # ------------------------------------------------------------------
     def explain(self, sql: str, rewrite_trace: bool = False) -> str:
         """QGM graph, physical plan, and plan-cache status for a SELECT
-        or XNF query, or the qualification plan of an UPDATE/DELETE (see
-        :meth:`Database.explain` for details)."""
+        or XNF query; for an UPDATE or DELETE (on a table, a view or an
+        XNF component), the plan qualifying the base rows it touches.
+
+        The plan-cache section reports whether this compile hit or
+        missed, the normalized statement fingerprint, and — on a miss —
+        why the cached entry (if any) was invalidated.
+
+        With ``rewrite_trace=True`` (SELECT only) the output also
+        carries the compiler pipeline's per-stage QGM dumps and the
+        ordered list of rewrite rules that fired; the compile bypasses
+        the plan cache, since a cache hit has no rewrite to trace.
+        """
         from repro.compiler.pipeline import CompilationTrace
         from repro.executor.plan_cache import CacheInfo
         from repro.qgm.dump import dump_graph

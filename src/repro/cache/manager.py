@@ -40,17 +40,22 @@ class XNFCache:
         self.schema = result.schema
         self._translated = translated
         self._catalog = catalog
+        #: the write surface (``run_atomic``) local changes go back
+        #: through; a cache without one cannot write back
         self._transactions = transactions
+        if write_through and transactions is None:
+            raise CacheError("a write-through cache needs a session: "
+                             "open it with Session.open_cache")
         #: write-through mode: every local mutation is put back to the
         #: base tables immediately (one atomic statement each) instead
         #: of batching in the update log until ``write_back``.
         self.write_through = write_through
         self._in_write = False
         self.workspace.one_write = self.one_write
-        #: (catalog, component write plans, relationship strategies),
-        #: analyzed when the cache opens: the workspace's foreign-key
-        #: links come from it
-        self._analysis: Optional[tuple] = None
+        #: (component write plans, relationship strategies), analyzed
+        #: when the cache opens: the workspace's foreign-key links come
+        #: from it
+        self._analysis: Optional[tuple[dict, dict]] = None
         if catalog is not None:
             self.updatability()
 
@@ -121,36 +126,31 @@ class XNFCache:
     def pending_changes(self) -> list[LogEntry]:
         return list(self.workspace.log)
 
-    def write_back(self, catalog=None, transactions=None) -> int:
+    def write_back(self) -> int:
         """Transfer local changes to the server, all-or-nothing."""
-        return self._writer(catalog, transactions).apply(self.workspace)
+        return self._writer().apply(self.workspace)
 
-    def _writer(self, catalog=None,
-                transactions=None) -> put_back.CacheWriteBack:
-        catalog = catalog or self._catalog
-        transactions = transactions or self._transactions
-        if catalog is None:
-            raise CacheError("no catalog to write back to")
-        if transactions is None:
-            from repro.storage.transactions import TransactionManager
-            transactions = TransactionManager(catalog)
-        return put_back.CacheWriteBack(catalog, transactions,
-                                       *self.updatability(catalog))
+    def _writer(self) -> put_back.CacheWriteBack:
+        if self._catalog is None or self._transactions is None:
+            raise CacheError("no catalog or session to write back "
+                             "through: open the cache with "
+                             "Session.open_cache")
+        return put_back.CacheWriteBack(self._catalog, self._transactions,
+                                       *self.updatability())
 
-    def updatability(self, catalog=None) -> tuple[dict, dict]:
+    def updatability(self) -> tuple[dict, dict]:
         """The view's write paths: component -> write plan (or the
         :class:`~repro.errors.NotUpdatableError` rejecting it), and
         relationship -> connect strategy."""
-        catalog = catalog or self._catalog
-        if self._analysis is None or self._analysis[0] is not catalog:
+        if self._analysis is None:
             xnf = getattr(self._translated, "xnf_box", None)
-            found = put_back.analyze_xnf(xnf, catalog) \
+            self._analysis = put_back.analyze_xnf(xnf, self._catalog) \
                 if xnf is not None else ({}, {})
-            self._analysis = (catalog, *found)
             self.workspace.link_foreign_keys(
-                {name: info.fk_pairs for name, info in found[1].items()
+                {name: info.fk_pairs
+                 for name, info in self._analysis[1].items()
                  if info.kind == "foreign_key"})
-        return self._analysis[1], self._analysis[2]
+        return self._analysis
 
     # ------------------------------------------------------------------
     # Write-through (updatable-view CRUD through the gateway)
@@ -220,8 +220,9 @@ class XNFCache:
         """Reload a saved cache.
 
         Pass the view's ``TranslatedXNF`` (e.g. from
-        ``Database.xnf_executable``) to restore updatability metadata so
-        the reloaded cache can still write back.
+        ``Session.xnf_executable``) to restore updatability metadata,
+        and a write surface (``transactions``) so the reloaded cache can
+        still write back.
 
         Raises :class:`~repro.errors.CacheError` (never a bare
         unpickling crash) when the file is not a cache snapshot, is

@@ -1006,7 +1006,7 @@ class MaterializedViewRegistry:
     """All materialized views of one database, keyed by name.
 
     Subscribed to the catalog's delta protocol; also consulted by the
-    facade's XNF read path so a query structurally equal to a
+    session's XNF read path so a query structurally equal to a
     registered view's definition is served from the materialization.
     """
 

@@ -8,7 +8,7 @@ the *whole compile path* shared as well: the
     parse -> QGM build -> normalize -> rewrite-to-fixpoint -> prune
           -> plan
 
-for every consumer — the Database facade's query/execute, DML
+for every consumer — the session's query/execute, DML
 qualification, XNF and materialized-view translation, and the plan
 cache's read-through — with per-stage tracing for EXPLAIN.
 
@@ -94,7 +94,7 @@ class CompilationTrace:
     """Per-stage QGM dumps plus the ordered rule firings.
 
     Collected when a caller passes ``trace=CompilationTrace()`` (the
-    facade's ``explain(sql, rewrite_trace=True)``); rendering follows
+    session's ``explain(sql, rewrite_trace=True)``); rendering follows
     the stage order, then the rule sequence.
     """
 

@@ -4,7 +4,7 @@ DML reuses the query pipeline for anything SELECT-shaped (INSERT ...
 SELECT, and the row-qualification part of UPDATE/DELETE, which compiles
 to a plan producing RIDs plus new values) and then applies storage
 mutations through :class:`RowWriter`.  Atomicity is the caller's
-concern: the Database facade wraps each statement in ``run_atomic``.
+concern: the session wraps each statement in ``run_atomic``.
 
 UPDATE and DELETE arrive in one form: the front end's
 :class:`~repro.executor.plan_cache.ParameterizedStatement`, its SET and

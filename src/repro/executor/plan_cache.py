@@ -3,7 +3,7 @@
 Starburst compiled a query once and stored the plan for repeated
 execution ("compile once, execute many"); our reproduction used to
 re-run the whole Fig. 2 pipeline — parse -> QGM -> rewrite -> plan —
-on every ``db.query()``.  This module adds the missing layer:
+on every ``session.query()``.  This module adds the missing layer:
 
 * :func:`parameterize` lifts the literals of an ad-hoc statement into
   synthetic :class:`~repro.sql.ast.Parameter` markers, so
@@ -396,7 +396,7 @@ class CacheEntry:
 
 @dataclass
 class CacheInfo:
-    """What the last lookup did — surfaced by ``db.explain``."""
+    """What the last lookup did — surfaced by ``session.explain``."""
 
     status: str  # 'hit' | 'miss' | 'bypass'
     fingerprint: str = ""

@@ -82,7 +82,7 @@ class PlannerOptions:
 
 @dataclass(frozen=True)
 class JoinOrderRecord:
-    """One join fan's chosen order, surfaced by ``db.explain()``."""
+    """One join fan's chosen order, surfaced by ``session.explain()``."""
 
     #: Quantifier names, outermost (driving) source first.
     names: tuple

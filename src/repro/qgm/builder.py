@@ -259,7 +259,7 @@ class QGMBuilder:
     """Builds QGM graphs from parsed statements against a catalog.
 
     ``xnf_component_resolver(view_name, component_name)`` is an optional
-    hook (installed by the Database facade) returning a QGM box for a
+    hook (installed by the engine) returning a QGM box for a
     component of a previously defined XNF view — this is what makes the
     model "closed under its language operations" (Sect. 2).
     """

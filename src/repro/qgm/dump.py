@@ -2,7 +2,7 @@
 
 Reproduces (in text form) the graphical notation of Figs. 3-5: each box
 printed with its kind, label, head columns, quantifiers, and predicates.
-Used by ``Database.explain`` and heavily in tests to assert graph shapes.
+Used by ``Session.explain`` and heavily in tests to assert graph shapes.
 """
 
 from __future__ import annotations

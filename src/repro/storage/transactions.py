@@ -159,11 +159,6 @@ class TransactionManager:
     def in_transaction_for(self, scope: Hashable = DEFAULT_SCOPE) -> bool:
         return scope in self._transactions
 
-    @property
-    def current(self) -> Transaction:
-        """The default scope's open transaction (legacy accessor)."""
-        return self.transaction_for(DEFAULT_SCOPE)
-
     def transaction_for(self, scope: Hashable = DEFAULT_SCOPE
                         ) -> Transaction:
         txn = self._transactions.get(scope)
@@ -335,10 +330,6 @@ class TransactionManager:
         self.commit(scope)
         return result
 
-    def scoped(self, scope: Hashable) -> "ScopedTransactions":
-        """A view of this manager bound to one scope (no-arg API)."""
-        return ScopedTransactions(self, scope)
-
     # ------------------------------------------------------------------
     def _install_hooks(self) -> None:
         for table in self._catalog.tables():
@@ -384,46 +375,3 @@ class TransactionManager:
         finally:
             self._replaying = False
 
-
-class ScopedTransactions:
-    """The single-scope transaction API bound to one scope token.
-
-    Hands the legacy no-argument surface (``begin()``, ``commit()``,
-    ``run_atomic(thunk)``, ...) to code that predates scopes — e.g. the
-    cache write-back path — while routing everything to one session's
-    transaction.
-    """
-
-    def __init__(self, manager: TransactionManager, scope: Hashable):
-        self.manager = manager
-        self.scope = scope
-
-    @property
-    def in_transaction(self) -> bool:
-        return self.manager.in_transaction_for(self.scope)
-
-    @property
-    def current(self) -> Transaction:
-        return self.manager.transaction_for(self.scope)
-
-    @property
-    def rollback_listeners(self) -> list:
-        return self.manager.rollback_listeners
-
-    def begin(self) -> Transaction:
-        return self.manager.begin(self.scope)
-
-    def commit(self) -> None:
-        self.manager.commit(self.scope)
-
-    def rollback(self) -> None:
-        self.manager.rollback(self.scope)
-
-    def savepoint(self, name: str) -> None:
-        self.manager.savepoint(name, self.scope)
-
-    def rollback_to_savepoint(self, name: str) -> None:
-        self.manager.rollback_to_savepoint(name, self.scope)
-
-    def run_atomic(self, thunk) -> Any:
-        return self.manager.run_atomic(thunk, self.scope)

@@ -108,7 +108,7 @@ class XNFTranslator:
     """Implements XNF semantic rewrite over a built XNF QGM graph.
 
     ``compiler`` (a :class:`~repro.compiler.pipeline.CompilationPipeline`,
-    installed by the Database facade) supplies the post-translation NF
+    installed by the engine) supplies the post-translation NF
     rewrite so XNF compilation shares the one rule catalog and fixpoint
     budget; without one, the shared :func:`rewrite_fixpoint` runs with
     defaults.

@@ -19,7 +19,7 @@ def deps_query():
 
 class TestNavigational:
     def test_same_components_as_xnf(self, org_db, deps_query):
-        fragmented = NavigationalExtractor(org_db.pipeline).extract(
+        fragmented = NavigationalExtractor(org_db.engine.pipeline).extract(
             deps_query)
         set_oriented = org_db.xnf("deps_arc")
         for name in set_oriented.components:
@@ -28,7 +28,7 @@ class TestNavigational:
 
     def test_query_count_tracks_parent_instances(self, org_db,
                                                  deps_query):
-        fragmented = NavigationalExtractor(org_db.pipeline).extract(
+        fragmented = NavigationalExtractor(org_db.engine.pipeline).extract(
             deps_query)
         departments = len(fragmented.components["XDEPT"])
         employees = len(fragmented.components["XEMP"])
@@ -44,19 +44,19 @@ class TestNavigational:
     def test_recursive_views_rejected(self, oo1_db):
         from repro.workloads.oo1 import oo1_view_query
         with pytest.raises(XNFError, match="recursive"):
-            NavigationalExtractor(oo1_db.pipeline).extract(
+            NavigationalExtractor(oo1_db.engine.pipeline).extract(
                 parse_statement(oo1_view_query(1, 2)))
 
     def test_empty_database(self, empty_org_db, deps_query):
         fragmented = NavigationalExtractor(
-            empty_org_db.pipeline).extract(deps_query)
+            empty_org_db.engine.pipeline).extract(deps_query)
         assert fragmented.total_tuples() == 0
         assert fragmented.queries_issued == 1  # only the root query
 
 
 class TestSingleComponent:
     def test_results_match_xnf(self, org_db, deps_query):
-        derivation = SingleComponentDerivation(org_db.catalog)
+        derivation = SingleComponentDerivation(org_db.engine.catalog)
         queries = derivation.build_queries(deps_query)
         results = derivation.run_queries(queries)
         co = org_db.xnf("deps_arc")
@@ -66,7 +66,7 @@ class TestSingleComponent:
             assert standalone == reference, name
 
     def test_relationship_queries_match_counts(self, org_db, deps_query):
-        derivation = SingleComponentDerivation(org_db.catalog)
+        derivation = SingleComponentDerivation(org_db.engine.catalog)
         queries = derivation.build_queries(deps_query)
         results = derivation.run_queries(queries)
         co = org_db.xnf("deps_arc")
@@ -76,13 +76,13 @@ class TestSingleComponent:
 
     def test_eight_queries_for_deps_arc(self, org_db, deps_query):
         queries = SingleComponentDerivation(
-            org_db.catalog).build_queries(deps_query)
+            org_db.engine.catalog).build_queries(deps_query)
         assert len(queries) == 8
 
     def test_operation_counts_shape(self, org_db, deps_query):
         """The Table 1 shape: XNF does strictly less work, and most
         baseline operations are replicated."""
-        derivation = SingleComponentDerivation(org_db.catalog)
+        derivation = SingleComponentDerivation(org_db.engine.catalog)
         queries = derivation.build_queries(deps_query)
         sql_total = sum(q.operations.total for q in queries)
         replicated = sum(replicated_operations(
@@ -96,7 +96,7 @@ class TestSingleComponent:
         assert replicated >= sql_total // 3  # pervasive redundancy
 
     def test_per_component_counts(self, org_db, deps_query):
-        derivation = SingleComponentDerivation(org_db.catalog)
+        derivation = SingleComponentDerivation(org_db.engine.catalog)
         queries = derivation.build_queries(deps_query)
         by_name = {q.name: q.operations.total for q in queries}
         assert by_name["XDEPT"] == 1  # one selection
@@ -106,7 +106,7 @@ class TestSingleComponent:
         assert by_name["OWNERSHIP"] == 3
 
     def test_table1_rows_helper(self, org_db, deps_query):
-        derivation = SingleComponentDerivation(org_db.catalog)
+        derivation = SingleComponentDerivation(org_db.engine.catalog)
         queries = derivation.build_queries(deps_query)
         rows = table1_rows(queries, {"XDEPT": 1, "XEMP": 1})
         assert rows[0].component == "XDEPT"

@@ -112,7 +112,7 @@ def run_sizes(db, sql):
     """Compile once; execute at batch sizes 1 (the reference), 2, 7
     and the planner's default.  Returns [(batch_size, rows, counters)]
     in that order."""
-    compiled = db.pipeline.compile_select(parse_statement(sql))
+    compiled = db.engine.pipeline.compile_select(parse_statement(sql))
     plan = compiled.plan
     default = plan.batch_size
     runs = []
@@ -120,7 +120,7 @@ def run_sizes(db, sql):
         plan.batch_size = batch_size
         try:
             ctx = plan.new_context()
-            result = db.pipeline.run_compiled(compiled, ctx)
+            result = db.engine.pipeline.run_compiled(compiled, ctx)
         finally:
             plan.batch_size = default
         runs.append((batch_size, result.rows, dict(ctx.counters)))
@@ -156,7 +156,7 @@ def test_xnf_view_equivalence(org_db):
                            ("default", PlannerOptions())):
         executable = XNFExecutable(
             org_db.xnf_executable("deps_arc").translated,
-            org_db.catalog, org_db.stats, options)
+            org_db.engine.catalog, org_db.engine.stats, options)
         results[label] = executable.run()
     one_co, default_co = results["one"], results["default"]
     assert set(one_co.components) == set(default_co.components)
@@ -175,14 +175,14 @@ def test_batch_size_sweep(simple_db):
     """Row stream identical across pathological batch sizes."""
     sql = ("SELECT d.dname, e.ename FROM DEPT d, EMP e "
            "WHERE d.dno = e.edno AND e.sal > 90 ORDER BY e.eno")
-    compiled = simple_db.pipeline.compile_select(parse_statement(sql))
+    compiled = simple_db.engine.pipeline.compile_select(parse_statement(sql))
     plan = compiled.plan
     plan.batch_size = 1
-    reference = simple_db.pipeline.run_compiled(
+    reference = simple_db.engine.pipeline.run_compiled(
         compiled, plan.new_context()).rows
     for batch_size in (2, 3, 7, 1024):
         plan.batch_size = batch_size
-        got = simple_db.pipeline.run_compiled(
+        got = simple_db.engine.pipeline.run_compiled(
             compiled, plan.new_context()).rows
         assert got == reference, f"batch_size={batch_size}"
 
@@ -191,7 +191,7 @@ def test_scalar_subqueries_run_at_the_plan_batch_size(simple_db):
     """Scalar subquery plans run at the outer plan's batch width, so the
     ``batch_size=1`` reference covers them too."""
     sql = "SELECT ename FROM EMP WHERE sal = (SELECT MAX(sal) FROM EMP)"
-    compiled = simple_db.pipeline.compile_select(parse_statement(sql))
+    compiled = simple_db.engine.pipeline.compile_select(parse_statement(sql))
     plan = compiled.plan
     assert plan.scalar_plans
     seen = []
@@ -204,7 +204,7 @@ def test_scalar_subqueries_run_at_the_plan_batch_size(simple_db):
     for batch_size in (1, 7, default):
         plan.batch_size = batch_size
         try:
-            simple_db.pipeline.run_compiled(compiled, plan.new_context())
+            simple_db.engine.pipeline.run_compiled(compiled, plan.new_context())
         finally:
             plan.batch_size = default
     assert seen == [1, 7, default]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.engine import Engine
 from repro.errors import CacheError
 from repro.cache.manager import XNFCache
 from repro.viewupdate.executor import CompiledWritePlan
@@ -27,6 +28,41 @@ class TestEvaluate:
         components, relationships = cache.updatability()
         assert isinstance(components["XEMP"], CompiledWritePlan)
         assert relationships["EMPLOYMENT"].kind == "foreign_key"
+
+
+class TestWriteSurface:
+    VIEW = "OUT OF xemp AS EMP TAKE *"
+
+    def test_cache_outside_a_session_cannot_write_back(self, tmp_path):
+        # A cache evaluated from a bare executable has no session to
+        # write through.  Writing back must fail, not commit through a
+        # private transaction manager that skips the WAL and the
+        # writer latch and stays registered on the catalog.
+        path = str(tmp_path / "db")
+        engine = Engine(path=path, fsync="none")
+        session = engine.connect()
+        session.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, SAL INT)")
+        session.execute("INSERT INTO EMP VALUES (1, 100)")
+        interceptors = len(engine.catalog.delta_interceptors)
+        cache = XNFCache.evaluate(session.xnf_executable(self.VIEW))
+        emp = cache.extent("xemp")[0]
+        for salary in (500, 501, 502):
+            emp.set("SAL", salary)
+            with pytest.raises(CacheError, match="to write back through"):
+                cache.write_back()
+        with pytest.raises(CacheError, match="write-through"):
+            XNFCache.evaluate(session.xnf_executable(self.VIEW),
+                              write_through=True)
+        assert len(engine.catalog.delta_interceptors) == interceptors
+        assert session.query("SELECT sal FROM EMP").rows == [(100,)]
+        # The session's own cache writes back durably.
+        cache = session.open_cache(self.VIEW)
+        cache.extent("xemp")[0].set("SAL", 502)
+        cache.write_back()
+        engine.close()
+        with Engine(path=path, fsync="none") as reopened:
+            assert reopened.connect().query(
+                "SELECT sal FROM EMP").rows == [(502,)]
 
 
 class TestPersistence:
@@ -71,8 +107,8 @@ class TestPersistence:
         path = str(tmp_path / "cache.bin")
         cache.save(path)
         translated = org_db.xnf_executable("deps_arc").translated
-        loaded = XNFCache.load(path, catalog=org_db.catalog,
-                               transactions=org_db.transactions,
+        loaded = XNFCache.load(path, catalog=org_db.engine.catalog,
+                               transactions=org_db.engine.transactions,
                                translated=translated)
         loaded.write_back()
         assert org_db.query(

@@ -161,7 +161,7 @@ class TestLocalUpdates:
 
 class TestProjectionDanglingConnections:
     def test_untaken_partner_counts_dangling(self, org_db):
-        query = org_db.catalog.view("deps_arc").definition
+        query = org_db.engine.catalog.view("deps_arc").definition
         from repro.sql import ast as sql_ast
         projected = sql_ast.XNFQuery(
             definitions=query.definitions,

@@ -10,24 +10,24 @@ from repro.storage.clustering import (LRUBuffer, co_clustered_layout,
 
 class TestLayouts:
     def test_sequential_layout_covers_all_rows(self, org_db):
-        layout = sequential_layout(org_db.catalog, ["DEPT", "EMP"])
-        dept = org_db.catalog.table("DEPT")
-        emp = org_db.catalog.table("EMP")
+        layout = sequential_layout(org_db.engine.catalog, ["DEPT", "EMP"])
+        dept = org_db.engine.catalog.table("DEPT")
+        emp = org_db.engine.catalog.table("EMP")
         assert len(layout.placement) == len(dept) + len(emp)
 
     def test_sequential_layout_is_contiguous(self, org_db):
-        layout = sequential_layout(org_db.catalog, ["DEPT"],
+        layout = sequential_layout(org_db.engine.catalog, ["DEPT"],
                                    rows_per_page=4)
         pages = [layout.page_of("DEPT", rid)
-                 for rid, _row in org_db.catalog.table("DEPT").scan()]
+                 for rid, _row in org_db.engine.catalog.table("DEPT").scan()]
         assert pages == sorted(pages)
         assert layout.page_count == 2  # 6 departments / 4 per page
 
     def test_clustered_layout_co_locates_families(self, org_db):
-        layout = co_clustered_layout(org_db.catalog, "DEPT",
+        layout = co_clustered_layout(org_db.engine.catalog, "DEPT",
                                      rows_per_page=64)
-        dept = org_db.catalog.table("DEPT")
-        emp = org_db.catalog.table("EMP")
+        dept = org_db.engine.catalog.table("DEPT")
+        emp = org_db.engine.catalog.table("EMP")
         first_dept_rid = next(rid for rid, _r in dept.scan())
         dept_page = layout.page_of("DEPT", first_dept_rid)
         dept_row = dept.fetch(first_dept_rid)
@@ -39,14 +39,14 @@ class TestLayouts:
         assert child_pages == {dept_page}  # family fits one big page
 
     def test_clustered_layout_places_every_touched_row(self, org_db):
-        layout = co_clustered_layout(org_db.catalog, "DEPT")
+        layout = co_clustered_layout(org_db.engine.catalog, "DEPT")
         for name in ("DEPT", "EMP", "PROJ", "EMPSKILLS"):
-            table = org_db.catalog.table(name)
+            table = org_db.engine.catalog.table(name)
             for rid, _row in table.scan():
                 layout.page_of(name, rid)  # raises if unplaced
 
     def test_unplaced_row_raises(self, org_db):
-        layout = sequential_layout(org_db.catalog, ["DEPT"])
+        layout = sequential_layout(org_db.engine.catalog, ["DEPT"])
         with pytest.raises(StorageError, match="no placement"):
             layout.page_of("EMP", 0)
 
@@ -81,18 +81,18 @@ class TestLRUBuffer:
 
 class TestTraceAndFaults:
     def test_trace_visits_children_after_parent(self, org_db):
-        trace = list(hierarchical_access_trace(org_db.catalog, "DEPT"))
+        trace = list(hierarchical_access_trace(org_db.engine.catalog, "DEPT"))
         tables = [t for t, _r in trace]
         assert tables[0] == "DEPT"
         assert "EMP" in tables and "EMPSKILLS" in tables
 
     def test_trace_visits_each_family_once(self, org_db):
-        trace = list(hierarchical_access_trace(org_db.catalog, "DEPT"))
+        trace = list(hierarchical_access_trace(org_db.engine.catalog, "DEPT"))
         dept_visits = [r for t, r in trace if t == "DEPT"]
-        assert len(dept_visits) == len(org_db.catalog.table("DEPT"))
+        assert len(dept_visits) == len(org_db.engine.catalog.table("DEPT"))
 
     def test_clustering_reduces_faults(self, org_db):
-        catalog = org_db.catalog
+        catalog = org_db.engine.catalog
         trace = list(hierarchical_access_trace(catalog, "DEPT"))
         tables = sorted({t for t, _r in trace})
         seq = sequential_layout(catalog, tables, rows_per_page=4)
@@ -102,7 +102,7 @@ class TestTraceAndFaults:
         assert clu_faults < seq_faults
 
     def test_huge_buffer_equalizes_layouts(self, org_db):
-        catalog = org_db.catalog
+        catalog = org_db.engine.catalog
         trace = list(hierarchical_access_trace(catalog, "DEPT"))
         tables = sorted({t for t, _r in trace})
         seq = sequential_layout(catalog, tables, rows_per_page=4)

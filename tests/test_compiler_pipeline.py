@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.session import Session
 from repro.compiler.pipeline import (CompilationPipeline, CompilationTrace,
                                      PipelineOptions)
 from repro.errors import RewriteError
@@ -23,7 +23,7 @@ INLINE_VIEW_BODY = ("SELECT e.eno, e.ename, d.loc FROM EMP e, DEPT d "
 
 
 @pytest.fixture
-def viewed_db(simple_db) -> Database:
+def viewed_db(simple_db) -> Session:
     simple_db.execute(f"CREATE VIEW emp_dept AS {INLINE_VIEW_BODY}")
     return simple_db
 
@@ -31,7 +31,7 @@ def viewed_db(simple_db) -> Database:
 class TestStages:
     def test_trace_records_stage_sequence(self, simple_db):
         trace = CompilationTrace()
-        simple_db.pipeline.compile_select(
+        simple_db.engine.pipeline.compile_select(
             parse_statement("SELECT ename FROM EMP WHERE sal > 100"),
             trace=trace)
         stages = [record.stage for record in trace.records]
@@ -40,7 +40,7 @@ class TestStages:
 
     def test_trace_renders_rules_in_order(self, simple_db):
         trace = CompilationTrace()
-        simple_db.pipeline.compile_select(
+        simple_db.engine.pipeline.compile_select(
             parse_statement(
                 "SELECT x.ename FROM (SELECT ename FROM EMP "
                 "WHERE sal > 100) x"),
@@ -61,7 +61,7 @@ class TestStages:
         assert "rewrite trace requested" in traced  # cache bypassed
 
     def test_normalize_drops_trivial_conjuncts(self, simple_db):
-        graph = simple_db.pipeline.compiler.build_select(parse_statement(
+        graph = simple_db.engine.pipeline.compiler.build_select(parse_statement(
             "SELECT ename FROM EMP WHERE EXISTS "
             "(SELECT 1 FROM DEPT WHERE dno = 1)"))
         from repro.sql import ast
@@ -77,7 +77,7 @@ class TestRewriteBudget:
     def test_budget_configurable_via_planner_options(self, simple_db):
         options = PipelineOptions(
             planner=PlannerOptions(rewrite_budget=1))
-        pipeline = QueryPipeline(simple_db.catalog, simple_db.stats,
+        pipeline = QueryPipeline(simple_db.engine.catalog, simple_db.engine.stats,
                                  options)
         with pytest.raises(RewriteError) as excinfo:
             pipeline.compile_select(parse_statement(self.EXHAUSTING_SQL))
@@ -87,7 +87,7 @@ class TestRewriteBudget:
         assert "applications:" in message
 
     def test_default_budget_suffices(self, simple_db):
-        compiled = simple_db.pipeline.compile_select(
+        compiled = simple_db.engine.pipeline.compile_select(
             parse_statement(self.EXHAUSTING_SQL))
         assert compiled.plan is not None
 
@@ -98,7 +98,7 @@ class TestCanonicalCacheKeying:
                f"WHERE v.eno = 10")
 
     def test_view_and_inline_share_plan_entry(self, viewed_db):
-        cache = viewed_db.pipeline.plan_cache
+        cache = viewed_db.engine.pipeline.plan_cache
         first = viewed_db.query(self.THROUGH_VIEW)
         assert cache.last_info.status == "miss"
         second = viewed_db.query(self.INLINED)
@@ -111,7 +111,7 @@ class TestCanonicalCacheKeying:
         viewed_db.query(self.THROUGH_VIEW)
         viewed_db.query(self.INLINED)   # canonical hit, aliased
         viewed_db.query(self.INLINED)   # now a plain AST-key hit
-        info = viewed_db.pipeline.plan_cache.last_info
+        info = viewed_db.engine.pipeline.plan_cache.last_info
         assert info.status == "hit"
         assert info.reason == ""        # first-level, not canonical
 
@@ -119,25 +119,25 @@ class TestCanonicalCacheKeying:
         viewed_db.query(self.THROUGH_VIEW)
         viewed_db.query(
             "SELECT v.ename FROM emp_dept v WHERE v.eno = 13")
-        info = viewed_db.pipeline.plan_cache.last_info
+        info = viewed_db.engine.pipeline.plan_cache.last_info
         assert info.status == "hit"
 
     def test_different_shapes_do_not_collide(self, viewed_db):
         first = viewed_db.query(self.THROUGH_VIEW)
         other = viewed_db.query(
             "SELECT v.loc FROM emp_dept v WHERE v.eno = 10")
-        assert viewed_db.pipeline.plan_cache.last_info.status == "miss"
+        assert viewed_db.engine.pipeline.plan_cache.last_info.status == "miss"
         assert first.rows != other.rows
 
     def test_compiled_carries_canonical_fingerprint(self, viewed_db):
-        compiled, _bindings = viewed_db.pipeline.compile_select_cached(
+        compiled, _bindings = viewed_db.engine.pipeline.compile_select_cached(
             parse_statement(self.THROUGH_VIEW))
         assert compiled.canonical
 
     def test_canonical_hit_counts_as_one_hit(self, viewed_db):
         # One compile is exactly one hit or one miss, even when the
         # hit comes from the second-level canonical probe.
-        stats = viewed_db.pipeline.plan_cache.stats
+        stats = viewed_db.engine.pipeline.plan_cache.stats
         viewed_db.query(self.THROUGH_VIEW)
         before = (stats.hits, stats.misses)
         viewed_db.query(self.INLINED)
@@ -205,9 +205,9 @@ class TestSingleCompilePath:
 
         monkeypatch.setattr(CompilationPipeline, "build_xnf", spy_build)
         org_db.create_materialized_view(
-            "mv_deps", org_db.catalog.view("deps_arc").definition)
+            "mv_deps", org_db.engine.catalog.view("deps_arc").definition)
         assert built
 
     def test_plan_cache_read_through_is_compiler_owned(self, simple_db):
-        assert simple_db.pipeline.plan_cache is \
-            simple_db.pipeline.compiler.plan_cache
+        assert simple_db.engine.pipeline.plan_cache is \
+            simple_db.engine.pipeline.compiler.plan_cache

@@ -18,8 +18,8 @@ import threading
 
 import pytest
 
-from repro.api.database import Database
 from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.cache.matview import co_canonical
 from repro.executor.runtime import QueryStream
 from repro.storage.table import active_read_view
@@ -31,13 +31,13 @@ class Boom(RuntimeError):
     pass
 
 
-def org_db(**kwargs) -> Database:
-    db = Database(**kwargs)
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=3,
-                                      employees_per_dept=3,
-                                      projects_per_dept=2, skills=6,
-                                      arc_fraction=0.5, seed=4))
+def org_db(**kwargs) -> Session:
+    db = Engine(**kwargs).connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, OrgScale(departments=3,
+                                             employees_per_dept=3,
+                                             projects_per_dept=2, skills=6,
+                                             arc_fraction=0.5, seed=4))
     return db
 
 
@@ -83,7 +83,7 @@ def test_failing_delta_listener_does_not_strand_transaction():
     db.execute(fresh_emp_values(db, 901))
     session.commit()
     assert 901 in {row[0] for row in engine.catalog.table("EMP").rows()}
-    db.close()
+    db.engine.close()
 
 
 def test_raising_pre_commit_hook_aborts_with_transaction_intact():
@@ -106,7 +106,7 @@ def test_raising_pre_commit_hook_aborts_with_transaction_intact():
     engine.transactions.pre_commit_hooks.remove(refuse)
     session.rollback()
     assert 910 not in {row[0] for row in engine.catalog.table("EMP").rows()}
-    db.close()
+    db.engine.close()
 
 
 def test_listener_mutations_during_flush_are_not_undo_logged():
@@ -130,7 +130,7 @@ def test_listener_mutations_during_flush_are_not_undo_logged():
     session.commit()
     assert "EMP" in seen
     assert len(list(audit.rows())) == len(seen)
-    db.close()
+    db.engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_savepoint_rollback_discards_buffered_deltas():
     session.commit()
     enos = {row[0] for row in engine.catalog.table("EMP").rows()}
     assert 930 in enos and 931 not in enos
-    db.close()
+    db.engine.close()
 
 
 def test_savepoint_rollback_keeps_matview_correct():
@@ -181,7 +181,7 @@ def test_savepoint_rollback_keeps_matview_correct():
     if emp is not None:
         enames = {row[emp.columns.index("ENAME")] for row in emp.rows}
         assert "E941" not in enames
-    db.close()
+    db.engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from collections import defaultdict
 
 import pytest
 
-from repro.api.database import Database
 from repro.api.engine import Engine
 from repro.cache.matview import co_canonical
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
@@ -148,12 +147,12 @@ def test_matview_recovers_stale_then_correct(tmp_path):
     from recovered base tables (stale-or-correct, never a pre-crash
     image served as fresh)."""
     dbdir = str(tmp_path / "db")
-    db = Database(path=dbdir, fsync="none")
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=4,
-                                      employees_per_dept=3,
-                                      projects_per_dept=2, skills=8,
-                                      arc_fraction=0.5, seed=9))
+    db = Engine(path=dbdir, fsync="none").connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, OrgScale(departments=4,
+                                             employees_per_dept=3,
+                                             projects_per_dept=2, skills=8,
+                                             arc_fraction=0.5, seed=9))
     # Workload loaders write storage directly (no deltas, no WAL);
     # checkpoint to make the seed rows durable.
     db.engine.checkpoint()
@@ -164,17 +163,17 @@ def test_matview_recovers_stale_then_correct(tmp_path):
     # Simulate a crash: reopen without closing — every appended WAL
     # record is already flushed to the file, exactly as a SIGKILL
     # would leave it.
-    db2 = Database(path=dbdir, fsync="none")
-    view = db2.matviews.get("deps_arc")
+    db2 = Engine(path=dbdir, fsync="none").connect()
+    view = db2.engine.matviews.get("deps_arc")
     assert view.stale, "recovered matview must not claim freshness"
     assert view.policy == "eager"
     stored = view.read()
     recomputed = view.executable.run()
     assert co_canonical(stored) == co_canonical(recomputed)
-    db2.close()
+    db2.engine.close()
     # Recovery is long done from the on-disk image; closing the
     # abandoned pre-crash engine now just releases its file handle.
-    db.close()
+    db.engine.close()
 
 
 def test_stats_epoch_advances_across_recovery(tmp_path):

@@ -1,8 +1,9 @@
-"""Database facade: DDL dispatch, XNF views, composition, explain."""
+"""Session statements: dispatch by kind, DDL, XNF views, composition,
+explain."""
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
 from repro.errors import CatalogError, SemanticError
 from repro.executor.runtime import QueryResult
 from repro.xnf.result import COResult
@@ -42,11 +43,11 @@ class TestExecuteDispatch:
 
 class TestDDL:
     def test_create_table_with_fk(self):
-        db = Database()
-        db.execute("CREATE TABLE P (ID INT PRIMARY KEY)")
-        db.execute("CREATE TABLE C (ID INT PRIMARY KEY, PID INT, "
-                   "FOREIGN KEY (PID) REFERENCES P (ID))")
-        assert db.catalog.foreign_keys()[0].parent_table == "P"
+        session = Engine().connect()
+        session.execute("CREATE TABLE P (ID INT PRIMARY KEY)")
+        session.execute("CREATE TABLE C (ID INT PRIMARY KEY, PID INT, "
+                        "FOREIGN KEY (PID) REFERENCES P (ID))")
+        assert session.engine.catalog.foreign_keys()[0].parent_table == "P"
 
     def test_create_unique_index_enforced(self, simple_db):
         simple_db.execute("CREATE UNIQUE INDEX UX ON DEPT (DNAME)")
@@ -62,7 +63,7 @@ class TestDDL:
     def test_drop_view(self, simple_db):
         simple_db.execute("CREATE VIEW v AS SELECT * FROM DEPT")
         simple_db.execute("DROP VIEW v")
-        assert not simple_db.catalog.has_view("v")
+        assert not simple_db.engine.catalog.has_view("v")
 
     def test_primary_key_implies_not_null(self, simple_db):
         simple_db.execute("CREATE TABLE PK (ID INT PRIMARY KEY)")

@@ -28,7 +28,8 @@ from collections import Counter
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.sql.parser import parse_statement
 from repro.workloads.bom import BOMScale, create_bom_schema, populate_bom
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
@@ -91,14 +92,14 @@ BOM_CHAINS = [
 # ----------------------------------------------------------------------
 # Fixture databases (repro + mirrored sqlite)
 # ----------------------------------------------------------------------
-def build_org_database() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=8, employees_per_dept=5,
-                                      projects_per_dept=3, skills=12,
-                                      skills_per_employee=2,
-                                      skills_per_project=2,
-                                      arc_fraction=0.25, seed=26))
+def build_org_database() -> Session:
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, OrgScale(departments=8, employees_per_dept=5,
+                                             projects_per_dept=3, skills=12,
+                                             skills_per_employee=2,
+                                             skills_per_project=2,
+                                             arc_fraction=0.25, seed=26))
     # NULL-bearing rows so three-valued logic is actually exercised.
     db.execute("INSERT INTO EMP VALUES (9001, 'null-dept', NULL, 77000)")
     db.execute("INSERT INTO EMP VALUES (9002, 'null-sal', 1, NULL)")
@@ -107,20 +108,20 @@ def build_org_database() -> Database:
     return db
 
 
-def build_bom_database() -> Database:
-    db = Database()
-    create_bom_schema(db.catalog)
-    populate_bom(db.catalog, BOMScale(roots=3, depth=3, fanout=3, seed=14))
+def build_bom_database() -> Session:
+    db = Engine().connect()
+    create_bom_schema(db.engine.catalog)
+    populate_bom(db.engine.catalog, BOMScale(roots=3, depth=3, fanout=3, seed=14))
     db.execute("INSERT INTO PART VALUES (9001, 'null-part', NULL, NULL)")
     return db
 
 
-def mirror_to_sqlite(db: Database) -> sqlite3.Connection:
+def mirror_to_sqlite(db: Session) -> sqlite3.Connection:
     """Copy every base table (schema and rows) into an in-memory SQLite
     database.  Columns are declared without affinity so values keep the
     exact Python types the repro engine stores."""
     conn = sqlite3.connect(":memory:")
-    for table in db.catalog.tables():
+    for table in db.engine.catalog.tables():
         columns = ", ".join(f'"{c.name}"' for c in table.columns)
         conn.execute(f'CREATE TABLE {table.name} ({columns})')
         placeholders = ", ".join("?" * len(table.columns))
@@ -154,7 +155,7 @@ def bom_pair():
 class SelectGenerator:
     """Seeded random SELECT statements over one schema's metadata."""
 
-    def __init__(self, db: Database, tables: dict, joins: list,
+    def __init__(self, db: Session, tables: dict, joins: list,
                  chains: list, seed: int):
         self.db = db
         self.tables = tables
@@ -169,9 +170,9 @@ class SelectGenerator:
         key = (table, column)
         values = self._samples.get(key)
         if values is None:
-            position = self.db.catalog.table(table).column_position(column)
+            position = self.db.engine.catalog.table(table).column_position(column)
             values = [row[position]
-                      for row in self.db.catalog.table(table).rows()
+                      for row in self.db.engine.catalog.table(table).rows()
                       if row[position] is not None]
             self._samples[key] = values
         if not values:
@@ -371,7 +372,7 @@ class SelectGenerator:
         """CROSS JOIN of two of the smallest tables, each filtered,
         sometimes with a non-equi predicate across them."""
         smallest = sorted(self.tables,
-                          key=lambda name: len(self.db.catalog.table(name)))
+                          key=lambda name: len(self.db.engine.catalog.table(name)))
         first = self.rng.choice(smallest[:3])
         second = self.rng.choice(smallest[:3])
         columns = (self.columns_of("a", first, 1)
@@ -480,7 +481,7 @@ def multiset(rows) -> Counter:
     return Counter(tuple(normalize(v) for v in row) for row in rows)
 
 
-def assert_same_result(db: Database, conn: sqlite3.Connection,
+def assert_same_result(db: Session, conn: sqlite3.Connection,
                        sql: str, ordered: bool = False) -> None:
     expected = conn.execute(sql).fetchall()
     actual = db.query(sql).rows
@@ -502,10 +503,10 @@ def assert_same_result(db: Database, conn: sqlite3.Connection,
     )
 
 
-def plan_operators(db: Database, sql: str) -> set[str]:
+def plan_operators(db: Session, sql: str) -> set[str]:
     """Class names of every operator in the statement's plan, scalar
     subquery plans included."""
-    compiled, _bindings = db.pipeline.compile_select_cached(
+    compiled, _bindings = db.engine.pipeline.compile_select_cached(
         parse_statement(sql))
     plan = compiled.plan
     stack = [node for _stream, node in plan.outputs]
@@ -518,7 +519,7 @@ def plan_operators(db: Database, sql: str) -> set[str]:
     return names
 
 
-def run_seed(db: Database, conn: sqlite3.Connection, tables: dict,
+def run_seed(db: Session, conn: sqlite3.Connection, tables: dict,
              joins: list, chains: list, seed: int,
              count: int = QUERIES_PER_SEED) -> set[str]:
     """Check ``count`` generated statements; returns the operator class

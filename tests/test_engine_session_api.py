@@ -7,7 +7,6 @@ lives in tests/test_sessions_concurrency.py.
 import pytest
 
 from repro.api.engine import Engine
-from repro.api.database import Database
 from repro.errors import CatalogError, InterfaceError, TransactionError
 
 
@@ -78,20 +77,6 @@ class TestLifecycle:
             session = engine.connect()
             session.execute("CREATE TABLE X (A INT)")
         assert engine.closed
-
-    def test_facade_mirrors_close(self):
-        db = Database()
-        db.execute("CREATE TABLE X (A INT)")
-        db.close()
-        assert db.closed
-        with pytest.raises(InterfaceError):
-            db.execute("SELECT * FROM X")
-
-    def test_facade_deprecates_implicit_transactions(self, simple_db):
-        with pytest.warns(DeprecationWarning, match="default session"):
-            simple_db.begin()
-        with pytest.warns(DeprecationWarning):
-            simple_db.rollback()
 
 
 class TestCursor:
@@ -493,7 +478,7 @@ class TestSharedCompiledState:
 
     def test_gateway_over_session(self, org_db):
         from repro.api.gateway import ObjectGateway
-        session = org_db.connect()
+        session = org_db.engine.connect()
         view = ObjectGateway(session).open("deps_arc")
         emp = next(iter(view.XEMP.extent))
         emp.sal = 999111

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
 from repro.errors import (CatalogError, ExecutionError, ParseError,
                           ReproError, SemanticError, XNFError)
 
@@ -62,7 +62,7 @@ class TestSemanticMessages:
         with pytest.raises(SemanticError):
             simple_db.execute(
                 "CREATE VIEW v AS SELECT nothere FROM DEPT")
-        assert not simple_db.catalog.has_view("v")
+        assert not simple_db.engine.catalog.has_view("v")
 
     def test_xnf_unknown_view(self, simple_db):
         with pytest.raises(ReproError):
@@ -116,11 +116,11 @@ class TestStateAfterFailure:
         with pytest.raises(ExecutionError):
             simple_db.execute("UPDATE EMP SET sal = sal / (sal - sal)")
         assert list(simple_db.table("EMP").rows()) == before
-        assert not simple_db.transactions.in_transaction
+        assert not simple_db.in_transaction
 
     def test_failed_xnf_leaves_no_partial_view(self, simple_db):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE T (A INT PRIMARY KEY)")
         with pytest.raises(ReproError):
             db.execute("CREATE VIEW v AS OUT OF x AS GHOST TAKE *")
-        assert not db.catalog.has_view("v")
+        assert not db.engine.catalog.has_view("v")

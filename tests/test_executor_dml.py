@@ -115,8 +115,8 @@ class TestForeignKeyEnforcement:
             org_db.execute("UPDATE DEPT SET dno = 99 WHERE dno = 1")
 
     def test_null_fk_allowed(self, simple_db):
-        simple_db.catalog.add_foreign_key("FK", "EMP", ["EDNO"],
-                                          "DEPT", ["DNO"])
+        simple_db.engine.catalog.add_foreign_key("FK", "EMP", ["EDNO"],
+                                                 "DEPT", ["DNO"])
         simple_db.execute("INSERT INTO EMP VALUES (77, 'n', NULL, 1)")
 
 

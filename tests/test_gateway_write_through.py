@@ -9,6 +9,8 @@ drifts from the database.
 
 import pytest
 
+from repro.api.gateway import ObjectGateway
+
 from repro.cache.objects import bind_classes
 from repro.errors import UpdateError, ViewUpdateError
 
@@ -248,7 +250,7 @@ class TestDeferredStillWorks:
         assert base_emp(org_db, emp.eno)[2] == emp.sal
 
     def test_gateway_open_flag(self, org_db):
-        view = org_db.objects.open("deps_arc", write_through=True)
+        view = ObjectGateway(org_db).open("deps_arc", write_through=True)
         classes = view.classes
         emp = next(iter(classes["XEMP"].extent))
         emp.sal = emp.sal + 3
@@ -272,7 +274,7 @@ class TestSharedWriterChecks:
     def test_rekeying_a_parent_with_children_is_restricted(
             self, org_db, write_through):
         before = base_tables(org_db)
-        view = org_db.objects.open("deps_arc", write_through=write_through)
+        view = ObjectGateway(org_db).open("deps_arc", write_through=write_through)
         dept = next(d for d in view.extent("xdept") if d.employs())
         old = dept.dno
         with pytest.raises(UpdateError, match="still references"):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.api.gateway import ObjectGateway
 
 
@@ -11,8 +12,8 @@ class TestLibraryScenario:
     the public SQL/XNF surface."""
 
     @pytest.fixture
-    def library(self) -> Database:
-        db = Database()
+    def library(self) -> Session:
+        db = Engine().connect()
         db.execute_script("""
         CREATE TABLE BRANCH (BID INT PRIMARY KEY, CITY VARCHAR);
         CREATE TABLE BOOK (ISBN INT PRIMARY KEY, TITLE VARCHAR,

@@ -78,8 +78,8 @@ def _pipeline(db, order=None, capture=None):
 
     options = PipelineOptions(planner=PlannerOptions(
         join_order_hook=hook))
-    return QueryPipeline(db.catalog, db.stats, options,
-                         db.pipeline.xnf_component_resolver)
+    return QueryPipeline(db.engine.catalog, db.engine.stats, options,
+                         db.engine.pipeline.xnf_component_resolver)
 
 
 def _run(db, sql, order=None, capture=None):
@@ -138,8 +138,8 @@ class TestHookContract:
         from repro.errors import PlanningError
         options = PipelineOptions(planner=PlannerOptions(
             join_order_hook=lambda names: ["d", "GHOST"]))
-        pipeline = QueryPipeline(org_db.catalog, org_db.stats, options,
-                                 org_db.pipeline.xnf_component_resolver)
+        pipeline = QueryPipeline(org_db.engine.catalog, org_db.engine.stats, options,
+                                 org_db.engine.pipeline.xnf_component_resolver)
         with pytest.raises(PlanningError):
             pipeline.compile_select(parse_statement(
                 "SELECT d.dname, e.ename FROM DEPT d, EMP e "

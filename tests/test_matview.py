@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.cache.matview import co_canonical, co_results_equal
 from repro.errors import CacheError, CatalogError, ParseError
 from repro.sql import ast
@@ -13,26 +14,26 @@ from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
 
 
-def make_org_db() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=6,
-                                      employees_per_dept=4,
-                                      projects_per_dept=2, skills=10,
-                                      arc_fraction=0.4, seed=5))
+def make_org_db() -> Session:
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, OrgScale(departments=6,
+                                             employees_per_dept=4,
+                                             projects_per_dept=2, skills=10,
+                                             arc_fraction=0.4, seed=5))
     return db
 
 
 @pytest.fixture
-def org_mv_db() -> Database:
+def org_mv_db() -> Session:
     db = make_org_db()
     db.execute(f"CREATE MATERIALIZED VIEW deps_arc AS {DEPS_ARC_QUERY}")
     return db
 
 
-def assert_fresh_equal(db: Database, name: str) -> None:
+def assert_fresh_equal(db: Session, name: str) -> None:
     """The stored result must equal a from-scratch recomputation."""
-    view = db.matviews.get(name)
+    view = db.engine.matviews.get(name)
     stored = view.read()
     recomputed = view.executable.run()
     assert co_canonical(stored) == co_canonical(recomputed)
@@ -88,11 +89,11 @@ class TestParsing:
 class TestEagerMaintenance:
     def test_created_view_matches_direct_evaluation(self, org_mv_db):
         stored = org_mv_db.matview("deps_arc")
-        direct = org_mv_db.matviews.get("deps_arc").executable.run()
+        direct = org_mv_db.engine.matviews.get("deps_arc").executable.run()
         assert co_results_equal(stored, direct)
 
     def test_insert_propagates_without_recompute(self, org_mv_db):
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         org_mv_db.execute(
             "INSERT INTO EMP VALUES (900, 'delta-emp', 1, 70000)")
         assert view.stats["full_refreshes"] == 1  # only the initial one
@@ -112,7 +113,7 @@ class TestEagerMaintenance:
         # Moving a department out of ARC removes it, its employees and
         # projects, and any skills now unreachable — a three-level
         # cascade driven purely by deltas.
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         before = len(org_mv_db.matview("deps_arc").component("xdept"))
         org_mv_db.execute("UPDATE DEPT SET LOC = 'NY' WHERE DNO = 1")
         after = org_mv_db.matview("deps_arc")
@@ -130,14 +131,14 @@ class TestEagerMaintenance:
         assert any(row[sal_position] == 1 for row in emp.values())
 
     def test_irrelevant_table_is_ignored(self, org_mv_db):
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         org_mv_db.execute("CREATE TABLE UNRELATED (X INT PRIMARY KEY)")
         org_mv_db.execute("INSERT INTO UNRELATED VALUES (1)")
         assert view.fresh
         assert view.stats["incremental_refreshes"] == 0
 
     def test_write_back_maintains_view(self, org_mv_db):
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         cache = org_mv_db.open_cache("deps_arc")
         employee = cache.extent("xemp")[0]
         employee.set("SAL", 123456)
@@ -149,7 +150,7 @@ class TestEagerMaintenance:
 # ----------------------------------------------------------------------
 # Value-only replacement
 # ----------------------------------------------------------------------
-def lens_db(policy: str = "EAGER") -> Database:
+def lens_db(policy: str = "EAGER") -> Session:
     """The org database with the ``deps_arc`` view for lens writes and
     a materialized ``deps_m`` of the same definition."""
     db = make_org_db()
@@ -159,7 +160,7 @@ def lens_db(policy: str = "EAGER") -> Database:
     return db
 
 
-def arc_employees(db: Database) -> list[int]:
+def arc_employees(db: Session) -> list[int]:
     return [row[0] for row in db.query(
         "SELECT e.eno FROM EMP e, DEPT d WHERE e.edno = d.dno "
         "AND d.loc = 'ARC' ORDER BY e.eno").rows]
@@ -171,7 +172,7 @@ class TestValueOnlyReplacement:
 
     def test_lens_salary_updates_probe_nothing(self):
         db = lens_db()
-        view = db.matviews.get("deps_m")
+        view = db.engine.matviews.get("deps_m")
         employees = arc_employees(db)
         assert employees
         for step in range(50):
@@ -191,7 +192,7 @@ class TestValueOnlyReplacement:
 
     def test_department_move_still_probes(self):
         db = lens_db()
-        view = db.matviews.get("deps_m")
+        view = db.engine.matviews.get("deps_m")
         eno = arc_employees(db)[0]
         edno, = db.query(f"SELECT edno FROM EMP WHERE eno = {eno}").rows[0]
         other = next(dno for dno, in db.query(
@@ -239,7 +240,7 @@ class TestValueOnlyReplacement:
 
     def test_deferred_queue_mixes_both_paths_on_one_rid(self):
         db = lens_db("DEFERRED")
-        view = db.matviews.get("deps_m")
+        view = db.engine.matviews.get("deps_m")
         eno = arc_employees(db)[0]
         other = db.query("SELECT dno FROM DEPT WHERE loc <> 'ARC'").rows[0][0]
         db.execute(f"UPDATE deps_arc.XEMP SET sal = sal + 1 "
@@ -260,7 +261,7 @@ class TestDeferredPolicy:
         db = make_org_db()
         db.execute(f"CREATE MATERIALIZED VIEW lazy REFRESH DEFERRED "
                    f"AS {DEPS_ARC_QUERY}")
-        view = db.matviews.get("lazy")
+        view = db.engine.matviews.get("lazy")
         db.execute("INSERT INTO EMP VALUES (901, 'queued', 1, 50000)")
         db.execute("UPDATE EMP SET SAL = 60000 WHERE ENO = 901")
         assert len(view.pending) == 2
@@ -274,7 +275,7 @@ class TestDeferredPolicy:
         db = make_org_db()
         db.execute(f"CREATE MATERIALIZED VIEW lazy REFRESH DEFERRED "
                    f"AS {DEPS_ARC_QUERY}")
-        view = db.matviews.get("lazy")
+        view = db.engine.matviews.get("lazy")
         db.execute("INSERT INTO EMP VALUES (902, 'q2', 1, 50000)")
         db.execute("REFRESH MATERIALIZED VIEW lazy")
         assert view.fresh
@@ -285,7 +286,7 @@ class TestDeferredPolicy:
         db = make_org_db()
         db.execute(f"CREATE MATERIALIZED VIEW lazy REFRESH DEFERRED "
                    f"AS {DEPS_ARC_QUERY}")
-        view = db.matviews.get("lazy")
+        view = db.engine.matviews.get("lazy")
         db.execute("REFRESH MATERIALIZED VIEW lazy FULL")
         assert view.stats["full_refreshes"] == 2
 
@@ -295,10 +296,10 @@ class TestDeferredPolicy:
 # ----------------------------------------------------------------------
 class TestFallbacks:
     def test_recursive_view_falls_back(self):
-        db = Database()
-        create_bom_schema(db.catalog)
-        summary = populate_bom(db.catalog, BOMScale(roots=2, depth=3,
-                                                    fanout=2, seed=9))
+        db = Engine().connect()
+        create_bom_schema(db.engine.catalog)
+        summary = populate_bom(db.engine.catalog, BOMScale(roots=2, depth=3,
+                                                           fanout=2, seed=9))
         view = db.create_materialized_view(
             "bom", bom_view_query(summary["roots"]))
         assert not view.is_incremental
@@ -410,7 +411,7 @@ class TestIncrementalShapes:
     def test_composite_key_join_with_null_keys(self):
         # A two-column equi-join probes with tuple keys; a NULL in
         # either column never matches, in the index as in recomputation.
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE CUST (CID INT PRIMARY KEY, REGION INT, "
                    "CNO INT)")
         db.execute("CREATE TABLE ORD (ONO INT PRIMARY KEY, REGION INT, "
@@ -462,7 +463,7 @@ class TestIntegration:
         # Deltas are buffered on the open transaction and flushed at
         # commit only; a rollback discards them, so the view never saw
         # the phantom row and needs no invalidation — it stays fresh.
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         org_mv_db.begin()
         org_mv_db.execute(
             "INSERT INTO EMP VALUES (907, 'phantom', 1, 1000)")
@@ -477,12 +478,12 @@ class TestIntegration:
     def test_savepoint_rollback_invalidates(self, org_mv_db):
         # A partial rollback that undoes an emitted delta must not
         # leave the eagerly maintained view believing it.
-        org_mv_db.matviews.get("deps_arc")  # ensure registered
+        org_mv_db.engine.matviews.get("deps_arc")  # ensure registered
         org_mv_db.begin()
-        org_mv_db.transactions.savepoint("s")
+        org_mv_db.savepoint("s")
         org_mv_db.execute(
             "INSERT INTO EMP VALUES (910, 'savepoint-emp', 1, 1000)")
-        org_mv_db.transactions.rollback_to_savepoint("s")
+        org_mv_db.rollback_to_savepoint("s")
         org_mv_db.commit()
         result = org_mv_db.matview("deps_arc")
         names = {row[result.component("xemp").columns.index("ENAME")]
@@ -494,7 +495,7 @@ class TestIntegration:
                                                          org_mv_db):
         # run_atomic's internal savepoint rollback of a statement that
         # emitted nothing must not force a full refresh.
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         org_mv_db.begin()
         org_mv_db.execute(
             "INSERT INTO EMP VALUES (911, 'kept', 1, 1000)")
@@ -515,7 +516,7 @@ class TestIntegration:
             org_mv_db.execute("DROP TABLE SKILLS")
 
     def test_statement_failure_emits_nothing(self, org_mv_db):
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         with pytest.raises(Exception):
             # Second row violates the primary key: the whole statement
             # rolls back and no delta reaches the view.
@@ -525,7 +526,7 @@ class TestIntegration:
         assert_fresh_equal(org_mv_db, "deps_arc")
 
     def test_read_through_serves_materialization(self, org_mv_db):
-        view = org_mv_db.matviews.get("deps_arc")
+        view = org_mv_db.engine.matviews.get("deps_arc")
         reads = view.stats["reads"]
         result = org_mv_db.xnf("deps_arc")
         assert view.stats["reads"] == reads + 1
@@ -539,8 +540,8 @@ class TestIntegration:
 
     def test_drop_materialized_view(self, org_mv_db):
         org_mv_db.execute("DROP MATERIALIZED VIEW deps_arc")
-        assert not org_mv_db.matviews.has("deps_arc")
-        assert not org_mv_db.catalog.has_view("deps_arc")
+        assert not org_mv_db.engine.matviews.has("deps_arc")
+        assert not org_mv_db.engine.catalog.has_view("deps_arc")
 
     def test_drop_view_on_matview_rejected(self, org_mv_db):
         with pytest.raises(CatalogError, match="DROP MATERIALIZED VIEW"):

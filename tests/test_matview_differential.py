@@ -21,7 +21,8 @@ import random
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.cache.matview import _HashIndex, _IncrementalState, co_canonical
 from repro.errors import ReproError
 from repro.storage.catalog import TableDelta
@@ -95,8 +96,8 @@ ORG_VIEWS = (
 )
 
 
-def check_view(db: Database, name: str, context: str) -> None:
-    view = db.matviews.get(name)
+def check_view(db: Session, name: str, context: str) -> None:
+    view = db.engine.matviews.get(name)
     maintained = co_canonical(view.read())
     recomputed = co_canonical(view.executable.run())
     assert maintained == recomputed, (
@@ -131,16 +132,16 @@ class DeleteOneRow:
     single out: a storage-level delete publishing its delta, as every
     write path does."""
 
-    def __init__(self, db: Database, table: str, row: tuple):
+    def __init__(self, db: Session, table: str, row: tuple):
         self.db = db
         self.table = table
         self.row = row
 
     def __call__(self) -> None:
-        table = self.db.catalog.table(self.table)
+        table = self.db.engine.catalog.table(self.table)
         rid = next(rid for rid, row in table.scan() if row == self.row)
         table.delete(rid)
-        self.db.catalog.emit_table_delta(
+        self.db.engine.catalog.emit_table_delta(
             TableDelta(self.table, deleted=[(rid, self.row)]))
 
     def __repr__(self) -> str:
@@ -151,7 +152,7 @@ class Burst:
     """Several statements with no read between them, so a deferred
     view's queue holds all their deltas at once."""
 
-    def __init__(self, db: Database, statements: list[str]):
+    def __init__(self, db: Session, statements: list[str]):
         self.db = db
         self.statements = statements
 
@@ -163,7 +164,7 @@ class Burst:
         return f"burst {self.statements}"
 
 
-def run_step(db: Database, step) -> bool:
+def run_step(db: Session, step) -> bool:
     """Run one SQL statement (or row-level step); False if rejected."""
     try:
         if callable(step):
@@ -178,7 +179,7 @@ def run_step(db: Database, step) -> bool:
 class OrgMutator:
     """Seeded random DML over the org schema."""
 
-    def __init__(self, db: Database, seed: int):
+    def __init__(self, db: Session, seed: int):
         self.db = db
         self.rng = random.Random(seed)
         self.next_id = 50000 + (seed % 1000) * 100
@@ -188,7 +189,7 @@ class OrgMutator:
         return self.next_id
 
     def sample_row(self, table: str):
-        rows = list(self.db.catalog.table(table).rows())
+        rows = list(self.db.engine.catalog.table(table).rows())
         return self.rng.choice(rows) if rows else None
 
     def sample_pk(self, table: str, position: int = 0):
@@ -323,13 +324,13 @@ class OrgMutator:
 class BOMMutator:
     """Seeded random DML over the BOM schema."""
 
-    def __init__(self, db: Database, seed: int):
+    def __init__(self, db: Session, seed: int):
         self.db = db
         self.rng = random.Random(seed)
         self.next_id = 70000 + (seed % 1000) * 100
 
     def sample_pk(self, table: str, position: int = 0):
-        rows = list(self.db.catalog.table(table).rows())
+        rows = list(self.db.engine.catalog.table(table).rows())
         if not rows:
             return None
         return self.rng.choice(rows)[position]
@@ -368,7 +369,7 @@ class BOMMutator:
             parent = self.sample_pk("CONTAINS")
             return f"DELETE FROM CONTAINS WHERE PARENT = {parent}"
         if choice in ("update_edge_qty", "move_contains"):
-            rows = list(self.db.catalog.table("CONTAINS").rows())
+            rows = list(self.db.engine.catalog.table("CONTAINS").rows())
             if not rows:
                 return "DELETE FROM CONTAINS WHERE PARENT = -1"
             parent, child, _qty = rng.choice(rows)
@@ -387,24 +388,24 @@ class BOMMutator:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def org_database(seed: int, partitioning=None) -> Database:
+def org_database(seed: int, partitioning=None) -> Session:
     """The small org database with every view of ``ORG_VIEWS``; EMP is
     repartitioned first when ``partitioning`` is given."""
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=6,
-                                      employees_per_dept=4,
-                                      projects_per_dept=2, skills=10,
-                                      arc_fraction=0.4, seed=seed % 997))
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, OrgScale(departments=6,
+                                             employees_per_dept=4,
+                                             projects_per_dept=2, skills=10,
+                                             arc_fraction=0.4, seed=seed % 997))
     if partitioning is not None:
-        db.repartition("EMP", partitioning)
+        db.engine.repartition("EMP", partitioning)
     for name, statement in ORG_VIEWS:
         db.execute(statement)
-        assert db.matviews.get(name).is_incremental, name
+        assert db.engine.matviews.get(name).is_incremental, name
     return db
 
 
-def run_org_steps(db: Database, seed: int, operations: int) -> None:
+def run_org_steps(db: Session, seed: int, operations: int) -> None:
     mutator = OrgMutator(db, seed)
     applied = 0
     for _step in range(operations):
@@ -422,8 +423,8 @@ def run_org_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
     run_org_steps(org_database(seed), seed, operations)
 
 
-def emp_rid(db: Database, eno: int):
-    return next(rid for rid, row in db.catalog.table("EMP").scan()
+def emp_rid(db: Session, eno: int):
+    return next(rid for rid, row in db.engine.catalog.table("EMP").scan()
                 if row[0] == eno)
 
 
@@ -437,7 +438,7 @@ def run_partitioned_seed(seed: int,
     moved = 0
     for _step in range(12):
         eno = rng.choice([row[0] for row in
-                          db.catalog.table("EMP").rows()])
+                          db.engine.catalog.table("EMP").rows()])
         before = emp_rid(db, eno)
         step = f"UPDATE EMP SET SAL = SAL + {rng.randint(1, 9)} " \
                f"WHERE ENO = {eno}"
@@ -450,14 +451,14 @@ def run_partitioned_seed(seed: int,
 
 
 def run_bom_seed(seed: int, operations: int = OPERATIONS_PER_SEED) -> None:
-    db = Database()
-    create_bom_schema(db.catalog)
-    populate_bom(db.catalog, BOMScale(roots=2, depth=3, fanout=2,
-                                      seed=seed % 991))
+    db = Engine().connect()
+    create_bom_schema(db.engine.catalog)
+    populate_bom(db.engine.catalog, BOMScale(roots=2, depth=3, fanout=2,
+                                             seed=seed % 991))
     db.execute(f"CREATE MATERIALIZED VIEW levels AS {BOM_LEVELS_QUERY}")
     db.execute(f"CREATE MATERIALIZED VIEW plain AS {BOM_PLAIN_QUERY}")
-    assert db.matviews.get("levels").is_incremental
-    assert db.matviews.get("plain").is_incremental
+    assert db.engine.matviews.get("levels").is_incremental
+    assert db.engine.matviews.get("plain").is_incremental
     mutator = BOMMutator(db, seed)
     for _step in range(operations):
         sql = mutator.statement()
@@ -488,12 +489,12 @@ def test_partitioned_matview_differential_fixed_seed():
 
 def test_writeback_differential_fixed_seed():
     """Cache write-back (the other delta source) also maintains views."""
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(departments=5,
-                                      employees_per_dept=3,
-                                      projects_per_dept=2, skills=8,
-                                      arc_fraction=0.5, seed=77))
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, OrgScale(departments=5,
+                                             employees_per_dept=3,
+                                             projects_per_dept=2, skills=8,
+                                             arc_fraction=0.5, seed=77))
     db.execute(f"CREATE MATERIALIZED VIEW wb AS {DEPS_ARC_QUERY}")
     rng = random.Random(BASE_SEED)
     for round_number in range(4):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
 from repro.api.transport import TransportSimulator
 from repro.workloads.orgdb import DEPS_ARC_QUERY
 
@@ -42,7 +42,7 @@ class TestPlanExplain:
         assert "Spool" in text  # shared subexpressions visible
 
     def test_estimated_rows_displayed(self, simple_db):
-        compiled = simple_db.pipeline.compile_select(
+        compiled = simple_db.engine.pipeline.compile_select(
             __import__("repro.sql.parser", fromlist=["parse_statement"])
             .parse_statement("SELECT * FROM EMP"))
         assert "rows]" in compiled.plan.explain()
@@ -113,7 +113,7 @@ class TestNamingRobustness:
         assert dept.get("DNAME").startswith("dept-")
 
     def test_quoted_identifier_table(self):
-        db = Database()
+        db = Engine().connect()
         db.execute('CREATE TABLE "Mixed" (A INT)')
         db.execute('INSERT INTO "Mixed" VALUES (1)')
         assert db.query('SELECT * FROM "Mixed"').rows == [(1,)]

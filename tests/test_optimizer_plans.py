@@ -17,8 +17,8 @@ def plan_nodes(plan_node):
 
 def plan_for(db, sql, **planner_kwargs):
     options = PipelineOptions(planner=PlannerOptions(**planner_kwargs))
-    pipeline = QueryPipeline(db.catalog, db.stats, options,
-                             db.pipeline.xnf_component_resolver)
+    pipeline = QueryPipeline(db.engine.catalog, db.engine.stats, options,
+                             db.engine.pipeline.xnf_component_resolver)
     compiled = pipeline.compile_select(parse_statement(sql))
     return compiled.plan.single_output()[1]
 
@@ -46,7 +46,7 @@ class TestAccessPaths:
         fast = org_db.query("SELECT eno FROM EMP WHERE edno = 3")
         options = PipelineOptions(planner=PlannerOptions(
             use_indexes=False))
-        pipeline = QueryPipeline(org_db.catalog, org_db.stats, options)
+        pipeline = QueryPipeline(org_db.engine.catalog, org_db.engine.stats, options)
         slow = pipeline.run_select(parse_statement(
             "SELECT eno FROM EMP WHERE edno = 3"))
         assert sorted(fast.rows) == sorted(slow.rows)
@@ -94,7 +94,7 @@ class TestJoinMethods:
         monkeypatch.setattr(Planner, "_dp_step", pricing)
         monkeypatch.setattr(Planner, "_join_method", method)
         options = PipelineOptions()
-        pipeline = QueryPipeline(org_db.catalog, org_db.stats, options)
+        pipeline = QueryPipeline(org_db.engine.catalog, org_db.engine.stats, options)
         compiled = pipeline.compile_select(parse_statement(
             "SELECT d.dname, e.ename, p.pname FROM DEPT d, EMP e, PROJ p "
             "WHERE d.dno = e.edno AND p.pdno = d.dno "
@@ -146,7 +146,7 @@ class TestSpools:
         org_db.execute("CREATE VIEW arc AS SELECT DISTINCT dno FROM DEPT "
                        "WHERE loc = 'ARC'")
         options = PipelineOptions()
-        pipeline = QueryPipeline(org_db.catalog, org_db.stats, options)
+        pipeline = QueryPipeline(org_db.engine.catalog, org_db.engine.stats, options)
         compiled = pipeline.compile_select(parse_statement(
             "SELECT a.dno FROM arc a, arc b WHERE a.dno = b.dno"))
         ctx = compiled.plan.new_context()
@@ -159,7 +159,7 @@ class TestSpools:
                        "WHERE loc = 'ARC'")
         options = PipelineOptions(planner=PlannerOptions(
             share_common_subexpressions=False))
-        pipeline = QueryPipeline(org_db.catalog, org_db.stats, options)
+        pipeline = QueryPipeline(org_db.engine.catalog, org_db.engine.stats, options)
         compiled = pipeline.compile_select(parse_statement(
             "SELECT a.dno FROM arc a, arc b WHERE a.dno = b.dno"))
         ctx = compiled.plan.new_context()
@@ -170,10 +170,10 @@ class TestSpools:
 
 class TestInstrumentation:
     def test_rows_scanned_counted(self, org_db):
-        compiled = org_db.pipeline.compile_select(parse_statement(
+        compiled = org_db.engine.pipeline.compile_select(parse_statement(
             "SELECT * FROM DEPT"))
         ctx = compiled.plan.new_context()
-        org_db.pipeline.run_compiled(compiled, ctx)
+        org_db.engine.pipeline.run_compiled(compiled, ctx)
         assert ctx.counters["rows_scanned"] == 6
 
     def test_explain_renders_tree(self, org_db):
@@ -205,8 +205,8 @@ def make_skew_db():
     95% of orders share STATUS 'HOT' and the rest spread over 50 rare
     statuses.  A 1/NDV guess prices STATUS = 'HOT' at ~20 rows — off by
     ~50x — which would flip both the join order and the access path."""
-    from repro.api.database import Database
-    db = Database()
+    from repro.api.engine import Engine
+    db = Engine().connect()
     db.execute("CREATE TABLE CUST (CID INT PRIMARY KEY, REGION VARCHAR)")
     db.execute("CREATE TABLE ORDERS (OID INT PRIMARY KEY, CID INT, "
                "STATUS VARCHAR)")
@@ -225,8 +225,8 @@ def make_skew_db():
 
 def compiled_for(db, sql, **planner_kwargs):
     options = PipelineOptions(planner=PlannerOptions(**planner_kwargs))
-    pipeline = QueryPipeline(db.catalog, db.stats, options,
-                             db.pipeline.xnf_component_resolver)
+    pipeline = QueryPipeline(db.engine.catalog, db.engine.stats, options,
+                             db.engine.pipeline.xnf_component_resolver)
     return pipeline.compile_select(parse_statement(sql))
 
 
@@ -250,7 +250,7 @@ class TestSkewRegressions:
         assert new.plan.join_orders[0].names != \
             forced.plan.join_orders[0].names
         options = PipelineOptions()
-        pipeline = QueryPipeline(db.catalog, db.stats, options)
+        pipeline = QueryPipeline(db.engine.catalog, db.engine.stats, options)
         assert sorted(pipeline.run_compiled(new).rows) == \
             sorted(pipeline.run_compiled(forced).rows)
 
@@ -276,7 +276,7 @@ class TestAccessPathRegressions:
     def test_scan_and_index_answers_match(self):
         db = make_skew_db()
         options = PipelineOptions()
-        pipeline = QueryPipeline(db.catalog, db.stats, options)
+        pipeline = QueryPipeline(db.engine.catalog, db.engine.stats, options)
         for sql in ("SELECT * FROM ORDERS o WHERE o.status = 'HOT'",
                     "SELECT * FROM ORDERS o WHERE o.status = 'S7'"):
             new = compiled_for(db, sql)
@@ -287,9 +287,9 @@ class TestAccessPathRegressions:
 
 class TestEnumerationModes:
     def test_greedy_beyond_threshold(self):
-        from repro.api.database import Database
+        from repro.api.engine import Engine
         width = DP_JOIN_THRESHOLD + 1
-        db = Database()
+        db = Engine().connect()
         for i in range(width):
             db.execute(f"CREATE TABLE T{i} (K INT PRIMARY KEY, NXT INT)")
             db.execute(f"INSERT INTO T{i} VALUES "
@@ -305,7 +305,7 @@ class TestEnumerationModes:
         forced = compiled_for(
             db, sql, join_order_hook=lambda names: list(reversed(names)))
         assert forced.plan.join_orders[0].method == "forced"
-        pipeline = QueryPipeline(db.catalog, db.stats, PipelineOptions())
+        pipeline = QueryPipeline(db.engine.catalog, db.engine.stats, PipelineOptions())
         rows = sorted(pipeline.run_compiled(chosen).rows)
         assert rows and rows == sorted(pipeline.run_compiled(forced).rows)
 

@@ -30,7 +30,8 @@ from collections import Counter
 import pytest
 
 import repro.executor.parallel as parallel_mod
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.errors import ParallelExecutionError
 from repro.executor.runtime import PipelineOptions
 from repro.optimizer.optimizer import PlannerOptions
@@ -46,7 +47,7 @@ def parallel_options(degree: int = DEGREE,
         parallel_degree=degree, parallel_row_threshold=threshold))
 
 
-def load_fixture(db: Database, partitioned: bool) -> None:
+def load_fixture(db: Session, partitioned: bool) -> None:
     suffix = " PARTITION BY HASH (ID) PARTITIONS 4" if partitioned else ""
     db.execute("CREATE TABLE FACT (ID INT PRIMARY KEY, G INT, V INT, "
                f"W INT, NAME VARCHAR){suffix}")
@@ -64,13 +65,13 @@ def load_fixture(db: Database, partitioned: bool) -> None:
 
 @pytest.fixture(scope="module")
 def engines():
-    par = Database(pipeline_options=parallel_options())
-    ser = Database()
+    par = Engine(pipeline_options=parallel_options()).connect()
+    ser = Engine().connect()
     load_fixture(par, partitioned=True)
     load_fixture(ser, partitioned=False)
     yield par, ser
-    par.close()
-    ser.close()
+    par.engine.close()
+    ser.engine.close()
 
 
 FIXED_QUERIES = [
@@ -102,7 +103,7 @@ FIXED_QUERIES = [
 ]
 
 
-def assert_same_answer(par: Database, ser: Database, sql: str) -> None:
+def assert_same_answer(par: Session, ser: Session, sql: str) -> None:
     p = par.query(sql)
     s = ser.query(sql)
     assert Counter(p.rows) == Counter(s.rows), sql
@@ -176,8 +177,8 @@ def generate_queries(seed: int, count: int) -> list[str]:
 # ----------------------------------------------------------------------
 # Behavioral contract
 # ----------------------------------------------------------------------
-def small_parallel_db() -> Database:
-    db = Database(pipeline_options=parallel_options())
+def small_parallel_db() -> Session:
+    db = Engine(pipeline_options=parallel_options()).connect()
     load_fixture(db, partitioned=True)
     return db
 
@@ -194,7 +195,7 @@ class TestRuntimeContract:
             assert "Traceback" in message  # the worker's, verbatim
         finally:
             parallel_mod._WORKER_FAULT = None
-            db.close()
+            db.engine.close()
 
     def test_abandoned_stream_cancels_outstanding_morsels(self):
         db = small_parallel_db()
@@ -209,7 +210,7 @@ class TestRuntimeContract:
             assert db.query("SELECT COUNT(*) FROM FACT").rows == \
                 [(N_ROWS,)]
         finally:
-            db.close()
+            db.engine.close()
 
     def test_limit_early_exit_cancels(self):
         db = small_parallel_db()
@@ -220,7 +221,7 @@ class TestRuntimeContract:
             result = db.query("SELECT ID FROM FACT LIMIT 4")
             assert len(result.rows) == 4
         finally:
-            db.close()
+            db.engine.close()
 
     def test_writer_transaction_forces_serial_fallback(self):
         db = small_parallel_db()
@@ -241,7 +242,7 @@ class TestRuntimeContract:
                 [(N_ROWS,)]
             assert counters["parallel_queries"] == ran + 1
         finally:
-            db.close()
+            db.engine.close()
 
     def test_pool_reforks_after_commit(self):
         db = small_parallel_db()
@@ -255,20 +256,20 @@ class TestRuntimeContract:
                 [(N_ROWS + 1,)]
             assert counters["pool_forks"] == forks + 1
         finally:
-            db.close()
+            db.engine.close()
 
     def test_engine_close_stops_workers_deterministically(self):
         db = small_parallel_db()
         db.query("SELECT SUM(V) FROM FACT")
         pool = db.engine.parallel._pool
         assert pool is not None and all(p.is_alive() for p in pool.procs)
-        db.close()
+        db.engine.close()
         assert db.engine.parallel._pool is None
         assert all(not p.is_alive() for p in pool.procs)
 
     def test_prepared_statements_run_parallel(self):
         db = small_parallel_db()
-        ser = Database()
+        ser = Engine().connect()
         load_fixture(ser, partitioned=False)
         try:
             counters = db.engine.parallel.counters
@@ -282,13 +283,13 @@ class TestRuntimeContract:
                 assert Counter(prepared.run([bound]).rows) == expected
             assert counters["parallel_queries"] >= ran + 2
         finally:
-            db.close()
-            ser.close()
+            db.engine.close()
+            ser.engine.close()
 
     def test_unpartitioned_table_still_parallelizes(self):
         """Morsels come from range-splitting the single slot array."""
-        db = Database(pipeline_options=parallel_options())
-        ser = Database()
+        db = Engine(pipeline_options=parallel_options()).connect()
+        ser = Engine().connect()
         load_fixture(db, partitioned=False)
         load_fixture(ser, partitioned=False)
         try:
@@ -296,14 +297,14 @@ class TestRuntimeContract:
                                "SELECT G, COUNT(*) FROM FACT GROUP BY G")
             assert db.engine.parallel.counters["parallel_queries"] == 1
         finally:
-            db.close()
-            ser.close()
+            db.engine.close()
+            ser.engine.close()
 
 
 class TestDegreeOne:
     def test_degree_one_reproduces_serial_plans_exactly(self):
-        par = Database(pipeline_options=parallel_options(degree=1))
-        ser = Database()
+        par = Engine(pipeline_options=parallel_options(degree=1)).connect()
+        ser = Engine().connect()
         load_fixture(par, partitioned=False)
         load_fixture(ser, partitioned=False)
         try:
@@ -318,8 +319,8 @@ class TestDegreeOne:
                 assert plan_section(par.explain(sql)) == \
                     plan_section(ser.explain(sql)), sql
         finally:
-            par.close()
-            ser.close()
+            par.engine.close()
+            ser.engine.close()
 
     def test_parallel_plans_render_gather_and_exchange(self, engines):
         par, _ser = engines

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.database import Database
 from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.errors import (ParseError, StorageError, TransactionError,
                           TypeCheckError)
 from repro.storage.partition import (HashPartitioning, RangePartitioning,
@@ -24,20 +24,20 @@ from repro.storage.partition import (HashPartitioning, RangePartitioning,
 from repro.storage.table import PARTITION_SHIFT
 
 
-def rows_of(db: Database, table: str) -> set[tuple]:
-    return set(db.catalog.table(table).rows())
+def rows_of(db: Session, table: str) -> set[tuple]:
+    return set(db.engine.catalog.table(table).rows())
 
 
 @pytest.fixture
-def part_db() -> Database:
-    db = Database()
+def part_db() -> Session:
+    db = Engine().connect()
     db.execute(
         "CREATE TABLE M (ID INT PRIMARY KEY, G INT, V INT) "
         "PARTITION BY HASH (ID) PARTITIONS 4")
     db.execute("INSERT INTO M VALUES " + ",".join(
         f"({i}, {i % 5}, {i * 7 % 31})" for i in range(200)))
     yield db
-    db.close()
+    db.engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -45,7 +45,7 @@ def part_db() -> Database:
 # ----------------------------------------------------------------------
 class TestPartitionDDL:
     def test_hash_partitioning_routes_and_balances(self, part_db):
-        table = part_db.catalog.table("M")
+        table = part_db.engine.catalog.table("M")
         assert table.partition_count == 4
         counts = table.partition_live_counts()
         assert sum(counts) == 200
@@ -56,31 +56,31 @@ class TestPartitionDDL:
                 stable_hash((row[0],)) % 4
 
     def test_range_partitioning_bounds_and_nulls(self):
-        db = Database()
+        db = Engine().connect()
         db.execute(
             "CREATE TABLE R (ID INT PRIMARY KEY, V INT) "
             "PARTITION BY RANGE (V) VALUES LESS THAN (10, 20)")
-        table = db.catalog.table("R")
+        table = db.engine.catalog.table("R")
         assert table.partition_count == 3  # (-inf,10), [10,20), [20,inf)
         db.execute("INSERT INTO R VALUES (1, 5), (2, 10), (3, 19), "
                    "(4, 20), (5, 999), (6, NULL)")
         part_of = {row[0]: table.partition_of_rid(rid)
                    for rid, row in table.scan()}
         assert part_of == {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 0}
-        db.close()
+        db.engine.close()
 
     def test_partition_words_stay_contextual(self):
         """PARTITION/HASH/RANGE... are not reserved words."""
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE W (PARTITION INT PRIMARY KEY, HASH INT, "
                    "RANGE INT)")
         db.execute("INSERT INTO W VALUES (1, 2, 3)")
         result = db.query("SELECT HASH FROM W WHERE PARTITION = 1")
         assert result.rows == [(2,)]
-        db.close()
+        db.engine.close()
 
     def test_ddl_rejects_bad_specs(self):
-        db = Database()
+        db = Engine().connect()
         with pytest.raises(ParseError):
             db.execute("CREATE TABLE B (A INT) "
                        "PARTITION BY HASH (A) PARTITIONS 0")
@@ -90,7 +90,7 @@ class TestPartitionDDL:
         with pytest.raises(Exception):  # unknown partition column
             db.execute("CREATE TABLE B (A INT) "
                        "PARTITION BY HASH (NOPE) PARTITIONS 2")
-        db.close()
+        db.engine.close()
 
     def test_primary_key_global_across_partitions(self, part_db):
         with pytest.raises((StorageError, TypeCheckError)):
@@ -102,7 +102,7 @@ class TestPartitionDDL:
 # ----------------------------------------------------------------------
 class TestPartitionDML:
     def test_update_in_place_when_key_unchanged(self, part_db):
-        table = part_db.catalog.table("M")
+        table = part_db.engine.catalog.table("M")
         rid_before = {row[0]: rid for rid, row in table.scan()}
         assert part_db.execute(
             "UPDATE M SET V = 1000 WHERE ID = 42") == 1
@@ -112,7 +112,7 @@ class TestPartitionDML:
             [(1000,)]
 
     def test_update_partition_key_relocates_row(self, part_db):
-        table = part_db.catalog.table("M")
+        table = part_db.engine.catalog.table("M")
         old_part = {row[0]: table.partition_of_rid(rid)
                     for rid, row in table.scan()}
         # Pick a replacement key that routes to a different partition.
@@ -130,7 +130,7 @@ class TestPartitionDML:
             f"SELECT COUNT(*) FROM M WHERE ID = {new_id}").rows == [(1,)]
 
     def test_rollback_restores_cross_partition_move(self, part_db):
-        table = part_db.catalog.table("M")
+        table = part_db.engine.catalog.table("M")
         before = rows_of(part_db, "M")
         counts_before = table.partition_live_counts()
         session = part_db.engine.connect()
@@ -150,7 +150,7 @@ class TestPartitionDML:
     def test_foreign_keys_span_partitionings(self):
         """Parent hash(4) and child hash(2): FK checks look keys up in
         the *global* PK map, so mixed partitionings just work."""
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE P (PNO INT PRIMARY KEY, NAME VARCHAR) "
                    "PARTITION BY HASH (PNO) PARTITIONS 4")
         db.execute(
@@ -165,10 +165,10 @@ class TestPartitionDML:
             db.execute("DELETE FROM P WHERE PNO = 3")  # children exist
         db.execute("DELETE FROM P WHERE PNO = 2")  # childless is fine
         assert db.query("SELECT COUNT(*) FROM P").rows == [(2,)]
-        db.close()
+        db.engine.close()
 
     def test_secondary_index_over_partitions(self, part_db):
-        part_db.catalog.create_index("IX_M_G", "M", ["G"])
+        part_db.engine.catalog.create_index("IX_M_G", "M", ["G"])
         expected = {(i,) for i in range(200) if i % 5 == 3}
         assert set(part_db.query(
             "SELECT ID FROM M WHERE G = 3").rows) == expected
@@ -180,26 +180,26 @@ class TestPartitionDML:
 class TestRepartition:
     def test_repartition_preserves_rows_and_constraints(self, part_db):
         before = rows_of(part_db, "M")
-        table = part_db.catalog.table("M")
-        part_db.repartition("M", RangePartitioning("ID", (50, 100, 150)))
-        assert part_db.catalog.table("M") is table  # in-place rebuild
+        table = part_db.engine.catalog.table("M")
+        part_db.engine.repartition("M", RangePartitioning("ID", (50, 100, 150)))
+        assert part_db.engine.catalog.table("M") is table  # in-place rebuild
         assert table.partition_count == 4
         assert table.partition_live_counts() == [50, 50, 50, 50]
         assert rows_of(part_db, "M") == before
         with pytest.raises((StorageError, TypeCheckError)):
             part_db.execute("INSERT INTO M VALUES (7, 0, 0)")  # PK dup
-        part_db.repartition("M", None)  # back to one slot array
+        part_db.engine.repartition("M", None)  # back to one slot array
         assert table.partitioning is None
         assert rows_of(part_db, "M") == before
-        part_db.repartition("M", HashPartitioning(("G",), 3))
+        part_db.engine.repartition("M", HashPartitioning(("G",), 3))
         assert rows_of(part_db, "M") == before
         assert part_db.query("SELECT COUNT(*) FROM M WHERE G = 2") \
             .rows == [(40,)]
 
     def test_repartition_rebuilds_indexes(self, part_db):
-        part_db.catalog.create_index("IX_M_V", "M", ["V"])
+        part_db.engine.catalog.create_index("IX_M_V", "M", ["V"])
         expected = set(part_db.query("SELECT ID FROM M WHERE V = 7").rows)
-        part_db.repartition("M", HashPartitioning(("ID",), 8))
+        part_db.engine.repartition("M", HashPartitioning(("ID",), 8))
         assert set(part_db.query(
             "SELECT ID FROM M WHERE V = 7").rows) == expected
 
@@ -208,16 +208,16 @@ class TestRepartition:
         session.begin()
         session.execute("INSERT INTO M VALUES (9999, 0, 0)")
         with pytest.raises(TransactionError):
-            part_db.repartition("M", HashPartitioning(("ID",), 2))
+            part_db.engine.repartition("M", HashPartitioning(("ID",), 2))
         session.rollback()
         session.close()
-        part_db.repartition("M", HashPartitioning(("ID",), 2))
-        assert part_db.catalog.table("M").partition_count == 2
+        part_db.engine.repartition("M", HashPartitioning(("ID",), 2))
+        assert part_db.engine.catalog.table("M").partition_count == 2
 
     def test_repartition_bumps_schema_version(self, part_db):
-        version = part_db.catalog.schema_version
-        part_db.repartition("M", None)
-        assert part_db.catalog.schema_version > version
+        version = part_db.engine.catalog.schema_version
+        part_db.engine.repartition("M", None)
+        assert part_db.engine.catalog.schema_version > version
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +312,7 @@ class TestPartitionDurability:
 
 
 def test_rid_encoding_is_partition_shifted(part_db):
-    table = part_db.catalog.table("M")
+    table = part_db.engine.catalog.table("M")
     for rid, _row in table.scan():
         pid = rid >> PARTITION_SHIFT
         assert 0 <= pid < 4

@@ -24,7 +24,7 @@ from collections import Counter
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.session import Session
 from repro.executor.plan_cache import parameterize_select
 from repro.sql.parser import parse_statement
 from tests.test_differential_sqlite import (BASE_SEED, BOM_CHAINS,
@@ -51,8 +51,8 @@ def canonical(result) -> tuple[tuple, Counter]:
 def org_pair():
     cached = build_org_database()
     uncached = build_org_database()
-    uncached.pipeline_options.plan_cache_size = 0
-    uncached.pipeline.plan_cache.capacity = 0
+    uncached.engine.pipeline_options.plan_cache_size = 0
+    uncached.engine.pipeline.plan_cache.capacity = 0
     return cached, uncached
 
 
@@ -60,11 +60,11 @@ def org_pair():
 def bom_pair():
     cached = build_bom_database()
     uncached = build_bom_database()
-    uncached.pipeline.plan_cache.capacity = 0
+    uncached.engine.pipeline.plan_cache.capacity = 0
     return cached, uncached
 
 
-def run_sweep(cached: Database, uncached: Database, tables, joins,
+def run_sweep(cached: Session, uncached: Session, tables, joins,
               chains, seed: int) -> None:
     generator = SelectGenerator(cached, tables, joins, chains, seed)
     for number in range(QUERIES_PER_SEED):
@@ -79,8 +79,8 @@ def run_sweep(cached: Database, uncached: Database, tables, joins,
         # 3. parameterized: lift the literals, bind them back.
         statement = parse_statement(sql)
         parameterized = parameterize_select(statement)
-        bound = cached.pipeline.run_select(parameterized.statement,
-                                           params=parameterized.bindings)
+        bound = cached.engine.pipeline.run_select(parameterized.statement,
+                                                  params=parameterized.bindings)
         want = canonical(fresh)
         for label, result in (("cached", hit), ("parameterized", bound)):
             got = canonical(result)

@@ -98,7 +98,7 @@ class TestParameterBinding:
         sql = "SELECT ENAME FROM EMP WHERE ENO = ?"
         assert rows(simple_db, sql, [10]) == [("ann",)]
         assert rows(simple_db, sql, [13]) == [("dee",)]
-        assert simple_db.pipeline.plan_cache.stats.hits >= 1
+        assert simple_db.engine.pipeline.plan_cache.stats.hits >= 1
 
     def test_parameter_in_select_list(self, simple_db):
         assert rows(simple_db, "SELECT ? FROM DEPT WHERE DNO = 1",
@@ -165,10 +165,10 @@ class TestPreparedStatements:
     def test_prepared_select_hits_cache(self, simple_db):
         stmt = simple_db.prepare("SELECT ENAME FROM EMP WHERE ENO = ?")
         stmt.run([10])
-        before = simple_db.pipeline.plan_cache.stats.hits
+        before = simple_db.engine.pipeline.plan_cache.stats.hits
         stmt.run([11])
         stmt.run([12])
-        assert simple_db.pipeline.plan_cache.stats.hits == before + 2
+        assert simple_db.engine.pipeline.plan_cache.stats.hits == before + 2
 
     def test_prepared_statement_shares_plan_with_adhoc(self, simple_db):
         # The auto-parameterized ad-hoc form and the explicit prepared
@@ -218,7 +218,7 @@ class TestPreparedStatements:
 # ----------------------------------------------------------------------
 class TestAutoParameterization:
     def test_literal_variants_share_one_plan(self, simple_db):
-        cache = simple_db.pipeline.plan_cache
+        cache = simple_db.engine.pipeline.plan_cache
         rows(simple_db, "SELECT ENAME FROM EMP WHERE ENO = 10")
         stores = cache.stats.stores
         rows(simple_db, "SELECT ENAME FROM EMP WHERE ENO = 11")
@@ -396,7 +396,7 @@ class TestPlanCacheMechanics:
         # canonical form); capacity must count the plan once, so a
         # cycle of capacity // 2 + 1 shapes still hits on every repeat.
         capacity = 8
-        cache = simple_db.pipeline.plan_cache
+        cache = simple_db.engine.pipeline.plan_cache
         cache.capacity = capacity
         cache.clear()
         projections = ["ENAME", "SAL", "EDNO", "ENO", "ENAME, SAL"]
@@ -409,15 +409,15 @@ class TestPlanCacheMechanics:
         assert cache.stats.evictions == 0
 
     def test_capacity_zero_disables(self, simple_db):
-        from repro.api.database import Database
-        db = Database(PipelineOptions(plan_cache_size=0))
+        from repro.api.engine import Engine
+        db = Engine(PipelineOptions(plan_cache_size=0)).connect()
         db.execute("CREATE TABLE T (A INT PRIMARY KEY)")
         db.execute("INSERT INTO T VALUES (1)")
         assert db.query("SELECT * FROM T WHERE A = 1").rows == [(1,)]
         assert db.query("SELECT * FROM T WHERE A = ?", [1]).rows \
             == [(1,)]
-        assert len(db.pipeline.plan_cache) == 0
-        assert db.pipeline.plan_cache.stats.hits == 0
+        assert len(db.engine.pipeline.plan_cache) == 0
+        assert db.engine.pipeline.plan_cache.stats.hits == 0
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +428,7 @@ class TestInvalidation:
         """Run, then return the cache status of an immediate re-run."""
         db.query(sql)
         db.query(sql)
-        return db.pipeline.plan_cache.last_info
+        return db.engine.pipeline.plan_cache.last_info
 
     def test_warm_cache_hits(self, simple_db):
         assert self.probe(simple_db).status == "hit"
@@ -437,7 +437,7 @@ class TestInvalidation:
         assert self.probe(simple_db).status == "hit"
         simple_db.execute("CREATE TABLE AUX (A INT)")
         simple_db.query("SELECT ENAME FROM EMP WHERE ENO = 10")
-        info = simple_db.pipeline.plan_cache.last_info
+        info = simple_db.engine.pipeline.plan_cache.last_info
         assert info.status == "miss"
         assert "schema" in info.reason
 
@@ -446,7 +446,7 @@ class TestInvalidation:
         assert self.probe(simple_db).status == "hit"
         simple_db.execute("DROP TABLE AUX")
         simple_db.query("SELECT ENAME FROM EMP WHERE ENO = 10")
-        assert simple_db.pipeline.plan_cache.last_info.status == "miss"
+        assert simple_db.engine.pipeline.plan_cache.last_info.status == "miss"
 
     def test_create_index_invalidates_and_replans(self, simple_db):
         sql = "SELECT ENAME FROM EMP WHERE SAL = 100"
@@ -471,20 +471,20 @@ class TestInvalidation:
         analyzed = simple_db.execute("ANALYZE")
         assert analyzed == 2
         simple_db.query("SELECT ENAME FROM EMP WHERE ENO = 10")
-        info = simple_db.pipeline.plan_cache.last_info
+        info = simple_db.engine.pipeline.plan_cache.last_info
         assert info.status == "miss"
         assert "statistics" in info.reason
 
     def test_analyze_single_table(self, simple_db):
-        epoch = simple_db.stats.epoch
+        epoch = simple_db.engine.stats.epoch
         assert simple_db.execute("ANALYZE EMP") == 1
-        assert simple_db.stats.epoch == epoch + 1
+        assert simple_db.engine.stats.epoch == epoch + 1
 
     def test_small_dml_keeps_cache_warm(self, simple_db):
         assert self.probe(simple_db).status == "hit"
         simple_db.execute("INSERT INTO EMP VALUES (90,'x',1,1)")
         simple_db.query("SELECT ENAME FROM EMP WHERE ENO = 10")
-        assert simple_db.pipeline.plan_cache.last_info.status == "hit"
+        assert simple_db.engine.pipeline.plan_cache.last_info.status == "hit"
 
     def test_material_dml_drift_invalidates(self, simple_db):
         assert self.probe(simple_db).status == "hit"
@@ -492,7 +492,7 @@ class TestInvalidation:
             simple_db.execute(
                 f"INSERT INTO EMP VALUES ({500 + i}, 'm{i}', 1, 10)")
         simple_db.query("SELECT ENAME FROM EMP WHERE ENO = 10")
-        info = simple_db.pipeline.plan_cache.last_info
+        info = simple_db.engine.pipeline.plan_cache.last_info
         assert info.status == "miss"
         assert "statistics" in info.reason
 
@@ -505,7 +505,7 @@ class TestInvalidation:
         for i in range(40):  # material drift, but only on LOG
             simple_db.execute(f"INSERT INTO LOG VALUES ({i})")
         simple_db.query("SELECT ENAME FROM EMP WHERE ENO = 10")
-        assert simple_db.pipeline.plan_cache.last_info.status == "hit"
+        assert simple_db.engine.pipeline.plan_cache.last_info.status == "hit"
 
     def test_direct_storage_drift_invalidates(self, simple_db):
         """Rows added via Table.insert (no DML deltas) are caught by
@@ -515,7 +515,7 @@ class TestInvalidation:
         for i in range(60):
             emp.insert((700 + i, f"bulk-{i}", 1, 10))
         simple_db.query("SELECT ENAME FROM EMP WHERE ENO = 10")
-        info = simple_db.pipeline.plan_cache.last_info
+        info = simple_db.engine.pipeline.plan_cache.last_info
         assert info.status == "miss"
         assert "drifted" in info.reason
         # ... and the recompiled plan serves the new data correctly.
@@ -550,9 +550,9 @@ class TestInvalidation:
 
     def test_xnf_read_path_cached(self, org_db):
         org_db.xnf("deps_arc")
-        before = org_db.pipeline.plan_cache.stats.hits
+        before = org_db.engine.pipeline.plan_cache.stats.hits
         org_db.xnf("deps_arc")
-        assert org_db.pipeline.plan_cache.stats.hits > before
+        assert org_db.engine.pipeline.plan_cache.stats.hits > before
 
 
 # ----------------------------------------------------------------------
@@ -573,8 +573,8 @@ class TestExplain:
         assert "-- plan cache --" in text
 
     def test_explain_bypass_when_disabled(self):
-        from repro.api.database import Database
-        db = Database(PipelineOptions(plan_cache_size=0))
+        from repro.api.engine import Engine
+        db = Engine(PipelineOptions(plan_cache_size=0)).connect()
         db.execute("CREATE TABLE T (A INT)")
         text = db.explain("SELECT * FROM T")
         assert "status: bypass" in text
@@ -585,22 +585,22 @@ class TestExplain:
 # ----------------------------------------------------------------------
 class TestStatsEpoch:
     def test_invalidate_bumps_epoch(self, simple_db):
-        epoch = simple_db.stats.epoch
-        simple_db.stats.invalidate("EMP")
-        assert simple_db.stats.epoch == epoch + 1
+        epoch = simple_db.engine.stats.epoch
+        simple_db.engine.stats.invalidate("EMP")
+        assert simple_db.engine.stats.epoch == epoch + 1
 
     def test_invalidate_all_bumps_epoch(self, simple_db):
-        epoch = simple_db.stats.epoch
-        simple_db.stats.invalidate()
-        assert simple_db.stats.epoch == epoch + 1
+        epoch = simple_db.engine.stats.epoch
+        simple_db.engine.stats.invalidate()
+        assert simple_db.engine.stats.epoch == epoch + 1
 
     def test_small_delta_does_not_bump(self, simple_db):
         simple_db.query("SELECT COUNT(*) FROM EMP")  # settle baselines
-        epoch = simple_db.stats.epoch
+        epoch = simple_db.engine.stats.epoch
         simple_db.execute("INSERT INTO EMP VALUES (91,'y',1,1)")
-        assert simple_db.stats.epoch == epoch
+        assert simple_db.engine.stats.epoch == epoch
 
     def test_subscribe_is_idempotent(self, simple_db):
-        listeners = len(simple_db.catalog.delta_listeners)
-        simple_db.stats.subscribe()
-        assert len(simple_db.catalog.delta_listeners) == listeners
+        listeners = len(simple_db.engine.catalog.delta_listeners)
+        simple_db.engine.stats.subscribe()
+        assert len(simple_db.engine.catalog.delta_listeners) == listeners

@@ -4,7 +4,8 @@ write-back == what a fresh extraction sees."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
 
@@ -19,10 +20,10 @@ edit_scripts = st.lists(
 )
 
 
-def fresh_db() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, OrgScale(
+def fresh_db() -> Session:
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, OrgScale(
         departments=4, employees_per_dept=3, projects_per_dept=1,
         skills=6, arc_fraction=0.5, seed=77,
     ))

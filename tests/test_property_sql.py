@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 
 #: Small value domains keep joins meaningful (collisions happen).
 ints = st.one_of(st.none(), st.integers(-3, 7))
@@ -13,8 +14,8 @@ rows_r = st.lists(st.tuples(ints, ints, names), max_size=12)
 rows_s = st.lists(st.tuples(ints, names), max_size=10)
 
 
-def load(rows_r_values, rows_s_values) -> Database:
-    db = Database()
+def load(rows_r_values, rows_s_values) -> Session:
+    db = Engine().connect()
     db.execute("CREATE TABLE R (X INT, Y INT, N VARCHAR)")
     db.execute("CREATE TABLE S (Z INT, M VARCHAR)")
     r = db.table("R")
@@ -147,7 +148,7 @@ class TestSetOperationOracle:
     @given(rows_r, rows_r)
     @settings(max_examples=30, deadline=None)
     def test_union_all_length(self, first, second):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE A (X INT, Y INT, N VARCHAR)")
         db.execute("CREATE TABLE B (X INT, Y INT, N VARCHAR)")
         for row in first:
@@ -160,7 +161,7 @@ class TestSetOperationOracle:
     @given(rows_r, rows_r)
     @settings(max_examples=30, deadline=None)
     def test_intersect_subset_of_both(self, first, second):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE A (X INT, Y INT, N VARCHAR)")
         db.execute("CREATE TABLE B (X INT, Y INT, N VARCHAR)")
         for row in first:

@@ -17,7 +17,8 @@ import random
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.storage.stats import (HISTOGRAM_BUCKETS, NDV_EXACT_THRESHOLD,
                                  analyze_table)
 
@@ -29,8 +30,8 @@ TOLERANCE = 2.0 / HISTOGRAM_BUCKETS + 0.02
 SEEDS = [1, 7, 42]
 
 
-def column_db(values) -> Database:
-    db = Database()
+def column_db(values) -> Session:
+    db = Engine().connect()
     db.execute("CREATE TABLE T (V INT)")
     table = db.table("T")
     for value in values:
@@ -146,7 +147,7 @@ class TestAnalyzeAfterDml:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_analyze_matches_fresh_build(self, seed):
         rng = random.Random(seed)
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE T (ID INT PRIMARY KEY, V INT)")
         next_id = 0
         for _ in range(200):
@@ -168,7 +169,7 @@ class TestAnalyzeAfterDml:
                 db.execute(f"DELETE FROM T WHERE ID = "
                            f"{rng.randint(0, next_id)}")
         db.analyze("T")
-        cached = db.stats.stats_for("T")
+        cached = db.engine.stats.stats_for("T")
         fresh = analyze_table(db.table("T"))
         assert cached.cardinality == fresh.cardinality
         for name in ("ID", "V"):

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.xnf.translate import XNFOptions
 
 VIEW = """
@@ -32,8 +33,8 @@ org_data = st.fixed_dictionaries({
 })
 
 
-def build_database(data) -> Database:
-    db = Database()
+def build_database(data) -> Session:
+    db = Engine().connect()
     db.execute("CREATE TABLE DEPT (DNO INT PRIMARY KEY, LOC VARCHAR)")
     db.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, EDNO INT)")
     db.execute("CREATE TABLE SKILLS (SNO INT PRIMARY KEY, NM VARCHAR)")
@@ -113,7 +114,7 @@ class TestRecursiveClosureOracle:
     @given(graph_data)
     @settings(max_examples=30, deadline=None)
     def test_fixpoint_matches_bfs(self, data):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE PART (ID INT PRIMARY KEY)")
         db.execute("CREATE TABLE LINK (SRC INT, DST INT)")
         for number in range(1, data["parts"] + 1):

@@ -11,7 +11,7 @@ from repro.sql.parser import parse_statement
 
 @pytest.fixture
 def builder(simple_db):
-    return QGMBuilder(simple_db.catalog)
+    return QGMBuilder(simple_db.engine.catalog)
 
 
 def build(builder, sql):
@@ -216,7 +216,7 @@ class TestOuterJoinShapes:
 
     def test_column_collision_renamed(self, simple_db):
         simple_db.execute("CREATE TABLE OTHER (DNO INT, EXTRA VARCHAR)")
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = build(builder,
                       "SELECT d.dno, o.dno FROM DEPT d LEFT JOIN OTHER o "
                       "ON d.dno = o.dno")

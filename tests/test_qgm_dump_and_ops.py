@@ -10,9 +10,9 @@ from repro.sql.parser import parse_statement
 
 
 def graph_for(db, sql, rewrite=False):
-    graph = QGMBuilder(db.catalog).build_select(parse_statement(sql))
+    graph = QGMBuilder(db.engine.catalog).build_select(parse_statement(sql))
     if rewrite:
-        RuleEngine(DEFAULT_NF_RULES).run(graph, db.catalog)
+        RuleEngine(DEFAULT_NF_RULES).run(graph, db.engine.catalog)
     return graph
 
 
@@ -59,9 +59,9 @@ class TestDump:
         assert "limit: 2" in text
 
     def test_renders_xnf_box(self, org_db):
-        builder = QGMBuilder(org_db.catalog)
+        builder = QGMBuilder(org_db.engine.catalog)
         graph = builder.build_xnf(
-            org_db.catalog.view("deps_arc").definition, "deps_arc")
+            org_db.engine.catalog.view("deps_arc").definition, "deps_arc")
         text = dump_graph(graph)
         assert "XNFBox" in text
         assert "component XDEPT (root)" in text

@@ -3,13 +3,14 @@ relationship attributes"), via the WITH clause of RELATE."""
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.sql.parser import parse_statement
 
 
 @pytest.fixture
-def bom_qty_db() -> Database:
-    db = Database()
+def bom_qty_db() -> Session:
+    db = Engine().connect()
     db.execute_script("""
     CREATE TABLE PART (PNO INT PRIMARY KEY, PNAME VARCHAR);
     CREATE TABLE CONTAINS (PARENT INT, CHILD INT, QTY INT);
@@ -124,7 +125,7 @@ class TestCacheAccess:
 
 class TestRecursiveWithAttributes:
     def test_recursive_closure_keeps_quantities(self):
-        db = Database()
+        db = Engine().connect()
         db.execute_script("""
         CREATE TABLE PART (PNO INT PRIMARY KEY, PNAME VARCHAR);
         CREATE TABLE CONTAINS (PARENT INT, CHILD INT, QTY INT);

@@ -6,7 +6,10 @@ multisets must match.  The generator is biased toward the new rules'
 territory: join + constant equalities (ConstProp), self-joins and FK
 parent joins (JoinElim), stacked/dual view references (ViewMerge), and
 correlated scalar aggregates (ScalarAggToJoin), so any soundness slip
-in a rule shows up as a result difference.
+in a rule shows up as a result difference.  A fixed set of view shapes
+ViewMerge must deep-copy (GROUP BY, LEFT OUTER JOIN and set-operation
+bodies) and a predicate over a UNION view (SetOpPushdown) are also
+checked against SQLite.
 
 Tier-1 runs one fixed seed; ``REPRO_DIFF_SEEDS=<n>`` sweeps ``n``
 additional seeds (the CI rewrite-bench job widens it).
@@ -19,10 +22,13 @@ import random
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.executor.runtime import PipelineOptions
+from repro.qgm.clone import _Cloner
 from repro.workloads.bom import BOMScale, create_bom_schema, populate_bom
 from repro.workloads.orgdb import OrgScale, create_org_schema, populate_org
+from tests.test_differential_sqlite import mirror_to_sqlite
 
 VIEW_DDL = (
     "CREATE VIEW V_EMP_DEPT AS SELECT e.eno, e.ename, e.sal, e.edno, "
@@ -31,18 +37,42 @@ VIEW_DDL = (
     "FROM V_EMP_DEPT WHERE sal > 10",
 )
 
+#: Views whose bodies only a deep copy can specialize per consumer:
+#: ViewMerge clones a GROUP BY, an outer join and (under a selection
+#: view) a UNION; a predicate over the UNION view pushes into its arms.
+SHAPE_VIEW_DDL = (
+    "CREATE VIEW V_DEPT_PAY AS SELECT edno, COUNT(*) AS n, "
+    "SUM(sal) AS total FROM EMP GROUP BY edno",
+    "CREATE VIEW V_DEPT_EMP AS SELECT d.dno, d.dname, e.eno, e.sal "
+    "FROM DEPT d LEFT OUTER JOIN EMP e ON e.edno = d.dno",
+    "CREATE VIEW V_PEOPLE AS SELECT eno AS id, ename AS name FROM EMP "
+    "UNION SELECT pno AS id, pname AS name FROM PROJ",
+    "CREATE VIEW V_NAMED AS SELECT id, name FROM V_PEOPLE WHERE id > 2",
+)
+
+#: (query, the cloner method or rule it must reach)
+SHAPE_QUERIES = (
+    ("SELECT a.edno, a.total FROM V_DEPT_PAY a, V_DEPT_PAY b "
+     "WHERE a.edno = b.edno AND b.n > 1", "_clone_groupby"),
+    ("SELECT a.dname, a.eno FROM V_DEPT_EMP a, V_DEPT_EMP b "
+     "WHERE a.dno = b.dno AND a.eno = b.eno", "_clone_outer_join"),
+    ("SELECT a.name FROM V_NAMED a, V_NAMED b "
+     "WHERE a.id = b.id AND b.id > 3", "_clone_setop"),
+    ("SELECT id, name FROM V_PEOPLE WHERE id > 2", "SetOpPushdown"),
+)
+
 BOM_VIEW_DDL = (
     "CREATE VIEW V_ASSEMBLY AS SELECT p.pno, p.pname, p.cost, c.child, "
     "c.qty FROM PART p, CONTAINS c WHERE c.parent = p.pno",
 )
 
 
-def build_pair(seed: int) -> tuple[Database, Database]:
+def build_pair(seed: int) -> tuple[Session, Session]:
     databases = []
     for rewrite in (True, False):
-        db = Database(PipelineOptions(apply_nf_rewrite=rewrite))
-        create_org_schema(db.catalog)
-        populate_org(db.catalog, OrgScale(
+        db = Engine(PipelineOptions(apply_nf_rewrite=rewrite)).connect()
+        create_org_schema(db.engine.catalog)
+        populate_org(db.engine.catalog, OrgScale(
             departments=8, employees_per_dept=4, projects_per_dept=3,
             skills=12, skills_per_employee=2, skills_per_project=2,
             arc_fraction=0.3, seed=seed,
@@ -53,13 +83,13 @@ def build_pair(seed: int) -> tuple[Database, Database]:
     return databases[0], databases[1]
 
 
-def build_bom_pair(seed: int) -> tuple[Database, Database]:
+def build_bom_pair(seed: int) -> tuple[Session, Session]:
     databases = []
     for rewrite in (True, False):
-        db = Database(PipelineOptions(apply_nf_rewrite=rewrite))
-        create_bom_schema(db.catalog)
-        populate_bom(db.catalog, BOMScale(roots=2, depth=3, fanout=3,
-                                          seed=seed))
+        db = Engine(PipelineOptions(apply_nf_rewrite=rewrite)).connect()
+        create_bom_schema(db.engine.catalog)
+        populate_bom(db.engine.catalog, BOMScale(roots=2, depth=3, fanout=3,
+                                                 seed=seed))
         for ddl in BOM_VIEW_DDL:
             db.execute(ddl)
         databases.append(db)
@@ -126,7 +156,7 @@ def bom_queries(rng: random.Random) -> list[str]:
     ]
 
 
-def assert_equivalent(rewritten: Database, raw: Database,
+def assert_equivalent(rewritten: Session, raw: Session,
                       queries: list[str]) -> None:
     for sql in queries:
         left = sorted(rewritten.query(sql).rows)
@@ -144,6 +174,41 @@ def sweep(seed: int) -> None:
 
 def test_rewrite_differential_fixed_seed():
     sweep(1994)
+
+
+@pytest.fixture(scope="module")
+def shape_trio():
+    """Rewritten and raw engines plus SQLite, all holding the shape
+    views."""
+    rewritten, raw = build_pair(1994)
+    conn = mirror_to_sqlite(raw)
+    for ddl in SHAPE_VIEW_DDL:
+        rewritten.execute(ddl)
+        raw.execute(ddl)
+        conn.execute(ddl)
+    yield rewritten, raw, conn
+    conn.close()
+
+
+@pytest.mark.parametrize("sql,reaches", SHAPE_QUERIES,
+                         ids=[reaches for _sql, reaches in SHAPE_QUERIES])
+def test_view_shape_matches_sqlite(shape_trio, monkeypatch, sql, reaches):
+    rewritten, raw, conn = shape_trio
+    calls = []
+    for method in ("_clone_groupby", "_clone_outer_join", "_clone_setop"):
+        original = getattr(_Cloner, method)
+
+        def spy(self, box, _original=original, _method=method):
+            calls.append(_method)
+            return _original(self, box)
+        monkeypatch.setattr(_Cloner, method, spy)
+    expected = sorted(conn.execute(sql).fetchall())
+    assert sorted(rewritten.query(sql).rows) == expected
+    assert sorted(raw.query(sql).rows) == expected
+    if reaches.startswith("_clone"):
+        assert reaches in calls
+    else:
+        assert f"'{reaches}'" in rewritten.explain(sql)
 
 
 def extra_seeds() -> list[int]:

@@ -20,13 +20,13 @@ from repro.sql.parser import parse_statement
 
 def compile_traced(db, sql):
     """Compile through the shared pipeline; returns (graph, context)."""
-    compiled = db.pipeline.compile_select(parse_statement(sql))
+    compiled = db.engine.pipeline.compile_select(parse_statement(sql))
     return compiled.graph, compiled.rewrite_context
 
 
 def rewrite(db, sql):
-    graph = db.pipeline.compiler.build_select(parse_statement(sql))
-    context = rewrite_fixpoint(graph, db.catalog)
+    graph = db.engine.pipeline.compiler.build_select(parse_statement(sql))
+    context = rewrite_fixpoint(graph, db.engine.catalog)
     return graph, context
 
 
@@ -342,7 +342,7 @@ class TestPruneColumnsRule:
         assert context.pruned_columns == 2
 
     def test_prune_counts_surface_in_compile(self, simple_db):
-        compiled = simple_db.pipeline.compile_select(parse_statement(
+        compiled = simple_db.engine.pipeline.compile_select(parse_statement(
             "SELECT x.eno FROM (SELECT eno, ename, sal FROM EMP "
             "LIMIT 3) x"))
         assert compiled.pruned_columns == 2
@@ -356,7 +356,7 @@ class TestPruneColumnsRule:
 class TestGoldenDumps:
     def test_scalar_decorrelation_golden(self, simple_db):
         statement = parse_statement(SCALAR_AVG_SQL)
-        before = simple_db.pipeline.compiler.build_select(statement)
+        before = simple_db.engine.pipeline.compiler.build_select(statement)
         before_dump = canonical_dump(before)
         assert "q1 S -> b3" in before_dump          # the S quantifier
         assert "keys: []" in before_dump            # ungrouped aggregate

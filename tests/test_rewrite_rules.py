@@ -12,9 +12,9 @@ from repro.sql.parser import parse_statement
 
 
 def rewrite(db, sql):
-    builder = QGMBuilder(db.catalog)
+    builder = QGMBuilder(db.engine.catalog)
     graph = builder.build_select(parse_statement(sql))
-    context = RuleEngine(DEFAULT_NF_RULES).run(graph, db.catalog)
+    context = RuleEngine(DEFAULT_NF_RULES).run(graph, db.engine.catalog)
     return graph, context
 
 
@@ -29,11 +29,11 @@ class TestEngine:
             def apply(self, box, context):
                 return True  # claims progress forever
 
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement("SELECT 1"))
         with pytest.raises(RewriteError, match="budget"):
             RuleEngine([Pathological()], budget=10).run(graph,
-                                                        simple_db.catalog)
+                                                        simple_db.engine.catalog)
 
     def test_applications_recorded(self, simple_db):
         _graph, context = rewrite(
@@ -123,7 +123,7 @@ class TestSelectMerge:
 
 class TestUniquenessInference:
     def test_base_table_primary_key(self, simple_db):
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement("SELECT * FROM DEPT"))
         base = graph.top.single_output().box.body_quantifiers[0].box
         assert columns_unique_in(base, {"DNO"})
@@ -132,27 +132,27 @@ class TestUniquenessInference:
 
     def test_unique_index_counts(self, simple_db):
         simple_db.execute("CREATE UNIQUE INDEX UX ON EMP (ENAME)")
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement("SELECT * FROM EMP"))
         base = graph.top.single_output().box.body_quantifiers[0].box
         assert columns_unique_in(base, {"ENAME"})
 
     def test_selection_preserves_uniqueness(self, simple_db):
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement(
             "SELECT dno, loc FROM DEPT WHERE loc = 'ARC'"))
         box = graph.top.single_output().box
         assert columns_unique_in(box, {"DNO"})
 
     def test_join_breaks_uniqueness(self, simple_db):
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement(
             "SELECT d.dno AS dno FROM DEPT d, EMP e"))
         box = graph.top.single_output().box
         assert not columns_unique_in(box, {"DNO"})
 
     def test_group_keys_unique(self, simple_db):
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement(
             "SELECT loc, COUNT(*) AS n FROM DEPT GROUP BY loc"))
         upper = graph.top.single_output().box
@@ -165,7 +165,7 @@ class TestPruning:
     def test_unused_view_columns_removed(self, simple_db):
         simple_db.execute("CREATE VIEW wide AS SELECT DISTINCT dno, "
                           "dname, loc FROM DEPT")
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement(
             "SELECT dno FROM wide"))
         # DISTINCT views keep their heads (semantics depend on them).
@@ -173,7 +173,7 @@ class TestPruning:
         assert removed == 0
 
     def test_projection_pruned_below(self, simple_db):
-        builder = QGMBuilder(simple_db.catalog)
+        builder = QGMBuilder(simple_db.engine.catalog)
         graph = builder.build_select(parse_statement(
             "SELECT x.eno FROM (SELECT eno, ename, sal FROM EMP "
             "LIMIT 3) x"))

@@ -41,7 +41,7 @@ class TestQueryResult:
 
 class TestCompiledReuse:
     def test_compiled_query_runs_repeatedly(self, simple_db):
-        pipeline = simple_db.pipeline
+        pipeline = simple_db.engine.pipeline
         compiled = pipeline.compile_select(parse_statement(
             "SELECT COUNT(*) FROM EMP"))
         first = pipeline.run_compiled(compiled)
@@ -53,7 +53,7 @@ class TestCompiledReuse:
     def test_context_reuse_requires_reset(self, org_db):
         org_db.execute("CREATE VIEW arc2 AS SELECT DISTINCT dno "
                        "FROM DEPT WHERE loc = 'ARC'")
-        pipeline = org_db.pipeline
+        pipeline = org_db.engine.pipeline
         compiled = pipeline.compile_select(parse_statement(
             "SELECT a.dno FROM arc2 a, arc2 b WHERE a.dno = b.dno"))
         ctx = compiled.plan.new_context()
@@ -72,16 +72,16 @@ class TestOptionToggles:
                   "d.loc = 'ARC')")
 
     def test_rewrite_toggle_preserves_semantics(self, org_db):
-        on = QueryPipeline(org_db.catalog, org_db.stats,
+        on = QueryPipeline(org_db.engine.catalog, org_db.engine.stats,
                            PipelineOptions(apply_nf_rewrite=True))
-        off = QueryPipeline(org_db.catalog, org_db.stats,
+        off = QueryPipeline(org_db.engine.catalog, org_db.engine.stats,
                             PipelineOptions(apply_nf_rewrite=False))
         statement = parse_statement(self.EXISTS_SQL)
         assert sorted(on.run_select(statement).rows) == \
             sorted(off.run_select(statement).rows)
 
     def test_rewrite_toggle_changes_graph(self, org_db):
-        off = QueryPipeline(org_db.catalog, org_db.stats,
+        off = QueryPipeline(org_db.engine.catalog, org_db.engine.stats,
                             PipelineOptions(apply_nf_rewrite=False))
         compiled = off.compile_select(parse_statement(self.EXISTS_SQL))
         assert compiled.rewrite_context is None
@@ -91,9 +91,9 @@ class TestOptionToggles:
     def test_prune_toggle(self, org_db):
         sql = ("SELECT x.eno FROM (SELECT eno, ename, sal FROM EMP "
                "LIMIT 3) x")
-        pruned = QueryPipeline(org_db.catalog, org_db.stats,
+        pruned = QueryPipeline(org_db.engine.catalog, org_db.engine.stats,
                                PipelineOptions(prune_columns=True))
-        unpruned = QueryPipeline(org_db.catalog, org_db.stats,
+        unpruned = QueryPipeline(org_db.engine.catalog, org_db.engine.stats,
                                  PipelineOptions(prune_columns=False))
         assert pruned.compile_select(
             parse_statement(sql)).pruned_columns == 2
@@ -101,11 +101,11 @@ class TestOptionToggles:
             parse_statement(sql)).pruned_columns == 0
 
     def test_degenerate_batch_sizes_clamped(self, org_db):
-        reference = org_db.pipeline.run_select(parse_statement(
+        reference = org_db.engine.pipeline.run_select(parse_statement(
             "SELECT eno FROM EMP WHERE sal > 0 ORDER BY eno")).rows
         for batch_size in (0, -5, 1):
             pipeline = QueryPipeline(
-                org_db.catalog, org_db.stats,
+                org_db.engine.catalog, org_db.engine.stats,
                 PipelineOptions(planner=PlannerOptions(
                     batch_size=batch_size)))
             got = pipeline.run_select(parse_statement(
@@ -117,10 +117,10 @@ class TestOptionToggles:
             apply_nf_rewrite=False, prune_columns=False,
             planner=PlannerOptions(use_indexes=False,
                                    share_common_subexpressions=False))
-        pipeline = QueryPipeline(org_db.catalog, org_db.stats, options)
+        pipeline = QueryPipeline(org_db.engine.catalog, org_db.engine.stats, options)
         statement = parse_statement(
             "SELECT d.loc, COUNT(*) FROM DEPT d, EMP e "
             "WHERE d.dno = e.edno GROUP BY d.loc")
-        baseline = org_db.pipeline.run_select(statement)
+        baseline = org_db.engine.pipeline.run_select(statement)
         degraded = pipeline.run_select(statement)
         assert sorted(baseline.rows) == sorted(degraded.rows)

@@ -31,8 +31,8 @@ import random
 import pytest
 
 from repro.api import frontend
-from repro.api.database import Database
 from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.api.frontend import lift
 from repro.errors import LexerError, ParseError
 from repro.executor.dml import DMLExecutor
@@ -58,13 +58,13 @@ def _seeds() -> list[int]:
     return [BASE_SEED] + [BASE_SEED + i + 1 for i in range(extra)]
 
 
-def uncached(db: Database) -> Database:
+def uncached(db: Session) -> Session:
     """``db`` with the plan cache off: the literal-AST oracle."""
-    db.pipeline.plan_cache.capacity = 0
+    db.engine.pipeline.plan_cache.capacity = 0
     return db
 
 
-def front(db: Database, text: str):
+def front(db: Session, text: str):
     """``(front-end result, 'hit' | 'miss')`` for ``text``."""
     stats = db.engine.statements.stats
     hits = stats.hits
@@ -113,7 +113,7 @@ def lifted_slots(text: str) -> set[int]:
     return {slot for slot, _index in getattr(result, "slots", ())}
 
 
-def assert_variant_hits(db: Database, text: str, rng: random.Random):
+def assert_variant_hits(db: Session, text: str, rng: random.Random):
     """Prime ``text``, then return a variant with its lifted literals
     changed, after checking that it hits and equals the full path."""
     first, _status = front(db, text)
@@ -161,10 +161,10 @@ def test_bom_select_variants(bom_pair, seed):
     run_select_sweep(bom_pair, BOM_TABLES, BOM_JOINS, BOM_CHAINS, seed)
 
 
-def org_database() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, ORG)
+def org_database() -> Session:
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, ORG)
     return db
 
 
@@ -188,8 +188,8 @@ def test_xnf_variants(seed):
 # Named cases
 # ----------------------------------------------------------------------
 @pytest.fixture
-def db() -> Database:
-    db = Database()
+def db() -> Session:
+    db = Engine().connect()
     db.execute("CREATE TABLE T (A INT PRIMARY KEY, B VARCHAR, C INT)")
     db.execute("INSERT INTO T VALUES (1, 'x1', 10), (2, 'y2', 20), "
                "(3, 'x3', 30), (4, NULL, 40)")
@@ -218,11 +218,11 @@ def test_inline_literal_change_is_a_miss(db, first, second):
         == multiset(uncached_twin(db).query(second).rows)
 
 
-def uncached_twin(db: Database) -> Database:
-    twin = uncached(Database())
+def uncached_twin(db: Session) -> Session:
+    twin = uncached(Engine().connect())
     twin.execute("CREATE TABLE T (A INT PRIMARY KEY, B VARCHAR, C INT)")
-    for row in db.catalog.table("T").rows():
-        twin.catalog.table("T").insert(row)
+    for row in db.engine.catalog.table("T").rows():
+        twin.engine.catalog.table("T").insert(row)
     return twin
 
 
@@ -331,11 +331,11 @@ def test_matview_read_through_only_on_the_definitions_literals():
     assert cached.engine.statements.stats.hits == 2
 
 
-def table_rows(db: Database, name: str = "T") -> list:
-    return sorted(db.catalog.table(name).rows(), key=repr)
+def table_rows(db: Session, name: str = "T") -> list:
+    return sorted(db.engine.catalog.table(name).rows(), key=repr)
 
 
-def assert_writes_agree(db: Database, twin: Database, texts,
+def assert_writes_agree(db: Session, twin: Session, texts,
                         params=None) -> list:
     """Run each write on ``db`` and on ``twin`` (plan cache off); the
     rowcounts and the table after every write must agree."""
@@ -434,7 +434,7 @@ def test_plan_cache_off_parses_literal_asts(db):
         assert db.engine.parse(text) == parser.parse_statement(text)
     assert len(db.engine.statements) == entries
     assert db.execute("UPDATE T SET c = c + 1 WHERE a = 1") == 1
-    assert db.pipeline.plan_cache.last_info.status == "bypass"
+    assert db.engine.pipeline.plan_cache.last_info.status == "bypass"
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +473,7 @@ def test_cursor_point_selects_parse_once(parse_calls):
     cursor = db.engine.connect().cursor()
     stats = db.engine.statements.stats
     before = (stats.hits, stats.misses, len(parse_calls))
-    enos = sorted(row[0] for row in db.catalog.table("EMP").rows())
+    enos = sorted(row[0] for row in db.engine.catalog.table("EMP").rows())
     for number in range(200):
         eno = enos[number % len(enos)]
         rows = cursor.execute(f"SELECT * FROM EMP WHERE eno = {eno}") \
@@ -593,12 +593,12 @@ def write_counts(parse_calls, monkeypatch) -> dict:
     return counts
 
 
-def wide_table(cached: bool = True) -> Database:
+def wide_table(cached: bool = True) -> Session:
     """T with 4,000 rows: 200 single-row deletes stay under the
     statistics drift threshold."""
-    db = Database() if cached else uncached(Database())
+    db = Engine().connect() if cached else uncached(Engine().connect())
     db.execute("CREATE TABLE T (A INT PRIMARY KEY, B VARCHAR, C INT)")
-    table = db.catalog.table("T")
+    table = db.engine.catalog.table("T")
     for number in range(4000):
         table.insert((number, f"b{number}", number % 50))
     return db
@@ -620,12 +620,12 @@ def test_dml_variants_parse_lift_and_compile_once(write_counts, shape):
     assert counts == [twin.execute(text) for text in texts]
     assert table_rows(db) == table_rows(twin)
     assert db.engine.statements.stats.hits == 199
-    assert db.pipeline.plan_cache.stats.invalidations == 0
+    assert db.engine.pipeline.plan_cache.stats.invalidations == 0
 
 
 def test_lens_variants_parse_lift_translate_and_compile_once(
         write_counts):
-    def lens_database(cached: bool) -> Database:
+    def lens_database(cached: bool) -> Session:
         db = org_database() if cached else uncached(org_database())
         db.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
         return db
@@ -652,12 +652,12 @@ def test_join_view_variants_compile_qualification_once(monkeypatch):
     view; literal variants read that plan through the plan cache, so
     it compiles once — with the rows of a twin whose plan cache is off
     (every statement compiled over its literal AST)."""
-    def join_view_database(options=None) -> Database:
-        db = Database(options)
+    def join_view_database(options=None) -> Session:
+        db = Engine(options).connect()
         db.execute("CREATE TABLE DEPT (DNO INT PRIMARY KEY, BUDGET INT)")
         db.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, SAL INT, "
                    "DNO INT)")
-        dept, emp = db.catalog.table("DEPT"), db.catalog.table("EMP")
+        dept, emp = db.engine.catalog.table("DEPT"), db.engine.catalog.table("EMP")
         for dno in range(1, 21):
             dept.insert((dno, 100 * dno))
         for eno in range(1, 401):
@@ -682,4 +682,4 @@ def test_join_view_variants_compile_qualification_once(monkeypatch):
     assert counts == [1] * 20
     assert counts == [twin.execute(text) for text in texts]
     assert table_rows(db, "EMP") == table_rows(twin, "EMP")
-    assert db.pipeline.plan_cache.stats.invalidations == 0
+    assert db.engine.pipeline.plan_cache.stats.invalidations == 0

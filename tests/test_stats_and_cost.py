@@ -41,18 +41,18 @@ class TestAnalyzeTable:
 
 class TestStatisticsManager:
     def test_snapshot_cached(self, simple_db):
-        manager = StatisticsManager(simple_db.catalog)
+        manager = StatisticsManager(simple_db.engine.catalog)
         first = manager.stats_for("DEPT")
         assert manager.stats_for("DEPT") is first
 
     def test_invalidate_refreshes(self, simple_db):
-        manager = StatisticsManager(simple_db.catalog)
+        manager = StatisticsManager(simple_db.engine.catalog)
         first = manager.stats_for("DEPT")
         manager.invalidate("DEPT")
         assert manager.stats_for("DEPT") is not first
 
     def test_large_drift_triggers_refresh(self, simple_db):
-        manager = StatisticsManager(simple_db.catalog)
+        manager = StatisticsManager(simple_db.engine.catalog)
         before = manager.stats_for("DEPT")
         table = simple_db.table("DEPT")
         for i in range(100, 150):
@@ -62,37 +62,37 @@ class TestStatisticsManager:
         assert after.cardinality == 53
 
     def test_small_drift_tolerated(self, simple_db):
-        manager = StatisticsManager(simple_db.catalog)
+        manager = StatisticsManager(simple_db.engine.catalog)
         before = manager.stats_for("DEPT")
         simple_db.table("DEPT").insert((99, "tiny", "X"))
         assert manager.stats_for("DEPT") is before
 
     def test_value_only_updates_are_not_drift(self):
-        from repro.api.database import Database
-        db = Database()
+        from repro.api.engine import Engine
+        db = Engine().connect()
         db.execute("CREATE TABLE T (K INT PRIMARY KEY, V INT)")
         table = db.table("T")
         for k in range(4000):
             table.insert((k, 0))
         db.analyze()
-        epoch = db.stats.table_epoch("T")
+        epoch = db.engine.stats.table_epoch("T")
         for k in range(0, 4000, 4):
             db.execute(f"UPDATE T SET v = v + 1 WHERE k = {k}")
         # 1,000 rows changed value, none came or went.
-        assert db.stats.table_epoch("T") == epoch
+        assert db.engine.stats.table_epoch("T") == epoch
         assert db.query("SELECT COUNT(*) FROM T WHERE v = 1").rows == \
             [(1000,)]
         db.execute("INSERT INTO T VALUES "
                    + ", ".join(f"({k}, 0)" for k in range(4000, 5000)))
-        assert db.stats.table_epoch("T") > epoch
+        assert db.engine.stats.table_epoch("T") > epoch
 
 
 class TestCostModel:
     def make_model(self, db):
-        return CostModel(StatisticsManager(db.catalog))
+        return CostModel(StatisticsManager(db.engine.catalog))
 
     def box_for(self, db, sql):
-        graph = QGMBuilder(db.catalog).build_select(parse_statement(sql))
+        graph = QGMBuilder(db.engine.catalog).build_select(parse_statement(sql))
         return graph.top.single_output().box
 
     def test_base_cardinality(self, simple_db):
@@ -195,12 +195,12 @@ class TestMcvAndNdv:
 
 class TestConjunctDedup:
     def test_duplicate_conjunct_not_double_counted(self, simple_db):
-        model = CostModel(StatisticsManager(simple_db.catalog))
-        builder = QGMBuilder(simple_db.catalog)
+        model = CostModel(StatisticsManager(simple_db.engine.catalog))
+        builder = QGMBuilder(simple_db.engine.catalog)
         single = builder.build_select(parse_statement(
             "SELECT * FROM DEPT WHERE loc = 'ARC'"
         )).top.single_output().box
-        doubled = QGMBuilder(simple_db.catalog).build_select(
+        doubled = QGMBuilder(simple_db.engine.catalog).build_select(
             parse_statement(
                 "SELECT * FROM DEPT WHERE loc = 'ARC' AND loc = 'ARC'"
             )).top.single_output().box
@@ -209,7 +209,7 @@ class TestConjunctDedup:
 
     def test_peeked_duplicate_parameters_dedup(self, simple_db):
         from repro.sql import ast
-        model = CostModel(StatisticsManager(simple_db.catalog),
+        model = CostModel(StatisticsManager(simple_db.engine.catalog),
                           peek={0: 3, 1: 3})
         first = ast.BinaryOp("=", ast.Literal(5), ast.Parameter(index=0))
         second = ast.BinaryOp("=", ast.Literal(5), ast.Parameter(index=1))
@@ -218,7 +218,7 @@ class TestConjunctDedup:
 
     def test_distinct_parameters_still_multiply(self, simple_db):
         from repro.sql import ast
-        model = CostModel(StatisticsManager(simple_db.catalog),
+        model = CostModel(StatisticsManager(simple_db.engine.catalog),
                           peek={0: 3, 1: 4})
         first = ast.BinaryOp("=", ast.Literal(5), ast.Parameter(index=0))
         second = ast.BinaryOp("=", ast.Literal(5), ast.Parameter(index=1))
@@ -229,10 +229,10 @@ class TestConjunctDedup:
 
 class TestValueAwareEstimates:
     def make_model(self, db):
-        return CostModel(StatisticsManager(db.catalog))
+        return CostModel(StatisticsManager(db.engine.catalog))
 
     def box_for(self, db, sql):
-        graph = QGMBuilder(db.catalog).build_select(parse_statement(sql))
+        graph = QGMBuilder(db.engine.catalog).build_select(parse_statement(sql))
         return graph.top.single_output().box
 
     def test_range_uses_histogram(self, simple_db):

@@ -76,7 +76,7 @@ class TestDisciplines:
 
     def test_projection_reduces_bytes(self, org_db):
         full = org_db.xnf("deps_arc")
-        query = org_db.catalog.view("deps_arc").definition
+        query = org_db.engine.catalog.view("deps_arc").definition
         from repro.sql import ast
         narrow = ast.XNFQuery(
             definitions=query.definitions,

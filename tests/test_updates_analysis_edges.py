@@ -10,9 +10,9 @@ from repro.viewupdate.objects import analyze_xnf
 
 
 def analysis_for(db, query_text):
-    builder = QGMBuilder(db.catalog)
+    builder = QGMBuilder(db.engine.catalog)
     graph = builder.build_xnf(parse_statement(query_text), "V")
-    return analyze_xnf(graph.xnf_box(), db.catalog)
+    return analyze_xnf(graph.xnf_box(), db.engine.catalog)
 
 
 def updatable(found) -> bool:

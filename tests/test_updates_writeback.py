@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
 from repro.errors import NotUpdatableError, UpdateError
 from repro.qgm.builder import QGMBuilder
 from repro.sql.parser import parse_statement
@@ -17,9 +17,9 @@ COMPUTED_VIEW = ("CREATE VIEW cv AS OUT OF e AS (SELECT eno, ename, edno, "
 
 
 def analysis_for(db, query_text):
-    builder = QGMBuilder(db.catalog)
+    builder = QGMBuilder(db.engine.catalog)
     graph = builder.build_xnf(parse_statement(query_text), "V")
-    return analyze_xnf(graph.xnf_box(), db.catalog)
+    return analyze_xnf(graph.xnf_box(), db.engine.catalog)
 
 
 def updatable(found) -> bool:
@@ -158,9 +158,9 @@ class TestWriteBack:
         # base row the SQL INSERT inserts; giving the computed column
         # is rejected, as in SQL.
         org_db.execute(COMPUTED_VIEW)
-        twin = Database()
-        create_org_schema(twin.catalog)
-        populate_org(twin.catalog, SMALL_ORG)
+        twin = Engine().connect()
+        create_org_schema(twin.engine.catalog)
+        populate_org(twin.engine.catalog, SMALL_ORG)
         twin.execute(COMPUTED_VIEW)
         assert twin.execute("INSERT INTO cv.E (ENO, ENAME, EDNO, SAL) "
                             "VALUES (901, 'y', 1, 6)") == 1

@@ -18,7 +18,8 @@ from __future__ import annotations
 import os
 import random
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 
 BASE_SEED = 19940328  # matches the other differential suites
 OPS_PER_SEED = 30
@@ -29,8 +30,8 @@ def _seeds() -> list[int]:
     return [BASE_SEED] + [BASE_SEED + i + 1 for i in range(extra)]
 
 
-def build_db() -> Database:
-    db = Database()
+def build_db() -> Session:
+    db = Engine().connect()
     db.execute("CREATE TABLE DEPT (DNO INT PRIMARY KEY, DNAME CHAR(8),"
                " BUDGET INT)")
     db.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, ENAME CHAR(8),"
@@ -141,7 +142,7 @@ def random_statements(spec: ViewSpec, rng: random.Random,
                    f"DELETE FROM EMP{spec.base_where(where)}", [])
 
 
-def table_image(db: Database, table: str):
+def table_image(db: Session, table: str):
     return sorted(db.query(f"SELECT * FROM {table}").rows)
 
 

@@ -5,7 +5,7 @@ option combinations, the translated multi-output plans must produce the
 same composite objects as the directly-implemented semantics.
 """
 
-from repro.api.database import Database
+from repro.api.engine import Engine
 from repro.executor.runtime import PipelineOptions
 from repro.optimizer.optimizer import PlannerOptions
 from repro.workloads.orgdb import DEPS_ARC_QUERY
@@ -41,13 +41,13 @@ class TestDepsArc:
                           XNFOptions(apply_nf_rewrite=False))
 
     def test_without_indexes_or_sharing(self):
-        db = Database(pipeline_options=PipelineOptions(
+        db = Engine(pipeline_options=PipelineOptions(
             planner=PlannerOptions(use_indexes=False,
-                                   share_common_subexpressions=False)))
+                                   share_common_subexpressions=False))).connect()
         from repro.workloads.orgdb import create_org_schema, populate_org
         from tests.conftest import SMALL_ORG
-        create_org_schema(db.catalog, with_indexes=False)
-        populate_org(db.catalog, SMALL_ORG)
+        create_org_schema(db.engine.catalog, with_indexes=False)
+        populate_org(db.engine.catalog, SMALL_ORG)
         assert_equivalent(db, DEPS_ARC_QUERY)
 
 

@@ -19,8 +19,8 @@ import random
 
 import pytest
 
-from repro.api.database import Database
 from repro.api.engine import Engine
+from repro.api.session import Session
 from repro.executor.runtime import PipelineOptions
 from repro.executor.plan_cache import parameterize_xnf
 from repro.sql import ast
@@ -77,11 +77,11 @@ def co_signature(result) -> dict:
     return out
 
 
-def assert_three_way(db: Database, text: str, label: str) -> str:
+def assert_three_way(db: Session, text: str, label: str) -> str:
     """Compare the three evaluations; returns the plan-cache status of
     the lifted run."""
     lifted = db.xnf(text)
-    status = db.pipeline.plan_cache.last_info.status
+    status = db.engine.pipeline.plan_cache.last_info.status
     inline = db.xnf_executable(text).run()
     naive = db.xnf_naive(text)
     want = co_signature(naive)
@@ -91,27 +91,27 @@ def assert_three_way(db: Database, text: str, label: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def org() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, ORG)
+def org() -> Session:
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, ORG)
     return db
 
 
 @pytest.fixture
-def fresh_org() -> Database:
-    db = Database()
-    create_org_schema(db.catalog)
-    populate_org(db.catalog, ORG)
+def fresh_org() -> Session:
+    db = Engine().connect()
+    create_org_schema(db.engine.catalog)
+    populate_org(db.engine.catalog, ORG)
     return db
 
 
 @pytest.fixture(scope="module")
-def bom() -> tuple[Database, dict]:
-    db = Database()
-    create_bom_schema(db.catalog)
-    info = populate_bom(db.catalog, BOMScale(roots=3, depth=3, fanout=2,
-                                             seed=5))
+def bom() -> tuple[Session, dict]:
+    db = Engine().connect()
+    create_bom_schema(db.engine.catalog)
+    info = populate_bom(db.engine.catalog, BOMScale(roots=3, depth=3, fanout=2,
+                                                    seed=5))
     return db, info
 
 
@@ -207,7 +207,7 @@ class TestParameterizeXNF:
 # ----------------------------------------------------------------------
 class TestSharedExecutable:
     def test_literal_variants_one_miss_then_hits(self, fresh_org):
-        cache = fresh_org.pipeline.plan_cache
+        cache = fresh_org.engine.pipeline.plan_cache
         misses, hits = cache.stats.misses, cache.stats.hits
         for low in (1, 4, 7):
             fresh_org.xnf(deps_query(f"WHERE dno BETWEEN {low} AND "
@@ -232,7 +232,7 @@ class TestSharedExecutable:
             assert estimates(lifted) == estimates(inline), where
 
     def test_ddl_invalidates(self, fresh_org):
-        cache = fresh_org.pipeline.plan_cache
+        cache = fresh_org.engine.pipeline.plan_cache
         fresh_org.xnf(deps_query("WHERE dno BETWEEN 1 AND 3"))
         fresh_org.execute("CREATE INDEX IX_DEPT_LOC ON DEPT (LOC)")
         fresh_org.xnf(deps_query("WHERE dno BETWEEN 2 AND 5"))
@@ -242,7 +242,7 @@ class TestSharedExecutable:
         assert cache.last_info.status == "hit"
 
     def test_analyze_invalidates(self, fresh_org):
-        cache = fresh_org.pipeline.plan_cache
+        cache = fresh_org.engine.pipeline.plan_cache
         fresh_org.xnf(deps_query("WHERE dno BETWEEN 1 AND 3"))
         fresh_org.execute("ANALYZE DEPT")
         fresh_org.xnf(deps_query("WHERE dno BETWEEN 2 AND 5"))
@@ -250,13 +250,13 @@ class TestSharedExecutable:
         assert "statistics" in cache.last_info.reason
 
     def test_disabled_cache_neither_caches_nor_lifts(self):
-        db = Database(PipelineOptions(plan_cache_size=0))
-        create_org_schema(db.catalog)
-        populate_org(db.catalog, ORG)
+        db = Engine(PipelineOptions(plan_cache_size=0)).connect()
+        create_org_schema(db.engine.catalog)
+        populate_org(db.engine.catalog, ORG)
         text = deps_query("WHERE dno BETWEEN 2 AND 6")
         result = db.xnf(text)
-        assert db.pipeline.plan_cache.last_info.status == "bypass"
-        assert len(db.pipeline.plan_cache) == 0
+        assert db.engine.pipeline.plan_cache.last_info.status == "bypass"
+        assert len(db.engine.pipeline.plan_cache) == 0
         assert co_signature(result) == co_signature(db.xnf_naive(text))
 
     def test_sessions_share_the_executable(self):
@@ -273,7 +273,7 @@ class TestSharedExecutable:
 class TestExplain:
     def test_same_shape_other_literals_is_a_hit(self, fresh_org):
         fresh_org.xnf(deps_query("WHERE dno BETWEEN 1 AND 3"))
-        fingerprint = fresh_org.pipeline.plan_cache.last_info.fingerprint
+        fingerprint = fresh_org.engine.pipeline.plan_cache.last_info.fingerprint
         text = fresh_org.explain(deps_query("WHERE dno BETWEEN 8 AND 11"))
         section = text.split("-- plan cache --")[1]
         assert "status: hit" in section

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.api.database import Database
+from repro.api.engine import Engine
+from repro.api.session import Session
 
 
-def graph_db(edges: list[tuple[int, int]], parts: int) -> Database:
-    db = Database()
+def graph_db(edges: list[tuple[int, int]], parts: int) -> Session:
+    db = Engine().connect()
     db.execute("CREATE TABLE PART (ID INT PRIMARY KEY, TAG VARCHAR)")
     db.execute("CREATE TABLE LINK (SRC INT, DST INT)")
     db.execute("CREATE INDEX IX_LINK_SRC ON LINK (SRC)")

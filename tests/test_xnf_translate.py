@@ -12,9 +12,9 @@ from repro.xnf.translate import OID, POID, XNFOptions, XNFTranslator
 
 
 def translate(db, query_text, **options):
-    builder = QGMBuilder(db.catalog)
+    builder = QGMBuilder(db.engine.catalog)
     graph = builder.build_xnf(parse_statement(query_text), "V")
-    return XNFTranslator(db.catalog, XNFOptions(**options)).translate(graph)
+    return XNFTranslator(db.engine.catalog, XNFOptions(**options)).translate(graph)
 
 
 class TestDepsArcTranslation:
@@ -105,7 +105,7 @@ class TestTakeProjection:
         query = DEPS_ARC_QUERY.replace("TAKE *", "TAKE xskills")
         translated = translate(org_db, query)
         from repro.xnf.result import XNFExecutable
-        result = XNFExecutable(translated, org_db.catalog).run()
+        result = XNFExecutable(translated, org_db.engine.catalog).run()
         naive = org_db.xnf_naive(parse_statement(DEPS_ARC_QUERY))
         assert sorted(result.component("xskills").rows) == \
             sorted(naive.component("xskills").rows)
@@ -134,7 +134,7 @@ class TestValidation:
         """
         translated = translate(org_db, query)
         from repro.xnf.result import XNFExecutable
-        result = XNFExecutable(translated, org_db.catalog).run()
+        result = XNFExecutable(translated, org_db.engine.catalog).run()
         aggregates = result.component("agg")
         assert all(isinstance(oid, tuple) for oid in aggregates.oids)
         assert len(result.component("d")) == 6
