@@ -12,7 +12,6 @@ import os
 import tempfile
 
 from repro import Engine
-from repro.cache.manager import XNFCache
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
 
@@ -86,10 +85,7 @@ def main() -> None:
     fresh = session.open_cache("deps_arc")
     fresh.extent("xemp")[0].set("SAL", 1_000_000)  # not yet written back
     fresh.save(snapshot)
-    reloaded = XNFCache.load(
-        snapshot, catalog=engine.catalog, transactions=engine.transactions,
-        translated=session.xnf_executable("deps_arc").translated,
-    )
+    reloaded = session.load_cache(snapshot, "deps_arc")
     print(f"\nreloaded cache from {snapshot}: "
           f"{reloaded.object_count()} objects, "
           f"{len(reloaded.pending_changes())} pending change(s)")

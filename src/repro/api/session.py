@@ -26,7 +26,7 @@ from repro.api.frontend import FrontEndStatement, statement_of, write_form
 from repro.errors import CatalogError, InterfaceError, SemanticError
 from repro.executor.plan_cache import ParameterizedStatement
 from repro.executor.runtime import QueryResult, QueryStream
-from repro.cache.manager import XNFCache
+from repro.cache.manager import XNFCache, read_snapshot
 from repro.cache.matview import MaterializedView
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -499,6 +499,26 @@ class Session:
             return XNFCache.evaluate(executable, catalog=engine.catalog,
                                      transactions=_SessionWriteBack(self),
                                      write_through=write_through)
+        return engine.read(self, run)
+
+    def load_cache(self, path: str,
+                   source: Union[str, ast.XNFQuery]) -> XNFCache:
+        """Reload a cache :meth:`XNFCache.save` wrote, wired as
+        :meth:`open_cache` wires one: ``source`` is the view it was
+        opened on, and ``write_back()`` goes through this session's
+        transaction scope under the engine's write protocol."""
+        self._check_open()
+        snapshot = read_snapshot(path)
+        engine = self.engine
+        query, view_name = engine.xnf_query_of(source, literal=True)
+
+        def run():
+            executable = engine.compile_xnf_inline(query, view_name,
+                                                   self.xnf_options)
+            return XNFCache.restore(snapshot,
+                                    translated=executable.translated,
+                                    catalog=engine.catalog,
+                                    transactions=_SessionWriteBack(self))
         return engine.read(self, run)
 
     # ------------------------------------------------------------------

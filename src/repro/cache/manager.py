@@ -215,32 +215,24 @@ class XNFCache:
             pickle.dump(self._snapshot(), handle)
 
     @classmethod
-    def load(cls, path: str, catalog=None, transactions=None,
-             translated=None) -> "XNFCache":
-        """Reload a saved cache.
-
-        Pass the view's ``TranslatedXNF`` (e.g. from
-        ``Session.xnf_executable``) to restore updatability metadata,
-        and a write surface (``transactions``) so the reloaded cache can
-        still write back.
+    def load(cls, path: str) -> "XNFCache":
+        """Reload a saved cache for reading.  It has no write surface:
+        :meth:`Session.load_cache <repro.api.session.Session.load_cache>`
+        reloads one that writes back through a session.
 
         Raises :class:`~repro.errors.CacheError` (never a bare
         unpickling crash) when the file is not a cache snapshot, is
         truncated/corrupt, or was written by an incompatible version.
         """
-        try:
-            with open(path, "rb") as handle:
-                snapshot = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError) as exc:
-            raise CacheError(
-                f"cannot load cache snapshot {path!r}: file is not a "
-                f"readable snapshot ({exc})"
-            ) from exc
-        snapshot = _validate_snapshot(snapshot, path)
-        result = _result_from_snapshot(snapshot)
-        cache = cls(result, translated=translated, catalog=catalog,
-                    transactions=transactions)
+        return cls.restore(read_snapshot(path))
+
+    @classmethod
+    def restore(cls, snapshot: dict, translated=None, catalog=None,
+                transactions=None) -> "XNFCache":
+        """A cache from a :func:`read_snapshot` snapshot, its update
+        log replayed, with the write wiring :meth:`__init__` takes."""
+        cache = cls(_result_from_snapshot(snapshot), translated=translated,
+                    catalog=catalog, transactions=transactions)
         for entry in snapshot["log"]:
             cache.workspace.log.append(
                 LogEntry(entry["operation"], entry["target"],
@@ -306,6 +298,21 @@ class XNFCache:
 
 #: Keys every loadable snapshot must carry (beyond the format tag).
 _SNAPSHOT_KEYS = ("schema", "components", "relationships", "log")
+
+
+def read_snapshot(path: str) -> dict:
+    """The validated snapshot :meth:`XNFCache.save` wrote to ``path``;
+    :class:`~repro.errors.CacheError` when it is not one."""
+    try:
+        with open(path, "rb") as handle:
+            snapshot = pickle.load(handle)
+    except (pickle.UnpicklingError, EOFError, AttributeError,
+            ImportError, IndexError, ValueError) as exc:
+        raise CacheError(
+            f"cannot load cache snapshot {path!r}: file is not a "
+            f"readable snapshot ({exc})"
+        ) from exc
+    return _validate_snapshot(snapshot, path)
 
 
 def _validate_snapshot(snapshot: object, path: str) -> dict:

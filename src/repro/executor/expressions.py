@@ -626,6 +626,39 @@ def column_kernel(positions: Sequence[int]) -> BatchKernel:
                         f"    return [({items}) for row in rows]\n", {})
 
 
+#: The loop of each join's output comprehension: a hash join's probe
+#: rows beside their bucket (None: no match), an index join's outer
+#: rows beside each ``(rid, row)`` they fetched.
+_JOIN_LOOPS = {
+    "hash": ("batch, buckets",
+             "for l, bucket in zip(batch, buckets) if bucket for r in bucket"),
+    "index": ("pairs", "for l, (rid, r) in pairs"),
+}
+
+
+def join_kernel(kind: str, left_width: int, right_width: int,
+                positions: Optional[Sequence[int]] = None,
+                with_rid: bool = False) -> Callable:
+    """The output comprehension of a ``"hash"`` or ``"index"`` join.
+
+    Each match ``l`` (left row), ``r`` (right row) and, for an index
+    join, ``rid`` (the right row's RID) gives ``l + r`` (``+ (rid,)``
+    ``with_rid``), or, when ``positions`` is given, just those positions
+    of that concatenation, picked from its halves: the join then emits
+    its box's head without building the wide row.
+    """
+    arguments, loop = _JOIN_LOOPS[kind]
+    if positions is None:
+        element = "l + r + (rid,)" if with_rid else "l + r"
+    else:
+        picks = [f"l[{p}]" if p < left_width
+                 else f"r[{p - left_width}]" if p < left_width + right_width
+                 else "rid" for p in positions]
+        element = f"({''.join(f'{pick}, ' for pick in picks)})"
+    return _instantiate(f"def _kernel({arguments}):\n"
+                        f"    return [{element} {loop}]\n", {})
+
+
 class ExpressionCompiler:
     """Compiles QGM expressions against a fixed row layout into kernels.
 

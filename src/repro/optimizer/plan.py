@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.executor.expressions import (BatchKernel, BatchPredicate,
-                                        CompiledExpression)
+                                        CompiledExpression, join_kernel)
 from repro.storage.index import Index
 from repro.storage.table import (Table, active_read_view,
                                  visible_index_lookup)
@@ -432,7 +432,9 @@ class Filter(PlanNode):
 
 class Project(PlanNode):
     """One output tuple per input row, computed by a batch kernel; a
-    filter fused into the kernel (``where`` describes it) drops rows."""
+    filter fused into the kernel (``where`` describes it) drops rows.
+    A Project of its input's columns in order names them and passes
+    the input batches through."""
 
     def __init__(self, child: PlanNode, kernel: BatchKernel,
                  columns: Sequence[str],
@@ -445,6 +447,7 @@ class Project(PlanNode):
         #: and no filter is fused.
         self.positions = positions
         self.where = where
+        self.identity = positions == tuple(range(len(child.columns)))
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -453,6 +456,12 @@ class Project(PlanNode):
 
     def pipe(self, stream: Iterator[list[Row]],
              ctx: ExecutionContext) -> Iterator[list[Row]]:
+        if self.identity:
+            return stream
+        return self._projected(stream, ctx)
+
+    def _projected(self, stream: Iterator[list[Row]],
+                   ctx: ExecutionContext) -> Iterator[list[Row]]:
         kernel = self.kernel
         for batch in stream:
             out = kernel(batch, ctx)
@@ -468,20 +477,37 @@ class Project(PlanNode):
         return f"Project({', '.join(self.columns)})"
 
 
-class HashJoin(PlanNode):
-    """Equi inner join: builds on the right input, probes with the left.
-    Keys are batch kernels (None for a NULL key); the residual is a
-    batch predicate over joined rows."""
+class _EmittingJoin(PlanNode):
+    """An inner join whose output comprehension is one generated kernel
+    (:func:`~repro.executor.expressions.join_kernel`): the full-width
+    concatenation of each match, or, after :meth:`emit_head`, the
+    plain-column head of the box the join was built for."""
 
-    def __init__(self, left: PlanNode, right: PlanNode,
-                 left_keys: BatchKernel, right_keys: BatchKernel,
-                 residual: Optional[BatchPredicate] = None):
-        super().__init__(list(left.columns) + list(right.columns))
+    kind = ""
+
+    def __init__(self, columns: Sequence[str], left: PlanNode,
+                 right_width: int, with_rid: bool,
+                 residual: Optional[BatchPredicate]):
+        super().__init__(columns)
         self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
         self.residual = residual
+        self.with_rid = with_rid
+        self._widths = (len(left.columns), right_width)
+        #: Positions of the emitted columns over the concatenation (None:
+        #: all of it).
+        self.positions: Optional[tuple[int, ...]] = None
+        self.emit = join_kernel(self.kind, *self._widths,
+                                with_rid=with_rid)
+
+    def emit_head(self, positions: Sequence[int],
+                  columns: Sequence[str]) -> None:
+        """Emit ``columns``, the given positions of the concatenated
+        row, instead of the concatenation.  Only for a join without a
+        residual: a residual reads the concatenation."""
+        self.positions = tuple(positions)
+        self.columns = list(columns)
+        self.emit = join_kernel(self.kind, *self._widths, self.positions,
+                                self.with_rid)
 
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
@@ -489,17 +515,39 @@ class HashJoin(PlanNode):
         return _full_batches(self._joined(ctx, batch_size), batch_size,
                              ctx, "rows_joined")
 
+    def emits(self) -> str:
+        """The EXPLAIN suffix naming what a head-emitting join emits."""
+        if self.positions is None:
+            return ""
+        return f" -> ({', '.join(self.columns)})"
+
+
+class HashJoin(_EmittingJoin):
+    """Equi inner join: builds on the right input, probes with the left.
+    Keys are batch kernels (None for a NULL key); the residual is a
+    batch predicate over joined rows."""
+
+    kind = "hash"
+
+    def __init__(self, left: PlanNode, right: PlanNode,
+                 left_keys: BatchKernel, right_keys: BatchKernel,
+                 residual: Optional[BatchPredicate] = None):
+        super().__init__(list(left.columns) + list(right.columns), left,
+                         len(right.columns), False, residual)
+        self.right = right
+        self.left_keys = left_keys
+        self.right_keys = right_keys
+
     def _joined(self, ctx: ExecutionContext,
                 batch_size: int) -> Iterator[list[Row]]:
         """The join result of each left batch."""
         get = _build_buckets(self, ctx, batch_size).get
         keys_of = self.left_keys
+        emit = self.emit
         residual = self.residual
         for batch in self.left.execute_batches(ctx, batch_size):
             # A NULL key is never a bucket key, so it finds no matches.
-            joined = [left_row + right_row for left_row, matches
-                      in zip(batch, map(get, keys_of(batch, ctx)))
-                      if matches for right_row in matches]
+            joined = emit(batch, map(get, keys_of(batch, ctx)))
             if residual is not None and joined:
                 joined = residual(joined, ctx)
             yield joined
@@ -508,14 +556,16 @@ class HashJoin(PlanNode):
         return [self.left, self.right]
 
     def describe(self) -> str:
-        return "HashJoin"
+        return f"HashJoin{self.emits()}"
 
 
-class IndexNestedLoopJoin(PlanNode):
+class IndexNestedLoopJoin(_EmittingJoin):
     """For each outer row, probe a base-table index (the paper's
     'parent/child links' navigation, Sect. 5.1).  ``keys`` is a batch
     kernel giving each outer row's probe key tuple; the residual is a
     batch predicate over joined rows."""
+
+    kind = "index"
 
     def __init__(self, left: PlanNode, table: Table, index: Index,
                  keys: BatchKernel, with_rid: bool = False,
@@ -523,19 +573,11 @@ class IndexNestedLoopJoin(PlanNode):
         inner_columns = list(table.column_names)
         if with_rid:
             inner_columns.append("$RID$")
-        super().__init__(list(left.columns) + inner_columns)
-        self.left = left
+        super().__init__(list(left.columns) + inner_columns, left,
+                         len(table.column_names), with_rid, residual)
         self.table = table
         self.index = index
         self.keys = keys
-        self.with_rid = with_rid
-        self.residual = residual
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_size: int = DEFAULT_BATCH_SIZE
-                        ) -> Iterator[list[Row]]:
-        return _full_batches(self._joined(ctx, batch_size), batch_size,
-                             ctx, "rows_joined")
 
     def _joined(self, ctx: ExecutionContext,
                 batch_size: int) -> Iterator[list[Row]]:
@@ -546,7 +588,7 @@ class IndexNestedLoopJoin(PlanNode):
         index = self.index
         lookup_many = index.lookup_many
         fetch_many = table.fetch_many
-        with_rid = self.with_rid
+        emit = self.emit
         for batch in self.left.execute_batches(ctx, batch_size):
             # Looked up once per input batch: a streaming cursor's pulls
             # may install (or drop) a committed-state read view between
@@ -558,21 +600,13 @@ class IndexNestedLoopJoin(PlanNode):
                 # One probe and one heap read for the batch: each outer
                 # row once per RID its key found, zipped with the fetch.
                 positions, rids = lookup_many(keys)
-                pairs = zip(map(batch.__getitem__, positions),
-                            fetch_many(rids, view=None))
-                joined = ([left_row + inner + (rid,)
-                           for left_row, (rid, inner) in pairs]
-                          if with_rid
-                          else [left_row + inner
-                                for left_row, (_rid, inner) in pairs])
+                joined = emit(zip(map(batch.__getitem__, positions),
+                                  fetch_many(rids, view=None)))
             else:
-                joined = []
-                for left_row, key in zip(batch, keys):
-                    found = visible_index_lookup(table, index, key)
-                    joined += ([left_row + inner + (rid,)
-                                for rid, inner in found] if with_rid
-                               else [left_row + inner
-                                     for _rid, inner in found])
+                joined = emit([(left_row, found)
+                               for left_row, key in zip(batch, keys)
+                               for found in visible_index_lookup(
+                                   table, index, key)])
             if residual is not None and joined:
                 joined = residual(joined, ctx)
             yield joined
@@ -581,7 +615,8 @@ class IndexNestedLoopJoin(PlanNode):
         return [self.left]
 
     def describe(self) -> str:
-        return (f"IndexNLJoin({self.table.name} via {self.index.name})")
+        return (f"IndexNLJoin({self.table.name} via {self.index.name})"
+                f"{self.emits()}")
 
 
 class NestedLoopJoin(PlanNode):

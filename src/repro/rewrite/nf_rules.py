@@ -30,18 +30,30 @@ from repro.sql import ast
 # ----------------------------------------------------------------------
 # Uniqueness inference (used by E-to-F)
 # ----------------------------------------------------------------------
-def columns_unique_in(box: Box, columns: set[str]) -> bool:
+def columns_unique_in(box: Box, columns: set[str],
+                      not_null: bool = False) -> bool:
     """Can two distinct rows of ``box`` agree on all of ``columns``?
 
     Conservative: returns True only when provably unique — via primary
     keys, unique indexes, DISTINCT heads, group-by keys, or simple
     select chains over those.
+
+    A unique index admits any number of rows with a NULL key.  That is
+    unique enough for an equality match, which a NULL never makes, but
+    not for ``not_null`` callers, which compare whole rows (DISTINCT):
+    for them a unique index counts only over NOT NULL columns.
     """
     upper = {c.upper() for c in columns}
     if isinstance(box, BaseBox):
         # The primary key is one of the table's unique indexes.
+        columns_of = box.table.columns
+
+        def admits_null(index) -> bool:
+            return any(columns_of[p].nullable and not columns_of[p].primary_key
+                       for p in index.positions)
         return any(index.unique
                    and {c.upper() for c in index.column_names} <= upper
+                   and not (not_null and admits_null(index))
                    for index in box.table.access_indexes)
     if isinstance(box, SelectBox):
         if box.distinct and upper >= {c.name.upper() for c in box.head}:
@@ -60,7 +72,8 @@ def columns_unique_in(box: Box, columns: set[str]) -> bool:
             elif isinstance(column.expression, RidRef) \
                     and column.expression.quantifier is quantifier:
                 return True  # a RID column is unique by construction
-        return bool(mapped) and columns_unique_in(quantifier.box, mapped)
+        return bool(mapped) and columns_unique_in(quantifier.box, mapped,
+                                                  not_null)
     if isinstance(box, GroupByBox):
         key_names = {
             column.name.upper()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api.engine import Engine
-from repro.errors import CacheError
+from repro.errors import CacheError, TransactionError
 from repro.cache.manager import XNFCache
 from repro.viewupdate.executor import CompiledWritePlan
 
@@ -106,13 +106,43 @@ class TestPersistence:
         emp.set("SAL", 777)
         path = str(tmp_path / "cache.bin")
         cache.save(path)
-        translated = org_db.xnf_executable("deps_arc").translated
-        loaded = XNFCache.load(path, catalog=org_db.engine.catalog,
-                               transactions=org_db.engine.transactions,
-                               translated=translated)
+        loaded = org_db.load_cache(path, "deps_arc")
         loaded.write_back()
         assert org_db.query(
             f"SELECT sal FROM EMP WHERE eno = {emp.eno}").rows == [(777,)]
+
+    def test_plain_reload_cannot_write_back(self, org_db, tmp_path):
+        cache = org_db.open_cache("deps_arc")
+        cache.extent("xemp")[0].set("SAL", 777)
+        path = str(tmp_path / "cache.bin")
+        cache.save(path)
+        with pytest.raises(CacheError, match="Session.open_cache"):
+            XNFCache.load(path).write_back()
+
+    def test_reloaded_write_back_takes_the_writer_latch(self, org_db,
+                                                        tmp_path):
+        # A reloaded cache writes back as its session's DML does: while
+        # another session holds uncommitted writes, both are refused.
+        engine = org_db.engine
+        writer, other = engine.connect(), engine.connect()
+        cache = other.open_cache("deps_arc")
+        emp = cache.extent("xemp")[0]
+        salary = f"SELECT sal FROM EMP WHERE eno = {emp.eno}"
+        before = org_db.query(salary).rows
+        emp.set("SAL", 777)
+        path = str(tmp_path / "cache.bin")
+        cache.save(path)
+        loaded = other.load_cache(path, "deps_arc")
+        writer.begin()
+        writer.execute(f"UPDATE EMP SET sal = 5 WHERE eno = {emp.eno}")
+        with pytest.raises(TransactionError, match="uncommitted writes"):
+            other.execute(f"UPDATE EMP SET sal = 777 WHERE eno = {emp.eno}")
+        with pytest.raises(TransactionError, match="uncommitted writes"):
+            loaded.write_back()
+        writer.rollback()
+        assert org_db.query(salary).rows == before
+        loaded.write_back()
+        assert org_db.query(salary).rows == [(777,)]
 
     def test_bad_format_rejected(self, org_db, tmp_path):
         import pickle

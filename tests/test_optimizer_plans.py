@@ -3,10 +3,12 @@
 from repro.executor.runtime import PipelineOptions, QueryPipeline
 from repro.optimizer.optimizer import (DP_JOIN_THRESHOLD, Planner,
                                        PlannerOptions)
-from repro.optimizer.plan import (HashJoin, IndexNestedLoopJoin, IndexScan,
-                                  NestedLoopJoin, SemiJoin, Spool,
-                                  TableScan)
+from repro.optimizer.plan import (Dedup, ExecutionContext, HashJoin,
+                                  IndexNestedLoopJoin, IndexScan,
+                                  Materialized, NestedLoopJoin, Project,
+                                  SemiJoin, Spool, TableScan)
 from repro.sql.parser import parse_statement
+from repro.workloads.orgdb import DEPS_ARC_QUERY
 
 
 def plan_nodes(plan_node):
@@ -166,6 +168,104 @@ class TestSpools:
         result = pipeline.run_compiled(compiled, ctx)
         assert ctx.counters["spool_materializations"] == 0
         assert len(result.rows) == 2
+
+
+def unique_nodes(plan):
+    """Every node of a multi-output plan once (spools are shared)."""
+    seen: dict[int, object] = {}
+    for _stream, root in plan.outputs:
+        for node in plan_nodes(root):
+            seen.setdefault(id(node), node)
+    return list(seen.values())
+
+
+class TestTuplesBuiltOnce:
+    """A join emits its box's plain-column head, an identity Project
+    passes batches through, and a DISTINCT whose head carries every F
+    quantifier's key has no Dedup."""
+
+    VARIANTS = ("WHERE loc = 'ARC'", "WHERE dno BETWEEN 2 AND 5")
+
+    def deps_arc_plan(self, db, variant):
+        text = DEPS_ARC_QUERY.replace("WHERE loc = 'ARC'", variant)
+        return db.xnf_executable(text).plan
+
+    def test_deps_arc_joins_emit_their_heads(self, org_db):
+        for variant in self.VARIANTS:
+            nodes = unique_nodes(self.deps_arc_plan(org_db, variant))
+            joins = (HashJoin, IndexNestedLoopJoin)
+            assert not [n for n in nodes if isinstance(n, Project)
+                        and n.positions is not None
+                        and isinstance(n.child, joins)
+                        and n.child.residual is None], variant
+            fused = [n for n in nodes
+                     if isinstance(n, joins) and n.positions is not None]
+            assert len(fused) == 4, variant
+            assert all(" -> (" in n.describe() for n in fused)
+            identities = [n for n in nodes
+                          if isinstance(n, Project) and n.identity]
+            assert len(identities) == 5, variant
+
+    def test_deps_arc_dedups_only_under_relationship_outputs(self, org_db):
+        for variant in self.VARIANTS:
+            plan = self.deps_arc_plan(org_db, variant)
+            dedups = [n for n in unique_nodes(plan) if isinstance(n, Dedup)]
+            assert len(dedups) == 2, variant
+            roots = {stream.name: node for stream, node in plan.outputs}
+            assert {id(roots["EMPPROPERTY"]), id(roots["PROJPROPERTY"])} \
+                == {id(n) for n in dedups}
+
+    def test_identity_project_passes_batches_through(self):
+        batch = [(1, "a"), (2, "b")]
+        child = Materialized(["A", "B"], batch)
+        # The kernel would raise: an identity Project never calls it.
+        project = Project(child, lambda rows, ctx: 1 / 0, ["X", "Y"],
+                          positions=(0, 1))
+        assert project.identity
+        assert list(project.execute_batches(ExecutionContext(), 8)) \
+            == [batch]
+
+    def test_emitted_head_matches_the_projected_join(self):
+        left = [(1, "a"), (2, "b"), (None, "n"), (2, "c")]
+        right = [(2, "x", 7), (1, "y", 8), (2, "z", 9), (None, "w", 0)]
+
+        def key(position):
+            return lambda rows, ctx: [row[position] for row in rows]
+
+        def join():
+            return HashJoin(Materialized(["L", "LV"], left),
+                            Materialized(["R", "RV", "RW"], right),
+                            key(0), key(0))
+        wide = list(join().execute(ExecutionContext(), 2))
+        for positions in ((4, 1, 0), (3,), (0, 1, 2, 3, 4)):
+            fused = join()
+            fused.emit_head(positions, [f"C{p}" for p in positions])
+            assert list(fused.execute(ExecutionContext(), 2)) == \
+                [tuple(row[p] for p in positions) for row in wide]
+
+    def test_index_join_emits_its_head_under_a_read_view(self, org_db,
+                                                          monkeypatch):
+        import repro.optimizer.plan as plan_module
+
+        sql = ("SELECT e.eno, e.sal, d.dno, e.edno FROM DEPT d, EMP e "
+               "WHERE e.edno = d.dno AND d.loc = 'ARC'")
+        node = plan_for(org_db, sql)
+        assert isinstance(node, IndexNestedLoopJoin), node.explain()
+        assert node.positions is not None
+        before = sorted(org_db.query(sql).rows)
+        writer = org_db.engine.connect()
+        writer.begin()
+        writer.execute("UPDATE EMP SET sal = sal + 1000, edno = 1")
+        probes = []
+        real = plan_module.visible_index_lookup
+
+        def counting(*args):
+            probes.append(args)
+            return real(*args)
+        monkeypatch.setattr(plan_module, "visible_index_lookup", counting)
+        assert sorted(org_db.query(sql).rows) == before
+        assert probes  # the read-view path ran
+        writer.rollback()
 
 
 class TestInstrumentation:

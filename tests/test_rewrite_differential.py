@@ -8,8 +8,9 @@ parent joins (JoinElim), stacked/dual view references (ViewMerge), and
 correlated scalar aggregates (ScalarAggToJoin), so any soundness slip
 in a rule shows up as a result difference.  A fixed set of view shapes
 ViewMerge must deep-copy (GROUP BY, LEFT OUTER JOIN and set-operation
-bodies) and a predicate over a UNION view (SetOpPushdown) are also
-checked against SQLite.
+bodies), a predicate over a UNION view (SetOpPushdown), and DISTINCT
+queries whose Dedup the planner keeps or drops are also checked
+against SQLite.
 
 Tier-1 runs one fixed seed; ``REPRO_DIFF_SEEDS=<n>`` sweeps ``n``
 additional seeds (the CI rewrite-bench job widens it).
@@ -59,6 +60,39 @@ SHAPE_QUERIES = (
     ("SELECT a.name FROM V_NAMED a, V_NAMED b "
      "WHERE a.id = b.id AND b.id > 3", "_clone_setop"),
     ("SELECT id, name FROM V_PEOPLE WHERE id > 2", "SetOpPushdown"),
+)
+
+#: A table with a nullable UNIQUE column holding two NULL rows.
+BADGE_DDL = (
+    "CREATE TABLE BADGE (BNO INT PRIMARY KEY, CODE INT, HOLDER INT)",
+    "CREATE UNIQUE INDEX IX_BADGE_CODE ON BADGE (CODE)",
+    "INSERT INTO BADGE VALUES (1, NULL, 1), (2, NULL, 2), (3, 7, 3)",
+)
+
+#: (query, whether its plan keeps a Dedup): DISTINCT is enforced unless
+#: the head carries, for every F quantifier, its RID or a NOT NULL
+#: unique column set.
+DISTINCT_QUERIES = (
+    # One F quantifier's key (DEPT's) is not enough.
+    ("SELECT DISTINCT d.dno, d.dname FROM DEPT d, EMP e "
+     "WHERE e.edno = d.dno", True),
+    # Two rows with a NULL in a UNIQUE column repeat.
+    ("SELECT DISTINCT code FROM BADGE", True),
+    # An E quantifier over EMP (E2F turns it into a join under DISTINCT).
+    ("SELECT DISTINCT d.dno FROM DEPT d WHERE EXISTS "
+     "(SELECT 1 FROM EMP e WHERE e.edno = d.dno)", True),
+    # A join with a residual (the probe's folded local filter).
+    ("SELECT DISTINCT d.dno, d.dname FROM DEPT d, EMP e "
+     "WHERE e.edno = d.dno AND d.loc = 'ARC' AND e.sal > 20", True),
+    # A scalar subquery in the head.
+    ("SELECT DISTINCT e.eno, (SELECT MAX(sal) FROM EMP) FROM EMP e",
+     True),
+    # Every F quantifier's key in the head: no Dedup.
+    ("SELECT DISTINCT e.eno, d.dno FROM DEPT d, EMP e "
+     "WHERE e.edno = d.dno", False),
+    ("SELECT DISTINCT e.eno, d.dno FROM DEPT d, EMP e "
+     "WHERE e.edno = d.dno AND d.loc = 'ARC' AND e.sal > 20", False),
+    ("SELECT DISTINCT bno, code FROM BADGE", False),
 )
 
 BOM_VIEW_DDL = (
@@ -209,6 +243,28 @@ def test_view_shape_matches_sqlite(shape_trio, monkeypatch, sql, reaches):
         assert reaches in calls
     else:
         assert f"'{reaches}'" in rewritten.explain(sql)
+
+
+@pytest.fixture(scope="module")
+def distinct_trio():
+    """Rewritten and raw engines plus SQLite, all holding BADGE."""
+    rewritten, raw = build_pair(1994)
+    for ddl in BADGE_DDL:
+        rewritten.execute(ddl)
+        raw.execute(ddl)
+    conn = mirror_to_sqlite(raw)
+    yield rewritten, raw, conn
+    conn.close()
+
+
+@pytest.mark.parametrize("sql,dedup", DISTINCT_QUERIES)
+def test_distinct_matches_sqlite(distinct_trio, sql, dedup):
+    rewritten, raw, conn = distinct_trio
+    expected = sorted(conn.execute(sql).fetchall(), key=repr)
+    assert sorted(rewritten.query(sql).rows, key=repr) == expected
+    assert sorted(raw.query(sql).rows, key=repr) == expected
+    plan = rewritten.explain(sql).split("-- plan --")[1]
+    assert ("Dedup" in plan) == dedup, plan
 
 
 def extra_seeds() -> list[int]:
