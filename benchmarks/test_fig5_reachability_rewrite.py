@@ -9,18 +9,43 @@ We execute both sides on the same engine and report wall-clock, rows
 scanned, and join work.  The XNF side evaluates every shared derivation
 once (spools); the SQL side recomputes parent derivations inside every
 query.
+
+The tests assert that both derivations give the same rows and that the
+XNF side shares its work (spool materializations).  Each records its
+single-component / XNF time ratio beside its floor in
+``BENCH_fig5.json`` at the repository root under
+``REPRO_BENCH_WRITE=1``; CI enforces the floors with
+``tools/check_bench.py`` (``speedup`` at least ``floor``): 1.5x at
+medium scale, 1x (the shared plan wins) at every point of the sweep.
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import make_org_db, print_table
+from benchmarks.conftest import make_org_db, print_table, write_results
 from repro.baseline.single_component import SingleComponentDerivation
 from repro.sql.parser import parse_statement
 from repro.workloads.orgdb import DEPS_ARC_QUERY, OrgScale
+
+#: One shared multi-output plan beats eight fragmented queries by this
+#: factor at medium scale ...
+COMPARISON_FLOOR = 1.5
+#: ... and wins at every scale of the sweep.
+SWEEP_FLOOR = 1.0
+
+RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_fig5.json"
+_results: dict = {}
+
+
+def record_speedup(name: str, ratio: float, floor: float) -> None:
+    """Record a single-component / XNF time ratio beside its floor
+    (unrounded: CI compares the two)."""
+    _results[name] = {"speedup": ratio, "floor": floor}
+    write_results(RESULTS_PATH, _results)
 
 
 def run_baseline(db, queries):
@@ -72,9 +97,10 @@ def test_fig5_multi_output_vs_single_component(benchmark):
     )
     print(f"XNF counters: {co.counters}")
 
-    # Shape: one shared plan beats eight fragmented ones.
-    assert ratio > 1.5
+    # Shape: the shared plan evaluates common derivations once; the
+    # ratio is recorded for CI.
     assert co.counters["spool_materializations"] >= 3
+    record_speedup("comparison", ratio, COMPARISON_FLOOR)
 
 
 @pytest.mark.benchmark(group="fig5")
@@ -92,6 +118,11 @@ def test_fig5_scale_sweep(benchmark):
             parse_statement(DEPS_ARC_QUERY))
         executable = db.xnf_executable("deps_arc")
 
+        baseline_results = run_baseline(db, queries)
+        co = executable.run()
+        for name in ("XDEPT", "XEMP", "XPROJ", "XSKILLS"):
+            assert sorted(set(baseline_results[name])) == \
+                sorted(co.component(name).rows), (departments, name)
         baseline_time = timed(lambda: run_baseline(db, queries))
         xnf_time = timed(executable.run)
         ratios.append(baseline_time / xnf_time)
@@ -102,4 +133,5 @@ def test_fig5_scale_sweep(benchmark):
                 ["departments", "SQL 8-query (ms)", "XNF (ms)",
                  "SQL/XNF"], rows)
     benchmark(lambda: ratios)
-    assert all(r > 1.0 for r in ratios)
+    for departments, ratio in zip((10, 30, 60), ratios):
+        record_speedup(f"sweep_{departments}", ratio, SWEEP_FLOOR)

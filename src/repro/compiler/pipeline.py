@@ -5,8 +5,7 @@ rule representation and one rule engine over QGM.  This module makes
 the *whole compile path* shared as well: the
 :class:`CompilationPipeline` drives
 
-    parse -> QGM build -> normalize -> rewrite-to-fixpoint -> prune
-          -> plan
+    parse -> QGM build -> rewrite-to-fixpoint -> prune -> plan
 
 for every consumer — the session's query/execute, DML
 qualification, XNF and materialized-view translation, and the plan
@@ -14,7 +13,7 @@ cache's read-through — with per-stage tracing for EXPLAIN.
 
 Plan-cache keying is two-level.  The first key is the parameterized
 statement AST (cheap, catches exact repeats).  On a miss the pipeline
-runs the front half (build/normalize/rewrite/prune) and probes again
+runs the front half (build/rewrite/prune) and probes again
 with the *post-rewrite canonical form* of the QGM graph
 (:func:`repro.qgm.dump.canonical_fingerprint`): two statements that
 differ only pre-rewrite — a view reference and its hand-inlined
@@ -35,7 +34,7 @@ from repro.optimizer.optimizer import (ExecutablePlan, Planner,
                                        PlannerOptions)
 from repro.qgm.builder import QGMBuilder
 from repro.qgm.dump import canonical_fingerprint, dump_graph
-from repro.qgm.model import BaseBox, Box, QGMGraph, SelectBox
+from repro.qgm.model import BaseBox, Box, QGMGraph
 from repro.rewrite.engine import RewriteContext, RuleEngine
 from repro.rewrite.nf_rules import default_nf_rules, prune_unused_columns
 from repro.sql import ast
@@ -192,20 +191,6 @@ class CompilationPipeline:
                   view_name: str = "XNF") -> QGMGraph:
         return self.builder().build_xnf(query, view_name=view_name)
 
-    @staticmethod
-    def normalize(graph: QGMGraph) -> int:
-        """Canonical cleanup before rule matching: drop Literal(TRUE)
-        conjuncts left by subquery detachment.  Returns #dropped."""
-        dropped = 0
-        for box in graph.all_boxes():
-            if not isinstance(box, SelectBox):
-                continue
-            before = len(box.predicates)
-            box.predicates = [p for p in box.predicates
-                              if p != ast.Literal(True)]
-            dropped += before - len(box.predicates)
-        return dropped
-
     def rewrite_graph(self, graph: QGMGraph,
                       trace: Optional[CompilationTrace] = None
                       ) -> RewriteContext:
@@ -236,7 +221,7 @@ class CompilationPipeline:
     def compile_qgm(self, graph: QGMGraph,
                     trace: Optional[CompilationTrace] = None
                     ) -> CompiledQuery:
-        """normalize -> rewrite -> prune -> plan over a built graph."""
+        """rewrite -> prune -> plan over a built graph."""
         compiled, _canonical = self._front_half(graph, trace)
         compiled.plan = self.plan(graph)
         if trace is not None:
@@ -250,10 +235,6 @@ class CompilationPipeline:
                     ) -> tuple[CompiledQuery, Optional[str]]:
         """Everything before planning; returns a plan-less
         CompiledQuery plus (optionally) the canonical fingerprint."""
-        dropped = self.normalize(graph)
-        if trace is not None:
-            trace.record("normalize",
-                         f"{dropped} trivial conjuncts dropped")
         context = None
         pruned = 0
         if self.options.apply_nf_rewrite:

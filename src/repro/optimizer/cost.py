@@ -27,6 +27,7 @@ from typing import Optional
 
 from repro.qgm.model import (BaseBox, Box, GroupByBox, OuterJoinBox, QRef,
                              SelectBox, SetOpBox)
+from repro.rewrite.nf_rules import head_keyed
 from repro.sql import ast
 from repro.storage.stats import (UNKNOWN_VALUE, ColumnStats,
                                  StatisticsManager)
@@ -88,7 +89,7 @@ class CostModel:
             for quantifier in box.body_quantifiers:
                 if quantifier.qtype in ("E", "A"):
                     rows *= 0.5
-            if box.distinct:
+            if box.distinct and not head_keyed(box):
                 rows *= 0.9
             if box.limit is not None:
                 rows = min(rows, float(box.limit))

@@ -37,7 +37,7 @@ from repro.qgm.model import (BaseBox, Box, GroupByBox, OuterJoinBox,
                              SelectBox, SetOpBox, XNFBox, replace_qrefs,
                              rewrite_box_expressions, subgraph_outer_leaves,
                              walk_qgm_expression)
-from repro.rewrite.nf_rules import columns_unique_in
+from repro.rewrite.nf_rules import head_keyed
 from repro.sql import ast
 from repro.storage.catalog import Catalog
 from repro.storage.stats import StatisticsManager
@@ -379,37 +379,11 @@ class Planner:
         else:
             node = self._project(node, layout, box.head, fused)
             node.estimated_rows = rows
-        if box.distinct and not self._head_keyed(box):
+        if box.distinct and not head_keyed(box):
             node = Dedup(node)
         if box.limit is not None or box.offset is not None:
             node = Limit(node, box.limit, box.offset)
         return node
-
-    @staticmethod
-    def _head_keyed(box: SelectBox) -> bool:
-        """Whether the head proves its rows distinct, so DISTINCT needs
-        no Dedup: it carries, for every F quantifier, that quantifier's
-        RID or a NOT NULL unique column set of its box.  Two rows then
-        come from different F rows, and differ there.  E and A
-        quantifiers only drop rows; a box with an S quantifier keeps its
-        Dedup."""
-        if any(q.qtype == Quantifier.S for q in box.body_quantifiers):
-            return False
-        for quantifier in box.foreach_quantifiers():
-            columns: set[str] = set()
-            for column in box.head:
-                expression = column.expression
-                if getattr(expression, "quantifier", None) is not quantifier:
-                    continue
-                if isinstance(expression, RidRef):
-                    break
-                if isinstance(expression, QRef):
-                    columns.add(expression.column)
-            else:
-                if not (columns and columns_unique_in(
-                        quantifier.box, columns, not_null=True)):
-                    return False
-        return True
 
     @staticmethod
     def _project(node: PlanNode, layout: Layout, head: list,

@@ -32,6 +32,11 @@ from repro.storage.catalog import Catalog, ViewDefinition
 
 AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
+#: What an EXISTS or IN subquery resolves to once its quantifier carries
+#: it: a TRUE conjunct the builder drops (by identity, so a TRUE the
+#: statement wrote is kept).
+_DETACHED = ast.Literal(True)
+
 
 @dataclass
 class Binding:
@@ -828,7 +833,7 @@ class QGMBuilder:
         """
         qtype = Quantifier.A if expression.negated else Quantifier.E
         self._attach_subquery(expression.subquery, scope, box, qtype)
-        return ast.Literal(True)
+        return _DETACHED
 
     def _resolve_in_subquery(self, expression: ast.InSubquery, scope: Scope,
                              box: SelectBox) -> ast.Expression:
@@ -843,7 +848,7 @@ class QGMBuilder:
         box.predicates.append(match)
         if expression.negated:
             quantifier.null_poison = True
-        return ast.Literal(True)
+        return _DETACHED
 
     def _attach_subquery(self, subquery: ast.SelectStatement, scope: Scope,
                          box: SelectBox, qtype: str) -> Quantifier:
@@ -905,9 +910,9 @@ class QGMBuilder:
 
     @staticmethod
     def _split_conjuncts(predicate: ast.Expression) -> list[ast.Expression]:
-        parts = ast.conjuncts(predicate)
-        # Literal TRUE conjuncts appear where subqueries were detached.
-        return [p for p in parts if p != ast.Literal(True)]
+        # A detached subquery leaves its placeholder behind; a TRUE the
+        # statement wrote stays for the rewrite's DropTrue.
+        return [p for p in ast.conjuncts(predicate) if p is not _DETACHED]
 
     # ------------------------------------------------------------------
     # XNF (Sect. 4.1)

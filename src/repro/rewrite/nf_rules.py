@@ -87,6 +87,32 @@ def columns_unique_in(box: Box, columns: set[str],
     return False
 
 
+def head_keyed(box: SelectBox) -> bool:
+    """Whether ``box``'s head proves its rows distinct, so DISTINCT
+    removes none (the planner adds no Dedup, the cost model no
+    discount): it carries, for every F quantifier, that quantifier's
+    RID or a NOT NULL unique column set of its box.  Two rows then come
+    from different F rows, and differ there.  E and A quantifiers only
+    drop rows; a box with an S quantifier is not keyed."""
+    if any(q.qtype == Quantifier.S for q in box.body_quantifiers):
+        return False
+    for quantifier in box.foreach_quantifiers():
+        columns: set[str] = set()
+        for column in box.head:
+            expression = column.expression
+            if getattr(expression, "quantifier", None) is not quantifier:
+                continue
+            if isinstance(expression, RidRef):
+                break
+            if isinstance(expression, QRef):
+                columns.add(expression.column)
+        else:
+            if not (columns and columns_unique_in(
+                    quantifier.box, columns, not_null=True)):
+                return False
+    return True
+
+
 def equated_columns(box: SelectBox, quantifier: Quantifier,
                     foreach_other_side: bool = False) -> set[str]:
     """Head columns of ``quantifier``'s box equated (by a conjunct of
@@ -334,7 +360,9 @@ class SetOpPushdown(Rule):
 
 
 class TrivialPredicateElimination(Rule):
-    """Drop Literal(TRUE) conjuncts left by subquery detachment."""
+    """Drop the Literal(TRUE) conjuncts a statement wrote
+    (``WHERE TRUE AND ...``); the builder drops the ones subquery
+    detachment leaves."""
 
     name = "DropTrue"
 

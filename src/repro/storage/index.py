@@ -268,7 +268,10 @@ class PrimaryKeyIndex(HashIndex):
 
     def check_available(self, row: Row) -> None:
         """Raise if another row already holds ``row``'s key."""
-        key = self.key_of(row)
+        self.check_key(self.key_of(row))
+
+    def check_key(self, key: tuple) -> None:
+        """Raise if a row already holds ``key``."""
         if key in self._buckets:
             cols = ", ".join(self.column_names)
             raise TypeCheckError(
@@ -276,10 +279,16 @@ class PrimaryKeyIndex(HashIndex):
                 f"{self.table_name!r}"
             )
 
-    def on_insert(self, rid: Rid, row: Row) -> None:
-        self.check_available(row)
-        self._buckets[self.key_of(row)] = rid
+    def add_key(self, key: tuple, rid: Rid) -> None:
+        """Map ``key``, already checked free by :meth:`check_key`, to
+        ``rid``."""
+        self._buckets[key] = rid
         self._order = None
+
+    def on_insert(self, rid: Rid, row: Row) -> None:
+        key = self.key_of(row)
+        self.check_key(key)
+        self.add_key(key, rid)
 
     def on_delete(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.errors import StorageError
 from repro.storage.index import PrimaryKeyIndex
 from repro.storage.partition import Partitioning
-from repro.storage.types import Column, validate_row
+from repro.storage.types import Column, compile_admission
 
 #: A row is an immutable tuple of SQL values.
 Row = tuple
@@ -201,9 +201,11 @@ class Table:
         self.pk_index: PrimaryKeyIndex | None = \
             PrimaryKeyIndex(self) if self._pk_positions else None
         # Every maintained index (repro.storage.index.Index), the PK
-        # index first.
+        # index first, and the secondary ones alone (insert maintains
+        # the PK itself).
         self._indexes: list[Any] = \
             [self.pk_index] if self.pk_index is not None else []
+        self._secondary: tuple = ()
         #: Monotone physical-mutation counter; the parallel executor's
         #: worker pool uses it (with the schema version) to detect that
         #: forked committed-state replicas have gone stale.
@@ -547,11 +549,24 @@ class Table:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _admit(self, values: Iterable[Any]) -> Row:
+        """Admit a written row: the value :func:`validate_row` gives.
+
+        The first call compiles the table's admission kernel
+        (:func:`compile_admission`) and installs it in its place, so a
+        table that is only restored (a reopen) compiles nothing."""
+        self._admit = compile_admission(self.columns)
+        return self._admit(values)
+
     def insert(self, values: Iterable[Any]) -> Rid:
         """Validate and append a row; returns its RID."""
-        row = validate_row(self.columns, values)
-        if self.pk_index is not None:
-            self.pk_index.check_available(row)
+        row = self._admit(values)
+        pk = self.pk_index
+        if pk is not None:
+            # One key extraction and one probe, before the heap or any
+            # index is touched.
+            key = pk.key_of(row)
+            pk.check_key(key)
         if self.partitioning is None:
             rid = len(self._slots)
             self._slots.append(row)
@@ -565,7 +580,9 @@ class Table:
         self._live += 1
         self.version += 1
         self.changes.bump()
-        for index in self._indexes:
+        if pk is not None:
+            pk.add_key(key, rid)
+        for index in self._secondary:
             index.on_insert(rid, row)
         if self.on_mutation is not None:
             self.on_mutation("insert", rid, None, row)
@@ -608,13 +625,18 @@ class Table:
         and WAL replay see RID-faithful events.
         """
         old = self.fetch(rid)
-        new = validate_row(self.columns, values)
+        new = self._admit(values)
         if self.partitioning is not None \
                 and self._route(new) != rid >> PARTITION_SHIFT:
             raise StorageError(
                 f"table {self.name!r}: in-place update would move rid {rid} "
                 f"across partitions; use update_row()"
             )
+        return self._replace(rid, old, new)
+
+    def _replace(self, rid: Rid, old: Row, new: Row) -> Row:
+        """Write the admitted row ``new`` over ``old`` at ``rid``, in
+        the same partition."""
         self._check_pk_change(old, new)
         slots, slot = self._locate(rid)
         slots[slot] = new
@@ -637,9 +659,9 @@ class Table:
         if self.partitioning is None:
             return rid, self.update(rid, values)
         old = self.fetch(rid)
-        new = validate_row(self.columns, values)
+        new = self._admit(values)
         if self._route(new) == rid >> PARTITION_SHIFT:
-            return rid, self.update(rid, values)
+            return rid, self._replace(rid, old, new)
         self._check_pk_change(old, new)
         self.delete(rid)
         new_rid = self.insert(new)
@@ -787,14 +809,17 @@ class Table:
         """Attach an index; it is immediately built over existing rows."""
         index.rebuild(self)
         self._indexes.append(index)
+        self._secondary += (index,)
 
     def detach_index(self, index: Any) -> None:
         self._indexes.remove(index)
+        self._secondary = tuple(i for i in self._secondary
+                                if i is not index)
 
     @property
     def indexes(self) -> tuple:
         """The attached secondary indexes (catalog objects)."""
-        return tuple(i for i in self._indexes if i is not self.pk_index)
+        return self._secondary
 
     @property
     def access_indexes(self) -> tuple:

@@ -5,12 +5,19 @@ floating point numbers, fixed/variable character strings, and booleans.
 SQL NULL is represented by Python ``None`` and compared with three-valued
 logic in :mod:`repro.executor.expressions`; this module only deals with
 static typing and value admission.
+
+A table admits its rows through one generated *admission kernel*
+(:func:`compile_admission`): a row whose every value is already in the
+form :meth:`Column.validate` would return unchanged passes with one type
+test per value; any other row goes whole to :func:`validate_row`, the
+one definition of every coercion and error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import TypeCheckError
 
@@ -36,6 +43,13 @@ class DataType:
 
     def _coerce(self, value: Any) -> Any:
         raise NotImplementedError
+
+    def admit_test(self, name: str) -> str:
+        """Source of a test on the local ``name`` that holds only when
+        :meth:`validate` would return that (non-NULL) value unchanged:
+        the admission kernel's fast path.  A type that does not say
+        never passes it: its values always go through :meth:`validate`."""
+        return "False"
 
     def is_comparable_with(self, other: "DataType") -> bool:
         """True when values of the two types may be compared with =, <, etc."""
@@ -69,6 +83,9 @@ class IntegerType(DataType):
             return int(value)
         raise TypeCheckError(f"cannot store {value!r} in INTEGER")
 
+    def admit_test(self, name: str) -> str:
+        return f"type({name}) is int"
+
     def family(self) -> str:
         return "numeric"
 
@@ -84,6 +101,9 @@ class FloatType(DataType):
         if isinstance(value, (int, float)):
             return float(value)
         raise TypeCheckError(f"cannot store {value!r} in DOUBLE")
+
+    def admit_test(self, name: str) -> str:
+        return f"type({name}) is float"
 
     def family(self) -> str:
         return "numeric"
@@ -107,6 +127,11 @@ class VarcharType(DataType):
                 f"string of length {len(value)} exceeds {self}"
             )
         return value
+
+    def admit_test(self, name: str) -> str:
+        if self.length is None:
+            return f"type({name}) is str"
+        return f"type({name}) is str and len({name}) <= {self.length:d}"
 
     def family(self) -> str:
         return "string"
@@ -132,6 +157,10 @@ class CharType(VarcharType):
             raise TypeCheckError(f"string of length {len(value)} exceeds {self}")
         return value.ljust(self.length)
 
+    def admit_test(self, name: str) -> str:
+        # Only a value already of full width is stored unpadded.
+        return f"type({name}) is str and len({name}) == {self.length:d}"
+
     def __repr__(self) -> str:
         return f"CHAR({self.length})"
 
@@ -145,6 +174,9 @@ class BooleanType(DataType):
         if isinstance(value, bool):
             return value
         raise TypeCheckError(f"cannot store {value!r} in BOOLEAN")
+
+    def admit_test(self, name: str) -> str:
+        return f"type({name}) is bool"
 
     def family(self) -> str:
         return "boolean"
@@ -208,6 +240,14 @@ class Column:
         except TypeCheckError as exc:
             raise TypeCheckError(f"column {self.name!r}: {exc}") from exc
 
+    def admit_test(self, name: str) -> str:
+        """Source of a test on the local ``name`` that holds only when
+        :meth:`validate` would return that value unchanged."""
+        test = self.data_type.admit_test(name)
+        if self.nullable and not self.primary_key:
+            return f"{test} or {name} is None"
+        return test
+
 
 def validate_row(columns: Iterable[Column], values: Iterable[Any]) -> tuple:
     """Validate and coerce a full row against its column definitions."""
@@ -218,3 +258,38 @@ def validate_row(columns: Iterable[Column], values: Iterable[Any]) -> tuple:
             f"row has {len(vals)} values but table has {len(cols)} columns"
         )
     return tuple(col.validate(val) for col, val in zip(cols, vals))
+
+
+def compile_admission(columns: Sequence[Column]
+                      ) -> Callable[[Iterable[Any]], tuple]:
+    """A kernel admitting rows of ``columns``: the same result as
+    :func:`validate_row`, or the same error.
+
+    The kernel unpacks the row (any iterable but a list or tuple is
+    materialized first, so a generator is read once) and returns it as a
+    tuple when every value passes its column's :meth:`Column.admit_test`.
+    A row of another width, or with any value to coerce or reject, goes
+    whole to :func:`validate_row`.  The source (``.source``) holds only
+    positions, type names and lengths, never a value.
+    """
+    names = [f"v{position}" for position in range(len(columns))]
+    unpacked = ", ".join(names) + ("," if len(names) == 1 else "")
+    tests = " and ".join(f"({column.admit_test(name)})"
+                         for column, name in zip(columns, names))
+    source = (
+        "def _admit(values):\n"
+        "    if type(values) is not tuple and type(values) is not list:\n"
+        "        values = tuple(values)\n"
+        "    try:\n"
+        f"        {unpacked} = values\n"
+        "    except ValueError:\n"
+        "        return _validate(values)\n"
+        f"    if {tests}:\n"
+        f"        return ({unpacked})\n"
+        "    return _validate(values)\n"
+    )
+    env = {"_validate": partial(validate_row, tuple(columns))}
+    exec(compile(source, "<admission>", "exec"), env)
+    kernel = env["_admit"]
+    kernel.source = source
+    return kernel

@@ -35,8 +35,7 @@ class TestStages:
             parse_statement("SELECT ename FROM EMP WHERE sal > 100"),
             trace=trace)
         stages = [record.stage for record in trace.records]
-        assert stages == ["build", "normalize", "rewrite", "prune",
-                          "plan"]
+        assert stages == ["build", "rewrite", "prune", "plan"]
 
     def test_trace_renders_rules_in_order(self, simple_db):
         trace = CompilationTrace()
@@ -60,14 +59,21 @@ class TestStages:
         assert "rules fired:" in traced
         assert "rewrite trace requested" in traced  # cache bypassed
 
-    def test_normalize_drops_trivial_conjuncts(self, simple_db):
-        graph = simple_db.engine.pipeline.compiler.build_select(parse_statement(
+    def test_rewrite_drops_trivial_conjuncts(self, simple_db):
+        compiler = simple_db.engine.pipeline.compiler
+        graph = compiler.build_select(parse_statement(
             "SELECT ename FROM EMP WHERE EXISTS "
             "(SELECT 1 FROM DEPT WHERE dno = 1)"))
         from repro.sql import ast
         box = graph.top.single_output().box
+        # The builder drops the EXISTS placeholder itself ...
+        assert ast.Literal(True) not in box.predicates
+        # ... and the rewrite's DropTrue drops a TRUE left in a box.
         box.predicates.append(ast.Literal(True))
-        assert CompilationPipeline.normalize(graph) >= 1
+        context = compiler.rewrite_graph(graph)
+        assert context.applications.get("DropTrue") == 1
+        assert all(ast.Literal(True) not in b.predicates
+                   for b in graph.all_boxes() if hasattr(b, "predicates"))
 
 
 class TestRewriteBudget:

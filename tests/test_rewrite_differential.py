@@ -8,9 +8,9 @@ parent joins (JoinElim), stacked/dual view references (ViewMerge), and
 correlated scalar aggregates (ScalarAggToJoin), so any soundness slip
 in a rule shows up as a result difference.  A fixed set of view shapes
 ViewMerge must deep-copy (GROUP BY, LEFT OUTER JOIN and set-operation
-bodies), a predicate over a UNION view (SetOpPushdown), and DISTINCT
-queries whose Dedup the planner keeps or drops are also checked
-against SQLite.
+bodies), a predicate over a UNION view (SetOpPushdown), a TRUE
+conjunct the statement wrote (DropTrue), and DISTINCT queries whose
+Dedup the planner keeps or drops are also checked against SQLite.
 
 Tier-1 runs one fixed seed; ``REPRO_DIFF_SEEDS=<n>`` sweeps ``n``
 additional seeds (the CI rewrite-bench job widens it).
@@ -60,6 +60,10 @@ SHAPE_QUERIES = (
     ("SELECT a.name FROM V_NAMED a, V_NAMED b "
      "WHERE a.id = b.id AND b.id > 3", "_clone_setop"),
     ("SELECT id, name FROM V_PEOPLE WHERE id > 2", "SetOpPushdown"),
+    # The parser yields Literal(True); the builder keeps it for the rule.
+    ("SELECT e.eno, d.dname FROM EMP e, DEPT d "
+     "WHERE TRUE AND e.edno = d.dno AND e.sal > 10", "DropTrue"),
+    ("SELECT eno FROM EMP WHERE TRUE", "DropTrue"),
 )
 
 #: A table with a nullable UNIQUE column holding two NULL rows.
