@@ -276,16 +276,6 @@ class Engine:
         # module's siblings).
         from repro.viewupdate.executor import ViewUpdateManager
         self.viewupdates = ViewUpdateManager(self)
-        # Morsel-driven parallel execution: the runtime owns a forked
-        # worker pool; the pipeline stamps it onto SELECT contexts so
-        # Gather nodes can reach it.  Degree 1 keeps everything —
-        # including the compiled plans — exactly as before.
-        self.parallel = None
-        if self.pipeline_options.planner.parallel_degree > 1:
-            from repro.executor.parallel import ParallelRuntime
-
-            self.parallel = ParallelRuntime(self)
-            self.pipeline.parallel_runtime = self.parallel
         self.matviews = MaterializedViewRegistry(
             self.catalog, self._matview_executable)
         self.catalog.delta_listeners.append(self.matviews.on_table_delta)
@@ -448,8 +438,6 @@ class Engine:
             return
         for session in list(self._sessions):
             session.close()
-        if self.parallel is not None:
-            self.parallel.shutdown()
         if self._wal is not None:
             self._wal.close()
         self._closed = True

@@ -173,8 +173,6 @@ class PreparedStatement:
             ctx = compiled.plan.new_context(params)
             if parameterized.values:
                 ctx.parameters.update(parameterized.bindings)
-            ctx.statement = self.statement
-            ctx.parallel_runtime = pipeline.parallel_runtime
             return pipeline.run_compiled(compiled, ctx)
         return engine.read(session, run)
 

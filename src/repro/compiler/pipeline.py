@@ -262,8 +262,7 @@ class CompilationPipeline:
         planner = self.options.planner
         return (self.options.apply_nf_rewrite, self.options.prune_columns,
                 planner.use_indexes, planner.share_common_subexpressions,
-                planner.batch_size, planner.parallel_degree,
-                planner.parallel_row_threshold)
+                planner.batch_size)
 
     def _schema_version(self) -> int:
         """The catalog's schema version, read by the plan cache at

@@ -63,14 +63,6 @@ class ExecutionError(ReproError):
     """Runtime failure while evaluating a query plan."""
 
 
-class ParallelExecutionError(ExecutionError):
-    """A parallel worker process failed, died, or timed out.
-
-    Wraps the worker's original traceback text (when one exists) so the
-    failure is debuggable from the coordinator side; raw
-    multiprocessing errors never reach callers."""
-
-
 class XNFError(ReproError):
     """Violations of XNF-specific semantics (schema graphs, reachability)."""
 

@@ -117,11 +117,6 @@ class QueryPipeline:
             catalog, stats=stats, options=options,
             xnf_component_resolver=xnf_component_resolver,
         )
-        #: Engine-installed ParallelRuntime (or None).  Stamped onto
-        #: execution contexts by run_select/stream_select so Gather
-        #: nodes can fan out; internal contexts (DML qualification,
-        #: scalar subplans, XNF assembly) never get it and stay serial.
-        self.parallel_runtime = None
 
     # -- shared state (delegated) --------------------------------------
     @property
@@ -191,8 +186,6 @@ class QueryPipeline:
         ctx.bind_parameters(params)
         if bindings:
             ctx.parameters.update(bindings)
-        ctx.statement = statement
-        ctx.parallel_runtime = self.parallel_runtime
         return self.run_compiled(compiled, ctx)
 
     @staticmethod
@@ -220,8 +213,6 @@ class QueryPipeline:
         ctx.bind_parameters(params)
         if bindings:
             ctx.parameters.update(bindings)
-        ctx.statement = statement
-        ctx.parallel_runtime = self.parallel_runtime
         return self.stream_compiled(compiled, ctx, batch_size=batch_size)
 
     @staticmethod

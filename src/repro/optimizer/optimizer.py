@@ -70,15 +70,6 @@ class PlannerOptions:
     #: uncached compile.
     join_order_hook: Optional[
         Callable[[list[str]], Optional[Sequence[str]]]] = None
-    #: Morsel-driven multi-process execution.  ``parallel_degree > 1``
-    #: makes the planner wrap decomposable SELECT plans in a Gather
-    #: node; the engine's worker pool then fans morsels of the driving
-    #: scan out to that many workers.  ``1`` (the default) produces
-    #: exactly the serial plans.
-    parallel_degree: int = 1
-    #: Driving tables with fewer (estimated) rows than this execute
-    #: serially even under a Gather — fan-out overhead would dominate.
-    parallel_row_threshold: int = 2048
 
 
 @dataclass(frozen=True)
@@ -227,14 +218,6 @@ class Planner:
         outputs: list[tuple[OutputStream, PlanNode]] = []
         for stream in graph.top.outputs:
             outputs.append((stream, self.plan_box(stream.box)))
-        if (self.options.parallel_degree > 1
-                and len(outputs) == 1 and not self.scalar_plans):
-            from repro.executor.parallel import wrap_parallel
-
-            wrapped = wrap_parallel(outputs[0][1],
-                                    self.options.parallel_degree)
-            if wrapped is not None:
-                outputs[0] = (outputs[0][0], wrapped)
         return ExecutablePlan(outputs, dict(self.scalar_plans),
                               batch_size=self.options.batch_size,
                               join_orders=list(self.join_orders))

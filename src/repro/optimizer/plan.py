@@ -63,18 +63,6 @@ class ExecutionContext:
         #: resolve through :meth:`parameter` at run time, which is what
         #: lets one cached plan serve many literal bindings.
         self.parameters: dict = {}
-        #: Parallel execution plumbing.  The coordinator's runtime
-        #: stamps ``statement`` (the SELECT AST or the front end's lifted
-        #: statement, shipped to workers, which compile it alike) and
-        #: ``parallel_runtime`` (consulted by :class:`Gather`; None
-        #: everywhere else, which makes Gather a passthrough).  Workers
-        #: set ``scan_ranges`` (``id(scan node) -> morsel``) to restrict
-        #: the driving scan, and ``join_build_cache`` (a dict only in
-        #: worker contexts) to reuse hash-join builds across morsels.
-        self.statement = None
-        self.parallel_runtime = None
-        self.scan_ranges: dict[int, tuple] = {}
-        self.join_build_cache: Optional[dict] = None
         #: Rows per batch of the plan this context runs (stamped by
         #: ``ExecutablePlan.batches``); scalar subqueries run at it too.
         self.batch_size = DEFAULT_BATCH_SIZE
@@ -253,14 +241,7 @@ def _full_batches(pieces: Iterator[list[Row]], batch_size: int,
 
 def _build_buckets(join: "HashJoin | LeftOuterJoin", ctx: ExecutionContext,
                    batch_size: int) -> dict:
-    """Build-side hash table of an equi-join's right input.  Worker
-    contexts install a ``join_build_cache`` so the (morsel-independent)
-    build runs once per query, not once per morsel."""
-    cache = ctx.join_build_cache
-    if cache is not None:
-        cached = cache.get(id(join))
-        if cached is not None:
-            return cached
+    """Build-side hash table of an equi-join's right input."""
     keys_of = join.right_keys
     buckets: dict[Any, list[Row]] = {}
     setdefault = buckets.setdefault
@@ -268,8 +249,6 @@ def _build_buckets(join: "HashJoin | LeftOuterJoin", ctx: ExecutionContext,
         for key, row in zip(keys_of(batch, ctx), batch):
             if key is not None:
                 setdefault(key, []).append(row)
-    if cache is not None:
-        cache[id(join)] = buckets
     return buckets
 
 
@@ -300,13 +279,12 @@ class TableScan(PlanNode):
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        morsel = ctx.scan_ranges.get(id(self)) if ctx.scan_ranges else None
         if self.with_rid:
-            for chunk in self.table.scan_batches(batch_size, morsel=morsel):
+            for chunk in self.table.scan_batches(batch_size):
                 ctx.bump("rows_scanned", len(chunk))
                 yield [row + (rid,) for rid, row in chunk]
         else:
-            for chunk in self.table.batches(batch_size, morsel=morsel):
+            for chunk in self.table.batches(batch_size):
                 ctx.bump("rows_scanned", len(chunk))
                 yield chunk
 
@@ -410,14 +388,8 @@ class Filter(PlanNode):
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
-
-    def pipe(self, stream: Iterator[list[Row]],
-             ctx: ExecutionContext) -> Iterator[list[Row]]:
-        """Apply this operator to any batch stream (the parallel
-        coordinator replays it over merged worker output)."""
         predicate = self.predicate
-        for batch in stream:
+        for batch in self.child.execute_batches(ctx, batch_size):
             kept = predicate(batch, ctx)
             if kept:
                 yield kept
@@ -452,10 +424,7 @@ class Project(PlanNode):
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
-
-    def pipe(self, stream: Iterator[list[Row]],
-             ctx: ExecutionContext) -> Iterator[list[Row]]:
+        stream = self.child.execute_batches(ctx, batch_size)
         if self.identity:
             return stream
         return self._projected(stream, ctx)
@@ -833,12 +802,10 @@ class Dedup(PlanNode):
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
+        return self.pipe(self.child.execute_batches(ctx, batch_size))
 
     @staticmethod
-    def pipe(stream: Iterator[list[Row]],
-             ctx: Optional[ExecutionContext] = None
-             ) -> Iterator[list[Row]]:
+    def pipe(stream: Iterator[list[Row]]) -> Iterator[list[Row]]:
         """First occurrence of every row of ``stream``, in order."""
         seen: set[Row] = set()
         for batch in stream:
@@ -905,16 +872,12 @@ class Limit(PlanNode):
     def execute_batches(self, ctx: ExecutionContext,
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
-        return self.pipe(self.child.execute_batches(ctx, batch_size), ctx)
-
-    def pipe(self, stream: Iterator[list[Row]],
-             ctx: ExecutionContext) -> Iterator[list[Row]]:
         limit = self.limit
         if limit is not None and limit <= 0:
             return
         to_skip = self.offset
         remaining = limit
-        for batch in stream:
+        for batch in self.child.execute_batches(ctx, batch_size):
             if to_skip:
                 if len(batch) <= to_skip:
                     to_skip -= len(batch)
@@ -1021,13 +984,6 @@ class Aggregate(PlanNode):
         states = self._states(ctx, batch_size)
         yield from _chunked(list(self._results(states)), batch_size)
 
-    def partial_states(self, ctx: ExecutionContext,
-                       batch_size: int) -> list[tuple[tuple, list]]:
-        """Per-group accumulator states *without* finalizing: the worker
-        half of two-phase parallel aggregation.  States are plain
-        lists/sets, so they pickle."""
-        return list(self._states(ctx, batch_size).items())
-
     def _states(self, ctx: ExecutionContext,
                 batch_size: int) -> dict[tuple, list]:
         """Group key -> one accumulator state per spec, keys in
@@ -1099,34 +1055,6 @@ class Aggregate(PlanNode):
         for key, state in states.items():
             yield key + tuple([finalize(acc, function)
                                for acc, function in zip(state, functions)])
-
-    @staticmethod
-    def merge_state(into: list, other: list) -> None:
-        """Fold one partial accumulator into another (the coordinator
-        half).  DISTINCT merges by set difference so values seen by
-        several workers count once."""
-        if into[_DISTINCT] is not None:
-            fresh = other[_DISTINCT] - into[_DISTINCT]
-            into[_DISTINCT] |= fresh
-            for value in fresh:
-                into[_COUNT] += 1
-                into[_SUM] = value if into[_SUM] is None \
-                    else into[_SUM] + value
-                if into[_MIN] is None or value < into[_MIN]:
-                    into[_MIN] = value
-                if into[_MAX] is None or value > into[_MAX]:
-                    into[_MAX] = value
-            return
-        into[_COUNT] += other[_COUNT]
-        if other[_SUM] is not None:
-            into[_SUM] = other[_SUM] if into[_SUM] is None \
-                else into[_SUM] + other[_SUM]
-        if other[_MIN] is not None and (into[_MIN] is None
-                                        or other[_MIN] < into[_MIN]):
-            into[_MIN] = other[_MIN]
-        if other[_MAX] is not None and (into[_MAX] is None
-                                        or other[_MAX] > into[_MAX]):
-            into[_MAX] = other[_MAX]
 
     @staticmethod
     def _finalize(state: list, function: str):
@@ -1201,69 +1129,3 @@ class Materialized(PlanNode):
                         batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[list[Row]]:
         return _chunked(self.rows, batch_size)
-
-
-# ----------------------------------------------------------------------
-# Parallel execution (morsel-driven; see executor/parallel.py)
-# ----------------------------------------------------------------------
-class Exchange(PlanNode):
-    """Marks the driving scan of a parallelizable plan.
-
-    Everything below this point runs morsel-wise in worker processes
-    when the Gather above engages; in serial execution (and inside the
-    workers themselves) it is a pure passthrough.  Exists so ``EXPLAIN``
-    shows where the plan is cut."""
-
-    def __init__(self, child: PlanNode):
-        super().__init__(child.columns)
-        self.child = child
-        self.estimated_rows = child.estimated_rows
-        self.estimated_cost = child.estimated_cost
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_size: int = DEFAULT_BATCH_SIZE
-                        ) -> Iterator[list[Row]]:
-        return self.child.execute_batches(ctx, batch_size)
-
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    def describe(self) -> str:
-        return "Exchange"
-
-
-class Gather(PlanNode):
-    """Root of a parallelizable plan: fans partition-wise morsels out to
-    the engine's worker pool and merges the partial results.
-
-    The planner wraps eligible plans when ``parallel_degree > 1``; the
-    decision to actually go parallel is made per *execution* by the
-    runtime installed in the context (the coordinator's).  With no
-    runtime installed — serial engines, worker processes, scalar
-    subquery child contexts — or when the runtime declines
-    (active writer, tiny table, pool failure), execution falls through
-    to the child, bit-identical to the serial plan."""
-
-    def __init__(self, child: PlanNode, degree: int):
-        super().__init__(child.columns)
-        self.child = child
-        self.degree = degree
-        self.estimated_rows = child.estimated_rows
-        self.estimated_cost = child.estimated_cost
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_size: int = DEFAULT_BATCH_SIZE
-                        ) -> Iterator[list[Row]]:
-        runtime = ctx.parallel_runtime
-        if runtime is not None:
-            batches = runtime.execute_gather(self, ctx, batch_size)
-            if batches is not None:
-                yield from batches
-                return
-        yield from self.child.execute_batches(ctx, batch_size)
-
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    def describe(self) -> str:
-        return f"Gather(degree={self.degree})"

@@ -1,9 +1,9 @@
 """Horizontal partitioning schemes for heap tables.
 
 A partitioning scheme maps a row's partition-key values to a partition
-id.  Routing must be *stable across processes*: the parallel executor
-compiles the same plan in coordinator and worker processes, and WAL
-replay re-routes rows during repartition, so Python's seeded ``hash()``
+id.  Routing must be *stable across processes*: WAL replay puts rows
+back at their logged RIDs, which encode the partition chosen when they
+were written, and replays repartitions, so Python's seeded ``hash()``
 is off limits.  Hash routing therefore runs CRC-32 over the ``repr`` of
 the key tuple, which is deterministic for the SQL value types we store
 (ints, floats, strings, None).

@@ -12,8 +12,11 @@ A table may be horizontally partitioned (hash or range over a key, see
 live counter, and writer latch *per partition*; RIDs encode the partition
 id in their high bits (``rid = pid << PARTITION_SHIFT | slot``) so every
 RID-addressed consumer — indexes, undo records, WAL replay, read-view
-overlays — works unchanged.  The parallel executor carves scans into
-*morsels* along partition boundaries (:meth:`Table.morsels`).
+overlays — works unchanged.  Routing is stable across processes, so
+WAL replay (of encoded RIDs, and of a logged repartition) routes every
+row to the partition it had before the restart.  A scan of a
+partitioned table reads the partitions one after another, in
+partition-id order.
 """
 
 from __future__ import annotations
@@ -206,10 +209,6 @@ class Table:
         self._indexes: list[Any] = \
             [self.pk_index] if self.pk_index is not None else []
         self._secondary: tuple = ()
-        #: Monotone physical-mutation counter; the parallel executor's
-        #: worker pool uses it (with the schema version) to detect that
-        #: forked committed-state replicas have gone stale.
-        self.version = 0
         #: Bumped whenever the physical live-row count moves (shared
         #: catalog-wide; the plan cache validates hits against it).
         self.changes = changes if changes is not None else ChangeCounter()
@@ -338,21 +337,17 @@ class Table:
         for _rid, row in self.scan():
             yield row
 
-    def batches(self, batch_size: int,
-                morsel: tuple | None = None) -> Iterator[list[Row]]:
+    def batches(self, batch_size: int) -> Iterator[list[Row]]:
         """Yield live rows in slot order, grouped into lists of at most
         ``batch_size`` rows.
 
         The batch executor's scan path: one slice + comprehension per
         batch instead of one generator resumption per row.  Batches may
         be smaller than ``batch_size`` where deleted slots (tombstones)
-        thin a slice out.  With ``morsel`` the scan is restricted to
-        that slot range (see :meth:`morsels`).
+        thin a slice out.
         """
-        if morsel is not None or self.partitioning is not None:
-            for chunk in self._morsel_chunks(morsel, batch_size,
-                                             with_rids=False):
-                yield chunk
+        if self.partitioning is not None:
+            yield from self._partition_chunks(batch_size, with_rids=False)
             return
         batch_size = max(batch_size, 1)
         start = 0
@@ -376,14 +371,11 @@ class Table:
             if chunk:
                 yield chunk
 
-    def scan_batches(self, batch_size: int,
-                     morsel: tuple | None = None
+    def scan_batches(self, batch_size: int
                      ) -> Iterator[list[tuple[Rid, Row]]]:
         """Like :meth:`batches`, but each element is ``(rid, row)``."""
-        if morsel is not None or self.partitioning is not None:
-            for chunk in self._morsel_chunks(morsel, batch_size,
-                                             with_rids=True):
-                yield chunk
+        if self.partitioning is not None:
+            yield from self._partition_chunks(batch_size, with_rids=True)
             return
         batch_size = max(batch_size, 1)
         start = 0
@@ -407,62 +399,17 @@ class Table:
             if chunk:
                 yield chunk
 
-    # ------------------------------------------------------------------
-    # Morsel-wise access (parallel executor)
-    # ------------------------------------------------------------------
-    def morsels(self, target_rows: int) -> list[tuple]:
-        """Split the heap into scan morsels of roughly ``target_rows``
-        slots each.
-
-        Morsel descriptors are plain tuples (they cross the process
-        boundary): ``("range", lo, hi)`` over the flat slot array of an
-        unpartitioned table, ``("part", pid, lo, hi)`` over one
-        partition's slot array.  Morsels never straddle a partition
-        boundary, so a partition-wise operator sees exactly one
-        partition per morsel.
-        """
-        target = max(int(target_rows), 1)
-        out: list[tuple] = []
-        if self.partitioning is None:
-            n = len(self._slots)
-            for lo in range(0, n, target):
-                out.append(("range", lo, min(lo + target, n)))
-        else:
-            for pid, slots in enumerate(self._parts):
-                n = len(slots)
-                for lo in range(0, n, target):
-                    out.append(("part", pid, lo, min(lo + target, n)))
-        return out
-
-    def _morsel_chunks(self, morsel: tuple | None, batch_size: int,
-                       with_rids: bool) -> Iterator[list]:
-        """Batched scan of one morsel's slot range, honoring read views.
-
-        ``morsel=None`` scans everything (the serial path for a
-        partitioned table routes through here too).
-        """
+    def _partition_chunks(self, batch_size: int,
+                          with_rids: bool) -> Iterator[list]:
+        """Batched scan of a partitioned heap, one partition's slot
+        array after another, honoring read views."""
         batch_size = max(batch_size, 1)
-        # Spans are (slot array, rid base, stop slot, start slot).
-        if morsel is None:
-            if self.partitioning is None:
-                spans = [(self._slots, 0, len(self._slots), 0)]
-            else:
-                spans = [(self._parts[pid], pid << PARTITION_SHIFT,
-                          len(self._parts[pid]), 0)
-                         for pid in range(len(self._parts))]
-        elif morsel[0] == "range":
-            _, lo, hi = morsel
-            spans = [(self._slots, 0, min(hi, len(self._slots)), lo)]
-        elif morsel[0] == "part":
-            _, pid, lo, hi = morsel
-            if not 0 <= pid < len(self._parts):
-                return
-            slots = self._parts[pid]
-            spans = [(slots, pid << PARTITION_SHIFT, min(hi, len(slots)), lo)]
-        else:
-            raise StorageError(f"unknown morsel kind {morsel[0]!r}")
+        # Spans are (slot array, rid base, stop slot).
+        spans = [(slots, pid << PARTITION_SHIFT, len(slots))
+                 for pid, slots in enumerate(self._parts)]
         name = self.name
-        for slots, base, limit, start in spans:
+        for slots, base, limit in spans:
+            start = 0
             while start < limit:
                 view = active_read_view(name)
                 stop = min(start + batch_size, limit)
@@ -578,7 +525,6 @@ class Table:
                 slots.append(row)
                 self._part_live[pid] += 1
         self._live += 1
-        self.version += 1
         self.changes.bump()
         if pk is not None:
             pk.add_key(key, rid)
@@ -611,7 +557,6 @@ class Table:
         self._live += 1
         if self.partitioning is not None:
             self._part_live[rid >> PARTITION_SHIFT] += 1
-        self.version += 1
         self.changes.bump()
         for index in self._indexes:
             index.on_insert(rid, row)
@@ -640,7 +585,6 @@ class Table:
         self._check_pk_change(old, new)
         slots, slot = self._locate(rid)
         slots[slot] = new
-        self.version += 1
         for index in self._indexes:
             index.on_update(rid, old, new)
         if self.on_mutation is not None:
@@ -679,7 +623,6 @@ class Table:
                 slots[slot] = None
                 self._part_live[pid] -= 1
         self._live -= 1
-        self.version += 1
         self.changes.bump()
         for index in self._indexes:
             index.on_delete(rid, old)
@@ -694,7 +637,6 @@ class Table:
             slots.clear()
         self._part_live = [0] * len(self._parts)
         self._live = 0
-        self.version += 1
         self.changes.bump()
         for index in self._indexes:
             index.rebuild(self)
@@ -728,7 +670,6 @@ class Table:
                 slots.append(row)
                 self._part_live[pid] += 1
             self._live += 1
-        self.version += 1
         self.changes.bump()
         for index in self._indexes:
             index.rebuild(self)
@@ -797,7 +738,6 @@ class Table:
             self._part_live = [sum(1 for row in part if row is not None)
                                for part in self._parts]
             self._live = sum(self._part_live)
-        self.version += 1
         self.changes.bump()
         for index in self._indexes:
             index.rebuild(self)
