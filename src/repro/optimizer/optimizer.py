@@ -513,9 +513,8 @@ class Planner:
 
         # Access-path selection: every index fully covered by constant
         # equalities (the primary key's among them), and every
-        # single-column ordered one (the primary key or an ordered
-        # index) a constant range bounds, is a candidate; cost-compare
-        # them against the full scan.
+        # single-column one a constant range bounds, is a candidate;
+        # cost-compare them against the full scan.
         remaining = list(local_preds)
         node: PlanNode = TableScan(table, with_rid=with_rid)
         access_cost = full_scan_cost
@@ -537,8 +536,7 @@ class Planner:
                 if all(name in const_eq for name in names):
                     ranged = False
                     bounding = [const_pred[name] for name in names]
-                elif index.ordered and len(names) == 1 \
-                        and names[0] in ranges:
+                elif len(names) == 1 and names[0] in ranges:
                     ranged = True
                     bounding = ranges[names[0]][2]
                 else:

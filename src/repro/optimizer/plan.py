@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from repro.errors import ExecutionError
 from repro.executor.expressions import (BatchKernel, BatchPredicate,
                                         CompiledExpression, join_kernel)
-from repro.storage.index import Index
+from repro.storage.index import HashIndex
 from repro.storage.table import (Table, active_read_view,
                                  visible_index_lookup)
 
@@ -296,7 +296,7 @@ class IndexScan(PlanNode):
     """Equality access through an index; the key (a batch kernel over
     one empty row) is computed at open."""
 
-    def __init__(self, table: Table, index: Index, keys: BatchKernel,
+    def __init__(self, table: Table, index: HashIndex, keys: BatchKernel,
                  with_rid: bool = False):
         columns = list(table.column_names)
         if with_rid:
@@ -328,8 +328,9 @@ class IndexScan(PlanNode):
 
 
 class IndexRangeScan(IndexScan):
-    """Range access through a single-column ordered key structure (the
-    primary key or an ordered index).  ``keys`` gives the ``(low,
+    """Range access through a single-column index (the primary key or a
+    secondary index), over the sorted key list the index builds on its
+    first range read after a key change.  ``keys`` gives the ``(low,
     high)`` bound values; a NULL (or absent) bound reads open-ended.
 
     The range predicate stays in the filter above, so the range read
@@ -342,7 +343,7 @@ class IndexRangeScan(IndexScan):
     holds the uncommitted keys).
     """
 
-    def __init__(self, table: Table, index: Index, keys: BatchKernel,
+    def __init__(self, table: Table, index: HashIndex, keys: BatchKernel,
                  low_inclusive: bool, high_inclusive: bool,
                  with_rid: bool = False):
         super().__init__(table, index, keys, with_rid=with_rid)
@@ -536,7 +537,7 @@ class IndexNestedLoopJoin(_EmittingJoin):
 
     kind = "index"
 
-    def __init__(self, left: PlanNode, table: Table, index: Index,
+    def __init__(self, left: PlanNode, table: Table, index: HashIndex,
                  keys: BatchKernel, with_rid: bool = False,
                  residual: Optional[BatchPredicate] = None):
         inner_columns = list(table.column_names)

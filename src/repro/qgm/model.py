@@ -571,18 +571,6 @@ class XNFBox(Box):
             result.extend(relationship.using_quantifiers)
         return [q for q in result if q is not None]
 
-    def component_order(self) -> list[str]:
-        return list(self.components)
-
-    def incoming_relationships(self, component: str) -> list[XNFRelationship]:
-        """Relationships that have ``component`` among their children."""
-        return [r for r in self.relationships.values()
-                if component in r.children]
-
-    def outgoing_relationships(self, component: str) -> list[XNFRelationship]:
-        return [r for r in self.relationships.values()
-                if r.parent == component]
-
     def root_components(self) -> list[str]:
         return [name for name, c in self.components.items() if c.is_root]
 

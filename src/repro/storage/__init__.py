@@ -2,7 +2,7 @@
 statistics, transactions)."""
 
 from repro.storage.catalog import Catalog, ForeignKey, ViewDefinition
-from repro.storage.index import HashIndex, Index, OrderedIndex
+from repro.storage.index import HashIndex
 from repro.storage.stats import (ColumnStats, StatisticsManager, TableStats,
                                  analyze_table)
 from repro.storage.table import Rid, Row, Table
@@ -19,7 +19,7 @@ __all__ = [
     "IntegerType", "VarcharType", "infer_type", "type_from_name",
     "validate_row",
     "Rid", "Row", "Table",
-    "HashIndex", "Index", "OrderedIndex",
+    "HashIndex",
     "Catalog", "ForeignKey", "ViewDefinition",
     "ColumnStats", "StatisticsManager", "TableStats", "analyze_table",
     "Transaction", "TransactionManager", "UndoRecord",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.errors import CatalogError, UpdateError
-from repro.storage.index import HashIndex, Index, OrderedIndex
+from repro.storage.index import HashIndex
 from repro.storage.partition import Partitioning
 from repro.storage.table import (ChangeCounter, Rid, Row, Table,
                                  visible_index_lookup)
@@ -122,7 +122,7 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._indexes: dict[str, Index] = {}
+        self._indexes: dict[str, HashIndex] = {}
         self._views: dict[str, ViewDefinition] = {}
         self._foreign_keys: dict[str, ForeignKey] = {}
         #: Delta protocol subscribers (e.g. the materialized-view
@@ -276,20 +276,18 @@ class Catalog:
     # Indexes
     # ------------------------------------------------------------------
     def create_index(self, name: str, table_name: str,
-                     column_names: Sequence[str], unique: bool = False,
-                     ordered: bool = False) -> Index:
+                     column_names: Sequence[str],
+                     unique: bool = False) -> HashIndex:
         key = self._key(name)
         if key in self._indexes:
             raise CatalogError(f"index {name!r} already exists")
         table = self.table(table_name)
-        cls = OrderedIndex if ordered else HashIndex
-        index = cls(key, table, [c for c in column_names], unique=unique)
+        index = HashIndex(key, table, list(column_names), unique=unique)
         table.attach_index(index)
         self._indexes[key] = index
         self._bump_schema_version()
         self._emit_ddl("create_index", name=key, table=table.name,
-                       columns=index.column_names, unique=unique,
-                       ordered=ordered)
+                       columns=index.column_names, unique=unique)
         return index
 
     def drop_index(self, name: str) -> None:
@@ -301,14 +299,14 @@ class Catalog:
         self._bump_schema_version()
         self._emit_ddl("drop_index", name=key)
 
-    def index(self, name: str) -> Index:
+    def index(self, name: str) -> HashIndex:
         try:
             return self._indexes[self._key(name)]
         except KeyError:
             raise CatalogError(f"no index named {name!r}") from None
 
     def indexes_on(self, table_name: str,
-                   column_names: Sequence[str] | None = None) -> list[Index]:
+                   column_names: Sequence[str] | None = None) -> list[HashIndex]:
         """Indexes on a table, optionally only those keyed exactly on
         ``column_names`` (order-insensitive)."""
         key = self._key(table_name)

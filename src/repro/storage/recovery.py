@@ -42,7 +42,6 @@ from typing import Optional
 
 from repro.errors import StorageError
 from repro.storage.catalog import Catalog, TableDelta
-from repro.storage.index import OrderedIndex
 from repro.storage.wal import WalRecord, scan_log
 
 SNAPSHOT_MAGIC = b"REPROSNP"
@@ -112,7 +111,6 @@ def build_snapshot_payload(catalog: Catalog, lsn: int,
         "table": index.table_name,
         "columns": index.column_names,
         "unique": index.unique,
-        "ordered": isinstance(index, OrderedIndex),
     } for table in catalog.tables() for index in table.indexes]
     return {
         "format": SNAPSHOT_FORMAT,
@@ -266,10 +264,12 @@ def _apply_snapshot(snapshot: dict, catalog: Catalog,
         table = catalog.create_table(spec["name"], spec["columns"],
                                      partitioning=spec.get("partitioning"))
         table.restore_slots(spec["slots"])
+    # An index spec (here or in a create_index DDL record) written when
+    # only some indexes kept a key order carries an "ordered" field:
+    # every index has one now, so it is read past.
     for spec in snapshot["indexes"]:
         catalog.create_index(spec["name"], spec["table"],
-                             list(spec["columns"]), unique=spec["unique"],
-                             ordered=spec["ordered"])
+                             list(spec["columns"]), unique=spec["unique"])
     for fk in snapshot["foreign_keys"]:
         catalog.add_foreign_key(fk.name, fk.child_table,
                                 list(fk.child_columns), fk.parent_table,
@@ -331,8 +331,7 @@ def _apply_ddl(payload: dict, catalog: Catalog) -> None:
     elif op == "create_index":
         catalog.create_index(payload["name"], payload["table"],
                              list(payload["columns"]),
-                             unique=payload["unique"],
-                             ordered=payload["ordered"])
+                             unique=payload["unique"])
     elif op == "drop_index":
         catalog.drop_index(payload["name"])
     elif op == "add_foreign_key":

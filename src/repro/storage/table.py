@@ -346,86 +346,48 @@ class Table:
         be smaller than ``batch_size`` where deleted slots (tombstones)
         thin a slice out.
         """
-        if self.partitioning is not None:
-            yield from self._partition_chunks(batch_size, with_rids=False)
-            return
-        batch_size = max(batch_size, 1)
-        start = 0
-        while start < len(self._slots):
-            # Re-checked per batch: a streaming consumer's later pulls
-            # must honor read views installed after the scan started.
-            view = active_read_view(self.name)
-            stop = start + batch_size
-            if view is None:
-                chunk = [row for row in self._slots[start:stop]
-                         if row is not None]
-            else:
-                overlaid = view.rows
-                chunk = []
-                for rid, row in enumerate(self._slots[start:stop], start):
-                    if rid in overlaid:
-                        row = overlaid[rid]
-                    if row is not None:
-                        chunk.append(row)
-            start = stop
-            if chunk:
-                yield chunk
+        return self._chunks(batch_size, with_rids=False)
 
     def scan_batches(self, batch_size: int
                      ) -> Iterator[list[tuple[Rid, Row]]]:
         """Like :meth:`batches`, but each element is ``(rid, row)``."""
-        if self.partitioning is not None:
-            yield from self._partition_chunks(batch_size, with_rids=True)
-            return
-        batch_size = max(batch_size, 1)
-        start = 0
-        while start < len(self._slots):
-            view = active_read_view(self.name)
-            stop = start + batch_size
-            if view is None:
-                chunk = [(rid, row)
-                         for rid, row in enumerate(self._slots[start:stop],
-                                                   start)
-                         if row is not None]
-            else:
-                overlaid = view.rows
-                chunk = []
-                for rid, row in enumerate(self._slots[start:stop], start):
-                    if rid in overlaid:
-                        row = overlaid[rid]
-                    if row is not None:
-                        chunk.append((rid, row))
-            start = stop
-            if chunk:
-                yield chunk
+        return self._chunks(batch_size, with_rids=True)
 
-    def _partition_chunks(self, batch_size: int,
-                          with_rids: bool) -> Iterator[list]:
-        """Batched scan of a partitioned heap, one partition's slot
-        array after another, honoring read views."""
+    def _chunks(self, batch_size: int, with_rids: bool) -> Iterator[list]:
+        """The batched scan of :meth:`batches` and :meth:`scan_batches`:
+        each slot array (the flat heap's, or one partition's after
+        another) in slices of ``batch_size`` slots, honoring read
+        views."""
         batch_size = max(batch_size, 1)
-        # Spans are (slot array, rid base, stop slot).
-        spans = [(slots, pid << PARTITION_SHIFT, len(slots))
-                 for pid, slots in enumerate(self._parts)]
+        # Spans are (slot array, rid of its first slot).
+        spans = [(self._slots, 0)] if self.partitioning is None else \
+            [(slots, pid << PARTITION_SHIFT)
+             for pid, slots in enumerate(self._parts)]
         name = self.name
-        for slots, base, limit in spans:
+        for slots, base in spans:
             start = 0
-            while start < limit:
+            while start < len(slots):
+                # Re-checked per batch: a streaming consumer's later
+                # pulls must honor read views installed after the scan
+                # started.
                 view = active_read_view(name)
-                stop = min(start + batch_size, limit)
-                chunk = []
+                stop = start + batch_size
                 if view is None:
-                    for slot in range(start, stop):
-                        row = slots[slot]
-                        if row is not None:
-                            chunk.append((base | slot, row)
-                                         if with_rids else row)
+                    if with_rids:
+                        chunk = [(rid, row) for rid, row
+                                 in enumerate(slots[start:stop],
+                                              base + start)
+                                 if row is not None]
+                    else:
+                        chunk = [row for row in slots[start:stop]
+                                 if row is not None]
                 else:
                     overlaid = view.rows
-                    for slot in range(start, stop):
-                        rid = base | slot
-                        row = overlaid[rid] if rid in overlaid \
-                            else slots[slot]
+                    chunk = []
+                    for rid, row in enumerate(slots[start:stop],
+                                              base + start):
+                        if rid in overlaid:
+                            row = overlaid[rid]
                         if row is not None:
                             chunk.append((rid, row) if with_rids else row)
                 start = stop

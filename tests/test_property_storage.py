@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.catalog import Catalog
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import HashIndex
 from repro.storage.table import Table
 from repro.storage.transactions import TransactionManager
 from repro.storage.types import Column, INTEGER, VARCHAR
@@ -23,7 +23,8 @@ operations = st.lists(
 )
 
 
-def apply_operations(table: Table, ops) -> None:
+def apply_operations(table: Table, ops, after=None) -> None:
+    """Apply ``ops``; call ``after()`` after each one, if given."""
     counter = 0
     for op, key, group in ops:
         if op == "insert":
@@ -39,6 +40,8 @@ def apply_operations(table: Table, ops) -> None:
             else:
                 row = table.fetch(rid)
                 table.update(rid, (row[0], group, row[2]))
+        if after is not None:
+            after()
 
 
 class TestIndexConsistency:
@@ -59,13 +62,23 @@ class TestIndexConsistency:
     @settings(max_examples=40, deadline=None)
     def test_ordered_index_matches_scan(self, ops):
         table = fresh_table()
-        index = OrderedIndex("OX", table, ["GRP"])
+        index = HashIndex("OX", table, ["GRP"])
         table.attach_index(index)
-        apply_operations(table, ops)
-        via_index = [table.fetch(r)[1] for r in index.ordered_rids()]
-        assert via_index == sorted(via_index)
-        assert sorted(via_index) == sorted(
-            row[1] for row in table.rows())
+
+        def check() -> None:
+            # Each range read builds the key order the next key change
+            # must drop.
+            via_index = [table.fetch(r)[1] for r in index.range_scan()]
+            assert via_index == sorted(via_index)
+            assert sorted(via_index) == sorted(
+                row[1] for row in table.rows())
+            low = len(via_index) % 5
+            assert sorted(index.range_scan((low,), (low + 1,))) == sorted(
+                rid for rid, row in table.scan()
+                if low <= row[1] <= low + 1)
+
+        apply_operations(table, ops, after=check)
+        check()
 
 
 class TestTransactionAtomicity:

@@ -1,17 +1,17 @@
-"""Range reads through the primary key and ordered indexes.
+"""Range reads through the primary key and secondary indexes.
 
 Every range query runs three ways and must give the same multiset of
 rows: through the default planner, which reads a bounded key range
 with ``IndexRangeScan`` where that is cheaper than the scan; through
 ``PlannerOptions(use_indexes=False)``, which scans; and through stdlib
 ``sqlite3``.  The tables key an int, a float and a text column, each
-through the primary key and through an ordered secondary index with
-NULLs and duplicates.  The cases cover ``BETWEEN`` and the four
-comparisons on either side, open, empty, reversed, NULL and
-float-on-int bounds, a bound of another type, an empty table, ranges
-read after INSERT and DELETE (which drop the primary key's sorted key
-list), and another session's uncommitted writes moving keys into and
-out of the range, read under read-committed.
+through the primary key and through a secondary index, made by
+``CREATE INDEX``, with NULLs and duplicates.  The cases cover
+``BETWEEN`` and the four comparisons on either side, open, empty,
+reversed, NULL and float-on-int bounds, a bound of another type, an
+empty table, ranges read after INSERT and DELETE (which drop an
+index's sorted key list), and another session's uncommitted writes
+moving keys into and out of the range, read under read-committed.
 
 The clock-free counts at the end pin what the range path and the
 batched index-join probe save on the ``co_read`` extraction.
@@ -34,7 +34,7 @@ from repro.errors import ExecutionError
 from repro.executor.runtime import PipelineOptions
 from repro.optimizer.optimizer import PlannerOptions
 from repro.optimizer.plan import IndexNestedLoopJoin
-from repro.storage.index import HashIndex, OrderedIndex, PrimaryKeyIndex
+from repro.storage.index import HashIndex, PrimaryKeyIndex
 from repro.workloads.orgdb import (DEPS_ARC_QUERY, OrgScale,
                                    create_org_schema, populate_org)
 
@@ -63,7 +63,7 @@ def _engine(use_indexes: bool) -> Engine:
 
 
 class Twins:
-    """One table, ``R (K PK, V ordered-indexed, N)``, in the default
+    """One table, ``R (K PK, V indexed, N)``, in the default
     engine, in a scan-only engine and in sqlite3."""
 
     def __init__(self, kind: str, rows: int = ROWS,
@@ -77,8 +77,7 @@ class Twins:
         for session in self.sessions:
             session.execute(f"CREATE TABLE R (K {sql_type} PRIMARY KEY, "
                             f"V {sql_type}, N INT){layout}")
-            session.engine.catalog.create_index("IX_R_V", "R", ["V"],
-                                                ordered=True)
+            session.execute("CREATE INDEX IX_R_V ON R (V)")
         self.lite = sqlite3.connect(":memory:")
         self.lite.execute(f"CREATE TABLE R (K {lite_type} PRIMARY KEY, "
                           f"V {lite_type}, N INTEGER)")
@@ -373,7 +372,7 @@ def test_index_join_probes_once_per_outer_batch(co_read_engine,
     text = extraction(30, 36)
     expected = session.xnf(text)
     calls = Counter()
-    for cls in (HashIndex, OrderedIndex, PrimaryKeyIndex):
+    for cls in (HashIndex, PrimaryKeyIndex):
         for name in ("lookup", "lookup_many"):
             real = cls.__dict__.get(name)
             if real is None:

@@ -1,9 +1,11 @@
-"""Unit tests for hash and ordered indexes, including maintenance."""
+"""Unit tests for the hash index (equality and range reads) and the
+primary key index, including maintenance."""
 
 import pytest
 
 from repro.errors import StorageError, TypeCheckError
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage import index as index_module
+from repro.storage.index import HashIndex
 from repro.storage.table import Table
 from repro.storage.types import Column, INTEGER, VARCHAR
 
@@ -90,81 +92,110 @@ class TestHashIndex:
     def test_distinct_keys(self, table):
         index = HashIndex("IX", table, ["GRP"])
         index.rebuild(table)
-        assert index.distinct_keys() == 3
+        found = [sorted(index.lookup((grp,))) for grp in range(4)]
+        assert found == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8], []]
 
 
 class TestOrderedIndex:
+    """Every hash index is also an ordered one: range reads in key
+    order over a sorted key list it builds on demand."""
+
     def test_equality_lookup(self, table):
-        index = OrderedIndex("OX", table, ["GRP"])
+        index = HashIndex("OX", table, ["GRP"])
         table.attach_index(index)
+        index.range_scan()  # equality still answers with the order built
         assert sorted(index.lookup((2,))) == [2, 5, 8]
 
     def test_range_scan_inclusive(self, table):
-        index = OrderedIndex("OX", table, ["ID"])
+        index = HashIndex("OX", table, ["ID"])
         table.attach_index(index)
-        assert list(index.range_scan((3,), (5,))) == [3, 4, 5]
+        assert index.range_scan((3,), (5,)) == [3, 4, 5]
 
     def test_range_scan_exclusive_bounds(self, table):
-        index = OrderedIndex("OX", table, ["ID"])
+        index = HashIndex("OX", table, ["ID"])
         table.attach_index(index)
-        rids = list(index.range_scan((3,), (6,), low_inclusive=False,
-                                     high_inclusive=False))
+        rids = index.range_scan((3,), (6,), low_inclusive=False,
+                                high_inclusive=False)
         assert rids == [4, 5]
 
     def test_range_scan_open_ended(self, table):
-        index = OrderedIndex("OX", table, ["ID"])
+        index = HashIndex("OX", table, ["ID"])
         table.attach_index(index)
-        assert list(index.range_scan(low=(8,))) == [8, 9]
-        assert list(index.range_scan(high=(1,))) == [0, 1]
+        assert index.range_scan(low=(8,)) == [8, 9]
+        assert index.range_scan(high=(1,)) == [0, 1]
 
     def test_range_scan_skips_null_keys(self, table):
-        index = OrderedIndex("OX", table, ["GRP"])
+        index = HashIndex("OX", table, ["GRP"])
         table.attach_index(index)
-        table.insert((300, None, "null-grp"))
-        assert all(table.fetch(r)[1] is not None
-                   for r in index.range_scan())
+        null = table.insert((300, None, "null-grp"))
+        rids = index.range_scan()
+        assert null not in rids and len(rids) == 10
+        assert all(table.fetch(r)[1] is not None for r in rids)
 
     def test_ordered_rids_in_key_order(self, table):
-        index = OrderedIndex("OX", table, ["NAME"])
+        index = HashIndex("OX", table, ["NAME"])
         table.attach_index(index)
-        names = [table.fetch(r)[2] for r in index.ordered_rids()]
-        assert names == sorted(names)
+        names = [table.fetch(r)[2] for r in index.range_scan()]
+        assert names == sorted(names) and len(names) == len(table)
 
     def test_maintained_on_delete(self, table):
-        index = OrderedIndex("OX", table, ["ID"])
+        index = HashIndex("OX", table, ["ID"])
         table.attach_index(index)
+        assert index.range_scan((3,), (5,)) == [3, 4, 5]
         table.delete(4)
-        assert list(index.range_scan((3,), (5,))) == [3, 5]
+        assert index.range_scan((3,), (5,)) == [3, 5]
 
     def test_unique_violation_on_insert(self, table):
-        index = OrderedIndex("OU", table, ["NAME"], unique=True)
+        index = HashIndex("OU", table, ["NAME"], unique=True)
         table.attach_index(index)
-        with pytest.raises(TypeCheckError):
+        index.range_scan()
+        with pytest.raises(TypeCheckError, match="unique index"):
             table.insert((400, 0, "n2"))
+        assert index.range_scan(("n2",), ("n2",)) == [2]
 
     def test_delete_missing_rid_detected(self, table):
-        index = OrderedIndex("OX", table, ["ID"])
+        index = HashIndex("OX", table, ["ID"])
         index.rebuild(table)
         with pytest.raises(StorageError, match="out of sync"):
             index.on_delete(999, (999, 0, "x"))
 
     def test_distinct_keys(self, table):
-        index = OrderedIndex("OX", table, ["GRP"])
+        index = HashIndex("OX", table, ["GRP"])
         index.rebuild(table)
-        assert index.distinct_keys() == 3
+        keys = [table.fetch(r)[1] for r in index.range_scan()]
+        # Each RID of a key is its own entry, keys in order.
+        assert keys == [0] * 4 + [1] * 3 + [2] * 3
+        assert index.range_scan((0,), (2,), low_inclusive=False) \
+            == [1, 4, 7, 2, 5, 8]
+
+    def test_maintained_on_insert_and_update(self, table):
+        index = HashIndex("OX", table, ["GRP"])
+        table.attach_index(index)
+        assert index.range_scan((1,), (1,)) == [1, 4, 7]
+        rid = table.insert((60, 1, "new"))
+        assert index.range_scan((1,), (1,)) == [1, 4, 7, rid]
+        table.update(7, (7, 2, "moved"))
+        assert index.range_scan((1,), (2,)) == [1, 4, rid, 2, 5, 8, 7]
+        table.truncate()
+        assert index.range_scan() == []
+
+    def test_composite_key_ranges_by_prefix(self, table):
+        index = HashIndex("CX", table, ["GRP", "ID"])
+        table.attach_index(index)
+        assert index.range_scan((1,), (1, 5)) == [1, 4]
+        assert index.range_scan((2, 5)) == [5, 8]
 
 
 class TestRangeScan:
-    """One range method for both ordered key structures."""
+    """One range method for the primary key and every secondary index."""
 
-    @pytest.mark.parametrize("make", ["pk", "ordered"])
+    @pytest.mark.parametrize("make", ["pk", "hash"])
     def test_bounds(self, table, make):
         if make == "pk":
             index = table.pk_index
         else:
-            index = OrderedIndex("OX", table, ["ID"])
+            index = HashIndex("IX", table, ["ID"])
             table.attach_index(index)
-        assert index.ordered
         assert index.range_scan((3,), (5,)) == [3, 4, 5]
         assert index.range_scan((3,), (6,), low_inclusive=False,
                                 high_inclusive=False) == [4, 5]
@@ -175,11 +206,13 @@ class TestRangeScan:
         with pytest.raises(TypeError):
             index.range_scan(("x",))
 
-    def test_hash_index_has_no_key_order(self, table):
+    def test_hash_index_answers_ranges_without_null_keys(self, table):
         index = HashIndex("IX", table, ["GRP"])
-        assert not index.ordered
-        with pytest.raises(StorageError, match="no key order"):
-            index.range_scan((1,))
+        table.attach_index(index)
+        table.insert((100, None, "null"))
+        assert index.range_scan() == [0, 3, 6, 9, 1, 4, 7, 2, 5, 8]
+        assert index.range_scan((1,), (1,)) == [1, 4, 7]
+        assert index.range_scan(high=(0,)) == [0, 3, 6, 9]
 
     def test_pk_sorted_keys_follow_inserts_and_deletes(self, table):
         pk = table.pk_index
@@ -197,22 +230,88 @@ class TestRangeScan:
         table.truncate()
         assert pk.range_scan() == []
 
-    def test_ordered_lookup_of_another_type_finds_nothing(self, table):
-        index = OrderedIndex("OX", table, ["ID"])
+    def test_lookup_of_another_type_finds_nothing(self, table):
+        index = HashIndex("OX", table, ["ID"])
         table.attach_index(index)
         assert index.lookup(("x",)) == []
         assert index.lookup((3.0,)) == [3]
 
 
+class TestSortCount:
+    """A range read sorts the keys only after a key change: counted by
+    wrapping the ``sorted`` the index module calls, not by a clock."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "sorted", counting,
+                            raising=False)
+        return calls
+
+    @pytest.mark.parametrize("make", ["pk", "hash"])
+    def test_sorts_once_per_key_change(self, table, sorts, make):
+        if make == "pk":
+            index, column = table.pk_index, 0
+        else:
+            index, column = HashIndex("IX", table, ["GRP"]), 1
+            table.attach_index(index)
+        index.range_scan()
+        assert len(sorts) == 1
+        index.range_scan((1,))
+        index.range_scan(high=(5,))
+        assert len(sorts) == 1  # no key change: no sort
+        row = list(table.fetch(3))
+        row[2] = "renamed"
+        table.update(3, tuple(row))  # key kept
+        index.range_scan()
+        assert len(sorts) == 1
+        rid = table.insert((70, 1, "new"))
+        assert len(sorts) == 1  # dropped, not rebuilt, by the insert
+        index.range_scan()
+        index.range_scan((1,))
+        assert len(sorts) == 2
+        table.delete(rid)
+        index.range_scan()
+        assert len(sorts) == 3
+        row = list(table.fetch(3))
+        row[column] = 90
+        table.update(3, tuple(row))  # key moved
+        index.range_scan()
+        index.range_scan()
+        assert len(sorts) == 4
+
+    def test_null_key_changes_keep_the_order(self, table, sorts):
+        index = HashIndex("IX", table, ["GRP"])
+        table.attach_index(index)
+        index.range_scan()
+        rid = table.insert((80, None, "null"))
+        table.delete(rid)
+        index.range_scan()
+        assert len(sorts) == 1
+
+    def test_rejected_insert_keeps_the_order(self, table, sorts):
+        index = HashIndex("UX", table, ["NAME"], unique=True)
+        table.attach_index(index)
+        index.range_scan()
+        with pytest.raises(TypeCheckError):
+            table.insert((400, 0, "n2"))
+        index.range_scan()
+        assert len(sorts) == 1
+
+
 class TestLookupMany:
-    @pytest.mark.parametrize("make", ["pk", "hash", "ordered"])
+    @pytest.mark.parametrize("make", ["pk", "hash"])
     def test_equals_one_lookup_per_key(self, table, make):
         if make == "pk":
             index = table.pk_index
             keys = [(3,), (99,), (0,), (None,), (3,), (9.0,)]
         else:
-            index = (HashIndex if make == "hash" else OrderedIndex)(
-                "IX", table, ["GRP"])
+            index = HashIndex("IX", table, ["GRP"])
             table.attach_index(index)
             table.insert((100, None, "null"))
             keys = [(1,), (None,), (7,), (0,), (1.0,), ("x",)]

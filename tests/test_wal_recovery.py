@@ -329,6 +329,64 @@ def test_ddl_in_log_replays(tmp_path):
     engine.close()  # the abandoned pre-crash handle, after the fact
 
 
+def test_index_specs_with_an_ordered_field_reopen(tmp_path):
+    """Snapshots and logs written while only some indexes kept a key
+    order carry ``"ordered"`` in each index spec; recovery reads past
+    it, and the reopened index answers the same range reads."""
+    dbdir = str(tmp_path / "db")
+    engine = open_engine(dbdir)
+    session = engine.connect()
+    session.execute("CREATE TABLE T (A INT PRIMARY KEY, B INT, C INT)")
+    session.execute("INSERT INTO T VALUES " + ", ".join(
+        f"({i}, {'NULL' if i % 7 == 0 else i % 5}, {(i * 3) % 11})"
+        for i in range(40)))
+    session.execute("CREATE INDEX IX_T_B ON T (B)")
+    index = engine.catalog.index("IX_T_B")
+    bounds = [((1,), (3,)), ((2,), None), (None, (0,)), (None, None)]
+    expected = [index.range_scan(low, high) for low, high in bounds]
+    engine.checkpoint()
+    engine.close()
+    # Rewrite the snapshot and log as an older writer left them.
+    snapshot = rec.load_newest_snapshot(dbdir)
+    assert [spec["name"] for spec in snapshot["indexes"]] == ["IX_T_B"]
+    for spec in snapshot["indexes"]:
+        spec["ordered"] = True
+    for name in os.listdir(dbdir):
+        if name.startswith("snapshot-"):
+            os.remove(os.path.join(dbdir, name))
+    rec.write_snapshot(dbdir, snapshot)
+    with open(rec.wal_path(dbdir), "ab") as handle:
+        for offset, (name, ordered) in enumerate(
+                [("IX_T_C", True), ("IX_T_BC", False)], 1):
+            handle.write(encode_record(snapshot["lsn"] + offset, {
+                "t": "ddl", "op": "create_index", "name": name,
+                "table": "T", "columns": ("C",) if name == "IX_T_C"
+                else ("B", "C"), "unique": False, "ordered": ordered}))
+
+    engine2 = open_engine(dbdir)
+    assert engine2.recovery.replayed_ddl == 2
+    catalog = engine2.catalog
+    reopened = catalog.index("IX_T_B")
+    assert [reopened.range_scan(low, high) for low, high in bounds] \
+        == expected
+    rows = list(catalog.table("T").scan())
+    by_c = sorted((row[2], rid) for rid, row in rows)
+    assert catalog.index("IX_T_C").range_scan((4,), (8,)) \
+        == [rid for c, rid in by_c if 4 <= c <= 8]
+    # Bounds compare as tuples: (3,) sorts before every (3, c).
+    assert catalog.index("IX_T_BC").range_scan((2, 5), (4,)) == [
+        rid for _key, rid in sorted(((row[1], row[2]), rid)
+                                    for rid, row in rows
+                                    if row[1] is not None
+                                    and (2, 5) <= (row[1], row[2]) <= (4,))]
+    session2 = engine2.connect()
+    assert "IndexRangeScan(T via IX_T_C on C)" \
+        in session2.explain("SELECT a FROM T WHERE c > 9")
+    assert sorted(session2.query("SELECT a FROM T WHERE c > 9").rows) \
+        == sorted((row[0],) for _rid, row in rows if row[2] > 9)
+    engine2.close()
+
+
 def test_unknown_record_kind_is_an_error(tmp_path):
     directory = str(tmp_path)
     path = rec.wal_path(directory)
