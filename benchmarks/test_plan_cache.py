@@ -14,13 +14,13 @@ noise can only *hurt* the reported speedup).  Result equality between
 the two engines is asserted on every query, so the benchmark doubles
 as an end-to-end soundness check.  Results land in
 ``BENCH_plan_cache.json`` at the repository root under
-``REPRO_BENCH_WRITE=1``.  No floor is asserted by its test (the ratios
-move with machine load): each test asserts equal results and that the
-cache wins, and records its unrounded ``speedup`` with its ``floor``;
-the CI ``plan-cache-bench`` job fails the build when a recorded speedup
-is below its floor (``tools/check_bench.py``).  ``dml_update_adhoc``
-(literal-text UPDATE variants through the statement front end) is
-recorded with no floor.
+``REPRO_BENCH_WRITE=1``.  No wall-clock bound is asserted by its test
+(the ratios move with machine load): each test asserts equal results
+and records its unrounded ``speedup`` with its ``floor``; the CI
+``plan-cache-bench`` job fails the build when a recorded speedup is
+below its floor (``tools/check_bench.py``).  ``dml_update_adhoc``
+(literal-text UPDATE variants through the statement front end) has a
+floor of 1.0: the front end must not make them slower.
 """
 
 from __future__ import annotations
@@ -146,14 +146,7 @@ def test_org_point_lookup_speedup(org_ab):
         lambda: [cached.query(sql) for sql in sqls]))
     uncached_s = best_of(lambda: timed(
         lambda: [uncached.query(sql) for sql in sqls]))
-    speedup = record("org_point_lookup_adhoc", len(sqls), cached_s,
-                     uncached_s)
-    # The wall-clock floor is enforced by the CI plan-cache-bench job
-    # on the recorded speedup; here only the winning side is checked.
-    assert speedup > 1.0, (
-        f"plan cache is not faster on repeated point lookups "
-        f"({speedup:.2f}x)"
-    )
+    record("org_point_lookup_adhoc", len(sqls), cached_s, uncached_s)
 
 
 def test_org_point_lookup_prepared_speedup(org_ab):
@@ -170,13 +163,7 @@ def test_org_point_lookup_prepared_speedup(org_ab):
         lambda: [stmt.run([eno]) for eno in ids]))
     uncached_s = best_of(lambda: timed(
         lambda: [uncached.query(sql, [eno]) for eno in ids]))
-    speedup = record("org_point_lookup_prepared", len(ids), cached_s,
-                     uncached_s)
-    # Floor enforced by CI on the recorded speedup (see module doc).
-    assert speedup > 1.0, (
-        f"prepared point lookups are not faster through the plan cache "
-        f"({speedup:.2f}x)"
-    )
+    record("org_point_lookup_prepared", len(ids), cached_s, uncached_s)
 
 
 # ----------------------------------------------------------------------
@@ -205,12 +192,7 @@ def test_oo1_navigation_speedup(oo1_ab):
         lambda: navigate(lambda pid: stmt.run([pid]))))
     uncached_s = best_of(lambda: timed(
         lambda: navigate(lambda pid: uncached.query(sql, [pid]))))
-    speedup = record("oo1_navigation", 2 * len(starts), cached_s,
-                     uncached_s)
-    # Floor enforced by CI on the recorded speedup (see module doc).
-    assert speedup > 1.0, (
-        f"plan cache is not faster on OO1 navigation ({speedup:.2f}x)"
-    )
+    record("oo1_navigation", 2 * len(starts), cached_s, uncached_s)
 
 
 # ----------------------------------------------------------------------
@@ -236,17 +218,13 @@ def test_dml_qualification_speedup(org_ab):
     # so the cache's share of the win is smaller than for pure reads;
     # the floor (enforced by CI on the recorded speedup) is
     # correspondingly lower.
-    speedup = record("dml_update_by_key", len(ids), cached_s, uncached_s,
-                     floor=2.0)
-    assert speedup > 1.0, (
-        f"cached DML qualification is not faster ({speedup:.2f}x)"
-    )
+    record("dml_update_by_key", len(ids), cached_s, uncached_s, floor=2.0)
 
 
 def test_dml_update_adhoc_speedup(org_ab):
     """Literal-text UPDATE variants: the front end lifts each once per
     shape, so a variant skips the parser and the qualification
-    compile.  Recorded with no floor."""
+    compile.  Recorded with a 1.0 floor."""
     cached, uncached = org_ab
     employees = ORG_SCALE.departments * ORG_SCALE.employees_per_dept
     ids = [1 + (i * 43) % employees for i in range(200)]
@@ -260,9 +238,4 @@ def test_dml_update_adhoc_speedup(org_ab):
     # Both databases ran the same writes the same number of times.
     salaries = "SELECT ENO, SAL FROM EMP ORDER BY ENO"
     assert cached.query(salaries).rows == uncached.query(salaries).rows
-    speedup = record("dml_update_adhoc", len(sqls), cached_s, uncached_s,
-                     floor=None)
-    assert speedup > 1.0, (
-        f"literal UPDATE variants are not faster through the front end "
-        f"({speedup:.2f}x)"
-    )
+    record("dml_update_adhoc", len(sqls), cached_s, uncached_s, floor=1.0)

@@ -30,9 +30,16 @@ Concurrency model (read-committed, serialized writers)
   read.  The writing session itself reads without overlays and thus
   sees its own uncommitted changes.
 
-Deltas feeding derived state (statistics, materialized views) are
-buffered on the emitting session's transaction and published at its
-commit — see :mod:`repro.storage.transactions`.
+Change propagation
+==================
+
+The engine is the catalog's :class:`~repro.storage.catalog.ChangeSink`:
+storage reports every row delta, schema change, commit phase, rollback
+and materialized-view create or drop to it, and its methods below
+forward each event to the write-ahead log, the transaction manager,
+the statistics and the materialized views as plain sequential calls.
+Row deltas are buffered on the emitting session's transaction and
+published at its commit — see :mod:`repro.storage.transactions`.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from repro.executor.runtime import PipelineOptions, QueryPipeline
 from repro.cache.matview import MaterializedViewRegistry
 from repro.qgm.model import Box
 from repro.sql import ast, parser
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, ChangeSink, TableDelta
 from repro.storage.recovery import (RecoveryReport, build_snapshot_payload,
                                     prune_snapshots, recover, wal_path,
                                     write_snapshot)
@@ -228,7 +235,7 @@ class _WriterLatch:
                 self._cond.notify_all()
 
 
-class Engine:
+class Engine(ChangeSink):
     """Shared state of one database, serving any number of sessions."""
 
     def __init__(self, pipeline_options: Optional[PipelineOptions] = None,
@@ -255,13 +262,12 @@ class Engine:
         self._commits_since_checkpoint = 0
         self._checkpoint_lock = threading.Lock()
         if path is not None:
-            # Recover into the fresh catalog *before* anything
-            # subscribes to it, so replay triggers no delta, DDL or
-            # table-created listeners.
+            # Recover into the fresh catalog *before* it reports to
+            # this engine, so replay feeds no statistics and logs
+            # nothing.
             self.recovery = recover(path, self.catalog)
-        # Subscribed: committed DML deltas invalidate statistics (and,
-        # on material drift, the plan-cache stats epoch) automatically.
-        self.stats = StatisticsManager(self.catalog, subscribe=True)
+        self.catalog.sink = self
+        self.stats = StatisticsManager(self.catalog)
         self.transactions = TransactionManager(self.catalog)
         self.pipeline_options = pipeline_options or PipelineOptions()
         self.xnf_options = xnf_options or XNFOptions()
@@ -278,11 +284,6 @@ class Engine:
         self.viewupdates = ViewUpdateManager(self)
         self.matviews = MaterializedViewRegistry(
             self.catalog, self._matview_executable)
-        self.catalog.delta_listeners.append(self.matviews.on_table_delta)
-        # A rolled-back transaction that wrote may have been observed by
-        # a concurrent materialized-view refresh (which reads committed
-        # state, but conservatism is cheap and rollbacks are rare).
-        self.transactions.rollback_listeners.append(self._on_rollback)
         self._statement_latch = _StatementLatch(lock_timeout)
         self._writer_latch = _WriterLatch(lock_timeout)
         self._sessions: list = []
@@ -303,15 +304,11 @@ class Engine:
     def _finish_recovery(self, report: RecoveryReport, fsync: str,
                          group_window: float) -> None:
         """Complete a durable open: adopt recovered derived-state
-        markers, open the log at the recovered position, re-register
-        materialized views stale, and only *then* attach the logging
-        hooks (so none of this re-logs)."""
+        markers, re-register materialized views stale, and only *then*
+        open the log at the recovered position (so none of this
+        re-logs)."""
         self.stats.restore_epochs(report.stats_table_epochs,
                                   report.stats_global_epoch)
-        self._wal = WriteAheadLog(
-            wal_path(self.path), fsync=fsync, group_window=group_window,
-            next_lsn=report.next_lsn,
-            truncate_at=report.wal_truncate_at)
         # Materialized views come back *stale*: their definitions
         # recovered with the catalog, but the stored result did not —
         # the first read recomputes from the recovered base tables
@@ -320,37 +317,65 @@ class Engine:
             view = self.catalog.view(name)
             self.matviews.create(name, view.definition, policy=policy,
                                  initial_refresh=False)
-        self.transactions.pre_commit_hooks.append(self._log_commit)
-        self.transactions.commit_listeners.append(self._count_commit)
-        self.catalog.ddl_listeners.append(self._log_ddl)
-        self.matviews.create_listeners.append(self._log_matview_create)
-        self.matviews.drop_listeners.append(self._log_matview_drop)
+        self._wal = WriteAheadLog(
+            wal_path(self.path), fsync=fsync, group_window=group_window,
+            next_lsn=report.next_lsn,
+            truncate_at=report.wal_truncate_at)
 
     @property
     def wal(self) -> Optional[WriteAheadLog]:
         """The write-ahead log (None for in-memory engines)."""
         return self._wal
 
-    def _log_commit(self, txn: Transaction) -> None:
-        # The write-ahead point: runs at the top of commit, before the
-        # transaction detaches and before any delta is published.
-        if txn.pending_deltas:
-            self._wal.append({"t": "txn",
-                              "deltas": list(txn.pending_deltas)})
+    # ------------------------------------------------------------------
+    # The change sink: every storage event, forwarded in order
+    # ------------------------------------------------------------------
+    def _log(self, record: dict) -> None:
+        # In-memory engines, recovery replay and the stale
+        # re-registration of materialized views run with no log open.
+        if self._wal is not None:
+            self._wal.append(record)
 
-    def _count_commit(self, _txn) -> None:
+    def row_delta(self, delta: TableDelta) -> None:
+        if not self.transactions.buffer_delta(delta):
+            self.publish(delta)
+
+    def ddl(self, op: str, payload: dict) -> None:
+        self._log({"t": "ddl", "op": op, **payload})
+
+    def table_created(self, table) -> None:
+        self.transactions.table_created(table)
+
+    def log_commit(self, txn: Transaction) -> None:
+        # The write-ahead point: before the transaction detaches and
+        # before any delta is published.
+        if txn.pending_deltas:
+            self._log({"t": "txn", "deltas": list(txn.pending_deltas)})
+
+    def publish(self, delta: TableDelta) -> None:
+        # Statistics, then the views: a view whose maintenance raises
+        # leaves the statistics current.
+        self.stats.on_table_delta(delta)
+        self.matviews.on_table_delta(delta)
+
+    def committed(self, txn: Transaction) -> None:
         self._commits_since_checkpoint += 1
 
-    def _log_ddl(self, op: str, payload: dict) -> None:
-        self._wal.append({"t": "ddl", "op": op, **payload})
+    def rolled_back(self, txn: Transaction) -> None:
+        # Views may hold part of a commit whose publication raised, or
+        # deltas published directly and then undone.  A full refresh
+        # that ran while the transaction was open may also have read
+        # without its overlay in non-engine code paths.  Invalidation
+        # is cheap and rollbacks are rare.
+        self.matviews.invalidate_all()
 
-    def _log_matview_create(self, name: str, policy: str) -> None:
-        self._wal.append({"t": "matview", "op": "create", "name": name,
-                          "policy": policy})
+    def matview_created(self, name: str, policy: str) -> None:
+        self._log({"t": "matview", "op": "create", "name": name,
+                   "policy": policy})
 
-    def _log_matview_drop(self, name: str) -> None:
-        self._wal.append({"t": "matview", "op": "drop", "name": name,
-                          "policy": None})
+    def matview_dropped(self, name: str) -> None:
+        self._log({"t": "matview", "op": "drop", "name": name,
+                   "policy": None})
 
     def _durability_barrier(self) -> None:
         """Make this thread's acknowledged work durable.
@@ -650,18 +675,6 @@ class Engine:
         if not self.pipeline.plan_cache.enabled:
             return parser.parse_statement(sql)
         return self.statements.parse(sql)
-
-    # ------------------------------------------------------------------
-    # Delta / rollback wiring
-    # ------------------------------------------------------------------
-    def _on_rollback(self, _txn) -> None:
-        # Buffered deltas were discarded, so views never *applied*
-        # anything from this transaction — but a full refresh that ran
-        # while it was open may have snapshotted through its overlay
-        # (correct) or, in non-engine code paths, without one.  Eagerly
-        # invalidating keeps rollback a correctness-preserving
-        # operation regardless of the read path used.
-        self.matviews.invalidate_all()
 
     # ------------------------------------------------------------------
     # Shared XNF compilation (plan-cache read-through)

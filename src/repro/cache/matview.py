@@ -11,10 +11,12 @@ How a view stays fresh
 ======================
 
 Every base-row write (:class:`repro.executor.dml.RowWriter`: SQL DML,
-view DML and cache write-back alike) publishes one
+view DML and cache write-back alike) reports one
 :class:`~repro.storage.catalog.TableDelta` per touched base table per
-statement through ``catalog.delta_listeners``.  For each registered
-view the delta either:
+statement to the catalog's sink; the engine buffers it on the writing
+transaction and, at commit, hands it to
+:meth:`MaterializedViewRegistry.on_table_delta` right after the
+statistics.  For each registered view the delta either:
 
 * propagates **incrementally** — the common case, when every component
   derivation is a select/project of one base table whose objects are
@@ -1005,9 +1007,11 @@ class MaterializedView:
 class MaterializedViewRegistry:
     """All materialized views of one database, keyed by name.
 
-    Subscribed to the catalog's delta protocol; also consulted by the
+    The engine hands it every committed delta; also consulted by the
     session's XNF read path so a query structurally equal to a
     registered view's definition is served from the materialization.
+    Creates and drops are reported to the catalog's sink, which logs
+    them so a recovered engine knows which views to re-register.
     """
 
     def __init__(self, catalog: Catalog,
@@ -1015,11 +1019,7 @@ class MaterializedViewRegistry:
         self.catalog = catalog
         self._compile = compile_fn
         self._views: dict[str, MaterializedView] = {}
-        #: Called with ``(name, policy)`` / ``(name,)`` after a view is
-        #: registered / dropped; the durability layer logs these so a
-        #: recovered engine knows which views to re-register (stale).
-        self.create_listeners: list[Callable[[str, str], None]] = []
-        self.drop_listeners: list[Callable[[str], None]] = []
+        self._sink = catalog.sink
 
     # ------------------------------------------------------------------
     def create(self, name: str, query: ast.XNFQuery,
@@ -1033,15 +1033,13 @@ class MaterializedViewRegistry:
                                 policy=policy,
                                 initial_refresh=initial_refresh)
         self._views[key] = view
-        for listener in list(self.create_listeners):
-            listener(key, view.policy)
+        self._sink.matview_created(key, view.policy)
         return view
 
     def drop(self, name: str) -> None:
         if self._views.pop(name.upper(), None) is None:
             raise CatalogError(f"no materialized view named {name!r}")
-        for listener in list(self.drop_listeners):
-            listener(name.upper())
+        self._sink.matview_dropped(name.upper())
 
     def get(self, name: str) -> MaterializedView:
         view = self._views.get(name.upper())

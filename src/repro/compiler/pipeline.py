@@ -164,15 +164,12 @@ class CompilationPipeline:
       artifacts (XNF executables) sharing this cache's invalidation.
     """
 
-    def __init__(self, catalog: Catalog,
-                 stats: Optional[StatisticsManager] = None,
+    def __init__(self, catalog: Catalog, stats: StatisticsManager,
                  options: Optional[PipelineOptions] = None,
                  xnf_component_resolver: Optional[
                      Callable[[str, str], Box]] = None):
         self.catalog = catalog
-        # A self-created manager subscribes to the delta protocol so DML
-        # through this pipeline invalidates statistics automatically.
-        self.stats = stats or StatisticsManager(catalog, subscribe=True)
+        self.stats = stats
         self.options = options or PipelineOptions()
         self.xnf_component_resolver = xnf_component_resolver
         self.plan_cache = PlanCache(self.options.plan_cache_size,

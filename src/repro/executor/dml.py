@@ -19,13 +19,13 @@ literals inline.
 :class:`RowWriter` is every base-table write under a statement, a view
 statement (:mod:`repro.viewupdate.executor`) or a cache write-back
 (:mod:`repro.viewupdate.objects`): the foreign-key checks, RESTRICT
-when a referenced key moves, partition relocation, and the delta
-protocol.  Each statement or batch publishes one consolidated
-:class:`~repro.storage.catalog.TableDelta` per touched table (when
-anyone subscribed), which is how materialized composite-object views
-are maintained incrementally instead of being recomputed.  A statement
-that raises mid-way publishes nothing: the caller's ``run_atomic``
-rolls the partial mutations back.
+when a referenced key moves, partition relocation, and the deltas.
+Each statement or batch reports one consolidated
+:class:`~repro.storage.catalog.TableDelta` per touched table to the
+catalog's sink, which is how statistics stay current and materialized
+composite-object views are maintained incrementally instead of being
+recomputed.  A statement that raises mid-way reports nothing: the
+caller's ``run_atomic`` rolls the partial mutations back.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ class RowWriter:
     that is deleted, must not strand referencing children (RESTRICT).
     An update that changes a partition key relocates the row to a fresh
     rid; later writes addressing the old rid follow the relocation
-    chain.  :meth:`emit` publishes the consolidated deltas.
+    chain.  :meth:`emit` reports the consolidated deltas.
     """
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self._recorder = DeltaRecorder() if catalog.wants_deltas else None
+        self._recorder = DeltaRecorder()
         #: (table, rid) -> rid the row was relocated to
         self.moved: dict = {}
 
@@ -70,15 +70,11 @@ class RowWriter:
             rid = self.moved[(table_name, rid)]
         return rid
 
-    def _record(self, table: Table, rid: Rid, old, new) -> None:
-        if self._recorder is not None:
-            self._recorder.record(table.name, rid, old, new)
-
     def insert(self, table: Table, row) -> tuple[Rid, Row]:
         self.catalog.check_foreign_keys(table.name, tuple(row))
         rid = table.insert(row)
         stored = table.fetch(rid)
-        self._record(table, rid, None, stored)
+        self._recorder.record(table.name, rid, None, stored)
         return rid, stored
 
     def update(self, table: Table, rid: Rid, positions,
@@ -100,11 +96,11 @@ class RowWriter:
             catalog.check_foreign_keys(table.name, tuple(new))
         new_rid, stored = table.update_row(rid, new)
         if new_rid == rid:
-            self._record(table, rid, old, stored)
+            self._recorder.record(table.name, rid, old, stored)
         else:
             self.moved[(table.name, rid)] = new_rid
-            self._record(table, rid, old, None)
-            self._record(table, new_rid, None, stored)
+            self._recorder.record(table.name, rid, old, None)
+            self._recorder.record(table.name, new_rid, None, stored)
         return new_rid, stored
 
     def delete(self, table: Table, rid: Rid) -> Row:
@@ -112,14 +108,13 @@ class RowWriter:
         old = table.fetch(rid)
         self.catalog.check_no_referencing_children(table.name, old)
         table.delete(rid)
-        self._record(table, rid, old, None)
+        self._recorder.record(table.name, rid, old, None)
         return old
 
     def emit(self) -> None:
-        """Publish this writer's consolidated per-table deltas."""
-        if self._recorder is not None:
-            for delta in self._recorder.deltas():
-                self.catalog.emit_table_delta(delta)
+        """Report this writer's consolidated per-table deltas."""
+        for delta in self._recorder.deltas():
+            self.catalog.sink.row_delta(delta)
 
 
 class DMLExecutor:
@@ -142,8 +137,6 @@ class DMLExecutor:
             for position, value in zip(target_positions, values):
                 full_row[position] = value
             writer.insert(table, full_row)
-        # Statistics invalidation rides the delta protocol (the
-        # pipeline's manager subscribes to catalog.delta_listeners).
         writer.emit()
         return len(rows)
 

@@ -108,8 +108,7 @@ class QueryPipeline:
     shaping.
     """
 
-    def __init__(self, catalog: Catalog,
-                 stats: Optional[StatisticsManager] = None,
+    def __init__(self, catalog: Catalog, stats: StatisticsManager,
                  options: Optional[PipelineOptions] = None,
                  xnf_component_resolver: Optional[
                      Callable[[str, str], Box]] = None):

@@ -10,7 +10,7 @@ constraints, since only the catalog can see both sides of a foreign key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import CatalogError, UpdateError
 from repro.storage.index import HashIndex
@@ -18,6 +18,9 @@ from repro.storage.partition import Partitioning
 from repro.storage.table import (ChangeCounter, Rid, Row, Table,
                                  visible_index_lookup)
 from repro.storage.types import Column
+
+if TYPE_CHECKING:
+    from repro.storage.transactions import Transaction
 
 
 @dataclass
@@ -86,6 +89,49 @@ class DeltaRecorder:
         self._order.clear()
 
 
+class ChangeSink:
+    """Where storage reports each change it makes, one method per event.
+
+    The engine implements it (:class:`repro.api.engine.Engine`) to keep
+    statistics, materialized views and the write-ahead log in step with
+    the base tables.  The catalog, the transaction manager and the
+    materialized-view registry each hold one reference and call it
+    directly.  This default does nothing, so a bare :class:`Catalog`
+    keeps no derived state.  A commit calls :meth:`log_commit`,
+    :meth:`publish` per buffered delta, then :meth:`committed`, in that
+    order (:meth:`repro.storage.transactions.TransactionManager.commit`).
+    """
+
+    def row_delta(self, delta: TableDelta) -> None:
+        """One statement's net change to one table, before its commit."""
+
+    def ddl(self, op: str, payload: dict) -> None:
+        """A schema change that just landed in the catalog."""
+
+    def table_created(self, table: Table) -> None:
+        """A new table, after its ``create_table`` DDL event."""
+
+    def log_commit(self, txn: Transaction) -> None:
+        """Commit phase 1, before the transaction detaches: a raise
+        aborts the commit with the transaction open and intact."""
+
+    def publish(self, delta: TableDelta) -> None:
+        """Commit phase 2: one committed delta, for derived state."""
+
+    def committed(self, txn: Transaction) -> None:
+        """Commit phase 3: the commit is complete."""
+
+    def rolled_back(self, txn: Transaction) -> None:
+        """Derived state may have seen deltas that were undone, or only
+        part of a commit's: it must not be trusted."""
+
+    def matview_created(self, name: str, policy: str) -> None:
+        """A materialized view was registered."""
+
+    def matview_dropped(self, name: str) -> None:
+        """A materialized view was dropped."""
+
+
 @dataclass(frozen=True)
 class ForeignKey:
     """A declared FK: child table/columns reference parent table/columns.
@@ -125,26 +171,10 @@ class Catalog:
         self._indexes: dict[str, HashIndex] = {}
         self._views: dict[str, ViewDefinition] = {}
         self._foreign_keys: dict[str, ForeignKey] = {}
-        #: Delta protocol subscribers (e.g. the materialized-view
-        #: registry).  DML and cache write-back publish one
-        #: :class:`TableDelta` per touched table per statement.
-        self.delta_listeners: list[Callable[[TableDelta], None]] = []
-        #: Delta *interceptors* run before the listeners and may consume
-        #: a delta by returning True.  The transaction manager registers
-        #: one so deltas emitted inside an open transaction are buffered
-        #: on that transaction and only reach the listeners when the
-        #: emitting session commits (session-scoped publication).
-        self.delta_interceptors: list[Callable[[TableDelta], bool]] = []
-        #: Called with each newly created table.  The transaction
-        #: manager uses this to install its undo hook on tables created
-        #: while a transaction is open, so a mid-transaction CREATE
-        #: TABLE + INSERT rolls back its rows like any other mutation.
-        self.table_created_listeners: list[Callable[[Table], None]] = []
-        #: DDL subscribers: called with ``(op, payload)`` after each
-        #: schema mutation lands in the catalog.  The durability layer
-        #: registers one so schema operations become WAL records and
-        #: replay at recovery exactly as row deltas do.
-        self.ddl_listeners: list[Callable[[str, dict], None]] = []
+        #: Where every change is reported (see :class:`ChangeSink`).
+        #: The engine installs itself after recovery; a bare catalog
+        #: reports to the no-op default.
+        self.sink: ChangeSink = ChangeSink()
         #: Monotonic DDL counter.  Every schema mutation (tables,
         #: indexes, views, foreign keys) bumps it; the plan cache keys
         #: compiled plans on it so any DDL invalidates them wholesale.
@@ -164,34 +194,7 @@ class Catalog:
         self._fk_positions.clear()
 
     def _emit_ddl(self, op: str, **payload: Any) -> None:
-        for listener in list(self.ddl_listeners):
-            listener(op, payload)
-
-    # ------------------------------------------------------------------
-    # Delta protocol
-    # ------------------------------------------------------------------
-    @property
-    def wants_deltas(self) -> bool:
-        """True when at least one delta subscriber is registered; write
-        paths use this to skip delta bookkeeping entirely otherwise."""
-        return bool(self.delta_listeners)
-
-    def emit_table_delta(self, delta: TableDelta) -> None:
-        if not delta:
-            return
-        for interceptor in list(self.delta_interceptors):
-            if interceptor(delta):
-                return
-        self.publish_delta(delta)
-
-    def publish_delta(self, delta: TableDelta) -> None:
-        """Deliver a delta straight to the listeners, bypassing the
-        interceptors — the commit path uses this to flush a
-        transaction's buffered deltas exactly once."""
-        if not delta:
-            return
-        for listener in list(self.delta_listeners):
-            listener(delta)
+        self.sink.ddl(op, payload)
 
     # ------------------------------------------------------------------
     # Name handling
@@ -218,8 +221,7 @@ class Catalog:
         self._emit_ddl("create_table", name=table.name,
                        columns=table.columns,
                        partitioning=table.partitioning)
-        for listener in list(self.table_created_listeners):
-            listener(table)
+        self.sink.table_created(table)
         return table
 
     def repartition_table(self, name: str,

@@ -25,9 +25,9 @@ Invalidation has two triggers:
 * the row-count staleness heuristic (``_is_stale``), which catches
   direct ``Table.insert`` traffic that bypasses the DML layer when a
   snapshot is next read, and
-* the catalog's delta protocol: a subscribed manager drops a table's
-  snapshot the moment DML (or cache write-back) publishes a delta for
-  it, so stats never lag a statement.
+* committed deltas: the engine hands each one to
+  :meth:`StatisticsManager.on_table_delta`, which drops the table's
+  snapshot, so stats never lag a committed statement.
 
 The manager also maintains **per-table statistics epochs** for the
 plan cache.  A table's epoch only advances when its distribution has
@@ -363,14 +363,14 @@ class StatisticsManager:
     the snapshot's by more than 20% (and at least 16 rows), mimicking how
     real systems tolerate moderate drift between ANALYZE runs.
 
-    With ``subscribe=True`` the manager registers itself on the
-    catalog's ``delta_listeners`` so every DML statement invalidates the
-    touched table's snapshot automatically (instead of waiting for the
-    drift heuristic).  The plan-cache epoch still only advances on
-    *material* drift, explicit :meth:`invalidate`, or :meth:`analyze`.
+    Inside an engine every committed delta reaches
+    :meth:`on_table_delta`, which invalidates the touched table's
+    snapshot at once (instead of waiting for the drift heuristic).  The
+    plan-cache epoch still only advances on *material* drift, explicit
+    :meth:`invalidate`, or :meth:`analyze`.
     """
 
-    def __init__(self, catalog: Catalog, subscribe: bool = False):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
         self._snapshots: dict[str, TableStats] = {}
         #: Rows changed by DML per table since the last epoch-relevant
@@ -383,8 +383,6 @@ class StatisticsManager:
         #: (``invalidate()`` with no table).
         self._table_epochs: dict[str, int] = {}
         self._global_epoch: int = 0
-        if subscribe:
-            self.subscribe()
 
     # ------------------------------------------------------------------
     # Epochs
@@ -485,16 +483,9 @@ class StatisticsManager:
         return len(tables)
 
     # ------------------------------------------------------------------
-    # Delta protocol wiring
+    # Committed deltas
     # ------------------------------------------------------------------
-    def subscribe(self) -> None:
-        """Register on the catalog's delta listeners (idempotent)."""
-        if self._on_table_delta not in self._catalog.delta_listeners:
-            self._catalog.delta_listeners.append(self._on_table_delta)
-
-    def _on_table_delta(self, delta: TableDelta) -> None:
-        if not delta:
-            return
+    def on_table_delta(self, delta: TableDelta) -> None:
         key = delta.table.upper()
         # The snapshot is stale the moment DML lands; drop it so the
         # next compile re-analyzes.  (Cheap: stats are computed lazily.)

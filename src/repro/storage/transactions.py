@@ -14,11 +14,11 @@ reverse.  The engine layer (:mod:`repro.api.engine`) guarantees that at
 most one scope holds uncommitted writes at a time (the writer latch), so
 undo logs of different scopes never interleave on the same row.
 
-Deltas published through :meth:`Catalog.emit_table_delta
-<repro.storage.catalog.Catalog.emit_table_delta>` while a transaction is
-open are **buffered on that transaction** and flushed to the catalog's
-delta listeners only at commit; a rollback (or a savepoint rollback
-crossing an emission) simply discards them.  Derived state maintained
+Row deltas a write reports while a transaction is open are **buffered
+on that transaction** (:meth:`TransactionManager.buffer_delta`) and
+published to the catalog's :class:`~repro.storage.catalog.ChangeSink`
+only at commit; a rollback (or a savepoint rollback crossing an
+emission) simply discards them.  Derived state maintained
 from deltas — materialized views, statistics — therefore only ever sees
 committed changes, keyed off the emitting session's commit rather than
 every statement.
@@ -65,14 +65,14 @@ class Transaction:
         self._savepoint_pending: dict[str, int] = {}
         self.active = True
         #: Number of table deltas published *directly* (not buffered)
-        #: while this transaction was open — possible only when the
-        #: interceptor cannot attribute an emission (several open
-        #: transactions, no activation).  Listeners saw those deltas
-        #: mid-transaction, so a rollback must invalidate delta-derived
-        #: state (the ``rollback_listeners`` hook).
+        #: while this transaction was open — possible only when
+        #: :meth:`TransactionManager.buffer_delta` cannot attribute an
+        #: emission (several open transactions, no activation).
+        #: Subscribers saw those deltas mid-transaction, so a rollback
+        #: must invalidate delta-derived state (``sink.rolled_back``).
         self.delta_count = 0
         #: Deltas emitted by this transaction's scope, buffered until
-        #: commit (then flushed to the catalog's delta listeners).
+        #: commit publishes them.
         self.pending_deltas: list[TableDelta] = []
 
     def record(self, record: UndoRecord) -> None:
@@ -124,29 +124,13 @@ class TransactionManager:
 
     def __init__(self, catalog: Catalog):
         self._catalog = catalog
+        self._sink = catalog.sink
         self._transactions: dict[Hashable, Transaction] = {}
         self._active_scope: Hashable | None = None
         self._replaying = False
         self._next_id = 1
         self.committed_count = 0
         self.rolled_back_count = 0
-        #: Called with the transaction after a rollback of a transaction
-        #: that wrote (or that published deltas directly).  Derived
-        #: state that observed the tables mid-transaction uses this to
-        #: invalidate itself.
-        self.rollback_listeners: list = []
-        #: Called with the transaction after its commit flushed buffered
-        #: deltas (the engine uses this for bookkeeping, not required
-        #: for correctness).
-        self.commit_listeners: list = []
-        #: Called with the transaction at the top of :meth:`commit`,
-        #: *before* it is detached and before any buffered delta reaches
-        #: the listeners.  The durability layer appends the commit's WAL
-        #: record here — write-ahead ordering — and a hook that raises
-        #: aborts the commit with the transaction still open and intact.
-        self.pre_commit_hooks: list = []
-        catalog.delta_interceptors.append(self._intercept_delta)
-        catalog.table_created_listeners.append(self._on_table_created)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -183,16 +167,23 @@ class TransactionManager:
         return txn
 
     def commit(self, scope: Hashable = DEFAULT_SCOPE) -> None:
+        """Commit in three sink phases: log, publish, count.
+
+        A raising ``log_commit`` (the write-ahead log append) aborts
+        the commit with the transaction still open and intact: the
+        caller can roll back, and nothing was published.  A raising
+        subscriber during ``publish`` leaves the commit detached and
+        done (the deltas describe rows already written in place);
+        derived state is invalidated, so it is stale, never
+        half-applied, and the error surfaces.
+        """
         txn = self.transaction_for(scope)
-        # Write-ahead point: a raising hook aborts the commit with the
-        # transaction still open, so the caller can roll back cleanly
-        # and nothing was published.
-        for hook in list(self.pre_commit_hooks):
-            hook(txn)
-        # Detach *before* publishing: the interceptor and the undo
-        # hooks must not observe the flush, so a listener running
-        # inside the commit can neither re-buffer deltas into a dead
-        # transaction nor append undo records to another scope's log.
+        sink = self._sink
+        sink.log_commit(txn)
+        # Detach *before* publishing: buffering and the undo hooks must
+        # not observe the flush, so a subscriber running inside the
+        # commit can neither re-buffer deltas into a dead transaction
+        # nor append undo records to another scope's log.
         txn.active = False
         del self._transactions[scope]
         if not self._transactions:
@@ -200,32 +191,24 @@ class TransactionManager:
         self.committed_count += 1
         pending, txn.pending_deltas = txn.pending_deltas, []
         try:
-            # Any table mutation a listener performs during the flush
-            # is maintenance of derived state, not part of some other
-            # open transaction — suppress undo recording for the span.
+            # A table write a subscriber makes during the flush is
+            # upkeep of derived state, not part of some other open
+            # transaction: it is not undo-logged.
             self._replaying = True
             try:
                 for delta in pending:
-                    self._catalog.publish_delta(delta)
+                    sink.publish(delta)
             finally:
                 self._replaying = False
         except Exception:
-            # A listener raised mid-flush: derived state may have seen
-            # only part of the commit.  Run the rollback listeners so
-            # delta-derived caches invalidate (stale, never
-            # half-applied-served-as-fresh), then surface the error.
-            # The row data itself committed — deltas describe already
-            # applied mutations.
-            for listener in list(self.rollback_listeners):
-                listener(txn)
+            sink.rolled_back(txn)
             raise
-        for listener in list(self.commit_listeners):
-            listener(txn)
+        sink.committed(txn)
 
     def rollback(self, scope: Hashable = DEFAULT_SCOPE) -> None:
         txn = self.transaction_for(scope)
-        # Detach before replaying the undo log (mirrors commit): the
-        # interceptor must not attribute anything to this transaction
+        # Detach before replaying the undo log (mirrors commit):
+        # buffering must not attribute anything to this transaction
         # once its fate is decided.
         txn.active = False
         del self._transactions[scope]
@@ -237,11 +220,9 @@ class TransactionManager:
             txn.pending_deltas = []
             self.rolled_back_count += 1
             # Buffered deltas never reached anyone — only *directly*
-            # published ones (paths outside this manager's interception)
-            # require derived state to invalidate.
+            # published ones require derived state to invalidate.
             if txn.delta_count:
-                for listener in list(self.rollback_listeners):
-                    listener(txn)
+                self._sink.rolled_back(txn)
 
     # ------------------------------------------------------------------
     # Savepoints
@@ -260,13 +241,12 @@ class TransactionManager:
         del txn.log[position:]
         txn.drop_savepoints_after(position)
         # Buffered deltas emitted after the savepoint describe undone
-        # work; they must never reach the listeners.
+        # work; they must never be published.
         del txn.pending_deltas[saved_pending:]
         if txn.delta_count > saved_deltas:
             # Directly-published deltas after the savepoint were undone.
             txn.delta_count = saved_deltas
-            for listener in list(self.rollback_listeners):
-                listener(txn)
+            self._sink.rolled_back(txn)
 
     # ------------------------------------------------------------------
     # Activation (mutation routing)
@@ -289,11 +269,14 @@ class TransactionManager:
             return next(iter(self._transactions.values()))
         return None
 
-    def _intercept_delta(self, delta: TableDelta) -> bool:
+    def buffer_delta(self, delta: TableDelta) -> bool:
+        """Buffer ``delta`` on the transaction it belongs to, until
+        that transaction commits; False when no transaction takes it
+        and the caller must publish it now."""
         txn = self._routing_transaction()
         if txn is None:
             # Unattributable emission (several open transactions, no
-            # activation): the delta publishes directly, so listeners
+            # activation): the delta publishes directly, so subscribers
             # observe it before anyone commits.  Charge every open
             # transaction — whichever rolls back must invalidate
             # delta-derived state.
@@ -335,7 +318,7 @@ class TransactionManager:
         for table in self._catalog.tables():
             table.on_mutation = self._make_hook(table.name)
 
-    def _on_table_created(self, table) -> None:
+    def table_created(self, table) -> None:
         # A table born while a transaction is open joins the logging
         # regime immediately, so its rows roll back like any others
         # (the CREATE itself is DDL and survives — documented).

@@ -64,7 +64,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import StorageError
 
@@ -293,11 +293,3 @@ class WriteAheadLog:
         finally:
             self._closed = True
             self._file.close()
-
-    # ------------------------------------------------------------------
-    def records(self) -> Iterator[WalRecord]:
-        """Decode the on-disk records (diagnostics; not the hot path)."""
-        with self._lock:
-            self._file.flush()
-        records, _end = scan_log(self.path)
-        return iter(records)

@@ -33,17 +33,20 @@ class TestEvaluate:
 class TestWriteSurface:
     VIEW = "OUT OF xemp AS EMP TAKE *"
 
-    def test_cache_outside_a_session_cannot_write_back(self, tmp_path):
+    def test_cache_outside_a_session_cannot_write_back(self, tmp_path,
+                                                      monkeypatch):
         # A cache evaluated from a bare executable has no session to
         # write through.  Writing back must fail, not commit through a
         # private transaction manager that skips the WAL and the
-        # writer latch and stays registered on the catalog.
+        # writer latch: no refused write reaches any subscriber.
         path = str(tmp_path / "db")
         engine = Engine(path=path, fsync="none")
         session = engine.connect()
         session.execute("CREATE TABLE EMP (ENO INT PRIMARY KEY, SAL INT)")
         session.execute("INSERT INTO EMP VALUES (1, 100)")
-        interceptors = len(engine.catalog.delta_interceptors)
+        reported = []
+        monkeypatch.setattr(engine, "row_delta", reported.append)
+        monkeypatch.setattr(engine, "publish", reported.append)
         cache = XNFCache.evaluate(session.xnf_executable(self.VIEW))
         emp = cache.extent("xemp")[0]
         for salary in (500, 501, 502):
@@ -53,8 +56,9 @@ class TestWriteSurface:
         with pytest.raises(CacheError, match="write-through"):
             XNFCache.evaluate(session.xnf_executable(self.VIEW),
                               write_through=True)
-        assert len(engine.catalog.delta_interceptors) == interceptors
+        assert reported == []
         assert session.query("SELECT sal FROM EMP").rows == [(100,)]
+        monkeypatch.undo()
         # The session's own cache writes back durably.
         cache = session.open_cache(self.VIEW)
         cache.extent("xemp")[0].set("SAL", 502)

@@ -3,8 +3,8 @@
 Three ordering bugs rode along with the durability work:
 
 1. ``commit()`` published buffered deltas while the transaction was
-   still attached, so a raising delta listener left a half-committed
-   transaction whose interceptor kept buffering into a corpse;
+   still attached, so a raising delta subscriber left a half-committed
+   transaction that kept buffering deltas into a corpse;
 2. ``rollback_to_savepoint`` undid row changes but kept the buffered
    deltas (and direct-publication counts) of the undone span, so the
    next commit replayed phantom changes into materialized views;
@@ -46,10 +46,10 @@ def fresh_emp_values(db, eno: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# 1. Failing delta listener at commit
+# 1. Failing delta subscriber at commit
 # ----------------------------------------------------------------------
-def test_failing_delta_listener_does_not_strand_transaction():
-    """A listener raising mid-flush must observe a *detached* commit:
+def test_failing_delta_listener_does_not_strand_transaction(monkeypatch):
+    """A subscriber raising mid-flush must observe a *detached* commit:
     the transaction is over (data committed, scope reusable) and
     delta-derived state is invalidated, never half-applied-as-fresh."""
     db = org_db()
@@ -59,14 +59,17 @@ def test_failing_delta_listener_does_not_strand_transaction():
     assert not view.stale
 
     def explode(_delta):
-        raise Boom("listener failure mid-flush")
-    engine.catalog.delta_listeners.append(explode)
+        raise Boom("subscriber failure mid-flush")
+    # Statistics see each delta first, so the view never sees this
+    # commit's: only the invalidation keeps it from serving stale rows
+    # as fresh.
+    monkeypatch.setattr(engine.stats, "on_table_delta", explode)
     session = engine.sessions()[0]
     session.begin()
     db.execute(fresh_emp_values(db, 900))
     with pytest.raises(Boom):
         session.commit()
-    engine.catalog.delta_listeners.remove(explode)
+    monkeypatch.undo()
 
     # The commit detached before publishing: the scope is free again,
     # no undo hooks remain installed, and the row data itself (already
@@ -86,8 +89,9 @@ def test_failing_delta_listener_does_not_strand_transaction():
     db.engine.close()
 
 
-def test_raising_pre_commit_hook_aborts_with_transaction_intact():
-    """The write-ahead point: a hook failure (e.g. the log append)
+def test_raising_pre_commit_hook_aborts_with_transaction_intact(
+        monkeypatch):
+    """The write-ahead point: a failing log phase (the WAL append)
     aborts the commit *before* anything detaches or publishes — the
     caller can still roll back and nothing leaked."""
     db = org_db()
@@ -95,7 +99,7 @@ def test_raising_pre_commit_hook_aborts_with_transaction_intact():
 
     def refuse(_txn):
         raise Boom("wal append failed")
-    engine.transactions.pre_commit_hooks.append(refuse)
+    monkeypatch.setattr(engine, "log_commit", refuse)
     session = engine.sessions()[0]
     session.begin()
     db.execute(fresh_emp_values(db, 910))
@@ -103,14 +107,14 @@ def test_raising_pre_commit_hook_aborts_with_transaction_intact():
         session.commit()
     # Still open, still intact: rollback undoes the row cleanly.
     assert session.in_transaction
-    engine.transactions.pre_commit_hooks.remove(refuse)
+    monkeypatch.undo()
     session.rollback()
     assert 910 not in {row[0] for row in engine.catalog.table("EMP").rows()}
     db.engine.close()
 
 
-def test_listener_mutations_during_flush_are_not_undo_logged():
-    """Maintenance writes a listener performs while deltas flush are
+def test_listener_mutations_during_flush_are_not_undo_logged(monkeypatch):
+    """Maintenance writes a subscriber performs while deltas flush are
     derived-state upkeep — they must not be charged as undoable work
     to any transaction (the pre-fix ordering appended them to the
     committing transaction's own log)."""
@@ -119,11 +123,13 @@ def test_listener_mutations_during_flush_are_not_undo_logged():
     db.execute("CREATE TABLE AUDIT (N INT)")
     audit = engine.catalog.table("AUDIT")
     seen = []
+    maintain = engine.matviews.on_table_delta
 
     def mirror(delta):
+        maintain(delta)
         seen.append(delta.table)
         audit.insert((len(seen),))
-    engine.catalog.delta_listeners.append(mirror)
+    monkeypatch.setattr(engine.matviews, "on_table_delta", mirror)
     session = engine.sessions()[0]
     session.begin()
     db.execute(fresh_emp_values(db, 920))
@@ -255,4 +261,60 @@ def test_abandoned_stream_does_not_block_writer():
     assert cursor.fetchone() is not None
     reader.close()
     assert cursor.closed
+    engine.close()
+
+
+# ----------------------------------------------------------------------
+# 4. One commit's order
+# ----------------------------------------------------------------------
+def test_commit_logs_before_any_subscriber_sees_a_delta(tmp_path,
+                                                         monkeypatch):
+    """Recorded without a clock: a commit appends its WAL record before
+    the statistics, then the views, see each of its deltas; a raising
+    append publishes nothing and leaves the transaction open."""
+    db = org_db(path=str(tmp_path / "db"), fsync="none")
+    engine = db.engine
+    db.execute(f"CREATE MATERIALIZED VIEW deps_arc AS {DEPS_ARC_QUERY}")
+    events = []
+    append = engine.wal.append
+    stats_delta = engine.stats.on_table_delta
+    view_delta = engine.matviews.on_table_delta
+
+    def log(record):
+        events.append(("wal", record["t"]))
+        return append(record)
+
+    def stats(delta):
+        events.append(("stats", delta.table))
+        stats_delta(delta)
+
+    def views(delta):
+        events.append(("views", delta.table))
+        view_delta(delta)
+    monkeypatch.setattr(engine.wal, "append", log)
+    monkeypatch.setattr(engine.stats, "on_table_delta", stats)
+    monkeypatch.setattr(engine.matviews, "on_table_delta", views)
+    session = engine.sessions()[0]
+    session.begin()
+    db.execute(fresh_emp_values(db, 950))
+    db.execute("INSERT INTO SKILLS VALUES (99, 'skill-99', 1)")
+    assert events == []
+    session.commit()
+    assert events == [("wal", "txn"),
+                      ("stats", "EMP"), ("views", "EMP"),
+                      ("stats", "SKILLS"), ("views", "SKILLS")]
+
+    def refuse(record):
+        events.append(("wal", record["t"]))
+        raise Boom("wal append failed")
+    monkeypatch.setattr(engine.wal, "append", refuse)
+    events.clear()
+    session.begin()
+    db.execute(fresh_emp_values(db, 951))
+    with pytest.raises(Boom):
+        session.commit()
+    assert events == [("wal", "txn")]
+    assert session.in_transaction
+    session.rollback()
+    assert 951 not in {row[0] for row in engine.catalog.table("EMP").rows()}
     engine.close()

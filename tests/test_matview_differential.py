@@ -141,7 +141,7 @@ class DeleteOneRow:
         table = self.db.engine.catalog.table(self.table)
         rid = next(rid for rid, row in table.scan() if row == self.row)
         table.delete(rid)
-        self.db.engine.catalog.emit_table_delta(
+        self.db.engine.catalog.sink.row_delta(
             TableDelta(self.table, deleted=[(rid, self.row)]))
 
     def __repr__(self) -> str:

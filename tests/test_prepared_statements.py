@@ -599,8 +599,3 @@ class TestStatsEpoch:
         epoch = simple_db.engine.stats.epoch
         simple_db.execute("INSERT INTO EMP VALUES (91,'y',1,1)")
         assert simple_db.engine.stats.epoch == epoch
-
-    def test_subscribe_is_idempotent(self, simple_db):
-        listeners = len(simple_db.engine.catalog.delta_listeners)
-        simple_db.engine.stats.subscribe()
-        assert len(simple_db.engine.catalog.delta_listeners) == listeners

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TransactionError
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, ChangeSink
 from repro.storage.transactions import TransactionManager
 from repro.storage.types import Column, INTEGER, VARCHAR
 
@@ -149,8 +149,15 @@ class TestRunAtomic:
         assert table.lookup_pk((3,)) is not None
         assert table.lookup_pk((4,)) is None
 
-    def test_tables_created_after_begin_are_hooked(self, setup):
-        catalog, _table, manager = setup
+    def test_tables_created_after_begin_are_hooked(self):
+        class ForwardTableCreation(ChangeSink):
+            # The engine's wiring of this one event, without an engine.
+            def table_created(self, table):
+                manager.table_created(table)
+
+        catalog = Catalog()
+        catalog.sink = ForwardTableCreation()
+        manager = TransactionManager(catalog)
         manager.begin()
         late = catalog.create_table("LATE", [Column("A", INTEGER)])
         late.insert((1,))

@@ -287,15 +287,18 @@ class TestAtomicityAndDeltas:
         assert session.query(
             "SELECT SAL FROM EMP WHERE ENO = 1").rows == [(100,)]
 
-    def test_view_write_emits_table_deltas(self, session):
+    def test_view_write_emits_table_deltas(self, session, monkeypatch):
         session.execute("CREATE VIEW V (ID, PAY) AS"
                         " SELECT ENO, SAL FROM EMP")
         seen = []
-        session.engine.catalog.delta_listeners.append(seen.append)
-        try:
-            session.execute("UPDATE V SET PAY = 110 WHERE ID = 1")
-        finally:
-            session.engine.catalog.delta_listeners.remove(seen.append)
+        engine = session.engine
+        publish = engine.publish
+
+        def observe(delta):
+            seen.append(delta)
+            publish(delta)
+        monkeypatch.setattr(engine, "publish", observe)
+        session.execute("UPDATE V SET PAY = 110 WHERE ID = 1")
         assert [d.table for d in seen] == ["EMP"]
         (delta,) = seen
         assert len(delta.inserted) == 1 and len(delta.deleted) == 1

@@ -120,27 +120,41 @@ def test_empty_log_reopen(tmp_path):
 
 def test_double_reopen_idempotent(tmp_path):
     """Recovery of a recovered directory is a fixed point: same rows,
-    same LSN horizon, nothing re-replayed into duplicates."""
+    same LSN horizon, nothing re-replayed into duplicates.  Reopening
+    logs nothing: not the replayed DDL, and not the stale
+    re-registration of a materialized view."""
     dbdir = str(tmp_path / "db")
     engine = open_engine(dbdir)
     session = engine.connect()
     session.execute("CREATE TABLE T (A INT PRIMARY KEY, B INT)")
+    session.execute("CREATE INDEX IX_T_B ON T (B)")
+    session.execute("CREATE VIEW BIG AS SELECT A FROM T WHERE B > 15")
+    session.execute(
+        "CREATE MATERIALIZED VIEW MT AS OUT OF xt AS T TAKE *")
     for i in range(6):
         session.execute(f"INSERT INTO T VALUES ({i}, {i * 10})")
     session.execute("DELETE FROM T WHERE A = 2")
     expected = table_rows(engine, "T")
     engine.close()
+    log_size = os.path.getsize(rec.wal_path(dbdir))
 
     engine2 = open_engine(dbdir)
     assert table_rows(engine2, "T") == expected
+    assert engine2.matviews.has("MT")
     lsn = engine2.recovery.last_lsn
     engine2.close()
+    assert os.path.getsize(rec.wal_path(dbdir)) == log_size
 
     engine3 = open_engine(dbdir)
     assert table_rows(engine3, "T") == expected
     assert engine3.recovery.last_lsn == lsn
     assert engine3.recovery.torn_bytes == 0
+    assert engine3.catalog.index("IX_T_B") is not None
+    assert engine3.connect().query("SELECT A FROM BIG").rows \
+        == [(a,) for a, b in sorted(expected) if b > 15]
+    assert engine3.matviews.has("MT")
     engine3.close()
+    assert os.path.getsize(rec.wal_path(dbdir)) == log_size
 
 
 # ----------------------------------------------------------------------

@@ -102,7 +102,8 @@ class TestWriteBackRelocation:
         assert emp_row(session, 1) == (1, 1)
         assert emp_row(session, 2) == (2, 2)
 
-    def test_relocation_delta_is_delete_plus_insert(self, session):
+    def test_relocation_delta_is_delete_plus_insert(self, session,
+                                                    monkeypatch):
         target = moving_dept(session, 1)
         org_view(session)
         cache = session.open_cache("ORG")
@@ -110,12 +111,14 @@ class TestWriteBackRelocation:
         emp = next(o for o in classes["XEMP"].extent if o.eno == 1)
         emp.edno = target
         seen = []
-        listeners = session.engine.catalog.delta_listeners
-        listeners.append(seen.append)
-        try:
-            cache.write_back()
-        finally:
-            listeners.remove(seen.append)
+        engine = session.engine
+        publish = engine.publish
+
+        def observe(delta):
+            seen.append(delta)
+            publish(delta)
+        monkeypatch.setattr(engine, "publish", observe)
+        cache.write_back()
         (delta,) = [d for d in seen if d.table == "EMP"]
         # a cross-partition move is reported as delete + insert with
         # distinct RIDs, never an in-place update of a changed RID
