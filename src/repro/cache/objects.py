@@ -12,14 +12,15 @@ component, a slot-less subclass of
 :class:`~repro.cache.workspace.CachedObject`, and re-classes the
 workspace's objects (objects the workspace creates later are built as
 the generated class too).  An instance *is* the cached object, so a
-navigation step is a read of the object's swizzled partner list.  Each
+navigation step is a read of the object's swizzled partner tuple.  Each
 class carries
 
 * properties for every column (lower-cased attribute names),
 * navigation methods per outgoing relationship (named after the role:
   ``dept.employs()``) and per incoming relationship
-  (``emp.employs_parents()``), each returning a fresh list of the
-  cached partner objects themselves,
+  (``emp.employs_parents()``), each returning the stored immutable
+  tuple of the cached partner objects themselves (each write replaces
+  the tuple, so one held from before a write stays as it was),
 * ``update(**columns)``, ``delete()`` and ``insert_child(rel, **columns)``,
 * an ``Extent`` container per class holding all instances.
 
@@ -133,11 +134,11 @@ def _make_column_property(column: str, position: int):
 
 def _make_navigation(relationship: str, index: int, parents: bool):
     if parents:
-        def navigate(self) -> list:
-            return self.parent_lists[index][:]
+        def navigate(self) -> tuple:
+            return self.parent_lists[index]
     else:
-        def navigate(self) -> list:
-            return self.child_lists[index][:]
+        def navigate(self) -> tuple:
+            return self.child_lists[index]
     navigate.__doc__ = (f"{'parents' if parents else 'children'} via "
                         f"relationship {relationship}")
     return navigate

@@ -8,8 +8,10 @@ a given component by a specified relationship."
 
 Concretely: every component tuple becomes a :class:`CachedObject`;
 connection tuples are *swizzled* once, at load, into per-relationship
-child and parent lists the objects themselves hold.  The mutation
-operators keep those lists exact, so navigation never filters.  Local
+child and parent tuples the objects themselves hold.  The mutation
+operators keep those tuples exact, so navigation never filters, and
+each write replaces a tuple rather than editing it, so navigation
+returns the stored tuple as it is.  Local
 updates are recorded in an update log for later write-back (Sect. 2's
 CO update operators: insert/read/update/delete plus connect/disconnect).
 """
@@ -32,10 +34,11 @@ class CachedObject:
     Column values are accessible by subscript (``obj['ENAME']``) or as
     lowercase attributes (``obj.ename``), read-only through the latter;
     mutations go through :meth:`set` so they reach the update log.
-    ``child_lists`` / ``parent_lists`` hold one partner list per
-    relationship, at the positions ``workspace.outgoing`` /
-    ``workspace.incoming`` give: child objects for a binary
-    relationship, partner tuples for an n-ary one.
+    ``child_lists`` / ``parent_lists`` hold one immutable tuple of
+    partners per relationship, at the positions ``workspace.outgoing``
+    / ``workspace.incoming`` give: child objects for a binary
+    relationship, partner tuples for an n-ary one.  Each write replaces
+    the tuple, and a revert assigns the previous ones back.
     """
 
     __slots__ = ("workspace", "component", "oid", "values", "deleted",
@@ -49,8 +52,8 @@ class CachedObject:
         self.values = values
         self.deleted = False
         self.is_new = False
-        self.child_lists = [[] for _ in workspace.outgoing[component]]
-        self.parent_lists = [[] for _ in workspace.incoming[component]]
+        self.child_lists = [()] * len(workspace.outgoing[component])
+        self.parent_lists = [()] * len(workspace.incoming[component])
 
     # -- value access ----------------------------------------------------
     def _position(self, column: str) -> int:
@@ -89,16 +92,24 @@ class CachedObject:
         return dict(zip(columns, self.values))
 
     # -- navigation (swizzled pointers) ----------------------------------
-    def children(self, relationship: Optional[str] = None) -> list:
+    def children(self, relationship: Optional[str] = None) -> tuple:
         return self.workspace.children_of(self, relationship)
 
-    def parents(self, relationship: Optional[str] = None) -> list:
+    def parents(self, relationship: Optional[str] = None) -> tuple:
         return self.workspace.parents_of(self, relationship)
 
     def __repr__(self) -> str:
         flag = " deleted" if self.deleted else ""
         return (f"<{self.component}:{self.oid}{flag} "
                 f"{dict(list(self.as_dict().items())[:3])}>")
+
+
+def _replace(owner: list, index: int, partners: tuple,
+             undo: list) -> None:
+    """Store ``partners`` as ``owner[index]``, recording the tuple it
+    replaces in ``undo``."""
+    undo.append((owner, index, owner[index]))
+    owner[index] = partners
 
 
 @dataclass
@@ -108,8 +119,8 @@ class LogEntry:
     operation: str  # update | insert | delete | connect | disconnect
     target: str  # component or relationship name
     payload: dict = field(default_factory=dict)
-    #: navigation-list edits made, oldest first: (list, position,
-    #: removed item, or None for an append) — what a revert replays
+    #: partner tuples replaced, oldest first: (owner's list of tuples,
+    #: index, previous tuple) — what a revert assigns back
     undo: list = field(default_factory=list, repr=False, compare=False)
 
 
@@ -178,6 +189,10 @@ class Workspace:
         for name, stream in result.relationships.items():
             width = 1 + len(stream.children)
             binary = width == 2
+            # Partners gathered per object, then stored as one tuple
+            # each (objects hash by identity).
+            down: dict[CachedObject, list] = {}
+            up: dict[CachedObject, list] = {}
             for connection in stream.connections:
                 parent = self.by_oid.get((stream.parent, connection[0]))
                 child_objects = [self.by_oid.get(key) for key in zip(
@@ -187,13 +202,10 @@ class Workspace:
                     # cannot be swizzled (projection dropped a partner).
                     self.dangling_connections += 1
                     continue
-                parent.child_lists[self.outgoing[stream.parent][name]] \
-                    .append(child_objects[0] if binary
-                            else tuple(child_objects))
+                down.setdefault(parent, []).append(
+                    child_objects[0] if binary else tuple(child_objects))
                 for child in child_objects:
-                    child.parent_lists[
-                        self.incoming[child.component][name]
-                    ].append(parent)
+                    up.setdefault(child, []).append(parent)
                 if stream.attribute_names:
                     key = (name, id(parent),
                            tuple(id(c) for c in child_objects))
@@ -201,6 +213,12 @@ class Workspace:
                         key, []).append(dict(
                             zip(stream.attribute_names,
                                 connection[width:])))
+            for parent, items in down.items():
+                parent.child_lists[self.outgoing[parent.component][name]] = \
+                    tuple(items)
+            for child, parents in up.items():
+                child.parent_lists[self.incoming[child.component][name]] = \
+                    tuple(parents)
 
     # ------------------------------------------------------------------
     # Browsing
@@ -237,28 +255,30 @@ class Workspace:
                 if all(obj.get(c) == v for c, v in wanted.items())]
 
     def children_of(self, obj: CachedObject,
-                    relationship: Optional[str] = None) -> list:
-        """Child objects connected to ``obj`` (a fresh list).
+                    relationship: Optional[str] = None) -> tuple:
+        """Child objects connected to ``obj``: the stored immutable
+        tuple, which later writes replace rather than edit.
 
         For binary relationships returns the child objects; for n-ary
         relationships returns tuples of partners.  Without an explicit
-        relationship name, all outgoing relationships contribute.
+        relationship name, all outgoing relationships contribute (a new
+        tuple).
         """
         return self._partners(obj.child_lists,
                               self.outgoing[obj.component], relationship)
 
     def parents_of(self, obj: CachedObject,
                    relationship: Optional[str] = None
-                   ) -> list[CachedObject]:
+                   ) -> tuple[CachedObject, ...]:
         return self._partners(obj.parent_lists,
                               self.incoming[obj.component], relationship)
 
     def _partners(self, lists: list, positions: dict,
-                  relationship: Optional[str]) -> list:
+                  relationship: Optional[str]) -> tuple:
         if relationship is None:
-            return [p for partners in lists for p in partners]
+            return tuple(itertools.chain.from_iterable(lists))
         index = positions.get(self._relationship(relationship))
-        return [] if index is None else lists[index][:]
+        return () if index is None else lists[index]
 
     def connection_attributes(self, relationship: str,
                               parent: CachedObject,
@@ -333,9 +353,9 @@ class Workspace:
                 undo: list) -> None:
         """Connect ``child`` along the foreign-key relationship ``name``
         to exactly the cached parents its key columns now equal (none
-        while a column is NULL), recording each edit in ``undo``.  A
-        parent that is not cached is not linked: an extraction would
-        not reach the child through it either."""
+        while a column is NULL), recording each replaced tuple in
+        ``undo``.  A parent that is not cached is not linked: an
+        extraction would not reach the child through it either."""
         parent_component = self.relationship_parent[name]
         key = [child.get(child_column) for child_column, _ in pairs]
         wanted = [] if None in key else [
@@ -343,18 +363,19 @@ class Workspace:
             if not parent.deleted and all(
                 parent.get(parent_column) == value
                 for (_, parent_column), value in zip(pairs, key))]
-        parents = child.parent_lists[self.incoming[child.component][name]]
+        up = self.incoming[child.component][name]
+        parents = child.parent_lists[up]
         at = self.outgoing[parent_component][name]
         for parent in [p for p in parents if p not in wanted]:
-            siblings = parent.child_lists[at]
-            self._drop(name, parent, siblings, siblings.index(child), undo)
+            self._drop(name, parent, at,
+                       parent.child_lists[at].index(child), undo)
         for parent in wanted:
             if parent in parents:
                 continue
-            for items, added in ((parent.child_lists[at], child),
-                                 (parents, parent)):
-                items.append(added)
-                undo.append((items, len(items) - 1, None))
+            _replace(parent.child_lists, at,
+                     parent.child_lists[at] + (child,), undo)
+            _replace(child.parent_lists, up,
+                     child.parent_lists[up] + (parent,), undo)
 
     def insert_object(self, component: str, values: dict) -> CachedObject:
         name = component.upper()
@@ -394,19 +415,18 @@ class Workspace:
         })
         for name, index in self.outgoing[obj.component].items():
             children = obj.child_lists[index]
-            while children:
-                self._drop(name, obj, children, len(children) - 1,
-                           entry.undo)
+            if children:
+                _replace(obj.child_lists, index, (), entry.undo)
+                self._unlink_children(name, obj, children, entry.undo)
         for name, index in self.incoming[obj.component].items():
-            parents = obj.parent_lists[index]
-            while parents:
-                siblings = parents[-1].child_lists[
-                    self.outgoing[parents[-1].component][name]]
-                position = next(i for i, item in enumerate(siblings)
-                                if item is obj or (type(item) is tuple
-                                                   and obj in item))
-                self._drop(name, parents[-1], siblings, position,
-                           entry.undo)
+            while obj.parent_lists[index]:
+                parent = obj.parent_lists[index][-1]
+                at = self.outgoing[parent.component][name]
+                position = next(
+                    i for i, item in enumerate(parent.child_lists[at])
+                    if item is obj or (type(item) is tuple
+                                       and obj in item))
+                self._drop(name, parent, at, position, entry.undo)
         self.log.append(entry)
 
     def connect(self, relationship: str, parent: CachedObject,
@@ -430,44 +450,55 @@ class Workspace:
         if parent.deleted or any(c.deleted for c in children):
             raise CacheError("cannot connect a deleted object")
         item = children[0] if len(children) == 1 else tuple(children)
-        siblings = parent.child_lists[self.outgoing[parent.component][name]]
+        at = self.outgoing[parent.component][name]
+        siblings = parent.child_lists[at]
         if item in siblings:
             return
         entry = LogEntry("connect", name, {
             "parent": parent, "children": tuple(children),
         })
-        for items, added in [(siblings, item)] + [
-                (c.parent_lists[self.incoming[c.component][name]], parent)
-                for c in children]:
-            items.append(added)
-            entry.undo.append((items, len(items) - 1, None))
+        _replace(parent.child_lists, at, siblings + (item,), entry.undo)
+        for child in children:
+            up = self.incoming[child.component][name]
+            _replace(child.parent_lists, up,
+                     child.parent_lists[up] + (parent,), entry.undo)
         self.log.append(entry)
 
     def disconnect(self, relationship: str, parent: CachedObject,
                    *children: CachedObject) -> None:
         name = self._relationship(relationship)
         item = children[0] if len(children) == 1 else tuple(children)
-        index = self.outgoing[parent.component].get(name)
-        siblings = [] if index is None else parent.child_lists[index]
+        at = self.outgoing[parent.component].get(name)
+        siblings = () if at is None else parent.child_lists[at]
         if item not in siblings:
             raise CacheError("no such connection to disconnect")
         entry = LogEntry("disconnect", name, {
             "parent": parent, "children": tuple(children),
         })
-        self._drop(name, parent, siblings, siblings.index(item),
-                   entry.undo)
+        self._drop(name, parent, at, siblings.index(item), entry.undo)
         self.log.append(entry)
 
-    def _drop(self, name: str, parent: CachedObject, siblings: list,
+    def _drop(self, name: str, parent: CachedObject, at: int,
               position: int, undo: list) -> None:
-        """Unlink the connection at ``siblings[position]`` (``parent``'s
-        children along ``name``), recording each edit in ``undo``."""
-        item = siblings.pop(position)
-        undo.append((siblings, position, item))
-        for child in (item if type(item) is tuple else (item,)):
-            parents = child.parent_lists[self.incoming[child.component][name]]
-            at = parents.index(parent)
-            undo.append((parents, at, parents.pop(at)))
+        """Unlink the connection at ``parent.child_lists[at][position]``
+        (``parent``'s children along ``name``), recording each replaced
+        tuple in ``undo``."""
+        siblings = parent.child_lists[at]
+        _replace(parent.child_lists, at,
+                 siblings[:position] + siblings[position + 1:], undo)
+        self._unlink_children(name, parent, (siblings[position],), undo)
+
+    def _unlink_children(self, name: str, parent: CachedObject,
+                         items: tuple, undo: list) -> None:
+        """Take ``parent`` once out of the parent tuple of every child
+        of the connections ``items`` (along ``name``)."""
+        for item in items:
+            for child in (item if type(item) is tuple else (item,)):
+                up = self.incoming[child.component][name]
+                parents = child.parent_lists[up]
+                position = parents.index(parent)
+                _replace(child.parent_lists, up,
+                         parents[:position] + parents[position + 1:], undo)
 
     @property
     def dirty(self) -> bool:

@@ -96,12 +96,23 @@ class HashIndex:
         bucket.append(rid)
 
     def rebuild(self, table: Table) -> None:
+        # :meth:`_file` inlined, saving a method call per row.
         buckets: dict[tuple, list[Rid]] = {}
-        file = self._file
+        get = buckets.get
+        unique = self.unique
         for chunk in table.scan_batches(_REBUILD_BATCH):
             for key, rid in zip(*self._chunk_keys(chunk)):
-                if None not in key:
-                    file(buckets, key, rid)
+                if None in key:
+                    continue
+                bucket = get(key)
+                if bucket is None:
+                    buckets[key] = [rid]
+                elif unique:
+                    # The first repeat in scan order: ``_file`` raises
+                    # the error an insert of this row would.
+                    self._file(buckets, key, rid)
+                else:
+                    bucket.append(rid)
         self._buckets = buckets
         self._order = None
 

@@ -393,16 +393,14 @@ def revert_entries(workspace, entries) -> None:
 
     Only sound for entries sliced off the log tail immediately after
     the mutation (write-through discipline): nothing else has observed
-    the provisional state yet.  Every navigation list comes back
-    exactly as it was, order included.
+    the provisional state yet.  Each write replaced partner tuples; the
+    revert assigns the previous ones back, newest first, so every
+    navigation tuple comes back exactly as it was, order included.
     """
     for entry in reversed(entries):
         payload = entry.payload
-        for items, position, removed in reversed(entry.undo):
-            if removed is None:
-                del items[position]
-            else:
-                items.insert(position, removed)
+        for owner, index, previous in reversed(entry.undo):
+            owner[index] = previous
         if entry.operation == "update":
             obj = workspace.by_oid[(entry.target, payload["oid"])]
             obj.values[obj._position(payload["column"])] = payload["old"]

@@ -66,7 +66,7 @@ class TestDependentCursor:
     def test_children_of_parent(self, workspace):
         dept = workspace.extent("xdept")[0]
         cursor = DependentCursor(workspace, "employment", dept)
-        assert list(cursor) == dept.children("employment")
+        assert tuple(cursor) == dept.children("employment")
 
     def test_repositioning(self, workspace):
         depts = workspace.extent("xdept")

@@ -126,8 +126,8 @@ def check_lists(workspace) -> None:
 
 def snapshot(workspace) -> list:
     return [(obj, obj.deleted, list(obj.values),
-             [items[:] for items in obj.child_lists],
-             [items[:] for items in obj.parent_lists])
+             list(obj.child_lists),
+             list(obj.parent_lists))
             for bucket in workspace.objects.values() for obj in bucket]
 
 

@@ -110,8 +110,8 @@ class TestWriteThrough:
 
 
 def lists_of(cache) -> list:
-    return [(obj, obj.deleted, [items[:] for items in obj.child_lists],
-             [items[:] for items in obj.parent_lists])
+    return [(obj, obj.deleted, list(obj.child_lists),
+             list(obj.parent_lists))
             for bucket in cache.workspace.objects.values()
             for obj in bucket]
 
@@ -195,7 +195,7 @@ class TestForeignKeyAssignment:
         if not write_through:
             cache.write_back()
         assert base_emp(org_db, emp.eno)[1] == 2
-        assert emp.employs_parents() == [depts[2]]
+        assert emp.employs_parents() == (depts[2],)
         assert emp not in depts[1].employs()
         assert emp in depts[2].employs()
         assert self.fresh_parents(org_db, emp.eno) == [2]
@@ -209,13 +209,13 @@ class TestForeignKeyAssignment:
         if not write_through:
             cache.write_back()
         assert base_emp(org_db, emp.eno)[1] == edno
-        assert emp.employs_parents() == []
+        assert emp.employs_parents() == ()
         assert emp not in depts[1].employs()
         assert self.fresh_parents(org_db, emp.eno) == []
         emp.edno = 1
         if not write_through:
             cache.write_back()
-        assert emp.employs_parents() == [depts[1]]
+        assert emp.employs_parents() == (depts[1],)
 
     def test_reverted_assignment_restores_lists(self, org_db,
                                                 write_through):
@@ -224,7 +224,7 @@ class TestForeignKeyAssignment:
         with pytest.raises(RuntimeError):
             with cache.one_write():
                 emp.edno = 2
-                assert emp.employs_parents() == [depts[2]]
+                assert emp.employs_parents() == (depts[2],)
                 raise RuntimeError("abandon the write")
         assert lists_of(cache) == before
         assert emp.edno == 1 and not cache.dirty

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api.gateway import ObjectGateway
-from repro.errors import CacheError
+from repro.errors import CacheError, ViewUpdateError
 from repro.cache.objects import bind_classes
 
 
@@ -157,6 +157,8 @@ class TestCachedInstances:
                            zip(emp.possesses(), emp.children("empproperty")))
 
     def test_mutating_a_returned_list_leaves_the_graph(self, bound):
+        """Navigation returns immutable tuples: an attempt to edit one
+        fails and the graph is as it was."""
         cache, classes = bound
         dept = next(d for d in classes["XDEPT"].extent if d.employs())
         emp = dept.employs()[0]
@@ -164,11 +166,141 @@ class TestCachedInstances:
         for returned in (dept.employs(), emp.employs_parents(),
                          dept.children(), dept.children("employment"),
                          emp.parents("employment")):
-            returned.clear()
-            returned.append(dept)
+            with pytest.raises(AttributeError):
+                returned.clear()
+            with pytest.raises(AttributeError):
+                returned.append(dept)
         assert (dept.employs(), emp.employs_parents(),
                 dept.children()) == before
         assert not cache.dirty
+
+
+def partner_tuples(cache) -> list:
+    """Every object's child and parent tuples, contents and order."""
+    return [(obj, obj.deleted, list(obj.child_lists),
+             list(obj.parent_lists))
+            for bucket in cache.workspace.objects.values()
+            for obj in bucket]
+
+
+@pytest.mark.parametrize("write_through", (False, True))
+class TestNavigationTuples:
+    """Navigation hands out the stored partner tuple itself; a write
+    replaces the tuple, so one held from before the write is a stable
+    snapshot, and a revert puts every previous tuple back."""
+
+    @staticmethod
+    def open(org_db, write_through):
+        cache = org_db.open_cache("deps_arc", write_through=write_through)
+        classes = bind_classes(cache)
+        depts = sorted((d for d in classes["XDEPT"].extent if d.employs()),
+                       key=lambda d: d.dno)
+        return cache, classes, depts
+
+    def test_navigation_returns_the_stored_tuple(self, org_db,
+                                                 write_through):
+        _cache, _classes, depts = self.open(org_db, write_through)
+        dept = depts[0]
+        emp = dept.employs()[0]
+        assert dept.employs() is dept.employs()
+        assert dept.children("employment") is dept.employs()
+        assert emp.employs_parents() is emp.parents("employment")
+        for returned in (dept.employs(), emp.employs_parents(),
+                         emp.possesses(), dept.children(),
+                         emp.parents()):
+            assert type(returned) is tuple
+            with pytest.raises(AttributeError):
+                returned.append(emp)
+
+    def test_held_tuples_survive_connect(self, org_db, write_through):
+        cache, classes, _depts = self.open(org_db, write_through)
+        emp = next(iter(classes["XEMP"].extent))
+        skill = next(s for s in classes["XSKILLS"].extent
+                     if s not in emp.possesses())
+        held = (emp.possesses(), skill.possesses_parents())
+        cache.connect("empproperty", emp, skill)
+        assert (emp.possesses(), skill.possesses_parents()) \
+            == (held[0] + (skill,), held[1] + (emp,))
+        assert skill not in held[0] and emp not in held[1]
+
+    def test_held_tuples_survive_disconnect(self, org_db, write_through):
+        cache, _classes, depts = self.open(org_db, write_through)
+        dept = depts[0]
+        emp = dept.employs()[0]
+        held = (dept.employs(), emp.employs_parents())
+        cache.disconnect("employment", dept, emp)
+        assert held == ((emp,) + dept.employs(), (dept,))
+        assert emp not in dept.employs()
+        assert emp.employs_parents() == ()
+
+    def test_held_tuples_survive_delete(self, org_db, write_through):
+        cache, _classes, depts = self.open(org_db, write_through)
+        dept = depts[0]
+        emp = dept.employs()[-1]
+        if write_through:
+            # The base refuses to delete an employee who has skills.
+            for skill in emp.possesses():
+                cache.disconnect("empproperty", emp, skill)
+        skills = emp.possesses()
+        held = (dept.employs(), emp.employs_parents(), skills,
+                [s.possesses_parents() for s in skills])
+        emp.delete()
+        assert held[0] == dept.employs() + (emp,)
+        assert held[1] == (dept,) and held[2] == skills
+        assert all(emp in parents for parents in held[3])
+        assert (emp.employs_parents(), emp.possesses()) == ((), ())
+        assert all(emp not in s.possesses_parents() for s in skills)
+
+    def test_held_tuples_survive_foreign_key_reassignment(
+            self, org_db, write_through):
+        cache, _classes, depts = self.open(org_db, write_through)
+        old, new = depts[0], depts[1]
+        emp = old.employs()[0]
+        held = (old.employs(), new.employs(), emp.employs_parents())
+        emp.edno = new.dno
+        if not write_through:
+            cache.write_back()
+        assert held[2] == (old,) and emp.employs_parents() == (new,)
+        assert emp in held[0] and emp not in old.employs()
+        assert emp not in held[1] and new.employs() == held[1] + (emp,)
+
+    def test_abandoned_write_restores_every_tuple(self, org_db,
+                                                  write_through):
+        cache, classes, depts = self.open(org_db, write_through)
+        before = partner_tuples(cache)
+        with pytest.raises(RuntimeError):
+            with cache.one_write():
+                edit_every_way(cache, classes, depts)
+                raise RuntimeError("abandon the write")
+        assert partner_tuples(cache) == before
+        assert not cache.dirty
+
+
+def test_refused_write_through_restores_every_tuple(org_db):
+    cache, classes, depts = TestNavigationTuples.open(org_db, True)
+    before = partner_tuples(cache)
+    with pytest.raises(ViewUpdateError):
+        with cache.one_write():
+            edit_every_way(cache, classes, depts)
+            taken = next(iter(classes["XEMP"].extent)).eno
+            classes["XEMP"].extent.insert(ENO=taken, ENAME="dup", SAL=1)
+    assert partner_tuples(cache) == before
+    assert not cache.dirty
+
+
+def edit_every_way(cache, classes, depts) -> None:
+    """One of each graph write: connect, disconnect, delete, foreign-key
+    reassignment and insert-and-connect."""
+    first, second = depts[0], depts[1]
+    emp = first.employs()[0]
+    skill = next(s for s in classes["XSKILLS"].extent
+                 if s not in emp.possesses())
+    cache.connect("empproperty", emp, skill)
+    cache.disconnect("employment", first, first.employs()[-1])
+    second.employs()[0].delete()
+    emp.edno = second.dno
+    first.insert_child("employs", ENO=9901, ENAME="new", SAL=1)
+    assert emp.employs_parents() == (second,)
 
 
 COLLIDING = ("OID", "VALUES", "DELETED", "COMPONENT", "DELETE", "UPDATE")

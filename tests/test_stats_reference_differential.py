@@ -296,3 +296,27 @@ def test_analyze_makes_no_row_scan(monkeypatch):
                                       original(self))[1])
     assert stats.analyze_table(table).cardinality == len(table)
     assert calls == []
+
+
+@pytest.mark.parametrize("partitioned", (False, True))
+def test_hash_index_rebuild_files_no_row_through_the_shared_step(
+        monkeypatch, partitioned):
+    """A rebuild of a non-unique index, repeated keys included, files
+    its rows inline: the per-row step an insert takes is never called."""
+    table = make_table(random.Random(BASE_SEED), 3000, True, partitioned)
+    calls = []
+    original = HashIndex._file
+    monkeypatch.setattr(HashIndex, "_file",
+                        lambda self, buckets, key, rid: (
+                            calls.append(rid),
+                            original(self, buckets, key, rid)))
+    repeated = [index for index in table.indexes
+                if not index.unique and isinstance(index, HashIndex)
+                and not isinstance(index, PrimaryKeyIndex)]
+    assert repeated
+    for index in repeated:
+        want = reference.hash_buckets(index, table)
+        index.rebuild(table)
+        assert list(index._buckets.items()) == list(want.items())
+        assert any(len(rids) > 1 for rids in index._buckets.values())
+    assert calls == []
