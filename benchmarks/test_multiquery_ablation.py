@@ -25,10 +25,10 @@ from repro.xnf.result import XNFExecutable
 
 def executables(db):
     shared = db.xnf_executable("deps_arc")
-    translated = db.xnf_executable("deps_arc").translated
     unshared = XNFExecutable(
-        translated, db.engine.catalog, db.engine.stats,
+        shared.translated, db.engine.catalog, db.engine.stats,
         PlannerOptions(share_common_subexpressions=False),
+        bindings=shared.bindings,
     )
     return shared, unshared
 

@@ -68,7 +68,7 @@ from repro.storage.table import TableReadView, read_views
 from repro.storage.transactions import Transaction, TransactionManager
 from repro.storage.wal import WriteAheadLog
 from repro.xnf.result import XNFExecutable
-from repro.xnf.translate import XNFOptions, XNFTranslator
+from repro.xnf.translate import TranslatedXNF, XNFOptions, XNFTranslator
 
 
 class _StatementLatch:
@@ -282,8 +282,15 @@ class Engine(ChangeSink):
         # module's siblings).
         from repro.viewupdate.executor import ViewUpdateManager
         self.viewupdates = ViewUpdateManager(self)
+        # A materialized view compiles its lifted definition with the
+        # output optimization off: its stored form always carries
+        # explicit connection streams, the form the delta engine keeps.
+        matview_options = XNFOptions(
+            output_optimization=False,
+            apply_nf_rewrite=self.xnf_options.apply_nf_rewrite)
         self.matviews = MaterializedViewRegistry(
-            self.catalog, self._matview_executable)
+            self.catalog, lambda query: self.compile_xnf(
+                query, "XNF", matview_options))
         self._statement_latch = _StatementLatch(lock_timeout)
         self._writer_latch = _WriterLatch(lock_timeout)
         self._sessions: list = []
@@ -683,87 +690,63 @@ class Engine(ChangeSink):
                                        ParameterizedStatement],
                     view_name: str,
                     xnf_options: Optional[XNFOptions] = None
-                    ) -> tuple[XNFExecutable, dict]:
-        """Compile an ad-hoc XNF query through the shared plan cache.
+                    ) -> XNFExecutable:
+        """Compile an XNF query through the shared plan cache: the one
+        compile entry point of every XNF consumer.
 
         The query is auto-parameterized first, so every literal variant
         of one CO-query shape (``dno BETWEEN 3 AND 5``, ``... 7 AND 9``)
         shares one executable across *all* sessions; a query the front
-        end lifted already is taken as it is.  Returns the executable
-        plus the lifted literals' bindings; run it with
-        ``executable.run(executable.plan.new_context(bindings))``.  With
-        the cache disabled a literal query is not lifted and the
-        bindings are empty.
+        end lifted already is taken as it is.  The executable comes back
+        bound to the lifted literals' values (see
+        :meth:`XNFExecutable.bind`): ``run()`` needs no arguments, and
+        code evaluating its predicates outside a plan does so against
+        ``executable.new_context()``.  With the cache disabled a literal
+        query is not lifted and compiles with empty bindings.
         """
-        if isinstance(query, ParameterizedStatement):
-            parameterized = query
-        elif not self.pipeline.plan_cache.enabled:
-            return self.compile_xnf_inline(query, view_name,
-                                           xnf_options), {}
-        else:
-            parameterized = parameterize_xnf(query)
-        executable = self._compile_xnf_cached(
-            parameterized.statement, view_name,
-            xnf_options or self.xnf_options, parameterized.bindings,
-            parameterized.key)
-        return executable, parameterized.bindings
-
-    def compile_xnf_inline(self, query: ast.XNFQuery, view_name: str,
-                           xnf_options: Optional[XNFOptions] = None
-                           ) -> XNFExecutable:
-        """Compile an XNF query with its literals left inline.
-
-        For consumers that keep the executable and evaluate its
-        predicates outside the plan with an empty execution context —
-        the matview delta engine, ``open_cache`` updatability, the
-        public ``xnf_executable()``.  Still read through the plan cache
-        (repeated ``open_cache()`` calls over one view are hot for
-        gateway navigation), keyed on the literal query.
-        """
-        return self._compile_xnf_cached(query, view_name,
-                                        xnf_options or self.xnf_options)
-
-    def _compile_xnf_cached(self, query: ast.XNFQuery, view_name: str,
-                            options: XNFOptions,
-                            peek: Optional[dict] = None,
-                            hashed=None) -> XNFExecutable:
+        options = xnf_options or self.xnf_options
+        if not isinstance(query, ParameterizedStatement):
+            query = parameterize_xnf(query) \
+                if self.pipeline.plan_cache.enabled \
+                else ParameterizedStatement(query, key=query)
+        bindings = query.bindings
         # Entries invalidate with the catalog schema version (view/DDL
         # changes) and the statistics epoch like any cached plan.
-        # ``hashed`` is the lifted query's pre-hashed key, when known.
         key = self.pipeline.cache_key(
-            "xnf", query if hashed is None else hashed, view_name,
-            options.output_optimization, options.apply_nf_rewrite)
-        return self.pipeline.cached_compile(
+            "xnf", query.key, view_name, options.output_optimization,
+            options.apply_nf_rewrite)
+        executable = self.pipeline.cached_compile(
             key,
-            lambda: self._compile_xnf_fresh(query, view_name, options,
-                                            peek),
+            lambda: XNFExecutable(
+                self._translate_xnf(query.statement, view_name, options),
+                self.catalog, self.stats, self.pipeline_options.planner,
+                bindings=bindings),
             tables_of=lambda executable: self.pipeline.graph_tables(
                 executable.translated.graph),
         )
+        return executable.bind(bindings)
 
-    def _compile_xnf_fresh(self, query: ast.XNFQuery, view_name: str,
-                           options: XNFOptions,
-                           peek: Optional[dict] = None) -> XNFExecutable:
-        graph = self.pipeline.compiler.build_xnf(query,
-                                                 view_name=view_name)
-        translator = XNFTranslator(self.catalog, options,
-                                   compiler=self.pipeline.compiler)
-        translated = translator.translate(graph)
-        return XNFExecutable(translated, self.catalog, self.stats,
-                             self.pipeline_options.planner, peek=peek)
+    def _translate_xnf(self, query: ast.XNFQuery, view_name: str,
+                       options: XNFOptions) -> TranslatedXNF:
+        """Build an XNF query's QGM and translate it (Sect. 4), with no
+        plan-cache read."""
+        compiler = self.pipeline.compiler
+        return XNFTranslator(self.catalog, options,
+                             compiler=compiler).translate(
+            compiler.build_xnf(query, view_name=view_name))
 
-    def _matview_executable(self, query: ast.XNFQuery) -> XNFExecutable:
-        """Compile a materialized view's definition.
-
-        The output optimization is disabled so the stored representation
-        always carries explicit connection streams — the canonical form
-        the delta engine maintains.
-        """
-        options = XNFOptions(
-            output_optimization=False,
-            apply_nf_rewrite=self.xnf_options.apply_nf_rewrite,
-        )
-        return self.compile_xnf_inline(query, "XNF", xnf_options=options)
+    def translate_xnf_component(self, view, component: str) -> tuple:
+        """``(translation, component info)`` of one component of the
+        stored XNF view ``view``.  Translated afresh, not read through
+        the plan cache: the caller splices the component's box into
+        another graph."""
+        translated = self._translate_xnf(view.definition, view.name,
+                                         self.xnf_options)
+        info = translated.components.get(component.upper())
+        if info is None:
+            raise CatalogError(
+                f"XNF view {view.name!r} has no component {component!r}")
+        return translated, info
 
     def resolve_xnf_component(self, view_name: str,
                               component: str) -> Box:
@@ -773,17 +756,7 @@ class Engine(ChangeSink):
         view = self.catalog.view(view_name)
         if not view.is_xnf:
             raise SemanticError(f"{view_name!r} is not an XNF view")
-        graph = self.pipeline.compiler.build_xnf(view.definition,
-                                                 view_name=view.name)
-        translated = XNFTranslator(
-            self.catalog, self.xnf_options,
-            compiler=self.pipeline.compiler).translate(graph)
-        key = component.upper()
-        info = translated.components.get(key)
-        if info is None:
-            raise CatalogError(
-                f"XNF view {view_name!r} has no component {component!r}"
-            )
+        translated, info = self.translate_xnf_component(view, component)
         if translated.recursive:
             raise SemanticError(
                 "components of recursive XNF views cannot be composed "
@@ -791,27 +764,24 @@ class Engine(ChangeSink):
             )
         return info.final_box
 
-    def xnf_query_of(self, source: Union[str, FrontEndStatement],
-                     literal: bool = False
+    def xnf_query_of(self, source: Union[str, FrontEndStatement]
                      ) -> tuple[FrontEndStatement, str]:
         """``(query, view name)`` for an XNF view name, query text or
         query AST.
 
-        Text goes through the front end, so it may come back lifted.
-        With ``literal=True`` it is parsed in full and never lifted:
-        for consumers that keep the query (a materialized view's
-        definition) or evaluate its predicates outside a plan.
+        A view name gives the view's stored (literal) definition; text
+        goes through the front end, so it may come back lifted.  Either
+        form goes to :meth:`compile_xnf` as it is.
         """
-        if not isinstance(source, str):
-            return source, "XNF"
-        text = source.strip()
-        if " " not in text and self.catalog.has_view(text):
-            view = self.catalog.view(text)
-            if not view.is_xnf:
-                raise SemanticError(f"view {text!r} is not an XNF view")
-            return view.definition, view.name
-        statement = parser.parse_statement(source) if literal \
-            else self.parse(source)
-        if not isinstance(statement_of(statement), ast.XNFQuery):
+        if isinstance(source, str):
+            text = source.strip()
+            if " " not in text and self.catalog.has_view(text):
+                view = self.catalog.view(text)
+                if not view.is_xnf:
+                    raise SemanticError(
+                        f"view {text!r} is not an XNF view")
+                return view.definition, view.name
+            source = self.parse(source)
+        if not isinstance(statement_of(source), ast.XNFQuery):
             raise SemanticError("expected an XNF query (OUT OF ... TAKE)")
-        return statement, "XNF"
+        return source, "XNF"

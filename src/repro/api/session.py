@@ -431,16 +431,33 @@ class Session:
     # ------------------------------------------------------------------
     # XNF entry points
     # ------------------------------------------------------------------
+    def _written_xnf(self, source: Union[str, ast.XNFQuery]
+                     ) -> tuple[FrontEndStatement, str]:
+        """:meth:`Engine.xnf_query_of` with text parsed as written, not
+        lifted: for a matview's catalog definition and the reference
+        evaluator."""
+        if isinstance(source, str) \
+                and not self.engine.catalog.has_view(source.strip()):
+            source = parse_statement(source)
+        return self.engine.xnf_query_of(source)
+
+    def _compiled_xnf(self, source: Union[str, ast.XNFQuery], use,
+                      xnf_options: Optional[XNFOptions] = None):
+        """``use(executable)`` of ``source``'s bound executable,
+        compiled through the plan cache, under one shared latch hold."""
+        self._check_open()
+        engine = self.engine
+        query, view_name = engine.xnf_query_of(source)
+        return engine.read(self, lambda: use(engine.compile_xnf(
+            query, view_name, xnf_options or self.xnf_options)))
+
     def xnf_executable(self, source: Union[str, ast.XNFQuery],
                        xnf_options: Optional[XNFOptions] = None,
                        ) -> XNFExecutable:
-        """Compile an XNF query (text, view name, or AST) to plans."""
-        self._check_open()
-        engine = self.engine
-        query, view_name = engine.xnf_query_of(source, literal=True)
-        return engine.read(
-            self, lambda: engine.compile_xnf_inline(
-                query, view_name, xnf_options or self.xnf_options))
+        """Compile an XNF query (text, view name, or AST) to plans,
+        bound to its literals' values: ``run()`` takes no arguments."""
+        return self._compiled_xnf(source, lambda executable: executable,
+                                  xnf_options)
 
     def run_xnf_query(self, source: Union[str, FrontEndStatement]
                       ) -> COResult:
@@ -456,22 +473,19 @@ class Session:
         materialized = engine.matviews.lookup_query(query)
         if materialized is not None:
             return engine.matview_read(self, materialized.read)
-
-        def run():
-            executable, bindings = engine.compile_xnf(
-                query, view_name, self.xnf_options)
-            return executable.run(executable.plan.new_context(bindings))
-        return engine.read(self, run)
+        return engine.read(self, lambda: engine.compile_xnf(
+            query, view_name, self.xnf_options).run())
 
     def xnf(self, source: Union[str, ast.XNFQuery]) -> COResult:
         """Materialize a CO view (alias of :meth:`run_xnf_query`)."""
         return self.run_xnf_query(source)
 
     def xnf_naive(self, source: Union[str, ast.XNFQuery]) -> COResult:
-        """Evaluate with the reference (unoptimized) evaluator."""
+        """Evaluate with the reference (unoptimized) evaluator, over
+        the query as written."""
         self._check_open()
         engine = self.engine
-        query, view_name = engine.xnf_query_of(source, literal=True)
+        query, view_name = self._written_xnf(source)
 
         def run():
             graph = engine.pipeline.compiler.build_xnf(
@@ -489,17 +503,10 @@ class Session:
         With ``write_through=True`` every local mutation is put back
         immediately instead of batching until ``write_back()``.
         """
-        self._check_open()
-        engine = self.engine
-        query, view_name = engine.xnf_query_of(source, literal=True)
-
-        def run():
-            executable = engine.compile_xnf_inline(query, view_name,
-                                                   self.xnf_options)
-            return XNFCache.evaluate(executable, catalog=engine.catalog,
-                                     transactions=_SessionWriteBack(self),
-                                     write_through=write_through)
-        return engine.read(self, run)
+        return self._compiled_xnf(source, lambda executable: (
+            XNFCache.evaluate(executable, catalog=self.engine.catalog,
+                              transactions=_SessionWriteBack(self),
+                              write_through=write_through)))
 
     def load_cache(self, path: str,
                    source: Union[str, ast.XNFQuery]) -> XNFCache:
@@ -509,17 +516,10 @@ class Session:
         transaction scope under the engine's write protocol."""
         self._check_open()
         snapshot = read_snapshot(path)
-        engine = self.engine
-        query, view_name = engine.xnf_query_of(source, literal=True)
-
-        def run():
-            executable = engine.compile_xnf_inline(query, view_name,
-                                                   self.xnf_options)
-            return XNFCache.restore(snapshot,
-                                    translated=executable.translated,
-                                    catalog=engine.catalog,
-                                    transactions=_SessionWriteBack(self))
-        return engine.read(self, run)
+        return self._compiled_xnf(source, lambda executable: (
+            XNFCache.restore(snapshot, executable=executable,
+                             catalog=self.engine.catalog,
+                             transactions=_SessionWriteBack(self))))
 
     # ------------------------------------------------------------------
     # Materialized XNF views
@@ -538,7 +538,7 @@ class Session:
         """
         self._check_open()
         engine = self.engine
-        query, _view_name = engine.xnf_query_of(source, literal=True)
+        query, _view_name = self._written_xnf(source)
 
         def create():
             engine.catalog._check_fresh(name)
@@ -622,7 +622,7 @@ class Session:
             return engine.read(self, run)
         if isinstance(statement, ast.XNFQuery):
             def run_xnf():
-                executable, _bindings = engine.compile_xnf(
+                executable = engine.compile_xnf(
                     *engine.xnf_query_of(statement),
                     xnf_options=self.xnf_options)
                 return "\n".join(

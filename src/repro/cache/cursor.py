@@ -97,21 +97,21 @@ class DependentCursor(Cursor):
         super().__init__()
         self.workspace = workspace
         self.relationship = relationship.upper()
-        if self.relationship not in workspace.relationship_parent:
-            raise CacheError(f"no relationship {relationship!r}")
+        self._parent_component, self._index = workspace.child_index(
+            relationship)
         self.parent: Optional[CachedObject] = None
         if parent is not None:
             self.position_on(parent)
 
     def position_on(self, parent: CachedObject) -> "DependentCursor":
-        expected = self.workspace.relationship_parent[self.relationship]
+        expected = self._parent_component
         if parent.component != expected:
             raise CacheError(
                 f"cursor over {self.relationship} expects parent "
                 f"component {expected}, got {parent.component}"
             )
         self.parent = parent
-        self._load(self.workspace.children_of(parent, self.relationship))
+        self._load(parent.child_lists[self._index])
         return self
 
     def __repr__(self) -> str:
@@ -140,10 +140,13 @@ class PathCursor(Cursor):
                  if p.strip()]
         target_names = self._targets_along(edges, parts)
         for edge, target in zip(edges, target_names):
+            parent, index = workspace.child_index(edge.name)
             next_level: list[CachedObject] = []
             seen: set[int] = set()
             for obj in current:
-                for child in workspace.children_of(obj, edge.name):
+                if obj.component != parent:
+                    continue
+                for child in obj.child_lists[index]:
                     candidates = (child if isinstance(child, tuple)
                                   else (child,))
                     for candidate in candidates:

@@ -45,6 +45,13 @@ def to_documents(workspace: Workspace,
             if name in workspace.schema.roots:
                 roots.extend(workspace.extent(name))
 
+    # Per component: (document key, position in child_lists) of each
+    # outgoing relationship, resolved once for the whole export.
+    roles = workspace.relationship_role
+    steps = {component: [((roles.get(name) or name).lower(), index)
+                         for name, index in positions.items()]
+             for component, positions in workspace.outgoing.items()}
+
     def render(obj: CachedObject, depth: int, seen: set) -> dict:
         key = _object_key(obj)
         if key in seen:
@@ -54,11 +61,8 @@ def to_documents(workspace: Workspace,
         document.update(obj.as_dict())
         if depth >= max_depth:
             return document
-        for rel_name, parent in workspace.relationship_parent.items():
-            if parent != obj.component:
-                continue
-            role = workspace.relationship_role.get(rel_name) or rel_name
-            children = workspace.children_of(obj, rel_name)
+        for field, index in steps[obj.component]:
+            children = obj.child_lists[index]
             if not children:
                 continue
             rendered = []
@@ -68,7 +72,7 @@ def to_documents(workspace: Workspace,
                                      for c in child])
                 else:
                     rendered.append(render(child, depth + 1, seen))
-            document[role.lower()] = rendered
+            document[field] = rendered
         return document
 
     return [render(root, 0, set()) for root in roots]

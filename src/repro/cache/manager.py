@@ -33,12 +33,14 @@ SNAPSHOT_FORMAT = 1
 class XNFCache:
     """A client-side composite-object cache."""
 
-    def __init__(self, result: COResult, translated=None,
+    def __init__(self, result: COResult, executable=None,
                  catalog=None, transactions=None,
                  write_through: bool = False):
         self.workspace = Workspace(result)
         self.schema = result.schema
-        self._translated = translated
+        #: the bound :class:`~repro.xnf.result.XNFExecutable` of the
+        #: view: its translation and the values its predicates bind
+        self._executable = executable
         self._catalog = catalog
         #: the write surface (``run_atomic``) local changes go back
         #: through; a cache without one cannot write back
@@ -67,7 +69,7 @@ class XNFCache:
                  write_through: bool = False) -> "XNFCache":
         """Run an :class:`~repro.xnf.result.XNFExecutable` and cache it."""
         result = executable.run()
-        return cls(result, translated=executable.translated,
+        return cls(result, executable=executable,
                    catalog=catalog or executable.catalog,
                    transactions=transactions, write_through=write_through)
 
@@ -143,8 +145,11 @@ class XNFCache:
         :class:`~repro.errors.NotUpdatableError` rejecting it), and
         relationship -> connect strategy."""
         if self._analysis is None:
-            xnf = getattr(self._translated, "xnf_box", None)
-            self._analysis = put_back.analyze_xnf(xnf, self._catalog) \
+            executable = self._executable
+            xnf = None if executable is None \
+                else executable.translated.xnf_box
+            self._analysis = put_back.analyze_xnf(
+                xnf, self._catalog, executable.new_context()) \
                 if xnf is not None else ({}, {})
             self.workspace.link_foreign_keys(
                 {name: info.fk_pairs
@@ -227,11 +232,11 @@ class XNFCache:
         return cls.restore(read_snapshot(path))
 
     @classmethod
-    def restore(cls, snapshot: dict, translated=None, catalog=None,
+    def restore(cls, snapshot: dict, executable=None, catalog=None,
                 transactions=None) -> "XNFCache":
         """A cache from a :func:`read_snapshot` snapshot, its update
         log replayed, with the write wiring :meth:`__init__` takes."""
-        cache = cls(_result_from_snapshot(snapshot), translated=translated,
+        cache = cls(_result_from_snapshot(snapshot), executable=executable,
                     catalog=catalog, transactions=transactions)
         for entry in snapshot["log"]:
             cache.workspace.log.append(

@@ -73,6 +73,7 @@ from repro.errors import CacheError, CatalogError, NotUpdatableError
 from repro.executor.expressions import (BatchKernel, BatchPredicate,
                                         ExpressionCompiler)
 from repro.executor.plan_cache import ParameterizedStatement, parameterize_xnf
+from repro.optimizer.plan import ExecutionContext
 from repro.qgm.model import BaseBox, QRef, RidRef
 from repro.sql import ast
 from repro.storage.catalog import Catalog, TableDelta
@@ -191,6 +192,9 @@ class _IncrementalPlan:
     #: relationship predicate or attribute reads.  An update that keeps
     #: this key changes no connection, support count or membership.
     value_keys: dict
+    #: binds the lifted definition's parameters: every check, predicate,
+    #: attribute and stream-value kernel evaluates against it
+    ctx: ExecutionContext
 
 
 def _check_no_subqueries(expression: ast.Expression, where: str) -> None:
@@ -200,9 +204,10 @@ def _check_no_subqueries(expression: ast.Expression, where: str) -> None:
             raise _Fallback(f"{where} contains a subquery")
 
 
-def _analyze_incremental(translated: TranslatedXNF,
-                         catalog: Catalog) -> _IncrementalPlan:
-    """Build the incremental plan, or raise :class:`_Fallback`."""
+def _analyze_incremental(translated: TranslatedXNF, catalog: Catalog,
+                         ctx: ExecutionContext) -> _IncrementalPlan:
+    """Build the incremental plan over the bindings in ``ctx``, or raise
+    :class:`_Fallback`."""
     if translated.recursive:
         raise _Fallback("recursive CO views are refreshed fully")
     xnf = translated.xnf_box
@@ -215,7 +220,7 @@ def _analyze_incremental(translated: TranslatedXNF,
     for name, info in translated.components.items():
         box = xnf.components[name].box
         try:
-            compiled = component_write_plan(box, name, catalog)
+            compiled = component_write_plan(box, name, catalog, ctx)
         except NotUpdatableError as exc:
             raise _Fallback(f"component {name}: {exc}") from None
         if not isinstance(box.head[box.head_position(OID)].expression,
@@ -279,7 +284,8 @@ def _analyze_incremental(translated: TranslatedXNF,
     return _IncrementalPlan(components=components,
                             relationships=relationships, topo=topo,
                             incoming=incoming, using_tables=using_tables,
-                            indexes=indexes, value_keys=value_keys)
+                            indexes=indexes, value_keys=value_keys,
+                            ctx=ctx)
 
 
 def _key_of_values(positions: list) -> Callable:
@@ -651,13 +657,14 @@ class _IncrementalState:
         if slices is not None:
             rows = [tuple(value for low, high in slices
                           for value in row[low:high]) for row in rows]
-        rows = relationship.predicate(rows, None)
+        ctx = self.plan.ctx
+        rows = relationship.predicate(rows, ctx)
         poid_pos = relationship.poid_pos
         coid_pos = relationship.coid_pos
         keys = [(row[poid_pos], row[coid_pos]) for row in rows]
         if relationship.attributes is not None and rows:
             keys = [key + values for key, values in
-                    zip(keys, relationship.attributes(rows, None))]
+                    zip(keys, relationship.attributes(rows, ctx))]
         return keys
 
     def _term(self, relationship: _RelationshipPlan, index: int,
@@ -857,7 +864,8 @@ class _IncrementalState:
             components[name] = ComponentStream(
                 name=name, number=component.number,
                 columns=list(component.stream_columns),
-                rows=component.stream_values(list(rows.values()), None),
+                rows=component.stream_values(list(rows.values()),
+                                             self.plan.ctx),
                 oids=list(rows),
             )
         relationships: dict[str, ConnectionStream] = {}
@@ -888,7 +896,8 @@ class MaterializedView:
     """One registered view: stored result, base tables, refresh state."""
 
     def __init__(self, name: str, query: ast.XNFQuery,
-                 compile_fn: Callable[[ast.XNFQuery], XNFExecutable],
+                 compile_fn: Callable[[ParameterizedStatement],
+                                      XNFExecutable],
                  catalog: Catalog, policy: str = "eager",
                  initial_refresh: bool = True):
         if policy not in POLICIES:
@@ -897,19 +906,19 @@ class MaterializedView:
                 f"expected one of {POLICIES}"
             )
         self.name = name.upper()
-        self.query = query
         #: The definition as the front end lifts a query text: what a
-        #: lifted query is matched against on read-through.
+        #: lifted query is matched against on read-through, and the form
+        #: compiled (bound to its literals' values).
         self.lifted = parameterize_xnf(query)
         self.policy = policy
         self.catalog = catalog
-        self.executable = compile_fn(query)
+        self.executable = compile_fn(self.lifted)
         self.translated: TranslatedXNF = self.executable.translated
         self.base_tables = _base_tables_of(self.translated)
         self.fallback_reason = ""
         try:
-            self._plan: Optional[_IncrementalPlan] = \
-                _analyze_incremental(self.translated, catalog)
+            self._plan: Optional[_IncrementalPlan] = _analyze_incremental(
+                self.translated, catalog, self.executable.new_context())
         except _Fallback as reason:
             self._plan = None
             self.fallback_reason = str(reason)
@@ -1015,7 +1024,8 @@ class MaterializedViewRegistry:
     """
 
     def __init__(self, catalog: Catalog,
-                 compile_fn: Callable[[ast.XNFQuery], XNFExecutable]):
+                 compile_fn: Callable[[ParameterizedStatement],
+                                      XNFExecutable]):
         self.catalog = catalog
         self._compile = compile_fn
         self._views: dict[str, MaterializedView] = {}
@@ -1059,21 +1069,15 @@ class MaterializedViewRegistry:
     def lookup_query(self, query: Union[ast.XNFQuery,
                                         ParameterizedStatement]
                      ) -> Optional[MaterializedView]:
-        """A view whose definition is ``query`` as written.
-
-        A literal query matches a structurally equal definition.  A
-        query the front end lifted matches a definition with an equal
-        lifted form *and* equal literal values, so a same-shape query
-        with other literals matches no view.
-        """
-        if not isinstance(query, ParameterizedStatement):
-            for view in self._views.values():
-                if view.query == query:
-                    return view
+        """A view whose definition is ``query`` as written: lifted, both
+        have equal lifted forms *and* equal literal values, so a
+        same-shape query with other literals matches no view."""
+        if not self._views:
             return None
-        bindings = query.bindings
+        if not isinstance(query, ParameterizedStatement):
+            query = parameterize_xnf(query)
         for view in self._views.values():
-            if view.lifted.bindings == bindings \
+            if view.lifted.values == query.values \
                     and view.lifted.statement == query.statement:
                 return view
         return None

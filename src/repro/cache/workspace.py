@@ -273,6 +273,15 @@ class Workspace:
         return self._partners(obj.parent_lists,
                               self.incoming[obj.component], relationship)
 
+    def child_index(self, relationship: str) -> tuple[str, Optional[int]]:
+        """``(parent component, position)``: where each object of the
+        parent component keeps its ``relationship`` children in
+        ``child_lists``.  A loop over many objects resolves the name
+        once here, then reads ``obj.child_lists[position]``."""
+        name = self._relationship(relationship)
+        parent = self.relationship_parent[name]
+        return parent, self.outgoing.get(parent, {}).get(name)
+
     def _partners(self, lists: list, positions: dict,
                   relationship: Optional[str]) -> tuple:
         if relationship is None:

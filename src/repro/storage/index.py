@@ -9,8 +9,9 @@ A :class:`HashIndex` is a dict from key tuple to the RIDs holding it;
 :meth:`HashIndex.lookup_many` answers a whole batch of keys in one
 probe.  Its key order is a sorted list of the NULL-free keys beside
 their RIDs, the in-memory stand-in for a B-tree's leaf level: it is
-built on the first :meth:`HashIndex.range_scan` and dropped when a key
-is inserted or deleted, so an update that keeps the key keeps it.
+built on the first :meth:`HashIndex.range_scan`, and from then on every
+key insert or delete updates it in place by binary search (equal keys
+keep their bucket's insertion order).  A rebuild drops it.
 
 A table's primary key is a :class:`PrimaryKeyIndex`, the unique hash
 index the table creates itself: it is the one key-lookup mechanism for
@@ -41,8 +42,9 @@ _RID, _ROW = itemgetter(0), itemgetter(1)
 
 class HashIndex:
     """Equality and range index: a dict from key tuple to the list of
-    RIDs holding it, plus a lazily sorted key list for range reads.  A
-    key with a NULL never matches, so it is not stored."""
+    RIDs holding it, plus a key list for range reads, sorted on the
+    first one and kept in order from then on.  A key with a NULL never
+    matches, so it is not stored."""
 
     def __init__(self, name: str, table: Table, column_names: Sequence[str],
                  unique: bool = False):
@@ -61,7 +63,7 @@ class HashIndex:
         self._getter = itemgetter(*self.positions)
         self._buckets: dict[tuple, list[Rid]] = {}
         #: ``(keys, rids)`` of :meth:`_sorted`, or None until a range
-        #: read needs it after a key change.
+        #: read needs it; kept current by every key insert and delete.
         self._order: tuple[list[tuple], list[Rid]] | None = None
 
     def key_of(self, row: Row) -> tuple:
@@ -116,11 +118,32 @@ class HashIndex:
         self._buckets = buckets
         self._order = None
 
+    def _order_insert(self, key: tuple, rid: Rid) -> None:
+        """Enter ``key`` into the key order after its equal keys (the
+        RID joined the end of its bucket).  Callers test ``_order``
+        first, so a write no range read needs (WAL replay) pays no call."""
+        keys, rids = self._order
+        at = bisect.bisect_right(keys, key)
+        keys.insert(at, key)
+        rids.insert(at, rid)
+
+    def _order_delete(self, key: tuple, rid: Rid) -> None:
+        """Take ``key``'s entry for ``rid`` out of the key order; a key
+        that does not order (a NaN) drops the order."""
+        keys, rids = self._order
+        try:
+            at = rids.index(rid, bisect.bisect_left(keys, key),
+                            bisect.bisect_right(keys, key))
+            del keys[at], rids[at]
+        except ValueError:
+            self._order = None
+
     def on_insert(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)
         if None not in key:
             self._file(self._buckets, key, rid)
-            self._order = None
+            if self._order is not None:
+                self._order_insert(key, rid)
 
     def on_delete(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)
@@ -134,7 +157,8 @@ class HashIndex:
         bucket.remove(rid)
         if not bucket:
             del self._buckets[key]
-        self._order = None
+        if self._order is not None:
+            self._order_delete(key, rid)
 
     def on_update(self, rid: Rid, old: Row, new: Row) -> None:
         if self.key_of(old) == self.key_of(new):
@@ -189,13 +213,12 @@ class HashIndex:
         stored, so the keys sort as Python sorts tuples."""
         order = self._order
         if order is None:
-            buckets = self._buckets
             keys: list[tuple] = []
             rids: list[Rid] = []
-            for key in sorted(buckets):
-                bucket = buckets[key]
-                keys += [key] * len(bucket)
-                rids += bucket
+            for key in sorted(self._buckets):
+                found = self.lookup(key)
+                keys += [key] * len(found)
+                rids += found
             order = self._order = (keys, rids)
         return order
 
@@ -233,16 +256,6 @@ class PrimaryKeyIndex(HashIndex):
                     self.on_insert(rid, row)
                 return
 
-    def _sorted(self) -> tuple[list[tuple], list[Rid]]:
-        order = self._order
-        if order is None:
-            # Key columns are NOT NULL, so every key is stored.
-            keys = sorted(self._buckets)
-            order = self._order = (keys,
-                                   list(map(self._buckets.__getitem__,
-                                            keys)))
-        return order
-
     def check_available(self, row: Row) -> None:
         """Raise if another row already holds ``row``'s key."""
         self.check_key(self.key_of(row))
@@ -260,7 +273,8 @@ class PrimaryKeyIndex(HashIndex):
         """Map ``key``, already checked free by :meth:`check_key`, to
         ``rid``."""
         self._buckets[key] = rid
-        self._order = None
+        if self._order is not None:
+            self._order_insert(key, rid)
 
     def on_insert(self, rid: Rid, row: Row) -> None:
         key = self.key_of(row)
@@ -274,7 +288,8 @@ class PrimaryKeyIndex(HashIndex):
                 f"index {self.name!r} out of sync: rid {rid} missing for {key!r}"
             )
         del self._buckets[key]
-        self._order = None
+        if self._order is not None:
+            self._order_delete(key, rid)
 
     def lookup(self, key: tuple) -> list[Rid]:
         rid = self._buckets.get(tuple(key))

@@ -27,8 +27,9 @@ write batch touched the same way.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Optional
 
-from repro.errors import CatalogError, SemanticError, ViewUpdateError
+from repro.errors import SemanticError, ViewUpdateError
 from repro.executor.dml import RowWriter
 from repro.executor.expressions import BatchKernel, ExpressionCompiler
 from repro.executor.plan_cache import HashedKey, ParameterizedStatement
@@ -58,11 +59,20 @@ def _over_base_row(expression: ast.Expression) -> ast.Expression:
         expression, lambda ref: QRef(_BaseRow, ref.column.upper()))
 
 
-def compile_base_expression(expression: ast.Expression, table):
-    """Compile an AST over ``table``'s columns into ``fn(row) -> value``."""
+def compile_base_expression(expression: ast.Expression, table,
+                            ctx: ExecutionContext):
+    """Compile an AST over ``table``'s columns into ``fn(row) -> value``;
+    its parameters read their values from ``ctx``."""
     compiled = _base_compiler(table).compile(_over_base_row(expression))
-    ctx = ExecutionContext()
     return lambda row: compiled(row, ctx)
+
+
+def _shown(predicate: ast.Expression, ctx: ExecutionContext) -> str:
+    """``predicate`` as text, each parameter's bound value after it."""
+    return str(predicate) + "".join(
+        f", {node} = {ctx.parameters[node.key]!r}"
+        for node in ast.walk_expression(predicate)
+        if isinstance(node, ast.Parameter) and node.key in ctx.parameters)
 
 
 def compile_base_project(expressions: list, table) -> BatchKernel:
@@ -74,9 +84,11 @@ def compile_base_project(expressions: list, table) -> BatchKernel:
 
 class CompiledWritePlan:
     """A classified view plus its compiled dynamic-check artifacts:
-    what :meth:`verify` re-evaluates a written row against."""
+    what :meth:`verify` re-evaluates a written row against.  ``ctx``
+    binds the parameters of a lifted view's predicates."""
 
-    def __init__(self, plan: ViewWritePlan, catalog):
+    def __init__(self, plan: ViewWritePlan, catalog,
+                 ctx: ExecutionContext):
         self.plan = plan
         #: view column -> base Column, for coercing written values the
         #: way storage does (CHAR padding etc.) before the round-trip
@@ -84,10 +96,10 @@ class CompiledWritePlan:
         self.normalizers = {}
         if plan.single_source:
             table = catalog.table(plan.table)
-            self.checks = [(compile_base_expression(p, table), str(p))
-                           for p in plan.predicates]
+            self.checks = [(compile_base_expression(p, table, ctx),
+                            _shown(p, ctx)) for p in plan.predicates]
             self.getters = {
-                column: compile_base_expression(expr, table)
+                column: compile_base_expression(expr, table, ctx)
                 for column, expr in plan.base_ast.items()
             }
             by_name = {c.name.upper(): c for c in table.columns}
@@ -97,7 +109,8 @@ class CompiledWritePlan:
         else:
             anchor_table = plan.anchor.box.table
             self.checks = [
-                (compile_base_expression(_deqref(p), anchor_table), str(p))
+                (compile_base_expression(_deqref(p), anchor_table, ctx),
+                 _shown(p, ctx))
                 for p in plan.box.local_predicates_of(plan.anchor)
             ]
             self.getters = {}
@@ -107,13 +120,13 @@ class CompiledWritePlan:
             for binding in plan.key_bindings:
                 side_table = binding.quantifier.box.table
                 side_checks = [
-                    compile_base_expression(_deqref(p), side_table)
+                    compile_base_expression(_deqref(p), side_table, ctx)
                     for p in plan.box.local_predicates_of(
                         binding.quantifier)
                 ]
                 pairs = [
                     (side_table.column_position(column),
-                     compile_base_expression(expr, anchor_table))
+                     compile_base_expression(expr, anchor_table, ctx))
                     for column, expr in binding.pairs
                 ]
                 self.partners.append((side_table, side_checks, pairs))
@@ -192,10 +205,13 @@ class CompiledWritePlan:
                                "value than was written")
 
 
-def compile_write_plan(box, name: str, catalog) -> CompiledWritePlan:
+def compile_write_plan(box, name: str, catalog,
+                       ctx: Optional[ExecutionContext] = None
+                       ) -> CompiledWritePlan:
     """Classify ``box`` for put-back and compile its checks: the one
     analysis behind view DML, the object gateway and the matviews."""
-    return CompiledWritePlan(analyze_view_box(box, name, catalog), catalog)
+    return CompiledWritePlan(analyze_view_box(box, name, catalog), catalog,
+                             ctx or ExecutionContext())
 
 
 def _deqref(expression: ast.Expression) -> ast.Expression:
@@ -277,16 +293,8 @@ class ViewUpdateManager:
         return builder._resolve_table(target)
 
     def _component_raw_box(self, view, component: str):
-        from repro.xnf.translate import XNFTranslator
-        compiler = self.engine.pipeline.compiler
-        graph = compiler.build_xnf(view.definition, view_name=view.name)
-        translated = XNFTranslator(
-            self.catalog, self.engine.xnf_options,
-            compiler=compiler).translate(graph)
-        info = translated.components.get(component.upper())
-        if info is None:
-            raise CatalogError(
-                f"XNF view {view.name!r} has no component {component!r}")
+        translated, info = self.engine.translate_xnf_component(view,
+                                                               component)
         if translated.recursive:
             raise ViewUpdateError(
                 f"view {view.name!r} is not updatable", box=component,

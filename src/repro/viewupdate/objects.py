@@ -145,11 +145,12 @@ def analyze_relationship(relationship: XNFRelationship,
     )
 
 
-def component_write_plan(box, name: str, catalog) -> CompiledWritePlan:
-    """The write plan of a CO component.  An object of a component
-    stands for one base row, so the derivation must be single-source;
-    raises :class:`NotUpdatableError` otherwise."""
-    compiled = compile_write_plan(box, name, catalog)
+def component_write_plan(box, name: str, catalog,
+                         ctx=None) -> CompiledWritePlan:
+    """The write plan of a CO component, its checks bound to ``ctx``.
+    An object of a component stands for one base row, so the derivation
+    must be single-source; raises :class:`NotUpdatableError` otherwise."""
+    compiled = compile_write_plan(box, name, catalog, ctx)
     if not compiled.plan.single_source:
         raise NotUpdatableError(
             f"view {name!r} is not updatable", box=box.label,
@@ -158,15 +159,16 @@ def component_write_plan(box, name: str, catalog) -> CompiledWritePlan:
     return compiled
 
 
-def analyze_xnf(xnf: XNFBox, catalog) -> tuple[dict, dict]:
+def analyze_xnf(xnf: XNFBox, catalog, ctx=None) -> tuple[dict, dict]:
     """Write paths of a CO view: per component its
     :class:`CompiledWritePlan` or the :class:`NotUpdatableError` that
-    rejects it, and per relationship its connect strategy."""
+    rejects it, and per relationship its connect strategy.  ``ctx``
+    binds the parameters of a lifted view's predicates."""
     components: dict = {}
     for name, component in xnf.components.items():
         try:
             components[name] = component_write_plan(component.box, name,
-                                                    catalog)
+                                                    catalog, ctx)
         except NotUpdatableError as exc:
             components[name] = exc
     relationships = {
@@ -423,16 +425,13 @@ def apply_write_through(cache, entries) -> None:
     writer = cache._writer()
     try:
         writer.apply_now(entries)
-    except ViewUpdateError:
+    except Exception as exc:
         revert_entries(cache.workspace, entries)
-        raise
-    except (UpdateError, CacheError, StorageError,
-            TypeCheckError) as exc:
-        revert_entries(cache.workspace, entries)
+        if isinstance(exc, ViewUpdateError) or not isinstance(
+                exc, (UpdateError, CacheError, StorageError,
+                      TypeCheckError)):
+            raise
         raise ViewUpdateError(
             "write-through rejected", box=entries[0].target,
             reason=str(exc)) from exc
-    except Exception:
-        revert_entries(cache.workspace, entries)
-        raise
     writer.settle(cache.workspace, entries)

@@ -119,10 +119,6 @@ class ViewWritePlan:
         return f"q{qid}"
 
 
-def _qref_is(expr, quantifier) -> bool:
-    return isinstance(expr, QRef) and expr.quantifier is quantifier
-
-
 def _reject_kind(box, name: str) -> NotUpdatableError:
     reasons = {
         "groupby": "aggregation collapses base rows; no row-level "

@@ -14,7 +14,7 @@ materialized connections, seeded with the root components' tuples.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.optimizer.plan import ExecutionContext
 from repro.xnf.result import ComponentStream, ConnectionStream, COResult
@@ -24,10 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def evaluate_recursive(executable: "XNFExecutable",
-                       ctx: Optional[ExecutionContext] = None) -> COResult:
+                       ctx: ExecutionContext) -> COResult:
     translated = executable.translated
-    if ctx is None:
-        ctx = executable.plan.new_context()
 
     # 1. Materialize raw component streams and unrestricted connections.
     raw_components: dict[str, ComponentStream] = {}
@@ -35,23 +33,9 @@ def evaluate_recursive(executable: "XNFExecutable",
     for stream, node in executable.plan.outputs:
         rows = executable.plan.run_node(node, ctx)
         if stream.stream_kind == "component":
-            identity = stream.identity_position
-            value_positions = [i for i in range(len(node.columns))
-                               if i != identity]
-            component = ComponentStream(
-                name=stream.name.upper(), number=stream.component_number,
-                columns=[node.columns[i] for i in value_positions],
-            )
-            seen: set = set()
-            for row in rows:
-                oid = row[identity]
-                if oid in seen:
-                    continue
-                seen.add(oid)
-                component.oids.append(oid)
-                component.rows.append(
-                    tuple(row[i] for i in value_positions)
-                )
+            # No stream of a recursive CO embeds its parent.
+            component = executable._decode_component(stream, node, rows,
+                                                     {})
             raw_components[component.name] = component
         else:
             raw_connections[stream.name.upper()] = ConnectionStream(
@@ -72,8 +56,6 @@ def evaluate_recursive(executable: "XNFExecutable",
         reachable[root] = set(oids)
         frontier[root] = set(oids)
 
-    kept_connections: dict[str, set] = {name: set()
-                                        for name in raw_connections}
     changed = True
     while changed:
         iterations += 1
@@ -87,10 +69,8 @@ def evaluate_recursive(executable: "XNFExecutable",
                 continue
             active_parents = frontier[parent]
             for connection in stream.connections:
-                parent_oid = connection[0]
-                if parent_oid not in active_parents:
+                if connection[0] not in active_parents:
                     continue
-                kept_connections[name].add(connection)
                 for child, child_oid in zip(info.children, connection[1:]):
                     if child_oid not in reachable[child]:
                         reachable[child].add(child_oid)
@@ -98,16 +78,8 @@ def evaluate_recursive(executable: "XNFExecutable",
                         changed = True
         frontier = next_frontier
 
-    # A second pass keeps connections whose parent became reachable in a
-    # *later* wave than when the connection table was first visited.
-    for name, stream in raw_connections.items():
-        info = translated.relationships[name]
-        parent_reachable = reachable[info.parent]
-        for connection in stream.connections:
-            if connection[0] in parent_reachable:
-                kept_connections[name].add(connection)
-
-    # 3. Filter streams down to reachable tuples.
+    # 3. Filter streams down to reachable tuples: a connection stays
+    # when its parent is reachable.
     result = COResult(schema=translated.schema, components={},
                       relationships={})
     shipped = 0
@@ -125,8 +97,8 @@ def evaluate_recursive(executable: "XNFExecutable",
             shipped += len(filtered)
     for name, stream in raw_connections.items():
         info = translated.relationships[name]
-        kept = [c for c in stream.connections
-                if c in kept_connections[name]]
+        parent_reachable = reachable[info.parent]
+        kept = [c for c in stream.connections if c[0] in parent_reachable]
         filtered = ConnectionStream(
             name=name, number=stream.number, role=stream.role,
             parent=stream.parent, children=stream.children,

@@ -14,6 +14,7 @@ reproduces the wire format the XNF cache consumes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -145,36 +146,48 @@ class COResult:
 class XNFExecutable:
     """A compiled XNF query: plans per output stream plus metadata.
 
-    ``peek`` carries the values of literals the plan cache lifted into
-    parameters (bind peeking), so the cost model keeps value-aware
-    estimates; run such an executable with those values bound, e.g.
-    ``run(executable.plan.new_context(bindings))``.
+    ``bindings`` holds the values of literals the plan cache lifted
+    into parameters.  The planner peeks at them (bind peeking), so the
+    cost model keeps value-aware estimates, and :meth:`run` binds
+    them.  :meth:`bind` shares the plans with another literal variant
+    of the same query shape.
     """
 
     def __init__(self, translated: TranslatedXNF, catalog: Catalog,
                  stats: Optional[StatisticsManager] = None,
                  planner_options: Optional[PlannerOptions] = None,
-                 peek: Optional[dict] = None):
+                 bindings: Optional[dict] = None):
         self.translated = translated
         self.catalog = catalog
         self.stats = stats or StatisticsManager(catalog)
         self.planner_options = planner_options or PlannerOptions()
+        self.bindings = bindings or {}
         planner = Planner(catalog, self.stats, self.planner_options,
-                          peek=peek)
+                          peek=self.bindings)
         self.plan: ExecutablePlan = planner.plan(translated.graph)
         #: component stream name -> (value columns, value kernel)
         self._decoders: dict[str, tuple] = {}
 
+    def bind(self, bindings: dict) -> "XNFExecutable":
+        """A copy sharing this executable's plans, with ``bindings`` as
+        the lifted literals' values."""
+        bound = copy.copy(self)
+        bound.bindings = bindings
+        return bound
+
+    def new_context(self) -> ExecutionContext:
+        """A fresh execution context with the bindings bound."""
+        return self.plan.new_context(self.bindings)
+
     # ------------------------------------------------------------------
-    def run(self, ctx: Optional[ExecutionContext] = None) -> COResult:
+    def run(self) -> COResult:
+        ctx = self.new_context()
         if self.translated.recursive:
             from repro.xnf.recursive import evaluate_recursive
             return evaluate_recursive(self, ctx)
         return self._run_dag(ctx)
 
-    def _run_dag(self, ctx: Optional[ExecutionContext]) -> COResult:
-        if ctx is None:
-            ctx = self.plan.new_context()
+    def _run_dag(self, ctx: ExecutionContext) -> COResult:
         result = COResult(schema=self.translated.schema, components={},
                           relationships={})
         shipped = 0

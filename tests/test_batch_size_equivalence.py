@@ -152,11 +152,12 @@ def test_xnf_view_equivalence(org_db):
     ``batch_size=1`` and the default, stream by stream, counters
     included."""
     results = {}
+    compiled = org_db.xnf_executable("deps_arc")
     for label, options in (("one", PlannerOptions(batch_size=1)),
                            ("default", PlannerOptions())):
         executable = XNFExecutable(
-            org_db.xnf_executable("deps_arc").translated,
-            org_db.engine.catalog, org_db.engine.stats, options)
+            compiled.translated, org_db.engine.catalog,
+            org_db.engine.stats, options, bindings=compiled.bindings)
         results[label] = executable.run()
     one_co, default_co = results["one"], results["default"]
     assert set(one_co.components) == set(default_co.components)

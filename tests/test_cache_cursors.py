@@ -119,6 +119,15 @@ class TestPathCursor:
         assert {id(o) for o in cursor} == \
             {id(o) for o in dept.children("employment")}
 
+    def test_start_objects_of_another_component_are_skipped(self,
+                                                            workspace):
+        dept = workspace.extent("xdept")[0]
+        emp = workspace.extent("xemp")[0]
+        for path in ("xdept.xemp", "xdept.xproj"):
+            mixed = PathCursor(workspace, path, start=[emp, dept])
+            assert [id(o) for o in mixed] == \
+                [id(o) for o in PathCursor(workspace, path, start=[dept])]
+
     def test_single_component_path(self, workspace):
         cursor = PathCursor(workspace, "xdept")
         assert len(cursor) == len(workspace.extent("xdept"))
@@ -127,3 +136,40 @@ class TestPathCursor:
         arrow = PathCursor(workspace, "xdept->xemp")
         dotted = PathCursor(workspace, "xdept.xemp")
         assert len(arrow) == len(dotted)
+
+
+class TestNameResolution:
+    """Cursors and the document export resolve a relationship's
+    position once, not once per object they visit."""
+
+    @pytest.fixture
+    def resolutions(self, workspace, monkeypatch) -> list:
+        calls: list = []
+        resolve = Workspace._relationship
+
+        def counting(self, relationship):
+            calls.append(relationship)
+            return resolve(self, relationship)
+        monkeypatch.setattr(Workspace, "_relationship", counting)
+        return calls
+
+    def test_path_cursor_resolves_once_per_step(self, workspace,
+                                                resolutions):
+        cursor = PathCursor(workspace, "xdept.xemp.xskills")
+        assert len(workspace.extent("xdept")) > 1
+        assert len(cursor) > 1
+        assert len(resolutions) == 2
+
+    def test_dependent_cursor_resolves_once(self, workspace, resolutions):
+        cursor = DependentCursor(workspace, "employment")
+        for dept in workspace.extent("xdept"):
+            assert tuple(cursor.position_on(dept)) == \
+                dept.child_lists[workspace.outgoing["XDEPT"]["EMPLOYMENT"]]
+        assert len(resolutions) == 1
+
+    def test_export_resolves_no_name_per_object(self, workspace,
+                                                resolutions):
+        from repro.cache.export import to_documents
+        documents = to_documents(workspace)
+        assert any(document.get("employs") for document in documents)
+        assert resolutions == []

@@ -81,6 +81,50 @@ class TestIndexConsistency:
         check()
 
 
+class TestMaintainedKeyOrder:
+    @given(st.lists(st.tuples(
+        st.sampled_from(["insert", "delete", "update", "read"]),
+        st.integers(0, 30), st.integers(0, 5)), max_size=80),
+        st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_a_fresh_sort(self, ops, primary):
+        """After random inserts, deletes, key-moving updates and range
+        reads, the key order the index kept equals a fresh sort
+        of its buckets (equal keys in bucket order), and holds every
+        non-NULL key of the heap."""
+        table = Table("T", [Column("ID", INTEGER, primary_key=primary),
+                            Column("GRP", INTEGER), Column("NAME", VARCHAR)])
+        if primary:
+            index, column = table.pk_index, 0
+        else:
+            index, column = HashIndex("OX", table, ["GRP"]), 1
+            table.attach_index(index)
+        index.range_scan()
+        for serial, (op, pick, group) in enumerate(ops):
+            # A primary key takes a fresh value; a group may be NULL.
+            value = serial if primary else (None if group == 5 else group)
+            live = [rid for rid, _row in table.scan()]
+            if op == "read":
+                index.range_scan((group,), (group + 2,))
+            elif op == "insert" or not live:
+                table.insert((serial, value, "n"))
+            elif op == "delete":
+                table.delete(live[pick % len(live)])
+            else:
+                rid = live[pick % len(live)]
+                row = list(table.fetch(rid))
+                row[column] = value
+                table.update(rid, tuple(row))
+        keys, rids = index._order
+        buckets = index._buckets
+        assert list(zip(keys, rids)) == [
+            (key, rid) for key in sorted(buckets)
+            for rid in ([buckets[key]] if primary else buckets[key])]
+        assert sorted(zip(keys, rids)) == sorted(
+            ((row[column],), rid) for rid, row in table.scan()
+            if row[column] is not None)
+
+
 class TestTransactionAtomicity:
     @given(operations)
     @settings(max_examples=40, deadline=None)

@@ -4,10 +4,13 @@ An ad-hoc XNF query is lifted like a SELECT: the literals of every
 component query and of every relationship predicate and attribute
 become synthetic parameters, so all literal variants of one CO-query
 shape share one compiled executable.  The sweep below checks that the
-lifted run, a literal-inline compile and the naive reference evaluator
-build the same composite objects; the remaining tests pin the cache
-behaviour (hits, invalidation, EXPLAIN) and the materialized-view
-read-through, which must keep matching the query *as written*.
+lifted run, a literal compile (an engine with the plan cache disabled
+compiles the query as written) and the naive reference evaluator build
+the same composite objects; the remaining tests pin the cache behaviour
+(hits, invalidation, EXPLAIN), the one compile path every XNF consumer
+shares (extraction, client caches, materialized views), and the
+materialized-view read-through, which must keep matching the query *as
+written*.
 ``REPRO_DIFF_SEEDS=<n>`` widens the sweep as in the other differential
 suites.
 """
@@ -21,6 +24,7 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.api.session import Session
+from repro.errors import ViewUpdateError
 from repro.executor.runtime import PipelineOptions
 from repro.executor.plan_cache import parameterize_xnf
 from repro.sql import ast
@@ -77,12 +81,14 @@ def co_signature(result) -> dict:
     return out
 
 
-def assert_three_way(db: Session, text: str, label: str) -> str:
-    """Compare the three evaluations; returns the plan-cache status of
-    the lifted run."""
+def assert_three_way(db: Session, literal_db: Session, text: str,
+                     label: str) -> str:
+    """Compare the three evaluations (``literal_db`` holds the same data
+    with the plan cache disabled); returns the plan-cache status of the
+    lifted run."""
     lifted = db.xnf(text)
     status = db.engine.pipeline.plan_cache.last_info.status
-    inline = db.xnf_executable(text).run()
+    inline = literal_db.xnf_executable(text).run()
     naive = db.xnf_naive(text)
     want = co_signature(naive)
     assert co_signature(inline) == want, f"{label}: inline diverged"
@@ -90,29 +96,40 @@ def assert_three_way(db: Session, text: str, label: str) -> str:
     return status
 
 
-@pytest.fixture(scope="module")
-def org() -> Session:
-    db = Engine().connect()
+def org_session(plan_cache_size: int = 256) -> Session:
+    db = Engine(PipelineOptions(plan_cache_size=plan_cache_size)).connect()
     create_org_schema(db.engine.catalog)
     populate_org(db.engine.catalog, ORG)
     return db
 
 
-@pytest.fixture
-def fresh_org() -> Session:
-    db = Engine().connect()
-    create_org_schema(db.engine.catalog)
-    populate_org(db.engine.catalog, ORG)
-    return db
-
-
-@pytest.fixture(scope="module")
-def bom() -> tuple[Session, dict]:
-    db = Engine().connect()
+def bom_session(plan_cache_size: int = 256) -> tuple[Session, dict]:
+    db = Engine(PipelineOptions(plan_cache_size=plan_cache_size)).connect()
     create_bom_schema(db.engine.catalog)
     info = populate_bom(db.engine.catalog, BOMScale(roots=3, depth=3, fanout=2,
                                                     seed=5))
     return db, info
+
+
+@pytest.fixture(scope="module")
+def org() -> Session:
+    return org_session()
+
+
+@pytest.fixture(scope="module")
+def org_literal() -> Session:
+    """The org database on an engine that compiles queries as written."""
+    return org_session(plan_cache_size=0)
+
+
+@pytest.fixture
+def fresh_org() -> Session:
+    return org_session()
+
+
+@pytest.fixture(scope="module")
+def bom() -> tuple[Session, dict]:
+    return bom_session()
 
 
 def random_query(rng: random.Random) -> str:
@@ -136,14 +153,16 @@ def random_query(rng: random.Random) -> str:
 
 
 @pytest.mark.parametrize("seed", _seeds())
-def test_lifted_inline_and_naive_agree(org, seed):
+def test_lifted_inline_and_naive_agree(org, org_literal, seed):
     rng = random.Random(seed)
     for number in range(QUERIES_PER_SEED):
-        assert_three_way(org, random_query(rng), f"seed {seed} q{number}")
+        assert_three_way(org, org_literal, random_query(rng),
+                         f"seed {seed} q{number}")
 
 
 def test_recursive_query_variants_agree(bom):
     db, info = bom
+    literal_db, _info = bom_session(plan_cache_size=0)
     roots = info["roots"]
     statuses = []
     # Same shape (two anchors, one scaled attribute), other literals.
@@ -156,7 +175,8 @@ def test_recursive_query_variants_agree(bom):
             "                        WHERE xassembly")
         assert f"c.qty * {factor}" in text
         statuses.append(
-            assert_three_way(db, text, f"anchors {first}, {second}"))
+            assert_three_way(db, literal_db, text,
+                             f"anchors {first}, {second}"))
     assert statuses == ["miss", "hit", "hit"]
 
 
@@ -218,17 +238,19 @@ class TestSharedExecutable:
 
     def test_lifted_plan_peeks_literal_values(self, fresh_org):
         # Bind peeking: the lifted plan's estimates match a plan
-        # compiled with the literals inline.
-        engine = fresh_org.engine
+        # compiled with the literals inline (by an engine whose plan
+        # cache is disabled, over the same data).
+        literal = org_session(plan_cache_size=0).engine
 
         def estimates(executable) -> dict:
             return {stream.name: node.estimated_rows
                     for stream, node in executable.plan.outputs}
         for where in ("WHERE dno BETWEEN 1 AND 2", "WHERE loc = 'ARC'"):
             query = parse_statement(deps_query(where))
-            lifted, bindings = engine.compile_xnf(query, "XNF")
-            assert bindings
-            inline = engine.compile_xnf_inline(query, "XNF")
+            lifted = fresh_org.engine.compile_xnf(query, "XNF")
+            assert lifted.bindings
+            inline = literal.compile_xnf(query, "XNF")
+            assert inline.bindings == {}  # the literals stay inline
             assert estimates(lifted) == estimates(inline), where
 
     def test_ddl_invalidates(self, fresh_org):
@@ -306,3 +328,82 @@ class TestMaterializedViewReadThrough:
             fresh_org.xnf_naive(other))
         assert co_signature(result) != co_signature(
             fresh_org.matview("deps_m"))
+
+
+# ----------------------------------------------------------------------
+# One compile path: extraction, client caches and materialized views
+# ----------------------------------------------------------------------
+class TestOneCompilePath:
+    SF = deps_query("WHERE loc = 'SF'")
+
+    def test_extraction_and_cache_share_one_entry(self, fresh_org):
+        cache = fresh_org.engine.pipeline.plan_cache
+        fresh_org.execute(f"CREATE VIEW deps_arc AS {DEPS_ARC_QUERY}")
+        fresh_org.xnf("deps_arc")
+        assert cache.last_info.status == "miss"
+        fresh_org.open_cache("deps_arc")
+        assert cache.last_info.status == "hit"
+        assert len(cache) == 1
+
+    def test_cache_over_literal_variants_compiles_once(self, fresh_org):
+        cache = fresh_org.engine.pipeline.plan_cache
+        statuses = []
+        for loc in ("ARC", "SF"):
+            opened = fresh_org.open_cache(deps_query(f"WHERE loc = '{loc}'"))
+            statuses.append(cache.last_info.status)
+            assert {o.get("LOC") for o in opened.extent("XDEPT")} == {loc}
+        assert statuses == ["miss", "hit"]
+        assert len(cache) == 1
+
+    def test_write_through_checks_bind_their_own_literals(self, fresh_org):
+        """A write-through cache over query text behaves as one over the
+        same view created by name: the component check reads the
+        literal of the text it was opened on, also when its executable
+        is another variant's, bound to other values."""
+        fresh_org.execute(f"CREATE VIEW deps_sf AS {self.SF}")
+        plan_cache = fresh_org.engine.pipeline.plan_cache
+        fresh_org.open_cache(DEPS_ARC_QUERY, write_through=True)
+        caches = {"text": fresh_org.open_cache(self.SF, write_through=True)}
+        assert plan_cache.last_info.status == "hit"
+        caches["name"] = fresh_org.open_cache("deps_sf", write_through=True)
+        for label, cache in caches.items():
+            dept = cache.extent("XDEPT")[0]
+            before = fresh_org.query(
+                f"SELECT loc FROM DEPT WHERE dno = {dept.get('DNO')}").rows
+            with pytest.raises(ViewUpdateError,
+                               match="view predicate.*'SF'"):
+                dept.set("LOC", "ARC")
+            assert dept.get("LOC") == "SF", label
+            assert fresh_org.query(
+                f"SELECT loc FROM DEPT WHERE dno = {dept.get('DNO')}"
+            ).rows == before, label
+            dept.set("DNAME", f"renamed-{label}")
+            assert fresh_org.query(
+                f"SELECT dname FROM DEPT WHERE dno = {dept.get('DNO')}"
+            ).rows == [(f"renamed-{label}",)], label
+
+    def test_matviews_over_literal_variants(self, fresh_org):
+        """Materialized views over query text and over a view created
+        by name compile their lifted definition, stay incremental, and
+        each equals a fresh extraction of its own text after every
+        write."""
+        fresh_org.execute(f"CREATE VIEW deps_sf AS {self.SF}")
+        views = {
+            DEPS_ARC_QUERY: fresh_org.create_materialized_view(
+                "m_arc", DEPS_ARC_QUERY),
+            self.SF: fresh_org.create_materialized_view("m_sf", "deps_sf")}
+        for view, loc in zip(views.values(), ("ARC", "SF")):
+            assert view.is_incremental, view.fallback_reason
+            assert list(view.executable.bindings.values()) == [loc]
+        assert fresh_org.engine.catalog.view("m_sf").definition \
+            == parse_statement(self.SF)
+        for write in ("UPDATE DEPT SET loc = 'SF' WHERE dno = 1",
+                      "UPDATE DEPT SET loc = 'ARC' WHERE dno = 2",
+                      "UPDATE EMP SET sal = sal + 5 WHERE edno = 3",
+                      "UPDATE EMP SET edno = 4 WHERE eno = 1",
+                      "DELETE FROM EMPSKILLS WHERE eseno = 2"):
+            fresh_org.execute(write)
+            for text, view in views.items():
+                assert co_signature(fresh_org.matview(view.name)) == \
+                    co_signature(fresh_org.xnf_naive(text)), (write,
+                                                              view.name)

@@ -16,10 +16,18 @@ failed operations stops the comparison.
 For every end-to-end metric of ``BENCHMARK.json`` it prints, per seed
 and pooled over the seeds: the base and change medians with their
 quartiles, the pairs the change won (better in the metric's direction),
-the relative change of the medians, and whether the gap between the
-medians is larger than the base's interquartile range.  The last line of
-standard output is one JSON object holding the same figures.  Exit
-status 0 unless a run failed.
+the relative change of the medians, whether the gap between the
+medians is larger than the base's interquartile range, and a verdict
+under the metric's ``bound``:
+
+``win``     the change won at least 9 of 10 pairs and its median is
+            better than the base's by more than the base's IQR;
+``loss``    the change's median is worse than the base's by more than
+            ``bound`` (relative to the base median);
+``within``  neither.
+
+The last line of standard output is one JSON object holding the same
+figures.  Exit status 0 unless a run failed.
 """
 
 from __future__ import annotations
@@ -68,8 +76,25 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
             for name, metric in result["metrics"].items()}
 
 
+#: The share of pairs a change must win for a "win" verdict.
+WIN_SHARE = 0.9
+
+
+def verdict(won: int, pairs: int, relative: float, gap_over_iqr: bool,
+            lower: bool, bound: float) -> str:
+    """'win', 'loss' or 'within' (see the module docstring);
+    ``relative`` is the change of the medians over the base median."""
+    worse = relative if lower else -relative
+    if worse > bound:
+        return "loss"
+    if worse < 0 and gap_over_iqr and won >= WIN_SHARE * pairs:
+        return "win"
+    return "within"
+
+
 def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    """Per metric: medians, quartiles, pairs won and the IQR test."""
+    """Per metric: medians, quartiles, pairs won, the IQR test and the
+    verdict under the metric's bound."""
     summary = {}
     for metric in metrics:
         name = metric["name"]
@@ -82,14 +107,16 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
                   for b, c in zip(base, change))
         b_q1, b_median, b_q3 = quartiles(base)
         c_q1, c_median, c_q3 = quartiles(change)
+        relative = (c_median - b_median) / b_median if b_median else 0.0
+        gap = abs(c_median - b_median) > b_q3 - b_q1
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "base": [b_q1, b_median, b_q3],
             "change": [c_q1, c_median, c_q3],
-            "won": won, "pairs": len(pairs),
-            "relative": (c_median - b_median) / b_median if b_median
-            else 0.0,
-            "gap_over_base_iqr": abs(c_median - b_median) > b_q3 - b_q1,
+            "won": won, "pairs": len(pairs), "relative": relative,
+            "gap_over_base_iqr": gap, "bound": metric["bound"],
+            "verdict": verdict(won, len(pairs), relative, gap, lower,
+                               metric["bound"]),
         }
     return summary
 
@@ -100,13 +127,15 @@ def print_table(title: str, summary: dict) -> None:
 
     print(f"== {title}")
     print(f"{'metric':18} {'base median [q1, q3]':36} "
-          f"{'change median [q1, q3]':36} {'won':>6} {'rel':>8} gap>IQR")
+          f"{'change median [q1, q3]':36} {'won':>6} {'rel':>8} gap>IQR "
+          f"verdict")
     for name, row in summary.items():
         print(f"{name:18} {spread(*row['base']):36} "
               f"{spread(*row['change']):36} "
               f"{row['won']:>2}/{row['pairs']:<3} "
               f"{row['relative'] * 100:+7.1f}% "
-              f"{'yes' if row['gap_over_base_iqr'] else 'no'}")
+              f"{'yes' if row['gap_over_base_iqr'] else 'no':7} "
+              f"{row['verdict']}")
 
 
 def parse_args(argv):
